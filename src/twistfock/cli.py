@@ -22,7 +22,14 @@ from .fermion import OMEGA, PSI, VACUUM, State
 from .ramond import format_ramond_word
 from .deltak import FORWARD, INVERSE, DeltaOp, apply_delta, solve_aj
 from .twist import TwistedModuleView, require_even_order
-from .verify import SuiteConfig, run_suite, suite_json, suite_table
+from .verify import (
+    SuiteConfig,
+    parse_bool,
+    parse_rational,
+    run_suite,
+    suite_json,
+    suite_table,
+)
 
 FORMATS = ("json", "csv", "table")
 
@@ -73,25 +80,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rational(raw: str) -> QQ:
-    raw = raw.strip()
-    if "/" in raw:
-        num, _, den = raw.partition("/")
-        return QQ(int(num), int(den))
-    return QQ(int(raw))
-
-
-def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    value = str(raw).strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 _COERCERS = {
     "k": int,
     "cutoff": int,
@@ -99,15 +87,15 @@ _COERCERS = {
     "format": str,
     "out": str,
     "state": str,
-    "expect_obstruction": _parse_bool,
-    "decimal": _parse_bool,
-    "inverse": _parse_bool,
-    "jacobi": _parse_bool,
-    "radius": _parse_rational,
-    "domain_level": _parse_rational,
-    "weight": _parse_rational,
-    "lo": _parse_rational,
-    "hi": _parse_rational,
+    "expect_obstruction": parse_bool,
+    "decimal": parse_bool,
+    "inverse": parse_bool,
+    "jacobi": parse_bool,
+    "radius": parse_rational,
+    "domain_level": parse_rational,
+    "weight": parse_rational,
+    "lo": parse_rational,
+    "hi": parse_rational,
 }
 
 
@@ -228,8 +216,8 @@ def parse_state(text: str) -> State:
         if not part:
             raise ValueError(f"empty mode index in state {text!r}")
         try:
-            index = _parse_rational(part)
-        except (ValueError, ZeroDivisionError) as exc:
+            index = parse_rational(part)
+        except ValueError as exc:
             raise ValueError(f"bad mode index {part!r} in state") from exc
         if index >= 0 or (2 * index).denominator != 1 or index.denominator != 2:
             raise ValueError(
@@ -470,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state",
         default="psi",
-        help="vacuum|1|psi|omega or mode indices like -3/2,-1/2",
+        help="vacuum|1|psi|omega or mode indices: --state=-3/2,-1/2",
     )
     p.add_argument(
         "--inverse", action="store_true", help="apply the inverse direction"
@@ -478,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depth", type=int, default=4, help="minimum operator table depth"
     )
-    p.add_argument("--lo", type=_parse_rational, default=None,
+    p.add_argument("--lo", type=parse_rational, default=None,
                    help="keep exponents >= lo")
-    p.add_argument("--hi", type=_parse_rational, default=None,
+    p.add_argument("--hi", type=parse_rational, default=None,
                    help="keep exponents <= hi")
 
     p = sub.add_parser(
@@ -509,26 +497,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--radius",
-        type=_parse_rational,
+        type=parse_rational,
         default=QQ(3, 2),
         help="exponent window radius (rational, e.g. 3/2)",
     )
     p.add_argument(
         "--domain-level",
         dest="domain_level",
-        type=_parse_rational,
+        type=parse_rational,
         default=QQ(2),
         help="largest twisted-module level acted on (rational)",
     )
     p.add_argument(
         "--weight",
-        type=_parse_rational,
+        type=parse_rational,
         default=QQ(2),
         help="largest untwisted weight fed to coordinate-change checks",
     )
     p.add_argument(
         "--jacobi",
-        type=_parse_bool,
+        type=parse_bool,
         default=True,
         metavar="BOOL",
         help="include the three-variable kernel identity (default: true)",

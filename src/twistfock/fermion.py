@@ -7,6 +7,13 @@ of descendant vectors are never expanded by hand: every mode is produced by
 the residue-extraction recursion (`iterate_mode_word`), which also covers the
 parity-twisted sector used by the `ramond` module through its half-integer
 lattice shift.  All coefficients stay exact rationals.
+
+The recursion and the anticommutation kernel run on doubled-integer modes: a
+mode m is the int 2m, a word the tuple of those ints, a lattice index mu the
+int 2 mu.  The field's word is untwisted, so every binomial C(n, i) of the
+recursion has an integer top n and is an exact integer; only the twisted
+sector's zero mode and its C(1/2, i) correction bring in halves.  The public
+functions take and return `QQ` words and coefficients as before.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -185,16 +193,69 @@ RAMOND_GROUND = State({(): QQ(1)})  # interpreted over |R> words
 
 
 # ---------------------------------------------------------------------------
+# doubled-integer modes
+# ---------------------------------------------------------------------------
+#
+# Every mode the kernels below meet lies on the half-integer lattice, so they
+# store a mode m as the int 2m and a word as a tuple of those ints.  Doubling
+# is increasing, so encoded words sort as the words do; index and level
+# arithmetic, hashing and cache lookups all run on ints.  Untwisted modes
+# encode to odd ints, twisted ones to even ints.
+
+
+def _double(x) -> int:
+    """2x as an int, for an exact rational x on the half-integer lattice."""
+    num, den = x.numerator, x.denominator
+    if den not in (1, 2):
+        raise ValueError(f"{x} is not on the half-integer lattice")
+    return int(num) * (2 // den)
+
+
+def _encode(word) -> tuple:
+    return tuple(_double(m) for m in word)
+
+
+@lru_cache(maxsize=None)
+def _decode(word2) -> tuple:
+    """The QQ word of a doubled word; cached, so equal words share storage."""
+    return tuple(QQ(m2, 2) for m2 in word2)
+
+
+# ---------------------------------------------------------------------------
 # the canonical anticommutation kernel
 # ---------------------------------------------------------------------------
+
+_SIGNED_HALF = (HALF, -HALF)
+
+
+def _apply2(word: tuple, m2: int) -> tuple:
+    """psi_{m2/2} on one ascending doubled word; a tuple of (word, coeff).
+
+    Annihilation (m2 > 0) contracts against the matching creation mode with
+    the sign of the anticommutations passed; creation (m2 < 0) inserts in
+    order, vanishing on a repeated mode; the twisted-sector zero mode squares
+    to 1/2.  Coefficients are +-1, or +-1/2 for the zero mode.
+    """
+    if m2 > 0:
+        if -m2 not in word:
+            return ()
+        i = word.index(-m2)
+        return ((word[:i] + word[i + 1 :], -1 if i & 1 else 1),)
+    if m2 == 0:  # only reachable in the twisted sector
+        if word and word[-1] == 0:
+            return ((word[:-1], _SIGNED_HALF[(len(word) - 1) & 1]),)
+        return ((word + (0,), -1 if len(word) & 1 else 1),)
+    if m2 in word:
+        return ()
+    i = bisect_left(word, m2)
+    return ((word[:i] + (m2,) + word[i:], -1 if i & 1 else 1),)
 
 
 def apply_phys_mode(word, m, ramond: bool):
     """psi_m applied to one ordered word; returns [(word, rational)].
 
-    Annihilation (m > 0) contracts against a matching creation mode with the
-    sign of the anticommutations passed; creation (m < 0) inserts in order,
-    vanishing on a repeated mode; the twisted-sector zero mode squares to 1/2.
+    `ramond` selects the sector whose lattice m must lie on: the integers for
+    the parity-twisted sector, Z + 1/2 for the untwisted one.
     """
     m = QQ(m)
     if ramond:
@@ -202,21 +263,7 @@ def apply_phys_mode(word, m, ramond: bool):
             raise ValueError(f"twisted-sector mode {m} must be an integer")
     elif (2 * m).denominator != 1 or (2 * m).numerator % 2 == 0:
         raise ValueError(f"untwisted-sector mode {m} must be in Z + 1/2")
-    if m > 0:
-        for i, entry in enumerate(word):
-            if entry + m == 0:
-                reduced = word[:i] + word[i + 1 :]
-                return [(reduced, QQ(-1) ** i)]
-        return []
-    if m == 0:  # only reachable in the twisted sector
-        if word and word[-1] == 0:
-            return [(word[:-1], HALF * QQ(-1) ** (len(word) - 1))]
-        return [(word + (ZERO,), QQ(-1) ** len(word))]
-    if m in word:
-        return []
-    position = sum(1 for entry in word if entry < m)
-    inserted = tuple(sorted(word + (m,)))
-    return [(inserted, QQ(-1) ** position)]
+    return [(_decode(w), QQ(c)) for w, c in _apply2(_encode(word), _double(m))]
 
 
 def fermion_mode(n, s: State) -> State:
@@ -239,15 +286,83 @@ def fermion_mode(n, s: State) -> State:
 #
 # where field subscripts are lattice indices (physical mode = index + 1/2)
 # and the final sum re-enters the recursion on strictly lower word weight.
+#
+# `_iterate2` evaluates this on doubled integers: every mode, word, index and
+# the shift s enter as twice their value.  The field's word a is untwisted,
+# so m1 lies in Z + 1/2 and n = m1 - 1/2 is an integer; then
+# (-1)^i C(n,i) = C(i-n-1, i) is an integer too, built by the exact integer
+# step d_{i+1} = d_i (i-n)/(i+1).  Only the twisted correction's C(1/2, i)
+# (from a table) and the zero mode's 1/2 are not integers.  Every index shift
+# above is a multiple of 1/2 and the recursion ends at mu = -1, so an index
+# off the half-integer lattice gives zero at once.
 
 
-def _merge(table, addition, factor):
-    for word, coeff in addition:
-        new = table.get(word, ZERO) + coeff * factor
-        if scalar_is_zero(new):
-            table.pop(word, None)
-        else:
+def _accumulate(table: dict, pairs, factor) -> None:
+    get = table.get
+    for word, coeff in pairs:
+        new = get(word, 0) + coeff * factor
+        if new:
             table[word] = new
+        else:
+            table.pop(word, None)
+
+
+@lru_cache(maxsize=None)
+def _neg_binomial_half(i: int):
+    """-C(1/2, i), the twisted correction's coefficient."""
+    return -binomial(HALF, i)
+
+
+@lru_cache(maxsize=None)
+def _iterate2(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
+    """`iterate_mode_word` on doubled words and a doubled index, unsorted."""
+    if not a_word:
+        return ((word, 1),) if mu2 == -2 else ()
+    m1 = a_word[0]
+    rest = a_word[1:]
+    n = (m1 - 1) // 2
+    out: dict = {}
+
+    # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
+    # the level left above the sector floor, and drops by 2 per step
+    room = -sum(word) - sum(rest) - mu2 + sector_half - 2
+    d = 1
+    i = 0
+    while room >= 0:
+        psi2 = sector_half + m1 - 2 * i
+        for mid_word, mid_coeff in _iterate2(rest, mu2 - sector_half + 2 * i,
+                                             word, sector_half):
+            _accumulate(out, _apply2(mid_word, psi2), d * mid_coeff)
+        d = d * (i - n) // (i + 1)
+        i += 1
+        room -= 2
+
+    # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
+    # above the word's largest creation mode kill it
+    if word:
+        sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
+        top = -word[0]
+        d = 1
+        i = 0
+        psi2 = sector_half + 1
+        while psi2 <= top:
+            for mid_word, mid_coeff in _apply2(word, psi2):
+                inner = _iterate2(rest, m1 - 1 + mu2 - sector_half - 2 * i,
+                                  mid_word, sector_half)
+                _accumulate(out, inner, sign * d * mid_coeff)
+            d = d * (i - n) // (i + 1)
+            i += 1
+            psi2 += 2
+
+    # twisted correction terms: strictly lower weight, same length
+    if sector_half:
+        bound2 = -m1 - (rest[0] if rest else 0)
+        for i in range(1, bound2 // 2 + 1):
+            for mid_word, mid_coeff in _apply2(rest, m1 + 2 * i):
+                inner = _iterate2(mid_word, mu2 - 2 * i, word, sector_half)
+                _accumulate(out, inner, _neg_binomial_half(i) * mid_coeff)
+
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -256,62 +371,16 @@ def iterate_mode_word(a_word, mu, word, sector_half: int):
 
     `sector_half` is twice the sector shift: 0 acts on the untwisted module,
     1 on the parity-twisted one.  Returns a tuple of (word, coefficient)
-    pairs; every sum below is finite because annihilation kills high modes
-    and the graded pieces below the sector floor vanish.
+    pairs sorted by word; every sum of the recursion is finite because
+    annihilation kills high modes and the graded pieces below the sector
+    floor vanish.  The arguments are encoded once, `_iterate2` does the
+    work, and its result is decoded once per call that misses this cache.
     """
-    mu = QQ(mu)
-    s = QQ(sector_half, 2)
-    ramond = sector_half == 1
-    if not a_word:
-        return ((word, QQ(1)),) if mu == -1 else ()
-    m1 = a_word[0]
-    rest = a_word[1:]
-    n = m1 - HALF
-    eps = QQ(-1) ** (len(rest) % 2)
-    sign_n = QQ(-1) ** (int(n) % 2)
-    rest_weight = word_level(rest)
-    level = word_level(word)
-    out: dict = {}
-
-    # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}
-    i = 0
-    while True:
-        inner_index = mu - s + i
-        if level + rest_weight - inner_index - 1 < 0:
-            break  # below the sector floor for this and all larger i
-        inner = iterate_mode_word(rest, inner_index, word, sector_half)
-        factor = (QQ(-1) ** i) * binomial(n, i)
-        psi_phys = s + n - i + HALF
-        for mid_word, mid_coeff in inner:
-            for out_word, c in apply_phys_mode(mid_word, psi_phys, ramond):
-                _merge(out, ((out_word, c),), factor * mid_coeff)
-        i += 1
-
-    # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}
-    max_annihilator = -word[0] if word else None
-    i = 0
-    while True:
-        psi_phys = s + i + HALF
-        if max_annihilator is None or psi_phys > max_annihilator:
-            break
-        first = apply_phys_mode(word, psi_phys, ramond)
-        if first:
-            factor = (QQ(-1) ** i) * binomial(n, i) * (-eps) * sign_n
-            inner_index = n + mu - s - i
-            for mid_word, mid_coeff in first:
-                inner = iterate_mode_word(rest, inner_index, mid_word, sector_half)
-                _merge(out, inner, factor * mid_coeff)
-        i += 1
-
-    # twisted correction terms: strictly lower weight, same length
-    if sector_half:
-        bound = -m1 + (-(rest[0]) if rest else ZERO)
-        for i in range(1, rational_floor(bound) + 1):
-            for mid_word, mid_coeff in apply_phys_mode(rest, m1 + i, False):
-                inner = iterate_mode_word(mid_word, mu - i, word, sector_half)
-                _merge(out, inner, -binomial(s, i) * mid_coeff)
-
-    return tuple(sorted(out.items(), key=lambda t: t[0]))
+    mu2 = 2 * QQ(mu)
+    if mu2.denominator != 1:
+        return ()
+    result = _iterate2(_encode(a_word), int(mu2), _encode(word), sector_half)
+    return tuple((_decode(w), QQ(c)) for w, c in sorted(result))
 
 
 def vertex_mode(v: State, t, target: State) -> State:

@@ -25,6 +25,7 @@ from .scalars import (
     ZERO,
     binomial,
     eta_k,
+    is_rational,
     rational_ceil,
     rational_floor,
     scalar_is_zero,
@@ -1373,24 +1374,38 @@ class SuiteConfig:
             if key in ("k", "cutoff", "depth"):
                 kwargs[key] = int(raw)
             elif key in ("radius", "domain_level", "weight"):
-                kwargs[key] = _parse_rational(raw)
+                kwargs[key] = parse_rational(raw)
             elif key == "jacobi":
-                kwargs[key] = _parse_bool(raw)
+                kwargs[key] = parse_bool(raw)
             else:
                 raise ValueError(f"unknown suite option: {key}")
         return SuiteConfig(**kwargs)
 
 
-def _parse_rational(raw) -> QQ:
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if "/" in raw:
-            num, den = raw.split("/", 1)
-            return QQ(int(num), int(den))
-    return QQ(raw)
+def parse_rational(raw) -> QQ:
+    """An exact rational from an integer or ``p/q`` spelling, e.g. ``-3/2``.
+
+    The one rational parser of flags, config files and state words.  Decimal
+    spellings such as ``0.5`` are refused, so every accepted value is written
+    exactly; a zero denominator is refused too.  Exact rationals pass
+    through.  Raises ValueError, never ZeroDivisionError.
+    """
+    if is_rational(raw):
+        return QQ(raw)
+    text = str(raw).strip()
+    num, slash, den = text.partition("/")
+    try:
+        num = int(num)
+        den = int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"not an integer or p/q rational: {raw!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {raw!r}")
+    return QQ(num, den)
 
 
-def _parse_bool(raw) -> bool:
+def parse_bool(raw) -> bool:
+    """A flag value: 1/true/yes/on or 0/false/no/off, case-insensitive."""
     if isinstance(raw, bool):
         return raw
     value = str(raw).strip().lower()
@@ -1558,6 +1573,8 @@ def run_suite(config: SuiteConfig | None = None) -> list:
 __all__ = [
     "CheckReport",
     "SuiteConfig",
+    "parse_bool",
+    "parse_rational",
     "check_character_correspondence",
     "check_cross_slot_commutator",
     "check_even_supercommutator",

@@ -12,14 +12,19 @@ configuration, so repeated runs must agree byte for byte.
 """
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from twistfock.scalars import QQ, ONE
 from twistfock.fermion import OMEGA, PSI, VACUUM, State
 from twistfock.cli import main, parse_config_file, parse_state
+from twistfock.verify import parse_rational
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -308,3 +313,100 @@ class TestValidation:
         code, _, err = run_cli(capsys, "char", "--k", "2", "--cutoff", "-1")
         assert code == 2
         assert "cutoff" in err
+
+
+class TestRationalArguments:
+    def test_exact_spellings(self):
+        assert parse_rational("3/2") == QQ(3, 2)
+        assert parse_rational(" -4 ") == QQ(-4)
+        assert parse_rational("6/4") == QQ(3, 2)
+        assert parse_rational(QQ(1, 3)) == QQ(1, 3)
+
+    @pytest.mark.parametrize("raw", ["1/0", "0/0", "0.5", "1e3", "x", "1/2/3", ""])
+    def test_rejects_with_value_error(self, raw):
+        with pytest.raises(ValueError):
+            parse_rational(raw)
+
+    def test_zero_denominator_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", "--k", "2", "--radius", "1/0"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "twistfock verify: error: argument --radius: "
+            "invalid parse_rational value: '1/0'"
+        ]
+
+    def test_zero_denominator_config_entry_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("radius=1/0\n")
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero denominator in '1/0'\n"
+
+    def test_decimal_config_entry_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("weight=0.5\n")
+        code, _, err = run_cli(capsys, "verify", "--k", "2", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: not an integer or p/q rational")
+
+    def test_zero_denominator_state_word_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "delta-apply", "--k", "2", "--state=-1/0")
+        assert code == 2
+        assert err == "error: bad mode index '-1/0' in state\n"
+
+
+def readme_commands() -> list:
+    """The argv of every ``twistfock`` command line in the README."""
+    return [
+        tuple(shlex.split(line.partition("#")[0])[1:])
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("twistfock ")
+    ]
+
+
+def leading_exponent(out: str) -> str:
+    return json.loads(out)["pieces"][0]["exponent"]
+
+
+# The README's commands that finish in seconds, each with the outcome the
+# README promises; the two default-window `verify --k 2` runs take tens of
+# seconds and are covered by the acceptance suite instead.
+README_CHEAP = {
+    ("ajcoeffs", "--k", "2", "--depth", "3"):
+        lambda out: out.splitlines() == ["j,a_j", "1,-1/2", "2,1/4", "3,-3/16"],
+    ("delta-apply", "--k", "2", "--state", "psi"):
+        lambda out: leading_exponent(out) == "-1/4",
+    ("delta-apply", "--k", "2", "--state", "omega", "--inverse"):
+        lambda out: leading_exponent(out) == "1"
+        and json.loads(out)["direction"] == "inverse",
+    ("delta-apply", "--k", "2", "--state=-3/2,-1/2"):
+        lambda out: leading_exponent(out) == "-1"
+        and json.loads(out)["input"] == "(1)*psi(-3/2)psi(-1/2)|0>",
+    ("char", "--k", "2", "--cutoff", "7"):
+        lambda out: out.splitlines()[1] == "1/48,2",
+    ("twist-build", "--k", "2", "--cutoff", "4", "--format", "table"):
+        lambda out: out.splitlines()[2].split() == ["|R>", "1/16", "0", "1/16"],
+    ("verify", "--k", "3", "--expect-obstruction"):
+        lambda out: out.splitlines()[-1] == "15/15 checks as expected",
+}
+README_SLOW = {
+    ("verify", "--k", "2"),
+    ("verify", "--k", "2", "--format", "json", "--out", "report.json"),
+}
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_is_listed(self):
+        commands = readme_commands()
+        assert len(commands) == len(set(commands))
+        assert set(commands) == set(README_CHEAP) | README_SLOW
+
+    @pytest.mark.parametrize("argv", sorted(README_CHEAP), ids=" ".join)
+    def test_command_works_as_written(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert README_CHEAP[argv](out)
