@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .scalars import QQ, ONE, rational_ceil, scalar_str
+from .scalars import QQ, ONE, CycScalar, complex_embedding, rational_ceil, scalar_str
 from .formal import Window
 from .fermion import OMEGA, PSI, VACUUM, State
 from .ramond import format_ramond_word
@@ -156,10 +156,16 @@ def _config_from_namespace(args: argparse.Namespace) -> RunConfig:
 
 
 def _value(x, decimal: bool) -> str:
-    """Exact fraction by default; ``~``-marked float with --decimal."""
-    if decimal:
-        return f"~{float(QQ(x))!r}"
-    return scalar_str(x)
+    """Exact value by default; ``~``-marked float with --decimal.
+
+    A cyclotomic scalar is shown by the real part of its complex embedding.
+    Display only: no computed value is ever taken from the float.
+    """
+    if not decimal:
+        return scalar_str(x)
+    if isinstance(x, CycScalar):
+        return f"~{complex_embedding(x).real!r}"
+    return f"~{float(QQ(x))!r}"
 
 
 def _render_table(header, rows) -> str:
@@ -283,7 +289,7 @@ def cmd_delta_apply(cfg: RunConfig) -> int:
         "direction": direction,
         "input": state.render(),
         "weight": scalar_str(QQ(weight)),
-        "prefactor": scalar_str(expansion.prefactor),
+        "prefactor": _value(expansion.prefactor, cfg.decimal),
         "pieces": json_pieces,
     }
     fmt = cfg.fmt or "json"
@@ -431,6 +437,26 @@ def _add_common(parser: argparse.ArgumentParser, *, default_format: str) -> None
     )
 
 
+def _argument_type(parse):
+    """An argparse ``type`` that reports the reason a value was refused.
+
+    argparse turns a plain ValueError into "invalid <function> value";
+    re-raising it as ArgumentTypeError prints the parser's own message.
+    """
+
+    def convert(raw):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_RATIONAL_ARG = _argument_type(parse_rational)
+_BOOL_ARG = _argument_type(parse_bool)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistfock",
@@ -466,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depth", type=int, default=4, help="minimum operator table depth"
     )
-    p.add_argument("--lo", type=parse_rational, default=None,
+    p.add_argument("--lo", type=_RATIONAL_ARG, default=None,
                    help="keep exponents >= lo")
-    p.add_argument("--hi", type=parse_rational, default=None,
+    p.add_argument("--hi", type=_RATIONAL_ARG, default=None,
                    help="keep exponents <= hi")
 
     p = sub.add_parser(
@@ -497,26 +523,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--radius",
-        type=parse_rational,
+        type=_RATIONAL_ARG,
         default=QQ(3, 2),
         help="exponent window radius (rational, e.g. 3/2)",
     )
     p.add_argument(
         "--domain-level",
         dest="domain_level",
-        type=parse_rational,
+        type=_RATIONAL_ARG,
         default=QQ(2),
         help="largest twisted-module level acted on (rational)",
     )
     p.add_argument(
         "--weight",
-        type=parse_rational,
+        type=_RATIONAL_ARG,
         default=QQ(2),
         help="largest untwisted weight fed to coordinate-change checks",
     )
     p.add_argument(
         "--jacobi",
-        type=parse_bool,
+        type=_BOOL_ARG,
         default=True,
         metavar="BOOL",
         help="include the three-variable kernel identity (default: true)",

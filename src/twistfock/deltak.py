@@ -44,7 +44,15 @@ from .formal import (
     compare_series,
     series_power,
 )
-from .fermion import State, ZERO_STATE, ns_basis, format_ns_word, vertex_mode, virasoro
+from .fermion import (
+    State,
+    ZERO_STATE,
+    combine,
+    format_ns_word,
+    ns_basis,
+    vertex_mode,
+    virasoro,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +126,46 @@ def _exp_derivation_on_x(values, sign: int, top: int):
 
 @lru_cache(maxsize=None)
 def solve_aj(k: int, J: int) -> AjTable:
-    """Solve for the derivation coefficients a_1..a_J, triangularly.
+    """Solve for the derivation coefficients a_1..a_J in one pass over degree.
 
-    The j-th coefficient first enters the expansion of exp(-D) x at degree
-    j+1, linearly and with unit coefficient, so matching against the degree
-    j+1 coefficient of ((1+x)^k - 1)/k determines each a_j in turn.  The
-    finished table is cross-checked against the independent expansion
-    exp(+D) x = (1+kx)^{1/k} - 1 through degree J+1.
+    exp(-D) x is the sum of the terms T_m = (-D)^m x / m!, where T_0 = x and
+    T_m = -(1/m) D T_{m-1}.  D raises degree by at least one, so T_m starts
+    at degree m+1, and the degree-n coefficient of T_m (m >= 2) needs only
+    a_1..a_{n-m} and lower-degree coefficients of T_{m-1}.  The coefficient
+    a_{n-1} enters degree n only through T_1[n] = -a_{n-1}; matching the
+    degree-n coefficient of ((1+x)^k - 1)/k therefore gives
+    a_{n-1} = sum_{m>=2} T_m[n] - C(k, n)/k.  Filling the terms column by
+    column in n = 2..J+1 costs O(J^3).
+
+    The finished table is cross-checked against the independent expansion
+    exp(+D) x = (1+kx)^{1/k} - 1 through degree J+1, computed by
+    `_exp_derivation_on_x`, which shares no code with the pass above.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    values = []
-    for j in range(1, J + 1):
-        partial = _exp_derivation_on_x(tuple(values), -1, j + 1)
-        target = binomial(QQ(k), j + 1) / k
-        values.append(partial[j + 1] - target)
-    values = tuple(values)
+    top = J + 1
+    a = [ZERO] * (J + 1)  # a[j] for j = 1..J; a[0] unused
+    # terms[m][n]: degree-n coefficient of T_m, for m = 0..top-1
+    terms = [[ZERO] * (top + 1) for _ in range(top)]
+    terms[0][1] = ONE
+    for n in range(2, top + 1):
+        total = ZERO
+        for m in range(2, n):
+            prev = terms[m - 1]
+            acc = ZERO
+            for j in range(1, n - m + 1):
+                c = prev[n - j]
+                if c:
+                    acc += a[j] * c * (n - j)
+            if acc:
+                value = -acc / m
+                terms[m][n] = value
+                total += value
+        a[n - 1] = total - binomial(QQ(k), n) / k
+        terms[1][n] = -a[n - 1]
+    values = tuple(a[1:])
 
     forward = _exp_derivation_on_x(values, +1, J + 1)
     for m in range(J + 2):
@@ -334,7 +364,7 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     Each positive Virasoro mode strictly lowers the grade, so the series
     terminates once the drop exceeds the weight of u.
     """
-    total = {0: u}
+    summands = {0: [(u, ONE)]}
     term = {0: u}
     m = 0
     while term:
@@ -343,14 +373,16 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
         for drop, state in term.items():
             for j in range(1, table.depth + 1):
                 image = virasoro(QQ(j), state)
-                if image.is_zero():
-                    continue
-                scaled = image.scaled(table.a(j) * QQ(sign) / m)
-                key = drop + j
-                nxt[key] = nxt.get(key, ZERO_STATE) + scaled
-        term = {d: s for d, s in nxt.items() if not s.is_zero()}
-        for d, s in term.items():
-            total[d] = total.get(d, ZERO_STATE) + s
+                if not image.is_zero():
+                    scalar = table.a(j) * QQ(sign) / m
+                    nxt.setdefault(drop + j, []).append((image, scalar))
+        term = {}
+        for d, pairs in nxt.items():
+            s = combine(pairs)
+            if not s.is_zero():
+                term[d] = s
+                summands.setdefault(d, []).append((s, ONE))
+    total = {d: combine(pairs) for d, pairs in summands.items()}
     return {d: s for d, s in total.items() if not s.is_zero()}
 
 
@@ -407,16 +439,11 @@ def round_trip_defect(k: int, u: State, *, depth: int | None = None) -> State:
         inv = apply_delta(DeltaOp(k, depth, INVERSE), piece)
         scalar = _rationalized(fwd.prefactor * inv.prefactor)
         for e_i, back in inv.pieces:
-            total = e_f + e_i
-            contribution = back.scaled(scalar)
-            by_exponent[total] = by_exponent.get(total, ZERO_STATE) + contribution
-    defect = ZERO_STATE
-    for e, s in by_exponent.items():
-        if e == 0:
-            defect = defect + (s - u)
-        else:
-            defect = defect + s
-    return defect
+            by_exponent.setdefault(e_f + e_i, []).append((back, scalar))
+    pairs = [(combine(group), ONE) for group in by_exponent.values()]
+    if 0 in by_exponent:
+        pairs.append((u, -ONE))
+    return combine(pairs)
 
 
 def _rationalized(scalar):

@@ -14,6 +14,14 @@ int 2 mu.  The field's word is untwisted, so every binomial C(n, i) of the
 recursion has an integer top n and is an exact integer; only the twisted
 sector's zero mode and its C(1/2, i) correction bring in halves.  The public
 functions take and return `QQ` words and coefficients as before.
+
+A mode of a descendant field on a state of either sector is `field_mode`:
+it sums the recursion's results over the pairs of words of the field's
+vector and of the target in one dict and builds one `State`.  `vertex_mode`
+and `ramond.sigma_vertex_mode` are that function on the two sectors.  Every
+other linear combination of states goes through `combine`, which sums
+scalar * state over all its pairs in one dict and sorts once, instead of
+re-sorting after every `+`.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .formal import OperatorField, Window
 from .scalars import (
     HALF,
+    ONE,
     QQ,
     ZERO,
     binomial,
@@ -95,10 +105,34 @@ def format_ramond_word(word) -> str:
 # states: exact linear combinations of words
 # ---------------------------------------------------------------------------
 
+_word_of = itemgetter(0)
+
+
+def _accumulate(table: dict, pairs, factor) -> None:
+    """Add factor * coeff to table[word] for each (word, coeff) pair,
+    dropping the entries that cancel to zero.  A factor that is the object
+    `ONE` is not multiplied."""
+    get = table.get
+    unit = factor is ONE
+    for word, coeff in pairs:
+        new = get(word, 0) + (coeff if unit else factor * coeff)
+        if new:
+            table[word] = new
+        else:
+            table.pop(word, None)
+
 
 @dataclass(frozen=True)
 class State:
-    """A finite linear combination of basis words with exact coefficients."""
+    """A finite linear combination of basis words with exact coefficients.
+
+    Invariant: ``terms`` is a tuple of (word, coefficient) pairs sorted by
+    word, with distinct words and no zero coefficient.  So two states are
+    equal exactly when their ``terms`` are, and results built inside the
+    package (`_of_table`, `_of_terms`) rely on the invariant instead of
+    re-validating.  The public constructor `State(table)` validates any
+    mapping, or copies a state.
+    """
 
     terms: tuple
 
@@ -110,27 +144,40 @@ class State:
             if scalar_is_zero(coeff):
                 continue
             clean[tuple(word)] = coeff
-        object.__setattr__(
-            self, "terms", tuple(sorted(clean.items(), key=lambda t: t[0]))
-        )
+        object.__setattr__(self, "terms", tuple(sorted(clean.items(), key=_word_of)))
+
+    @classmethod
+    def _of_terms(cls, terms: tuple) -> "State":
+        """A state from terms that already satisfy the invariant."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
+    def _of_table(cls, table: dict) -> "State":
+        """A state from a dict of tuple words to nonzero coefficients."""
+        return cls._of_terms(tuple(sorted(table.items(), key=_word_of)))
 
     def table(self) -> dict:
         return dict(self.terms)
 
     def __add__(self, other: "State") -> "State":
-        out = self.table()
-        for word, coeff in other.terms:
-            out[word] = out.get(word, ZERO) + coeff
-        return State(out)
+        return combine(((self, ONE), (other, ONE)))
 
     def __sub__(self, other: "State") -> "State":
-        return self + other.scaled(-1)
+        return combine(((self, ONE), (other, -ONE)))
 
     def __neg__(self) -> "State":
-        return self.scaled(-1)
+        return self.scaled(-ONE)
 
     def scaled(self, scalar) -> "State":
-        return State({word: scalar * coeff for word, coeff in self.terms})
+        """scalar times the state; the word order is kept, and a nonzero
+        scalar times a nonzero coefficient is nonzero in a field."""
+        if scalar_is_zero(scalar):
+            return ZERO_STATE
+        return State._of_terms(
+            tuple([(word, scalar * coeff) for word, coeff in self.terms])
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,10 +192,7 @@ class State:
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        mine, theirs = self.table(), other.table()
-        if set(mine) != set(theirs):
-            return False
-        return all(mine[w] == theirs[w] for w in mine)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(self.terms)
@@ -157,9 +201,8 @@ class State:
         """Push the state through a linear rule word -> [(word, coeff)]."""
         out = {}
         for word, coeff in self.terms:
-            for new_word, factor in rule(word):
-                out[new_word] = out.get(new_word, ZERO) + coeff * factor
-        return State(out)
+            _accumulate(out, rule(word), coeff)
+        return State._of_table(out)
 
     def homogeneous_level(self):
         """The common word level, or raise if the state is mixed."""
@@ -181,6 +224,15 @@ class State:
         for word, coeff in self.terms:
             parts.append(f"({scalar_str(coeff)})*{word_formatter(word)}")
         return " + ".join(parts)
+
+
+def combine(pairs) -> State:
+    """The linear combination sum of scalar * state over (state, scalar)
+    pairs, summed in one dict and sorted once."""
+    out: dict = {}
+    for state, scalar in pairs:
+        _accumulate(out, state.terms, scalar)
+    return State._of_table(out)
 
 
 ZERO_STATE = State({})
@@ -297,16 +349,6 @@ def fermion_mode(n, s: State) -> State:
 # off the half-integer lattice gives zero at once.
 
 
-def _accumulate(table: dict, pairs, factor) -> None:
-    get = table.get
-    for word, coeff in pairs:
-        new = get(word, 0) + coeff * factor
-        if new:
-            table[word] = new
-        else:
-            table.pop(word, None)
-
-
 @lru_cache(maxsize=None)
 def _neg_binomial_half(i: int):
     """-C(1/2, i), the twisted correction's coefficient."""
@@ -383,20 +425,29 @@ def iterate_mode_word(a_word, mu, word, sector_half: int):
     return tuple((_decode(w), QQ(c)) for w, c in sorted(result))
 
 
+def field_mode(v: State, t, target: State, sector_half: int) -> State:
+    """Lattice mode t of the field of v on a state of either sector.
+
+    `sector_half` is as in `iterate_mode_word`.  The mode is bilinear in v
+    and the target: every pair of their words contributes
+    a_coeff * t_coeff times the recursion's result, summed in one dict.
+    """
+    t = QQ(t)
+    out: dict = {}
+    for a_word, a_coeff in v.terms:
+        for word, t_coeff in target.terms:
+            _accumulate(out, iterate_mode_word(a_word, t, word, sector_half),
+                        a_coeff * t_coeff)
+    return State._of_table(out)
+
+
 def vertex_mode(v: State, t, target: State) -> State:
     """Lattice mode t of Y(v, x) acting on an untwisted state.
 
     The index is the lattice one: Y(v,x) = sum_t v_t x^{-t-1}, so the
     generator's mode t corresponds to the physical mode t + 1/2.
     """
-    t = QQ(t)
-    out = ZERO_STATE
-    for a_word, a_coeff in v.terms:
-        contribution = target.map_words(
-            lambda word, a=a_word: iterate_mode_word(a, t, word, 0)
-        )
-        out = out + contribution.scaled(a_coeff)
-    return out
+    return field_mode(v, t, target, 0)
 
 
 def virasoro(n, s: State) -> State:
@@ -470,16 +521,9 @@ def _materialize_field(v: State, window: Window, basis, sector_half: int) -> Ope
         t = -e - 1
         column = {}
         for word in basis:
-            cell = {}
-            for a_word, a_coeff in v.terms:
-                for out_word, c in iterate_mode_word(a_word, t, word, sector_half):
-                    new = cell.get(out_word, ZERO) + a_coeff * c
-                    if scalar_is_zero(new):
-                        cell.pop(out_word, None)
-                    else:
-                        cell[out_word] = new
-            if cell:
-                column[word] = cell
+            cell = field_mode(v, t, State._of_terms(((word, ONE),)), sector_half)
+            if cell.terms:
+                column[word] = dict(cell.terms)
         if column:
             terms[(e,)] = column
     return OperatorField(("x",), terms, window, parity)
@@ -526,13 +570,6 @@ def field_to_csv(field: OperatorField, in_basis, out_basis,
 # ---------------------------------------------------------------------------
 
 
-def check_tensor_word(factors, k=None) -> tuple:
-    word = tuple(check_ns_word(f) for f in factors)
-    if k is not None and len(word) != k:
-        raise ValueError(f"expected {k} tensor factors, got {len(word)}")
-    return word
-
-
 def tensor_level(tword) -> QQ:
     return sum((word_level(f) for f in tword), ZERO)
 
@@ -543,21 +580,6 @@ def tensor_parity(tword) -> int:
 
 def format_tensor_word(tword) -> str:
     return " (x) ".join(format_ns_word(f) for f in tword)
-
-
-def tensor_slot_mode(j: int, m, tword):
-    """psi_m on tensor slot j (1-based), with the parity sign of the pass.
-
-    The operator acting on slot j anticommutes past the factors in slots
-    1..j-1, so it picks up (-1) per odd factor it crosses.
-    """
-    factors = tuple(tword)
-    sign = QQ(-1) ** (sum(len(f) for f in factors[: j - 1]) % 2)
-    out = []
-    for new_factor, coeff in apply_phys_mode(factors[j - 1], m, ramond=False):
-        new_word = factors[: j - 1] + (new_factor,) + factors[j:]
-        out.append((new_word, sign * coeff))
-    return out
 
 
 def tensor_vertex_mode(a_tword, t, target_tword):
@@ -616,40 +638,6 @@ def tensor_vertex_mode(a_tword, t, target_tword):
 
     assemble(0, budget_total, (), sign)
     return tuple(sorted(out.items(), key=lambda item: item[0]))
-
-
-def tensor_vertex_op(v_terms, window: Window, *, k: int, domain) -> OperatorField:
-    """Materialize the tensor-power vertex operator over a window.
-
-    `v_terms` is a State whose words are tensor words; `domain` lists the
-    tensor words to use as columns.
-    """
-    lo, hi = window.bounds_for("x")
-    if lo is None or hi is None:
-        raise ValueError("vertex operators need a bounded exponent window")
-    terms: dict = {}
-    for e_int in range(rational_floor(lo), rational_floor(hi) + 1):
-        e = QQ(e_int)
-        t = -e - 1
-        column = {}
-        for tword in domain:
-            cell = {}
-            for a_tword, a_coeff in v_terms.terms:
-                for out_word, c in tensor_vertex_mode(a_tword, t, tword):
-                    new = cell.get(out_word, ZERO) + a_coeff * c
-                    if scalar_is_zero(new):
-                        cell.pop(out_word, None)
-                    else:
-                        cell[out_word] = new
-            if cell:
-                column[tword] = cell
-        if column:
-            terms[(e,)] = column
-    parity = None
-    parities = {tensor_parity(w) for w, _ in v_terms.terms}
-    if len(parities) == 1:
-        parity = parities.pop()
-    return OperatorField(("x",), terms, window, parity)
 
 
 def permutation_action(perm, tword):

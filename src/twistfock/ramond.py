@@ -18,12 +18,11 @@ from .fermion import (
     OMEGA,
     RAMOND_GROUND,
     State,
-    ZERO_STATE,
     _materialize_field,
     apply_phys_mode,
     check_ramond_word,
+    field_mode,
     format_ramond_word,
-    iterate_mode_word,
     ramond_basis,
 )
 from .formal import OperatorField, QSeries, Window
@@ -61,14 +60,7 @@ def sigma_vertex_mode(v: State, t, target: State) -> State:
     nonzero modes sit on t in 1/2 + Z (the generator's mode t is the
     physical mode t + 1/2), for even parity on t in Z.
     """
-    t = QQ(t)
-    out = ZERO_STATE
-    for a_word, a_coeff in v.terms:
-        contribution = target.map_words(
-            lambda word, a=a_word: iterate_mode_word(a, t, word, 1)
-        )
-        out = out + contribution.scaled(a_coeff)
-    return out
+    return field_mode(v, t, target, 1)
 
 
 def sigma_virasoro(n, s: State) -> State:

@@ -211,6 +211,16 @@ class CycScalar:
         _, rem = _pdivmod(list(coeffs), list(cyclotomic_poly(conductor)))
         return rem
 
+    @classmethod
+    def _of(cls, conductor: int, coeffs: tuple) -> "CycScalar":
+        """An element from a coefficient tuple that is already valid: QQ
+        entries, exactly phi(conductor) of them.  Results of arithmetic on
+        valid elements are built here, without re-validating."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -225,10 +235,10 @@ class CycScalar:
     # -- predicates and conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self):
         if not self.is_rational():
@@ -267,23 +277,33 @@ class CycScalar:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
+        if is_rational(other):
+            coeffs = self.coeffs
+            return CycScalar._of(self.conductor, (coeffs[0] + other,) + coeffs[1:])
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycScalar(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return CycScalar._of(
+            a.conductor, tuple([x + y for x, y in zip(a.coeffs, b.coeffs)])
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.conductor, [-c for c in self.coeffs])
+        return CycScalar._of(self.conductor, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
+        if is_rational(other):
+            coeffs = self.coeffs
+            return CycScalar._of(self.conductor, (coeffs[0] - other,) + coeffs[1:])
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycScalar(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return CycScalar._of(
+            a.conductor, tuple([x - y for x, y in zip(a.coeffs, b.coeffs)])
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -291,7 +311,8 @@ class CycScalar:
     def __mul__(self, other):
         if is_rational(other):
             # fast path: scale the coefficient vector directly
-            return CycScalar(self.conductor, [c * other for c in self.coeffs])
+            return CycScalar._of(self.conductor,
+                                 tuple([c * other for c in self.coeffs]))
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -453,19 +474,32 @@ def cyc_sqrt_k(k: int) -> CycScalar:
 
 
 def k_to_the(k: int, exponent) -> CycScalar | object:
-    """k raised to a half-integer power, exactly (uses cyc_sqrt_k for halves)."""
+    """k raised to a half-integer power, exactly (uses cyc_sqrt_k for halves).
+
+    The result is a `QQ` whenever its value is rational: always for integer
+    exponents, and for half-integer ones when k is a perfect square.
+    """
     e = QQ(exponent)
     if e.denominator == 1:
         return QQ(k) ** int(e)
     if e.denominator != 2:
         raise ValueError(f"exponent {e} is not a half-integer")
     n = rational_floor(e)
-    return cyc_sqrt_k(k) * (QQ(k) ** n)
+    root = cyc_sqrt_k(k)
+    if root.is_rational():
+        return root.rational_value() * (QQ(k) ** n)
+    return root * (QQ(k) ** n)
 
 
 def eta_k(k: int) -> CycScalar:
     """A fixed primitive k-th root of unity inside Q(zeta_{4k})."""
     return cyc_root_of_unity(4 * k, 4)
+
+
+def eta_powers(k: int) -> tuple:
+    """(eta^0, ..., eta^{k-1}) for eta = eta_k(k); eta^i is entry i % k."""
+    eta = eta_k(k)
+    return tuple(eta**i for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .scalars import QQ, ZERO, ONE, eta_k, rational_ceil
+from .scalars import QQ, ZERO, ONE, eta_powers, rational_ceil
 from .formal import OperatorField, QSeries, Window, assert_on_lattice
 from .fermion import (
     CENTRAL_CHARGE,
     OMEGA,
     State,
     ZERO_STATE,
+    combine,
     word_level,
 )
 from .ramond import (
@@ -106,7 +107,7 @@ def _materialize_twisted(k: int, u: State, window: Window, basis,
     p = u.homogeneous_level()
     parity = u.homogeneous_parity()
     expansion = apply_delta(_forward_op(k, p), u)
-    eta = eta_k(k)
+    etas = eta_powers(k)
     terms = {}
     for word in basis:
         level = word_level(word)
@@ -132,7 +133,7 @@ def _materialize_twisted(k: int, u: State, window: Window, basis,
                             raise ValueError(
                                 "root-of-unity substitution needs k even"
                             )
-                        scalar = scalar * eta ** (int(twist_power) % k)
+                        scalar = scalar * etas[int(twist_power) % k]
                     column = terms.setdefault((exponent,), {}).setdefault(word, {})
                     for out_word, c in image.terms:
                         prev = column.get(out_word, ZERO)
@@ -191,7 +192,7 @@ def twisted_mode(k: int, u: State, m, *, substitution_power: int = 0):
     scalar = expansion.prefactor
     if substitution_power % k != 0:
         power = substitution_power * k * (-m - 1)
-        scalar = scalar * eta_k(k) ** (int(power) % k)
+        scalar = scalar * eta_powers(k)[int(power) % k]
     plan = []
     for e_piece, piece in expansion.pieces:
         j = (p / k - p - e_piece) * k
@@ -199,12 +200,9 @@ def twisted_mode(k: int, u: State, m, *, substitution_power: int = 0):
         plan.append((piece, index))
 
     def action(state: State) -> State:
-        total = ZERO_STATE
-        for piece, index in plan:
-            image = sigma_vertex_mode(piece, index, state)
-            if not image.is_zero():
-                total = total + image.scaled(scalar)
-        return total
+        return combine(
+            (sigma_vertex_mode(piece, index, state), ONE) for piece, index in plan
+        ).scaled(scalar)
 
     return action
 
@@ -226,7 +224,7 @@ class _SlotOperator:
             j = (p / k - p - e_piece) * k
             self._pieces.append((piece, j))
         self._sub = substitution_power % k
-        self._eta = eta_k(k)
+        self._etas = eta_powers(k) if self._sub else ()
 
     def mode(self, m, state: State) -> State:
         k, p = self.k, self.weight
@@ -235,14 +233,12 @@ class _SlotOperator:
             power = self._sub * k * (-m - 1)
             if power.denominator != 1:
                 return ZERO_STATE
-            scalar = scalar * self._eta ** (int(power) % k)
-        total = ZERO_STATE
-        for piece, j in self._pieces:
-            index = (1 - k) * p - j - 1 + k * (m + 1)
-            image = sigma_vertex_mode(piece, index, state)
-            if not image.is_zero():
-                total = total + image.scaled(scalar)
-        return total
+            scalar = scalar * self._etas[int(power) % k]
+        return combine(
+            (sigma_vertex_mode(piece, (1 - k) * p - j - 1 + k * (m + 1), state),
+             ONE)
+            for piece, j in self._pieces
+        ).scaled(scalar)
 
 
 class _OrderedProduct:
@@ -267,17 +263,15 @@ class _OrderedProduct:
         if level is None:
             return ZERO_STATE
         step = QQ(1, k)
-        eps = -1 if (self.left.parity and self.right.parity) else 1
-        total = ZERO_STATE
+        eps = -ONE if (self.left.parity and self.right.parity) else ONE
+        pairs = []
         # annihilation part of the left factor, moved right
         n = ZERO
         n_top = self.left.weight - 1 + level / k
         while n <= n_top:
             inner = self.left.mode(n, state)
             if not inner.is_zero():
-                outer = self.right.mode(m - 1 - n, inner)
-                if not outer.is_zero():
-                    total = total + outer.scaled(eps)
+                pairs.append((self.right.mode(m - 1 - n, inner), eps))
             n += step
         # creation part of the left factor, kept left
         n_bottom = m - self.right.weight - level / k
@@ -285,11 +279,9 @@ class _OrderedProduct:
         while n >= n_bottom:
             inner = self.right.mode(m - 1 - n, state)
             if not inner.is_zero():
-                outer = self.left.mode(n, inner)
-                if not outer.is_zero():
-                    total = total + outer
+                pairs.append((self.left.mode(n, inner), ONE))
             n -= step
-        return total
+        return combine(pairs)
 
 
 def tensor_operator(k: int, factors):
@@ -378,12 +370,7 @@ def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
     prefactor = expansion.prefactor
 
     def action(state: State) -> State:
-        total = ZERO_STATE
-        for mode_map in plan:
-            image = mode_map(state)
-            if not image.is_zero():
-                total = total + image.scaled(prefactor)
-        return total
+        return combine((mode_map(state), ONE) for mode_map in plan).scaled(prefactor)
 
     return action
 

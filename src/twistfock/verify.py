@@ -24,7 +24,7 @@ from .scalars import (
     QQ,
     ZERO,
     binomial,
-    eta_k,
+    eta_powers,
     is_rational,
     rational_ceil,
     rational_floor,
@@ -44,6 +44,7 @@ from .fermion import (
     VACUUM,
     State,
     ZERO_STATE,
+    combine,
     ns_basis,
     vertex_mode,
     virasoro,
@@ -224,12 +225,13 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
     parity = u.homogeneous_parity()
     expansion = apply_delta(delta_op(k, FORWARD, cutoff=int(rational_ceil(p)) + 1), u)
     prefactor = expansion.prefactor
+    # piece j's sigma-mode index is (1-k)p - j - 1 + k(m+1) = offset_j + k m
     plan = []
     for e_piece, piece in expansion.pieces:
         j = (p / k - p - e_piece) * k
-        plan.append((piece, j))
+        plan.append((piece, (1 - k) * p - j - 1 + k))
     sub = (slot - 1) % k
-    eta = eta_k(k)
+    etas = eta_powers(k) if sub else ()
 
     def mode(m, state: State) -> State:
         scalar = prefactor
@@ -237,14 +239,12 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
             power = sub * k * (-m - 1)
             if power.denominator != 1:
                 return ZERO_STATE
-            scalar = scalar * eta ** (int(power) % k)
-        total = ZERO_STATE
-        for piece, j in plan:
-            index = (1 - k) * p - j - 1 + k * (m + 1)
-            image = sigma_vertex_mode(piece, index, state)
-            if not image.is_zero():
-                total = total + image.scaled(scalar)
-        return total
+            scalar = scalar * etas[int(power) % k]
+        km = k * m
+        return combine(
+            (sigma_vertex_mode(piece, offset + km, state), ONE)
+            for piece, offset in plan
+        ).scaled(scalar)
 
     return _ModeFamily(mode, p, parity, k)
 
@@ -302,7 +302,7 @@ def _field_product_mode(
     a field's exponent lattice contribute zero.
     """
     r_frac = QQ(r) / k
-    total = ZERO_STATE
+    pairs = []
     for i in range(0, n_loc - t):
         coeff_i = binomial(r_frac, i)
         if coeff_i == 0:
@@ -324,7 +324,7 @@ def _field_product_mode(
                         c = coeff_i * binomial(QQ(t + i), p)
                         if p % 2:
                             c = -c
-                        total = total + outer.scaled(c)
+                        pairs.append((outer, c))
             p += 1
         # swapped half, with the supersymmetry sign of the exchange
         sign = -eps if (t + i) % 2 == 0 else eps
@@ -342,9 +342,9 @@ def _field_product_mode(
                         c = coeff_i * binomial(QQ(t + i), q) * sign
                         if q % 2:
                             c = -c
-                        total = total + outer.scaled(c)
+                        pairs.append((outer, c))
             q += 1
-    return total
+    return combine(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +464,10 @@ def _commutator_report(
                     lhs = left.mode(m1, b)
                 a = a_images[e1]
                 if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
-                    swapped = right.mode(m2, a)
-                    if not swapped.is_zero():
-                        lhs = lhs - swapped.scaled(eps)
+                    lhs = combine(((lhs, ONE), (right.mode(m2, a), -eps)))
                 rhs = ZERO_STATE
                 if ((e1 - kernel_shift) * kernel_den).denominator == 1:
+                    terms = []
                     for t, family in iterates:
                         n = e1 + t
                         key = (t, e1 + e2)
@@ -486,12 +485,10 @@ def _commutator_report(
                         coeff = binomial(n, t) * (ONE if t % 2 == 0 else -ONE)
                         if kernel_weight is not None:
                             coeff = coeff * kernel_weight(n)
-                        rhs = rhs + image.scaled(coeff)
-                    if not rhs.is_zero():
-                        rhs = rhs.scaled(prefactor)
+                        terms.append((image, coeff))
+                    rhs = combine(terms).scaled(prefactor)
                 compared += 1
-                diff = lhs - rhs
-                if not diff.is_zero():
+                if lhs != rhs:
                     mismatches.append(
                         (
                             f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}",
@@ -619,11 +616,11 @@ def check_cross_slot_commutator(
             raise ValueError(f"tensor slot must lie in 1..{k}, got {s}")
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    eta = eta_k(k)
+    etas = eta_powers(k)
     diff = slot_u - slot_v
     weight = None
     if diff % k:
-        weight = lambda n: eta ** (int(diff * k * n) % k)  # noqa: E731
+        weight = lambda n: etas[int(diff * k * n) % k]  # noqa: E731
     label = (
         f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
         f"{_state_label(u)},{_state_label(v)}]"
@@ -764,7 +761,7 @@ def check_twisted_jacobi(
             sign2 = -eps if r % 2 == 0 else eps
             for e1 in grid1:
                 for e2 in grid2:
-                    lhs = ZERO_STATE
+                    lhs_terms = []
                     # first kernel: A after B, expanded in x2-then-x0
                     i = 0
                     while True:
@@ -780,7 +777,7 @@ def check_twisted_jacobi(
                                     coeff = binomial(QQ(r), i)
                                     if i % 2:
                                         coeff = -coeff
-                                    lhs = lhs + outer.scaled(coeff)
+                                    lhs_terms.append((outer, coeff))
                         i += 1
                     # second kernel: B after A, with the sign of (-x0)^{-r-1}
                     i = 0
@@ -797,10 +794,11 @@ def check_twisted_jacobi(
                                     coeff = binomial(QQ(r), i) * sign2
                                     if i % 2:
                                         coeff = -coeff
-                                    lhs = lhs + outer.scaled(coeff)
+                                    lhs_terms.append((outer, coeff))
                         i += 1
+                    lhs = combine(lhs_terms)
 
-                    rhs = ZERO_STATE
+                    rhs_terms = []
                     if (e1 * k).denominator == 1:
                         i_top = n_loc + int(alpha)
                         for i in range(0, i_top + 1):
@@ -821,10 +819,10 @@ def check_twisted_jacobi(
                                 )
                                 rhs_modes[key] = image
                             if not image.is_zero():
-                                rhs = rhs + image.scaled(base)
+                                rhs_terms.append((image, base))
+                    rhs = combine(rhs_terms)
                     compared += 1
-                    diff = lhs - rhs
-                    if not diff.is_zero():
+                    if lhs != rhs:
                         mismatches.append(
                             (
                                 f"x0^{alpha} x1^{e1} x2^{e2} "
@@ -897,9 +895,7 @@ def check_locality(
                     value = left.mode(m1, b)
                 a = a_images[e1]
                 if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
-                    swapped = right.mode(m2, a)
-                    if not swapped.is_zero():
-                        value = value - swapped.scaled(eps)
+                    value = combine(((value, ONE), (right.mode(m2, a), -eps)))
                 if not value.is_zero():
                     commutator[(iw, e1, e2)] = value
 
@@ -913,7 +909,7 @@ def check_locality(
         for iw, word in enumerate(words):
             for f1 in sub1:
                 for f2 in sub2:
-                    acc = ZERO_STATE
+                    terms = []
                     for i in range(0, power + 1):
                         term = commutator.get((iw, f1 - power + i, f2 - i))
                         if term is None:
@@ -921,7 +917,8 @@ def check_locality(
                         coeff = binomial(QQ(power), i)
                         if i % 2:
                             coeff = -coeff
-                        acc = acc + term.scaled(coeff)
+                        terms.append((term, coeff))
+                    acc = combine(terms)
                     count += 1
                     if not acc.is_zero():
                         bad.append(
@@ -975,7 +972,7 @@ def check_limit_axiom(
         yg_tensor_factor(k, u, a, window, domain_level=QQ(domain_level))
         for a in range(k)
     ]
-    eta = eta_k(k)
+    etas = eta_powers(k)
     lo, hi = _bounds(window, "x")
     grid = _lattice_grid(lo, hi, 2 * k)
     words = ramond_basis(QQ(domain_level))
@@ -986,7 +983,7 @@ def check_limit_axiom(
         dest = fields[(a - 1) % k].field
         for e in grid:
             power = -k * e
-            scale = eta ** (int(power) % k) if power.denominator == 1 else ONE
+            scale = etas[int(power) % k] if power.denominator == 1 else ONE
             for word in words:
                 col_src = source.column((e,), word)
                 col_dst = dest.column((e,), word)
@@ -1141,7 +1138,7 @@ def check_weak_associativity(
             for alpha in grid0:
                 for beta in grid2:
                     # product side: single m-sum, i = E-m-1-alpha
-                    lhs = ZERO_STATE
+                    lhs_terms = []
                     m_top = exponent - 1 - alpha
                     m_bot = exponent - 2 - alpha - beta - top_v
                     m = m_top
@@ -1153,12 +1150,13 @@ def check_weak_associativity(
                                 outer = fam_u.mode(m, inner)
                                 if not outer.is_zero():
                                     i = int(exponent - m - 1 - alpha)
-                                    lhs = lhs + outer.scaled(
-                                        binomial(exponent - m - 1, i)
+                                    lhs_terms.append(
+                                        (outer, binomial(exponent - m - 1, i))
                                     )
                         m -= 1
+                    lhs = combine(lhs_terms)
                     # iterate side: i-sum with t = i - alpha - 1
-                    rhs = ZERO_STATE
+                    rhs_terms = []
                     i_top = t_top + int(alpha) + 1
                     for i in range(0, i_top + 1):
                         family = iterate_family(i - int(alpha) - 1)
@@ -1169,10 +1167,10 @@ def check_weak_associativity(
                             continue
                         image = family.mode(mu, target)
                         if not image.is_zero():
-                            rhs = rhs + image.scaled(binomial(exponent, i))
+                            rhs_terms.append((image, binomial(exponent, i)))
+                    rhs = combine(rhs_terms)
                     count += 1
-                    diff = lhs - rhs
-                    if not diff.is_zero():
+                    if lhs != rhs:
                         bad.append(
                             (
                                 f"x0^{alpha} x2^{beta} "
@@ -1244,7 +1242,7 @@ def check_t_round_trip(
         direct = twisted_mode(k, u, m)
         for word in words:
             target = State({word: ONE})
-            total = ZERO_STATE
+            images = []
             for piece, j in plan:
                 index = (1 - k) * p - j - 1 + k * (m + 1)
                 key = (piece, index)
@@ -1252,13 +1250,11 @@ def check_t_round_trip(
                 if action is None:
                     action = u_functor_sigma_mode(k, piece, index)
                     rebuilt_actions[key] = action
-                image = action(target)
-                if not image.is_zero():
-                    total = total + image.scaled(prefactor)
+                images.append((action(target), ONE))
+            total = combine(images).scaled(prefactor)
             expected = direct(target)
             compared += 1
-            diff = total - expected
-            if not diff.is_zero():
+            if total != expected:
                 mismatches.append(
                     (
                         f"mode {m} @ {format_ramond_word(word)}",

@@ -127,6 +127,17 @@ class TestDeltaApply:
         assert code == 0
         assert out.splitlines()[0] == "j,exponent,state"
 
+    def test_decimal_renders_the_cyclotomic_prefactor(self, capsys):
+        argv = ("delta-apply", "--k", "2", "--state=-1/2")
+        code, out, _ = run_cli(capsys, *argv, "--decimal")
+        assert code == 0
+        prefactor = json.loads(out)["prefactor"]
+        assert prefactor.startswith("~") and "z8" not in prefactor
+        assert abs(float(prefactor[1:]) - 2 ** -0.5) < 1e-12
+        code, exact, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(exact)["prefactor"] == "(1/2*z8 + -1/2*z8^3)"
+
 
 class TestParseState:
     def test_named_states(self):
@@ -335,7 +346,18 @@ class TestRationalArguments:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if "error:" in line] == [
             "twistfock verify: error: argument --radius: "
-            "invalid parse_rational value: '1/0'"
+            "zero denominator in '1/0'"
+        ]
+
+    def test_decimal_flag_exits_two_with_its_reason(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", "--k", "2", "--weight", "0.5"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "twistfock verify: error: argument --weight: "
+            "not an integer or p/q rational: '0.5'"
         ]
 
     def test_zero_denominator_config_entry_exits_two(self, capsys, tmp_path):
