@@ -86,9 +86,6 @@ def word_level(word) -> QQ:
     return sum((-m for m in word), ZERO)
 
 
-ns_word_weight = word_level  # untwisted sector: the floor is 0
-
-
 def word_parity(word) -> int:
     return len(word) % 2
 
@@ -460,8 +457,9 @@ def virasoro(n, s: State) -> State:
 # ---------------------------------------------------------------------------
 
 
-def ns_basis(max_level) -> list:
-    """All untwisted words of level <= max_level, sorted by (level, word)."""
+def _basis(max_level, first_mode) -> list:
+    """All words of strictly descending modes <= first_mode with level <=
+    max_level, sorted by (level, word); empty below level 0."""
     max_level = QQ(max_level)
     words = []
 
@@ -472,24 +470,19 @@ def ns_basis(max_level) -> list:
             build(prefix + [m], m - 1, budget + m)
             m -= 1
 
-    build([], QQ(-1, 2), max_level)
+    if max_level >= 0:
+        build([], first_mode, max_level)
     return sorted(words, key=lambda w: (word_level(w), w))
+
+
+def ns_basis(max_level) -> list:
+    """All untwisted words of level <= max_level, sorted by (level, word)."""
+    return _basis(max_level, QQ(-1, 2))
 
 
 def ramond_basis(max_level) -> list:
     """All parity-twisted words of level <= max_level (mode 0 allowed once)."""
-    max_level = QQ(max_level)
-    words = []
-
-    def build(prefix, next_mode, budget):
-        words.append(tuple(reversed(prefix)))
-        m = next_mode
-        while -m <= budget:
-            build(prefix + [m], m - 1, budget + m)
-            m -= 1
-
-    build([], ZERO, max_level)
-    return sorted(words, key=lambda w: (word_level(w), w))
+    return _basis(max_level, ZERO)
 
 
 def vertex_op(v: State, window: Window, *, domain_level=QQ(2)) -> OperatorField:
@@ -570,16 +563,8 @@ def field_to_csv(field: OperatorField, in_basis, out_basis,
 # ---------------------------------------------------------------------------
 
 
-def tensor_level(tword) -> QQ:
-    return sum((word_level(f) for f in tword), ZERO)
-
-
 def tensor_parity(tword) -> int:
     return sum(len(f) for f in tword) % 2
-
-
-def format_tensor_word(tword) -> str:
-    return " (x) ".join(format_ns_word(f) for f in tword)
 
 
 def tensor_vertex_mode(a_tword, t, target_tword):

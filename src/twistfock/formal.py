@@ -394,23 +394,6 @@ class ScalarSeries:
         supp_hi = {v: self.supp_hi.get(v) for v in rest}
         return ScalarSeries(rest, coeffs, window, supp_lo, supp_hi)
 
-    def coefficient_of(self, var, exponent) -> "ScalarSeries":
-        """Slice at a fixed exponent of one variable."""
-        exponent = QQ(exponent)
-        if self.window is not None and not self.window.contains(var, exponent):
-            raise ValueError(f"window does not cover {var}^{exponent}")
-        i = self.variables.index(var)
-        rest = tuple(v for v in self.variables if v != var)
-        coeffs = {}
-        for mono, val in self.coeffs.items():
-            if mono[i] == exponent:
-                reduced = tuple(e for j, e in enumerate(mono) if j != i)
-                coeffs[reduced] = coeffs.get(reduced, ZERO) + val
-        window = None if self.window is None else self.window.drop(var)
-        supp_lo = {v: self.supp_lo.get(v) for v in rest}
-        supp_hi = {v: self.supp_hi.get(v) for v in rest}
-        return ScalarSeries(rest, coeffs, window, supp_lo, supp_hi)
-
     def constant_term(self):
         """The scalar value of a zero-variable series."""
         if self.variables:
@@ -420,10 +403,6 @@ class ScalarSeries:
 
 def series_monomial(variables, mono, coeff=1) -> ScalarSeries:
     return ScalarSeries(tuple(variables), {tuple(QQ(e) for e in mono): QQ(coeff)})
-
-
-def series_constant(value) -> ScalarSeries:
-    return ScalarSeries((), {(): value})
 
 
 # ---------------------------------------------------------------------------

@@ -18,29 +18,15 @@ from functools import lru_cache
 # rationals
 # ---------------------------------------------------------------------------
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    GMPY2_AVAILABLE = True
-except ImportError:  # pragma: no cover - gmpy2 is present in the dev env
-    _mpq = None
-    GMPY2_AVAILABLE = False
-
-
-def QQ(numerator=0, denominator=None):
-    """Build an exact rational (gmpy2-backed when available)."""
+def QQ(numerator=0, denominator=None) -> Fraction:
+    """Build an exact rational."""
     if denominator is None:
-        if _mpq is not None:
-            return _mpq(numerator)
-        if isinstance(numerator, str):
-            return Fraction(numerator)
         return Fraction(numerator)
-    if _mpq is not None:
-        return _mpq(numerator, denominator)
     return Fraction(numerator, denominator)
 
 
-RATIONAL_TYPES = (int, Fraction) + ((_mpq,) if GMPY2_AVAILABLE else ())
+RATIONAL_TYPES = (int, Fraction)
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -48,7 +34,7 @@ HALF = QQ(1, 2)
 
 
 def is_rational(x) -> bool:
-    """True for plain rational scalars (int, Fraction, gmpy2.mpq)."""
+    """True for plain rational scalars (int, Fraction)."""
     return isinstance(x, RATIONAL_TYPES)
 
 

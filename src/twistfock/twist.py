@@ -4,8 +4,10 @@ The forward construction endows the parity-twisted (Ramond) module with an
 action of the k-fold tensor power twisted by the k-cycle rotation, for k
 even: the twisted field of a first-slot vector is the parity-twisted field
 of the coordinate-changed vector evaluated at the k-th root of the
-variable, other slots follow by root-of-unity substitution, and general
-pure tensors by a normal-ordered product of slot fields.  The inverse
+variable, and other slots follow by root-of-unity substitution.  One class,
+``SlotField``, holds that field for one state in one slot; its exact modes
+and its windowed materialization serve every caller.  General pure tensors
+are normal-ordered products of slot fields.  The inverse
 construction recovers the parity-twisted action from the twisted action by
 the opposite coordinate change, with a structurally enforced branch choice.
 
@@ -96,54 +98,114 @@ class TwistedField:
         )
 
 
-def _materialize_twisted(k: int, u: State, window: Window, basis,
-                         substitution_power: int = 0) -> TwistedField:
-    """Shared materializer for first-slot fields and their substitutions."""
+def _window_bounds(window: Window):
     lo, hi = window.bounds_for("x")
     if lo is None or hi is None:
         raise ValueError("twisted fields need a bounded exponent window")
-    if u.is_zero():
-        return TwistedField(k, OperatorField(("x",), {}, window, 0))
-    p = u.homogeneous_level()
-    parity = u.homogeneous_parity()
-    expansion = apply_delta(_forward_op(k, p), u)
-    etas = eta_powers(k)
-    terms = {}
-    for word in basis:
-        level = word_level(word)
-        target = State({word: ONE})
-        for e_piece, piece in expansion.pieces:
-            q = piece.homogeneous_level()
-            r = piece.homogeneous_parity()
-            offset = QQ(r, 2)
-            # sigma-mode t contributes at exponent e_piece + (-t-1)/k
-            t_window_lo = k * (e_piece - hi) - 1
-            t_window_hi = k * (e_piece - lo) - 1
-            t_ann = q + level - 1
-            t_top = min(t_window_hi, t_ann)
-            t = offset + rational_ceil(t_window_lo - offset)
-            while t <= t_top:
-                image = sigma_vertex_mode(piece, t, target)
-                if not image.is_zero():
-                    exponent = e_piece + QQ(-t - 1, k)
-                    scalar = expansion.prefactor
-                    if substitution_power % k != 0:
-                        twist_power = substitution_power * k * exponent
-                        if twist_power.denominator != 1:
-                            raise ValueError(
-                                "root-of-unity substitution needs k even"
-                            )
-                        scalar = scalar * etas[int(twist_power) % k]
+    return lo, hi
+
+
+class SlotField:
+    """The twisted field of one homogeneous state in one tensor slot.
+
+    The first-slot field is the parity-twisted field of the
+    coordinate-changed state at the k-th root of the variable: its mode
+    with index m is k^{-p} times the sum over the coordinate-change pieces
+    (e, u_e) of the parity-twisted mode of u_e with index k(e+m+1) - 1.
+    Slot power+1 substitutes the root by its multiple by eta^power, which
+    scales the mode with index m by eta^{power*k*(-m-1)}; where that power
+    is fractional the mode is zero.
+
+    Defined for every k >= 1; it closes into a twisted module structure
+    only for k even (the odd case is exercised by the obstruction checker).
+    """
+
+    def __init__(self, k: int, u: State, power: int = 0):
+        try:
+            p = u.homogeneous_level()
+        except ValueError:
+            p = None
+        if p is None:
+            raise ValueError("a slot field needs a nonzero homogeneous state")
+        self.k = k
+        self.weight = p
+        self.parity = u.homogeneous_parity()
+        expansion = apply_delta(_forward_op(k, p), u)
+        self.prefactor = expansion.prefactor
+        self.pieces = expansion.pieces
+        # the sigma-mode index of piece (e, u_e) is offset_e + k m
+        self._offsets = tuple((piece, k * (e + 1) - 1) for e, piece in self.pieces)
+        self.power = power % k
+        self.eta_powers = eta_powers(k) if self.power else ()
+
+    def _scalar(self, m):
+        """The coefficient of mode m: the prefactor times its root of
+        unity, or None where the root-of-unity power is fractional."""
+        if not self.power:
+            return self.prefactor
+        twist = self.power * self.k * (-m - 1)
+        if twist.denominator != 1:
+            return None
+        return self.prefactor * self.eta_powers[int(twist) % self.k]
+
+    def plan(self, m) -> tuple:
+        """The (piece, sigma-mode index) pairs whose sum is mode m."""
+        km = self.k * m
+        return tuple((piece, offset + km) for piece, offset in self._offsets)
+
+    def mode(self, m, state: State) -> State:
+        scalar = self._scalar(m)
+        if scalar is None:
+            return ZERO_STATE
+        km = self.k * m
+        return combine(
+            (sigma_vertex_mode(piece, offset + km, state), ONE)
+            for piece, offset in self._offsets
+        ).scaled(scalar)
+
+    def materialize(self, window: Window, basis) -> TwistedField:
+        """The field over a bounded window, one column per basis word.
+
+        Piece (e, u_e) contributes its sigma-mode t at exponent
+        e + (-t-1)/k; t runs over the preimage of the window up to the
+        annihilation bound of the column's word.
+        """
+        k = self.k
+        lo, hi = _window_bounds(window)
+        terms = {}
+        for word in basis:
+            level = word_level(word)
+            target = State({word: ONE})
+            for e_piece, piece in self.pieces:
+                offset = QQ(piece.homogeneous_parity(), 2)
+                t_top = min(k * (e_piece - lo) - 1,
+                            piece.homogeneous_level() + level - 1)
+                t = offset + rational_ceil(k * (e_piece - hi) - 1 - offset)
+                while t <= t_top:
+                    image = sigma_vertex_mode(piece, t, target)
+                    t += 1
+                    if image.is_zero():
+                        continue
+                    exponent = e_piece + QQ(-t, k)  # -t-1 before the step
+                    scalar = self._scalar(-exponent - 1)
+                    if scalar is None:
+                        continue
                     column = terms.setdefault((exponent,), {}).setdefault(word, {})
                     for out_word, c in image.terms:
-                        prev = column.get(out_word, ZERO)
-                        column[out_word] = prev + scalar * c
-                t += 1
-    field = OperatorField(("x",), terms, window, parity)
-    if k % 2 == 0:
-        for mono in field.terms:
-            assert_on_lattice(mono[0], k)
-    return TwistedField(k, field)
+                        column[out_word] = column.get(out_word, ZERO) + scalar * c
+        field = OperatorField(("x",), terms, window, self.parity)
+        if k % 2 == 0:
+            for mono in field.terms:
+                assert_on_lattice(mono[0], k)
+        return TwistedField(k, field)
+
+
+def _slot_twisted_field(k: int, u: State, power: int, window: Window,
+                        domain_level) -> TwistedField:
+    if u.is_zero():
+        _window_bounds(window)
+        return TwistedField(k, OperatorField(("x",), {}, window, 0))
+    return SlotField(k, u, power).materialize(window, ramond_basis(domain_level))
 
 
 def ybar(k: int, u: State, window: Window, *, domain_level=QQ(2)) -> TwistedField:
@@ -153,8 +215,7 @@ def ybar(k: int, u: State, window: Window, *, domain_level=QQ(2)) -> TwistedFiel
     Defined for every k >= 1; it closes into a twisted module structure
     only for k even (the odd case is exercised by the obstruction checker).
     """
-    basis = ramond_basis(domain_level)
-    return _materialize_twisted(k, u, window, basis, 0)
+    return _slot_twisted_field(k, u, 0, window, domain_level)
 
 
 def yg_tensor_factor(k: int, u: State, j: int, window: Window, *,
@@ -167,8 +228,7 @@ def yg_tensor_factor(k: int, u: State, j: int, window: Window, *,
     root raised to j*k*e.
     """
     require_even_order(k)
-    basis = ramond_basis(domain_level)
-    return _materialize_twisted(k, u, window, basis, j % k)
+    return _slot_twisted_field(k, u, j, window, domain_level)
 
 
 # ---------------------------------------------------------------------------
@@ -179,66 +239,15 @@ def yg_tensor_factor(k: int, u: State, j: int, window: Window, *,
 def twisted_mode(k: int, u: State, m, *, substitution_power: int = 0):
     """The mode with index m of a single-slot twisted field, as a map.
 
-    The map is the finite sum over the coordinate-change pieces u(j) of
-    their parity-twisted modes with index (1-k)p - j - 1 + k(m+1); it
-    shifts the tensor-power grading by p - m - 1.
+    The map is ``SlotField.mode`` at m; it shifts the tensor-power grading
+    by p - m - 1.
     """
     require_even_order(k)
     m = assert_on_lattice(QQ(m), k)
     if u.is_zero():
         return lambda state: ZERO_STATE
-    p = u.homogeneous_level()
-    expansion = apply_delta(_forward_op(k, p), u)
-    scalar = expansion.prefactor
-    if substitution_power % k != 0:
-        power = substitution_power * k * (-m - 1)
-        scalar = scalar * eta_powers(k)[int(power) % k]
-    plan = []
-    for e_piece, piece in expansion.pieces:
-        j = (p / k - p - e_piece) * k
-        index = (1 - k) * p - j - 1 + k * (m + 1)
-        plan.append((piece, index))
-
-    def action(state: State) -> State:
-        return combine(
-            (sigma_vertex_mode(piece, index, state), ONE) for piece, index in plan
-        ).scaled(scalar)
-
-    return action
-
-
-class _SlotOperator:
-    """Mode family of one homogeneous state in one tensor slot."""
-
-    def __init__(self, k: int, u: State, substitution_power: int):
-        if u.is_zero():
-            raise ValueError("tensor factors must be nonzero homogeneous states")
-        self.k = k
-        self.weight = u.homogeneous_level()
-        self.parity = u.homogeneous_parity()
-        p = self.weight
-        expansion = apply_delta(_forward_op(k, p), u)
-        self._prefactor = expansion.prefactor
-        self._pieces = []
-        for e_piece, piece in expansion.pieces:
-            j = (p / k - p - e_piece) * k
-            self._pieces.append((piece, j))
-        self._sub = substitution_power % k
-        self._etas = eta_powers(k) if self._sub else ()
-
-    def mode(self, m, state: State) -> State:
-        k, p = self.k, self.weight
-        scalar = self._prefactor
-        if self._sub:
-            power = self._sub * k * (-m - 1)
-            if power.denominator != 1:
-                return ZERO_STATE
-            scalar = scalar * self._etas[int(power) % k]
-        return combine(
-            (sigma_vertex_mode(piece, (1 - k) * p - j - 1 + k * (m + 1), state),
-             ONE)
-            for piece, j in self._pieces
-        ).scaled(scalar)
+    field = SlotField(k, u, substitution_power)
+    return lambda state: field.mode(m, state)
 
 
 class _OrderedProduct:
@@ -250,7 +259,7 @@ class _OrderedProduct:
     parities.
     """
 
-    def __init__(self, left: _SlotOperator, right):
+    def __init__(self, left: SlotField, right):
         self.k = left.k
         self.weight = left.weight + right.weight
         self.parity = (left.parity + right.parity) % 2
@@ -290,7 +299,7 @@ def tensor_operator(k: int, factors):
     require_even_order(k)
     if len(factors) != k:
         raise ValueError(f"expected {k} tensor factors, got {len(factors)}")
-    ops = [_SlotOperator(k, u, j) for j, u in enumerate(factors)]
+    ops = [SlotField(k, u, j) for j, u in enumerate(factors)]
     current = ops[-1]
     for op in reversed(ops[:-1]):
         current = _OrderedProduct(op, current)
@@ -305,9 +314,7 @@ def yg_general(k: int, factors, window: Window, *, domain_level=QQ(2)) -> Twiste
     """
     require_even_order(k)
     operator = tensor_operator(k, factors)
-    lo, hi = window.bounds_for("x")
-    if lo is None or hi is None:
-        raise ValueError("twisted fields need a bounded exponent window")
+    lo, hi = _window_bounds(window)
     basis = ramond_basis(domain_level)
     step = QQ(1, k)
     terms = {}
@@ -384,9 +391,7 @@ def u_functor_sigma_op(k: int, u: State, window: Window, *,
     """
     require_even_order(k)
     _check_branch(k, branch)
-    lo, hi = window.bounds_for("x")
-    if lo is None or hi is None:
-        raise ValueError("twisted fields need a bounded exponent window")
+    lo, hi = _window_bounds(window)
     p = u.homogeneous_level()
     parity = u.homogeneous_parity()
     offset = QQ(parity, 2)

@@ -58,15 +58,13 @@ from .ramond import (
     sigma_vertex_op,
 )
 from .deltak import (
-    FORWARD,
-    apply_delta,
     check_L_minus1_identities,
     check_conjugation,
     check_f_composition,
-    delta_op,
     round_trip_defect,
 )
 from .twist import (
+    SlotField,
     TwistedModuleView,
     require_even_order,
     twisted_mode,
@@ -216,37 +214,10 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
 
     Built for every order k >= 1: even orders give the module action, odd
     orders give the field whose failed identity is the obstruction
-    evidence.  Slot s scales the exponent-e coefficient by the (s-1)·k·e-th
-    power of the primitive 2k-th root of unity; coefficients at exponents
-    where that power is fractional vanish.
+    evidence.
     """
-    _require_usable(u, "tensor factor")
-    p = u.homogeneous_level()
-    parity = u.homogeneous_parity()
-    expansion = apply_delta(delta_op(k, FORWARD, cutoff=int(rational_ceil(p)) + 1), u)
-    prefactor = expansion.prefactor
-    # piece j's sigma-mode index is (1-k)p - j - 1 + k(m+1) = offset_j + k m
-    plan = []
-    for e_piece, piece in expansion.pieces:
-        j = (p / k - p - e_piece) * k
-        plan.append((piece, (1 - k) * p - j - 1 + k))
-    sub = (slot - 1) % k
-    etas = eta_powers(k) if sub else ()
-
-    def mode(m, state: State) -> State:
-        scalar = prefactor
-        if sub:
-            power = sub * k * (-m - 1)
-            if power.denominator != 1:
-                return ZERO_STATE
-            scalar = scalar * etas[int(power) % k]
-        km = k * m
-        return combine(
-            (sigma_vertex_mode(piece, offset + km, state), ONE)
-            for piece, offset in plan
-        ).scaled(scalar)
-
-    return _ModeFamily(mode, p, parity, k)
+    field = SlotField(k, u, slot - 1)
+    return _ModeFamily(field.mode, field.weight, field.parity, k)
 
 
 def _parity_twisted_family(u: State) -> _ModeFamily:
@@ -398,6 +369,33 @@ def _render(state: State) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _supercommutator_grid(left, right, target, level, grid1, grid2):
+    """Yield (e1, e2, [A(-e1-1), B(-e2-1)] w) over the exponent grid, e2
+    outer and e1 inner, for the mode families A = left and B = right and a
+    domain state w of the given level; the bracket is the supercommutator
+    A B - (-1)^{|A||B|} B A."""
+    eps = -ONE if (left.parity and right.parity) else ONE
+    a_images = {}
+    for e1 in grid1:
+        m1 = -e1 - 1
+        a_images[e1] = (
+            left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE
+        )
+    for e2 in grid2:
+        m2 = -e2 - 1
+        b = right.mode(m2, target) if m2 <= right.top(level) else ZERO_STATE
+        b_level = None if b.is_zero() else b.homogeneous_level()
+        for e1 in grid1:
+            m1 = -e1 - 1
+            value = ZERO_STATE
+            if b_level is not None and m1 <= left.top(b_level):
+                value = left.mode(m1, b)
+            a = a_images[e1]
+            if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
+                value = combine(((value, ONE), (right.mode(m2, a), -eps)))
+            yield e1, e2, value
+
+
 def _commutator_report(
     name: str,
     k_report: int,
@@ -433,7 +431,6 @@ def _commutator_report(
     grid1 = _lattice_grid(lo1, hi1, grid_den)
     grid2 = _lattice_grid(lo2, hi2, grid_den)
     words = ramond_basis(QQ(domain_level))
-    eps = -ONE if (left.parity and right.parity) else ONE
     iterates = []
     for t in range(0, _iterate_top(u, v) + 1):
         it = vertex_mode(u, QQ(t), v)
@@ -446,56 +443,41 @@ def _commutator_report(
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
-        a_images = {}
-        for e1 in grid1:
-            m1 = -e1 - 1
-            a_images[e1] = (
-                left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE
-            )
         rhs_modes = {}
-        for e2 in grid2:
-            m2 = -e2 - 1
-            b = right.mode(m2, target) if m2 <= right.top(level) else ZERO_STATE
-            b_level = None if b.is_zero() else b.homogeneous_level()
-            for e1 in grid1:
-                m1 = -e1 - 1
-                lhs = ZERO_STATE
-                if b_level is not None and m1 <= left.top(b_level):
-                    lhs = left.mode(m1, b)
-                a = a_images[e1]
-                if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
-                    lhs = combine(((lhs, ONE), (right.mode(m2, a), -eps)))
-                rhs = ZERO_STATE
-                if ((e1 - kernel_shift) * kernel_den).denominator == 1:
-                    terms = []
-                    for t, family in iterates:
-                        n = e1 + t
-                        key = (t, e1 + e2)
-                        image = rhs_modes.get(key)
-                        if image is None:
-                            mu = -(e1 + e2) - t - 2
-                            image = (
-                                family.mode(mu, target)
-                                if mu <= family.top(level)
-                                else ZERO_STATE
-                            )
-                            rhs_modes[key] = image
-                        if image.is_zero():
-                            continue
-                        coeff = binomial(n, t) * (ONE if t % 2 == 0 else -ONE)
-                        if kernel_weight is not None:
-                            coeff = coeff * kernel_weight(n)
-                        terms.append((image, coeff))
-                    rhs = combine(terms).scaled(prefactor)
-                compared += 1
-                if lhs != rhs:
-                    mismatches.append(
-                        (
-                            f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}",
-                            _render(lhs),
-                            _render(rhs),
+        for e1, e2, lhs in _supercommutator_grid(
+            left, right, target, level, grid1, grid2
+        ):
+            rhs = ZERO_STATE
+            if ((e1 - kernel_shift) * kernel_den).denominator == 1:
+                terms = []
+                for t, family in iterates:
+                    n = e1 + t
+                    key = (t, e1 + e2)
+                    image = rhs_modes.get(key)
+                    if image is None:
+                        mu = -(e1 + e2) - t - 2
+                        image = (
+                            family.mode(mu, target)
+                            if mu <= family.top(level)
+                            else ZERO_STATE
                         )
+                        rhs_modes[key] = image
+                    if image.is_zero():
+                        continue
+                    coeff = binomial(n, t) * (ONE if t % 2 == 0 else -ONE)
+                    if kernel_weight is not None:
+                        coeff = coeff * kernel_weight(n)
+                    terms.append((image, coeff))
+                rhs = combine(terms).scaled(prefactor)
+            compared += 1
+            if lhs != rhs:
+                mismatches.append(
+                    (
+                        f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}",
+                        _render(lhs),
+                        _render(rhs),
                     )
+                )
     return CheckReport(
         name,
         k_report,
@@ -732,27 +714,6 @@ def check_twisted_jacobi(
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
-        left_images = {}
-        right_images = {}
-
-        def left_mode(m):
-            img = left_images.get(m)
-            if img is None:
-                img = (
-                    left.mode(m, target) if m <= left.top(level) else ZERO_STATE
-                )
-                left_images[m] = img
-            return img
-
-        def right_mode(m):
-            img = right_images.get(m)
-            if img is None:
-                img = (
-                    right.mode(m, target) if m <= right.top(level) else ZERO_STATE
-                )
-                right_images[m] = img
-            return img
-
         rhs_modes = {}
         for alpha in grid0:
             r = int(-alpha - 1)
@@ -768,7 +729,7 @@ def check_twisted_jacobi(
                         m2 = i - e2 - 1
                         if m2 > right.top(level):
                             break
-                        inner = right_mode(m2)
+                        inner = right.mode(m2, target)
                         if not inner.is_zero():
                             m1 = r - i - e1 - 1
                             if m1 <= left.top(inner.homogeneous_level()):
@@ -785,7 +746,7 @@ def check_twisted_jacobi(
                         m1 = i - e1 - 1
                         if m1 > left.top(level):
                             break
-                        inner = left_mode(m1)
+                        inner = left.mode(m1, target)
                         if not inner.is_zero():
                             m2 = r - i - e2 - 1
                             if m2 <= right.top(inner.homogeneous_level()):
@@ -863,7 +824,6 @@ def check_locality(
     _require_usable(v, "right argument")
     left = _first_slot_family(k, u, slot=slot_u)
     right = _first_slot_family(k, v, slot=slot_v)
-    eps = -ONE if (left.parity and right.parity) else ONE
     lo1, hi1 = _bounds(window, "x1")
     lo2, hi2 = _bounds(window, "x2")
     grid1 = _lattice_grid(lo1, hi1, k)
@@ -876,28 +836,11 @@ def check_locality(
 
     commutator = {}
     for iw, word in enumerate(words):
-        target = State({word: ONE})
-        level = word_level(word)
-        a_images = {}
-        for e1 in grid1:
-            m1 = -e1 - 1
-            a_images[e1] = (
-                left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE
-            )
-        for e2 in grid2:
-            m2 = -e2 - 1
-            b = right.mode(m2, target) if m2 <= right.top(level) else ZERO_STATE
-            b_level = None if b.is_zero() else b.homogeneous_level()
-            for e1 in grid1:
-                m1 = -e1 - 1
-                value = ZERO_STATE
-                if b_level is not None and m1 <= left.top(b_level):
-                    value = left.mode(m1, b)
-                a = a_images[e1]
-                if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
-                    value = combine(((value, ONE), (right.mode(m2, a), -eps)))
-                if not value.is_zero():
-                    commutator[(iw, e1, e2)] = value
+        for e1, e2, value in _supercommutator_grid(
+            left, right, State({word: ONE}), word_level(word), grid1, grid2
+        ):
+            if not value.is_zero():
+                commutator[(iw, e1, e2)] = value
 
     last_bad = []
     last_count = 0
@@ -1223,15 +1166,7 @@ def check_t_round_trip(
     recovered parity-twisted modes returns the original twisted mode."""
     require_even_order(k)
     _require_usable(u, "field argument")
-    p = u.homogeneous_level()
-    expansion = apply_delta(
-        delta_op(k, FORWARD, cutoff=int(rational_ceil(p)) + 1), u
-    )
-    plan = []
-    for e_piece, piece in expansion.pieces:
-        j = (p / k - p - e_piece) * k
-        plan.append((piece, j))
-    prefactor = expansion.prefactor
+    field = SlotField(k, u)
     lo, hi = _bounds(window, "x")
     words = ramond_basis(QQ(domain_level))
     compared = 0
@@ -1239,20 +1174,18 @@ def check_t_round_trip(
     rebuilt_actions = {}
     for e in _lattice_grid(lo, hi, k):
         m = -e - 1
-        direct = twisted_mode(k, u, m)
+        plan = field.plan(m)
         for word in words:
             target = State({word: ONE})
             images = []
-            for piece, j in plan:
-                index = (1 - k) * p - j - 1 + k * (m + 1)
-                key = (piece, index)
+            for key in plan:
                 action = rebuilt_actions.get(key)
                 if action is None:
-                    action = u_functor_sigma_mode(k, piece, index)
+                    action = u_functor_sigma_mode(k, *key)
                     rebuilt_actions[key] = action
                 images.append((action(target), ONE))
-            total = combine(images).scaled(prefactor)
-            expected = direct(target)
+            total = combine(images).scaled(field.prefactor)
+            expected = field.mode(m, target)
             compared += 1
             if total != expected:
                 mismatches.append(

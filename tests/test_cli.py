@@ -249,6 +249,15 @@ class TestVerify:
         assert code == 2
         assert "no coefficients compared" in err
 
+    @pytest.mark.parametrize("flag", ["--domain-level", "--weight"])
+    def test_negative_level_is_an_error(self, capsys, flag):
+        # a level below 0 selects no basis word, so nothing is compared
+        code, out, err = run_cli(capsys, "verify", "--k", "2", flag, "-1",
+                                 "--radius", "0", "--jacobi", "off")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no coefficients compared")
+        assert err.count("\n") == 1
+
 
 class TestConfigFile:
     def test_parse_config_file(self):

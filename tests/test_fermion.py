@@ -18,6 +18,7 @@ from twistfock.fermion import (
     iterate_mode_word,
     ns_basis,
     permutation_action,
+    ramond_basis,
     tensor_parity,
     tensor_slot_vector,
     tensor_vertex_mode,
@@ -384,6 +385,26 @@ class TestTensorPower:
     def test_tensor_parity_additive(self):
         assert tensor_parity(((-H,), (-H,))) == 0
         assert tensor_parity(((-H,), ())) == 1
+
+
+# ---------------------------------------------------------------------------
+# basis enumeration
+# ---------------------------------------------------------------------------
+
+
+class TestBasis:
+    @pytest.mark.parametrize("basis", [ns_basis, ramond_basis])
+    @pytest.mark.parametrize("level", [QQ(-1), QQ(-1, 2)])
+    def test_empty_below_level_zero(self, basis, level):
+        assert basis(level) == []
+
+    def test_level_zero_is_the_ground_word(self):
+        assert ns_basis(QQ(0)) == [()]
+        assert ramond_basis(QQ(0)) == [(), (QQ(0),)]
+
+    def test_small_levels(self):
+        assert ns_basis(QQ(2)) == [(), (-H,), (-3 * H,), (-3 * H, -H)]
+        assert ramond_basis(QQ(1)) == [(), (QQ(0),), (QQ(-1),), (QQ(-1), QQ(0))]
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ before the recursion moved to doubled-integer modes, copied verbatim below
 and run without a cache.  It works on `QQ` words and indices throughout, so
 it shares no arithmetic with the kernel under test.  Both must give the same
 sorted tuple of (word, coefficient) pairs, and every coefficient must be a
-`QQ` value, never a bare int, so that a gmpy2-backed `QQ` sees the same
-types as the `Fraction` one.
+`QQ` value, never a bare int, so that the kernel hands its callers the
+same types as the Fraction recursion.
 """
 
 from hypothesis import given, settings

@@ -1,0 +1,33 @@
+"""Every name the benchmark's layer tracer patches still exists.
+
+The tracer (`bench/tracing.py`) wraps library functions and methods by
+name; a renamed or deleted one is reported in `Tracer.missing` and its
+metrics silently read 0.  This test loads the tracer from its file, without
+changing it, installs it on the package, checks that nothing is missing and
+uninstalls it again.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_name():
+    tracing = load_tracing()
+    tracer = tracing.Tracer(tracing.package_modules())
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    from twistfock import ramond, twist
+
+    assert twist.sigma_vertex_mode is ramond.sigma_vertex_mode

@@ -1,9 +1,9 @@
 """Tests for the cyclic-rotation twisted module layer.
 
 Oracle notes.  Hand-computed matrix entries below follow from the mode
-formula for the first-slot field (sigma-mode index (1-k)p - j - 1 + k(m+1)
-on coordinate-change piece j), the root-of-unity substitution for other
-slots, and the Clifford relations with square-one-half zero mode.  The
+formula for the first-slot field (sigma-mode index k(e+m+1) - 1 on the
+coordinate-change piece at exponent e), the root-of-unity substitution for
+other slots, and the Clifford relations with square-one-half zero mode.  The
 central coefficient (k^2-1)/(48 k^2) is the weight-two coordinate-change
 coefficient times half the central charge, scaled by k^-2.
 """
@@ -81,14 +81,24 @@ class TestYbar:
         field = ybar(3, PSI, WINDOW)
         assert any((3 * e).denominator == 2 for e in field.exponents())
 
-    def test_matches_exact_mode_map(self):
-        field = ybar(2, OMEGA, WINDOW)
-        for m in (QQ(-1), QQ(0), QQ(1), QQ(1, 2)):
+    @pytest.mark.parametrize(
+        "k,name,j",
+        [(k, name, j) for k in (2, 4) for name in ("psi", "omega")
+         for j in range(k)],
+    )
+    def test_matches_exact_mode_map(self, k, name, j):
+        # The windowed field (sigma-mode enumeration per piece) and the exact
+        # mode map (index formula per mode) are two routes through SlotField:
+        # they must agree on every mode of the window, in every slot.
+        u = {"psi": PSI, "omega": OMEGA}[name]
+        field = yg_tensor_factor(k, u, j, WINDOW)
+        for i in range(-4 * k, 2 * k + 1):  # exponents -3 .. 3
+            m = QQ(i, k)
             matrix = field.mode_action(m)
-            mode = twisted_mode(2, OMEGA, m)
+            mode = twisted_mode(k, u, m, substitution_power=j)
             for word in KEYS:
                 image = mode(State({word: ONE}))
-                assert dict(image.terms) == matrix.get(word, {})
+                assert dict(image.terms) == matrix.get(word, {}), (m, word)
 
     def test_requires_bounded_window(self):
         with pytest.raises(ValueError, match="bounded"):
