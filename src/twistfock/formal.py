@@ -20,7 +20,6 @@ from .scalars import (
     QQ,
     ZERO,
     binomial,
-    cyc_root_of_unity,
     cyc_sqrt_k,
     is_rational,
     rational_ceil,
@@ -406,116 +405,8 @@ def series_monomial(variables, mono, coeff=1) -> ScalarSeries:
 
 
 # ---------------------------------------------------------------------------
-# exponent rescaling (grading-operator substitutions)
+# delta kernels
 # ---------------------------------------------------------------------------
-
-
-def scale_exponents(series: ScalarSeries, var, base) -> ScalarSeries:
-    """Apply the substitution sending var^n to base^n * var^n (integer n)."""
-    i = series.variables.index(var)
-    coeffs = {}
-    for mono, val in series.coeffs.items():
-        e = mono[i]
-        if e.denominator != 1:
-            raise ValueError(f"scale_exponents needs integer exponents, got {e}")
-        coeffs[mono] = (base ** int(e)) * val
-    return ScalarSeries(
-        series.variables, coeffs, series.window,
-        dict(series.supp_lo), dict(series.supp_hi),
-    )
-
-
-def root_substitution(series: ScalarSeries, var, j: int, order: int, conductor: int) -> ScalarSeries:
-    """Substitute var^(1/order) -> zeta_order^j * var^(1/order).
-
-    Multiplies the coefficient at var^e by zeta_order^(j * order * e);
-    exponents must lie on the (1/order)-lattice.
-    """
-    i = series.variables.index(var)
-    if conductor % order != 0:
-        raise ValueError(f"conductor mismatch: {order} does not divide {conductor}")
-    zeta = cyc_root_of_unity(conductor, conductor // order)
-    coeffs = {}
-    for mono, val in series.coeffs.items():
-        steps = assert_on_lattice(mono[i], order) * order
-        coeffs[mono] = (zeta ** (j * int(steps))) * val
-    return ScalarSeries(
-        series.variables, coeffs, series.window,
-        dict(series.supp_lo), dict(series.supp_hi),
-    )
-
-
-def graded_variable_shift(series: ScalarSeries, var, new_var, ratio) -> ScalarSeries:
-    """Send var^n to new_var^(n*ratio) * var^n (a grading-operator action)."""
-    ratio = QQ(ratio)
-    i = series.variables.index(var)
-    variables = series.variables + (new_var,)
-    coeffs = {}
-    for mono, val in series.coeffs.items():
-        coeffs[mono + (mono[i] * ratio,)] = val
-    window = series.window
-    if window is not None:
-        lo, hi = window.bounds_for(var)
-        pair = sorted(
-            x for x in (_mul_opt(lo, ratio), _mul_opt(hi, ratio)) if x is not None
-        )
-        bounds = dict(window.bounds)
-        if len(pair) == 2:
-            bounds[new_var] = (pair[0], pair[1])
-        else:
-            bounds[new_var] = (None, None)
-        window = Window(bounds)
-    supp_lo = dict(series.supp_lo)
-    supp_hi = dict(series.supp_hi)
-    vlo, vhi = series._supp(var)
-    pair = sorted(
-        (x for x in (_mul_opt(vlo, ratio), _mul_opt(vhi, ratio)) if x is not None)
-    )
-    supp_lo[new_var] = pair[0] if len(pair) == 2 else None
-    supp_hi[new_var] = pair[1] if len(pair) == 2 else None
-    return ScalarSeries(variables, coeffs, window, supp_lo, supp_hi)
-
-
-def _mul_opt(a, ratio):
-    return None if a is None else a * ratio
-
-
-# ---------------------------------------------------------------------------
-# binomials and delta kernels
-# ---------------------------------------------------------------------------
-
-
-def binom_expand(var1, var2, exponent, window: Window, second_sign=-1) -> ScalarSeries:
-    """(x1 + sign*x2)^r expanded in nonnegative integral powers of var2.
-
-    The second listed variable carries the nonnegative powers, so
-    binom_expand('x2','x1',r,...) is a genuinely different series from
-    binom_expand('x1','x2',r,...).
-    """
-    r = QQ(exponent)
-    variables = (var1, var2)
-    lo2, hi2 = window.bounds_for(var2)
-    lo1, hi1 = window.bounds_for(var1)
-    if hi2 is None and lo1 is None:
-        raise ValueError("binom_expand needs a bounded window to materialize")
-    i_max = []
-    if hi2 is not None:
-        i_max.append(rational_floor(hi2))
-    if lo1 is not None:
-        i_max.append(rational_floor(r - lo1))
-    coeffs = {}
-    for i in range(0, min(i_max) + 1):
-        c = binomial(r, i) * (QQ(second_sign) ** i)
-        mono = (r - i, QQ(i))
-        if window.contains_mono(variables, mono):
-            coeffs[mono] = c
-    return ScalarSeries(
-        variables,
-        coeffs,
-        window,
-        {var1: None, var2: ZERO},
-        {var1: r, var2: None},
-    )
 
 
 def delta_series(var, window: Window) -> ScalarSeries:
@@ -582,7 +473,7 @@ def merged_delta_kernel(
 
 
 # ---------------------------------------------------------------------------
-# substitution of a series into a Laurent expansion (change of variable)
+# powers of unit series
 # ---------------------------------------------------------------------------
 
 
@@ -677,34 +568,6 @@ def series_power(unit: ScalarSeries, expansion_var, exponent) -> ScalarSeries:
         unit.variables, {prefactor_mono: _scalar_power(lead_coeff, e)}, None
     )
     return prefactor * result
-
-
-def change_of_variable(
-    f: ScalarSeries, var, h: ScalarSeries, dh: ScalarSeries, expansion_var
-) -> ScalarSeries:
-    """Substitute var -> h and multiply by dh (the Jacobian factor).
-
-    Returns dh * f(h); with dh = dh/d(expansion_var) this preserves residues:
-    Res_var f = Res_expansion_var of the result.  f must be a complete series
-    in var (its other variables are untouched); h is a truncated expansion
-    whose window bounds the output.
-    """
-    if f.window is not None:
-        raise ValueError(f"non-composable: f must be completely known in {var}")
-    i = f.variables.index(var)
-    total = None
-    for mono, coeff in f.coeffs.items():
-        e = mono[i]
-        rest_mono = tuple(x for j, x in enumerate(mono) if j != i)
-        rest_vars = tuple(v for v in f.variables if v != var)
-        h_pow = series_power(h, expansion_var, e)
-        if rest_mono:
-            h_pow = h_pow * series_monomial(rest_vars, rest_mono, 1)
-        term = h_pow.scaled(coeff)
-        total = term if total is None else total + term
-    if total is None:
-        return ScalarSeries((expansion_var,), {}, h.window)
-    return total * dh
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ variable, and other slots follow by root-of-unity substitution.  One class,
 and its windowed materialization serve every caller.  General pure tensors
 are normal-ordered products of slot fields.  The inverse
 construction recovers the parity-twisted action from the twisted action by
-the opposite coordinate change, with a structurally enforced branch choice.
+the opposite coordinate change, with a structurally enforced branch choice;
+one class, ``RecoveredField``, holds the recovered field of one state.
 
 Everything is materialized as exact windowed operator fields or exact mode
 maps on the Ramond basis; scalars live in Q or in a cyclotomic field.
@@ -103,6 +104,29 @@ def _window_bounds(window: Window):
     if lo is None or hi is None:
         raise ValueError("twisted fields need a bounded exponent window")
     return lo, hi
+
+
+def _window_field(mode, weight, parity: int, step, offset, window: Window,
+                  basis) -> OperatorField:
+    """A mode family materialized over a bounded window, one column per
+    basis word: mode m sits at exponent -m-1, for m on offset + step*Z from
+    the window's upper bound up to the annihilation bound
+    weight - 1 + level*step of the word."""
+    lo, hi = _window_bounds(window)
+    m_start = offset + step * rational_ceil((-1 - hi - offset) / step)
+    terms = {}
+    for word in basis:
+        m_top = min(-1 - lo, weight - 1 + word_level(word) * step)
+        target = State({word: ONE})
+        m = m_start
+        while m <= m_top:
+            image = mode(m, target)
+            if not image.is_zero():
+                column = terms.setdefault((-m - 1,), {}).setdefault(word, {})
+                for out_word, c in image.terms:
+                    column[out_word] = column.get(out_word, ZERO) + c
+            m += step
+    return OperatorField(("x",), terms, window, parity)
 
 
 class SlotField:
@@ -314,26 +338,8 @@ def yg_general(k: int, factors, window: Window, *, domain_level=QQ(2)) -> Twiste
     """
     require_even_order(k)
     operator = tensor_operator(k, factors)
-    lo, hi = _window_bounds(window)
-    basis = ramond_basis(domain_level)
-    step = QQ(1, k)
-    terms = {}
-    for word in basis:
-        level = word_level(word)
-        target = State({word: ONE})
-        # exponent e = -m-1 within window; annihilation bound on m
-        m_top = min(-1 - lo, operator.weight - 1 + level / k)
-        m = -1 - hi
-        m = step * rational_ceil(m / step)
-        while m <= m_top:
-            image = operator.mode(m, target)
-            if not image.is_zero():
-                exponent = -m - 1
-                column = terms.setdefault((exponent,), {}).setdefault(word, {})
-                for out_word, c in image.terms:
-                    column[out_word] = column.get(out_word, ZERO) + c
-            m += step
-    field = OperatorField(("x",), terms, window, operator.parity)
+    field = _window_field(operator.mode, operator.weight, operator.parity,
+                          QQ(1, k), ZERO, window, ramond_basis(domain_level))
     return TwistedField(k, field)
 
 
@@ -351,71 +357,59 @@ def _check_branch(k: int, branch: int):
         )
 
 
-def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
-    """One recovered parity-twisted mode, built from twisted modes.
+class RecoveredField:
+    """The parity-twisted field recovered from the twisted module.
 
-    The mode with index m of the recovered field is the finite sum over
-    inverse coordinate-change pieces u[j] of their first-slot twisted modes
-    with index ((k-1)p - jk - k + m + 1)/k.
+    The inverse coordinate change sends a homogeneous state u of weight p
+    to k^p times pieces (e, u_e); the recovered mode with index m is that
+    prefactor times the sum of the first-slot twisted modes of the u_e with
+    index e - 1 + (m+1)/k.  The field of a state of parity r is supported
+    on r/2 + Z; at the complementary offset every mode is zero.  The branch
+    of the k-th root is structural: only the principal one is admissible.
     """
-    require_even_order(k)
-    _check_branch(k, branch)
+
+    def __init__(self, k: int, u: State, branch: int = 0):
+        require_even_order(k)
+        _check_branch(k, branch)
+        self.k = k
+        # the zero state has no weight or parity; its field is empty
+        self.weight = u.homogeneous_level() or ZERO
+        self.parity = u.homogeneous_parity() or 0
+        expansion = apply_delta(_inverse_op(k, self.weight), u)
+        self.prefactor = expansion.prefactor
+        self._pieces = tuple((e - 1, SlotField(k, piece))
+                             for e, piece in expansion.pieces)
+
+    def mode(self, m, state: State) -> State:
+        m = assert_on_lattice(QQ(m), 2)
+        if (m - QQ(self.parity, 2)).denominator != 1:
+            return ZERO_STATE
+        shift = (m + 1) / self.k
+        return combine(
+            (field.mode(assert_on_lattice(base + shift, self.k), state), ONE)
+            for base, field in self._pieces
+        ).scaled(self.prefactor)
+
+    def materialize(self, window: Window, basis) -> OperatorField:
+        """The field over a bounded window; exponents on the half lattice."""
+        field = _window_field(self.mode, self.weight, self.parity, ONE,
+                              QQ(self.parity, 2), window, basis)
+        for mono in field.terms:
+            assert_on_lattice(mono[0], 2)
+        return field
+
+
+def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
+    """The recovered mode with index m, as a map (``RecoveredField.mode``)."""
+    field = RecoveredField(k, u, branch)
     m = assert_on_lattice(QQ(m), 2)
-    if u.is_zero():
-        return lambda state: ZERO_STATE
-    p = u.homogeneous_level()
-    # the recovered field of a state of parity r is supported on r/2 + Z;
-    # at the complementary offsets every mode vanishes identically
-    if (m - QQ(u.homogeneous_parity(), 2)).denominator != 1:
-        return lambda state: ZERO_STATE
-    expansion = apply_delta(_inverse_op(k, p), u)
-    plan = []
-    for e_piece, piece in expansion.pieces:
-        j = p - p / k - e_piece
-        index = ((k - 1) * p - j * k - k + m + 1) / k
-        plan.append(twisted_mode(k, piece, index))
-    prefactor = expansion.prefactor
-
-    def action(state: State) -> State:
-        return combine((mode_map(state), ONE) for mode_map in plan).scaled(prefactor)
-
-    return action
+    return lambda state: field.mode(m, state)
 
 
 def u_functor_sigma_op(k: int, u: State, window: Window, *,
                        domain_level=QQ(2), branch: int = 0) -> OperatorField:
-    """The recovered parity-twisted field, materialized over a window.
-
-    Exponents land on the half-integer lattice; the branch of the k-th
-    root is structural and anything but the principal branch is rejected.
-    """
-    require_even_order(k)
-    _check_branch(k, branch)
-    lo, hi = _window_bounds(window)
-    p = u.homogeneous_level()
-    parity = u.homogeneous_parity()
-    offset = QQ(parity, 2)
-    basis = ramond_basis(domain_level)
-    mode_cache = {}
-    terms = {}
-    for word in basis:
-        level = word_level(word)
-        target = State({word: ONE})
-        m_top = min(-1 - lo, p + level - 1)
-        m = offset + rational_ceil((-1 - hi) - offset)
-        while m <= m_top:
-            if m not in mode_cache:
-                mode_cache[m] = u_functor_sigma_mode(k, u, m, branch=branch)
-            image = mode_cache[m](target)
-            if not image.is_zero():
-                exponent = -m - 1
-                column = terms.setdefault((exponent,), {}).setdefault(word, {})
-                for out_word, c in image.terms:
-                    column[out_word] = column.get(out_word, ZERO) + c
-            m += 1
-    for mono in terms:
-        assert_on_lattice(mono[0], 2)
-    return OperatorField(("x",), terms, window, parity)
+    """The recovered parity-twisted field, materialized over a window."""
+    return RecoveredField(k, u, branch).materialize(window, ramond_basis(domain_level))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +512,7 @@ def twisted_field_to_csv(tfield: TwistedField, in_basis, out_basis) -> str:
 
 
 __all__ = [
+    "RecoveredField",
     "TwistedField",
     "TwistedModuleView",
     "require_even_order",

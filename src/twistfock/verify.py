@@ -64,11 +64,10 @@ from .deltak import (
     round_trip_defect,
 )
 from .twist import (
+    RecoveredField,
     SlotField,
     TwistedModuleView,
     require_even_order,
-    twisted_mode,
-    u_functor_sigma_mode,
     u_functor_sigma_op,
     ybar,
     yg_tensor_factor,
@@ -236,16 +235,8 @@ def _recovered_family(k: int, u: State) -> _ModeFamily:
     construction (twisted modes composed with the inverse coordinate
     change)."""
     _require_usable(u, "field argument")
-    actions = {}
-
-    def mode(m, s: State) -> State:
-        act = actions.get(m)
-        if act is None:
-            act = u_functor_sigma_mode(k, u, m)
-            actions[m] = act
-        return act(s)
-
-    return _ModeFamily(mode, u.homogeneous_level(), u.homogeneous_parity(), 1)
+    field = RecoveredField(k, u)
+    return _ModeFamily(field.mode, field.weight, field.parity, 1)
 
 
 def _field_product_mode(
@@ -977,17 +968,17 @@ def check_grading(
     the rotation grading on the (1/k)-lattice."""
     require_even_order(k)
     _require_usable(u, "field argument")
-    p = u.homogeneous_level()
+    field = SlotField(k, u)
+    p = field.weight
     lo, hi = _bounds(window, "x")
     words = ramond_basis(QQ(domain_level))
     compared = 0
     mismatches = []
     for e in _lattice_grid(lo, hi, k):
         m = -e - 1
-        action = twisted_mode(k, u, m)
         shift = k * (p - m - 1)
         for word in words:
-            image = action(State({word: ONE}))
+            image = field.mode(m, State({word: ONE}))
             compared += 1
             if image.is_zero():
                 continue
@@ -1167,24 +1158,20 @@ def check_t_round_trip(
     require_even_order(k)
     _require_usable(u, "field argument")
     field = SlotField(k, u)
+    recovered = {piece: RecoveredField(k, piece) for _, piece in field.pieces}
     lo, hi = _bounds(window, "x")
     words = ramond_basis(QQ(domain_level))
     compared = 0
     mismatches = []
-    rebuilt_actions = {}
     for e in _lattice_grid(lo, hi, k):
         m = -e - 1
         plan = field.plan(m)
         for word in words:
             target = State({word: ONE})
-            images = []
-            for key in plan:
-                action = rebuilt_actions.get(key)
-                if action is None:
-                    action = u_functor_sigma_mode(k, *key)
-                    rebuilt_actions[key] = action
-                images.append((action(target), ONE))
-            total = combine(images).scaled(field.prefactor)
+            total = combine(
+                (recovered[piece].mode(index, target), ONE)
+                for piece, index in plan
+            ).scaled(field.prefactor)
             expected = field.mode(m, target)
             compared += 1
             if total != expected:

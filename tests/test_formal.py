@@ -8,19 +8,13 @@ from twistfock.formal import (
     DeltaIdentity,
     ScalarSeries,
     Window,
-    binom_expand,
-    change_of_variable,
     compare_series,
     delta_series,
-    graded_variable_shift,
     merged_delta_kernel,
-    root_substitution,
-    scale_exponents,
-    series_monomial,
     series_power,
     verify_delta_identity,
 )
-from twistfock.scalars import QQ, ZERO, binomial, cyc_root_of_unity, eta_k
+from twistfock.scalars import QQ, ZERO
 
 
 def _series_from(table, variables, window=None, **kw):
@@ -47,37 +41,6 @@ class TestWindow:
         b = Window({"x": (0, 5)})
         assert a.intersect(b).bounds_for("x") == (QQ(0), QQ(3))
         assert a.shifted("x", 1).bounds_for("x") == (QQ(-1), QQ(4))
-
-
-# ---------------------------------------------------------------------------
-# binomial expansions
-# ---------------------------------------------------------------------------
-
-
-class TestBinomExpand:
-    def test_coefficients_match_formula(self):
-        w = Window({"x1": (None, None), "x2": (0, 5)})
-        s = binom_expand("x1", "x2", QQ(1, 2), w)
-        for m in range(6):
-            assert s.get((QQ(1, 2) - m, QQ(m))) == binomial(QQ(1, 2), m) * (-1) ** m
-
-    def test_expansion_variable_order_matters(self):
-        w1 = Window({"x1": (None, None), "x2": (0, 4)})
-        w2 = Window({"x2": (None, None), "x1": (0, 4)})
-        a = binom_expand("x1", "x2", QQ(1, 2), w1)
-        b = binom_expand("x2", "x1", QQ(1, 2), w2)
-        # same monomial x1^(-1/2) x2, two different expansions:
-        # a carries it with a binomial coefficient, b is supported away from it
-        assert a.get((QQ(-1, 2), QQ(1))) == -QQ(1, 2)
-        assert b.get((QQ(1), QQ(-1, 2))) == 0  # b's tuple order is (x2, x1)
-
-    def test_integer_case_is_finite(self):
-        w = Window({"x1": (None, None), "x2": (0, 10)})
-        s = binom_expand("x1", "x2", 2, w)
-        assert s.get((QQ(2), QQ(0))) == 1
-        assert s.get((QQ(1), QQ(1))) == -2
-        assert s.get((QQ(0), QQ(2))) == 1
-        assert s.get((QQ(-1), QQ(3))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,61 +162,13 @@ class TestCalculus:
         s = ScalarSeries(("x",), coeffs)
         assert not s.derivative("x").residue("x").coeffs
 
-    def test_scale_exponents_by_root_of_unity(self):
-        k = 3
-        eta = eta_k(k)
-        s = delta_series("x", Window({"x": (-1, 1)}))
-        scaled = scale_exponents(s, "x", eta)
-        assert scaled.get((QQ(-1),)) == eta**-1
-        assert scaled.get((QQ(0),)) == 1
-        assert scaled.get((QQ(1),)) == eta
-
-    def test_root_substitution_on_half_lattice(self):
-        s = series_monomial(("x",), (QQ(-1, 2),))
-        out = root_substitution(s, "x", 1, 2, conductor=8)
-        assert out.get((QQ(-1, 2),)) == cyc_root_of_unity(8, 4) ** -1
-
-    def test_graded_variable_shift(self):
-        s = series_monomial(("x",), (QQ(3),))
-        out = graded_variable_shift(s, "x", "z", QQ(1, 2))
-        assert out.get((QQ(3), QQ(3, 2))) == 1
-
 
 # ---------------------------------------------------------------------------
-# change of variable
+# powers of unit series
 # ---------------------------------------------------------------------------
 
 
 class TestChangeOfVariable:
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_residue_preserved_for_inverse_power(self, k):
-        """Res_x x^-1 = Res_z0 (dh/dz0) h(z0)^-1 for h = x1^(1/k)-(x1-z0)^(1/k)."""
-        depth = 8
-        w = Window({"x1": (None, None), "z0": (0, depth)})
-        h_coeffs = {}
-        dh_coeffs = {}
-        for i in range(0, depth + 1):
-            c = binomial(QQ(1, k), i) * (-1) ** i
-            if i >= 1:
-                h_coeffs[(QQ(1, k) - i, QQ(i))] = -c
-            dc = binomial(QQ(1, k) - 1, i) * (-1) ** i
-            dh_coeffs[(QQ(1, k) - 1 - i, QQ(i))] = dc * QQ(1, k)
-        h = ScalarSeries(
-            ("x1", "z0"), h_coeffs, w, {"x1": None, "z0": QQ(1)},
-            {"x1": QQ(1, k) - 1, "z0": None},
-        )
-        dh = ScalarSeries(
-            ("x1", "z0"), dh_coeffs, w, {"x1": None, "z0": ZERO},
-            {"x1": QQ(1, k) - 1, "z0": None},
-        )
-        f = series_monomial(("x",), (QQ(-1),))
-        result = change_of_variable(f, "x", h, dh, "z0")
-        res = result.residue("z0")
-        assert res.get((QQ(0),)) == 1
-        for mono in res.coeffs:
-            if mono != (QQ(0),):
-                assert res.coeffs[mono] == 0
-
     def test_series_power_square_root(self):
         w = Window({"t": (0, 6)})
         one_plus_t = ScalarSeries(
@@ -267,12 +182,6 @@ class TestChangeOfVariable:
         assert square.get((QQ(1),)) == 1
         for n in range(2, int(hi) + 1):
             assert square.get((QQ(n),)) == 0
-
-    def test_incomplete_series_rejected(self):
-        w = Window({"x": (-2, 2)})
-        f = delta_series("x", w)
-        with pytest.raises(ValueError, match="non-composable"):
-            change_of_variable(f, "x", f, f, "z0")
 
 
 # ---------------------------------------------------------------------------

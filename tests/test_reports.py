@@ -6,8 +6,13 @@ on the benchmark's code.  Each report must equal its stored reference in
 `bench/reference/<name>.json` exactly, so a change that alters any verdict,
 count or rendered coefficient fails here, without running the benchmark.
 The files are only read.
+
+The default-window `verify --k 2 --jacobi off` run is pinned by the SHA-256
+of its report: it runs the recovered-field and rebuild checks on their full
+windows, which the reduced benchmark windows do not reach.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -31,6 +36,11 @@ VERIFY_ARGV = {
     ],
 }
 
+DEFAULT_K2_ARGV = ["verify", "--k", "2", "--jacobi", "off", "--format", "json"]
+DEFAULT_K2_SHA256 = (
+    "aa568db5710cff8768ebc9a9ba134e409d320fab1ac72ee3962138216b3b1024"
+)
+
 
 @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
 def test_report_matches_reference(capsys, name):
@@ -39,3 +49,11 @@ def test_report_matches_reference(capsys, name):
     assert (code, captured.err) == (0, "")
     expected = (REFERENCE / f"{name}.json").read_text(encoding="utf-8")
     assert captured.out == expected
+
+
+def test_default_k2_report_matches_pinned_hash(capsys):
+    code = main(DEFAULT_K2_ARGV)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_K2_SHA256

@@ -326,14 +326,28 @@ class TestInverseConstruction:
         b = u_functor_sigma_op(2, PSI, WINDOW)
         assert a.terms == b.terms
 
-    def test_mode_level_round_trip(self):
-        for m in (QQ(-3, 2), QQ(-1, 2), QQ(1, 2), QQ(0), QQ(1)):
-            parity = 1 if m.denominator == 2 else 0
-            u = PSI if parity else OMEGA
-            recovered = u_functor_sigma_mode(2, u, m)
+    @pytest.mark.parametrize("u", [VACUUM, PSI, OMEGA],
+                             ids=["vac", "psi", "omega"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_mode_level_round_trip(self, k, u):
+        offset = QQ(u.homogeneous_parity(), 2)
+        for numerator in range(-5, 5):
+            m = QQ(numerator, 2)
+            recovered = u_functor_sigma_mode(k, u, m)
             for word in KEYS:
                 state = State({word: ONE})
-                assert recovered(state) == sigma_vertex_mode(u, m, state)
+                if (m - offset).denominator == 1:
+                    assert recovered(state) == sigma_vertex_mode(u, m, state)
+                else:
+                    assert recovered(state) == ZERO_STATE
+
+    def test_zero_state_gives_empty_field(self):
+        field = u_functor_sigma_op(2, ZERO_STATE, Window({"x": (QQ(-2), QQ(2))}))
+        assert (field.terms, field.parity) == ({}, 0)
+        with pytest.raises(ValueError, match="bounded"):
+            u_functor_sigma_op(2, ZERO_STATE, Window({"x": (None, QQ(2))}))
+        with pytest.raises(ValueError, match="branch"):
+            u_functor_sigma_op(2, ZERO_STATE, WINDOW, branch=1)
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="even"):
