@@ -550,8 +550,8 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int) -> dict:
     return {key: val for key, val in out.items() if val != 0}
 
 
-def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2), depth: int = 4,
-                      name: str | None = None) -> ComparisonResult:
+def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
+                      depth: int = 4) -> ComparisonResult:
     """Verify the conjugation identity coefficientwise, exactly.
 
     For every basis state of weight <= cutoff, both sides are expanded as
@@ -561,7 +561,7 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2), depth: int = 4,
     if u.is_zero():
         raise ValueError("conjugation check needs a nonzero homogeneous state")
     u.homogeneous_level()
-    label = name or f"conjugation[k={k},wt<= {cutoff},depth={depth}]"
+    label = f"conjugation[k={k},wt<= {cutoff},depth={depth}]"
     compared = 0
     mismatches = []
     for word in ns_basis(cutoff):
@@ -585,8 +585,7 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2), depth: int = 4,
 # ---------------------------------------------------------------------------
 
 
-def check_L_minus1_identities(k: int, *, cutoff=QQ(2),
-                              name: str | None = None) -> ComparisonResult:
+def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
     """Verify both derivative identities tying the operator to L(-1).
 
     Forward form: (op applied to L(-1)u) minus (1/k) z^{1/k-1} L(-1) (op
@@ -595,7 +594,7 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2),
     equals k z^{-1/k+1} d/dz of (inverse op applied to u).  Both sides are
     exact finite expansions; every (state, word, exponent) slot is compared.
     """
-    label = name or f"translation-identities[k={k},wt<={cutoff}]"
+    label = f"translation-identities[k={k},wt<={cutoff}]"
     compared = 0
     mismatches = []
     basis = ns_basis(cutoff)

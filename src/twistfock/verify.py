@@ -215,6 +215,8 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
     orders give the field whose failed identity is the obstruction
     evidence.
     """
+    if not 1 <= slot <= k:
+        raise ValueError(f"tensor slot must lie in 1..{k}, got {slot}")
     field = SlotField(k, u, slot - 1)
     return _ModeFamily(field.mode, field.weight, field.parity, k)
 
@@ -239,6 +241,29 @@ def _recovered_family(k: int, u: State) -> _ModeFamily:
     return _ModeFamily(field.mode, field.weight, field.parity, 1)
 
 
+def _expanded_product(outer, inner, n, a, b, state: State, level, scale=ONE):
+    """The (state, coefficient) pairs of
+        scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
+    the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
+    powers of x2, for a state of the given level.
+
+    The sum ends where the inner modes pass ``inner.top(level)`` and kill the
+    state; an outer mode above the top of the inner image is skipped.
+    """
+    pairs = []
+    top = inner.top(level)
+    i = 0
+    while b + i <= top:
+        image = inner.mode(b + i, state)
+        if not image.is_zero() and a - i <= outer.top(image.homogeneous_level()):
+            product = outer.mode(a - i, image)
+            if not product.is_zero():
+                c = scale * binomial(n, i)
+                pairs.append((product, -c if i % 2 else c))
+        i += 1
+    return pairs
+
+
 def _field_product_mode(
     left: _ModeFamily,
     right: _ModeFamily,
@@ -259,9 +284,9 @@ def _field_product_mode(
     carrying the exponent class; because a power ``n_loc`` of the coordinate
     difference annihilates the supercommutator of the two fields, every
     expansion order i with t + i >= n_loc cancels identically, so the outer
-    sum is finite.  Within each order the two ordered halves terminate
-    through the annihilation tops of the fields.  Mode indices that fall off
-    a field's exponent lattice contribute zero.
+    sum is finite.  Within each order the two ordered halves are expanded
+    products of power t + i.  Mode indices that fall off a field's exponent
+    lattice contribute zero.
     """
     r_frac = QQ(r) / k
     pairs = []
@@ -271,41 +296,17 @@ def _field_product_mode(
             continue
         if i % 2:
             coeff_i = -coeff_i
+        n = t + i
         # ordered half: the left field to the left of the right field
-        p = 0
-        while True:
-            m2 = mu - r_frac + p
-            if m2 > right.top(level):
-                break
-            inner = right.mode(m2, state)
-            if not inner.is_zero():
-                m1 = r_frac + t - p
-                if m1 <= left.top(inner.homogeneous_level()):
-                    outer = left.mode(m1, inner)
-                    if not outer.is_zero():
-                        c = coeff_i * binomial(QQ(t + i), p)
-                        if p % 2:
-                            c = -c
-                        pairs.append((outer, c))
-            p += 1
+        pairs += _expanded_product(
+            left, right, n, r_frac + t, mu - r_frac, state, level, coeff_i
+        )
         # swapped half, with the supersymmetry sign of the exchange
-        sign = -eps if (t + i) % 2 == 0 else eps
-        q = 0
-        while True:
-            m1 = r_frac - i + q
-            if m1 > left.top(level):
-                break
-            inner = left.mode(m1, state)
-            if not inner.is_zero():
-                m2 = mu - r_frac + t + i - q
-                if m2 <= right.top(inner.homogeneous_level()):
-                    outer = right.mode(m2, inner)
-                    if not outer.is_zero():
-                        c = coeff_i * binomial(QQ(t + i), q) * sign
-                        if q % 2:
-                            c = -c
-                        pairs.append((outer, c))
-            q += 1
+        sign = -eps if n % 2 == 0 else eps
+        pairs += _expanded_product(
+            right, left, n, mu - r_frac + n, r_frac - i, state, level,
+            coeff_i * sign,
+        )
     return combine(pairs)
 
 
@@ -485,7 +486,7 @@ def _commutator_report(
 
 
 def check_even_supercommutator(
-    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2), name=None
+    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2)
 ) -> CheckReport:
     """Supercommutator of two first-slot twisted fields against the
     residue of their product-state field, for even tensor order.
@@ -496,11 +497,8 @@ def check_even_supercommutator(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    label = name or (
-        f"even-supercommutator[k={k},{_state_label(u)},{_state_label(v)}]"
-    )
     return _commutator_report(
-        label,
+        f"even-supercommutator[k={k},{_state_label(u)},{_state_label(v)}]",
         k,
         _first_slot_family(k, u),
         _first_slot_family(k, v),
@@ -584,9 +582,6 @@ def check_cross_slot_commutator(
     (slot_u - slot_v)·k·n-th power of the primitive root of unity.
     """
     require_even_order(k)
-    for s in (slot_u, slot_v):
-        if not 1 <= s <= k:
-            raise ValueError(f"tensor slot must lie in 1..{k}, got {s}")
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
     etas = eta_powers(k)
@@ -666,8 +661,26 @@ def check_recovered_commutator(
 # ---------------------------------------------------------------------------
 
 
+def _jacobi_left(left, right, eps, r: int, e1, e2, state: State, level) -> State:
+    """The x0^{-r-1} x1^e1 x2^e2 coefficient of the left side of the
+    three-variable identity on one state.
+
+    First kernel: x0^{-1} delta((x1-x2)/x0) A(x1) B(x2), whose x0^{-r-1}
+    part is (x1-x2)^r.  Second kernel: x0^{-1} delta((x2-x1)/(-x0))
+    B(x2) A(x1), whose x0^{-r-1} part is (-1)^r (x2-x1)^r, scaled by the
+    supersymmetry sign -eps of the swapped product.
+    """
+    sign2 = -eps if r % 2 == 0 else eps
+    return combine(
+        _expanded_product(left, right, r, r - e1 - 1, -e2 - 1, state, level)
+        + _expanded_product(
+            right, left, r, r - e2 - 1, -e1 - 1, state, level, sign2
+        )
+    )
+
+
 def check_twisted_jacobi(
-    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2), name=None
+    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2)
 ) -> CheckReport:
     """The full three-variable identity for two first-slot twisted fields.
 
@@ -687,8 +700,6 @@ def check_twisted_jacobi(
     _require_usable(v, "right argument")
     left = _first_slot_family(k, u)
     right = _first_slot_family(k, v)
-    p_u = u.homogeneous_level()
-    p_v = v.homogeneous_level()
     eps = -ONE if (left.parity and right.parity) else ONE
     lo0, hi0 = _bounds(window, "x0")
     lo1, hi1 = _bounds(window, "x1")
@@ -697,59 +708,20 @@ def check_twisted_jacobi(
     grid1 = _lattice_grid(lo1, hi1, k)
     grid2 = _lattice_grid(lo2, hi2, k)
     words = ramond_basis(QQ(domain_level))
-    n_loc = rational_floor(p_u + p_v) + 1
+    n_loc = rational_floor(u.homogeneous_level() + v.homogeneous_level()) + 1
 
     compared = 0
     mismatches = []
-    label = name or f"twisted-jacobi[k={k},{_state_label(u)},{_state_label(v)}]"
+    label = f"twisted-jacobi[k={k},{_state_label(u)},{_state_label(v)}]"
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
         rhs_modes = {}
         for alpha in grid0:
             r = int(-alpha - 1)
-            # the second kernel is x0^{-1} sum_r (x2-x1)^r (-1)^r x0^{-r},
-            # scaled by the supersymmetry sign -eps of the swapped product
-            sign2 = -eps if r % 2 == 0 else eps
             for e1 in grid1:
                 for e2 in grid2:
-                    lhs_terms = []
-                    # first kernel: A after B, expanded in x2-then-x0
-                    i = 0
-                    while True:
-                        m2 = i - e2 - 1
-                        if m2 > right.top(level):
-                            break
-                        inner = right.mode(m2, target)
-                        if not inner.is_zero():
-                            m1 = r - i - e1 - 1
-                            if m1 <= left.top(inner.homogeneous_level()):
-                                outer = left.mode(m1, inner)
-                                if not outer.is_zero():
-                                    coeff = binomial(QQ(r), i)
-                                    if i % 2:
-                                        coeff = -coeff
-                                    lhs_terms.append((outer, coeff))
-                        i += 1
-                    # second kernel: B after A, with the sign of (-x0)^{-r-1}
-                    i = 0
-                    while True:
-                        m1 = i - e1 - 1
-                        if m1 > left.top(level):
-                            break
-                        inner = left.mode(m1, target)
-                        if not inner.is_zero():
-                            m2 = r - i - e2 - 1
-                            if m2 <= right.top(inner.homogeneous_level()):
-                                outer = right.mode(m2, inner)
-                                if not outer.is_zero():
-                                    coeff = binomial(QQ(r), i) * sign2
-                                    if i % 2:
-                                        coeff = -coeff
-                                    lhs_terms.append((outer, coeff))
-                        i += 1
-                    lhs = combine(lhs_terms)
-
+                    lhs = _jacobi_left(left, right, eps, r, e1, e2, target, level)
                     rhs_terms = []
                     if (e1 * k).denominator == 1:
                         i_top = n_loc + int(alpha)
@@ -1068,27 +1040,15 @@ def check_weak_associativity(
         for word in words:
             target = State({word: ONE})
             level = word_level(word)
-            top_v = fam_v.top(level)
             for alpha in grid0:
                 for beta in grid2:
-                    # product side: single m-sum, i = E-m-1-alpha
-                    lhs_terms = []
-                    m_top = exponent - 1 - alpha
-                    m_bot = exponent - 2 - alpha - beta - top_v
-                    m = m_top
-                    while m >= m_bot:
-                        inner_index = exponent - m - 2 - alpha - beta
-                        inner = fam_v.mode(inner_index, target)
-                        if not inner.is_zero():
-                            if m <= fam_u.top(inner.homogeneous_level()):
-                                outer = fam_u.mode(m, inner)
-                                if not outer.is_zero():
-                                    i = int(exponent - m - 1 - alpha)
-                                    lhs_terms.append(
-                                        (outer, binomial(exponent - m - 1, i))
-                                    )
-                        m -= 1
-                    lhs = combine(lhs_terms)
+                    # product side: C(alpha+i, i) = (-1)^i C(-alpha-1, i)
+                    lhs = combine(
+                        _expanded_product(
+                            fam_u, fam_v, -alpha - 1, exponent - 1 - alpha,
+                            -beta - 1, target, level,
+                        )
+                    )
                     # iterate side: i-sum with t = i - alpha - 1
                     rhs_terms = []
                     i_top = t_top + int(alpha) + 1

@@ -16,10 +16,22 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistfock.scalars import QQ
-from twistfock.fermion import OMEGA, PSI, VACUUM, ZERO_STATE
-from twistfock.formal import Window
+from twistfock.scalars import ONE, QQ
+from twistfock.fermion import (
+    OMEGA,
+    PSI,
+    VACUUM,
+    ZERO_STATE,
+    State,
+    combine,
+    word_level,
+)
+from twistfock.formal import Window, merged_delta_kernel
+from twistfock.ramond import ramond_basis
+from twistfock.twist import SlotField
 from twistfock.verify import (
+    _first_slot_family,
+    _jacobi_left,
     CheckReport,
     SuiteConfig,
     check_character_correspondence,
@@ -193,6 +205,83 @@ class TestTwistedJacobi:
         assert small.compared < large.compared
 
 
+class TestJacobiKernels:
+    """The left side of the three-variable identity built a second way.
+
+    Each monomial c x1^p1 x2^p2 x0^p0 of the kernel x0^{-1} delta((x1-x2)/x0)
+    from `formal.merged_delta_kernel` contributes c A(p1-e1-1) B(p2-e2-1) w
+    to the x0^p0 x1^e1 x2^e2 coefficient; each monomial of
+    x0^{-1} delta((x2-x1)/(-x0)) contributes -eps c B(p2-e2-1) A(p1-e1-1) w.
+    A and B are the raw slot-field modes, with no annihilation bound, so the
+    oracle shares neither the binomial loop nor the truncation of
+    `verify._expanded_product`.
+    """
+
+    K = 2
+    LEVEL = QQ(1)
+    BOUND = QQ(1)
+    # the expansion variable reaches i = 8, past every inner mode that acts
+    REACH = 8
+
+    @pytest.mark.parametrize(
+        "u, v", [(PSI, PSI), (OMEGA, OMEGA)], ids=["psi", "omega"]
+    )
+    def test_left_side_matches_delta_kernels(self, u, v):
+        k, lo, hi = self.K, -self.BOUND, self.BOUND
+        left, right = _first_slot_family(k, u), _first_slot_family(k, v)
+        for family in (left, right):
+            # an inner mode b + i with b = -e - 1 >= -hi - 1 acts only while
+            # b + i <= top, i.e. for i <= top + hi + 1
+            assert family.top(self.LEVEL) + hi + 1 < self.REACH
+        eps = -ONE if (left.parity and right.parity) else ONE
+        first = merged_delta_kernel(
+            "x1", "x2", "x0", Window({"x0": (lo, hi), "x2": (0, self.REACH)})
+        )
+        second = merged_delta_kernel(
+            "x2", "x1", "x0", Window({"x0": (lo, hi), "x1": (0, self.REACH)}),
+            bottom_sign=-1,
+        )
+        field_a, field_b = SlotField(k, u), SlotField(k, v)
+        cache = {}
+
+        def act(field, m, state):
+            key = (id(field), m, state)
+            if key not in cache:
+                cache[key] = field.mode(m, state)
+            return cache[key]
+
+        grid0 = [QQ(a) for a in range(int(lo), int(hi) + 1)]
+        grid = [QQ(n, k) for n in range(int(lo * k), int(hi * k) + 1)]
+        nonzero = 0
+        for word in ramond_basis(self.LEVEL):
+            w = State({word: ONE})
+            for alpha in grid0:
+                for e1 in grid:
+                    for e2 in grid:
+                        terms = []
+                        for (p1, p2, p0), c in first.coeffs.items():
+                            if p0 == alpha:
+                                inner = act(field_b, p2 - e2 - 1, w)
+                                terms.append(
+                                    (act(field_a, p1 - e1 - 1, inner), c)
+                                )
+                        for (p2, p1, p0), c in second.coeffs.items():
+                            if p0 == alpha:
+                                inner = act(field_a, p1 - e1 - 1, w)
+                                terms.append(
+                                    (act(field_b, p2 - e2 - 1, inner), -eps * c)
+                                )
+                        expected = combine(terms)
+                        actual = _jacobi_left(
+                            left, right, eps, int(-alpha - 1), e1, e2, w,
+                            word_level(word),
+                        )
+                        assert actual == expected, (alpha, e1, e2, word)
+                        nonzero += not expected.is_zero()
+        # the comparison is not vacuous: some coefficients are nonzero
+        assert nonzero > 0
+
+
 class TestLocality:
     def test_fermion_pair_has_small_vanishing_power(self):
         report = check_locality(2, PSI, PSI, CUBE2)
@@ -207,6 +296,17 @@ class TestLocality:
     def test_cross_slot_locality(self):
         report = check_locality(2, PSI, PSI, CUBE2, slot_u=1, slot_v=2)
         assert_clean_pass(report)
+
+    @pytest.mark.parametrize("slots", [(0, 1), (3, 1), (1, 0), (1, 3)])
+    def test_rejects_out_of_range_slot(self, slots):
+        # slots outside 1..k are refused as the cross-slot check refuses
+        # them, not reduced mod k
+        window = Window.cube(("x1", "x2"), 0, 0)
+        with pytest.raises(ValueError, match="tensor slot must lie in 1..2"):
+            check_locality(
+                2, PSI, PSI, window, slot_u=slots[0], slot_v=slots[1],
+                domain_level=QQ(1),
+            )
 
 
 class TestStructureChecks:
@@ -225,8 +325,13 @@ class TestStructureChecks:
         for u in (PSI, OMEGA):
             assert_clean_pass(check_grading(2, u, LINE))
 
-    def test_weak_associativity(self):
-        report = check_weak_associativity(2, PSI, PSI, ASSOC2)
+    @pytest.mark.parametrize(
+        "use_recovered", [True, False], ids=["recovered", "native"]
+    )
+    def test_weak_associativity(self, use_recovered):
+        report = check_weak_associativity(
+            2, PSI, PSI, ASSOC2, use_recovered=use_recovered
+        )
         assert_clean_pass(report)
         assert report.detail.startswith("exponent shift n=")
 
