@@ -118,7 +118,7 @@ def _apply_overrides(namespace: argparse.Namespace, mapping: dict) -> None:
     """Config-file entries override flag values (and flag defaults)."""
     for key, raw in mapping.items():
         attr = "fmt" if key == "format" else key
-        if not hasattr(namespace, attr):
+        if key not in _COERCERS or not hasattr(namespace, attr):
             raise ValueError(
                 f"config key {key!r} does not apply to this subcommand"
             )
@@ -184,9 +184,10 @@ def _render_rows(fmt: str, header, rows, json_payload) -> str:
     if fmt == "json":
         return json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in rows)
-        return "\n".join(lines) + "\n"
+        return "".join(
+            ",".join(f'"{c}"' if "," in c else c for c in line) + "\n"
+            for line in (header, *rows)
+        )
     return _render_table(header, rows)
 
 
@@ -388,9 +389,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
             for r in reports
         ]
-        lines = [",".join(header)]
-        lines.extend(",".join(f'"{c}"' if "," in c else c for c in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = _render_rows(fmt, header, rows, None)
     else:
         text = suite_table(reports)
     _emit(text, cfg.out)

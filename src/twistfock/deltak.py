@@ -561,23 +561,19 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
     if u.is_zero():
         raise ValueError("conjugation check needs a nonzero homogeneous state")
     u.homogeneous_level()
-    label = f"conjugation[k={k},wt<= {cutoff},depth={depth}]"
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
     for word in ns_basis(cutoff):
         v = State({word: ONE})
         lhs = _conjugation_lhs(k, u, v, depth)
         rhs = _conjugation_rhs(k, u, v, depth)
         for key in sorted(set(lhs) | set(rhs)):
-            a = lhs.get(key, ZERO)
-            b = rhs.get(key, ZERO)
-            compared += 1
-            if a != b:
-                out_word, e_z, e_z0 = key
-                mismatches.append(
-                    ((format_ns_word(word), format_ns_word(out_word), e_z, e_z0), a, b)
-                )
-    return ComparisonResult(label, compared, mismatches)
+            out_word, e_z, e_z0 = key
+            result.compare(
+                (format_ns_word(word), format_ns_word(out_word), e_z, e_z0),
+                lhs.get(key, ZERO),
+                rhs.get(key, ZERO),
+            )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +590,7 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
     equals k z^{-1/k+1} d/dz of (inverse op applied to u).  Both sides are
     exact finite expansions; every (state, word, exponent) slot is compared.
     """
-    label = f"translation-identities[k={k},wt<={cutoff}]"
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(f"translation-identities[k={k},wt<={cutoff}]")
     basis = ns_basis(cutoff)
     depth = max(1, int(rational_ceil(QQ(cutoff) + 1)) * k + 2)
     fwd_op = DeltaOp(k, depth, FORWARD)
@@ -606,9 +600,10 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
         p = u.homogeneous_level()
         lu = virasoro(QQ(-1), u)
 
-        for tag, op, shift_scalar, shift_exp in (
-            ("forward", fwd_op, QQ(1, k), QQ(1, k) - 1),
-            ("inverse", inv_op, QQ(k), -QQ(1, k) + 1),
+        # the right side is rhs_scale z^rhs_shift d/dz of (op applied to u)
+        for tag, op, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
+            ("forward", fwd_op, QQ(1, k), QQ(1, k) - 1, ONE, ZERO),
+            ("inverse", inv_op, QQ(k), -QQ(1, k) + 1, QQ(k), 1 - QQ(1, k)),
         ):
             ex_u = apply_delta(op, u)
             lhs = {}
@@ -626,35 +621,25 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
 
             rhs = {}
             for e, s in ex_u.pieces:
-                if tag == "forward":
-                    # plain d/dz
-                    if e != 0:
-                        for w, c in s.terms:
-                            key = (w, e - 1)
-                            rhs[key] = rhs.get(key, ZERO) + e * ex_u.prefactor * c
-                else:
-                    # k z^{-1/k+1} d/dz
-                    if e != 0:
-                        for w, c in s.terms:
-                            key = (w, e - 1 + shift_exp)
-                            rhs[key] = (
-                                rhs.get(key, ZERO) + QQ(k) * e * ex_u.prefactor * c
-                            )
+                if e != 0:
+                    for w, c in s.terms:
+                        key = (w, e - 1 + rhs_shift)
+                        rhs[key] = (
+                            rhs.get(key, ZERO) + rhs_scale * e * ex_u.prefactor * c
+                        )
 
             keys = sorted(set(lhs) | set(rhs))
             if not keys:
                 # both sides identically zero: that agreement is itself a check
-                compared += 1
+                result.compare((tag, format_ns_word(word)), lhs, rhs)
             for key in keys:
-                a = lhs.get(key, ZERO)
-                b = rhs.get(key, ZERO)
-                compared += 1
-                if a != b:
-                    w, e = key
-                    mismatches.append(
-                        ((tag, format_ns_word(word), format_ns_word(w), e), a, b)
-                    )
-    return ComparisonResult(label, compared, mismatches)
+                w, e = key
+                result.compare(
+                    (tag, format_ns_word(word), format_ns_word(w), e),
+                    lhs.get(key, ZERO),
+                    rhs.get(key, ZERO),
+                )
+    return result
 
 
 __all__ = [

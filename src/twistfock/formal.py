@@ -577,11 +577,19 @@ def series_power(unit: ScalarSeries, expansion_var, exponent) -> ScalarSeries:
 
 @dataclass
 class ComparisonResult:
-    """Outcome of a window-exact coefficient comparison."""
+    """Outcome of a window-exact coefficient comparison: the number of
+    coefficients compared and a (location, lhs, rhs) witness for each one
+    that differed, in comparison order."""
 
     name: str
-    compared: int
-    mismatches: list
+    compared: int = 0
+    mismatches: list = field(default_factory=list)
+
+    def compare(self, location, lhs, rhs) -> None:
+        """Count one compared coefficient; record it when the sides differ."""
+        self.compared += 1
+        if lhs != rhs:
+            self.mismatches.append((location, lhs, rhs))
 
     @property
     def passed(self) -> bool:
@@ -631,31 +639,24 @@ def compare_series(
     if not window.is_bounded(variables):
         raise ValueError("comparison window must be bounded")
     lhs_a, rhs_a = lhs._aligned(rhs)
+    result = ComparisonResult(name)
     if _known_on_window(lhs_a, window) and _known_on_window(rhs_a, window):
         # every lattice point is known on both sides, so only stored
         # monomials can disagree; zeros elsewhere match for free
-        mismatches = []
         for mono in set(lhs_a.coeffs) | set(rhs_a.coeffs):
             if not window.contains_mono(lhs_a.variables, mono):
                 continue
             if any((e * lattice_den).denominator != 1 for e in mono):
                 continue
-            a = lhs_a.coeffs.get(mono, ZERO)
-            b = rhs_a.coeffs.get(mono, ZERO)
-            if a != b:
-                mismatches.append((mono, a, b))
-        mismatches.sort(key=lambda item: item[0])
-        compared = _lattice_size(window, lhs_a.variables, lattice_den)
-        return ComparisonResult(name, compared, mismatches)
-    compared = 0
-    mismatches = []
+            result.compare(
+                mono, lhs_a.coeffs.get(mono, ZERO), rhs_a.coeffs.get(mono, ZERO)
+            )
+        result.mismatches.sort(key=lambda item: item[0])
+        result.compared = _lattice_size(window, lhs_a.variables, lattice_den)
+        return result
     for mono in window.lattice_points(lhs_a.variables, lattice_den):
-        a = lhs_a.get(mono)
-        b = rhs_a.get(mono)
-        compared += 1
-        if a != b:
-            mismatches.append((mono, a, b))
-    return ComparisonResult(name, compared, mismatches)
+        result.compare(mono, lhs_a.get(mono), rhs_a.get(mono))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +786,18 @@ def compare_fields(
     """Compare two operator fields entrywise over a window and a key set."""
     if lhs.variables != rhs.variables:
         raise ValueError("fields must share variables for comparison")
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(name)
     for mono in window.lattice_points(lhs.variables, lattice_den):
         for key in keys:
             a = lhs.column(mono, key)
             b = rhs.column(mono, key)
-            outs = set(a) | set(b)
-            compared += 1 + len(outs)
-            for okey in outs:
-                va = a.get(okey, ZERO)
-                vb = b.get(okey, ZERO)
-                if va != vb:
-                    mismatches.append((mono + (key, okey), va, vb))
-    return ComparisonResult(name, compared, mismatches)
+            # the column itself counts, so two empty columns are compared
+            result.compared += 1
+            for okey in set(a) | set(b):
+                result.compare(
+                    mono + (key, okey), a.get(okey, ZERO), b.get(okey, ZERO)
+                )
+    return result
 
 
 # ---------------------------------------------------------------------------

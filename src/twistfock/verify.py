@@ -28,10 +28,10 @@ from .scalars import (
     is_rational,
     rational_ceil,
     rational_floor,
-    scalar_is_zero,
     scalar_str,
 )
 from .formal import (
+    ComparisonResult,
     DeltaIdentity,
     Window,
     compare_fields,
@@ -154,11 +154,21 @@ def suite_table(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _wrap_comparison(result, k: int, window: str, *,
+def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
                      expected_verdict: str = "pass", detail: str = "") -> CheckReport:
-    """Adapt a ComparisonResult from the series layer into a CheckReport."""
+    """The report of a comparison: the one place a CheckReport is built.
+
+    Locations and string values pass through; a state witness is rendered as
+    a sum of Ramond words, any other value with ``scalar_str``.
+    """
+
+    def rendered(value) -> str:
+        if isinstance(value, State):
+            return value.render(format_ramond_word)
+        return scalar_str(value)
+
     mismatches = tuple(
-        (str(loc), scalar_str(a), scalar_str(b)) for loc, a, b in result.mismatches
+        (str(loc), rendered(a), rendered(b)) for loc, a, b in result.mismatches
     )
     return CheckReport(
         result.name, k, window, result.compared, mismatches, expected_verdict, detail
@@ -352,10 +362,6 @@ def _iterate_top(u: State, v: State) -> int:
     return int(rational_floor(u.homogeneous_level() + v.homogeneous_level() - 1))
 
 
-def _render(state: State) -> str:
-    return state.render(format_ramond_word)
-
-
 # ---------------------------------------------------------------------------
 # the residue-commutator engine
 # ---------------------------------------------------------------------------
@@ -401,7 +407,6 @@ def _commutator_report(
     kernel_shift,
     product_builder,
     kernel_weight=None,
-    grid_den: int,
     domain_level=QQ(2),
     expected_verdict: str = "pass",
 ) -> CheckReport:
@@ -412,7 +417,9 @@ def _commutator_report(
     Right side: the residue of the product-state kernel,
         (1/kernel_den) * sum_{t>=0} C(e1+t, t) (-1)^t [weight(e1+t)]
                          * (mode -e1-e2-t-2 of the field of u_t v) w,
-    supported on e1 in kernel_shift + (1/kernel_den)Z and zero elsewhere.
+    supported on e1 in kernel_shift + (1/kernel_den)Z and zero elsewhere;
+    the exponent grid is the (1/(2·kernel_den))-lattice, so it also holds
+    the points off the kernel lattice where the commutator must vanish.
     The t-th product state's field is supplied by ``product_builder`` so the
     same engine serves first-slot fields, rotated slots (via the optional
     root-of-unity ``kernel_weight``), and parity-twisted fields.
@@ -420,8 +427,8 @@ def _commutator_report(
     kernel_shift = QQ(kernel_shift)
     lo1, hi1 = _bounds(window, "x1")
     lo2, hi2 = _bounds(window, "x2")
-    grid1 = _lattice_grid(lo1, hi1, grid_den)
-    grid2 = _lattice_grid(lo2, hi2, grid_den)
+    grid1 = _lattice_grid(lo1, hi1, 2 * kernel_den)
+    grid2 = _lattice_grid(lo2, hi2, 2 * kernel_den)
     words = ramond_basis(QQ(domain_level))
     iterates = []
     for t in range(0, _iterate_top(u, v) + 1):
@@ -430,8 +437,7 @@ def _commutator_report(
             iterates.append((t, product_builder(it)))
     prefactor = QQ(1, kernel_den)
 
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(name)
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
@@ -461,22 +467,14 @@ def _commutator_report(
                         coeff = coeff * kernel_weight(n)
                     terms.append((image, coeff))
                 rhs = combine(terms).scaled(prefactor)
-            compared += 1
-            if lhs != rhs:
-                mismatches.append(
-                    (
-                        f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}",
-                        _render(lhs),
-                        _render(rhs),
-                    )
-                )
-    return CheckReport(
-        name,
+            result.compare(
+                f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}", lhs, rhs
+            )
+    return _wrap_comparison(
+        result,
         k_report,
         _window_str(window, ("x1", "x2")),
-        compared,
-        tuple(mismatches),
-        expected_verdict,
+        expected_verdict=expected_verdict,
     )
 
 
@@ -508,7 +506,6 @@ def check_even_supercommutator(
         kernel_den=k,
         kernel_shift=ZERO,
         product_builder=lambda s: _first_slot_family(k, s),
-        grid_den=2 * k,
         domain_level=domain_level,
     )
 
@@ -533,36 +530,29 @@ def check_odd_obstruction(
     _require_usable(v, "right argument")
     parity = u.homogeneous_parity()
     base = f"k={k},{_state_label(u)},{_state_label(v)}"
-    report_a = _commutator_report(
-        f"obstruction-even-form[{base}]",
-        k,
-        _first_slot_family(k, u),
-        _first_slot_family(k, v),
-        u,
-        v,
-        window,
-        kernel_den=k,
-        kernel_shift=ZERO,
-        product_builder=lambda s: _first_slot_family(k, s),
-        grid_den=2 * k,
-        domain_level=domain_level,
-        expected_verdict="fail" if parity else "pass",
+    left = _first_slot_family(k, u)
+    right = _first_slot_family(k, v)
+
+    def report(form: str, kernel_shift, expected_verdict: str = "pass"):
+        return _commutator_report(
+            f"obstruction-{form}-form[{base}]",
+            k,
+            left,
+            right,
+            u,
+            v,
+            window,
+            kernel_den=k,
+            kernel_shift=kernel_shift,
+            product_builder=lambda s: _first_slot_family(k, s),
+            domain_level=domain_level,
+            expected_verdict=expected_verdict,
+        )
+
+    return (
+        report("even", ZERO, "fail" if parity else "pass"),
+        report("odd", QQ(parity, 2 * k)),
     )
-    report_b = _commutator_report(
-        f"obstruction-odd-form[{base}]",
-        k,
-        _first_slot_family(k, u),
-        _first_slot_family(k, v),
-        u,
-        v,
-        window,
-        kernel_den=k,
-        kernel_shift=QQ(parity, 2 * k),
-        product_builder=lambda s: _first_slot_family(k, s),
-        grid_den=2 * k,
-        domain_level=domain_level,
-    )
-    return report_a, report_b
 
 
 def check_cross_slot_commutator(
@@ -605,7 +595,6 @@ def check_cross_slot_commutator(
         kernel_shift=ZERO,
         product_builder=lambda s: _first_slot_family(k, s, slot=slot_v),
         kernel_weight=weight,
-        grid_den=2 * k,
         domain_level=domain_level,
     )
 
@@ -651,7 +640,6 @@ def check_recovered_commutator(
         kernel_den=1,
         kernel_shift=QQ(u.homogeneous_parity(), 2),
         product_builder=builder,
-        grid_den=2,
         domain_level=domain_level,
     )
 
@@ -710,9 +698,9 @@ def check_twisted_jacobi(
     words = ramond_basis(QQ(domain_level))
     n_loc = rational_floor(u.homogeneous_level() + v.homogeneous_level()) + 1
 
-    compared = 0
-    mismatches = []
-    label = f"twisted-jacobi[k={k},{_state_label(u)},{_state_label(v)}]"
+    result = ComparisonResult(
+        f"twisted-jacobi[k={k},{_state_label(u)},{_state_label(v)}]"
+    )
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
@@ -744,23 +732,28 @@ def check_twisted_jacobi(
                                 rhs_modes[key] = image
                             if not image.is_zero():
                                 rhs_terms.append((image, base))
-                    rhs = combine(rhs_terms)
-                    compared += 1
-                    if lhs != rhs:
-                        mismatches.append(
-                            (
-                                f"x0^{alpha} x1^{e1} x2^{e2} "
-                                f"@ {format_ramond_word(word)}",
-                                _render(lhs),
-                                _render(rhs),
-                            )
-                        )
-    return CheckReport(
-        label,
-        k,
-        _window_str(window, ("x0", "x1", "x2")),
-        compared,
-        tuple(mismatches),
+                    result.compare(
+                        f"x0^{alpha} x1^{e1} x2^{e2} "
+                        f"@ {format_ramond_word(word)}",
+                        lhs,
+                        combine(rhs_terms),
+                    )
+    return _wrap_comparison(result, k, _window_str(window, ("x0", "x1", "x2")))
+
+
+def _smallest_passing(attempt, top: int, k: int, window: str, what: str,
+                      var: str) -> CheckReport:
+    """The report of the first n in 0..top whose comparison ``attempt(n)``
+    passes, detailed "<what> <var>=n", or else of the last attempt's
+    failure."""
+    if top < 0:
+        raise ValueError(f"the search bound {var} must be >= 0, got {top}")
+    for n in range(top + 1):
+        result = attempt(n)
+        if result.passed:
+            return _wrap_comparison(result, k, window, detail=f"{what} {var}={n}")
+    return _wrap_comparison(
+        result, k, window, detail=f"no {what} up to {var}={top}"
     )
 
 
@@ -805,13 +798,10 @@ def check_locality(
             if not value.is_zero():
                 commutator[(iw, e1, e2)] = value
 
-    last_bad = []
-    last_count = 0
-    for power in range(0, max_power + 1):
+    def attempt(power: int) -> ComparisonResult:
+        result = ComparisonResult(label)
         sub1 = tuple(f1 for f1 in grid1 if f1 - power >= lo1)
         sub2 = tuple(f2 for f2 in grid2 if f2 - power >= lo2)
-        count = 0
-        bad = []
         for iw, word in enumerate(words):
             for f1 in sub1:
                 for f2 in sub2:
@@ -824,35 +814,16 @@ def check_locality(
                         if i % 2:
                             coeff = -coeff
                         terms.append((term, coeff))
-                    acc = combine(terms)
-                    count += 1
-                    if not acc.is_zero():
-                        bad.append(
-                            (
-                                f"x1^{f1} x2^{f2} @ {format_ramond_word(word)}",
-                                _render(acc),
-                                "0",
-                            )
-                        )
-        last_bad, last_count = bad, count
-        if count > 0 and not bad:
-            return CheckReport(
-                label,
-                k,
-                _window_str(window, ("x1", "x2")),
-                count,
-                (),
-                "pass",
-                f"vanishing power N={power}",
-            )
-    return CheckReport(
-        label,
-        k,
-        _window_str(window, ("x1", "x2")),
-        last_count,
-        tuple(last_bad),
-        "pass",
-        f"no vanishing power up to N={max_power}",
+                    result.compare(
+                        f"x1^{f1} x2^{f2} @ {format_ramond_word(word)}",
+                        combine(terms),
+                        ZERO_STATE,
+                    )
+        return result
+
+    return _smallest_passing(
+        attempt, max_power, k, _window_str(window, ("x1", "x2")),
+        "vanishing power", "N",
     )
 
 
@@ -882,8 +853,7 @@ def check_limit_axiom(
     lo, hi = _bounds(window, "x")
     grid = _lattice_grid(lo, hi, 2 * k)
     words = ramond_basis(QQ(domain_level))
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(f"limit-axiom[k={k},{_state_label(u)}]")
     for a in range(k):
         source = fields[a].field
         dest = fields[(a - 1) % k].field
@@ -891,26 +861,12 @@ def check_limit_axiom(
             power = -k * e
             scale = etas[int(power) % k] if power.denominator == 1 else ONE
             for word in words:
-                col_src = source.column((e,), word)
-                col_dst = dest.column((e,), word)
-                compared += 1
-                for out_word in set(col_src) | set(col_dst):
-                    lhs = scale * col_src.get(out_word, ZERO)
-                    rhs = col_dst.get(out_word, ZERO)
-                    if not scalar_is_zero(lhs - rhs):
-                        mismatches.append(
-                            (
-                                f"slot-power {a}: x^{e} "
-                                f"{format_ramond_word(word)} -> "
-                                f"{format_ramond_word(out_word)}",
-                                scalar_str(lhs),
-                                scalar_str(rhs),
-                            )
-                        )
-    label = f"limit-axiom[k={k},{_state_label(u)}]"
-    return CheckReport(
-        label, k, _window_str(window, ("x",)), compared, tuple(mismatches)
-    )
+                result.compare(
+                    f"slot-power {a}: x^{e} {format_ramond_word(word)}",
+                    State(source.column((e,), word)).scaled(scale),
+                    State(dest.column((e,), word)),
+                )
+    return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
 
 def check_translation_derivative(
@@ -944,40 +900,27 @@ def check_grading(
     p = field.weight
     lo, hi = _bounds(window, "x")
     words = ramond_basis(QQ(domain_level))
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(f"twisted-grading[k={k},{_state_label(u)}]")
     for e in _lattice_grid(lo, hi, k):
         m = -e - 1
         shift = k * (p - m - 1)
         for word in words:
             image = field.mode(m, State({word: ONE}))
-            compared += 1
-            if image.is_zero():
-                continue
             expected = word_level(word) + shift
-            try:
-                actual = image.homogeneous_level()
-            except ValueError:
-                mismatches.append(
-                    (
-                        f"mode {m} @ {format_ramond_word(word)}",
-                        _render(image),
-                        "a homogeneous state",
-                    )
-                )
-                continue
-            if actual != expected or QQ(actual).denominator != 1 or actual < 0:
-                mismatches.append(
-                    (
-                        f"mode {m} @ {format_ramond_word(word)}",
-                        f"level {actual}",
-                        f"level {expected} on the nonnegative integers",
-                    )
-                )
-    label = f"twisted-grading[k={k},{_state_label(u)}]"
-    return CheckReport(
-        label, k, _window_str(window, ("x",)), compared, tuple(mismatches)
-    )
+            # a zero image has every grade; a nonzero one must be homogeneous
+            # at the expected level, a nonnegative integer
+            lhs = rhs = f"level {expected} on the nonnegative integers"
+            if not image.is_zero():
+                try:
+                    actual = image.homogeneous_level()
+                except ValueError:
+                    lhs, rhs = image, "a homogeneous state"
+                else:
+                    if (actual != expected or QQ(actual).denominator != 1
+                            or actual < 0):
+                        lhs = f"level {actual}"
+            result.compare(f"mode {m} @ {format_ramond_word(word)}", lhs, rhs)
+    return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
 
 def check_weak_associativity(
@@ -1030,13 +973,10 @@ def check_weak_associativity(
     label = (
         f"weak-associativity[{tag},k={k},{_state_label(u)},{_state_label(v)}]"
     )
-    window_str = _window_str(window, ("x0", "x2"))
-    last_bad = []
-    last_count = 0
-    for n in range(0, max_order + 1):
+
+    def attempt(n: int) -> ComparisonResult:
+        result = ComparisonResult(label)
         exponent = QQ(parity_u, 2) + n
-        count = 0
-        bad = []
         for word in words:
             target = State({word: ONE})
             level = word_level(word)
@@ -1062,30 +1002,16 @@ def check_weak_associativity(
                         image = family.mode(mu, target)
                         if not image.is_zero():
                             rhs_terms.append((image, binomial(exponent, i)))
-                    rhs = combine(rhs_terms)
-                    count += 1
-                    if lhs != rhs:
-                        bad.append(
-                            (
-                                f"x0^{alpha} x2^{beta} "
-                                f"@ {format_ramond_word(word)}",
-                                _render(lhs),
-                                _render(rhs),
-                            )
-                        )
-        last_bad, last_count = bad, count
-        if count > 0 and not bad:
-            return CheckReport(
-                label, k, window_str, count, (), "pass", f"exponent shift n={n}"
-            )
-    return CheckReport(
-        label,
-        k,
-        window_str,
-        last_count,
-        tuple(last_bad),
-        "pass",
-        f"no exponent shift up to n={max_order}",
+                    result.compare(
+                        f"x0^{alpha} x2^{beta} @ {format_ramond_word(word)}",
+                        lhs,
+                        combine(rhs_terms),
+                    )
+        return result
+
+    return _smallest_passing(
+        attempt, max_order, k, _window_str(window, ("x0", "x2")),
+        "exponent shift", "n",
     )
 
 
@@ -1121,8 +1047,7 @@ def check_t_round_trip(
     recovered = {piece: RecoveredField(k, piece) for _, piece in field.pieces}
     lo, hi = _bounds(window, "x")
     words = ramond_basis(QQ(domain_level))
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(f"rebuild-round-trip[k={k},{_state_label(u)}]")
     for e in _lattice_grid(lo, hi, k):
         m = -e - 1
         plan = field.plan(m)
@@ -1132,20 +1057,12 @@ def check_t_round_trip(
                 (recovered[piece].mode(index, target), ONE)
                 for piece, index in plan
             ).scaled(field.prefactor)
-            expected = field.mode(m, target)
-            compared += 1
-            if total != expected:
-                mismatches.append(
-                    (
-                        f"mode {m} @ {format_ramond_word(word)}",
-                        _render(total),
-                        _render(expected),
-                    )
-                )
-    label = f"rebuild-round-trip[k={k},{_state_label(u)}]"
-    return CheckReport(
-        label, k, _window_str(window, ("x",)), compared, tuple(mismatches)
-    )
+            result.compare(
+                f"mode {m} @ {format_ramond_word(word)}",
+                total,
+                field.mode(m, target),
+            )
+    return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
 
 def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
@@ -1165,54 +1082,32 @@ def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     view = TwistedModuleView(k, cutoff)
-    compared = 0
-    mismatches = []
+    result = ComparisonResult(f"character-correspondence[k={k},cutoff={cutoff}]")
     operator = view.twisted_weight_operator()
     for word in view.basis():
         state = State({word: ONE})
-        image = operator(state)
-        expected = view.expected_twisted_weight(word)
-        compared += 1
-        if image != state.scaled(expected):
-            mismatches.append(
-                (
-                    f"weight operator @ {format_ramond_word(word)}",
-                    _render(image),
-                    f"{expected} * {format_ramond_word(word)}",
-                )
-            )
-    c = CENTRAL_CHARGE
-    prefactor_lhs = -QQ(k) * c / 24 + QQ(k * k - 1) * c / (24 * k)
-    prefactor_rhs = -c / (24 * k)
-    compared += 1
-    if prefactor_lhs != prefactor_rhs:
-        mismatches.append(
-            ("central-charge prefactor", str(prefactor_lhs), str(prefactor_rhs))
+        result.compare(
+            f"weight operator @ {format_ramond_word(word)}",
+            operator(state),
+            state.scaled(view.expected_twisted_weight(word)),
         )
+    c = CENTRAL_CHARGE
+    result.compare(
+        "central-charge prefactor",
+        -QQ(k) * c / 24 + QQ(k * k - 1) * c / (24 * k),
+        -c / (24 * k),
+    )
     twisted = view.graded_dimension()
     sigma = sigma_L0_spectrum(QQ(cutoff + 1))
     pieces = min(len(twisted.coeffs), len(sigma.coeffs))
     for n in range(pieces):
-        t_exponent = twisted.offset + n * twisted.step
-        s_exponent = (sigma.offset + n - c / 24) / k
-        compared += 1
-        if t_exponent != s_exponent or twisted.coeffs[n] != sigma.coeffs[n]:
-            mismatches.append(
-                (
-                    f"graded piece {n}",
-                    f"q^{t_exponent} dim {twisted.coeffs[n]}",
-                    f"q^{s_exponent} dim {sigma.coeffs[n]}",
-                )
-            )
-    label = f"character-correspondence[k={k},cutoff={cutoff}]"
-    return CheckReport(
-        label,
-        k,
-        f"graded pieces 0..{cutoff}",
-        compared,
-        tuple(mismatches),
-        "pass",
-        f"{pieces} graded pieces",
+        result.compare(
+            f"graded piece {n}",
+            f"q^{twisted.offset + n * twisted.step} dim {twisted.coeffs[n]}",
+            f"q^{(sigma.offset + n - c / 24) / k} dim {sigma.coeffs[n]}",
+        )
+    return _wrap_comparison(
+        result, k, f"graded pieces 0..{cutoff}", detail=f"{pieces} graded pieces"
     )
 
 
@@ -1241,21 +1136,6 @@ class SuiteConfig:
     weight: QQ = QQ(2)
     depth: int = 4
     jacobi: bool = True
-
-    @staticmethod
-    def from_mapping(mapping) -> "SuiteConfig":
-        """Build a config from string key/value pairs (CLI and config files)."""
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key in ("k", "cutoff", "depth"):
-                kwargs[key] = int(raw)
-            elif key in ("radius", "domain_level", "weight"):
-                kwargs[key] = parse_rational(raw)
-            elif key == "jacobi":
-                kwargs[key] = parse_bool(raw)
-            else:
-                raise ValueError(f"unknown suite option: {key}")
-        return SuiteConfig(**kwargs)
 
 
 def parse_rational(raw) -> QQ:
@@ -1333,25 +1213,14 @@ def run_suite(config: SuiteConfig | None = None) -> list:
     )
 
     weight = QQ(cfg.weight)
-    defect_compared = 0
-    defect_bad = []
-    for word in ns_basis(weight):
-        state = State({word: ONE})
-        defect = round_trip_defect(k, state)
-        defect_compared += 1
-        if not defect.is_zero():
-            defect_bad.append(
-                (f"round trip @ word {word}", defect.render(), "0")
-            )
-    add(
-        CheckReport(
-            f"coordinate-change-round-trip[k={k},wt<={weight}]",
-            k,
-            f"untwisted weight <= {weight}",
-            defect_compared,
-            tuple(defect_bad),
-        )
+    round_trip = ComparisonResult(
+        f"coordinate-change-round-trip[k={k},wt<={weight}]"
     )
+    for word in ns_basis(weight):
+        # an untwisted (NS) state, rendered here in its own word format
+        defect = round_trip_defect(k, State({word: ONE}))
+        round_trip.compare(f"round trip @ word {word}", defect.render(), "0")
+    add(_wrap_comparison(round_trip, k, f"untwisted weight <= {weight}"))
 
     for state in (PSI, OMEGA):
         result = check_conjugation(

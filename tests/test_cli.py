@@ -22,7 +22,7 @@ import pytest
 from twistfock.scalars import QQ, ONE
 from twistfock.fermion import OMEGA, PSI, VACUUM, State
 from twistfock.cli import main, parse_config_file, parse_state
-from twistfock.verify import parse_rational
+from twistfock.verify import parse_bool, parse_rational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -277,13 +277,28 @@ class TestConfigFile:
         )
         assert code == 0
         assert out.splitlines() == ["j,a_j", "1,0", "2,0"]
+        config.write_text("jacobi=off\ndepth=2\n")
+        window = ("--k", "2", "--radius", "0", "--domain-level", "1",
+                  "--weight", "1", "--format", "json")
+        code, out, _ = run_cli(
+            capsys, "verify", *window, "--jacobi", "on", "--depth", "5",
+            "--config", str(config),
+        )
+        assert code == 0
+        names = [report["name"] for report in json.loads(out)]
+        assert "conjugation[k=2,wt<= 3/2,depth=2]" in names
+        assert not any(name.startswith("twisted-jacobi") for name in names)
+        assert run_cli(
+            capsys, "verify", *window, "--jacobi", "off", "--depth", "2"
+        ) == (0, out, "")
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["state", "command", "config", "fmt"])
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, key):
         config = tmp_path / "run.cfg"
-        config.write_text("state=psi\n")
-        code, _, err = run_cli(capsys, "ajcoeffs", "--config", str(config))
-        assert code == 2
-        assert "does not apply" in err
+        config.write_text(f"{key}=psi\n")
+        code, out, err = run_cli(capsys, "ajcoeffs", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config key {key!r} does not apply to this subcommand\n"
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "ajcoeffs", "--config", "/nonexistent.cfg")
@@ -346,6 +361,14 @@ class TestRationalArguments:
     def test_rejects_with_value_error(self, raw):
         with pytest.raises(ValueError):
             parse_rational(raw)
+
+    def test_bool_spellings(self):
+        for raw in ("1", "true", "YES", " on ", True):
+            assert parse_bool(raw) is True
+        for raw in ("0", "false", "No", "off", False):
+            assert parse_bool(raw) is False
+        with pytest.raises(ValueError, match="not a boolean"):
+            parse_bool("maybe")
 
     def test_zero_denominator_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as stop:

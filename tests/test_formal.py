@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfock.formal import (
+    ComparisonResult,
     DeltaIdentity,
     ScalarSeries,
     Window,
@@ -182,6 +183,32 @@ class TestChangeOfVariable:
         assert square.get((QQ(1),)) == 1
         for n in range(2, int(hi) + 1):
             assert square.get((QQ(n),)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the comparison record
+# ---------------------------------------------------------------------------
+
+
+class TestComparisonResult:
+    def test_starts_empty(self):
+        result = ComparisonResult("name")
+        assert (result.name, result.compared, result.mismatches) == ("name", 0, [])
+        assert not result.passed
+        assert ComparisonResult("other").mismatches is not result.mismatches
+
+    def test_counts_every_call_and_records_differences_in_order(self):
+        result = ComparisonResult("name")
+        result.compare("b", QQ(1), QQ(2))
+        result.compare("a", QQ(3), QQ(3))
+        result.compare(("c", 1), ZERO, QQ(1, 2))
+        result.compare("d", ZERO, ZERO)
+        assert result.compared == 4
+        assert result.mismatches == [
+            ("b", QQ(1), QQ(2)),
+            (("c", 1), ZERO, QQ(1, 2)),
+        ]
+        assert not result.passed
 
 
 # ---------------------------------------------------------------------------

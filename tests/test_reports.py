@@ -12,7 +12,9 @@ of its report: it runs the recovered-field and rebuild checks on their full
 windows, which the reduced benchmark windows do not reach.  The k = 4 run
 with the three-variable identity on is pinned the same way: the benchmark's
 k = 4 workload turns that identity off, so without it no report fixes the
-field products on the 1/4 and 3/4 exponent classes.
+field products on the 1/4 and 3/4 exponent classes.  The k = 3 obstruction
+run is pinned as CSV too: its window cells hold commas, so the pin fixes the
+CSV quoting.
 """
 
 import hashlib
@@ -52,6 +54,11 @@ K4_JACOBI_SHA256 = (
     "ffcc49d785670ff763ad4a1f117526ab2659d2fc682f55313d3be37a8870113a"
 )
 
+K3_CSV_ARGV = ["verify", "--k", "3", "--expect-obstruction", "--format", "csv"]
+K3_CSV_SHA256 = (
+    "486e67d78bbe87a6964cc1522dfcb103fad8596f756614abcc16a65bebfbbed1"
+)
+
 
 @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
 def test_report_matches_reference(capsys, name):
@@ -75,3 +82,7 @@ def test_default_k2_report_matches_pinned_hash(capsys):
 
 def test_k4_jacobi_report_matches_pinned_hash(capsys):
     assert report_sha256(capsys, K4_JACOBI_ARGV) == K4_JACOBI_SHA256
+
+
+def test_k3_csv_report_matches_pinned_hash(capsys):
+    assert report_sha256(capsys, K3_CSV_ARGV) == K3_CSV_SHA256

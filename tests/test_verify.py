@@ -14,7 +14,6 @@ hand-built reports.
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from twistfock.scalars import ONE, QQ
 from twistfock.fermion import (
@@ -26,12 +25,14 @@ from twistfock.fermion import (
     combine,
     word_level,
 )
-from twistfock.formal import Window, merged_delta_kernel
-from twistfock.ramond import ramond_basis
+from twistfock.formal import ComparisonResult, Window, merged_delta_kernel
+from twistfock.ramond import format_ramond_word, ramond_basis
 from twistfock.twist import SlotField
 from twistfock.verify import (
     _first_slot_family,
     _jacobi_left,
+    _smallest_passing,
+    _wrap_comparison,
     CheckReport,
     SuiteConfig,
     check_character_correspondence,
@@ -93,6 +94,41 @@ class TestReportMechanics:
         assert decoded["verdict"] == "fail"
         assert decoded["mismatch_count"] == 1
         assert decoded["compared"] == 5
+
+    def test_wrap_comparison_renders_witnesses(self):
+        state = State({ramond_basis(QQ(1))[-1]: QQ(-1, 2)})
+        result = ComparisonResult("name")
+        result.compare(("spot", 1), state, ZERO_STATE)
+        result.compare("scalar", QQ(1, 3), "text")
+        result.compare("same", state, state)
+        report = _wrap_comparison(result, 2, "w", detail="d")
+        assert report.mismatches == (
+            ("('spot', 1)", state.render(format_ramond_word), "0"),
+            ("scalar", "1/3", "text"),
+        )
+        assert (report.name, report.compared, report.detail) == ("name", 3, "d")
+
+    @pytest.mark.parametrize("good", [None, 0, 2])
+    def test_smallest_passing_search(self, good):
+        calls = []
+
+        def attempt(n):
+            calls.append(n)
+            result = ComparisonResult("search")
+            result.compare(f"n={n}", n == good, True)
+            return result
+
+        report = _smallest_passing(attempt, 3, 2, "w", "shift", "n")
+        if good is None:
+            assert calls == [0, 1, 2, 3]
+            assert report.mismatches == (("n=3", "False", "True"),)
+            assert report.detail == "no shift up to n=3"
+        else:
+            assert calls == list(range(good + 1))
+            assert_clean_pass(report)
+            assert report.detail == f"shift n={good}"
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            _smallest_passing(attempt, -1, 2, "w", "shift", "n")
 
     def test_suite_passed_mixes_expected_verdicts(self):
         reports = [
@@ -370,38 +406,6 @@ class TestSuiteConfig:
         assert cfg.k == 2
         assert cfg.radius == QQ(3, 2)
         assert cfg.jacobi is True
-
-    def test_from_mapping(self):
-        cfg = SuiteConfig.from_mapping(
-            {"k": "4", "radius": "3/2", "jacobi": "off", "depth": "3"}
-        )
-        assert cfg.k == 4
-        assert cfg.radius == QQ(3, 2)
-        assert cfg.jacobi is False
-        assert cfg.depth == 3
-
-    def test_from_mapping_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
-            SuiteConfig.from_mapping({"order": "2"})
-
-    @given(
-        k=st.integers(min_value=1, max_value=6),
-        num=st.integers(min_value=0, max_value=9),
-        den=st.integers(min_value=1, max_value=4),
-        flag=st.booleans(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_from_mapping_round_trip(self, k, num, den, flag):
-        cfg = SuiteConfig.from_mapping(
-            {
-                "k": str(k),
-                "radius": f"{num}/{den}",
-                "jacobi": "true" if flag else "false",
-            }
-        )
-        assert cfg.k == k
-        assert cfg.radius == QQ(num, den)
-        assert cfg.jacobi is flag
 
 
 class TestRunSuite:
