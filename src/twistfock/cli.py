@@ -16,11 +16,11 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .scalars import QQ, ONE, CycScalar, complex_embedding, rational_ceil, scalar_str
+from .scalars import QQ, ONE, CycScalar, complex_embedding, scalar_str
 from .formal import Window
 from .fermion import OMEGA, PSI, VACUUM, State
 from .ramond import format_ramond_word
-from .deltak import FORWARD, INVERSE, DeltaOp, apply_delta, solve_aj
+from .deltak import FORWARD, INVERSE, DeltaOp, apply_delta, covering_depth, solve_aj
 from .twist import TwistedModuleView, require_even_order
 from .verify import (
     SuiteConfig,
@@ -264,7 +264,7 @@ def cmd_delta_apply(cfg: RunConfig) -> int:
     state = parse_state(cfg.state)
     weight = state.homogeneous_level()
     direction = INVERSE if cfg.inverse else FORWARD
-    depth = max(cfg.depth, int(rational_ceil(weight)) * cfg.k + 2)
+    depth = max(cfg.depth, covering_depth(weight))
     window = None
     if cfg.lo is not None or cfg.hi is not None:
         window = Window({"x": (cfg.lo, cfg.hi)})
@@ -558,9 +558,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of this process, with the ``build_parser`` it came from: main
+# builds it once through the module name and reuses it, and builds it again
+# only when that name is rebound (a tracer or a test wrapping it).
+_parser = (None, None)
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    global _parser
+    source, parser = _parser
+    if source is not build_parser:
+        parser = build_parser()
+        _parser = (build_parser, parser)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:

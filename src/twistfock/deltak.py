@@ -60,6 +60,34 @@ from .fermion import (
 # ---------------------------------------------------------------------------
 
 
+# Deepest coefficient table any caller may ask for.  The solve holds a
+# (J+1) x (J+2) array of exact fractions whose numerators grow with J and
+# costs O(J^3) fraction operations: depth 128 takes about 10 s on a 2-core
+# host, and a depth of a million would exhaust memory before any check ran.
+MAX_TABLE_DEPTH = 128
+
+
+def _require_table_depth(depth: int) -> None:
+    """Refuse a table depth outside 1..MAX_TABLE_DEPTH, before any work."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth > MAX_TABLE_DEPTH:
+        raise ValueError(
+            f"table depth {depth} exceeds the ceiling {MAX_TABLE_DEPTH}"
+        )
+
+
+def covering_depth(weight) -> int:
+    """The table depth that covers every state of weight <= weight.
+
+    On a state of weight p only L(1)..L(floor(p)) act nonzero, so only
+    a_1..a_floor(p) are ever read; depth ceil(weight) (at least 1) suffices
+    for every p <= weight, whatever k.  A deeper table has this one as a
+    prefix, so any larger depth gives the same results.
+    """
+    return max(1, rational_ceil(QQ(weight)))
+
+
 @dataclass(frozen=True)
 class AjTable:
     """Coefficients a_1..a_J of the derivation D = sum_j a_j x^{j+1} d/dx
@@ -72,8 +100,7 @@ class AjTable:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        _require_table_depth(self.depth)
         if len(self.values) != self.depth:
             raise ValueError("coefficient count does not match depth")
 
@@ -88,39 +115,35 @@ class AjTable:
         return [(j, self.values[j - 1]) for j in range(1, self.depth + 1)]
 
 
-def _apply_derivation(values, poly, top: int):
-    """One application of sum_j a_j x^{j+1} d/dx to a dense polynomial.
-
-    ``poly[i]`` is the coefficient of x^i; output truncated to degree top.
-    """
-    out = [ZERO] * (top + 1)
-    for i, c in enumerate(poly):
-        if i == 0 or c == 0:
-            continue
-        for j, a in enumerate(values, start=1):
-            d = i + j
-            if d > top:
-                break
-            out[d] += a * c * i
-    return out
-
-
 def _exp_derivation_on_x(values, sign: int, top: int):
     """exp(sign * D) applied to the polynomial x, truncated to degree top.
 
+    The m-th term is (sign/m) D of the previous one, and D sends x^i to
+    sum_j a_j i x^{i+j}; the factor sign * i / m is folded into the source
+    coefficient once, so each (i, j) pair costs one product and one sum.
     Each application of D raises the minimal degree by at least one, so the
     exponential series terminates after at most ``top`` applications.
     """
     total = [ZERO] * (top + 1)
-    if top >= 1:
-        total[1] = ONE
-    term = list(total)
+    if top < 1:
+        return total
+    total[1] = ONE
+    term = {1: ONE}  # the nonzero coefficients of the current term
+    nonzero = [(j, a) for j, a in enumerate(values, start=1) if a]
     m = 0
-    while any(c != 0 for c in term):
+    while term:
         m += 1
-        term = _apply_derivation(values, term, top)
-        term = [c * QQ(sign) / m for c in term]
-        total = [t + c for t, c in zip(total, term)]
+        out = {}
+        for i, c in term.items():
+            source = c * QQ(sign * i, m)
+            for j, a in nonzero:
+                d = i + j
+                if d > top:
+                    break
+                out[d] = out.get(d, ZERO) + a * source
+        term = {d: c for d, c in out.items() if c}
+        for d, c in term.items():
+            total[d] += c
     return total
 
 
@@ -143,8 +166,7 @@ def solve_aj(k: int, J: int) -> AjTable:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
+    _require_table_depth(J)
     top = J + 1
     a = [ZERO] * (J + 1)  # a[j] for j = 1..J; a[0] unused
     # terms[m][n]: degree-n coefficient of T_m, for m = 0..top-1
@@ -292,7 +314,12 @@ INVERSE = "inverse"
 
 @dataclass(frozen=True)
 class DeltaOp:
-    """A truncated coordinate-change operator: direction plus table depth."""
+    """A truncated coordinate-change operator: direction plus table depth.
+
+    A table of depth ``covering_depth(w)`` = ceil(w) covers every state of
+    weight <= w: on a weight-p state only a_1..a_floor(p) are read.  The
+    depth is bounded by ``MAX_TABLE_DEPTH``.
+    """
 
     k: int
     depth: int
@@ -301,8 +328,7 @@ class DeltaOp:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        _require_table_depth(self.depth)
         if self.direction not in (FORWARD, INVERSE):
             raise ValueError(
                 f"direction must be '{FORWARD}' or '{INVERSE}', got {self.direction!r}"
@@ -314,9 +340,12 @@ class DeltaOp:
 
 
 def delta_op(k: int, direction: str = FORWARD, *, cutoff=QQ(2)) -> DeltaOp:
-    """An operator whose depth covers every state of weight <= cutoff."""
-    depth = max(1, int(rational_ceil(QQ(cutoff))) * k + 2)
-    return DeltaOp(k, depth, direction)
+    """An operator whose depth covers every state of weight <= cutoff.
+
+    The depth is ``covering_depth(cutoff)`` = ceil(cutoff), the same for
+    every k: the operator applies L(j) only for j up to a state's weight.
+    """
+    return DeltaOp(k, covering_depth(cutoff), direction)
 
 
 @dataclass(frozen=True)
@@ -361,9 +390,13 @@ class DeltaExpansion:
 def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     """exp(sign * sum_j a_j L(j)) applied to u, graded by total weight drop.
 
-    Each positive Virasoro mode strictly lowers the grade, so the series
-    terminates once the drop exceeds the weight of u.
+    L(j) sends level q to q - j and the NS module has no negative levels, so
+    on the piece at drop d (level p - d, p the weight of u) only
+    j <= floor(p) - d acts; higher j are never applied.  Each positive
+    Virasoro mode strictly lowers the grade, so the series terminates once
+    the drop exceeds the weight of u.
     """
+    top = rational_floor(u.homogeneous_level())
     summands = {0: [(u, ONE)]}
     term = {0: u}
     m = 0
@@ -371,7 +404,7 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
         m += 1
         nxt = {}
         for drop, state in term.items():
-            for j in range(1, table.depth + 1):
+            for j in range(1, min(table.depth, top - drop) + 1):
                 image = virasoro(QQ(j), state)
                 if not image.is_zero():
                     scalar = table.a(j) * QQ(sign) / m
@@ -432,7 +465,7 @@ def round_trip_defect(k: int, u: State, *, depth: int | None = None) -> State:
         return ZERO_STATE
     p = u.homogeneous_level()
     if depth is None:
-        depth = max(1, int(rational_ceil(p)) * k + 2)
+        depth = covering_depth(p)
     fwd = apply_delta(DeltaOp(k, depth, FORWARD), u)
     by_exponent = {}
     for e_f, piece in fwd.pieces:
@@ -476,7 +509,7 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
     p_v = v.homogeneous_level()
     # modes down to -depth_z0 - 1 raise the weight by up to depth_z0, and the
     # table must cover every state pushed through the operator
-    table_depth = max(1, int(rational_floor(p_u + p_v)) + depth_z0 + 2)
+    table_depth = covering_depth(p_u + p_v + depth_z0)
     inv = apply_delta(DeltaOp(k, table_depth, INVERSE), v)
     out = {}
     for e_j, piece in inv.pieces:
@@ -506,7 +539,7 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int) -> dict:
     shifted coordinate (z+z0)^{1/k} - z^{1/k}, expanded binomially."""
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
-    table_depth = max(1, int(rational_floor(p_u + p_v)) + depth_z0 + 2)
+    table_depth = covering_depth(p_u + p_v + depth_z0)
     fwd_u = apply_delta(DeltaOp(k, table_depth, FORWARD), u)
     prefactor = k_to_the(k, -p_u)
     t_hi_global = rational_floor(p_u + p_v - 1)
@@ -592,7 +625,7 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
     """
     result = ComparisonResult(f"translation-identities[k={k},wt<={cutoff}]")
     basis = ns_basis(cutoff)
-    depth = max(1, int(rational_ceil(QQ(cutoff) + 1)) * k + 2)
+    depth = covering_depth(QQ(cutoff) + 1)  # L(-1) raises the weight by one
     fwd_op = DeltaOp(k, depth, FORWARD)
     inv_op = DeltaOp(k, depth, INVERSE)
     for word in basis:
@@ -648,11 +681,13 @@ __all__ = [
     "DeltaOp",
     "FORWARD",
     "INVERSE",
+    "MAX_TABLE_DEPTH",
     "aj_to_csv",
     "apply_delta",
     "check_L_minus1_identities",
     "check_conjugation",
     "check_f_composition",
+    "covering_depth",
     "delta_op",
     "f_inverse_series",
     "f_series",

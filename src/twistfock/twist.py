@@ -37,7 +37,7 @@ from .ramond import (
     ramond_basis,
     sigma_vertex_mode,
 )
-from .deltak import FORWARD, INVERSE, DeltaOp, apply_delta, delta_op
+from .deltak import FORWARD, INVERSE, apply_delta, delta_op
 
 
 def require_even_order(k: int):
@@ -46,14 +46,6 @@ def require_even_order(k: int):
         raise ValueError(
             f"the cyclic-twist construction needs an even tensor order, got k={k}"
         )
-
-
-def _forward_op(k: int, weight) -> DeltaOp:
-    return delta_op(k, FORWARD, cutoff=rational_ceil(weight) + 1)
-
-
-def _inverse_op(k: int, weight) -> DeltaOp:
-    return delta_op(k, INVERSE, cutoff=rational_ceil(weight) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +146,7 @@ class SlotField:
         self.k = k
         self.weight = p
         self.parity = u.homogeneous_parity()
-        expansion = apply_delta(_forward_op(k, p), u)
+        expansion = apply_delta(delta_op(k, FORWARD, cutoff=p), u)
         self.prefactor = expansion.prefactor
         self.pieces = expansion.pieces
         # the sigma-mode index of piece (e, u_e) is offset_e + k m
@@ -375,7 +367,7 @@ class RecoveredField:
         # the zero state has no weight or parity; its field is empty
         self.weight = u.homogeneous_level() or ZERO
         self.parity = u.homogeneous_parity() or 0
-        expansion = apply_delta(_inverse_op(k, self.weight), u)
+        expansion = apply_delta(delta_op(k, INVERSE, cutoff=self.weight), u)
         self.prefactor = expansion.prefactor
         self._pieces = tuple((e - 1, SlotField(k, piece))
                              for e, piece in expansion.pieces)

@@ -21,7 +21,9 @@ import pytest
 
 from twistfock.scalars import QQ, ONE
 from twistfock.fermion import OMEGA, PSI, VACUUM, State
+from twistfock import cli
 from twistfock.cli import main, parse_config_file, parse_state
+from twistfock.deltak import MAX_TABLE_DEPTH
 from twistfock.verify import parse_bool, parse_rational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -348,6 +350,64 @@ class TestValidation:
         code, _, err = run_cli(capsys, "char", "--k", "2", "--cutoff", "-1")
         assert code == 2
         assert "cutoff" in err
+
+
+class TestTableDepthCeiling:
+    @pytest.mark.parametrize("command", ["ajcoeffs", "delta-apply"])
+    def test_depth_above_the_ceiling_exits_two(self, capsys, command):
+        depth = str(MAX_TABLE_DEPTH + 1)
+        code, out, err = run_cli(capsys, command, "--k", "2", "--depth", depth)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: table depth {depth} exceeds the ceiling {MAX_TABLE_DEPTH}\n"
+        )
+
+
+class TestSharedParser:
+    """main parses every call with one parser per process."""
+
+    def test_overrides_do_not_carry_into_the_next_call(self, capsys, tmp_path):
+        plain = ("delta-apply", "--state", "omega")
+        code, expected, _ = run_cli(capsys, *plain)
+        assert code == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("k=3\n")
+        code, out, _ = run_cli(
+            capsys, *plain, "--inverse", "--format", "csv", "--config", str(config)
+        )
+        assert code == 0 and out.startswith("j,exponent,state\n")
+        code, again, _ = run_cli(capsys, *plain)
+        assert (code, again) == (0, expected)
+        payload = json.loads(again)
+        assert (payload["k"], payload["direction"]) == (2, "forward")
+
+    def test_failed_calls_leave_the_next_call_intact(self, capsys):
+        plain = ("delta-apply", "--k", "3", "--state=-3/2,-1/2")
+        code, expected, _ = run_cli(capsys, *plain)
+        assert code == 0
+        with pytest.raises(SystemExit) as stop:
+            main(["delta-apply", "--k", "x"])
+        assert stop.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *plain) == (0, expected, "")
+        code, _, err = run_cli(capsys, "delta-apply", "--state", "bogus")
+        assert code == 2 and err.startswith("error:")
+        assert run_cli(capsys, *plain) == (0, expected, "")
+
+    def test_parser_is_built_once_through_the_module_name(self, capsys, monkeypatch):
+        original = cli.build_parser
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["ajcoeffs", "--k", "2"], ["delta-apply", "--k", "2"],
+                     ["char", "--k", "2", "--cutoff", "1"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
 
 
 class TestRationalArguments:

@@ -9,17 +9,30 @@ run without a cache:
   `+` and `scaled`, those three written out as they were: build a dict,
   then the validating public constructor `State(table)`, on every step;
 * `CycScalar` sums, differences, negation and rational scaling through the
-  validating public constructor.
+  validating public constructor;
+* the inverse-map cross-check `_exp_derivation_on_x` as it was: a dense
+  derivation pass, then a separate pass dividing every entry by m;
+* the unbounded coordinate-change loop, which applies L(j) for every j up
+  to the table depth, at the old depth ceil(p) * k + 2.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
 and hash-equal to the same state built by `State(dict)`.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistfock.deltak import solve_aj
+from twistfock import deltak
+from twistfock.deltak import (
+    FORWARD,
+    INVERSE,
+    DeltaOp,
+    apply_delta,
+    delta_op,
+    solve_aj,
+)
 from twistfock.fermion import (
     State,
     combine,
@@ -28,6 +41,8 @@ from twistfock.fermion import (
     ns_basis,
     ramond_basis,
     vertex_mode,
+    virasoro,
+    word_level,
 )
 from twistfock.ramond import sigma_vertex_mode
 from twistfock.scalars import (
@@ -38,6 +53,7 @@ from twistfock.scalars import (
     binomial,
     cyc_sqrt_k,
     k_to_the,
+    rational_ceil,
     scalar_is_zero,
 )
 
@@ -92,6 +108,76 @@ def test_single_pass_solve_matches_triangular_solve():
             values = solve_aj(k, J).values
             assert values == full[:J], (k, J)
             assert all(type(a) is QQ_TYPE for a in values)
+
+
+@pytest.mark.parametrize("k, J", [(1, 8), (2, 40), (3, 12), (4, 22), (6, 32)])
+def test_cross_check_matches_the_dense_expansion(k, J):
+    values = solve_aj(k, J).values
+    for sign in (1, -1):
+        for top in (0, 1, J // 2, J + 1):
+            expected = _exp_derivation_on_x(values, sign, top)
+            assert deltak._exp_derivation_on_x(values, sign, top) == expected
+
+
+# ---------------------------------------------------------------------------
+# the unbounded coordinate-change loop, verbatim
+# ---------------------------------------------------------------------------
+
+
+def unbounded_exp_virasoro(u, table, sign):
+    summands = {0: [(u, ONE)]}
+    term = {0: u}
+    m = 0
+    while term:
+        m += 1
+        nxt = {}
+        for drop, state in term.items():
+            for j in range(1, table.depth + 1):
+                image = virasoro(QQ(j), state)
+                if not image.is_zero():
+                    scalar = table.a(j) * QQ(sign) / m
+                    nxt.setdefault(drop + j, []).append((image, scalar))
+        term = {}
+        for d, pairs in nxt.items():
+            s = combine(pairs)
+            if not s.is_zero():
+                term[d] = s
+                summands.setdefault(d, []).append((s, ONE))
+    total = {d: combine(pairs) for d, pairs in summands.items()}
+    return {d: s for d, s in total.items() if not s.is_zero()}
+
+
+def homogeneous_states():
+    """Every basis word of weight <= 4, plus a two-term combination of the
+    words of each weight <= 5 that has more than one."""
+    out = [State({word: ONE}) for word in ns_basis(4)]
+    by_level = {}
+    for word in ns_basis(5):
+        by_level.setdefault(word_level(word), []).append(word)
+    for group in by_level.values():
+        if len(group) > 1:
+            out.append(State({group[0]: QQ(2), group[-1]: QQ(-1, 3)}))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_level_bound_matches_unbounded_loop(k, monkeypatch):
+    for u in homogeneous_states():
+        p = u.homogeneous_level()
+        old_depth = rational_ceil(p) * k + 2
+        for direction in (FORWARD, INVERSE):
+            bounded = apply_delta(delta_op(k, direction, cutoff=p), u)
+            with monkeypatch.context() as patch:
+                patch.setattr(deltak, "_exp_virasoro", unbounded_exp_virasoro)
+                expected = apply_delta(DeltaOp(k, old_depth, direction), u)
+            assert bounded == expected, (k, u.render(), direction)
+
+
+def test_virasoro_vanishes_above_the_level():
+    for word in ns_basis(5):
+        level = word_level(word)
+        for j in range(int(level) + 1, 8):
+            assert virasoro(QQ(j), State({word: ONE})).is_zero(), (word, j)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ from twistfock.deltak import (
     INVERSE,
     AjTable,
     DeltaOp,
+    MAX_TABLE_DEPTH,
     aj_to_csv,
     apply_delta,
     check_L_minus1_identities,
     check_conjugation,
     check_f_composition,
+    covering_depth,
     delta_op,
     f_inverse_series,
     f_series,
@@ -210,6 +212,18 @@ class TestApplyDelta:
         deep = State({(QQ(-7, 2), QQ(-1, 2)): ONE})  # weight 4
         with pytest.raises(ValueError, match="does not cover"):
             apply_delta(DeltaOp(2, 2, FORWARD), deep)
+
+    def test_one_depth_rule_for_every_order(self):
+        assert [covering_depth(w) for w in (0, QQ(1, 2), 2, QQ(5, 2))] == [1, 1, 2, 3]
+        for k in range(1, 7):
+            assert delta_op(k).depth == 2
+            assert delta_op(k, INVERSE, cutoff=QQ(9, 2)).depth == 5
+
+    def test_rejects_depth_above_the_ceiling(self):
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            DeltaOp(2, MAX_TABLE_DEPTH + 1)
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            solve_aj(2, MAX_TABLE_DEPTH + 1)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError, match="direction"):

@@ -15,9 +15,15 @@ k = 4 workload turns that identity off, so without it no report fixes the
 field products on the 1/4 and 3/4 exponent classes.  The k = 3 obstruction
 run is pinned as CSV too: its window cells hold commas, so the pin fixes the
 CSV quoting.
+
+The benchmark's delta-apply stream is pinned by the SHA-256 of every
+response, stored in `bench/reference/delta-session.json` under the
+request's command line.  All 96 requests run in one process, as in the
+benchmark's session, so the parser and caches are shared across calls.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +92,12 @@ def test_k4_jacobi_report_matches_pinned_hash(capsys):
 
 def test_k3_csv_report_matches_pinned_hash(capsys):
     assert report_sha256(capsys, K3_CSV_ARGV) == K3_CSV_SHA256
+
+
+def test_delta_session_responses_match_stored_digests(capsys):
+    with open(REFERENCE / "delta-session.json", "r", encoding="utf-8") as handle:
+        digests = json.load(handle)
+    assert len(digests) == 96
+    wrong = [key for key, digest in digests.items()
+             if report_sha256(capsys, key.split()) != digest]
+    assert wrong == []
