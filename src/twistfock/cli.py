@@ -20,7 +20,15 @@ from .scalars import QQ, ONE, CycScalar, complex_embedding, scalar_str
 from .formal import Window
 from .fermion import OMEGA, PSI, VACUUM, State
 from .ramond import format_ramond_word
-from .deltak import FORWARD, INVERSE, DeltaOp, apply_delta, covering_depth, solve_aj
+from .deltak import (
+    FORWARD,
+    INVERSE,
+    MAX_CONJUGATION_DEPTH,
+    DeltaOp,
+    apply_delta,
+    covering_depth,
+    solve_aj,
+)
 from .twist import TwistedModuleView, require_even_order
 from .verify import (
     SuiteConfig,
@@ -518,7 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cutoff", type=int, default=4, help="character graded pieces"
     )
     p.add_argument(
-        "--depth", type=int, default=4, help="conjugation expansion depth"
+        "--depth",
+        type=int,
+        default=4,
+        help=f"conjugation expansion depth (at most {MAX_CONJUGATION_DEPTH})",
     )
     p.add_argument(
         "--radius",

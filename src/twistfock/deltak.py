@@ -42,7 +42,6 @@ from .formal import (
     ScalarSeries,
     Window,
     compare_series,
-    series_power,
 )
 from .fermion import (
     State,
@@ -74,6 +73,22 @@ def _require_table_depth(depth: int) -> None:
     if depth > MAX_TABLE_DEPTH:
         raise ValueError(
             f"table depth {depth} exceeds the ceiling {MAX_TABLE_DEPTH}"
+        )
+
+
+# Deepest z0-expansion the conjugation check may run at.  Its cost grows
+# steeply with the depth (the operator is applied to states of weight up to
+# the depth): the k = 3 obstruction suite takes about 0.7 s at the default
+# depth 4, 1.4 s at depth 8, 5 s at depth 12 and over 15 s at depth 16 on a
+# 2-core host, and runs for minutes at depth 40.
+MAX_CONJUGATION_DEPTH = 12
+
+
+def require_conjugation_depth(depth: int) -> None:
+    """Refuse a conjugation depth above MAX_CONJUGATION_DEPTH, before any work."""
+    if depth > MAX_CONJUGATION_DEPTH:
+        raise ValueError(
+            f"conjugation depth {depth} exceeds the ceiling {MAX_CONJUGATION_DEPTH}"
         )
 
 
@@ -419,6 +434,36 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     return {d: s for d, s in total.items() if not s.is_zero()}
 
 
+class _Unkeyed:
+    """A value handed through a cache without being part of its key: every
+    instance hashes and compares equal to every other."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Unkeyed)
+
+    def __hash__(self):
+        return 0
+
+
+@lru_cache(maxsize=None)
+def _word_drops(k: int, direction: str, word: tuple, table: _Unkeyed) -> tuple:
+    """The (drop, state) pieces of the operator on one basis word, cached.
+
+    The key is (k, direction, word): the table is left out because a_j does
+    not depend on the depth of the table it is read from, and the caller has
+    already checked that its table covers the word's weight.  The entry is
+    computed with the caller's table.
+    """
+    sign = 1 if direction == FORWARD else -1
+    drops = _exp_virasoro(State._of_terms(((word, ONE),)), table.value, sign)
+    return tuple(sorted(drops.items()))
+
+
 def apply_delta(op: DeltaOp, u: State, window: Window | None = None) -> DeltaExpansion:
     """Apply the coordinate-change operator to a homogeneous state.
 
@@ -426,7 +471,8 @@ def apply_delta(op: DeltaOp, u: State, window: Window | None = None) -> DeltaExp
     a common prefactor k^{-p}.  Inverse direction: pieces at exponents
     p - p/k - j with prefactor k^{+p} (the rational part k^{-j} is folded
     into the piece states).  An optional window keeps only the exponents it
-    contains (variable "x").
+    contains (variable "x").  The operator is linear, so the pieces are the
+    cached per-word pieces weighted by the coefficients of u.
     """
     if u.is_zero():
         return DeltaExpansion(op.k, op.direction, ZERO, ONE, ())
@@ -436,11 +482,16 @@ def apply_delta(op: DeltaOp, u: State, window: Window | None = None) -> DeltaExp
             f"table depth {op.depth} does not cover states of weight {p}"
         )
     k = op.k
-    sign = 1 if op.direction == FORWARD else -1
-    drops = _exp_virasoro(u, op.table, sign)
+    table = _Unkeyed(op.table)
+    by_drop = {}
+    for word, coeff in u.terms:
+        for j, state in _word_drops(k, op.direction, word, table):
+            by_drop.setdefault(j, []).append((state, coeff))
     pieces = []
-    for j in sorted(drops):
-        state = drops[j]
+    for j in sorted(by_drop):
+        state = combine(by_drop[j])
+        if state.is_zero():
+            continue
         if op.direction == FORWARD:
             exponent = p / k - p - QQ(j, k)
         else:
@@ -491,12 +542,58 @@ def _rationalized(scalar):
 # ---------------------------------------------------------------------------
 
 
-def _geometric_root_series(k: int, top: int) -> ScalarSeries:
-    """(1+y)^{1/k} - 1 as a windowed one-variable series through y^top."""
-    coeffs = {(QQ(m),): binomial(QQ(1, k), m) for m in range(1, top + 1)}
-    return ScalarSeries(
-        ("y",), coeffs, Window({"y": (ONE, QQ(top))}), {"y": ONE}, {"y": None}
-    )
+class _RootPowers:
+    """Coefficients of ((1+y)^{1/k} - 1)^e for integer e, exact and windowed.
+
+    ((1+y)^{1/k} - 1)^e = (y/k)^e (1+h)^e with the unit part
+    h = sum_{n>=1} k C(1/k, n+1) y^n.  (1+h)^e is expanded through y^degree
+    by J.C.P. Miller's recurrence, b_0 = 1 and
+        n b_n = sum_{i=1}^{n} ((e+1) i - n) h_i b_{n-i},
+    once per exponent e, on first use.  So the coefficient of y^n is exact
+    for n <= e + degree and zero below y^e; any other coefficient is
+    unknown, and asking for it raises.
+    """
+
+    def __init__(self, k: int, degree: int):
+        self.k = k
+        self.degree = degree
+        self._unit = [ZERO] + [
+            k * binomial(QQ(1, k), n + 1) for n in range(1, degree + 1)
+        ]
+        self._tables = {}
+
+    def _power(self, e: int) -> list:
+        h = self._unit
+        b = [ONE]
+        for n in range(1, self.degree + 1):
+            acc = ZERO
+            for i in range(1, n + 1):
+                if h[i]:
+                    acc += ((e + 1) * i - n) * h[i] * b[n - i]
+            b.append(acc / n)
+        scale = QQ(1, self.k) ** e
+        return [scale * c for c in b]
+
+    def coefficient(self, e: int, n: int):
+        """The coefficient of y^n in ((1+y)^{1/k} - 1)^e."""
+        if n < e:
+            return ZERO
+        if n - e > self.degree:
+            raise ValueError(
+                f"coefficient of y^{n} in the power {e} lies outside the "
+                f"exact range y^{e}..y^{e + self.degree}"
+            )
+        table = self._tables.get(e)
+        if table is None:
+            table = self._tables[e] = self._power(e)
+        return table[n - e]
+
+
+def _root_degree(weight, depth_z0: int) -> int:
+    """Unit-part degree the shifted-coordinate side reads for states of
+    total weight <= weight: y^n with n <= depth_z0 at powers
+    e >= -floor(weight)."""
+    return depth_z0 + rational_floor(QQ(weight))
 
 
 def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
@@ -534,17 +631,18 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
     return {key: val for key, val in out.items() if val != 0}
 
 
-def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int) -> dict:
+def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
+                     roots: _RootPowers) -> dict:
     """Transformed side: operator applied to u, then vertex modes in the
-    shifted coordinate (z+z0)^{1/k} - z^{1/k}, expanded binomially."""
+    shifted coordinate (z+z0)^{1/k} - z^{1/k}, expanded binomially; the
+    powers of the shifted coordinate are read from ``roots``, whose degree
+    must be at least ``_root_degree(p_u + p_v, depth_z0)``.
+    """
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
     table_depth = covering_depth(p_u + p_v + depth_z0)
     fwd_u = apply_delta(DeltaOp(k, table_depth, FORWARD), u)
     prefactor = k_to_the(k, -p_u)
-    t_hi_global = rational_floor(p_u + p_v - 1)
-    root_top = depth_z0 + max(0, int(t_hi_global) + 1) + 2
-    root = _geometric_root_series(k, root_top)
     out = {}
     for e_piece, piece in fwd_u.pieces:
         w_piece = piece.homogeneous_level()
@@ -559,26 +657,22 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int) -> dict:
             if image.is_zero():
                 t += 1
                 continue
-            e = -t - 1  # power of the shifted coordinate
-            powered = series_power(root, "y", e)
+            e = int(-t - 1)  # power of the shifted coordinate
             # (z+z0)^alpha in nonnegative z0-powers, capped by the z0 budget
-            i_top = int(depth_z0 - e) if depth_z0 - e >= 0 else -1
-            for i in range(0, i_top + 1):
+            for i in range(0, depth_z0 - e + 1):
                 binom_c = binomial(alpha, i)
                 if binom_c == 0:
                     continue
-                n = e
-                while n <= depth_z0 - i:
-                    g_c = powered.get((QQ(n),))
+                for n in range(e, depth_z0 - i + 1):
+                    g_c = roots.coefficient(e, n)
                     if g_c != 0:
-                        e_z = alpha - i + e / k - n
+                        e_z = alpha - i + QQ(e, k) - n
                         e_z0 = QQ(i + n)
                         factor = binom_c * g_c
                         for word, c in image.terms:
                             key = (word, e_z, e_z0)
                             prev = out.get(key, ZERO)
                             out[key] = prev + prefactor * factor * c
-                    n += 1
             t += 1
     return {key: val for key, val in out.items() if val != 0}
 
@@ -589,16 +683,20 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
 
     For every basis state of weight <= cutoff, both sides are expanded as
     maps (word, z-exponent, z0-exponent) -> scalar with z0-exponents capped
-    at ``depth``; the two maps must agree on every key.
+    at ``depth`` (at most ``MAX_CONJUGATION_DEPTH``); the two maps must
+    agree on every key.
     """
+    require_conjugation_depth(depth)
     if u.is_zero():
         raise ValueError("conjugation check needs a nonzero homogeneous state")
-    u.homogeneous_level()
+    p_u = u.homogeneous_level()
+    # one table of root powers, deep enough for every basis state
+    roots = _RootPowers(k, _root_degree(p_u + QQ(cutoff), depth))
     result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
     for word in ns_basis(cutoff):
         v = State({word: ONE})
         lhs = _conjugation_lhs(k, u, v, depth)
-        rhs = _conjugation_rhs(k, u, v, depth)
+        rhs = _conjugation_rhs(k, u, v, depth, roots)
         for key in sorted(set(lhs) | set(rhs)):
             out_word, e_z, e_z0 = key
             result.compare(
@@ -681,6 +779,7 @@ __all__ = [
     "DeltaOp",
     "FORWARD",
     "INVERSE",
+    "MAX_CONJUGATION_DEPTH",
     "MAX_TABLE_DEPTH",
     "aj_to_csv",
     "apply_delta",
@@ -691,6 +790,7 @@ __all__ = [
     "delta_op",
     "f_inverse_series",
     "f_series",
+    "require_conjugation_depth",
     "round_trip_defect",
     "solve_aj",
 ]

@@ -20,8 +20,6 @@ from .scalars import (
     QQ,
     ZERO,
     binomial,
-    cyc_sqrt_k,
-    is_rational,
     rational_ceil,
     rational_floor,
     scalar_is_zero,
@@ -400,10 +398,6 @@ class ScalarSeries:
         return self.coeffs.get((), ZERO)
 
 
-def series_monomial(variables, mono, coeff=1) -> ScalarSeries:
-    return ScalarSeries(tuple(variables), {tuple(QQ(e) for e in mono): QQ(coeff)})
-
-
 # ---------------------------------------------------------------------------
 # delta kernels
 # ---------------------------------------------------------------------------
@@ -470,104 +464,6 @@ def merged_delta_kernel(
         {top: None, second: ZERO, bottom: None},
         {top: None, second: None, bottom: None},
     )
-
-
-# ---------------------------------------------------------------------------
-# powers of unit series
-# ---------------------------------------------------------------------------
-
-
-def _scalar_power(base, exponent):
-    """base**e for rational base: integer e directly, half-integer via sqrt."""
-    e = QQ(exponent)
-    if e.denominator == 1:
-        return QQ(base) ** int(e)
-    if e.denominator != 2:
-        raise ValueError(f"cannot raise scalar to exponent {e}")
-    b = QQ(base)
-    if b <= 0:
-        raise ValueError(f"cannot take half-integer power of {b}")
-    n = rational_floor(e)
-    root = cyc_sqrt_k(int(b.numerator * b.denominator)) / QQ(b.denominator)
-    return (b**n) * root
-
-
-def series_power(unit: ScalarSeries, expansion_var, exponent) -> ScalarSeries:
-    """Raise a series with invertible leading term to a rational power.
-
-    The series must have its lowest `expansion_var`-order slice equal to a
-    single monomial c*m; then unit^e = c^e * m^e * (1 + w)^e with w of
-    positive order, expanded binomially and truncated by the window.
-    """
-    e = QQ(exponent)
-    i = unit.variables.index(expansion_var)
-    if unit.window is None:
-        raise ValueError("series_power expects a windowed truncation")
-    lo, hi = unit.window.bounds_for(expansion_var)
-    if lo is None or hi is None:
-        raise ValueError("series_power needs a bounded expansion window")
-    depth = hi - lo
-    orders = sorted({m[i] for m in unit.coeffs})
-    if not orders:
-        raise ValueError("cannot raise the zero series to a power")
-    lead_order = orders[0]
-    lead_terms = [(m, c) for m, c in unit.coeffs.items() if m[i] == lead_order]
-    if len(lead_terms) != 1:
-        raise ValueError("leading slice is not a single monomial")
-    lead_mono, lead_coeff = lead_terms[0]
-    if not is_rational(lead_coeff):
-        raise ValueError("leading coefficient must be rational")
-    # w = unit/lead - 1 has expansion_var-order >= 1 lattice step
-    inv_lead_mono = tuple(-x for x in lead_mono)
-    inv_lead = ScalarSeries(
-        unit.variables,
-        {inv_lead_mono: QQ(1) / lead_coeff},
-        None,
-    )
-    w = (inv_lead * unit) + series_monomial(
-        unit.variables, (ZERO,) * len(unit.variables), -1
-    )
-    result = series_monomial(unit.variables, (ZERO,) * len(unit.variables), 1)
-    w_power = result
-    step_lo = min((m[i] for m in w.coeffs), default=None)
-    if step_lo is None:
-        term_count = 0
-    elif step_lo <= 0:
-        raise ValueError("unit part has nonpositive order; not a unit series")
-    else:
-        term_count = rational_floor(depth / step_lo)
-    for n in range(1, term_count + 1):
-        w_power = w_power * w
-        result = result + w_power.scaled(binomial(e, n))
-    # a non-terminating binomial series is exact only up to the truncation
-    # depth, even when the inputs were complete polynomials; its true support
-    # is the limit over all powers of w, not the hull of the kept terms
-    terminates = e.denominator == 1 and 0 <= e <= term_count
-    if not terminates:
-        cap = Window({expansion_var: (None, depth)})
-        capped = cap if result.window is None else result.window.intersect(cap)
-        supp_lo, supp_hi = {}, {}
-        for var in unit.variables:
-            wlo, whi = w._supp(var)
-            supp_lo[var] = ZERO if (wlo is not None and wlo >= 0) else None
-            supp_hi[var] = ZERO if (whi is not None and whi <= 0) else None
-        supp_lo[expansion_var] = ZERO
-        result = ScalarSeries(
-            result.variables,
-            {
-                m: c
-                for m, c in result.coeffs.items()
-                if capped.contains_mono(result.variables, m)
-            },
-            capped,
-            supp_lo,
-            supp_hi,
-        )
-    prefactor_mono = tuple(x * e for x in lead_mono)
-    prefactor = ScalarSeries(
-        unit.variables, {prefactor_mono: _scalar_power(lead_coeff, e)}, None
-    )
-    return prefactor * result
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from .deltak import (
     check_L_minus1_identities,
     check_conjugation,
     check_f_composition,
+    require_conjugation_depth,
     round_trip_defect,
 )
 from .twist import (
@@ -395,7 +396,6 @@ def _supercommutator_grid(left, right, target, level, grid1, grid2):
 
 
 def _commutator_report(
-    name: str,
     k_report: int,
     left: _ModeFamily,
     right: _ModeFamily,
@@ -404,12 +404,11 @@ def _commutator_report(
     window: Window,
     *,
     kernel_den: int,
-    kernel_shift,
+    forms,
     product_builder,
     kernel_weight=None,
     domain_level=QQ(2),
-    expected_verdict: str = "pass",
-) -> CheckReport:
+) -> tuple:
     """Compare a supercommutator of two mode families with its residue form.
 
     Left side, per exponent pair (e1, e2) and domain word w:
@@ -423,8 +422,12 @@ def _commutator_report(
     The t-th product state's field is supplied by ``product_builder`` so the
     same engine serves first-slot fields, rotated slots (via the optional
     root-of-unity ``kernel_weight``), and parity-twisted fields.
+
+    ``forms`` is a tuple of (name, kernel_shift, expected_verdict) triples,
+    one report each, in order.  Only the kernel-lattice test depends on the
+    form: the grid, the product-state fields and the residue modes are
+    computed once for all of them.
     """
-    kernel_shift = QQ(kernel_shift)
     lo1, hi1 = _bounds(window, "x1")
     lo2, hi2 = _bounds(window, "x2")
     grid1 = _lattice_grid(lo1, hi1, 2 * kernel_den)
@@ -436,45 +439,51 @@ def _commutator_report(
         if not it.is_zero():
             iterates.append((t, product_builder(it)))
     prefactor = QQ(1, kernel_den)
+    results = [
+        (ComparisonResult(name), QQ(kernel_shift)) for name, kernel_shift, _ in forms
+    ]
 
-    result = ComparisonResult(name)
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
         rhs_modes = {}
+
+        def residue(e1, e2) -> State:
+            terms = []
+            for t, family in iterates:
+                n = e1 + t
+                key = (t, e1 + e2)
+                image = rhs_modes.get(key)
+                if image is None:
+                    mu = -(e1 + e2) - t - 2
+                    image = (
+                        family.mode(mu, target)
+                        if mu <= family.top(level)
+                        else ZERO_STATE
+                    )
+                    rhs_modes[key] = image
+                if image.is_zero():
+                    continue
+                coeff = binomial(n, t) * (ONE if t % 2 == 0 else -ONE)
+                if kernel_weight is not None:
+                    coeff = coeff * kernel_weight(n)
+                terms.append((image, coeff))
+            return combine(terms).scaled(prefactor)
+
         for e1, e2, lhs in _supercommutator_grid(
             left, right, target, level, grid1, grid2
         ):
-            rhs = ZERO_STATE
-            if ((e1 - kernel_shift) * kernel_den).denominator == 1:
-                terms = []
-                for t, family in iterates:
-                    n = e1 + t
-                    key = (t, e1 + e2)
-                    image = rhs_modes.get(key)
-                    if image is None:
-                        mu = -(e1 + e2) - t - 2
-                        image = (
-                            family.mode(mu, target)
-                            if mu <= family.top(level)
-                            else ZERO_STATE
-                        )
-                        rhs_modes[key] = image
-                    if image.is_zero():
-                        continue
-                    coeff = binomial(n, t) * (ONE if t % 2 == 0 else -ONE)
-                    if kernel_weight is not None:
-                        coeff = coeff * kernel_weight(n)
-                    terms.append((image, coeff))
-                rhs = combine(terms).scaled(prefactor)
-            result.compare(
-                f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}", lhs, rhs
-            )
-    return _wrap_comparison(
-        result,
-        k_report,
-        _window_str(window, ("x1", "x2")),
-        expected_verdict=expected_verdict,
+            location = f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}"
+            rhs = None
+            for result, kernel_shift in results:
+                on_lattice = ((e1 - kernel_shift) * kernel_den).denominator == 1
+                if on_lattice and rhs is None:
+                    rhs = residue(e1, e2)
+                result.compare(location, lhs, rhs if on_lattice else ZERO_STATE)
+    window_text = _window_str(window, ("x1", "x2"))
+    return tuple(
+        _wrap_comparison(result, k_report, window_text, expected_verdict=expected)
+        for (result, _), (_, _, expected) in zip(results, forms)
     )
 
 
@@ -495,8 +504,8 @@ def check_even_supercommutator(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    return _commutator_report(
-        f"even-supercommutator[k={k},{_state_label(u)},{_state_label(v)}]",
+    name = f"even-supercommutator[k={k},{_state_label(u)},{_state_label(v)}]"
+    (report,) = _commutator_report(
         k,
         _first_slot_family(k, u),
         _first_slot_family(k, v),
@@ -504,10 +513,11 @@ def check_even_supercommutator(
         v,
         window,
         kernel_den=k,
-        kernel_shift=ZERO,
+        forms=((name, ZERO, "pass"),),
         product_builder=lambda s: _first_slot_family(k, s),
         domain_level=domain_level,
     )
+    return report
 
 
 def check_odd_obstruction(
@@ -530,28 +540,20 @@ def check_odd_obstruction(
     _require_usable(v, "right argument")
     parity = u.homogeneous_parity()
     base = f"k={k},{_state_label(u)},{_state_label(v)}"
-    left = _first_slot_family(k, u)
-    right = _first_slot_family(k, v)
-
-    def report(form: str, kernel_shift, expected_verdict: str = "pass"):
-        return _commutator_report(
-            f"obstruction-{form}-form[{base}]",
-            k,
-            left,
-            right,
-            u,
-            v,
-            window,
-            kernel_den=k,
-            kernel_shift=kernel_shift,
-            product_builder=lambda s: _first_slot_family(k, s),
-            domain_level=domain_level,
-            expected_verdict=expected_verdict,
-        )
-
-    return (
-        report("even", ZERO, "fail" if parity else "pass"),
-        report("odd", QQ(parity, 2 * k)),
+    return _commutator_report(
+        k,
+        _first_slot_family(k, u),
+        _first_slot_family(k, v),
+        u,
+        v,
+        window,
+        kernel_den=k,
+        forms=(
+            (f"obstruction-even-form[{base}]", ZERO, "fail" if parity else "pass"),
+            (f"obstruction-odd-form[{base}]", QQ(parity, 2 * k), "pass"),
+        ),
+        product_builder=lambda s: _first_slot_family(k, s),
+        domain_level=domain_level,
     )
 
 
@@ -583,8 +585,7 @@ def check_cross_slot_commutator(
         f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
         f"{_state_label(u)},{_state_label(v)}]"
     )
-    return _commutator_report(
-        label,
+    (report,) = _commutator_report(
         k,
         _first_slot_family(k, u, slot=slot_u),
         _first_slot_family(k, v, slot=slot_v),
@@ -592,11 +593,12 @@ def check_cross_slot_commutator(
         v,
         window,
         kernel_den=k,
-        kernel_shift=ZERO,
+        forms=((label, ZERO, "pass"),),
         product_builder=lambda s: _first_slot_family(k, s, slot=slot_v),
         kernel_weight=weight,
         domain_level=domain_level,
     )
+    return report
 
 
 def check_recovered_commutator(
@@ -629,8 +631,7 @@ def check_recovered_commutator(
         f"parity-twisted-commutator[{tag},k={k},"
         f"{_state_label(u)},{_state_label(v)}]"
     )
-    return _commutator_report(
-        label,
+    (report,) = _commutator_report(
         k,
         builder(u),
         builder(v),
@@ -638,10 +639,11 @@ def check_recovered_commutator(
         v,
         window,
         kernel_den=1,
-        kernel_shift=QQ(u.homogeneous_parity(), 2),
+        forms=((label, QQ(u.homogeneous_parity(), 2), "pass"),),
         product_builder=builder,
         domain_level=domain_level,
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1127,8 @@ class SuiteConfig:
     the character comparison; ``domain_level`` bounds the twisted-module
     words the operator checks act on; ``weight`` bounds the untwisted
     states fed to the coordinate-change checks; ``depth`` is the expansion
-    depth of the conjugation check; ``jacobi`` toggles the (more expensive)
+    depth of the conjugation check (at most ``MAX_CONJUGATION_DEPTH``, checked
+    before any check runs); ``jacobi`` toggles the (more expensive)
     three-variable identity.
     """
 
@@ -1189,6 +1192,7 @@ def run_suite(config: SuiteConfig | None = None) -> list:
     radius = QQ(cfg.radius)
     if radius < 0:
         raise ValueError("no coefficients compared: the window is empty")
+    require_conjugation_depth(cfg.depth)
     reports = []
 
     def add(report: CheckReport):

@@ -23,7 +23,7 @@ from twistfock.scalars import QQ, ONE
 from twistfock.fermion import OMEGA, PSI, VACUUM, State
 from twistfock import cli
 from twistfock.cli import main, parse_config_file, parse_state
-from twistfock.deltak import MAX_TABLE_DEPTH
+from twistfock.deltak import MAX_CONJUGATION_DEPTH, MAX_TABLE_DEPTH
 from twistfock.verify import parse_bool, parse_rational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -361,6 +361,30 @@ class TestTableDepthCeiling:
         assert err == (
             f"error: table depth {depth} exceeds the ceiling {MAX_TABLE_DEPTH}\n"
         )
+
+
+class TestConjugationDepthCeiling:
+    """verify refuses a conjugation depth above the ceiling before any check
+    runs; only ceiling + 1 is tried, never a large depth."""
+
+    def test_flag_above_the_ceiling_exits_two(self, capsys):
+        depth = str(MAX_CONJUGATION_DEPTH + 1)
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "3", "--expect-obstruction", "--depth", depth
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: conjugation depth {depth} exceeds the ceiling "
+            f"{MAX_CONJUGATION_DEPTH}\n"
+        )
+
+    def test_config_above_the_ceiling_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"depth={MAX_CONJUGATION_DEPTH + 1}\n")
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: conjugation depth")
 
 
 class TestSharedParser:

@@ -13,7 +13,14 @@ run without a cache:
 * the inverse-map cross-check `_exp_derivation_on_x` as it was: a dense
   derivation pass, then a separate pass dividing every entry by m;
 * the unbounded coordinate-change loop, which applies L(j) for every j up
-  to the table depth, at the old depth ceil(p) * k + 2.
+  to the table depth, at the old depth ceil(p) * k + 2;
+* `formal.series_power` with its helpers, which raised the windowed series
+  (1+y)^{1/k} - 1 to each power the conjugation check reads, against the
+  one exact root table `deltak._RootPowers`;
+* `apply_delta` without the per-word cache: `_exp_virasoro` on the whole
+  state, with the caller's table;
+* two one-form `verify._commutator_report` calls, against one call that
+  walks the grid once for both obstruction forms.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -24,16 +31,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistfock import deltak
+from twistfock import deltak, verify
 from twistfock.deltak import (
     FORWARD,
     INVERSE,
+    DeltaExpansion,
     DeltaOp,
+    _RootPowers,
     apply_delta,
+    covering_depth,
     delta_op,
     solve_aj,
 )
 from twistfock.fermion import (
+    OMEGA,
+    PSI,
     State,
     combine,
     field_mode,
@@ -52,10 +64,13 @@ from twistfock.scalars import (
     CycScalar,
     binomial,
     cyc_sqrt_k,
+    is_rational,
     k_to_the,
     rational_ceil,
+    rational_floor,
     scalar_is_zero,
 )
+from twistfock.formal import ScalarSeries, Window
 
 QQ_TYPE = type(QQ(1))
 
@@ -169,7 +184,10 @@ def test_level_bound_matches_unbounded_loop(k, monkeypatch):
             bounded = apply_delta(delta_op(k, direction, cutoff=p), u)
             with monkeypatch.context() as patch:
                 patch.setattr(deltak, "_exp_virasoro", unbounded_exp_virasoro)
+                # per-word entries made by the bounded loop would be read back
+                deltak._word_drops.cache_clear()
                 expected = apply_delta(DeltaOp(k, old_depth, direction), u)
+            deltak._word_drops.cache_clear()
             assert bounded == expected, (k, u.render(), direction)
 
 
@@ -351,3 +369,276 @@ def test_square_orders_give_rational_prefactors():
     assert isinstance(root, CycScalar) and not root.is_rational()
     assert root * root == QQ(1, 2)
     assert root == cyc_sqrt_k(2) / 2
+
+
+# ---------------------------------------------------------------------------
+# the windowed root power, verbatim
+# ---------------------------------------------------------------------------
+
+
+def series_monomial(variables, mono, coeff=1) -> ScalarSeries:
+    return ScalarSeries(tuple(variables), {tuple(QQ(e) for e in mono): QQ(coeff)})
+
+
+def _scalar_power(base, exponent):
+    """base**e for rational base: integer e directly, half-integer via sqrt."""
+    e = QQ(exponent)
+    if e.denominator == 1:
+        return QQ(base) ** int(e)
+    if e.denominator != 2:
+        raise ValueError(f"cannot raise scalar to exponent {e}")
+    b = QQ(base)
+    if b <= 0:
+        raise ValueError(f"cannot take half-integer power of {b}")
+    n = rational_floor(e)
+    root = cyc_sqrt_k(int(b.numerator * b.denominator)) / QQ(b.denominator)
+    return (b**n) * root
+
+
+def series_power(unit: ScalarSeries, expansion_var, exponent) -> ScalarSeries:
+    """Raise a series with invertible leading term to a rational power.
+
+    The series must have its lowest `expansion_var`-order slice equal to a
+    single monomial c*m; then unit^e = c^e * m^e * (1 + w)^e with w of
+    positive order, expanded binomially and truncated by the window.
+    """
+    e = QQ(exponent)
+    i = unit.variables.index(expansion_var)
+    if unit.window is None:
+        raise ValueError("series_power expects a windowed truncation")
+    lo, hi = unit.window.bounds_for(expansion_var)
+    if lo is None or hi is None:
+        raise ValueError("series_power needs a bounded expansion window")
+    depth = hi - lo
+    orders = sorted({m[i] for m in unit.coeffs})
+    if not orders:
+        raise ValueError("cannot raise the zero series to a power")
+    lead_order = orders[0]
+    lead_terms = [(m, c) for m, c in unit.coeffs.items() if m[i] == lead_order]
+    if len(lead_terms) != 1:
+        raise ValueError("leading slice is not a single monomial")
+    lead_mono, lead_coeff = lead_terms[0]
+    if not is_rational(lead_coeff):
+        raise ValueError("leading coefficient must be rational")
+    # w = unit/lead - 1 has expansion_var-order >= 1 lattice step
+    inv_lead_mono = tuple(-x for x in lead_mono)
+    inv_lead = ScalarSeries(
+        unit.variables,
+        {inv_lead_mono: QQ(1) / lead_coeff},
+        None,
+    )
+    w = (inv_lead * unit) + series_monomial(
+        unit.variables, (ZERO,) * len(unit.variables), -1
+    )
+    result = series_monomial(unit.variables, (ZERO,) * len(unit.variables), 1)
+    w_power = result
+    step_lo = min((m[i] for m in w.coeffs), default=None)
+    if step_lo is None:
+        term_count = 0
+    elif step_lo <= 0:
+        raise ValueError("unit part has nonpositive order; not a unit series")
+    else:
+        term_count = rational_floor(depth / step_lo)
+    for n in range(1, term_count + 1):
+        w_power = w_power * w
+        result = result + w_power.scaled(binomial(e, n))
+    # a non-terminating binomial series is exact only up to the truncation
+    # depth, even when the inputs were complete polynomials; its true support
+    # is the limit over all powers of w, not the hull of the kept terms
+    terminates = e.denominator == 1 and 0 <= e <= term_count
+    if not terminates:
+        cap = Window({expansion_var: (None, depth)})
+        capped = cap if result.window is None else result.window.intersect(cap)
+        supp_lo, supp_hi = {}, {}
+        for var in unit.variables:
+            wlo, whi = w._supp(var)
+            supp_lo[var] = ZERO if (wlo is not None and wlo >= 0) else None
+            supp_hi[var] = ZERO if (whi is not None and whi <= 0) else None
+        supp_lo[expansion_var] = ZERO
+        result = ScalarSeries(
+            result.variables,
+            {
+                m: c
+                for m, c in result.coeffs.items()
+                if capped.contains_mono(result.variables, m)
+            },
+            capped,
+            supp_lo,
+            supp_hi,
+        )
+    prefactor_mono = tuple(x * e for x in lead_mono)
+    prefactor = ScalarSeries(
+        unit.variables, {prefactor_mono: _scalar_power(lead_coeff, e)}, None
+    )
+    return prefactor * result
+
+
+def _geometric_root_series(k: int, top: int) -> ScalarSeries:
+    """(1+y)^{1/k} - 1 as a windowed one-variable series through y^top."""
+    coeffs = {(QQ(m),): binomial(QQ(1, k), m) for m in range(1, top + 1)}
+    return ScalarSeries(
+        ("y",), coeffs, Window({"y": (ONE, QQ(top))}), {"y": ONE}, {"y": None}
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_root_table_matches_the_windowed_power(k):
+    for top in (1, 4, 9):
+        roots = _RootPowers(k, top - 1)
+        old_root = _geometric_root_series(k, top)
+        for e in range(-6, 7):
+            old = series_power(old_root, "y", e)
+            # the old window: exact through y^(e + top - 1), zero below y^e
+            for n in range(e - 2, e + top):
+                expected = old.get((QQ(n),))
+                got = roots.coefficient(e, n)
+                assert got == expected, (k, top, e, n)
+                assert type(got) is type(expected), (k, top, e, n)
+            # past the window the table raises, never reads as zero
+            with pytest.raises(ValueError, match="outside the exact range"):
+                roots.coefficient(e, e + top)
+
+
+def test_conjugation_reads_inside_the_stated_degree():
+    # the transformed side reads the root table only up to _root_degree: a
+    # deeper table gives the same map, a shallower one is refused
+    u, v = OMEGA, State({(QQ(-5, 2), QQ(-1, 2)): ONE})
+    depth = 3
+    degree = deltak._root_degree(u.homogeneous_level() + v.homogeneous_level(), depth)
+    rhs = deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree))
+    assert rhs
+    assert deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree + 4)) == rhs
+    with pytest.raises(ValueError, match="outside the exact range"):
+        deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree - 1))
+
+
+# ---------------------------------------------------------------------------
+# the coordinate change without the per-word cache, verbatim
+# ---------------------------------------------------------------------------
+
+
+def direct_apply_delta(op, u, window=None):
+    if u.is_zero():
+        return DeltaExpansion(op.k, op.direction, ZERO, ONE, ())
+    p = u.homogeneous_level()
+    if op.depth < rational_floor(p):
+        raise ValueError(
+            f"table depth {op.depth} does not cover states of weight {p}"
+        )
+    k = op.k
+    sign = 1 if op.direction == FORWARD else -1
+    drops = deltak._exp_virasoro(u, op.table, sign)
+    pieces = []
+    for j in sorted(drops):
+        state = drops[j]
+        if op.direction == FORWARD:
+            exponent = p / k - p - QQ(j, k)
+        else:
+            exponent = p - p / k - j
+            state = state.scaled(QQ(k) ** (-j))
+        if window is not None and not window.contains("x", exponent):
+            continue
+        pieces.append((exponent, state))
+    pieces.sort(key=lambda item: -item[0])
+    prefactor = k_to_the(k, -p) if op.direction == FORWARD else k_to_the(k, p)
+    return DeltaExpansion(k, op.direction, p, prefactor, tuple(pieces))
+
+
+def quasi_primary_combination() -> State:
+    """A weight-4 combination of two words that L(1) kills, so the drop-1
+    piece of the coordinate change cancels between the words."""
+    w1, w2 = (QQ(-7, 2), QQ(-1, 2)), (QQ(-5, 2), QQ(-3, 2))
+    (_, c1), = virasoro(QQ(1), State({w1: ONE})).terms
+    (_, c2), = virasoro(QQ(1), State({w2: ONE})).terms
+    u = State({w1: c2, w2: -c1})
+    assert virasoro(QQ(1), u).is_zero()
+    return u
+
+
+def delta_inputs():
+    out = [State({word: ONE}) for word in ns_basis(4)]
+    out.append(State({(QQ(-5, 2), QQ(-1, 2)): QQ(-3, 4)}))
+    out.append(State({(QQ(-7, 2), QQ(-1, 2)): QQ(2), (QQ(-5, 2), QQ(-3, 2)): QQ(1, 3)}))
+    out.append(State({(QQ(-3, 2), QQ(-1, 2)): cyc_sqrt_k(2) / 2}))
+    out.append(quasi_primary_combination())
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_cached_coordinate_change_matches_direct(k):
+    deltak._word_drops.cache_clear()
+    for direction in (FORWARD, INVERSE):
+        for u in delta_inputs():
+            p = u.homogeneous_level()
+            # the first call fills the cache at one depth, the second reads
+            # it through a deeper table: the key leaves the depth out
+            for depth in (covering_depth(p), covering_depth(p) + 3):
+                op = DeltaOp(k, depth, direction)
+                expected = direct_apply_delta(op, u)
+                got = apply_delta(op, u)
+                assert got == expected, (k, direction, u.render(), depth)
+                for _, piece in got.pieces:
+                    assert_invariant(piece)
+    assert deltak._word_drops.cache_info().hits > 0
+
+
+def test_cancelled_drop_is_left_out():
+    u = quasi_primary_combination()
+    for k in (2, 3):
+        expansion = apply_delta(DeltaOp(k, 4, FORWARD), u)
+        p = u.homogeneous_level()
+        assert p / k - p - QQ(1, k) not in expansion.exponents()
+        assert expansion == direct_apply_delta(DeltaOp(k, 4, FORWARD), u)
+
+
+def test_uncovered_depth_is_refused_before_the_cache():
+    deltak._word_drops.cache_clear()
+    u = State({(QQ(-5, 2), QQ(-3, 2)): ONE})
+    with pytest.raises(ValueError, match="does not cover"):
+        apply_delta(DeltaOp(2, 3, FORWARD), u)
+    assert deltak._word_drops.cache_info().currsize == 0
+
+
+def test_coefficients_do_not_depend_on_the_table_depth():
+    for k in range(1, 7):
+        deep = solve_aj(k, 24)
+        for J in (1, 3, 8, 16):
+            table = solve_aj(k, J)
+            for j in range(1, J + 1):
+                assert table.a(j) == deep.a(j), (k, J, j)
+
+
+# ---------------------------------------------------------------------------
+# both obstruction forms from one grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("u", [PSI, OMEGA], ids=["psi", "omega"])
+@pytest.mark.parametrize("v", [PSI, OMEGA], ids=["psi", "omega"])
+def test_two_forms_match_two_one_form_calls(k, u, v):
+    window = Window.cube(("x1", "x2"), QQ(-1, 2), QQ(1, 2))
+    parity = u.homogeneous_parity()
+    forms = (
+        ("even", ZERO, "fail" if parity else "pass"),
+        ("odd", QQ(parity, 2 * k), "pass"),
+    )
+
+    def run(selected):
+        return verify._commutator_report(
+            k,
+            verify._first_slot_family(k, u),
+            verify._first_slot_family(k, v),
+            u,
+            v,
+            window,
+            kernel_den=k,
+            forms=selected,
+            product_builder=lambda s: verify._first_slot_family(k, s),
+            domain_level=QQ(1),
+        )
+
+    both = run(forms)
+    singles = run(forms[:1]) + run(forms[1:])
+    assert both == singles
+    assert all(report.compared > 0 for report in both)

@@ -20,6 +20,7 @@ from twistfock.deltak import (
     INVERSE,
     AjTable,
     DeltaOp,
+    MAX_CONJUGATION_DEPTH,
     MAX_TABLE_DEPTH,
     aj_to_csv,
     apply_delta,
@@ -32,6 +33,7 @@ from twistfock.deltak import (
     f_series,
     round_trip_defect,
     solve_aj,
+    _RootPowers,
     _conjugation_lhs,
     _conjugation_rhs,
 )
@@ -271,7 +273,7 @@ class TestConjugation:
     def test_mismatched_inputs_are_detected(self):
         v = State({(QQ(-1, 2),): ONE})
         lhs = _conjugation_lhs(2, PSI, v, 3)
-        rhs = _conjugation_rhs(2, OMEGA, v, 3)
+        rhs = _conjugation_rhs(2, OMEGA, v, 3, _RootPowers(2, 8))
         assert any(
             lhs.get(key, ZERO) != rhs.get(key, ZERO) for key in set(lhs) | set(rhs)
         )
@@ -281,6 +283,10 @@ class TestConjugation:
 
         with pytest.raises(ValueError, match="nonzero"):
             check_conjugation(2, ZERO_STATE)
+
+    def test_rejects_depth_above_the_ceiling(self):
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            check_conjugation(2, PSI, depth=MAX_CONJUGATION_DEPTH + 1)
 
 
 class TestTranslationIdentities:

@@ -12,7 +12,6 @@ from twistfock.formal import (
     compare_series,
     delta_series,
     merged_delta_kernel,
-    series_power,
     verify_delta_identity,
 )
 from twistfock.scalars import QQ, ZERO
@@ -162,27 +161,6 @@ class TestCalculus:
         coeffs = {(QQ(n - 2),): QQ(v) for n, v in enumerate(values)}
         s = ScalarSeries(("x",), coeffs)
         assert not s.derivative("x").residue("x").coeffs
-
-
-# ---------------------------------------------------------------------------
-# powers of unit series
-# ---------------------------------------------------------------------------
-
-
-class TestChangeOfVariable:
-    def test_series_power_square_root(self):
-        w = Window({"t": (0, 6)})
-        one_plus_t = ScalarSeries(
-            ("t",), {(QQ(0),): QQ(1), (QQ(1),): QQ(1)}, w, {"t": ZERO}, {"t": QQ(1)}
-        )
-        root = series_power(one_plus_t, "t", QQ(1, 2))
-        square = root * root
-        hi = square.window.bounds_for("t")[1]
-        assert hi >= 4
-        assert square.get((QQ(0),)) == 1
-        assert square.get((QQ(1),)) == 1
-        for n in range(2, int(hi) + 1):
-            assert square.get((QQ(n),)) == 0
 
 
 # ---------------------------------------------------------------------------

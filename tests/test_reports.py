@@ -14,7 +14,10 @@ with the three-variable identity on is pinned the same way: the benchmark's
 k = 4 workload turns that identity off, so without it no report fixes the
 field products on the 1/4 and 3/4 exponent classes.  The k = 3 obstruction
 run is pinned as CSV too: its window cells hold commas, so the pin fixes the
-CSV quoting.
+CSV quoting.  Two more obstruction runs are pinned by hash: k = 3 at
+conjugation depth 6, whose shifted-coordinate expansion reads root powers
+((1+y)^{1/k} - 1)^e at larger |e| than the default depth, and the second odd
+order k = 5, which no benchmark workload runs.
 
 The benchmark's delta-apply stream is pinned by the SHA-256 of every
 response, stored in `bench/reference/delta-session.json` under the
@@ -65,6 +68,19 @@ K3_CSV_SHA256 = (
     "486e67d78bbe87a6964cc1522dfcb103fad8596f756614abcc16a65bebfbbed1"
 )
 
+K3_DEPTH6_ARGV = [
+    "verify", "--k", "3", "--expect-obstruction", "--depth", "6",
+    "--format", "json",
+]
+K3_DEPTH6_SHA256 = (
+    "5d59d4d0a57a1c909ce75fec51c299afe49c6bf43a443cb5044e5f18bdb083c5"
+)
+
+K5_ARGV = ["verify", "--k", "5", "--expect-obstruction", "--format", "json"]
+K5_SHA256 = (
+    "0c1d6cb0dd8473d92fb5718a284065f92b8431adc0e6349c9128270f87cc1747"
+)
+
 
 @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
 def test_report_matches_reference(capsys, name):
@@ -92,6 +108,14 @@ def test_k4_jacobi_report_matches_pinned_hash(capsys):
 
 def test_k3_csv_report_matches_pinned_hash(capsys):
     assert report_sha256(capsys, K3_CSV_ARGV) == K3_CSV_SHA256
+
+
+def test_k3_depth6_report_matches_pinned_hash(capsys):
+    assert report_sha256(capsys, K3_DEPTH6_ARGV) == K3_DEPTH6_SHA256
+
+
+def test_k5_report_matches_pinned_hash(capsys):
+    assert report_sha256(capsys, K5_ARGV) == K5_SHA256
 
 
 def test_delta_session_responses_match_stored_digests(capsys):
