@@ -24,9 +24,7 @@ from .deltak import (
     FORWARD,
     INVERSE,
     MAX_CONJUGATION_DEPTH,
-    DeltaOp,
     apply_delta,
-    covering_depth,
     solve_aj,
 )
 from .twist import TwistedModuleView, require_even_order
@@ -272,11 +270,10 @@ def cmd_delta_apply(cfg: RunConfig) -> int:
     state = parse_state(cfg.state)
     weight = state.homogeneous_level()
     direction = INVERSE if cfg.inverse else FORWARD
-    depth = max(cfg.depth, covering_depth(weight))
     window = None
     if cfg.lo is not None or cfg.hi is not None:
         window = Window({"x": (cfg.lo, cfg.hi)})
-    expansion = apply_delta(DeltaOp(cfg.k, depth, direction), state, window)
+    expansion = apply_delta(cfg.k, state, direction, window)
     rows = []
     json_pieces = []
     for exponent, piece in expansion.pieces:
@@ -495,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--inverse", action="store_true", help="apply the inverse direction"
-    )
-    p.add_argument(
-        "--depth", type=int, default=4, help="minimum operator table depth"
     )
     p.add_argument("--lo", type=_RATIONAL_ARG, default=None,
                    help="keep exponents >= lo")

@@ -51,6 +51,7 @@ from .fermion import (
     ns_basis,
     vertex_mode,
     virasoro,
+    word_level,
 )
 
 
@@ -66,7 +67,7 @@ from .fermion import (
 MAX_TABLE_DEPTH = 128
 
 
-def _require_table_depth(depth: int) -> None:
+def _require_depth(depth: int) -> None:
     """Refuse a table depth outside 1..MAX_TABLE_DEPTH, before any work."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -93,12 +94,12 @@ def require_conjugation_depth(depth: int) -> None:
 
 
 def covering_depth(weight) -> int:
-    """The table depth that covers every state of weight <= weight.
+    """The table depth the coordinate change reads on a state of this weight.
 
     On a state of weight p only L(1)..L(floor(p)) act nonzero, so only
-    a_1..a_floor(p) are ever read; depth ceil(weight) (at least 1) suffices
-    for every p <= weight, whatever k.  A deeper table has this one as a
-    prefix, so any larger depth gives the same results.
+    a_1..a_floor(p) are ever read; depth ceil(p) (at least 1) suffices,
+    whatever k.  A deeper table has this one as a prefix, so any larger
+    depth gives the same results.
     """
     return max(1, rational_ceil(QQ(weight)))
 
@@ -115,7 +116,7 @@ class AjTable:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        _require_table_depth(self.depth)
+        _require_depth(self.depth)
         if len(self.values) != self.depth:
             raise ValueError("coefficient count does not match depth")
 
@@ -181,7 +182,7 @@ def solve_aj(k: int, J: int) -> AjTable:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    _require_table_depth(J)
+    _require_depth(J)
     top = J + 1
     a = [ZERO] * (J + 1)  # a[j] for j = 1..J; a[0] unused
     # terms[m][n]: degree-n coefficient of T_m, for m = 0..top-1
@@ -328,42 +329,6 @@ INVERSE = "inverse"
 
 
 @dataclass(frozen=True)
-class DeltaOp:
-    """A truncated coordinate-change operator: direction plus table depth.
-
-    A table of depth ``covering_depth(w)`` = ceil(w) covers every state of
-    weight <= w: on a weight-p state only a_1..a_floor(p) are read.  The
-    depth is bounded by ``MAX_TABLE_DEPTH``.
-    """
-
-    k: int
-    depth: int
-    direction: str = FORWARD
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        _require_table_depth(self.depth)
-        if self.direction not in (FORWARD, INVERSE):
-            raise ValueError(
-                f"direction must be '{FORWARD}' or '{INVERSE}', got {self.direction!r}"
-            )
-
-    @property
-    def table(self) -> AjTable:
-        return solve_aj(self.k, self.depth)
-
-
-def delta_op(k: int, direction: str = FORWARD, *, cutoff=QQ(2)) -> DeltaOp:
-    """An operator whose depth covers every state of weight <= cutoff.
-
-    The depth is ``covering_depth(cutoff)`` = ceil(cutoff), the same for
-    every k: the operator applies L(j) only for j up to a state's weight.
-    """
-    return DeltaOp(k, covering_depth(cutoff), direction)
-
-
-@dataclass(frozen=True)
 class DeltaExpansion:
     """A finite graded expansion: prefactor * sum_j state_j * x^{exponent_j}.
 
@@ -407,9 +372,10 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
 
     L(j) sends level q to q - j and the NS module has no negative levels, so
     on the piece at drop d (level p - d, p the weight of u) only
-    j <= floor(p) - d acts; higher j are never applied.  Each positive
-    Virasoro mode strictly lowers the grade, so the series terminates once
-    the drop exceeds the weight of u.
+    j <= floor(p) - d acts; higher j are never applied, so ``table`` needs
+    depth at least floor(p).  Each positive Virasoro mode strictly lowers
+    the grade, so the series terminates once the drop exceeds the weight
+    of u.
     """
     top = rational_floor(u.homogeneous_level())
     summands = {0: [(u, ONE)]}
@@ -419,7 +385,7 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
         m += 1
         nxt = {}
         for drop, state in term.items():
-            for j in range(1, min(table.depth, top - drop) + 1):
+            for j in range(1, top - drop + 1):
                 image = virasoro(QQ(j), state)
                 if not image.is_zero():
                     scalar = table.a(j) * QQ(sign) / m
@@ -434,38 +400,24 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     return {d: s for d, s in total.items() if not s.is_zero()}
 
 
-class _Unkeyed:
-    """A value handed through a cache without being part of its key: every
-    instance hashes and compares equal to every other."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, _Unkeyed)
-
-    def __hash__(self):
-        return 0
-
-
 @lru_cache(maxsize=None)
-def _word_drops(k: int, direction: str, word: tuple, table: _Unkeyed) -> tuple:
+def _word_drops(k: int, direction: str, word: tuple) -> tuple:
     """The (drop, state) pieces of the operator on one basis word, cached.
 
-    The key is (k, direction, word): the table is left out because a_j does
-    not depend on the depth of the table it is read from, and the caller has
-    already checked that its table covers the word's weight.  The entry is
-    computed with the caller's table.
+    The a_j table has depth ``covering_depth`` of the word's weight, the
+    most the word reads; a_j does not depend on the depth of the table it
+    is read from.  A word of weight above ``MAX_TABLE_DEPTH`` is refused by
+    `solve_aj` and leaves no entry.
     """
+    table = solve_aj(k, covering_depth(word_level(word)))
     sign = 1 if direction == FORWARD else -1
-    drops = _exp_virasoro(State._of_terms(((word, ONE),)), table.value, sign)
+    drops = _exp_virasoro(State._of_terms(((word, ONE),)), table, sign)
     return tuple(sorted(drops.items()))
 
 
-def apply_delta(op: DeltaOp, u: State, window: Window | None = None) -> DeltaExpansion:
-    """Apply the coordinate-change operator to a homogeneous state.
+def apply_delta(k: int, u: State, direction: str = FORWARD,
+                window: Window | None = None) -> DeltaExpansion:
+    """Apply the coordinate-change operator of order k to a homogeneous state.
 
     Forward direction: pieces of weight p-j at exponents p/k - p - j/k with
     a common prefactor k^{-p}.  Inverse direction: pieces at exponents
@@ -474,25 +426,23 @@ def apply_delta(op: DeltaOp, u: State, window: Window | None = None) -> DeltaExp
     contains (variable "x").  The operator is linear, so the pieces are the
     cached per-word pieces weighted by the coefficients of u.
     """
-    if u.is_zero():
-        return DeltaExpansion(op.k, op.direction, ZERO, ONE, ())
-    p = u.homogeneous_level()
-    if op.depth < rational_floor(p):
+    if direction not in (FORWARD, INVERSE):
         raise ValueError(
-            f"table depth {op.depth} does not cover states of weight {p}"
+            f"direction must be '{FORWARD}' or '{INVERSE}', got {direction!r}"
         )
-    k = op.k
-    table = _Unkeyed(op.table)
+    if u.is_zero():
+        return DeltaExpansion(k, direction, ZERO, ONE, ())
+    p = u.homogeneous_level()
     by_drop = {}
     for word, coeff in u.terms:
-        for j, state in _word_drops(k, op.direction, word, table):
+        for j, state in _word_drops(k, direction, word):
             by_drop.setdefault(j, []).append((state, coeff))
     pieces = []
     for j in sorted(by_drop):
         state = combine(by_drop[j])
         if state.is_zero():
             continue
-        if op.direction == FORWARD:
+        if direction == FORWARD:
             exponent = p / k - p - QQ(j, k)
         else:
             exponent = p - p / k - j
@@ -501,11 +451,11 @@ def apply_delta(op: DeltaOp, u: State, window: Window | None = None) -> DeltaExp
             continue
         pieces.append((exponent, state))
     pieces.sort(key=lambda item: -item[0])
-    prefactor = k_to_the(k, -p) if op.direction == FORWARD else k_to_the(k, p)
-    return DeltaExpansion(k, op.direction, p, prefactor, tuple(pieces))
+    prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
+    return DeltaExpansion(k, direction, p, prefactor, tuple(pieces))
 
 
-def round_trip_defect(k: int, u: State, *, depth: int | None = None) -> State:
+def round_trip_defect(k: int, u: State) -> State:
     """forward then inverse, minus the identity, on one homogeneous state.
 
     Returns the accumulated defect state (zero when the two directions are
@@ -514,13 +464,10 @@ def round_trip_defect(k: int, u: State, *, depth: int | None = None) -> State:
     """
     if u.is_zero():
         return ZERO_STATE
-    p = u.homogeneous_level()
-    if depth is None:
-        depth = covering_depth(p)
-    fwd = apply_delta(DeltaOp(k, depth, FORWARD), u)
+    fwd = apply_delta(k, u, FORWARD)
     by_exponent = {}
     for e_f, piece in fwd.pieces:
-        inv = apply_delta(DeltaOp(k, depth, INVERSE), piece)
+        inv = apply_delta(k, piece, INVERSE)
         scalar = _rationalized(fwd.prefactor * inv.prefactor)
         for e_i, back in inv.pieces:
             by_exponent.setdefault(e_f + e_i, []).append((back, scalar))
@@ -604,10 +551,7 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
     """
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
-    # modes down to -depth_z0 - 1 raise the weight by up to depth_z0, and the
-    # table must cover every state pushed through the operator
-    table_depth = covering_depth(p_u + p_v + depth_z0)
-    inv = apply_delta(DeltaOp(k, table_depth, INVERSE), v)
+    inv = apply_delta(k, v, INVERSE)
     out = {}
     for e_j, piece in inv.pieces:
         w_j = piece.homogeneous_level()
@@ -619,7 +563,7 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
             image = vertex_mode(u, t, piece)
             if not image.is_zero():
                 q = p_u + w_j - t - 1
-                fwd = apply_delta(DeltaOp(k, table_depth, FORWARD), image)
+                fwd = apply_delta(k, image, FORWARD)
                 scalar = k_to_the(k, p_v - q)
                 for e_i, result in fwd.pieces:
                     e_z = e_j + e_i
@@ -640,8 +584,7 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
     """
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
-    table_depth = covering_depth(p_u + p_v + depth_z0)
-    fwd_u = apply_delta(DeltaOp(k, table_depth, FORWARD), u)
+    fwd_u = apply_delta(k, u, FORWARD)
     prefactor = k_to_the(k, -p_u)
     out = {}
     for e_piece, piece in fwd_u.pieces:
@@ -723,23 +666,19 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
     """
     result = ComparisonResult(f"translation-identities[k={k},wt<={cutoff}]")
     basis = ns_basis(cutoff)
-    depth = covering_depth(QQ(cutoff) + 1)  # L(-1) raises the weight by one
-    fwd_op = DeltaOp(k, depth, FORWARD)
-    inv_op = DeltaOp(k, depth, INVERSE)
     for word in basis:
         u = State({word: ONE})
-        p = u.homogeneous_level()
         lu = virasoro(QQ(-1), u)
 
         # the right side is rhs_scale z^rhs_shift d/dz of (op applied to u)
-        for tag, op, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
-            ("forward", fwd_op, QQ(1, k), QQ(1, k) - 1, ONE, ZERO),
-            ("inverse", inv_op, QQ(k), -QQ(1, k) + 1, QQ(k), 1 - QQ(1, k)),
+        for direction, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
+            (FORWARD, QQ(1, k), QQ(1, k) - 1, ONE, ZERO),
+            (INVERSE, QQ(k), -QQ(1, k) + 1, QQ(k), 1 - QQ(1, k)),
         ):
-            ex_u = apply_delta(op, u)
+            ex_u = apply_delta(k, u, direction)
             lhs = {}
             if not lu.is_zero():
-                ex_lu = apply_delta(op, lu)
+                ex_lu = apply_delta(k, lu, direction)
                 for e, s in ex_lu.pieces:
                     for w, c in s.terms:
                         key = (w, e)
@@ -762,11 +701,11 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
             keys = sorted(set(lhs) | set(rhs))
             if not keys:
                 # both sides identically zero: that agreement is itself a check
-                result.compare((tag, format_ns_word(word)), lhs, rhs)
+                result.compare((direction, format_ns_word(word)), lhs, rhs)
             for key in keys:
                 w, e = key
                 result.compare(
-                    (tag, format_ns_word(word), format_ns_word(w), e),
+                    (direction, format_ns_word(word), format_ns_word(w), e),
                     lhs.get(key, ZERO),
                     rhs.get(key, ZERO),
                 )
@@ -776,7 +715,6 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
 __all__ = [
     "AjTable",
     "DeltaExpansion",
-    "DeltaOp",
     "FORWARD",
     "INVERSE",
     "MAX_CONJUGATION_DEPTH",
@@ -787,7 +725,6 @@ __all__ = [
     "check_conjugation",
     "check_f_composition",
     "covering_depth",
-    "delta_op",
     "f_inverse_series",
     "f_series",
     "require_conjugation_depth",

@@ -607,13 +607,8 @@ def tensor_vertex_mode(a_tword, t, target_tword):
             t_j = budget
             if t_j > his[j]:
                 return
-            for w, c in iterate_mode_word(a_tword[j], t_j, target_tword[j], 0):
-                word = factors + (w,)
-                new = out.get(word, ZERO) + coeff * c
-                if scalar_is_zero(new):
-                    out.pop(word, None)
-                else:
-                    out[word] = new
+            res = iterate_mode_word(a_tword[j], t_j, target_tword[j], 0)
+            _accumulate(out, ((factors + (w,), c) for w, c in res), coeff)
             return
         lo_j = budget - suffix_hi[j + 1]
         for t_j in range(rational_floor(his[j]), rational_floor(lo_j) - 1, -1):

@@ -37,7 +37,7 @@ from .ramond import (
     ramond_basis,
     sigma_vertex_mode,
 )
-from .deltak import FORWARD, INVERSE, apply_delta, delta_op
+from .deltak import INVERSE, apply_delta
 
 
 def require_even_order(k: int):
@@ -146,7 +146,7 @@ class SlotField:
         self.k = k
         self.weight = p
         self.parity = u.homogeneous_parity()
-        expansion = apply_delta(delta_op(k, FORWARD, cutoff=p), u)
+        expansion = apply_delta(k, u)
         self.prefactor = expansion.prefactor
         self.pieces = expansion.pieces
         # the sigma-mode index of piece (e, u_e) is offset_e + k m
@@ -367,7 +367,7 @@ class RecoveredField:
         # the zero state has no weight or parity; its field is empty
         self.weight = u.homogeneous_level() or ZERO
         self.parity = u.homogeneous_parity() or 0
-        expansion = apply_delta(delta_op(k, INVERSE, cutoff=self.weight), u)
+        expansion = apply_delta(k, u, INVERSE)
         self.prefactor = expansion.prefactor
         self._pieces = tuple((e - 1, SlotField(k, piece))
                              for e, piece in expansion.pieces)

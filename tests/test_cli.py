@@ -93,12 +93,12 @@ class TestDeltaApply:
         assert payload["prefactor"] == "1"
 
     def test_conformal_vector_matches_direct_expansion(self, capsys):
-        from twistfock.deltak import DeltaOp, FORWARD, apply_delta
+        from twistfock.deltak import apply_delta
 
         code, out, _ = run_cli(capsys, "delta-apply", "--k", "2", "--state", "omega")
         assert code == 0
         payload = json.loads(out)
-        direct = apply_delta(DeltaOp(2, 8, FORWARD), OMEGA)
+        direct = apply_delta(2, OMEGA)
         assert len(payload["pieces"]) == len(direct.pieces)
         for row, (exponent, piece) in zip(payload["pieces"], direct.pieces):
             assert row["exponent"] == str(exponent)
@@ -302,6 +302,14 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err == f"error: config key {key!r} does not apply to this subcommand\n"
 
+    def test_depth_key_rejected_by_delta_apply(self, capsys, tmp_path):
+        # the coordinate change sizes its own table from the state's weight
+        config = tmp_path / "run.cfg"
+        config.write_text("depth=2\n")
+        code, out, err = run_cli(capsys, "delta-apply", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: config key 'depth' does not apply to this subcommand\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "ajcoeffs", "--config", "/nonexistent.cfg")
         assert code == 2
@@ -353,10 +361,18 @@ class TestValidation:
 
 
 class TestTableDepthCeiling:
+    """ajcoeffs takes the depth as a flag; delta-apply reads a table of depth
+    ceil(p) on a weight-p state, so weight (2 * ceiling + 1) / 2 needs one
+    of depth ceiling + 1."""
+
     @pytest.mark.parametrize("command", ["ajcoeffs", "delta-apply"])
     def test_depth_above_the_ceiling_exits_two(self, capsys, command):
         depth = str(MAX_TABLE_DEPTH + 1)
-        code, out, err = run_cli(capsys, command, "--k", "2", "--depth", depth)
+        if command == "ajcoeffs":
+            request = ("--depth", depth)
+        else:
+            request = (f"--state=-{2 * MAX_TABLE_DEPTH + 1}/2",)
+        code, out, err = run_cli(capsys, command, "--k", "2", *request)
         assert (code, out) == (2, "")
         assert err == (
             f"error: table depth {depth} exceeds the ceiling {MAX_TABLE_DEPTH}\n"

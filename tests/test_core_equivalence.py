@@ -18,7 +18,7 @@ run without a cache:
   (1+y)^{1/k} - 1 to each power the conjugation check reads, against the
   one exact root table `deltak._RootPowers`;
 * `apply_delta` without the per-word cache: `_exp_virasoro` on the whole
-  state, with the caller's table;
+  state, with an explicit a_j table at the covering depth and deeper;
 * two one-form `verify._commutator_report` calls, against one call that
   walks the grid once for both obstruction forms.
 
@@ -36,11 +36,9 @@ from twistfock.deltak import (
     FORWARD,
     INVERSE,
     DeltaExpansion,
-    DeltaOp,
     _RootPowers,
     apply_delta,
     covering_depth,
-    delta_op,
     solve_aj,
 )
 from twistfock.fermion import (
@@ -176,19 +174,15 @@ def homogeneous_states():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
-def test_level_bound_matches_unbounded_loop(k, monkeypatch):
+def test_level_bound_matches_unbounded_loop(k):
     for u in homogeneous_states():
         p = u.homogeneous_level()
-        old_depth = rational_ceil(p) * k + 2
+        old_table = solve_aj(k, rational_ceil(p) * k + 2)
         for direction in (FORWARD, INVERSE):
-            bounded = apply_delta(delta_op(k, direction, cutoff=p), u)
-            with monkeypatch.context() as patch:
-                patch.setattr(deltak, "_exp_virasoro", unbounded_exp_virasoro)
-                # per-word entries made by the bounded loop would be read back
-                deltak._word_drops.cache_clear()
-                expected = apply_delta(DeltaOp(k, old_depth, direction), u)
-            deltak._word_drops.cache_clear()
-            assert bounded == expected, (k, u.render(), direction)
+            expected = direct_apply_delta(
+                k, u, direction, old_table, exp_virasoro=unbounded_exp_virasoro
+            )
+            assert apply_delta(k, u, direction) == expected, (k, u.render(), direction)
 
 
 def test_virasoro_vanishes_above_the_level():
@@ -513,25 +507,21 @@ def test_conjugation_reads_inside_the_stated_degree():
 
 
 # ---------------------------------------------------------------------------
-# the coordinate change without the per-word cache, verbatim
+# the coordinate change without the per-word cache, on an explicit table
 # ---------------------------------------------------------------------------
 
 
-def direct_apply_delta(op, u, window=None):
+def direct_apply_delta(k, u, direction, table, window=None, *,
+                       exp_virasoro=deltak._exp_virasoro):
     if u.is_zero():
-        return DeltaExpansion(op.k, op.direction, ZERO, ONE, ())
+        return DeltaExpansion(k, direction, ZERO, ONE, ())
     p = u.homogeneous_level()
-    if op.depth < rational_floor(p):
-        raise ValueError(
-            f"table depth {op.depth} does not cover states of weight {p}"
-        )
-    k = op.k
-    sign = 1 if op.direction == FORWARD else -1
-    drops = deltak._exp_virasoro(u, op.table, sign)
+    sign = 1 if direction == FORWARD else -1
+    drops = exp_virasoro(u, table, sign)
     pieces = []
     for j in sorted(drops):
         state = drops[j]
-        if op.direction == FORWARD:
+        if direction == FORWARD:
             exponent = p / k - p - QQ(j, k)
         else:
             exponent = p - p / k - j
@@ -540,8 +530,8 @@ def direct_apply_delta(op, u, window=None):
             continue
         pieces.append((exponent, state))
     pieces.sort(key=lambda item: -item[0])
-    prefactor = k_to_the(k, -p) if op.direction == FORWARD else k_to_the(k, p)
-    return DeltaExpansion(k, op.direction, p, prefactor, tuple(pieces))
+    prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
+    return DeltaExpansion(k, direction, p, prefactor, tuple(pieces))
 
 
 def quasi_primary_combination() -> State:
@@ -570,12 +560,12 @@ def test_cached_coordinate_change_matches_direct(k):
     for direction in (FORWARD, INVERSE):
         for u in delta_inputs():
             p = u.homogeneous_level()
-            # the first call fills the cache at one depth, the second reads
-            # it through a deeper table: the key leaves the depth out
+            # the first call fills the cache, the second reads it back; the
+            # oracle reads the whole state through an explicit table, at the
+            # covering depth and deeper
             for depth in (covering_depth(p), covering_depth(p) + 3):
-                op = DeltaOp(k, depth, direction)
-                expected = direct_apply_delta(op, u)
-                got = apply_delta(op, u)
+                expected = direct_apply_delta(k, u, direction, solve_aj(k, depth))
+                got = apply_delta(k, u, direction)
                 assert got == expected, (k, direction, u.render(), depth)
                 for _, piece in got.pieces:
                     assert_invariant(piece)
@@ -585,17 +575,18 @@ def test_cached_coordinate_change_matches_direct(k):
 def test_cancelled_drop_is_left_out():
     u = quasi_primary_combination()
     for k in (2, 3):
-        expansion = apply_delta(DeltaOp(k, 4, FORWARD), u)
+        expansion = apply_delta(k, u)
         p = u.homogeneous_level()
         assert p / k - p - QQ(1, k) not in expansion.exponents()
-        assert expansion == direct_apply_delta(DeltaOp(k, 4, FORWARD), u)
+        assert expansion == direct_apply_delta(k, u, FORWARD, solve_aj(k, 4))
 
 
-def test_uncovered_depth_is_refused_before_the_cache():
+def test_word_above_the_ceiling_is_refused_before_the_cache():
     deltak._word_drops.cache_clear()
-    u = State({(QQ(-5, 2), QQ(-3, 2)): ONE})
-    with pytest.raises(ValueError, match="does not cover"):
-        apply_delta(DeltaOp(2, 3, FORWARD), u)
+    u = State({(QQ(-257, 2), QQ(-1, 2)): ONE})  # weight 129
+    for direction in (FORWARD, INVERSE):
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            apply_delta(2, u, direction)
     assert deltak._word_drops.cache_info().currsize == 0
 
 

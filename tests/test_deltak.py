@@ -19,7 +19,6 @@ from twistfock.deltak import (
     FORWARD,
     INVERSE,
     AjTable,
-    DeltaOp,
     MAX_CONJUGATION_DEPTH,
     MAX_TABLE_DEPTH,
     aj_to_csv,
@@ -28,7 +27,6 @@ from twistfock.deltak import (
     check_conjugation,
     check_f_composition,
     covering_depth,
-    delta_op,
     f_inverse_series,
     f_series,
     round_trip_defect,
@@ -120,16 +118,15 @@ class TestCoverMap:
 
 class TestApplyDelta:
     def test_k1_is_identity_on_basis(self):
-        op = delta_op(1)
         for word in ns_basis(QQ(2)):
             u = State({word: ONE})
-            expansion = apply_delta(op, u)
+            expansion = apply_delta(1, u)
             assert expansion.prefactor == ONE
             assert expansion.pieces == ((ZERO, u),)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_vacuum_is_fixed(self, k):
-        expansion = apply_delta(delta_op(k), VACUUM)
+        expansion = apply_delta(k, VACUUM)
         assert expansion.prefactor == ONE
         assert expansion.pieces == ((ZERO, VACUUM),)
 
@@ -137,7 +134,7 @@ class TestApplyDelta:
     def test_conformal_vector_expansion(self, k):
         # two pieces: the vector itself, and the table's second coefficient
         # times half the central charge on the vacuum, two lattice steps down
-        expansion = apply_delta(delta_op(k), OMEGA)
+        expansion = apply_delta(k, OMEGA)
         assert expansion.prefactor == QQ(1, k * k)
         lead = QQ(2, k) - 2
         assert expansion.leading_exponent() == lead
@@ -148,38 +145,35 @@ class TestApplyDelta:
         assert len(expansion.pieces) == 2
 
     def test_generator_expansion_k2(self):
-        expansion = apply_delta(delta_op(2), PSI)
+        expansion = apply_delta(2, PSI)
         assert expansion.prefactor == k_to_the(2, QQ(-1, 2))
         assert expansion.prefactor == cyc_sqrt_k(2) / 2
         assert expansion.pieces == ((QQ(-1, 4), PSI),)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_leading_exponent_is_weight_law(self, k):
-        op = delta_op(k)
         for word in ns_basis(QQ(2)):
             u = State({word: ONE})
             p = word_level(word)
-            expansion = apply_delta(op, u)
+            expansion = apply_delta(k, u)
             assert expansion.leading_exponent() == p / k - p
             assert expansion.state_at(expansion.leading_exponent()) == u
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_odd_states_live_on_shifted_lattice(self, k):
-        op = delta_op(k)
         for word in ns_basis(QQ(5, 2)):
             if word_parity(word) == 0:
                 continue
-            expansion = apply_delta(op, State({word: ONE}))
+            expansion = apply_delta(k, State({word: ONE}))
             for e in expansion.exponents():
                 assert (e * k - QQ(1, 2)).denominator == 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_parity_and_weight_of_pieces(self, k):
-        op = delta_op(k)
         for word in ns_basis(QQ(2)):
             u = State({word: ONE})
             p = word_level(word)
-            expansion = apply_delta(op, u)
+            expansion = apply_delta(k, u)
             for e, s in expansion.pieces:
                 assert s.homogeneous_parity() == word_parity(word)
                 j = (p / k - p - e) * k
@@ -193,8 +187,7 @@ class TestApplyDelta:
             assert defect.is_zero()
 
     def test_inverse_exponents_are_integral_shifts(self):
-        op = delta_op(2, INVERSE)
-        expansion = apply_delta(op, OMEGA)
+        expansion = apply_delta(2, OMEGA, INVERSE)
         assert expansion.prefactor == QQ(4)
         assert expansion.leading_exponent() == 2 - QQ(2, 2)
         for e in expansion.exponents():
@@ -202,39 +195,34 @@ class TestApplyDelta:
 
     def test_window_filters_exponents(self):
         window = Window({"x": (QQ(-3, 2), None)})
-        expansion = apply_delta(delta_op(2), OMEGA, window)
+        expansion = apply_delta(2, OMEGA, window=window)
         assert expansion.exponents() == (QQ(-1),)
 
     def test_rejects_mixed_weight_state(self):
         mixed = PSI + OMEGA
         with pytest.raises(ValueError, match="not homogeneous"):
-            apply_delta(delta_op(2), mixed)
-
-    def test_rejects_insufficient_depth(self):
-        deep = State({(QQ(-7, 2), QQ(-1, 2)): ONE})  # weight 4
-        with pytest.raises(ValueError, match="does not cover"):
-            apply_delta(DeltaOp(2, 2, FORWARD), deep)
+            apply_delta(2, mixed)
 
     def test_one_depth_rule_for_every_order(self):
         assert [covering_depth(w) for w in (0, QQ(1, 2), 2, QQ(5, 2))] == [1, 1, 2, 3]
-        for k in range(1, 7):
-            assert delta_op(k).depth == 2
-            assert delta_op(k, INVERSE, cutoff=QQ(9, 2)).depth == 5
 
     def test_rejects_depth_above_the_ceiling(self):
-        with pytest.raises(ValueError, match="exceeds the ceiling"):
-            DeltaOp(2, MAX_TABLE_DEPTH + 1)
+        # weight 257/2 reads a table of depth ceil(257/2) = ceiling + 1
+        heavy = State({(-QQ(2 * MAX_TABLE_DEPTH + 1, 2),): ONE})
+        for direction in (FORWARD, INVERSE):
+            with pytest.raises(ValueError, match="exceeds the ceiling"):
+                apply_delta(2, heavy, direction)
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             solve_aj(2, MAX_TABLE_DEPTH + 1)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError, match="direction"):
-            DeltaOp(2, 3, "sideways")
+            apply_delta(2, PSI, "sideways")
 
     def test_zero_state_expansion_is_empty(self):
         from twistfock.fermion import ZERO_STATE
 
-        expansion = apply_delta(delta_op(2), ZERO_STATE)
+        expansion = apply_delta(2, ZERO_STATE)
         assert expansion.pieces == ()
 
     @settings(max_examples=40, deadline=None)

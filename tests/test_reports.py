@@ -19,6 +19,11 @@ conjugation depth 6, whose shifted-coordinate expansion reads root powers
 ((1+y)^{1/k} - 1)^e at larger |e| than the default depth, and the second odd
 order k = 5, which no benchmark workload runs.
 
+Three more command lines are pinned by hash because no delta-session
+request reaches them: an inverse change of a two-mode word at k = 4 through
+an exponent window, as CSV; the conformal vector at k = 2 as a table of
+`~`-marked decimals; and an order-3 coefficient table as JSON.
+
 The benchmark's delta-apply stream is pinned by the SHA-256 of every
 response, stored in `bench/reference/delta-session.json` under the
 request's command line.  All 96 requests run in one process, as in the
@@ -81,6 +86,15 @@ K5_SHA256 = (
     "0c1d6cb0dd8473d92fb5718a284065f92b8431adc0e6349c9128270f87cc1747"
 )
 
+CLI_SHA256 = {
+    "delta-apply --k 4 --state=-5/2,-3/2 --inverse --lo -4 --hi 0 --format csv":
+        "148d0f15228f9a0ed2b22e052100381f31d2dd555011fc129bb0bd083833be95",
+    "delta-apply --k 2 --state omega --decimal --format table":
+        "117e65449726e1be5d26eecb6ba987ef61728ef47882016a07659e2c743c7622",
+    "ajcoeffs --k 3 --depth 6 --format json":
+        "c3c401d13625e42a63bec117e3596aadcd6a06f66822c4406d294613cadef2d5",
+}
+
 
 @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
 def test_report_matches_reference(capsys, name):
@@ -116,6 +130,11 @@ def test_k3_depth6_report_matches_pinned_hash(capsys):
 
 def test_k5_report_matches_pinned_hash(capsys):
     assert report_sha256(capsys, K5_ARGV) == K5_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SHA256))
+def test_cli_output_matches_pinned_hash(capsys, command):
+    assert report_sha256(capsys, command.split()) == CLI_SHA256[command]
 
 
 def test_delta_session_responses_match_stored_digests(capsys):
