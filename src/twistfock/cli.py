@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .scalars import QQ, ONE, CycScalar, complex_embedding, scalar_str
 from .formal import Window
-from .fermion import OMEGA, PSI, VACUUM, State
+from .fermion import OMEGA, PSI, VACUUM, State, check_ns_word
 from .ramond import format_ramond_word
 from .deltak import (
     FORWARD,
@@ -219,7 +219,8 @@ _NAMED_STATES = {
 
 def parse_state(text: str) -> State:
     """A named generator (vacuum/1/psi/omega) or a comma-separated strictly
-    increasing list of negative half-odd mode indices, e.g. ``-3/2,-1/2``."""
+    increasing list of negative half-odd mode indices, e.g. ``-3/2,-1/2``,
+    encoded once into the doubled word of the state."""
     name = text.strip().lower()
     if name in _NAMED_STATES:
         return _NAMED_STATES[name]
@@ -229,21 +230,10 @@ def parse_state(text: str) -> State:
         if not part:
             raise ValueError(f"empty mode index in state {text!r}")
         try:
-            index = parse_rational(part)
+            indices.append(parse_rational(part))
         except ValueError as exc:
             raise ValueError(f"bad mode index {part!r} in state") from exc
-        if index >= 0 or (2 * index).denominator != 1 or index.denominator != 2:
-            raise ValueError(
-                f"mode index {part} must be a negative half-odd integer "
-                "(the untwisted generator lattice)"
-            )
-        indices.append(index)
-    word = tuple(indices)
-    if tuple(sorted(set(word))) != word:
-        raise ValueError(
-            f"mode indices must be strictly increasing, got {text!r}"
-        )
-    return State({word: ONE})
+    return State({check_ns_word(indices): ONE})
 
 
 # ---------------------------------------------------------------------------

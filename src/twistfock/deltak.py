@@ -62,8 +62,9 @@ from .fermion import (
 
 # Deepest coefficient table any caller may ask for.  The solve holds a
 # (J+1) x (J+2) array of exact fractions whose numerators grow with J and
-# costs O(J^3) fraction operations: depth 128 takes about 10 s on a 2-core
-# host, and a depth of a million would exhaust memory before any check ran.
+# costs O(J^3) fraction operations: depth 128 takes about 6.5 s on a 2-core
+# host (a state of weight 255/2, which reads it, about 20 s in all), and a
+# depth of a million would exhaust memory before any check ran.
 MAX_TABLE_DEPTH = 128
 
 
@@ -79,8 +80,8 @@ def _require_depth(depth: int) -> None:
 
 # Deepest z0-expansion the conjugation check may run at.  Its cost grows
 # steeply with the depth (the operator is applied to states of weight up to
-# the depth): the k = 3 obstruction suite takes about 0.7 s at the default
-# depth 4, 1.4 s at depth 8, 5 s at depth 12 and over 15 s at depth 16 on a
+# the depth): the k = 3 obstruction suite takes about 0.5 s at the default
+# depth 4, 0.9 s at depth 8, 2.6 s at depth 12 and 10 s at depth 16 on a
 # 2-core host, and runs for minutes at depth 40.
 MAX_CONJUGATION_DEPTH = 12
 
@@ -426,6 +427,8 @@ def apply_delta(k: int, u: State, direction: str = FORWARD,
     contains (variable "x").  The operator is linear, so the pieces are the
     cached per-word pieces weighted by the coefficients of u.
     """
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
     if direction not in (FORWARD, INVERSE):
         raise ValueError(
             f"direction must be '{FORWARD}' or '{INVERSE}', got {direction!r}"

@@ -8,12 +8,14 @@ the residue-extraction recursion (`iterate_mode_word`), which also covers the
 parity-twisted sector used by the `ramond` module through its half-integer
 lattice shift.  All coefficients stay exact rationals.
 
-The recursion and the anticommutation kernel run on doubled-integer modes: a
-mode m is the int 2m, a word the tuple of those ints, a lattice index mu the
-int 2 mu.  The field's word is untwisted, so every binomial C(n, i) of the
-recursion has an integer top n and is an exact integer; only the twisted
-sector's zero mode and its C(1/2, i) correction bring in halves.  The public
-functions take and return `QQ` words and coefficients as before.
+Words are doubled-integer throughout: a mode m is stored as the int 2m and a
+word as the tuple of those ints, so psi_{-3/2} psi_{-1/2}|0> is the word
+(-3, -1) and psi_{-1} psi_0|R> is (-2, 0).  Doubling is increasing, so
+doubled words sort as the modes do.  `State` terms, the bases and the
+recursion all use this one form; physical modes appear only at the text
+boundary, where `check_ns_word`/`check_ramond_word` encode a word of modes
+and `format_ns_word`/`format_ramond_word` print one.  Lattice indices and
+levels stay exact rationals in the public functions.
 
 A mode of a descendant field on a state of either sector is `field_mode`:
 it sums the recursion's results over the pairs of words of the field's
@@ -30,7 +32,7 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -51,51 +53,53 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 
 
-def check_ns_word(word) -> tuple:
-    """Validate and normalize an untwisted-sector word.
-
-    Entries are physical modes in Z + 1/2, each <= -1/2, strictly
-    ascending (leftmost = most negative = applied first in print order).
-    """
+def _encode(word, sector_half: int) -> tuple:
+    """The doubled word of a word of physical modes of one sector
+    (`sector_half` as in `iterate_mode_word`): strictly ascending creation
+    modes, in Z + 1/2 untwisted and in Z twisted."""
+    lattice, top = ("Z", ZERO) if sector_half else ("Z + 1/2", -HALF)
     modes = tuple(QQ(m) for m in word)
     for m in modes:
-        if (2 * m).denominator != 1 or (2 * m).numerator % 2 == 0:
-            raise ValueError(f"mode {m} is not in Z + 1/2")
-        if m > QQ(-1, 2):
+        if m.denominator != 2 - sector_half:
+            raise ValueError(f"mode {m} is not in {lattice}")
+        if m > top:
             raise ValueError(f"mode {m} is not a creation mode")
     if any(a >= b for a, b in zip(modes, modes[1:])):
-        raise ValueError(f"word {modes} is not strictly ascending")
-    return modes
+        text = ", ".join(str(m) for m in modes)
+        raise ValueError(f"word ({text}) is not strictly ascending")
+    return tuple(int(2 * m) for m in modes)
+
+
+def check_ns_word(word) -> tuple:
+    """The doubled word of strictly ascending untwisted modes <= -1/2."""
+    return _encode(word, 0)
 
 
 def check_ramond_word(word) -> tuple:
-    """Validate a parity-twisted-sector word: strictly ascending integers <= 0."""
-    modes = tuple(QQ(m) for m in word)
-    for m in modes:
-        if m.denominator != 1:
-            raise ValueError(f"mode {m} is not an integer")
-        if m > 0:
-            raise ValueError(f"mode {m} is not a creation mode")
-    if any(a >= b for a, b in zip(modes, modes[1:])):
-        raise ValueError(f"word {modes} is not strictly ascending")
-    return modes
+    """The doubled word of strictly ascending twisted modes <= 0."""
+    return _encode(word, 1)
 
 
 def word_level(word) -> QQ:
     """Sum of -mode over the word: the grading above the sector's floor."""
-    return sum((-m for m in word), ZERO)
+    return QQ(-sum(word), 2)
 
 
 def word_parity(word) -> int:
     return len(word) % 2
 
 
+def _mode_str(m2: int) -> str:
+    """The physical mode m2/2 as exact text: -3/2, -1, 0."""
+    return f"{m2}/2" if m2 & 1 else str(m2 // 2)
+
+
 def format_ns_word(word) -> str:
-    return "".join(f"psi({m})" for m in word) + "|0>"
+    return "".join(f"psi({_mode_str(m2)})" for m2 in word) + "|0>"
 
 
 def format_ramond_word(word) -> str:
-    return "".join(f"psi({m})" for m in word) + "|R>"
+    return "".join(f"psi({_mode_str(m2)})" for m2 in word) + "|R>"
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,17 @@ def format_ramond_word(word) -> str:
 # ---------------------------------------------------------------------------
 
 _word_of = itemgetter(0)
+
+
+def _require_doubled(word: tuple) -> tuple:
+    """The word, once its entries are checked to be doubled-int modes (in a
+    tensor word, tuples of them): a rational mode is refused, never read."""
+    for m in word:
+        if type(m) is not int and not (
+                type(m) is tuple and all(type(x) is int for x in m)):
+            raise TypeError(f"word entry {m!r} is not a doubled-int mode; "
+                            "encode modes with check_ns_word/check_ramond_word")
+    return word
 
 
 def _accumulate(table: dict, pairs, factor) -> None:
@@ -121,7 +136,7 @@ def _accumulate(table: dict, pairs, factor) -> None:
 
 @dataclass(frozen=True)
 class State:
-    """A finite linear combination of basis words with exact coefficients.
+    """A finite linear combination of doubled words with exact coefficients.
 
     Invariant: ``terms`` is a tuple of (word, coefficient) pairs sorted by
     word, with distinct words and no zero coefficient.  So two states are
@@ -140,7 +155,7 @@ class State:
         for word, coeff in dict(table).items():
             if scalar_is_zero(coeff):
                 continue
-            clean[tuple(word)] = coeff
+            clean[_require_doubled(tuple(word))] = coeff
         object.__setattr__(self, "terms", tuple(sorted(clean.items(), key=_word_of)))
 
     @classmethod
@@ -180,11 +195,8 @@ class State:
         return not self.terms
 
     def coefficient(self, word):
-        target = tuple(QQ(m) for m in word)
-        for w, c in self.terms:
-            if w == target:
-                return c
-        return ZERO
+        """The coefficient of a doubled word."""
+        return dict(self.terms).get(tuple(word), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, State):
@@ -203,10 +215,11 @@ class State:
 
     def homogeneous_level(self):
         """The common word level, or raise if the state is mixed."""
-        levels = {word_level(w) for w, _ in self.terms}
-        if len(levels) > 1:
-            raise ValueError(f"state is not homogeneous: levels {sorted(levels)}")
-        return levels.pop() if levels else None
+        sums = {sum(w) for w, _ in self.terms}
+        if len(sums) > 1:
+            levels = ", ".join(str(QQ(-s, 2)) for s in sorted(sums, reverse=True))
+            raise ValueError(f"state is not homogeneous: levels {levels}")
+        return QQ(-sums.pop(), 2) if sums else None
 
     def homogeneous_parity(self):
         parities = {word_parity(w) for w, _ in self.terms}
@@ -234,40 +247,11 @@ def combine(pairs) -> State:
 
 ZERO_STATE = State({})
 VACUUM = State({(): QQ(1)})
-PSI = State({(QQ(-1, 2),): QQ(1)})
+PSI = State({(-1,): QQ(1)})  # psi_{-1/2} |0>
 #: conformal vector: (1/2) psi_{-3/2} psi_{-1/2} |0>, central charge 1/2
-OMEGA = State({(QQ(-3, 2), QQ(-1, 2)): HALF})
+OMEGA = State({(-3, -1): HALF})
 CENTRAL_CHARGE = HALF
 RAMOND_GROUND = State({(): QQ(1)})  # interpreted over |R> words
-
-
-# ---------------------------------------------------------------------------
-# doubled-integer modes
-# ---------------------------------------------------------------------------
-#
-# Every mode the kernels below meet lies on the half-integer lattice, so they
-# store a mode m as the int 2m and a word as a tuple of those ints.  Doubling
-# is increasing, so encoded words sort as the words do; index and level
-# arithmetic, hashing and cache lookups all run on ints.  Untwisted modes
-# encode to odd ints, twisted ones to even ints.
-
-
-def _double(x) -> int:
-    """2x as an int, for an exact rational x on the half-integer lattice."""
-    num, den = x.numerator, x.denominator
-    if den not in (1, 2):
-        raise ValueError(f"{x} is not on the half-integer lattice")
-    return int(num) * (2 // den)
-
-
-def _encode(word) -> tuple:
-    return tuple(_double(m) for m in word)
-
-
-@lru_cache(maxsize=None)
-def _decode(word2) -> tuple:
-    """The QQ word of a doubled word; cached, so equal words share storage."""
-    return tuple(QQ(m2, 2) for m2 in word2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +285,8 @@ def _apply2(word: tuple, m2: int) -> tuple:
 
 
 def apply_phys_mode(word, m, ramond: bool):
-    """psi_m applied to one ordered word; returns [(word, rational)].
+    """psi_m, for a physical mode m, applied to one doubled word; returns
+    [(word, rational)].
 
     `ramond` selects the sector whose lattice m must lie on: the integers for
     the parity-twisted sector, Z + 1/2 for the untwisted one.
@@ -312,7 +297,7 @@ def apply_phys_mode(word, m, ramond: bool):
             raise ValueError(f"twisted-sector mode {m} must be an integer")
     elif (2 * m).denominator != 1 or (2 * m).numerator % 2 == 0:
         raise ValueError(f"untwisted-sector mode {m} must be in Z + 1/2")
-    return [(_decode(w), QQ(c)) for w, c in _apply2(_encode(word), _double(m))]
+    return [(w, QQ(c)) for w, c in _apply2(word, int(2 * m))]
 
 
 def fermion_mode(n, s: State) -> State:
@@ -336,25 +321,27 @@ def fermion_mode(n, s: State) -> State:
 # where field subscripts are lattice indices (physical mode = index + 1/2)
 # and the final sum re-enters the recursion on strictly lower word weight.
 #
-# `_iterate2` evaluates this on doubled integers: every mode, word, index and
-# the shift s enter as twice their value.  The field's word a is untwisted,
-# so m1 lies in Z + 1/2 and n = m1 - 1/2 is an integer; then
+# `iterate_mode_word` evaluates this on doubled integers: every mode, word,
+# index and the shift s enter as twice their value.  The field's word a is
+# untwisted, so m1 lies in Z + 1/2 and n = m1 - 1/2 is an integer; then
 # (-1)^i C(n,i) = C(i-n-1, i) is an integer too, built by the exact integer
 # step d_{i+1} = d_i (i-n)/(i+1).  Only the twisted correction's C(1/2, i)
-# (from a table) and the zero mode's 1/2 are not integers.  Every index shift
-# above is a multiple of 1/2 and the recursion ends at mu = -1, so an index
-# off the half-integer lattice gives zero at once.
+# and the zero mode's 1/2 are not integers.  Every index shift above is a
+# multiple of 1/2 and the recursion ends at mu = -1, so an index off the
+# half-integer lattice gives zero at once.
 
 
 @lru_cache(maxsize=None)
-def _neg_binomial_half(i: int):
-    """-C(1/2, i), the twisted correction's coefficient."""
-    return -binomial(HALF, i)
+def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
+    """Mode mu2/2 (a lattice index) of the field of `a_word`, on one word.
 
-
-@lru_cache(maxsize=None)
-def _iterate2(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
-    """`iterate_mode_word` on doubled words and a doubled index, unsorted."""
+    Words are doubled and so is the index.  `sector_half` is twice the
+    sector shift: 0 acts on the untwisted module, 1 on the parity-twisted
+    one.  Returns an unsorted tuple of (word, coefficient) pairs with int
+    coefficients, or exact halves in the twisted sector; every sum of the
+    recursion is finite because annihilation kills high modes and the
+    graded pieces below the sector floor vanish.
+    """
     if not a_word:
         return ((word, 1),) if mu2 == -2 else ()
     m1 = a_word[0]
@@ -369,8 +356,8 @@ def _iterate2(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
     i = 0
     while room >= 0:
         psi2 = sector_half + m1 - 2 * i
-        for mid_word, mid_coeff in _iterate2(rest, mu2 - sector_half + 2 * i,
-                                             word, sector_half):
+        for mid_word, mid_coeff in iterate_mode_word(
+                rest, mu2 - sector_half + 2 * i, word, sector_half):
             _accumulate(out, _apply2(mid_word, psi2), d * mid_coeff)
         d = d * (i - n) // (i + 1)
         i += 1
@@ -386,8 +373,8 @@ def _iterate2(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
         psi2 = sector_half + 1
         while psi2 <= top:
             for mid_word, mid_coeff in _apply2(word, psi2):
-                inner = _iterate2(rest, m1 - 1 + mu2 - sector_half - 2 * i,
-                                  mid_word, sector_half)
+                inner = iterate_mode_word(
+                    rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
                 _accumulate(out, inner, sign * d * mid_coeff)
             d = d * (i - n) // (i + 1)
             i += 1
@@ -398,42 +385,28 @@ def _iterate2(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
         bound2 = -m1 - (rest[0] if rest else 0)
         for i in range(1, bound2 // 2 + 1):
             for mid_word, mid_coeff in _apply2(rest, m1 + 2 * i):
-                inner = _iterate2(mid_word, mu2 - 2 * i, word, sector_half)
-                _accumulate(out, inner, _neg_binomial_half(i) * mid_coeff)
+                inner = iterate_mode_word(mid_word, mu2 - 2 * i, word, sector_half)
+                _accumulate(out, inner, -binomial(HALF, i) * mid_coeff)
 
     return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def iterate_mode_word(a_word, mu, word, sector_half: int):
-    """Mode `mu` (lattice index) of the field of `a_word`, on one word.
-
-    `sector_half` is twice the sector shift: 0 acts on the untwisted module,
-    1 on the parity-twisted one.  Returns a tuple of (word, coefficient)
-    pairs sorted by word; every sum of the recursion is finite because
-    annihilation kills high modes and the graded pieces below the sector
-    floor vanish.  The arguments are encoded once, `_iterate2` does the
-    work, and its result is decoded once per call that misses this cache.
-    """
-    mu2 = 2 * QQ(mu)
-    if mu2.denominator != 1:
-        return ()
-    result = _iterate2(_encode(a_word), int(mu2), _encode(word), sector_half)
-    return tuple((_decode(w), QQ(c)) for w, c in sorted(result))
 
 
 def field_mode(v: State, t, target: State, sector_half: int) -> State:
     """Lattice mode t of the field of v on a state of either sector.
 
-    `sector_half` is as in `iterate_mode_word`.  The mode is bilinear in v
-    and the target: every pair of their words contributes
+    `sector_half` is as in `iterate_mode_word`.  The index is doubled
+    once; off the half-integer lattice the mode is zero.  The mode is
+    bilinear in v and the target: every pair of their words contributes
     a_coeff * t_coeff times the recursion's result, summed in one dict.
     """
-    t = QQ(t)
+    den = t.denominator
+    if den > 2:
+        return ZERO_STATE
+    mu2 = t.numerator * (2 // den)
     out: dict = {}
     for a_word, a_coeff in v.terms:
         for word, t_coeff in target.terms:
-            _accumulate(out, iterate_mode_word(a_word, t, word, sector_half),
+            _accumulate(out, iterate_mode_word(a_word, mu2, word, sector_half),
                         a_coeff * t_coeff)
     return State._of_table(out)
 
@@ -457,32 +430,33 @@ def virasoro(n, s: State) -> State:
 # ---------------------------------------------------------------------------
 
 
-def _basis(max_level, first_mode) -> list:
-    """All words of strictly descending modes <= first_mode with level <=
-    max_level, sorted by (level, word); empty below level 0."""
-    max_level = QQ(max_level)
+def _basis(max_level, first2: int) -> list:
+    """All doubled words of strictly descending modes <= first2 with level
+    <= max_level, sorted by (level, word); empty below level 0.  Every level
+    is a multiple of 1/2, so twice the level bound may be floored."""
     words = []
 
-    def build(prefix, next_mode, budget):
+    def build(prefix, next2, budget2):
         words.append(tuple(reversed(prefix)))
-        m = next_mode
-        while -m <= budget:
-            build(prefix + [m], m - 1, budget + m)
-            m -= 1
+        m2 = next2
+        while -m2 <= budget2:
+            build(prefix + [m2], m2 - 2, budget2 + m2)
+            m2 -= 2
 
-    if max_level >= 0:
-        build([], first_mode, max_level)
-    return sorted(words, key=lambda w: (word_level(w), w))
+    budget2 = rational_floor(2 * QQ(max_level))
+    if budget2 >= 0:
+        build([], first2, budget2)
+    return sorted(words, key=lambda w: (-sum(w), w))
 
 
 def ns_basis(max_level) -> list:
     """All untwisted words of level <= max_level, sorted by (level, word)."""
-    return _basis(max_level, QQ(-1, 2))
+    return _basis(max_level, -1)
 
 
 def ramond_basis(max_level) -> list:
     """All parity-twisted words of level <= max_level (mode 0 allowed once)."""
-    return _basis(max_level, ZERO)
+    return _basis(max_level, 0)
 
 
 def vertex_op(v: State, window: Window, *, domain_level=QQ(2)) -> OperatorField:
@@ -583,6 +557,7 @@ def tensor_vertex_mode(a_tword, t, target_tword):
     budget_total = t - (k - 1)
     if budget_total.denominator != 1:
         return ()
+    budget_total = int(budget_total)
 
     sign = QQ(1)
     left_parity = 0
@@ -607,12 +582,12 @@ def tensor_vertex_mode(a_tword, t, target_tword):
             t_j = budget
             if t_j > his[j]:
                 return
-            res = iterate_mode_word(a_tword[j], t_j, target_tword[j], 0)
+            res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
             _accumulate(out, ((factors + (w,), c) for w, c in res), coeff)
             return
         lo_j = budget - suffix_hi[j + 1]
-        for t_j in range(rational_floor(his[j]), rational_floor(lo_j) - 1, -1):
-            res = iterate_mode_word(a_tword[j], QQ(t_j), target_tword[j], 0)
+        for t_j in range(his[j], lo_j - 1, -1):
+            res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
             for w, c in res:
                 assemble(j + 1, budget - t_j, factors + (w,), coeff * c)
 

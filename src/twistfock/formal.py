@@ -678,20 +678,26 @@ def compare_fields(
     window: Window,
     lattice_den: int,
     keys,
+    key_formatter=str,
 ) -> ComparisonResult:
-    """Compare two operator fields entrywise over a window and a key set."""
+    """Compare two operator fields entrywise over a window and a key set; a
+    mismatch is located as "x^e @ key -> output key", keys written by
+    ``key_formatter``."""
     if lhs.variables != rhs.variables:
         raise ValueError("fields must share variables for comparison")
     result = ComparisonResult(name)
     for mono in window.lattice_points(lhs.variables, lattice_den):
+        at = " ".join(f"{v}^{e}" for v, e in zip(lhs.variables, mono))
         for key in keys:
             a = lhs.column(mono, key)
             b = rhs.column(mono, key)
             # the column itself counts, so two empty columns are compared
             result.compared += 1
-            for okey in set(a) | set(b):
+            for okey in sorted(set(a) | set(b)):
                 result.compare(
-                    mono + (key, okey), a.get(okey, ZERO), b.get(okey, ZERO)
+                    f"{at} @ {key_formatter(key)} -> {key_formatter(okey)}",
+                    a.get(okey, ZERO),
+                    b.get(okey, ZERO),
                 )
     return result
 

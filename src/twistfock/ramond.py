@@ -44,7 +44,8 @@ __all__ = [
 
 
 def ramond_mode(n, s: State) -> State:
-    """The generating field's integer physical mode psi_n on a twisted state.
+    """The generating field's integer physical mode psi_n on a twisted state
+    (n is the mode itself, not doubled).
 
     Satisfies {psi_m, psi_n} = delta_{m+n,0} with psi_0^2 = 1/2; modes n <= 0
     insert into the word with the reordering sign, n > 0 contract.

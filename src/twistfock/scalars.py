@@ -50,8 +50,10 @@ def rational_ceil(x) -> int:
     return -((-num) // den)
 
 
+@lru_cache(maxsize=None)
 def binomial(r, i: int):
-    """Generalized binomial coefficient C(r, i) for rational r, integer i >= 0."""
+    """Generalized binomial coefficient C(r, i) for rational r, integer i >= 0
+    (cached: the check grids ask for the same few many times)."""
     if i < 0:
         return ZERO
     result = ONE
@@ -482,8 +484,10 @@ def eta_k(k: int) -> CycScalar:
     return cyc_root_of_unity(4 * k, 4)
 
 
+@lru_cache(maxsize=None)
 def eta_powers(k: int) -> tuple:
-    """(eta^0, ..., eta^{k-1}) for eta = eta_k(k); eta^i is entry i % k."""
+    """(eta^0, ..., eta^{k-1}) for eta = eta_k(k); eta^i is entry i % k.
+    Cached: every slot field of order k reads the same powers."""
     eta = eta_k(k)
     return tuple(eta**i for i in range(k))
 

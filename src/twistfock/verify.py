@@ -45,6 +45,7 @@ from .fermion import (
     State,
     ZERO_STATE,
     combine,
+    format_ns_word,
     ns_basis,
     vertex_mode,
     virasoro,
@@ -197,10 +198,14 @@ class _ModeFamily:
         self.parity = parity
         self.grading_den = grading_den
         self._cache = {}
+        self._tops = {}
 
     def top(self, level) -> QQ:
         """Largest index whose mode can act without killing level ``level``."""
-        return self.weight - 1 + QQ(level) / self.grading_den
+        top = self._tops.get(level)
+        if top is None:
+            top = self._tops[level] = self.weight - 1 + QQ(level) / self.grading_den
+        return top
 
     def mode(self, m, state: State) -> State:
         if state.is_zero():
@@ -886,7 +891,8 @@ def check_translation_derivative(
     cmp_window = Window({"x": (lo, hi - 1)})
     label = f"translation-derivative[k={k},{_state_label(u)}]"
     result = compare_fields(
-        label, lhs, rhs, cmp_window, 2 * k, ramond_basis(QQ(domain_level))
+        label, lhs, rhs, cmp_window, 2 * k, ramond_basis(QQ(domain_level)),
+        format_ramond_word,
     )
     return _wrap_comparison(result, k, _window_str(cmp_window, ("x",)))
 
@@ -1033,7 +1039,8 @@ def check_u_round_trip(
     native = sigma_vertex_op(u, window, domain_level=QQ(domain_level))
     label = f"recovery-round-trip[k={k},{_state_label(u)}]"
     result = compare_fields(
-        label, recovered, native, window, 2, ramond_basis(QQ(domain_level))
+        label, recovered, native, window, 2, ramond_basis(QQ(domain_level)),
+        format_ramond_word,
     )
     return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
@@ -1221,9 +1228,9 @@ def run_suite(config: SuiteConfig | None = None) -> list:
         f"coordinate-change-round-trip[k={k},wt<={weight}]"
     )
     for word in ns_basis(weight):
-        # an untwisted (NS) state, rendered here in its own word format
         defect = round_trip_defect(k, State({word: ONE}))
-        round_trip.compare(f"round trip @ word {word}", defect.render(), "0")
+        location = f"round trip @ {format_ns_word(word)}"
+        round_trip.compare(location, defect.render(), "0")
     add(_wrap_comparison(round_trip, k, f"untwisted weight <= {weight}"))
 
     for state in (PSI, OMEGA):

@@ -150,7 +150,7 @@ class TestParseState:
 
     def test_mode_word(self):
         state = parse_state("-3/2,-1/2")
-        assert state == State({(QQ(-3, 2), QQ(-1, 2)): ONE})
+        assert state == State({(-3, -1): ONE})
 
     def test_rejects_non_half_odd_indices(self):
         with pytest.raises(ValueError):

@@ -216,13 +216,23 @@ def old_map_words(s: State, rule) -> State:
     return State(out)
 
 
+def kernel_rule(a_word, t, sector_half: int):
+    """word -> [(word, QQ)] of lattice mode t of the field of a_word, read
+    from the doubled-index kernel; empty off the half-integer lattice."""
+    mu2 = 2 * QQ(t)
+    if mu2.denominator != 1:
+        return lambda word: []
+    return lambda word: [
+        (w, QQ(c))
+        for w, c in sorted(iterate_mode_word(a_word, int(mu2), word, sector_half))
+    ]
+
+
 def old_field_mode(v: State, t, target: State, sector_half: int) -> State:
     t = QQ(t)
     out = State({})
     for a_word, a_coeff in v.terms:
-        contribution = old_map_words(
-            target, lambda word, a=a_word: iterate_mode_word(a, t, word, sector_half)
-        )
+        contribution = old_map_words(target, kernel_rule(a_word, t, sector_half))
         out = old_add(out, old_scaled(contribution, a_coeff))
     return out
 
@@ -496,7 +506,7 @@ def test_root_table_matches_the_windowed_power(k):
 def test_conjugation_reads_inside_the_stated_degree():
     # the transformed side reads the root table only up to _root_degree: a
     # deeper table gives the same map, a shallower one is refused
-    u, v = OMEGA, State({(QQ(-5, 2), QQ(-1, 2)): ONE})
+    u, v = OMEGA, State({(-5, -1): ONE})  # doubled: psi(-5/2)psi(-1/2)
     depth = 3
     degree = deltak._root_degree(u.homogeneous_level() + v.homogeneous_level(), depth)
     rhs = deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree))
@@ -537,7 +547,7 @@ def direct_apply_delta(k, u, direction, table, window=None, *,
 def quasi_primary_combination() -> State:
     """A weight-4 combination of two words that L(1) kills, so the drop-1
     piece of the coordinate change cancels between the words."""
-    w1, w2 = (QQ(-7, 2), QQ(-1, 2)), (QQ(-5, 2), QQ(-3, 2))
+    w1, w2 = (-7, -1), (-5, -3)  # doubled words of weight 4
     (_, c1), = virasoro(QQ(1), State({w1: ONE})).terms
     (_, c2), = virasoro(QQ(1), State({w2: ONE})).terms
     u = State({w1: c2, w2: -c1})
@@ -547,9 +557,9 @@ def quasi_primary_combination() -> State:
 
 def delta_inputs():
     out = [State({word: ONE}) for word in ns_basis(4)]
-    out.append(State({(QQ(-5, 2), QQ(-1, 2)): QQ(-3, 4)}))
-    out.append(State({(QQ(-7, 2), QQ(-1, 2)): QQ(2), (QQ(-5, 2), QQ(-3, 2)): QQ(1, 3)}))
-    out.append(State({(QQ(-3, 2), QQ(-1, 2)): cyc_sqrt_k(2) / 2}))
+    out.append(State({(-5, -1): QQ(-3, 4)}))
+    out.append(State({(-7, -1): QQ(2), (-5, -3): QQ(1, 3)}))
+    out.append(State({(-3, -1): cyc_sqrt_k(2) / 2}))
     out.append(quasi_primary_combination())
     return out
 
@@ -583,7 +593,7 @@ def test_cancelled_drop_is_left_out():
 
 def test_word_above_the_ceiling_is_refused_before_the_cache():
     deltak._word_drops.cache_clear()
-    u = State({(QQ(-257, 2), QQ(-1, 2)): ONE})  # weight 129
+    u = State({(-257, -1): ONE})  # psi(-257/2)psi(-1/2), weight 129
     for direction in (FORWARD, INVERSE):
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             apply_delta(2, u, direction)

@@ -208,7 +208,7 @@ class TestApplyDelta:
 
     def test_rejects_depth_above_the_ceiling(self):
         # weight 257/2 reads a table of depth ceil(257/2) = ceiling + 1
-        heavy = State({(-QQ(2 * MAX_TABLE_DEPTH + 1, 2),): ONE})
+        heavy = State({(-(2 * MAX_TABLE_DEPTH + 1),): ONE})
         for direction in (FORWARD, INVERSE):
             with pytest.raises(ValueError, match="exceeds the ceiling"):
                 apply_delta(2, heavy, direction)
@@ -224,6 +224,13 @@ class TestApplyDelta:
 
         expansion = apply_delta(2, ZERO_STATE)
         assert expansion.pieces == ()
+
+    def test_order_is_checked_before_the_zero_state(self):
+        from twistfock.fermion import ZERO_STATE
+
+        for state in (ZERO_STATE, PSI):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                apply_delta(0, state)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -259,7 +266,7 @@ class TestConjugation:
         assert report.passed
 
     def test_mismatched_inputs_are_detected(self):
-        v = State({(QQ(-1, 2),): ONE})
+        v = State({(-1,): ONE})
         lhs = _conjugation_lhs(2, PSI, v, 3)
         rhs = _conjugation_rhs(2, OMEGA, v, 3, _RootPowers(2, 8))
         assert any(

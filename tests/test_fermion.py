@@ -10,11 +10,15 @@ from twistfock.fermion import (
     VACUUM,
     State,
     check_ns_word,
+    check_ramond_word,
+    combine,
     compose_permutations,
     cycle_permutation,
     fermion_mode,
     field_to_csv,
     field_to_json,
+    format_ns_word,
+    format_ramond_word,
     iterate_mode_word,
     ns_basis,
     permutation_action,
@@ -57,7 +61,7 @@ class TestModeAlgebra:
 
     def test_reordering_sign(self):
         lhs = fermion_mode(-H, fermion_mode(QQ(-3, 2), VACUUM))
-        rhs = State({(QQ(-3, 2), -H): QQ(-1)})
+        rhs = State({(-3, -1): QQ(-1)})  # doubled: psi(-3/2)psi(-1/2)
         assert lhs == rhs
 
     def test_pauli_exclusion(self):
@@ -74,6 +78,19 @@ class TestModeAlgebra:
         )
         expected = s if m + n == 0 else State({})
         assert anti == expected
+
+    def test_words_are_doubled(self):
+        assert check_ns_word((QQ(-3, 2), -H)) == (-3, -1)
+        assert check_ramond_word((QQ(-1), QQ(0))) == (-2, 0)
+        assert format_ns_word((-3, -1)) == "psi(-3/2)psi(-1/2)|0>"
+        assert format_ramond_word((-2, 0)) == "psi(-1)psi(0)|R>"
+        assert PSI == State({check_ns_word((-H,)): QQ(1)})
+
+    def test_rational_words_are_refused(self):
+        # a rational mode is never read as a doubled one, or guessed at
+        for bad in ((-H,), (QQ(-1),), (-0.5,)):
+            with pytest.raises(TypeError, match="doubled-int"):
+                State({bad: QQ(1)})
 
     def test_invalid_words_rejected(self):
         with pytest.raises(ValueError, match="not in Z"):
@@ -103,7 +120,7 @@ class TestVertexOperators:
             for t in range(-3, 3):
                 assert vertex_mode(PSI, QQ(t), s) == fermion_mode(t + H, s)
 
-    @pytest.mark.parametrize("v_word", [(), (-H,), (QQ(-3, 2),), (QQ(-3, 2), -H)])
+    @pytest.mark.parametrize("v_word", [(), (-1,), (-3,), (-3, -1)])
     def test_creation_axiom(self, v_word):
         """Y(v,x) vacuum is regular at x=0 with constant term v."""
         v = State({v_word: QQ(1)})
@@ -147,8 +164,30 @@ class TestVirasoro:
             assert virasoro(0, s) == s.scaled(word_level(w))
 
     def test_L1_on_descendant(self):
-        lhs = virasoro(1, State({(QQ(-3, 2),): QQ(1)}))
+        lhs = virasoro(1, State({(-3,): QQ(1)}))
         assert lhs == PSI
+
+    def test_virasoro_matches_bilinear_form(self):
+        """L(n) = 1/2 sum_{r in Z+1/2} (r + n/2) psi(n-r) psi(r), n >= 1,
+        built from fermion_mode alone: no code shared with the recursion."""
+
+        def bilinear(n, s):
+            level = s.homogeneous_level()
+            pairs = []
+            # psi(n-r) psi(r) vanishes unless n - level <= r <= level
+            r = -H - int(level) - n
+            while r <= level:
+                image = fermion_mode(n - r, fermion_mode(r, s))
+                pairs.append((image, (r + QQ(n, 2)) / 2))
+                r += 1
+            return combine(pairs)
+
+        words = ns_basis(QQ(6))
+        assert len(words) == 18
+        for w in words:
+            s = State({w: QQ(1)})
+            for n in range(1, 7):
+                assert virasoro(n, s) == bilinear(n, s), (w, n)
 
     def test_L_annihilates_vacuum(self):
         for n in range(-1, 3):
@@ -179,7 +218,7 @@ class TestVirasoro:
 
     def test_L_minus1_derivative_mode_form(self):
         """(L(-1)v)_t = -t v_{t-1} for sample v and targets."""
-        for v_word in [(-H,), (QQ(-3, 2),), (QQ(-3, 2), -H)]:
+        for v_word in [(-1,), (-3,), (-3, -1)]:
             v = State({v_word: QQ(1)})
             dv = virasoro(-1, v)
             for w in ns_basis(QQ(3, 2)):
@@ -310,34 +349,34 @@ class TestMaterializedFields:
 class TestTensorPower:
     def test_identity_on_tensor_square(self):
         vac2 = ((), ())
-        assert tensor_vertex_mode(vac2, QQ(-1), ((-H,), ())) == (
-            (((-H,), ()), QQ(1)),
+        assert tensor_vertex_mode(vac2, QQ(-1), ((-1,), ())) == (
+            (((-1,), ()), QQ(1)),
         )
-        assert tensor_vertex_mode(vac2, QQ(0), ((-H,), ())) == ()
+        assert tensor_vertex_mode(vac2, QQ(0), ((-1,), ())) == ()
 
     def test_vacuum_second_factor_no_sign(self):
-        u = ((QQ(-3, 2),), ())
-        target = ((-H,), (-H,))
+        u = ((-3,), ())
+        target = ((-1,), (-1,))
         for t in range(-3, 2):
             got = dict(tensor_vertex_mode(u, QQ(t), target))
             expect = {}
-            for w, c in iterate_mode_word((QQ(-3, 2),), QQ(t), (-H,), 0):
-                expect[(w, (-H,))] = c
+            for w, c in iterate_mode_word((-3,), 2 * t, (-1,), 0):
+                expect[(w, (-1,))] = c
             assert got == expect
 
     def test_koszul_sign_second_slot(self):
         """Y(1 (x) u')(v (x) w) picks up -1 for odd u' and odd v."""
-        u = ((), (-H,))
-        target = ((-H,), ())
+        u = ((), (-1,))
+        target = ((-1,), ())
         got = dict(tensor_vertex_mode(u, QQ(-1), target))
-        assert got == {((-H,), (-H,)): QQ(-1)}
+        assert got == {((-1,), (-1,)): QQ(-1)}
 
     def test_slot_vector_embedding(self):
         v = tensor_slot_vector(PSI, 2, 3)
-        assert v == State({((), (-H,), ()): QQ(1)})
+        assert v == State({((), (-1,), ()): QQ(1)})
 
     def test_cycle_action_and_signs(self):
-        even, odd = (), (-H,)
+        even, odd = (), (-1,)
         swapped, sign = permutation_action((2, 1), (even, even))
         assert swapped == (even, even) and sign == 1
         swapped, sign = permutation_action((2, 1), (odd, odd))
@@ -351,15 +390,15 @@ class TestTensorPower:
         k = 3
         g = cycle_permutation(k)
         for j in range(2, k + 1):
-            tword = tuple((-H,) if i == j - 1 else () for i in range(k))
+            tword = tuple((-1,) if i == j - 1 else () for i in range(k))
             moved, sign = permutation_action(g, tword)
-            expected = tuple((-H,) if i == j - 2 else () for i in range(k))
+            expected = tuple((-1,) if i == j - 2 else () for i in range(k))
             assert moved == expected and sign == 1
 
     @given(st.permutations(list(range(1, 5))), st.permutations(list(range(1, 5))))
     @settings(max_examples=40)
     def test_right_action_composition(self, g1, g2):
-        factors = ((-H,), (), (QQ(-3, 2), -H), (-H,))
+        factors = ((-1,), (), (-3, -1), (-1,))
         first, s1 = permutation_action(tuple(g1), factors)
         second, s2 = permutation_action(tuple(g2), first)
         combined, s12 = permutation_action(
@@ -383,8 +422,8 @@ class TestTensorPower:
                     assert total == 1
 
     def test_tensor_parity_additive(self):
-        assert tensor_parity(((-H,), (-H,))) == 0
-        assert tensor_parity(((-H,), ())) == 1
+        assert tensor_parity(((-1,), (-1,))) == 0
+        assert tensor_parity(((-1,), ())) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +439,12 @@ class TestBasis:
 
     def test_level_zero_is_the_ground_word(self):
         assert ns_basis(QQ(0)) == [()]
-        assert ramond_basis(QQ(0)) == [(), (QQ(0),)]
+        assert ramond_basis(QQ(0)) == [(), (0,)]
 
     def test_small_levels(self):
-        assert ns_basis(QQ(2)) == [(), (-H,), (-3 * H,), (-3 * H, -H)]
-        assert ramond_basis(QQ(1)) == [(), (QQ(0),), (QQ(-1),), (QQ(-1), QQ(0))]
+        # doubled words: (-3, -1) is psi(-3/2)psi(-1/2), (-2, 0) psi(-1)psi(0)
+        assert ns_basis(QQ(2)) == [(), (-1,), (-3,), (-3, -1)]
+        assert ramond_basis(QQ(1)) == [(), (0,), (-2,), (-2, 0)]
 
 
 if __name__ == "__main__":

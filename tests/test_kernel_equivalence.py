@@ -1,19 +1,34 @@
-"""Equivalence of the doubled-integer recursion with the Fraction recursion.
+"""Equivalence of the doubled-integer kernel and states with the Fraction code.
 
-Oracle: the body of `iterate_mode_word` and `apply_phys_mode` as they were
-before the recursion moved to doubled-integer modes, copied verbatim below
-and run without a cache.  It works on `QQ` words and indices throughout, so
-it shares no arithmetic with the kernel under test.  Both must give the same
-sorted tuple of (word, coefficient) pairs, and every coefficient must be a
-`QQ` value, never a bare int, so that the kernel hands its callers the
-same types as the Fraction recursion.
+Oracles, copied below and run without a cache:
+
+* the body of `iterate_mode_word` and `apply_phys_mode` as they were before
+  the recursion moved to doubled-integer modes.  They work on `QQ` words
+  and indices throughout, so they share no arithmetic with the kernel under
+  test;
+* the public `iterate_mode_word` as it was while words were `QQ` tuples: a
+  wrapper that encoded its arguments, ran the kernel and decoded the result;
+* `State` and `field_mode` as they were on `QQ` words, with the old word
+  rendering, driven by the Fraction recursion.
+
+The kernel must give the same (word, coefficient) pairs as the Fraction
+recursion, with int words and exact int or `QQ` coefficients, and a mode of
+a field must render to the same text in both representations, in both
+sectors.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfock import fermion
-from twistfock.fermion import ns_basis, ramond_basis, word_level
+from twistfock.fermion import (
+    State,
+    field_mode,
+    format_ns_word,
+    format_ramond_word,
+    ns_basis,
+    ramond_basis,
+)
 from twistfock.scalars import (
     HALF,
     QQ,
@@ -24,6 +39,20 @@ from twistfock.scalars import (
 )
 
 QQ_TYPE = type(QQ(1))
+
+
+def decode(word2) -> tuple:
+    """The QQ word of a doubled word."""
+    return tuple(QQ(m2, 2) for m2 in word2)
+
+
+def encode(word) -> tuple:
+    """The doubled word of a QQ word."""
+    return tuple(int(2 * m) for m in word)
+
+
+def word_level(word) -> QQ:
+    return sum((-m for m in word), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +163,73 @@ def iterate_mode_word(a_word, mu, word, sector_half: int):
 
 
 # ---------------------------------------------------------------------------
+# the QQ-word wrapper and State, as they were
+# ---------------------------------------------------------------------------
+
+
+def kernel_output(a_word, mu, word, sector_half: int):
+    """The kernel's raw result for QQ arguments: the arguments encoded once,
+    and nothing off the half-integer lattice."""
+    mu2 = 2 * QQ(mu)
+    if mu2.denominator != 1:
+        return ()
+    return fermion.iterate_mode_word(
+        encode(a_word), int(mu2), encode(word), sector_half
+    )
+
+
+def wrapped_kernel(a_word, mu, word, sector_half: int):
+    """The former public `iterate_mode_word` on QQ words: the kernel's
+    result decoded and sorted."""
+    result = kernel_output(a_word, mu, word, sector_half)
+    return tuple((decode(w), QQ(c)) for w, c in sorted(result))
+
+
+class FractionState:
+    """`State` on QQ words as it was: sorted (word, coefficient) terms with
+    no zero coefficient, rendered with the QQ modes printed by str."""
+
+    def __init__(self, table):
+        clean = {tuple(w): c for w, c in table.items() if not scalar_is_zero(c)}
+        self.terms = tuple(sorted(clean.items(), key=lambda t: t[0]))
+
+    def render(self, ket: str) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for word, coeff in self.terms:
+            text = "".join(f"psi({m})" for m in word) + ket
+            parts.append(f"({coeff})*{text}")
+        return " + ".join(parts)
+
+
+def fraction_field_mode(v, t, target, sector_half: int) -> FractionState:
+    """`field_mode` as it was: the bilinear sum over word pairs in one dict,
+    here over the Fraction recursion."""
+    out: dict = {}
+    for a_word, a_coeff in v.terms:
+        for word, t_coeff in target.terms:
+            _merge(out, iterate_mode_word(a_word, t, word, sector_half),
+                   a_coeff * t_coeff)
+    return FractionState(out)
+
+
+# ---------------------------------------------------------------------------
 # the comparison
 # ---------------------------------------------------------------------------
 
-FIELD_WORDS = ns_basis(3)
-TARGETS = {0: ns_basis(3), 1: ramond_basis(3)}
+FIELD_WORDS = [decode(w) for w in ns_basis(3)]
+TARGETS = {0: [decode(w) for w in ns_basis(3)],
+           1: [decode(w) for w in ramond_basis(3)]}
 HALF_LATTICE = [QQ(j, 2) for j in range(-12, 9)]
 OFF_LATTICE = [QQ(1, 4), QQ(-3, 4), QQ(1, 3), QQ(-7, 6)]
 
 
 def assert_exact_types(result):
+    """Kernel output: int words, and int or QQ coefficients."""
     for word, coeff in result:
-        assert type(coeff) is QQ_TYPE
-        assert all(type(m) is QQ_TYPE for m in word)
+        assert type(coeff) in (int, QQ_TYPE)
+        assert all(type(m) is int for m in word)
 
 
 @st.composite
@@ -162,20 +245,19 @@ def recursion_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_fraction_recursion(args):
     fermion.iterate_mode_word.cache_clear()
-    got = fermion.iterate_mode_word(*args)
-    assert got == iterate_mode_word(*args)
-    assert_exact_types(got)
+    assert wrapped_kernel(*args) == iterate_mode_word(*args)
+    assert_exact_types(kernel_output(*args))
 
 
 def test_weight_two_fields_on_every_index_and_target():
     """Exhaustive sweep on the conformal vector's word and its neighbours."""
     for sector_half, targets in TARGETS.items():
-        for a_word in ns_basis(2):
+        for a_word in [decode(w) for w in ns_basis(2)]:
             for word in targets[:8]:
                 for mu in HALF_LATTICE + OFF_LATTICE:
-                    got = fermion.iterate_mode_word(a_word, mu, word, sector_half)
-                    assert got == iterate_mode_word(a_word, mu, word, sector_half)
-                    assert_exact_types(got)
+                    args = (a_word, mu, word, sector_half)
+                    assert wrapped_kernel(*args) == iterate_mode_word(*args)
+                    assert_exact_types(kernel_output(*args))
 
 
 @given(
@@ -189,6 +271,43 @@ def test_anticommutation_kernel_matches(sector_half, index, m2):
     if (m2 % 2 == 0) != bool(sector_half):
         m2 += 1  # keep the mode on the sector's lattice
     m = QQ(m2, 2)
-    got = fermion.apply_phys_mode(word, m, sector_half == 1)
-    assert got == apply_phys_mode(word, m, sector_half == 1)
-    assert_exact_types(got)
+    got = fermion.apply_phys_mode(encode(word), m, sector_half == 1)
+    expected = apply_phys_mode(word, m, sector_half == 1)
+    assert [(decode(w), c) for w, c in got] == expected
+    assert all(type(c) is QQ_TYPE for _, c in got)
+
+
+def states_on(words):
+    coefficients = st.builds(QQ, st.integers(-3, 3), st.integers(1, 4))
+    return st.dictionaries(st.sampled_from(words), coefficients,
+                           min_size=1, max_size=3)
+
+
+@st.composite
+def field_mode_inputs(draw):
+    sector_half = draw(st.sampled_from([0, 1]))
+    v = draw(states_on(FIELD_WORDS[:12]))
+    target = draw(states_on(TARGETS[sector_half][:16]))
+    # untwisted modes sit on integer indices, twisted ones on half-integers
+    # too; a few indices off every lattice must give zero in both forms
+    step = 1 + sector_half
+    lattice = [QQ(j, step) for j in range(-4 * step, 2 * step)]
+    t = draw(st.sampled_from(lattice) | st.sampled_from(OFF_LATTICE[:1]))
+    return v, t, target, sector_half
+
+
+@given(field_mode_inputs())
+@settings(max_examples=200, deadline=None)
+def test_both_sectors_render_equal_states(args):
+    """A mode of a field renders to the same text from doubled words as
+    from QQ words, in the untwisted and the parity-twisted sector."""
+    v, t, target, sector_half = args
+    old = fraction_field_mode(FractionState(v), t, FractionState(target),
+                              sector_half)
+    new = field_mode(State({encode(w): c for w, c in v.items()}), t,
+                     State({encode(w): c for w, c in target.items()}),
+                     sector_half)
+    if sector_half:
+        assert new.render(format_ramond_word) == old.render("|R>")
+    else:
+        assert new.render(format_ns_word) == old.render("|0>")

@@ -50,12 +50,12 @@ class TestTwistedModes:
 
     def test_zero_mode_squares_to_half(self):
         once = ramond_mode(0, RAMOND_GROUND)
-        assert once == State({(ZERO,): QQ(1)})
+        assert once == State({(0,): QQ(1)})
         assert ramond_mode(0, once) == RAMOND_GROUND.scaled(H)
 
     def test_reordering_sign(self):
         lhs = ramond_mode(-1, ramond_mode(-2, RAMOND_GROUND))
-        assert lhs == State({(QQ(-2), QQ(-1)): QQ(-1)})
+        assert lhs == State({(-4, -2): QQ(-1)})  # doubled: psi(-2)psi(-1)
 
     @given(st_ramond_words(), st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=60)
@@ -293,7 +293,7 @@ class TestSpectrum:
                 vec.homogeneous_parity()
 
     def test_render(self):
-        s = State({(QQ(-2), ZERO): QQ(1)})
+        s = State({(-4, 0): QQ(1)})
         assert "psi(-2)psi(0)|R>" in s.render(format_ramond_word)
 
 

@@ -15,6 +15,7 @@ from twistfock.scalars import (
     cyc_sqrt_k,
     cyclotomic_poly,
     eta_k,
+    eta_powers,
     euler_phi,
     k_to_the,
     scalar_from_json,
@@ -115,6 +116,12 @@ class TestEtaOrthogonality:
         assert eta**k == 1
         for j in range(1, k):
             assert eta**j != 1
+
+    @pytest.mark.parametrize("k", ORDERS)
+    def test_eta_powers_are_cached_powers(self, k):
+        powers = eta_powers(k)
+        assert powers is eta_powers(k)
+        assert powers == tuple(eta_k(k) ** i for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ class TestTensorProduct:
         field = yg_general(2, (PSI, PSI), WINDOW)
         terms = field.field.terms
         assert terms[(QQ(-1),)][GROUND] == {GROUND: QQ(-1, 4)}
-        assert terms[(QQ(-1, 2),)][GROUND] == {(QQ(-1), QQ(0)): -ONE}
+        assert terms[(QQ(-1, 2),)][GROUND] == {(-2, 0): -ONE}
         assert GROUND not in terms.get((QQ(0),), {})
         assert field.field.parity == 0
 

@@ -25,7 +25,13 @@ from twistfock.fermion import (
     combine,
     word_level,
 )
-from twistfock.formal import ComparisonResult, Window, merged_delta_kernel
+from twistfock import verify
+from twistfock.formal import (
+    ComparisonResult,
+    OperatorField,
+    Window,
+    merged_delta_kernel,
+)
 from twistfock.ramond import format_ramond_word, ramond_basis
 from twistfock.twist import SlotField
 from twistfock.verify import (
@@ -383,6 +389,25 @@ class TestRoundTrips:
     def test_round_trips_order_four(self):
         assert_clean_pass(check_u_round_trip(4, PSI, LINE))
         assert_clean_pass(check_t_round_trip(4, PSI, LINE))
+
+    def test_field_witness_names_psi_modes(self, monkeypatch):
+        # one injected entry of the native field, in the column of
+        # psi(-1)|R> (doubled word (-2,)) at an exponent the field leaves
+        # empty, must come out as one witness written in psi modes
+        native = verify.sigma_vertex_op
+
+        def broken(u, window, *, domain_level):
+            field = native(u, window, domain_level=domain_level)
+            terms = {mono: dict(table) for mono, table in field.terms.items()}
+            terms.setdefault((QQ(-1),), {})[(-2,)] = {(-2,): QQ(7)}
+            return OperatorField(field.variables, terms, field.window,
+                                 field.parity)
+
+        monkeypatch.setattr(verify, "sigma_vertex_op", broken)
+        report = check_u_round_trip(2, PSI, LINE, domain_level=QQ(1))
+        assert report.mismatches == (
+            ("x^-1 @ psi(-1)|R> -> psi(-1)|R>", "0", "7"),
+        )
 
 
 class TestCharacterCorrespondence:
