@@ -34,6 +34,7 @@ from .verify import (
     parse_rational,
     run_suite,
     suite_json,
+    suite_passed,
     suite_table,
 )
 
@@ -128,7 +129,11 @@ def _apply_overrides(namespace: argparse.Namespace, mapping: dict) -> None:
             raise ValueError(
                 f"config key {key!r} does not apply to this subcommand"
             )
-        setattr(namespace, attr, _COERCERS[key](raw))
+        try:
+            value = _COERCERS[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        setattr(namespace, attr, value)
 
 
 def _config_from_namespace(args: argparse.Namespace) -> RunConfig:
@@ -388,11 +393,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         text = suite_table(reports)
     _emit(text, cfg.out)
-    if cfg.expect_obstruction:
-        ok = all(r.as_expected for r in reports)
-    else:
-        ok = all(r.verdict == "pass" and r.as_expected for r in reports)
-    return 0 if ok else 1
+    return 0 if suite_passed(reports, strict=not cfg.expect_obstruction) else 1
 
 
 _COMMANDS = {

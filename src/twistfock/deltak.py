@@ -7,8 +7,8 @@ coordinate.  It provides:
 * the coefficient table of the generating derivation, solved exactly from
   the cover map ((1+x)^k - 1)/k and cross-checked against the compositional
   inverse (1+kx)^{1/k} - 1;
-* the cover map series and its compositional inverse as exact windowed
-  series;
+* the compositional inverse of the cover map as an exact windowed series,
+  and the check that the cover map undoes it;
 * forward and inverse application of the operator to homogeneous states,
   producing finite graded expansions with exact scalar prefactors
   (half-integer weights land in a real quadratic subfield of a cyclotomic
@@ -217,43 +217,9 @@ def solve_aj(k: int, J: int) -> AjTable:
     return AjTable(k, J, values)
 
 
-def aj_to_csv(table: AjTable) -> str:
-    """Render the coefficient table as CSV rows (j, a_j), exact fractions."""
-    lines = ["j,a_j"]
-    for j, a in table.rows():
-        lines.append(f"{j},{a}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # the cover map and its compositional inverse
 # ---------------------------------------------------------------------------
-
-
-def f_series(k: int, window: Window | None = None, *, with_z: bool = True) -> ScalarSeries:
-    """The cover map (z^{1/k}/k)((1+x)^k - 1), an exact polynomial in x.
-
-    With ``with_z`` the base-point variable z is tracked with its fractional
-    exponents; without it the series lives in x alone (base point 1).
-    """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    variables = ("x", "z") if with_z else ("x",)
-    coeffs = {}
-    for m in range(1, k + 1):
-        c = binomial(QQ(k), m) / k
-        mono = (QQ(m), QQ(1, k)) if with_z else (QQ(m),)
-        coeffs[mono] = c
-    series = ScalarSeries(variables, coeffs, None)
-    if window is not None:
-        kept = {
-            m: c
-            for m, c in series.coeffs.items()
-            if window.contains_mono(variables, m)
-        }
-        series = ScalarSeries(variables, kept, window,
-                              dict(series.supp_lo), dict(series.supp_hi))
-    return series
 
 
 def f_inverse_series(k: int, window: Window, *, with_z: bool = True) -> ScalarSeries:
@@ -348,13 +314,6 @@ class DeltaExpansion:
         if not self.pieces:
             raise ValueError("empty expansion has no leading exponent")
         return self.pieces[0][0]
-
-    def state_at(self, exponent) -> State:
-        target = QQ(exponent)
-        for e, s in self.pieces:
-            if e == target:
-                return s
-        return ZERO_STATE
 
     def exponents(self):
         return tuple(e for e, _ in self.pieces)
@@ -722,14 +681,12 @@ __all__ = [
     "INVERSE",
     "MAX_CONJUGATION_DEPTH",
     "MAX_TABLE_DEPTH",
-    "aj_to_csv",
     "apply_delta",
     "check_L_minus1_identities",
     "check_conjugation",
     "check_f_composition",
     "covering_depth",
     "f_inverse_series",
-    "f_series",
     "require_conjugation_depth",
     "round_trip_defect",
     "solve_aj",

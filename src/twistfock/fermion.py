@@ -28,9 +28,6 @@ re-sorting after every `+`.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +40,7 @@ from .scalars import (
     QQ,
     ZERO,
     binomial,
+    rational_ceil,
     rational_floor,
     scalar_is_zero,
     scalar_str,
@@ -459,77 +457,34 @@ def ramond_basis(max_level) -> list:
     return _basis(max_level, 0)
 
 
-def vertex_op(v: State, window: Window, *, domain_level=QQ(2)) -> OperatorField:
-    """Materialize Y(v, x) over a window of x-exponents.
-
-    Columns are indexed by the untwisted words of level <= domain_level; the
-    coefficient of x^e is the lattice mode -e-1.  Exponents outside the
-    window stay unknown rather than silently zero.
-    """
-    return _materialize_field(v, window, ns_basis(domain_level), 0)
-
-
-def _materialize_field(v: State, window: Window, basis, sector_half: int) -> OperatorField:
+def _window_bounds(window: Window):
     lo, hi = window.bounds_for("x")
     if lo is None or hi is None:
-        raise ValueError("vertex operators need a bounded exponent window")
-    parity = v.homogeneous_parity()
-    offset = HALF if (sector_half and parity) else ZERO
-    terms: dict = {}
-    # enumerate lattice exponents congruent to offset (mod 1) inside window
-    exponents = []
-    val = offset + rational_floor(lo - offset)
-    while val < lo:
-        val += 1
-    while val <= hi:
-        exponents.append(val)
-        val += 1
-    for e in exponents:
-        t = -e - 1
-        column = {}
-        for word in basis:
-            cell = field_mode(v, t, State._of_terms(((word, ONE),)), sector_half)
-            if cell.terms:
-                column[word] = dict(cell.terms)
-        if column:
-            terms[(e,)] = column
+        raise ValueError("windowed fields need a bounded exponent window")
+    return lo, hi
+
+
+def _window_field(mode, weight, parity: int, step, offset, window: Window,
+                  basis) -> OperatorField:
+    """A mode family materialized over a bounded window, one column per
+    basis word: mode m sits at exponent -m-1, for m on offset + step*Z from
+    the window's upper bound up to the annihilation bound
+    weight - 1 + level*step of the word."""
+    lo, hi = _window_bounds(window)
+    m_start = offset + step * rational_ceil((-1 - hi - offset) / step)
+    terms = {}
+    for word in basis:
+        m_top = min(-1 - lo, weight - 1 + word_level(word) * step)
+        target = State._of_terms(((word, ONE),))
+        m = m_start
+        while m <= m_top:
+            image = mode(m, target)
+            if not image.is_zero():
+                column = terms.setdefault((-m - 1,), {}).setdefault(word, {})
+                for out_word, c in image.terms:
+                    column[out_word] = column.get(out_word, ZERO) + c
+            m += step
     return OperatorField(("x",), terms, window, parity)
-
-
-def field_to_json(field: OperatorField, word_formatter=format_ns_word) -> str:
-    """Serialize a materialized field as JSON with string-exact scalars."""
-    payload = []
-    for mono in sorted(field.terms):
-        column = field.terms[mono]
-        entry = {
-            "exponent": [str(e) for e in mono],
-            "matrix": {
-                word_formatter(in_word): {
-                    word_formatter(out_word): scalar_str(c)
-                    for out_word, c in sorted(cell.items())
-                }
-                for in_word, cell in sorted(column.items())
-            },
-        }
-        payload.append(entry)
-    return json.dumps(payload, indent=2)
-
-
-def field_to_csv(field: OperatorField, in_basis, out_basis,
-                 word_formatter=format_ns_word) -> str:
-    """CSV export: one row per (exponent, out index), one column per in index."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["exponent", "row"] + [word_formatter(w) for w in in_basis])
-    for mono in sorted(field.terms):
-        column = field.terms[mono]
-        for r, out_word in enumerate(out_basis):
-            row = [str(mono[0]), str(r)]
-            for in_word in in_basis:
-                value = column.get(in_word, {}).get(out_word, ZERO)
-                row.append(scalar_str(value))
-            writer.writerow(row)
-    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

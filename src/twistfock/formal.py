@@ -12,7 +12,6 @@ from their defining formulas, which are valid on any window.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -391,12 +390,6 @@ class ScalarSeries:
         supp_hi = {v: self.supp_hi.get(v) for v in rest}
         return ScalarSeries(rest, coeffs, window, supp_lo, supp_hi)
 
-    def constant_term(self):
-        """The scalar value of a zero-variable series."""
-        if self.variables:
-            raise ValueError("series still has variables")
-        return self.coeffs.get((), ZERO)
-
 
 # ---------------------------------------------------------------------------
 # delta kernels
@@ -729,32 +722,3 @@ class QSeries:
 
     def weight(self, i: int) -> QQ:
         return self.offset + i * self.step
-
-    def top_weight(self) -> QQ:
-        if not self.coeffs:
-            raise ValueError("empty graded-dimension series has no top weight")
-        return self.weight(len(self.coeffs) - 1)
-
-    def coefficient_at(self, weight) -> int:
-        """Dimension at a weight: 0 off the lattice, error past the truncation."""
-        slot = (QQ(weight) - self.offset) / self.step
-        if slot.denominator != 1 or slot < 0:
-            return 0
-        index = int(slot)
-        if index >= len(self.coeffs):
-            raise ValueError(
-                f"weight {weight} is beyond the truncation {self.top_weight()}"
-            )
-        return self.coeffs[index]
-
-    def to_json(self) -> str:
-        payload = {"offset": str(self.offset), "coeffs": list(self.coeffs)}
-        if self.step != 1:
-            payload["step"] = str(self.step)
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "QSeries":
-        payload = json.loads(text)
-        step = QQ(payload.get("step", 1))
-        return QSeries(QQ(payload["offset"]), tuple(payload["coeffs"]), step)

@@ -18,15 +18,16 @@ from .fermion import (
     OMEGA,
     RAMOND_GROUND,
     State,
-    _materialize_field,
+    _window_field,
     apply_phys_mode,
     check_ramond_word,
     field_mode,
     format_ramond_word,
     ramond_basis,
+    word_level,
 )
 from .formal import OperatorField, QSeries, Window
-from .scalars import QQ, cyc_sqrt_k, rational_floor
+from .scalars import ONE, QQ, ZERO, rational_floor
 
 __all__ = [
     "ramond_mode",
@@ -35,7 +36,6 @@ __all__ = [
     "ground_weight",
     "sigma_vertex_op",
     "sigma_L0_spectrum",
-    "parity_unstable_generators",
     # re-exported conveniences for twisted-sector words
     "check_ramond_word",
     "format_ramond_word",
@@ -88,8 +88,14 @@ def sigma_vertex_op(v: State, window: Window, *, domain_level=QQ(2)) -> Operator
 
     Columns are indexed by the twisted words of level <= domain_level;
     exponents outside the window stay unknown rather than silently zero.
+    The modes of v sit on parity/2 + Z, below the annihilation bound of its
+    highest level; the zero state gives an empty field.
     """
-    return _materialize_field(v, window, ramond_basis(domain_level), 1)
+    parity = v.homogeneous_parity() or 0
+    weight = max((word_level(w) for w, _ in v.terms), default=ZERO)
+    return _window_field(lambda t, target: field_mode(v, t, target, 1),
+                         weight, parity, ONE, QQ(parity, 2), window,
+                         ramond_basis(domain_level))
 
 
 def sigma_L0_spectrum(cutoff) -> QSeries:
@@ -116,18 +122,3 @@ def sigma_L0_spectrum(cutoff) -> QSeries:
         if slot <= top:
             counts[int(slot)] += 1
     return QSeries(base, tuple(counts))
-
-
-def parity_unstable_generators() -> tuple:
-    """The two zero-mode eigenvectors splitting the ground space (read-only).
-
-    Returns (e+, e-) with e± = ground ± sqrt(2) psi_0 ground, satisfying
-    psi_0 e± = ±(sqrt(2)/2) e±.  Each generates an invariant submodule that
-    mixes parities, so neither is a module for the parity-graded structure;
-    they are exposed for inspection only (states are immutable).
-    """
-    root2 = cyc_sqrt_k(2)
-    shifted = ramond_mode(0, RAMOND_GROUND)
-    plus = RAMOND_GROUND + shifted.scaled(root2)
-    minus = RAMOND_GROUND - shifted.scaled(root2)
-    return plus, minus

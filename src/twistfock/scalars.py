@@ -392,18 +392,6 @@ class CycScalar:
     def __repr__(self):
         return f"CycScalar({self.conductor}, {[str(c) for c in self.coeffs]})"
 
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CycScalar":
-        return cls(data["conductor"], [QQ(c) for c in data["coeffs"]])
-
 
 # ---------------------------------------------------------------------------
 # named constructors used throughout the package
@@ -509,20 +497,6 @@ def scalar_str(x) -> str:
     if isinstance(x, CycScalar):
         return str(x.rational_value())
     return str(x)
-
-
-def scalar_to_json(x):
-    if isinstance(x, CycScalar):
-        if x.is_rational():
-            return str(x.rational_value())
-        return x.to_json()
-    return str(x)
-
-
-def scalar_from_json(data):
-    if isinstance(data, dict):
-        return CycScalar.from_json(data)
-    return QQ(data)
 
 
 def complex_embedding(x) -> complex:

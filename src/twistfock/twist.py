@@ -18,7 +18,6 @@ maps on the Ramond basis; scalars live in Q or in a cyclotomic field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .scalars import QQ, ZERO, ONE, eta_powers, rational_ceil
@@ -28,6 +27,8 @@ from .fermion import (
     OMEGA,
     State,
     ZERO_STATE,
+    _window_bounds,
+    _window_field,
     combine,
     word_level,
 )
@@ -51,74 +52,6 @@ def require_even_order(k: int):
 # ---------------------------------------------------------------------------
 # twisted fields
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwistedField:
-    """A windowed operator field with exponents on the (1/k) lattice.
-
-    ``field`` maps exponent monomials to sparse matrices over Ramond basis
-    words.  The charge decomposition groups modes n by their residue class
-    n + 1/k Z, matching the grading-by-rotation-eigenvalue of the tensor
-    power.
-    """
-
-    k: int
-    field: OperatorField
-
-    def exponents(self):
-        return tuple(sorted(m[0] for m in self.field.terms))
-
-    def mode_action(self, m) -> dict:
-        """The sparse matrix of the mode with index m (exponent -m-1)."""
-        exponent = (QQ(-m - 1),)
-        if self.field.window is not None and not self.field.window.contains_mono(
-            self.field.variables, exponent
-        ):
-            raise ValueError(f"mode {m} is outside the materialized window")
-        return self.field.terms.get(exponent, {})
-
-    def component(self, p: int) -> OperatorField:
-        """The sub-field of modes n with n - p/k integral."""
-        residue = QQ(p, self.k)
-        terms = {}
-        for mono, table in self.field.terms.items():
-            n = -mono[0] - 1
-            if (n - residue).denominator == 1:
-                terms[mono] = table
-        return OperatorField(
-            self.field.variables, terms, self.field.window, self.field.parity
-        )
-
-
-def _window_bounds(window: Window):
-    lo, hi = window.bounds_for("x")
-    if lo is None or hi is None:
-        raise ValueError("twisted fields need a bounded exponent window")
-    return lo, hi
-
-
-def _window_field(mode, weight, parity: int, step, offset, window: Window,
-                  basis) -> OperatorField:
-    """A mode family materialized over a bounded window, one column per
-    basis word: mode m sits at exponent -m-1, for m on offset + step*Z from
-    the window's upper bound up to the annihilation bound
-    weight - 1 + level*step of the word."""
-    lo, hi = _window_bounds(window)
-    m_start = offset + step * rational_ceil((-1 - hi - offset) / step)
-    terms = {}
-    for word in basis:
-        m_top = min(-1 - lo, weight - 1 + word_level(word) * step)
-        target = State({word: ONE})
-        m = m_start
-        while m <= m_top:
-            image = mode(m, target)
-            if not image.is_zero():
-                column = terms.setdefault((-m - 1,), {}).setdefault(word, {})
-                for out_word, c in image.terms:
-                    column[out_word] = column.get(out_word, ZERO) + c
-            m += step
-    return OperatorField(("x",), terms, window, parity)
 
 
 class SlotField:
@@ -179,7 +112,7 @@ class SlotField:
             for piece, offset in self._offsets
         ).scaled(scalar)
 
-    def materialize(self, window: Window, basis) -> TwistedField:
+    def materialize(self, window: Window, basis) -> OperatorField:
         """The field over a bounded window, one column per basis word.
 
         Piece (e, u_e) contributes its sigma-mode t at exponent
@@ -213,18 +146,18 @@ class SlotField:
         if k % 2 == 0:
             for mono in field.terms:
                 assert_on_lattice(mono[0], k)
-        return TwistedField(k, field)
+        return field
 
 
 def _slot_twisted_field(k: int, u: State, power: int, window: Window,
-                        domain_level) -> TwistedField:
+                        domain_level) -> OperatorField:
     if u.is_zero():
         _window_bounds(window)
-        return TwistedField(k, OperatorField(("x",), {}, window, 0))
+        return OperatorField(("x",), {}, window, 0)
     return SlotField(k, u, power).materialize(window, ramond_basis(domain_level))
 
 
-def ybar(k: int, u: State, window: Window, *, domain_level=QQ(2)) -> TwistedField:
+def ybar(k: int, u: State, window: Window, *, domain_level=QQ(2)) -> OperatorField:
     """The first-slot twisted field: the parity-twisted field of the
     coordinate-changed state, evaluated at the k-th root of the variable.
 
@@ -235,7 +168,7 @@ def ybar(k: int, u: State, window: Window, *, domain_level=QQ(2)) -> TwistedFiel
 
 
 def yg_tensor_factor(k: int, u: State, j: int, window: Window, *,
-                     domain_level=QQ(2)) -> TwistedField:
+                     domain_level=QQ(2)) -> OperatorField:
     """The twisted field of the state placed in tensor slot j+1.
 
     Obtained from the first-slot field by substituting the k-th root of the
@@ -322,7 +255,7 @@ def tensor_operator(k: int, factors):
     return current
 
 
-def yg_general(k: int, factors, window: Window, *, domain_level=QQ(2)) -> TwistedField:
+def yg_general(k: int, factors, window: Window, *, domain_level=QQ(2)) -> OperatorField:
     """The twisted field of a pure tensor, materialized over a window.
 
     Realized as the normal-ordered product of the slot fields; collapses to
@@ -330,9 +263,8 @@ def yg_general(k: int, factors, window: Window, *, domain_level=QQ(2)) -> Twiste
     """
     require_even_order(k)
     operator = tensor_operator(k, factors)
-    field = _window_field(operator.mode, operator.weight, operator.parity,
-                          QQ(1, k), ZERO, window, ramond_basis(domain_level))
-    return TwistedField(k, field)
+    return _window_field(operator.mode, operator.weight, operator.parity,
+                         QQ(1, k), ZERO, window, ramond_basis(domain_level))
 
 
 # ---------------------------------------------------------------------------
@@ -479,37 +411,12 @@ class TwistedModuleView:
         coeffs = tuple(counts.get(n, 0) for n in range(self.cutoff + 1))
         return QSeries(self.character_offset(), coeffs, QQ(1, self.k))
 
-    def summary_json(self) -> str:
-        histogram = {}
-        for word in self.basis():
-            grade = self.t_grade(word)
-            histogram[grade] = histogram.get(grade, 0) + 1
-        payload = {
-            "k": self.k,
-            "cutoff": self.cutoff,
-            "grading": [
-                {"grade": str(g), "dim": histogram[g]} for g in sorted(histogram)
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def twisted_field_to_csv(tfield: TwistedField, in_basis, out_basis) -> str:
-    """CSV rows of the matrices of a twisted field, one row per exponent
-    and input word, columns indexed by output words."""
-    from .fermion import field_to_csv
-
-    return field_to_csv(tfield.field, in_basis, out_basis,
-                        word_formatter=format_ramond_word)
-
 
 __all__ = [
     "RecoveredField",
-    "TwistedField",
     "TwistedModuleView",
     "require_even_order",
     "tensor_operator",
-    "twisted_field_to_csv",
     "twisted_mode",
     "u_functor_sigma_mode",
     "u_functor_sigma_op",

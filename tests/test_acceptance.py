@@ -151,7 +151,7 @@ def test_criterion_06_central_coefficient():
         expected = QQ(k * k - 1, 48 * k * k)
         field = ybar(k, OMEGA, window)
         for word in words:
-            diagonal = field.field.terms[(QQ(-2),)][word][word]
+            diagonal = field.terms[(QQ(-2),)][word][word]
             weight_part = (ground_weight() + word_level(word)) / (k * k)
             if diagonal - weight_part != expected:
                 problems.append(f"k={k}, word {word}")

@@ -498,14 +498,30 @@ class TestRationalArguments:
         code, out, err = run_cli(capsys, "verify", "--k", "2", "--config", str(config))
         assert code == 2
         assert out == ""
-        assert err == "error: zero denominator in '1/0'\n"
+        assert err == "error: config key 'radius': zero denominator in '1/0'\n"
 
     def test_decimal_config_entry_exits_two(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("weight=0.5\n")
         code, _, err = run_cli(capsys, "verify", "--k", "2", "--config", str(config))
         assert code == 2
-        assert err.startswith("error: not an integer or p/q rational")
+        assert err.startswith(
+            "error: config key 'weight': not an integer or p/q rational")
+
+    @pytest.mark.parametrize("entry,message", [
+        ("k=abc", "error: config key 'k': invalid literal for int() "
+                  "with base 10: 'abc'\n"),
+        ("radius=abc", "error: config key 'radius': not an integer or p/q "
+                       "rational: 'abc'\n"),
+        ("jacobi=maybe", "error: config key 'jacobi': "),
+    ])
+    def test_bad_config_value_names_its_key(self, capsys, tmp_path, entry, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(entry + "\n")
+        code, out, err = run_cli(capsys, "verify", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(message)
 
     def test_zero_denominator_state_word_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "delta-apply", "--k", "2", "--state=-1/0")

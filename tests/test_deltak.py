@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistfock.cli import main
 from twistfock.scalars import QQ, ZERO, ONE, cyc_sqrt_k, k_to_the
 from twistfock.formal import Window
 from twistfock.fermion import (
@@ -21,14 +22,12 @@ from twistfock.deltak import (
     AjTable,
     MAX_CONJUGATION_DEPTH,
     MAX_TABLE_DEPTH,
-    aj_to_csv,
     apply_delta,
     check_L_minus1_identities,
     check_conjugation,
     check_f_composition,
     covering_depth,
     f_inverse_series,
-    f_series,
     round_trip_defect,
     solve_aj,
     _RootPowers,
@@ -65,11 +64,11 @@ class TestCoefficientTable:
     def test_memoized_identity(self):
         assert solve_aj(3, 5) is solve_aj(3, 5)
 
-    def test_rows_and_csv(self):
+    def test_rows_and_csv(self, capsys):
         table = solve_aj(2, 3)
         assert table.rows() == [(1, QQ(-1, 2)), (2, QQ(1, 4)), (3, QQ(-3, 16))]
-        text = aj_to_csv(table)
-        assert text == "j,a_j\n1,-1/2\n2,1/4\n3,-3/16\n"
+        assert main(["ajcoeffs", "--k", "2", "--depth", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "j,a_j\n1,-1/2\n2,1/4\n3,-3/16\n"
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="positive"):
@@ -86,8 +85,6 @@ class TestCoefficientTable:
 
 class TestCoverMap:
     def test_k1_cover_map_is_linear(self):
-        f = f_series(1)
-        assert f.coeffs == {(ONE, ONE): ONE}
         finv = f_inverse_series(1, Window({"x": (None, QQ(5))}))
         assert finv.coeffs == {(ONE, QQ(-1)): ONE}
 
@@ -109,11 +106,6 @@ class TestCoverMap:
     def test_inverse_needs_bounded_window(self):
         with pytest.raises(ValueError, match="bounded"):
             f_inverse_series(2, Window({"x": (None, None)}))
-
-    def test_cover_map_polynomial_degree(self):
-        f = f_series(3, with_z=False)
-        assert set(f.coeffs) == {(ONE,), (QQ(2),), (QQ(3),)}
-        assert f.coeffs[(QQ(3),)] == QQ(1, 3)
 
 
 class TestApplyDelta:
@@ -138,11 +130,10 @@ class TestApplyDelta:
         assert expansion.prefactor == QQ(1, k * k)
         lead = QQ(2, k) - 2
         assert expansion.leading_exponent() == lead
-        assert expansion.state_at(lead) == OMEGA
         a2 = solve_aj(k, 4).a(2)
         scalar = a2 * CENTRAL_CHARGE / 2
-        assert expansion.state_at(lead - QQ(2, k)) == VACUUM.scaled(scalar)
-        assert len(expansion.pieces) == 2
+        assert expansion.pieces == (
+            (lead, OMEGA), (lead - QQ(2, k), VACUUM.scaled(scalar)))
 
     def test_generator_expansion_k2(self):
         expansion = apply_delta(2, PSI)
@@ -157,7 +148,7 @@ class TestApplyDelta:
             p = word_level(word)
             expansion = apply_delta(k, u)
             assert expansion.leading_exponent() == p / k - p
-            assert expansion.state_at(expansion.leading_exponent()) == u
+            assert expansion.pieces[0] == (p / k - p, u)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_odd_states_live_on_shifted_lattice(self, k):

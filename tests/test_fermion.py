@@ -9,14 +9,13 @@ from twistfock.fermion import (
     PSI,
     VACUUM,
     State,
+    _window_field,
     check_ns_word,
     check_ramond_word,
     combine,
     compose_permutations,
     cycle_permutation,
     fermion_mode,
-    field_to_csv,
-    field_to_json,
     format_ns_word,
     format_ramond_word,
     iterate_mode_word,
@@ -27,13 +26,12 @@ from twistfock.fermion import (
     tensor_slot_vector,
     tensor_vertex_mode,
     vertex_mode,
-    vertex_op,
     virasoro,
     word_level,
     word_parity,
 )
 from twistfock.formal import Window, compare_fields
-from twistfock.scalars import QQ, binomial
+from twistfock.scalars import ONE, QQ, ZERO, binomial
 
 H = QQ(1, 2)
 
@@ -312,33 +310,19 @@ class TestMaterializedFields:
         window = Window({"x": (-4, 4)})
         inner = Window({"x": (-3, 3)})
         basis = ns_basis(QQ(3, 2))
+
+        def field(v):
+            return _window_field(lambda t, target: vertex_mode(v, t, target),
+                                 v.homogeneous_level(), v.homogeneous_parity(),
+                                 ONE, ZERO, window, basis)
+
         for v in (PSI, OMEGA):
-            dv = virasoro(-1, v)
-            lhs = vertex_op(v, window, domain_level=QQ(3, 2)).derivative("x")
-            rhs = vertex_op(dv, window, domain_level=QQ(3, 2))
+            lhs = field(v).derivative("x")
+            rhs = field(virasoro(-1, v))
             result = compare_fields(
                 "derivative-field", lhs, rhs, inner, 1, basis
             )
             assert result.passed
-
-    def test_export_round_shapes(self):
-        window = Window({"x": (-2, 2)})
-        fld = vertex_op(PSI, window, domain_level=QQ(1))
-        as_json = field_to_json(fld)
-        assert '"exponent"' in as_json
-        basis = ns_basis(QQ(3, 2))
-        as_csv = field_to_csv(fld, ns_basis(QQ(1)), basis)
-        header = as_csv.splitlines()[0]
-        assert header.startswith("exponent,row,")
-        # exponent -2 (annihilator past every column) is identically zero
-        assert len(fld.terms) == 4
-        assert len(as_csv.splitlines()) == 1 + 4 * len(basis)
-
-    def test_exports_deterministic(self):
-        window = Window({"x": (-2, 2)})
-        a = field_to_json(vertex_op(OMEGA, window, domain_level=QQ(1)))
-        b = field_to_json(vertex_op(OMEGA, window, domain_level=QQ(1)))
-        assert a == b
 
 
 # ---------------------------------------------------------------------------

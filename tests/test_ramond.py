@@ -1,7 +1,5 @@
 """Tests for the parity-twisted fermion module and its twisted fields."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +9,7 @@ from twistfock.fermion import (
     PSI,
     RAMOND_GROUND,
     VACUUM,
+    ZERO_STATE,
     State,
     format_ramond_word,
     ns_basis,
@@ -19,10 +18,9 @@ from twistfock.fermion import (
     word_level,
     word_parity,
 )
-from twistfock.formal import QSeries, Window, compare_fields
+from twistfock.formal import Window, compare_fields
 from twistfock.ramond import (
     ground_weight,
-    parity_unstable_generators,
     ramond_basis,
     ramond_mode,
     sigma_L0_spectrum,
@@ -140,6 +138,10 @@ class TestTwistedFields:
         assert even.parity == 0
         for mono in even.terms:
             assert mono[0].denominator == 1
+
+    def test_zero_state_gives_empty_field(self):
+        field = sigma_vertex_op(ZERO_STATE, Window({"x": (-2, 2)}))
+        assert (field.terms, field.parity) == ({}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +271,23 @@ class TestSpectrum:
         assert spectrum.coeffs == (2, 2, 2, 4, 4, 6, 8, 10)
 
     def test_off_lattice_dimensions_vanish(self):
+        # every graded piece sits on 1/16 + Z: weights 1/2 and 17/16 + 1/2
+        # carry no dimension, and weight 17/16 carries two
         spectrum = sigma_L0_spectrum(QQ(1, 16) + 3)
-        assert spectrum.coefficient_at(QQ(1, 2)) == 0
-        assert spectrum.coefficient_at(QQ(17, 16) + H) == 0
-        assert spectrum.coefficient_at(QQ(1, 16) + 1) == 2
-
-    def test_json_shape(self):
-        spectrum = sigma_L0_spectrum(QQ(1, 16) + 1)
-        payload = json.loads(spectrum.to_json())
-        assert payload == {"offset": "1/16", "coeffs": [2, 2]}
-        assert QSeries.from_json(spectrum.to_json()) == spectrum
+        weights = [spectrum.weight(i) for i in range(len(spectrum.coeffs))]
+        assert QQ(1, 2) not in weights
+        assert QQ(17, 16) + H not in weights
+        assert spectrum.coeffs[weights.index(QQ(1, 16) + 1)] == 2
 
     def test_ground_space_is_two_dimensional(self):
         assert ramond_basis(ZERO) == [(), (ZERO,)]
 
     def test_parity_unstable_generators(self):
-        plus, minus = parity_unstable_generators()
+        # e+- = ground +- sqrt(2) psi_0 ground are the zero-mode eigenvectors
+        # that split the ground space; each mixes the two parities
         root2 = cyc_sqrt_k(2)
+        shifted = ramond_mode(0, RAMOND_GROUND).scaled(root2)
+        plus, minus = RAMOND_GROUND + shifted, RAMOND_GROUND - shifted
         for vec, sign in ((plus, 1), (minus, -1)):
             image = ramond_mode(0, vec)
             assert image == vec.scaled(root2 * H * sign)

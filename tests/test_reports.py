@@ -22,7 +22,9 @@ order k = 5, which no benchmark workload runs.
 Three more command lines are pinned by hash because no delta-session
 request reaches them: an inverse change of a two-mode word at k = 4 through
 an exponent window, as CSV; the conformal vector at k = 2 as a table of
-`~`-marked decimals; and an order-3 coefficient table as JSON.
+`~`-marked decimals; and an order-3 coefficient table as JSON.  The graded
+dimension (`char`) and the truncated twisted module (`twist-build`) are
+pinned the same way, since no benchmark workload runs either command.
 
 The benchmark's delta-apply stream is pinned by the SHA-256 of every
 response, stored in `bench/reference/delta-session.json` under the
@@ -93,6 +95,10 @@ CLI_SHA256 = {
         "117e65449726e1be5d26eecb6ba987ef61728ef47882016a07659e2c743c7622",
     "ajcoeffs --k 3 --depth 6 --format json":
         "c3c401d13625e42a63bec117e3596aadcd6a06f66822c4406d294613cadef2d5",
+    "char --k 2 --cutoff 7":
+        "dd896173e7fca7cbca2978fbd7d3101f21938612de91f225c1d2649446e331bc",
+    "twist-build --k 4 --cutoff 4 --format json":
+        "efad0c2bbe2d57db5b5d42bd720bda737b1bb179cd39fef5cede5eeaa39d40a1",
 }
 
 

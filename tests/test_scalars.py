@@ -18,8 +18,6 @@ from twistfock.scalars import (
     eta_powers,
     euler_phi,
     k_to_the,
-    scalar_from_json,
-    scalar_to_json,
 )
 
 ORDERS = [1, 2, 3, 4, 6]
@@ -162,26 +160,6 @@ class TestFieldAxioms:
     def test_rational_fast_path_agrees(self, a, q):
         """Scaling by a rational equals multiplying by the embedded rational."""
         assert a * q == a * CycScalar.from_rational(q, a.conductor)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-class TestSerialization:
-    @given(cyc_scalars())
-    def test_json_round_trip(self, a):
-        """from_json(to_json(a)) = a."""
-        assert scalar_from_json(scalar_to_json(a)) == a
-
-    @given(rationals())
-    def test_rational_json_round_trip(self, q):
-        assert scalar_from_json(scalar_to_json(q)) == q
-
-    def test_json_shape(self):
-        data = cyc_root_of_unity(8, 1).to_json()
-        assert data == {"conductor": 8, "coeffs": ["0", "1", "0", "0"]}
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from twistfock.twist import (
     TwistedModuleView,
     require_even_order,
     tensor_operator,
-    twisted_field_to_csv,
     twisted_mode,
     u_functor_sigma_mode,
     u_functor_sigma_op,
@@ -51,35 +50,39 @@ def ground_state():
     return State({GROUND: ONE})
 
 
+def exponents(field):
+    return tuple(sorted(mono[0] for mono in field.terms))
+
+
 class TestYbar:
     def test_vacuum_is_identity(self):
         for k in (2, 3, 4):
             field = ybar(k, VACUUM, WINDOW)
-            assert field.exponents() == (QQ(0),)
+            assert exponents(field) == (QQ(0),)
             for word in KEYS:
-                assert field.field.terms[(QQ(0),)][word] == {word: ONE}
+                assert field.terms[(QQ(0),)][word] == {word: ONE}
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_omega_central_coefficient(self, k):
         field = ybar(k, OMEGA, WINDOW)
         expected_central = QQ(k * k - 1, 48 * k * k)
         for word in KEYS:
-            diag = field.field.terms[(QQ(-2),)][word][word]
+            diag = field.terms[(QQ(-2),)][word][word]
             weight_part = (ground_weight() + word_level(word)) / (k * k)
             assert diag - weight_part == expected_central
 
     def test_psi_exponent_lattice_even_order(self):
         field = ybar(2, PSI, WINDOW)
-        exponents = field.exponents()
-        assert exponents
-        assert all((2 * e).denominator == 1 for e in exponents)
-        assert any(e.denominator == 2 for e in exponents)
+        found = exponents(field)
+        assert found
+        assert all((2 * e).denominator == 1 for e in found)
+        assert any(e.denominator == 2 for e in found)
 
     def test_psi_exponent_lattice_odd_order(self):
         # For odd order the generator field escapes the (1/k) lattice:
         # the shifted lattice is the obstruction witness.
         field = ybar(3, PSI, WINDOW)
-        assert any((3 * e).denominator == 2 for e in field.exponents())
+        assert any((3 * e).denominator == 2 for e in exponents(field))
 
     @pytest.mark.parametrize(
         "k,name,j",
@@ -94,11 +97,10 @@ class TestYbar:
         field = yg_tensor_factor(k, u, j, WINDOW)
         for i in range(-4 * k, 2 * k + 1):  # exponents -3 .. 3
             m = QQ(i, k)
-            matrix = field.mode_action(m)
             mode = twisted_mode(k, u, m, substitution_power=j)
             for word in KEYS:
                 image = mode(State({word: ONE}))
-                assert dict(image.terms) == matrix.get(word, {}), (m, word)
+                assert dict(image.terms) == field.column((-m - 1,), word), (m, word)
 
     def test_requires_bounded_window(self):
         with pytest.raises(ValueError, match="bounded"):
@@ -106,51 +108,42 @@ class TestYbar:
 
     def test_zero_state_gives_empty_field(self):
         field = ybar(2, ZERO_STATE, WINDOW)
-        assert field.exponents() == ()
+        assert exponents(field) == ()
 
     def test_mode_action_outside_window(self):
+        # mode 10 sits at exponent -11, outside the window: unknown, not zero
         field = ybar(2, PSI, WINDOW)
         with pytest.raises(ValueError, match="outside"):
-            field.mode_action(QQ(10))
-
-    def test_component_decomposition_partitions(self):
-        field = ybar(2, PSI, WINDOW)
-        seen = []
-        for p in range(2):
-            seen.extend(field.component(p).terms)
-        assert sorted(seen) == sorted(field.field.terms)
-        # the odd-charge component carries the half-odd-integer modes
-        odd = field.component(1)
-        assert all((-mono[0] - 1).denominator == 2 for mono in odd.terms)
+            field.column((QQ(-11),), GROUND)
 
 
 class TestTensorFactor:
     def test_power_zero_is_first_slot(self):
         base = ybar(2, PSI, WINDOW)
         sub = yg_tensor_factor(2, PSI, 0, WINDOW)
-        assert sub.field.terms == base.field.terms
+        assert sub.terms == base.terms
 
     def test_full_turn_returns_original(self):
         base = ybar(2, PSI, WINDOW)
         sub = yg_tensor_factor(2, PSI, 2, WINDOW)
-        assert sub.field.terms == base.field.terms
+        assert sub.terms == base.terms
 
     def test_sign_pattern_order_two(self):
         base = ybar(2, PSI, WINDOW)
         sub = yg_tensor_factor(2, PSI, 1, WINDOW)
-        for mono, table in base.field.terms.items():
+        for mono, table in base.terms.items():
             e = mono[0]
             flip = -ONE if e.denominator == 2 else ONE
             for word, column in table.items():
                 for out_word, value in column.items():
-                    assert sub.field.terms[mono][word][out_word] == flip * value
+                    assert sub.terms[mono][word][out_word] == flip * value
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_central_terms_sum_over_slots(self, k):
         total = ZERO
         for j in range(k):
             field = yg_tensor_factor(k, OMEGA, j, WINDOW)
-            diag = field.field.terms[(QQ(-2),)][GROUND][GROUND]
+            diag = field.terms[(QQ(-2),)][GROUND][GROUND]
             total += diag - ground_weight() / (k * k)
         assert total == QQ(k * k - 1) * CENTRAL_CHARGE / (24 * k)
 
@@ -162,21 +155,21 @@ class TestTensorFactor:
 class TestTensorProduct:
     def test_all_vacuum_slots_give_identity(self):
         field = yg_general(2, (VACUUM, VACUUM), WINDOW)
-        assert field.exponents() == (QQ(0),)
+        assert exponents(field) == (QQ(0),)
         for word in KEYS:
-            assert field.field.terms[(QQ(0),)][word] == {word: ONE}
+            assert field.terms[(QQ(0),)][word] == {word: ONE}
 
     def test_collapse_to_first_slot(self):
         product = yg_general(2, (PSI, VACUUM), WINDOW)
         single = ybar(2, PSI, WINDOW)
-        result = compare_fields("collapse1", product.field, single.field,
+        result = compare_fields("collapse1", product, single,
                                 WINDOW, 4, KEYS)
         assert result.passed
 
     def test_collapse_to_second_slot(self):
         product = yg_general(2, (VACUUM, PSI), WINDOW)
         single = yg_tensor_factor(2, PSI, 1, WINDOW)
-        result = compare_fields("collapse2", product.field, single.field,
+        result = compare_fields("collapse2", product, single,
                                 WINDOW, 4, KEYS)
         assert result.passed
 
@@ -184,7 +177,7 @@ class TestTensorProduct:
         window = Window({"x": (QQ(-2), QQ(2))})
         product = yg_general(4, (VACUUM, OMEGA, VACUUM, VACUUM), window)
         single = yg_tensor_factor(4, OMEGA, 1, window)
-        result = compare_fields("collapse4", product.field, single.field,
+        result = compare_fields("collapse4", product, single,
                                 window, 8, KEYS)
         assert result.passed
 
@@ -192,11 +185,11 @@ class TestTensorProduct:
         # Exact entries on the puncture ground state, computed by hand from
         # the ordered product of the two slot fields at order two.
         field = yg_general(2, (PSI, PSI), WINDOW)
-        terms = field.field.terms
+        terms = field.terms
         assert terms[(QQ(-1),)][GROUND] == {GROUND: QQ(-1, 4)}
         assert terms[(QQ(-1, 2),)][GROUND] == {(-2, 0): -ONE}
         assert GROUND not in terms.get((QQ(0),), {})
-        assert field.field.parity == 0
+        assert field.parity == 0
 
     def test_generator_pair_against_slotwise_oracle(self):
         # Independent oracle: assemble the ordered product directly from
@@ -229,7 +222,7 @@ class TestTensorProduct:
                         total = total + slot_mode(m - 1 - n, True, inner).scaled(-ONE)
                     n += QQ(1, 2)
                 expected = total.scaled(prefactor)
-                actual = field.mode_action(m).get(word, {})
+                actual = field.column((-m - 1,), word)
                 assert dict(expected.terms) == actual, (word, m)
                 m += QQ(1, 2)
 
@@ -242,8 +235,8 @@ class TestTensorProduct:
             yg_general(2, (PSI, ZERO_STATE), WINDOW)
 
     def test_parity_of_product(self):
-        assert yg_general(2, (PSI, VACUUM), WINDOW).field.parity == 1
-        assert yg_general(2, (PSI, PSI), WINDOW).field.parity == 0
+        assert yg_general(2, (PSI, VACUUM), WINDOW).parity == 1
+        assert yg_general(2, (PSI, PSI), WINDOW).parity == 0
         assert tensor_operator(2, (PSI, OMEGA)).parity == 1
 
 
@@ -397,23 +390,8 @@ class TestModuleView:
             assert twisted.weight(n) == sigma_exponent / k
             assert twisted.coeffs[n] == sigma.coeffs[n]
 
-    def test_summary_json_deterministic(self):
-        view = TwistedModuleView(2, 2)
-        text = view.summary_json()
-        assert text == view.summary_json()
-        assert '"k": 2' in text
-        assert '"grade": "1/2"' in text
-
 
 class TestExports:
-    def test_csv_round_trip_shape(self):
-        field = ybar(2, PSI, Window({"x": (QQ(-1), QQ(1))}))
-        basis = ramond_basis(QQ(1))
-        text = twisted_field_to_csv(field, basis, basis)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("exponent,row,")
-        assert text == twisted_field_to_csv(field, basis, basis)
-
     def test_even_order_guard(self):
         with pytest.raises(ValueError, match="even"):
             require_even_order(1)
