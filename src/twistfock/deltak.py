@@ -35,7 +35,6 @@ from .scalars import (
     k_to_the,
     rational_ceil,
     rational_floor,
-    scalar_str,
 )
 from .formal import (
     ComparisonResult,
@@ -317,14 +316,6 @@ class DeltaExpansion:
 
     def exponents(self):
         return tuple(e for e, _ in self.pieces)
-
-    def render(self) -> str:
-        if not self.pieces:
-            return "0"
-        parts = []
-        for e, s in self.pieces:
-            parts.append(f"x^({e}) * [{s.render()}]")
-        return f"({scalar_str(self.prefactor)}) * (" + " + ".join(parts) + ")"
 
 
 def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
