@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state",
         default="psi",
-        help="vacuum|1|psi|omega or mode indices: --state=-3/2,-1/2",
+        help="vacuum|1|psi|omega or mode indices, e.g. -3/2,-1/2",
     )
     p.add_argument(
         "--inverse", action="store_true", help="apply the inverse direction"
@@ -569,8 +569,29 @@ def _shared_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may start with "-": a rational (--lo -1/3) or a mode
+# word (--state -3/2,-1/2).  argparse reads such a token as an option unless
+# it is a plain number, so main first joins it to its flag, as --lo=-1/3.
+_SIGNED_FLAGS = frozenset(
+    ("--state", "--lo", "--hi", "--radius", "--domain-level", "--weight")
+)
+
+
+def _join_signed_values(argv) -> list:
+    """argv with each negative value of a flag in _SIGNED_FLAGS joined to
+    the flag by "="."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _shared_parser().parse_args(_join_signed_values(argv))
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:

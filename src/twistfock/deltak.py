@@ -30,11 +30,11 @@ from .scalars import (
     QQ,
     ZERO,
     ONE,
-    CycScalar,
     binomial,
     k_to_the,
     rational_ceil,
     rational_floor,
+    rationalized,
 )
 from .formal import (
     ComparisonResult,
@@ -314,9 +314,6 @@ class DeltaExpansion:
             raise ValueError("empty expansion has no leading exponent")
         return self.pieces[0][0]
 
-    def exponents(self):
-        return tuple(e for e, _ in self.pieces)
-
 
 def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     """exp(sign * sum_j a_j L(j)) applied to u, graded by total weight drop.
@@ -421,20 +418,13 @@ def round_trip_defect(k: int, u: State) -> State:
     by_exponent = {}
     for e_f, piece in fwd.pieces:
         inv = apply_delta(k, piece, INVERSE)
-        scalar = _rationalized(fwd.prefactor * inv.prefactor)
+        scalar = rationalized(fwd.prefactor * inv.prefactor)
         for e_i, back in inv.pieces:
             by_exponent.setdefault(e_f + e_i, []).append((back, scalar))
     pairs = [(combine(group), ONE) for group in by_exponent.values()]
     if 0 in by_exponent:
         pairs.append((u, -ONE))
     return combine(pairs)
-
-
-def _rationalized(scalar):
-    """Collapse a cyclotomic scalar that happens to be rational back to QQ."""
-    if isinstance(scalar, CycScalar) and scalar.is_rational():
-        return scalar.rational_value()
-    return scalar
 
 
 # ---------------------------------------------------------------------------

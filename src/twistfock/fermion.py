@@ -168,9 +168,6 @@ class State:
         """A state from a dict of tuple words to nonzero coefficients."""
         return cls._of_terms(tuple(sorted(table.items(), key=_word_of)))
 
-    def table(self) -> dict:
-        return dict(self.terms)
-
     def __add__(self, other: "State") -> "State":
         return combine(((self, ONE), (other, ONE)))
 

@@ -166,6 +166,25 @@ def cyclotomic_poly(n: int) -> tuple:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _reduction_rows(conductor: int) -> tuple:
+    """x^j mod Phi_n for phi(n) <= j <= 2 phi(n) - 2, the powers a product
+    of two reduced elements reaches, each as phi(n) ints (low degree
+    first).  Phi_n is monic with integer coefficients, so every row is
+    integral."""
+    poly = [int(c) for c in cyclotomic_poly(conductor)]
+    degree = len(poly) - 1
+    row = [-c for c in poly[:-1]]  # x^degree
+    rows = []
+    for _ in range(degree - 1):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, poly)]
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
@@ -305,8 +324,20 @@ class CycScalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        prod = _pmul(list(a.coeffs), list(b.coeffs))
-        return CycScalar(a.conductor, prod)
+        degree = len(a.coeffs)
+        raw = [ZERO] * (2 * degree - 1)
+        for i, ca in enumerate(a.coeffs):
+            if ca:
+                for j, cb in enumerate(b.coeffs):
+                    if cb:
+                        raw[i + j] += ca * cb
+        out = raw[:degree]
+        for c, row in zip(raw[degree:], _reduction_rows(a.conductor)):
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+        return CycScalar._of(a.conductor, tuple(out))
 
     __rmul__ = __mul__
 
@@ -467,6 +498,13 @@ def k_to_the(k: int, exponent) -> CycScalar | object:
     return root * (QQ(k) ** n)
 
 
+def rationalized(x):
+    """x as a `QQ` when its value is rational; any other scalar as it is."""
+    if isinstance(x, CycScalar) and x.is_rational():
+        return x.coeffs[0]
+    return x
+
+
 def eta_k(k: int) -> CycScalar:
     """A fixed primitive k-th root of unity inside Q(zeta_{4k})."""
     return cyc_root_of_unity(4 * k, 4)
@@ -474,10 +512,11 @@ def eta_k(k: int) -> CycScalar:
 
 @lru_cache(maxsize=None)
 def eta_powers(k: int) -> tuple:
-    """(eta^0, ..., eta^{k-1}) for eta = eta_k(k); eta^i is entry i % k.
-    Cached: every slot field of order k reads the same powers."""
+    """(eta^0, ..., eta^{k-1}) for eta = eta_k(k); eta^i is entry i % k,
+    a `QQ` where it is rational (eta^0, and -1 for even k).  Cached: every
+    slot field of order k reads the same powers."""
     eta = eta_k(k)
-    return tuple(eta**i for i in range(k))
+    return tuple(rationalized(eta**i) for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import QQ, ZERO, ONE, eta_powers, rational_ceil
+from .scalars import QQ, ZERO, ONE, eta_powers, rational_ceil, rationalized
 from .formal import OperatorField, QSeries, Window, assert_on_lattice
 from .fermion import (
     CENTRAL_CHARGE,
@@ -65,6 +65,10 @@ class SlotField:
     scales the mode with index m by eta^{power*k*(-m-1)}; where that power
     is fractional the mode is zero.
 
+    The pieces have rational coefficients, so the mode splits into a
+    rational part, `rational_mode`, and one scalar, `scalar`: the prefactor
+    k^{-p} times that root of unity, the only irrational factor.
+
     Defined for every k >= 1; it closes into a twisted module structure
     only for k even (the odd case is exercised by the obstruction checker).
     """
@@ -85,32 +89,47 @@ class SlotField:
         # the sigma-mode index of piece (e, u_e) is offset_e + k m
         self._offsets = tuple((piece, k * (e + 1) - 1) for e, piece in self.pieces)
         self.power = power % k
-        self.eta_powers = eta_powers(k) if self.power else ()
+        # entry j: the prefactor times eta^j, a QQ where rational
+        self.scalars = tuple(
+            rationalized(self.prefactor * eta) for eta in eta_powers(k)
+        )
 
-    def _scalar(self, m):
-        """The coefficient of mode m: the prefactor times its root of
-        unity, or None where the root-of-unity power is fractional."""
+    def eta_class(self, m):
+        """The exponent j in 0..k-1 of the root of unity eta^j in the
+        scalar of mode m, or None where the power is fractional (the mode
+        is zero there)."""
         if not self.power:
-            return self.prefactor
+            return 0
         twist = self.power * self.k * (-m - 1)
         if twist.denominator != 1:
             return None
-        return self.prefactor * self.eta_powers[int(twist) % self.k]
+        return int(twist) % self.k
+
+    def scalar(self, m):
+        """The scalar of mode m, k^{-p} eta^{eta_class(m)}, or None where
+        the mode is zero."""
+        j = self.eta_class(m)
+        return None if j is None else self.scalars[j]
 
     def plan(self, m) -> tuple:
         """The (piece, sigma-mode index) pairs whose sum is mode m."""
         km = self.k * m
         return tuple((piece, offset + km) for piece, offset in self._offsets)
 
-    def mode(self, m, state: State) -> State:
-        scalar = self._scalar(m)
-        if scalar is None:
-            return ZERO_STATE
+    def rational_mode(self, m, state: State) -> State:
+        """Mode m without its scalar: the sum of the sigma-modes of the
+        pieces, a state over Q for a state over Q."""
         km = self.k * m
         return combine(
             (sigma_vertex_mode(piece, offset + km, state), ONE)
             for piece, offset in self._offsets
-        ).scaled(scalar)
+        )
+
+    def mode(self, m, state: State) -> State:
+        scalar = self.scalar(m)
+        if scalar is None:
+            return ZERO_STATE
+        return self.rational_mode(m, state).scaled(scalar)
 
     def materialize(self, window: Window, basis) -> OperatorField:
         """The field over a bounded window, one column per basis word.
@@ -136,7 +155,7 @@ class SlotField:
                     if image.is_zero():
                         continue
                     exponent = e_piece + QQ(-t, k)  # -t-1 before the step
-                    scalar = self._scalar(-exponent - 1)
+                    scalar = self.scalar(-exponent - 1)
                     if scalar is None:
                         continue
                     column = terms.setdefault((exponent,), {}).setdefault(word, {})
@@ -287,9 +306,12 @@ class RecoveredField:
     The inverse coordinate change sends a homogeneous state u of weight p
     to k^p times pieces (e, u_e); the recovered mode with index m is that
     prefactor times the sum of the first-slot twisted modes of the u_e with
-    index e - 1 + (m+1)/k.  The field of a state of parity r is supported
-    on r/2 + Z; at the complementary offset every mode is zero.  The branch
-    of the k-th root is structural: only the principal one is admissible.
+    index e - 1 + (m+1)/k.  The k^{-p_e} of each piece's mode and the k^p
+    combine into one rational factor, so a mode is a sum of the pieces'
+    rational parts and a state over Q.  The field of a state of parity r is
+    supported on r/2 + Z; at the complementary offset every mode is zero.
+    The branch of the k-th root is structural: only the principal one is
+    admissible.
     """
 
     def __init__(self, k: int, u: State, branch: int = 0):
@@ -301,8 +323,13 @@ class RecoveredField:
         self.parity = u.homogeneous_parity() or 0
         expansion = apply_delta(k, u, INVERSE)
         self.prefactor = expansion.prefactor
-        self._pieces = tuple((e - 1, SlotField(k, piece))
-                             for e, piece in expansion.pieces)
+        # k^p times the piece's k^{-p_e}: the inverse change lowers the
+        # weight by whole steps, so this factor is a QQ
+        fields = [(e - 1, SlotField(k, piece)) for e, piece in expansion.pieces]
+        self._pieces = tuple(
+            (base, field, rationalized(self.prefactor * field.prefactor))
+            for base, field in fields
+        )
 
     def mode(self, m, state: State) -> State:
         m = assert_on_lattice(QQ(m), 2)
@@ -310,9 +337,10 @@ class RecoveredField:
             return ZERO_STATE
         shift = (m + 1) / self.k
         return combine(
-            (field.mode(assert_on_lattice(base + shift, self.k), state), ONE)
-            for base, field in self._pieces
-        ).scaled(self.prefactor)
+            (field.rational_mode(assert_on_lattice(base + shift, self.k), state),
+             factor)
+            for base, field, factor in self._pieces
+        )
 
     def materialize(self, window: Window, basis) -> OperatorField:
         """The field over a bounded window; exponents on the half lattice."""

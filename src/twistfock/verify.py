@@ -28,6 +28,7 @@ from .scalars import (
     is_rational,
     rational_ceil,
     rational_floor,
+    rationalized,
     scalar_str,
 )
 from .formal import (
@@ -183,8 +184,18 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 # ---------------------------------------------------------------------------
 
 
+def _untwisted_class(m) -> int:
+    return 0
+
+
 class _ModeFamily:
-    """A weight-graded family of operators m -> (state -> state).
+    """A weight-graded family of operators m -> (state -> state), over Q.
+
+    ``mode(m, state)`` is the rational image: the operator with index m is
+    ``scalars[eta_class(m)]`` times it, where ``scalars[j]`` is the
+    family's prefactor times eta^j (eta^k = 1, so j lies in 0..k-1), and it
+    is zero where ``eta_class(m)`` is None.  A family without roots of
+    unity has ``scalars`` (ONE,) and class 0 everywhere.
 
     The mode with index m shifts the module grade (measured in units of
     1/grading_den) by weight - m - 1, so modes above ``top(level)`` kill a
@@ -193,11 +204,14 @@ class _ModeFamily:
     compositions many times.
     """
 
-    def __init__(self, mode, weight, parity: int, grading_den: int):
+    def __init__(self, mode, weight, parity: int, grading_den: int, *,
+                 scalars=(ONE,), eta_class=_untwisted_class):
         self._mode = mode
         self.weight = QQ(weight)
         self.parity = parity
         self.grading_den = grading_den
+        self.scalars = scalars
+        self.eta_class = eta_class
         self._cache = {}
         self._tops = {}
 
@@ -214,9 +228,21 @@ class _ModeFamily:
         key = (m, state)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._mode(m, state)
+            hit = ZERO_STATE if self.eta_class(m) is None else self._mode(m, state)
             self._cache[key] = hit
         return hit
+
+
+def _pair_scalars(left: _ModeFamily, right: _ModeFamily) -> tuple:
+    """The scalars of composed modes of two families, built once per check.
+
+    Entry j is the product of the two prefactors times eta^j: the scalar
+    of left(a) right(b), in either order, when the eta classes of a and b
+    sum to j mod k.  So each composed pair costs one lookup, not a
+    product of cyclotomic scalars; an entry is a QQ where rational.
+    """
+    base = left.scalars[0] * right.scalars[0]
+    return tuple(rationalized(base * eta) for eta in eta_powers(len(left.scalars)))
 
 
 def _require_usable(u: State, role: str) -> State:
@@ -235,7 +261,8 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
     if not 1 <= slot <= k:
         raise ValueError(f"tensor slot must lie in 1..{k}, got {slot}")
     field = SlotField(k, u, slot - 1)
-    return _ModeFamily(field.mode, field.weight, field.parity, k)
+    return _ModeFamily(field.rational_mode, field.weight, field.parity, k,
+                       scalars=field.scalars, eta_class=field.eta_class)
 
 
 def _parity_twisted_family(u: State) -> _ModeFamily:
@@ -252,22 +279,31 @@ def _parity_twisted_family(u: State) -> _ModeFamily:
 def _recovered_family(k: int, u: State) -> _ModeFamily:
     """Modes of the parity-twisted field recovered through the inverse
     construction (twisted modes composed with the inverse coordinate
-    change)."""
+    change); they are over Q, with no scalar outside."""
     _require_usable(u, "field argument")
     field = RecoveredField(k, u)
     return _ModeFamily(field.mode, field.weight, field.parity, 1)
 
 
-def _expanded_product(outer, inner, n, a, b, state: State, level, scale=ONE):
+def _expanded_product(outer, inner, scalars, n, a, b, state: State, level,
+                      scale=ONE):
     """The (state, coefficient) pairs of
         scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
     the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
-    powers of x2, for a state of the given level.
+    powers of x2, for a state of the given level; ``scalars`` is
+    `_pair_scalars` of the two families.
 
-    The sum ends where the inner modes pass ``inner.top(level)`` and kill the
-    state; an outer mode above the top of the inner image is skipped.
+    The states are rational images; the families' scalar is in every
+    coefficient.  It is one lookup for the whole sum: a shift of an index
+    by an integer moves its eta class by a multiple of k.  The sum ends
+    where the inner modes pass ``inner.top(level)`` and kill the state; an
+    outer mode above the top of the inner image is skipped.
     """
     pairs = []
+    ca, cb = outer.eta_class(a), inner.eta_class(b)
+    if ca is None or cb is None:
+        return pairs
+    scale = scale * scalars[(ca + cb) % len(scalars)]
     top = inner.top(level)
     i = 0
     while b + i <= top:
@@ -284,6 +320,7 @@ def _expanded_product(outer, inner, n, a, b, state: State, level, scale=ONE):
 def _field_product_mode(
     left: _ModeFamily,
     right: _ModeFamily,
+    scalars,
     eps,
     n_loc: int,
     k: int,
@@ -316,12 +353,13 @@ def _field_product_mode(
         n = t + i
         # ordered half: the left field to the left of the right field
         pairs += _expanded_product(
-            left, right, n, r_frac + t, mu - r_frac, state, level, coeff_i
+            left, right, scalars, n, r_frac + t, mu - r_frac, state, level,
+            coeff_i,
         )
         # swapped half, with the supersymmetry sign of the exchange
         sign = -eps if n % 2 == 0 else eps
         pairs += _expanded_product(
-            right, left, n, mu - r_frac + n, r_frac - i, state, level,
+            right, left, scalars, n, mu - r_frac + n, r_frac - i, state, level,
             coeff_i * sign,
         )
     return combine(pairs)
@@ -374,31 +412,39 @@ def _iterate_top(u: State, v: State) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _supercommutator_grid(left, right, target, level, grid1, grid2):
+def _supercommutator_grid(left, right, scalars, target, level, grid1, grid2):
     """Yield (e1, e2, [A(-e1-1), B(-e2-1)] w) over the exponent grid, e2
     outer and e1 inner, for the mode families A = left and B = right and a
     domain state w of the given level; the bracket is the supercommutator
-    A B - (-1)^{|A||B|} B A."""
+    A B - (-1)^{|A||B|} B A.  Both orders compose the same two modes, so
+    the bracket has one scalar, looked up in ``scalars`` (`_pair_scalars`
+    of the two families) once per grid point."""
     eps = -ONE if (left.parity and right.parity) else ONE
     a_images = {}
     for e1 in grid1:
         m1 = -e1 - 1
         a_images[e1] = (
-            left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE
+            m1,
+            left.eta_class(m1),
+            left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE,
         )
     for e2 in grid2:
         m2 = -e2 - 1
+        c2 = right.eta_class(m2)
         b = right.mode(m2, target) if m2 <= right.top(level) else ZERO_STATE
         b_level = None if b.is_zero() else b.homogeneous_level()
         for e1 in grid1:
-            m1 = -e1 - 1
-            value = ZERO_STATE
+            m1, c1, a = a_images[e1]
+            if c1 is None or c2 is None:
+                yield e1, e2, ZERO_STATE
+                continue
+            scalar = scalars[(c1 + c2) % len(scalars)]
+            pairs = []
             if b_level is not None and m1 <= left.top(b_level):
-                value = left.mode(m1, b)
-            a = a_images[e1]
+                pairs.append((left.mode(m1, b), scalar))
             if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
-                value = combine(((value, ONE), (right.mode(m2, a), -eps)))
-            yield e1, e2, value
+                pairs.append((right.mode(m2, a), -eps * scalar))
+            yield e1, e2, combine(pairs)
 
 
 def _commutator_report(
@@ -412,7 +458,7 @@ def _commutator_report(
     kernel_den: int,
     forms,
     product_builder,
-    kernel_weight=None,
+    kernel_eta=None,
     domain_level=QQ(2),
 ) -> tuple:
     """Compare a supercommutator of two mode families with its residue form.
@@ -427,7 +473,10 @@ def _commutator_report(
     the points off the kernel lattice where the commutator must vanish.
     The t-th product state's field is supplied by ``product_builder`` so the
     same engine serves first-slot fields, rotated slots (via the optional
-    root-of-unity ``kernel_weight``), and parity-twisted fields.
+    ``kernel_eta``, the eta class of the root of unity weighting the kernel
+    coefficient at n), and parity-twisted fields.  Every scalar is a lookup
+    in a table built once per check: `_pair_scalars` for the left side,
+    each product field's ``scalars`` for the residue.
 
     ``forms`` is a tuple of (name, kernel_shift, expected_verdict) triples,
     one report each, in order.  Only the kernel-lattice test depends on the
@@ -445,6 +494,7 @@ def _commutator_report(
         if not it.is_zero():
             iterates.append((t, product_builder(it)))
     prefactor = QQ(1, kernel_den)
+    scalars = _pair_scalars(left, right)
     results = [
         (ComparisonResult(name), QQ(kernel_shift)) for name, kernel_shift, _ in forms
     ]
@@ -459,25 +509,26 @@ def _commutator_report(
             for t, family in iterates:
                 n = e1 + t
                 key = (t, e1 + e2)
-                image = rhs_modes.get(key)
-                if image is None:
+                hit = rhs_modes.get(key)
+                if hit is None:
                     mu = -(e1 + e2) - t - 2
                     image = (
                         family.mode(mu, target)
                         if mu <= family.top(level)
                         else ZERO_STATE
                     )
-                    rhs_modes[key] = image
+                    hit = rhs_modes[key] = (image, family.eta_class(mu))
+                image, j = hit
                 if image.is_zero():
                     continue
-                coeff = binomial(n, t) * (ONE if t % 2 == 0 else -ONE)
-                if kernel_weight is not None:
-                    coeff = coeff * kernel_weight(n)
-                terms.append((image, coeff))
+                if kernel_eta is not None:
+                    j += kernel_eta(n)
+                coeff = binomial(n, t) * family.scalars[j % len(family.scalars)]
+                terms.append((image, -coeff if t % 2 else coeff))
             return combine(terms).scaled(prefactor)
 
         for e1, e2, lhs in _supercommutator_grid(
-            left, right, target, level, grid1, grid2
+            left, right, scalars, target, level, grid1, grid2
         ):
             location = f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}"
             rhs = None
@@ -582,11 +633,10 @@ def check_cross_slot_commutator(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    etas = eta_powers(k)
     diff = slot_u - slot_v
-    weight = None
+    kernel_eta = None
     if diff % k:
-        weight = lambda n: etas[int(diff * k * n) % k]  # noqa: E731
+        kernel_eta = lambda n: int(diff * k * n) % k  # noqa: E731
     label = (
         f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
         f"{_state_label(u)},{_state_label(v)}]"
@@ -601,7 +651,7 @@ def check_cross_slot_commutator(
         kernel_den=k,
         forms=((label, ZERO, "pass"),),
         product_builder=lambda s: _first_slot_family(k, s, slot=slot_v),
-        kernel_weight=weight,
+        kernel_eta=kernel_eta,
         domain_level=domain_level,
     )
     return report
@@ -657,20 +707,23 @@ def check_recovered_commutator(
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_left(left, right, eps, r: int, e1, e2, state: State, level) -> State:
+def _jacobi_left(left, right, scalars, eps, r: int, e1, e2, state: State,
+                 level) -> State:
     """The x0^{-r-1} x1^e1 x2^e2 coefficient of the left side of the
     three-variable identity on one state.
 
     First kernel: x0^{-1} delta((x1-x2)/x0) A(x1) B(x2), whose x0^{-r-1}
     part is (x1-x2)^r.  Second kernel: x0^{-1} delta((x2-x1)/(-x0))
     B(x2) A(x1), whose x0^{-r-1} part is (-1)^r (x2-x1)^r, scaled by the
-    supersymmetry sign -eps of the swapped product.
+    supersymmetry sign -eps of the swapped product.  ``scalars`` is
+    `_pair_scalars` of the two families.
     """
     sign2 = -eps if r % 2 == 0 else eps
     return combine(
-        _expanded_product(left, right, r, r - e1 - 1, -e2 - 1, state, level)
+        _expanded_product(left, right, scalars, r, r - e1 - 1, -e2 - 1, state,
+                          level)
         + _expanded_product(
-            right, left, r, r - e2 - 1, -e1 - 1, state, level, sign2
+            right, left, scalars, r, r - e2 - 1, -e1 - 1, state, level, sign2
         )
     )
 
@@ -696,6 +749,7 @@ def check_twisted_jacobi(
     _require_usable(v, "right argument")
     left = _first_slot_family(k, u)
     right = _first_slot_family(k, v)
+    scalars = _pair_scalars(left, right)
     eps = -ONE if (left.parity and right.parity) else ONE
     lo0, hi0 = _bounds(window, "x0")
     lo1, hi1 = _bounds(window, "x1")
@@ -717,7 +771,8 @@ def check_twisted_jacobi(
             r = int(-alpha - 1)
             for e1 in grid1:
                 for e2 in grid2:
-                    lhs = _jacobi_left(left, right, eps, r, e1, e2, target, level)
+                    lhs = _jacobi_left(left, right, scalars, eps, r, e1, e2,
+                                       target, level)
                     rhs_terms = []
                     if (e1 * k).denominator == 1:
                         i_top = n_loc + int(alpha)
@@ -734,7 +789,7 @@ def check_twisted_jacobi(
                             image = rhs_modes.get(key)
                             if image is None:
                                 image = _field_product_mode(
-                                    left, right, eps, n_loc, k,
+                                    left, right, scalars, eps, n_loc, k,
                                     r_cls, t, mu, target, level,
                                 )
                                 rhs_modes[key] = image
@@ -788,6 +843,7 @@ def check_locality(
     _require_usable(v, "right argument")
     left = _first_slot_family(k, u, slot=slot_u)
     right = _first_slot_family(k, v, slot=slot_v)
+    scalars = _pair_scalars(left, right)
     lo1, hi1 = _bounds(window, "x1")
     lo2, hi2 = _bounds(window, "x2")
     grid1 = _lattice_grid(lo1, hi1, k)
@@ -801,7 +857,8 @@ def check_locality(
     commutator = {}
     for iw, word in enumerate(words):
         for e1, e2, value in _supercommutator_grid(
-            left, right, State({word: ONE}), word_level(word), grid1, grid2
+            left, right, scalars, State({word: ONE}), word_level(word), grid1,
+            grid2,
         ):
             if not value.is_zero():
                 commutator[(iw, e1, e2)] = value
@@ -960,8 +1017,10 @@ def check_weak_associativity(
     else:
         builder = lambda s: _parity_twisted_family(s)  # noqa: E731
         tag = "native"
+    # recovered and native families are over Q: their scalars are (ONE,)
     fam_u = builder(u)
     fam_v = builder(v)
+    scalars = _pair_scalars(fam_u, fam_v)
     parity_u = u.homogeneous_parity()
     lo0, hi0 = _bounds(window, "x0")
     lo2, hi2 = _bounds(window, "x2")
@@ -994,8 +1053,8 @@ def check_weak_associativity(
                     # product side: C(alpha+i, i) = (-1)^i C(-alpha-1, i)
                     lhs = combine(
                         _expanded_product(
-                            fam_u, fam_v, -alpha - 1, exponent - 1 - alpha,
-                            -beta - 1, target, level,
+                            fam_u, fam_v, scalars, -alpha - 1,
+                            exponent - 1 - alpha, -beta - 1, target, level,
                         )
                     )
                     # iterate side: i-sum with t = i - alpha - 1

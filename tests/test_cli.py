@@ -122,6 +122,36 @@ class TestDeltaApply:
         payload = json.loads(out)
         assert [p["exponent"] for p in payload["pieces"]] == ["-1"]
 
+    @pytest.mark.parametrize("joined, spaced", [
+        (("--state=psi", "--lo=-1/3"), ("--state", "psi", "--lo", "-1/3")),
+        (("--state=omega", "--hi=-1"), ("--state", "omega", "--hi", "-1")),
+        (("--state=omega", "--hi=-1/2"), ("--state", "omega", "--hi", "-1/2")),
+        (("--state=-3/2,-1/2",), ("--state", "-3/2,-1/2")),
+        (("--state=-3/2,-1/2", "--inverse", "--lo=-1", "--hi=-1/2"),
+         ("--state", "-3/2,-1/2", "--inverse", "--lo", "-1", "--hi", "-1/2")),
+    ])
+    def test_negative_values_with_a_space_or_equals(self, capsys, joined, spaced):
+        results = [run_cli(capsys, "delta-apply", "--k", "2", *argv)
+                   for argv in (joined, spaced)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["k"] == 2
+
+    def test_negative_bound_filters_with_a_space(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "delta-apply", "--k", "2", "--state", "omega", "--lo", "-3/2",
+            "--hi", "-1/2",
+        )
+        assert code == 0
+        assert [p["exponent"] for p in json.loads(out)["pieces"]] == ["-1"]
+
+    def test_flag_is_not_taken_for_a_negative_value(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["delta-apply", "--k", "2", "--lo", "--hi", "1"])
+        assert stop.value.code == 2
+        assert "argument --lo: expected one argument" in capsys.readouterr().err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "delta-apply", "--k", "2", "--state", "psi", "--format", "csv"
@@ -250,6 +280,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--k", "2", "--radius", "-1")
         assert code == 2
         assert "no coefficients compared" in err
+
+    @pytest.mark.parametrize("flag", ["--radius", "--domain-level", "--weight"])
+    def test_negative_fraction_reaches_the_check_with_a_space(self, capsys, flag):
+        spaced = run_cli(capsys, "verify", "--k", "2", flag, "-1/2")
+        assert spaced == run_cli(capsys, "verify", "--k", "2", f"{flag}=-1/2")
+        code, _, err = spaced
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("flag", ["--domain-level", "--weight"])
     def test_negative_level_is_an_error(self, capsys, flag):

@@ -20,7 +20,14 @@ run without a cache:
 * `apply_delta` without the per-word cache: `_exp_virasoro` on the whole
   state, with an explicit a_j table at the covering depth and deeper;
 * two one-form `verify._commutator_report` calls, against one call that
-  walks the grid once for both obstruction forms.
+  walks the grid once for both obstruction forms;
+* the `CycScalar` product as it was: the dense polynomial product `_pmul`
+  reduced by division through the validating constructor, against the
+  cached per-conductor reduction table;
+* `SlotField.mode` and `RecoveredField.mode` as they were, with the root
+  of unity and k^{-p} multiplied into every coefficient, against one
+  scalar times the rational image (of the fields and of verify's mode
+  families).
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -41,9 +48,12 @@ from twistfock.deltak import (
     covering_depth,
     solve_aj,
 )
+from fractions import Fraction
+
 from twistfock.fermion import (
     OMEGA,
     PSI,
+    ZERO_STATE,
     State,
     combine,
     field_mode,
@@ -61,7 +71,10 @@ from twistfock.scalars import (
     ZERO,
     CycScalar,
     binomial,
+    _pmul,
     cyc_sqrt_k,
+    eta_k,
+    euler_phi,
     is_rational,
     k_to_the,
     rational_ceil,
@@ -69,6 +82,7 @@ from twistfock.scalars import (
     scalar_is_zero,
 )
 from twistfock.formal import ScalarSeries, Window
+from twistfock.twist import RecoveredField, SlotField
 
 QQ_TYPE = type(QQ(1))
 
@@ -198,7 +212,7 @@ def test_virasoro_vanishes_above_the_level():
 
 
 def old_add(a: State, b: State) -> State:
-    out = a.table()
+    out = dict(a.terms)
     for word, coeff in b.terms:
         out[word] = out.get(word, ZERO) + coeff
     return State(out)
@@ -357,6 +371,24 @@ def test_cyclotomic_results_match_validated_construction(a, b, r):
     assert_same_scalar(r - a, CycScalar(n, [y - x for x, y in zip(a.coeffs, rational.coeffs)]))
     assert (a - a).is_zero() and not (a - a)
     assert a.is_rational() == all(c == 0 for c in a.coeffs[1:])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 12, 16, 24])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_product_matches_polynomial_division(n, data):
+    vectors = st.lists(rationals, min_size=euler_phi(n), max_size=euler_phi(n))
+    a, b = data.draw(vectors), data.draw(vectors)
+    expected = CycScalar(n, _pmul(a, b))
+    assert_same_scalar(CycScalar(n, a) * CycScalar(n, b), expected)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 12, 16, 24])
+def test_product_of_roots_of_unity(n):
+    for i in range(n):
+        for j in range(n):
+            got = CycScalar.root_of_unity(n, i) * CycScalar.root_of_unity(n, j)
+            assert_same_scalar(got, CycScalar.root_of_unity(n, i + j))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +619,7 @@ def test_cancelled_drop_is_left_out():
     for k in (2, 3):
         expansion = apply_delta(k, u)
         p = u.homogeneous_level()
-        assert p / k - p - QQ(1, k) not in expansion.exponents()
+        assert p / k - p - QQ(1, k) not in [e for e, _ in expansion.pieces]
         assert expansion == direct_apply_delta(k, u, FORWARD, solve_aj(k, 4))
 
 
@@ -643,3 +675,113 @@ def test_two_forms_match_two_one_form_calls(k, u, v):
     singles = run(forms[:1]) + run(forms[1:])
     assert both == singles
     assert all(report.compared > 0 for report in both)
+
+
+# ---------------------------------------------------------------------------
+# slot and recovered modes with the scalar in every coefficient, as they were
+# ---------------------------------------------------------------------------
+
+
+def old_slot_mode(k: int, u: State, power: int, m, state: State) -> State:
+    """The slot-(power+1) mode m of u, the prefactor and root of unity
+    multiplied into every coefficient."""
+    expansion = apply_delta(k, u)
+    twist = power * k * (-m - 1)
+    if twist.denominator != 1:
+        return ZERO_STATE
+    scalar = expansion.prefactor * eta_k(k) ** (int(twist) % k)
+    km = k * m
+    return combine(
+        (sigma_vertex_mode(piece, k * (e + 1) - 1 + km, state), ONE)
+        for e, piece in expansion.pieces
+    ).scaled(scalar)
+
+
+def old_recovered_mode(k: int, u: State, m, state: State) -> State:
+    """The recovered mode m of u: k^p times the first-slot modes of the
+    inverse pieces, each with its own k^{-p_e} in every coefficient."""
+    expansion = apply_delta(k, u, INVERSE)
+    if (m - QQ(u.homogeneous_parity(), 2)).denominator != 1:
+        return ZERO_STATE
+    shift = (m + 1) / k
+    return combine(
+        (old_slot_mode(k, piece, 0, e - 1 + shift, state), ONE)
+        for e, piece in expansion.pieces
+    ).scaled(expansion.prefactor)
+
+
+MODE_STATES = {"psi": PSI, "omega": OMEGA, "L(-1)psi": virasoro(QQ(-1), PSI)}
+MODE_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(2))]
+
+
+def mode_grid(den: int) -> list:
+    """Mode indices m = -e - 1 for e on the 1/den-lattice of [-1, 1]."""
+    return [-QQ(i, den) - 1 for i in range(-den, den + 1)]
+
+
+def all_rational(state: State) -> bool:
+    return all(type(c) is Fraction for _, c in state.terms)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(MODE_STATES))
+def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
+    u = MODE_STATES[name]
+    nonzero = 0
+    for power in range(k):
+        field = SlotField(k, u, power)
+        family = verify._first_slot_family(k, u, slot=power + 1)
+        for m in mode_grid(2 * k):
+            scalar = field.scalar(m)
+            j = family.eta_class(m)
+            for target in MODE_TARGETS:
+                expected = old_slot_mode(k, u, power, m, target)
+                assert field.mode(m, target) == expected, (power, m, target)
+                if scalar is None:
+                    assert j is None and expected.is_zero()
+                    assert family.mode(m, target).is_zero()
+                    continue
+                image = field.rational_mode(m, target)
+                assert all_rational(image)
+                assert image.scaled(scalar) == expected
+                assert family.mode(m, target) == image
+                assert image.scaled(family.scalars[j]) == expected
+                nonzero += not expected.is_zero()
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("name", sorted(MODE_STATES))
+def test_recovered_mode_is_rational(k, name):
+    u = MODE_STATES[name]
+    field = RecoveredField(k, u)
+    family = verify._recovered_family(k, u)
+    assert family.scalars == (ONE,)
+    nonzero = 0
+    for m in mode_grid(2):
+        for target in MODE_TARGETS:
+            got = field.mode(m, target)
+            assert all_rational(got)
+            assert got == old_recovered_mode(k, u, m, target), (m, target)
+            assert family.mode(m, target) == got
+            nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def test_odd_order_commutator_grid_runs_on_rationals():
+    """The k = 3 (psi, psi) obstruction grid: both families carry 3^{-1/2},
+    whose square 1/3 is rational, so every coefficient is a Fraction."""
+    k = 3
+    left = verify._first_slot_family(k, PSI)
+    right = verify._first_slot_family(k, PSI)
+    scalars = verify._pair_scalars(left, right)
+    assert scalars[0] == QQ(1, 3) and type(scalars[0]) is Fraction
+    grid = verify._lattice_grid(QQ(-3, 2), QQ(3, 2), 2 * k)
+    coefficients = 0
+    for word in ramond_basis(QQ(2)):
+        for e1, e2, value in verify._supercommutator_grid(
+            left, right, scalars, State({word: ONE}), word_level(word), grid, grid
+        ):
+            assert all_rational(value), (e1, e2, word)
+            coefficients += len(value.terms)
+    assert coefficients > 0

@@ -37,6 +37,7 @@ from twistfock.twist import SlotField
 from twistfock.verify import (
     _first_slot_family,
     _jacobi_left,
+    _pair_scalars,
     _smallest_passing,
     _wrap_comparison,
     CheckReport,
@@ -276,6 +277,7 @@ class TestJacobiKernels:
             # b + i <= top, i.e. for i <= top + hi + 1
             assert family.top(self.LEVEL) + hi + 1 < self.REACH
         eps = -ONE if (left.parity and right.parity) else ONE
+        scalars = _pair_scalars(left, right)
         first = merged_delta_kernel(
             "x1", "x2", "x0", Window({"x0": (lo, hi), "x2": (0, self.REACH)})
         )
@@ -315,8 +317,8 @@ class TestJacobiKernels:
                                 )
                         expected = combine(terms)
                         actual = _jacobi_left(
-                            left, right, eps, int(-alpha - 1), e1, e2, w,
-                            word_level(word),
+                            left, right, scalars, eps, int(-alpha - 1), e1, e2,
+                            w, word_level(word),
                         )
                         assert actual == expected, (alpha, e1, e2, word)
                         nonzero += not expected.is_zero()
