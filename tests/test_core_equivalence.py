@@ -48,8 +48,6 @@ from twistfock.deltak import (
     covering_depth,
     solve_aj,
 )
-from fractions import Fraction
-
 from twistfock.fermion import (
     OMEGA,
     PSI,
@@ -383,14 +381,6 @@ def test_product_matches_polynomial_division(n, data):
     assert_same_scalar(CycScalar(n, a) * CycScalar(n, b), expected)
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 8, 12, 16, 24])
-def test_product_of_roots_of_unity(n):
-    for i in range(n):
-        for j in range(n):
-            got = CycScalar.root_of_unity(n, i) * CycScalar.root_of_unity(n, j)
-            assert_same_scalar(got, CycScalar.root_of_unity(n, i + j))
-
-
 # ---------------------------------------------------------------------------
 # rational prefactors
 # ---------------------------------------------------------------------------
@@ -720,7 +710,7 @@ def mode_grid(den: int) -> list:
 
 
 def all_rational(state: State) -> bool:
-    return all(type(c) is Fraction for _, c in state.terms)
+    return all(type(c) is QQ_TYPE for _, c in state.terms)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -775,7 +765,7 @@ def test_odd_order_commutator_grid_runs_on_rationals():
     left = verify._first_slot_family(k, PSI)
     right = verify._first_slot_family(k, PSI)
     scalars = verify._pair_scalars(left, right)
-    assert scalars[0] == QQ(1, 3) and type(scalars[0]) is Fraction
+    assert scalars[0] == QQ(1, 3) and type(scalars[0]) is QQ_TYPE
     grid = verify._lattice_grid(QQ(-3, 2), QQ(3, 2), 2 * k)
     coefficients = 0
     for word in ramond_basis(QQ(2)):
