@@ -33,14 +33,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .formal import OperatorField, Window
 from .scalars import (
     HALF,
     ONE,
     QQ,
     ZERO,
     binomial,
-    rational_ceil,
     rational_floor,
     scalar_is_zero,
     scalar_str,
@@ -421,7 +419,7 @@ def virasoro(n, s: State) -> State:
 
 
 # ---------------------------------------------------------------------------
-# materialized fields
+# bases
 # ---------------------------------------------------------------------------
 
 
@@ -452,36 +450,6 @@ def ns_basis(max_level) -> list:
 def ramond_basis(max_level) -> list:
     """All parity-twisted words of level <= max_level (mode 0 allowed once)."""
     return _basis(max_level, 0)
-
-
-def _window_bounds(window: Window):
-    lo, hi = window.bounds_for("x")
-    if lo is None or hi is None:
-        raise ValueError("windowed fields need a bounded exponent window")
-    return lo, hi
-
-
-def _window_field(mode, weight, parity: int, step, offset, window: Window,
-                  basis) -> OperatorField:
-    """A mode family materialized over a bounded window, one column per
-    basis word: mode m sits at exponent -m-1, for m on offset + step*Z from
-    the window's upper bound up to the annihilation bound
-    weight - 1 + level*step of the word."""
-    lo, hi = _window_bounds(window)
-    m_start = offset + step * rational_ceil((-1 - hi - offset) / step)
-    terms = {}
-    for word in basis:
-        m_top = min(-1 - lo, weight - 1 + word_level(word) * step)
-        target = State._of_terms(((word, ONE),))
-        m = m_start
-        while m <= m_top:
-            image = mode(m, target)
-            if not image.is_zero():
-                column = terms.setdefault((-m - 1,), {}).setdefault(word, {})
-                for out_word, c in image.terms:
-                    column[out_word] = column.get(out_word, ZERO) + c
-            m += step
-    return OperatorField(("x",), terms, window, parity)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Outside its window a series is unknown, not zero; every operation computes the
 window of its result from the windows of its inputs, so a coefficient is never
 reported unless it is provably exact.  Formal-distribution kernels (delta
 functions and their fractional-lattice variants) are materialized directly
-from their defining formulas, which are valid on any window.
+from their defining formulas, which are valid on any window.  Operator
+fields are never tabulated: `compare_fields` reads them one column at a
+time from functions the caller builds on their exact modes.
 """
 
 from __future__ import annotations
@@ -548,6 +550,33 @@ def compare_series(
     return result
 
 
+def compare_fields(
+    name: str, lhs, rhs, exponents, keys, key_formatter=str
+) -> ComparisonResult:
+    """Compare two operator fields in x entrywise, column by column.
+
+    A field is given by its column function: (e, key) -> the (output key,
+    nonzero scalar) pairs of its x^e coefficient applied to the basis
+    vector ``key``.  Every (exponent, key) column counts once, so two empty
+    columns are compared, and so does every output key of either column,
+    in sorted order; a mismatch is located as "x^e @ key -> output key",
+    keys written by ``key_formatter``.
+    """
+    result = ComparisonResult(name)
+    for e in exponents:
+        for key in keys:
+            a = dict(lhs(e, key))
+            b = dict(rhs(e, key))
+            result.compared += 1
+            for okey in sorted(a.keys() | b.keys()):
+                result.compare(
+                    f"x^{e} @ {key_formatter(key)} -> {key_formatter(okey)}",
+                    a.get(okey, ZERO),
+                    b.get(okey, ZERO),
+                )
+    return result
+
+
 # ---------------------------------------------------------------------------
 # the delta-function identity suite
 # ---------------------------------------------------------------------------
@@ -605,94 +634,6 @@ def verify_delta_identity(
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown identity {kind}")
     return compare_series(name, lhs, rhs, window, den)
-
-
-# ---------------------------------------------------------------------------
-# operator-valued windowed series
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OperatorField:
-    """Exponent -> sparse linear map, with a window and a parity.
-
-    Maps are dictionaries input-key -> {output-key -> scalar}; keys are the
-    basis labels of whatever graded space the field acts on.  The window has
-    the same unknown-outside semantics as for ScalarSeries.
-    """
-
-    variables: tuple
-    terms: dict
-    window: Window | None
-    parity: int = 0
-
-    def __post_init__(self):
-        clean = {}
-        for mono, table in self.terms.items():
-            mono = tuple(QQ(e) for e in mono)
-            entry = {}
-            for key, column in table.items():
-                col = {o: c for o, c in column.items() if not scalar_is_zero(c)}
-                if col:
-                    entry[key] = col
-            if entry:
-                clean[mono] = entry
-        self.terms = clean
-
-    def column(self, mono, key) -> dict:
-        mono = tuple(QQ(e) for e in mono)
-        if self.window is not None and not self.window.contains_mono(
-            self.variables, mono
-        ):
-            raise ValueError(f"field coefficient at {mono} is outside the window")
-        return self.terms.get(mono, {}).get(key, {})
-
-    def derivative(self, var) -> "OperatorField":
-        i = self.variables.index(var)
-        terms = {}
-        for mono, table in self.terms.items():
-            if mono[i] == 0:
-                continue
-            new = list(mono)
-            new[i] = mono[i] - 1
-            target = terms.setdefault(tuple(new), {})
-            for key, column in table.items():
-                out = target.setdefault(key, {})
-                for okey, c in column.items():
-                    out[okey] = out.get(okey, ZERO) + mono[i] * c
-        window = None if self.window is None else self.window.shifted(var, -1)
-        return OperatorField(self.variables, terms, window, self.parity)
-
-
-def compare_fields(
-    name: str,
-    lhs: OperatorField,
-    rhs: OperatorField,
-    window: Window,
-    lattice_den: int,
-    keys,
-    key_formatter=str,
-) -> ComparisonResult:
-    """Compare two operator fields entrywise over a window and a key set; a
-    mismatch is located as "x^e @ key -> output key", keys written by
-    ``key_formatter``."""
-    if lhs.variables != rhs.variables:
-        raise ValueError("fields must share variables for comparison")
-    result = ComparisonResult(name)
-    for mono in window.lattice_points(lhs.variables, lattice_den):
-        at = " ".join(f"{v}^{e}" for v, e in zip(lhs.variables, mono))
-        for key in keys:
-            a = lhs.column(mono, key)
-            b = rhs.column(mono, key)
-            # the column itself counts, so two empty columns are compared
-            result.compared += 1
-            for okey in sorted(set(a) | set(b)):
-                result.compare(
-                    f"{at} @ {key_formatter(key)} -> {key_formatter(okey)}",
-                    a.get(okey, ZERO),
-                    b.get(okey, ZERO),
-                )
-    return result
 
 
 # ---------------------------------------------------------------------------

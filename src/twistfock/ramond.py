@@ -18,23 +18,20 @@ from .fermion import (
     OMEGA,
     RAMOND_GROUND,
     State,
-    _window_field,
     apply_phys_mode,
     check_ramond_word,
     field_mode,
     format_ramond_word,
     ramond_basis,
-    word_level,
 )
-from .formal import OperatorField, QSeries, Window
-from .scalars import ONE, QQ, ZERO, rational_floor
+from .formal import QSeries
+from .scalars import QQ, rational_floor
 
 __all__ = [
     "ramond_mode",
     "sigma_vertex_mode",
     "sigma_virasoro",
     "ground_weight",
-    "sigma_vertex_op",
     "sigma_L0_spectrum",
     # re-exported conveniences for twisted-sector words
     "check_ramond_word",
@@ -81,21 +78,6 @@ def ground_weight() -> QQ:
     if image != RAMOND_GROUND.scaled(value):
         raise AssertionError("twisted L(0) is not scalar on the ground vector")
     return value
-
-
-def sigma_vertex_op(v: State, window: Window, *, domain_level=QQ(2)) -> OperatorField:
-    """Materialize the twisted field of v over a window of x-exponents.
-
-    Columns are indexed by the twisted words of level <= domain_level;
-    exponents outside the window stay unknown rather than silently zero.
-    The modes of v sit on parity/2 + Z, below the annihilation bound of its
-    highest level; the zero state gives an empty field.
-    """
-    parity = v.homogeneous_parity() or 0
-    weight = max((word_level(w) for w, _ in v.terms), default=ZERO)
-    return _window_field(lambda t, target: field_mode(v, t, target, 1),
-                         weight, parity, ONE, QQ(parity, 2), window,
-                         ramond_basis(domain_level))
 
 
 def sigma_L0_spectrum(cutoff) -> QSeries:

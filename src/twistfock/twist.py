@@ -5,30 +5,29 @@ action of the k-fold tensor power twisted by the k-cycle rotation, for k
 even: the twisted field of a first-slot vector is the parity-twisted field
 of the coordinate-changed vector evaluated at the k-th root of the
 variable, and other slots follow by root-of-unity substitution.  One class,
-``SlotField``, holds that field for one state in one slot; its exact modes
-and its windowed materialization serve every caller.  General pure tensors
-are normal-ordered products of slot fields.  The inverse
-construction recovers the parity-twisted action from the twisted action by
-the opposite coordinate change, with a structurally enforced branch choice;
-one class, ``RecoveredField``, holds the recovered field of one state.
+``SlotField``, holds that field for one state in one slot as its exact
+modes.  General pure tensors are normal-ordered products of slot fields.
+The inverse construction recovers the parity-twisted action from the
+twisted action by the opposite coordinate change, with a structurally
+enforced branch choice; one class, ``RecoveredField``, holds the recovered
+field of one state.
 
-Everything is materialized as exact windowed operator fields or exact mode
-maps on the Ramond basis; scalars live in Q or in a cyclotomic field.
+A field is its family of modes, Y(u, x) = sum_m u_m x^{-m-1}: every mode
+is an exact map on the Ramond basis, and no field is tabulated over a
+window.  Scalars live in Q or in a cyclotomic field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import QQ, ZERO, ONE, eta_powers, rational_ceil, rationalized
-from .formal import OperatorField, QSeries, Window, assert_on_lattice
+from .scalars import QQ, ZERO, ONE, eta_powers, rationalized
+from .formal import QSeries, assert_on_lattice
 from .fermion import (
     CENTRAL_CHARGE,
     OMEGA,
     State,
     ZERO_STATE,
-    _window_bounds,
-    _window_field,
     combine,
     word_level,
 )
@@ -131,76 +130,9 @@ class SlotField:
             return ZERO_STATE
         return self.rational_mode(m, state).scaled(scalar)
 
-    def materialize(self, window: Window, basis) -> OperatorField:
-        """The field over a bounded window, one column per basis word.
-
-        Piece (e, u_e) contributes its sigma-mode t at exponent
-        e + (-t-1)/k; t runs over the preimage of the window up to the
-        annihilation bound of the column's word.
-        """
-        k = self.k
-        lo, hi = _window_bounds(window)
-        terms = {}
-        for word in basis:
-            level = word_level(word)
-            target = State({word: ONE})
-            for e_piece, piece in self.pieces:
-                offset = QQ(piece.homogeneous_parity(), 2)
-                t_top = min(k * (e_piece - lo) - 1,
-                            piece.homogeneous_level() + level - 1)
-                t = offset + rational_ceil(k * (e_piece - hi) - 1 - offset)
-                while t <= t_top:
-                    image = sigma_vertex_mode(piece, t, target)
-                    t += 1
-                    if image.is_zero():
-                        continue
-                    exponent = e_piece + QQ(-t, k)  # -t-1 before the step
-                    scalar = self.scalar(-exponent - 1)
-                    if scalar is None:
-                        continue
-                    column = terms.setdefault((exponent,), {}).setdefault(word, {})
-                    for out_word, c in image.terms:
-                        column[out_word] = column.get(out_word, ZERO) + scalar * c
-        field = OperatorField(("x",), terms, window, self.parity)
-        if k % 2 == 0:
-            for mono in field.terms:
-                assert_on_lattice(mono[0], k)
-        return field
-
-
-def _slot_twisted_field(k: int, u: State, power: int, window: Window,
-                        domain_level) -> OperatorField:
-    if u.is_zero():
-        _window_bounds(window)
-        return OperatorField(("x",), {}, window, 0)
-    return SlotField(k, u, power).materialize(window, ramond_basis(domain_level))
-
-
-def ybar(k: int, u: State, window: Window, *, domain_level=QQ(2)) -> OperatorField:
-    """The first-slot twisted field: the parity-twisted field of the
-    coordinate-changed state, evaluated at the k-th root of the variable.
-
-    Defined for every k >= 1; it closes into a twisted module structure
-    only for k even (the odd case is exercised by the obstruction checker).
-    """
-    return _slot_twisted_field(k, u, 0, window, domain_level)
-
-
-def yg_tensor_factor(k: int, u: State, j: int, window: Window, *,
-                     domain_level=QQ(2)) -> OperatorField:
-    """The twisted field of the state placed in tensor slot j+1.
-
-    Obtained from the first-slot field by substituting the k-th root of the
-    variable with its multiple by the j-th power of the fixed primitive
-    k-th root of unity: the coefficient at exponent e is scaled by that
-    root raised to j*k*e.
-    """
-    require_even_order(k)
-    return _slot_twisted_field(k, u, j, window, domain_level)
-
 
 # ---------------------------------------------------------------------------
-# twisted modes (exact, no window)
+# twisted modes and their normal-ordered products
 # ---------------------------------------------------------------------------
 
 
@@ -224,7 +156,8 @@ class _OrderedProduct:
     Creation modes (negative index) of the left factor act on the left;
     annihilation modes (nonnegative index) are moved to the right across
     the rest of the product, picking up the Koszul sign of the two
-    parities.
+    parities.  Slot fields of even order, and so their products, have
+    their modes on the (1/k)-lattice; off it a mode is zero.
     """
 
     def __init__(self, left: SlotField, right):
@@ -237,7 +170,7 @@ class _OrderedProduct:
     def mode(self, m, state: State) -> State:
         k = self.k
         level = state.homogeneous_level()
-        if level is None:
+        if level is None or (k * m).denominator != 1:
             return ZERO_STATE
         step = QQ(1, k)
         eps = -ONE if (self.left.parity and self.right.parity) else ONE
@@ -272,18 +205,6 @@ def tensor_operator(k: int, factors):
     for op in reversed(ops[:-1]):
         current = _OrderedProduct(op, current)
     return current
-
-
-def yg_general(k: int, factors, window: Window, *, domain_level=QQ(2)) -> OperatorField:
-    """The twisted field of a pure tensor, materialized over a window.
-
-    Realized as the normal-ordered product of the slot fields; collapses to
-    the slot field when all other factors are the vacuum.
-    """
-    require_even_order(k)
-    operator = tensor_operator(k, factors)
-    return _window_field(operator.mode, operator.weight, operator.parity,
-                         QQ(1, k), ZERO, window, ramond_basis(domain_level))
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +263,11 @@ class RecoveredField:
             for base, field, factor in self._pieces
         )
 
-    def materialize(self, window: Window, basis) -> OperatorField:
-        """The field over a bounded window; exponents on the half lattice."""
-        field = _window_field(self.mode, self.weight, self.parity, ONE,
-                              QQ(self.parity, 2), window, basis)
-        for mono in field.terms:
-            assert_on_lattice(mono[0], 2)
-        return field
-
-
 def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
     """The recovered mode with index m, as a map (``RecoveredField.mode``)."""
     field = RecoveredField(k, u, branch)
     m = assert_on_lattice(QQ(m), 2)
     return lambda state: field.mode(m, state)
-
-
-def u_functor_sigma_op(k: int, u: State, window: Window, *,
-                       domain_level=QQ(2), branch: int = 0) -> OperatorField:
-    """The recovered parity-twisted field, materialized over a window."""
-    return RecoveredField(k, u, branch).materialize(window, ramond_basis(domain_level))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +353,4 @@ __all__ = [
     "tensor_operator",
     "twisted_mode",
     "u_functor_sigma_mode",
-    "u_functor_sigma_op",
-    "ybar",
-    "yg_general",
-    "yg_tensor_factor",
 ]

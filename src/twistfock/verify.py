@@ -57,7 +57,6 @@ from .ramond import (
     ramond_basis,
     sigma_L0_spectrum,
     sigma_vertex_mode,
-    sigma_vertex_op,
 )
 from .deltak import (
     check_L_minus1_identities,
@@ -71,9 +70,6 @@ from .twist import (
     SlotField,
     TwistedModuleView,
     require_even_order,
-    u_functor_sigma_op,
-    ybar,
-    yg_tensor_factor,
 )
 
 
@@ -381,6 +377,20 @@ def _bounds(window: Window, var: str):
     if lo is None or hi is None:
         raise ValueError(f"this check needs a bounded window for {var}")
     return lo, hi
+
+
+def _field_column(mode, weight, den: int):
+    """The column function (see `formal.compare_fields`) of a field given
+    by its modes: the column at x^e on a basis word is mode -e-1 on that
+    word, empty above the annihilation bound weight - 1 + level/den."""
+
+    def column(e, word):
+        m = -e - 1
+        if m > weight - 1 + word_level(word) / den:
+            return ()
+        return mode(m, State({word: ONE})).terms
+
+    return column
 
 
 def _window_str(window: Window, variables) -> str:
@@ -902,7 +912,7 @@ def check_limit_axiom(
 ) -> CheckReport:
     """Moving a vector one slot down equals the inverse-root substitution.
 
-    For each slot power a, the materialized field of the slot-(a+1) vector,
+    For each slot power a, the field of the slot-(a+1) vector,
     with every coefficient at exponent e scaled by the (-k·e)-th power of
     the primitive root, must equal the field of the slot-a vector (indices
     mod k).  Applying the step k times returns every field to itself, so
@@ -910,26 +920,31 @@ def check_limit_axiom(
     """
     require_even_order(k)
     _require_usable(u, "tensor factor")
-    fields = [
-        yg_tensor_factor(k, u, a, window, domain_level=QQ(domain_level))
-        for a in range(k)
-    ]
     etas = eta_powers(k)
     lo, hi = _bounds(window, "x")
     grid = _lattice_grid(lo, hi, 2 * k)
     words = ramond_basis(QQ(domain_level))
+    # slot power a's column at each (e, word), computed once for both of
+    # the comparisons it enters
+    columns = []
+    for a in range(k):
+        field = SlotField(k, u, a)
+        column = _field_column(field.mode, field.weight, k)
+        columns.append(
+            {(e, word): State(column(e, word)) for e in grid for word in words}
+        )
     result = ComparisonResult(f"limit-axiom[k={k},{_state_label(u)}]")
     for a in range(k):
-        source = fields[a]
-        dest = fields[(a - 1) % k]
+        source = columns[a]
+        dest = columns[(a - 1) % k]
         for e in grid:
             power = -k * e
             scale = etas[int(power) % k] if power.denominator == 1 else ONE
             for word in words:
                 result.compare(
                     f"slot-power {a}: x^{e} {format_ramond_word(word)}",
-                    State(source.column((e,), word)).scaled(scale),
-                    State(dest.column((e,), word)),
+                    source[e, word].scaled(scale),
+                    dest[e, word],
                 )
     return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
@@ -942,15 +957,27 @@ def check_translation_derivative(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _require_usable(u, "field argument")
+    field = SlotField(k, u)
+    column = _field_column(field.mode, field.weight, k)
     translated = virasoro(QQ(-1), u)
-    lhs = ybar(k, translated, window, domain_level=QQ(domain_level))
-    rhs = ybar(k, u, window, domain_level=QQ(domain_level)).derivative("x")
+    if translated.is_zero():
+        lhs = lambda e, word: ()  # noqa: E731
+    else:
+        moved = SlotField(k, translated)
+        lhs = _field_column(moved.mode, moved.weight, k)
+
+    def rhs(e, word):
+        # d/dx: the x^e coefficient is e+1 times the x^{e+1} one
+        if e == -1:
+            return ()
+        return [(out, (e + 1) * c) for out, c in column(e + 1, word)]
+
     lo, hi = _bounds(window, "x")
     cmp_window = Window({"x": (lo, hi - 1)})
     label = f"translation-derivative[k={k},{_state_label(u)}]"
     result = compare_fields(
-        label, lhs, rhs, cmp_window, 2 * k, ramond_basis(QQ(domain_level)),
-        format_ramond_word,
+        label, lhs, rhs, _lattice_grid(lo, hi - 1, 2 * k),
+        ramond_basis(QQ(domain_level)), format_ramond_word,
     )
     return _wrap_comparison(result, k, _window_str(cmp_window, ("x",)))
 
@@ -1095,11 +1122,16 @@ def check_u_round_trip(
     equals the native parity-twisted field, coefficient for coefficient."""
     require_even_order(k)
     _require_usable(u, "field argument")
-    recovered = u_functor_sigma_op(k, u, window, domain_level=QQ(domain_level))
-    native = sigma_vertex_op(u, window, domain_level=QQ(domain_level))
+    recovered = RecoveredField(k, u)
+    lo, hi = _bounds(window, "x")
     label = f"recovery-round-trip[k={k},{_state_label(u)}]"
     result = compare_fields(
-        label, recovered, native, window, 2, ramond_basis(QQ(domain_level)),
+        label,
+        _field_column(recovered.mode, recovered.weight, 1),
+        _field_column(lambda m, s: sigma_vertex_mode(u, m, s),
+                      u.homogeneous_level(), 1),
+        _lattice_grid(lo, hi, 2),
+        ramond_basis(QQ(domain_level)),
         format_ramond_word,
     )
     return _wrap_comparison(result, k, _window_str(window, ("x",)))

@@ -24,10 +24,10 @@ from twistfock.deltak import (
     solve_aj,
 )
 from twistfock.twist import (
+    RecoveredField,
     TwistedModuleView,
+    twisted_mode,
     u_functor_sigma_mode,
-    u_functor_sigma_op,
-    ybar,
 )
 from twistfock.verify import (
     check_character_correspondence,
@@ -145,13 +145,13 @@ def test_criterion_05_translation_generator_identities():
 
 def test_criterion_06_central_coefficient():
     problems = []
-    window = Window({"x": (QQ(-3), QQ(3))})
     words = ramond_basis(QQ(2))
     for k in (2, 4, 6):
         expected = QQ(k * k - 1, 48 * k * k)
-        field = ybar(k, OMEGA, window)
+        # the x^-2 coefficient of the first-slot conformal field is mode 1
+        mode = twisted_mode(k, OMEGA, QQ(1))
         for word in words:
-            diagonal = field.terms[(QQ(-2),)][word][word]
+            diagonal = mode(State({word: ONE})).coefficient(word)
             weight_part = (ground_weight() + word_level(word)) / (k * k)
             if diagonal - weight_part != expected:
                 problems.append(f"k={k}, word {word}")
@@ -265,8 +265,8 @@ def test_criterion_12_recovery_round_trip_and_branch_guard():
         except ValueError:
             pass
         try:
-            u_functor_sigma_op(2, PSI, LINE, branch=violation)
-            problems.append(f"operator branch {violation} accepted")
+            RecoveredField(2, PSI, branch=violation)
+            problems.append(f"field branch {violation} accepted")
         except ValueError:
             pass
     ok = not problems

@@ -9,7 +9,6 @@ from twistfock.fermion import (
     PSI,
     VACUUM,
     State,
-    _window_field,
     check_ns_word,
     check_ramond_word,
     combine,
@@ -30,8 +29,8 @@ from twistfock.fermion import (
     word_level,
     word_parity,
 )
-from twistfock.formal import Window, compare_fields
-from twistfock.scalars import ONE, QQ, ZERO, binomial
+from twistfock.formal import compare_fields
+from twistfock.scalars import ONE, QQ, binomial
 
 H = QQ(1, 2)
 
@@ -300,27 +299,29 @@ def _factorial(j):
 
 
 # ---------------------------------------------------------------------------
-# materialized fields
+# fields read through their modes
 # ---------------------------------------------------------------------------
 
 
 class TestMaterializedFields:
     def test_derivative_field_identity(self):
-        """d/dx Y(v,x) = Y(L(-1)v, x) as windowed operator fields."""
-        window = Window({"x": (-4, 4)})
-        inner = Window({"x": (-3, 3)})
+        """d/dx Y(v,x) = Y(L(-1)v, x), compared column by column: the
+        column at x^e on a word is mode -e-1 on it."""
+        exponents = [QQ(n) for n in range(-3, 4)]
         basis = ns_basis(QQ(3, 2))
 
         def field(v):
-            return _window_field(lambda t, target: vertex_mode(v, t, target),
-                                 v.homogeneous_level(), v.homogeneous_parity(),
-                                 ONE, ZERO, window, basis)
+            return lambda e, w: vertex_mode(v, -e - 1, State({w: ONE})).terms
+
+        def derivative(columns):
+            return lambda e, w: [
+                (o, (e + 1) * c) for o, c in columns(e + 1, w) if e != -1
+            ]
 
         for v in (PSI, OMEGA):
-            lhs = field(v).derivative("x")
-            rhs = field(virasoro(-1, v))
             result = compare_fields(
-                "derivative-field", lhs, rhs, inner, 1, basis
+                "derivative-field", derivative(field(v)),
+                field(virasoro(-1, v)), exponents, basis,
             )
             assert result.passed
 

@@ -9,6 +9,7 @@ from twistfock.formal import (
     DeltaIdentity,
     ScalarSeries,
     Window,
+    compare_fields,
     compare_series,
     delta_series,
     merged_delta_kernel,
@@ -187,6 +188,44 @@ class TestComparisonResult:
             (("c", 1), ZERO, QQ(1, 2)),
         ]
         assert not result.passed
+
+
+class TestCompareFields:
+    def test_counts_columns_and_union_keys_in_sorted_order(self):
+        # two fields on exponents {-1, 0} and keys {a, b}: the x^0 column
+        # of b is empty on both sides, and one entry of the x^-1 column of
+        # a differs; the left side lists that column's keys unsorted
+        lhs = {
+            (QQ(-1), "a"): (("z", QQ(1)), ("y", QQ(2))),
+            (QQ(-1), "b"): (("q", QQ(1)),),
+            (QQ(0), "a"): (("x", QQ(3)),),
+        }
+        rhs = {
+            (QQ(-1), "a"): (("y", QQ(2)), ("z", QQ(5))),
+            (QQ(-1), "b"): (("q", QQ(1)),),
+            (QQ(0), "a"): (("x", QQ(3)),),
+        }
+        visited = []
+
+        def formatter(key):
+            visited.append(key)
+            return key.upper()
+
+        result = compare_fields(
+            "fields",
+            lambda e, key: lhs.get((e, key), ()),
+            lambda e, key: rhs.get((e, key), ()),
+            [QQ(-1), QQ(0)],
+            ["a", "b"],
+            formatter,
+        )
+        # four columns, and 2 + 1 + 1 + 0 output keys in their unions
+        assert result.compared == 4 + 4
+        assert result.mismatches == [("x^-1 @ A -> Z", QQ(1), QQ(5))]
+        assert not result.passed
+        # each compared entry formats its column key, then its output key
+        assert visited[1::2] == ["y", "z", "q", "x"]
+        assert visited[0::2] == ["a", "a", "b", "a"]
 
 
 # ---------------------------------------------------------------------------

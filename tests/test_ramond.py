@@ -18,14 +18,13 @@ from twistfock.fermion import (
     word_level,
     word_parity,
 )
-from twistfock.formal import Window, compare_fields
+from twistfock.formal import compare_fields
 from twistfock.ramond import (
     ground_weight,
     ramond_basis,
     ramond_mode,
     sigma_L0_spectrum,
     sigma_vertex_mode,
-    sigma_vertex_op,
     sigma_virasoro,
 )
 from twistfock.scalars import QQ, ZERO, binomial, cyc_sqrt_k, rational_floor
@@ -124,24 +123,31 @@ class TestTwistedFields:
                 if not kept.is_zero():
                     assert kept.homogeneous_parity() == word_parity(w)
 
-    def test_window_must_be_bounded(self):
-        with pytest.raises(ValueError, match="window"):
-            sigma_vertex_op(PSI, Window({"x": (None, 2)}))
-
     def test_field_exponent_lattices(self):
-        window = Window({"x": (-2, 2)})
-        odd = sigma_vertex_op(PSI, window, domain_level=QQ(1))
-        assert odd.parity == 1
-        for mono in odd.terms:
-            assert (mono[0] - H).denominator == 1
-        even = sigma_vertex_op(OMEGA, window, domain_level=QQ(1))
-        assert even.parity == 0
-        for mono in even.terms:
-            assert mono[0].denominator == 1
+        # the x^e coefficient is mode -e-1; scan the half lattice of [-2, 2]
+        exponents = [QQ(n, 2) for n in range(-4, 5)]
+        words = ramond_basis(QQ(1))
+
+        def support(v):
+            return {
+                e for e in exponents for w in words
+                if not sigma_vertex_mode(v, -e - 1, State({w: QQ(1)})).is_zero()
+            }
+
+        odd = support(PSI)
+        assert odd
+        for e in odd:
+            assert (e - H).denominator == 1
+        even = support(OMEGA)
+        assert even
+        for e in even:
+            assert e.denominator == 1
 
     def test_zero_state_gives_empty_field(self):
-        field = sigma_vertex_op(ZERO_STATE, Window({"x": (-2, 2)}))
-        assert (field.terms, field.parity) == ({}, 0)
+        for n in range(-4, 5):
+            for w in ramond_basis(QQ(2)):
+                image = sigma_vertex_mode(ZERO_STATE, QQ(n, 2), State({w: QQ(1)}))
+                assert image.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +173,27 @@ class TestTwistedVirasoro:
 
     def test_derivative_field_identity(self):
         """d/dx of the twisted field of v equals the twisted field of L(-1)v."""
-        window = Window({"x": (-4, 4)})
-        inner = Window({"x": (-3, 3)})
+        exponents = [QQ(n, 2) for n in range(-6, 7)]
         basis = ramond_basis(QQ(3, 2))
         for v in (PSI, OMEGA):
             dv = virasoro(-1, v)
-            lhs = sigma_vertex_op(v, window, domain_level=QQ(3, 2)).derivative("x")
-            rhs = sigma_vertex_op(dv, window, domain_level=QQ(3, 2))
-            result = compare_fields("twisted-derivative", lhs, rhs, inner, 2, basis)
+            result = compare_fields(
+                "twisted-derivative", derivative(sigma_columns(v)),
+                sigma_columns(dv), exponents, basis,
+            )
             assert result.passed
+
+
+def sigma_columns(v):
+    """The column function of the twisted field of v, for `compare_fields`:
+    the column at x^e on a word is mode -e-1 on it."""
+    return lambda e, w: sigma_vertex_mode(v, -e - 1, State({w: QQ(1)})).terms
+
+
+def derivative(columns):
+    """d/dx of a field's column function: the x^e column is e+1 times the
+    x^{e+1} one."""
+    return lambda e, w: [(o, (e + 1) * c) for o, c in columns(e + 1, w) if e != -1]
 
 
 # ---------------------------------------------------------------------------

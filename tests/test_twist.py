@@ -5,14 +5,15 @@ formula for the first-slot field (sigma-mode index k(e+m+1) - 1 on the
 coordinate-change piece at exponent e), the root-of-unity substitution for
 other slots, and the Clifford relations with square-one-half zero mode.  The
 central coefficient (k^2-1)/(48 k^2) is the weight-two coordinate-change
-coefficient times half the central charge, scaled by k^-2.
+coefficient times half the central charge, scaled by k^-2.  A field is read
+through its modes: its x^e coefficient is the mode with index -e-1.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistfock.scalars import QQ, ONE, ZERO, eta_k
-from twistfock.formal import Window, compare_fields
+from twistfock.formal import compare_fields
 from twistfock.fermion import (
     CENTRAL_CHARGE,
     OMEGA,
@@ -27,21 +28,19 @@ from twistfock.ramond import (
     ramond_basis,
     sigma_L0_spectrum,
     sigma_vertex_mode,
-    sigma_vertex_op,
 )
 from twistfock.twist import (
+    RecoveredField,
+    SlotField,
     TwistedModuleView,
     require_even_order,
     tensor_operator,
     twisted_mode,
     u_functor_sigma_mode,
-    u_functor_sigma_op,
-    ybar,
-    yg_general,
-    yg_tensor_factor,
 )
+from twistfock.verify import _field_column
 
-WINDOW = Window({"x": (QQ(-3), QQ(3))})
+WINDOW = (-3, 3)
 KEYS = ramond_basis(QQ(2))
 GROUND = ()
 
@@ -50,30 +49,57 @@ def ground_state():
     return State({GROUND: ONE})
 
 
-def exponents(field):
-    return tuple(sorted(mono[0] for mono in field.terms))
+def grid(den, window=WINDOW):
+    """The exponents of the (1/den)-lattice inside a window."""
+    lo, hi = window
+    return [QQ(n, den) for n in range(lo * den, hi * den + 1)]
+
+
+def field_table(field, den, window=WINDOW, keys=KEYS):
+    """The nonzero x^e coefficients of a field on a window's
+    (1/den)-lattice, read from its modes: {e: {word: {out: scalar}}}."""
+    table = {}
+    for e in grid(den, window):
+        for word in keys:
+            image = field.mode(-e - 1, State({word: ONE}))
+            if not image.is_zero():
+                table.setdefault(e, {})[word] = dict(image.terms)
+    return table
+
+
+def exponents(table):
+    return tuple(sorted(table))
+
+
+def columns(field, den):
+    """The column function of a slot field, a tensor product or a
+    recovered field, for `compare_fields`."""
+    return _field_column(field.mode, field.weight, den)
 
 
 class TestYbar:
+    """The first-slot field, Ybar: the parity-twisted field of the
+    coordinate-changed state at the k-th root of the variable."""
+
     def test_vacuum_is_identity(self):
         for k in (2, 3, 4):
-            field = ybar(k, VACUUM, WINDOW)
-            assert exponents(field) == (QQ(0),)
+            table = field_table(SlotField(k, VACUUM), 2 * k)
+            assert exponents(table) == (QQ(0),)
             for word in KEYS:
-                assert field.terms[(QQ(0),)][word] == {word: ONE}
+                assert table[QQ(0)][word] == {word: ONE}
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_omega_central_coefficient(self, k):
-        field = ybar(k, OMEGA, WINDOW)
+        field = SlotField(k, OMEGA)
         expected_central = QQ(k * k - 1, 48 * k * k)
         for word in KEYS:
-            diag = field.terms[(QQ(-2),)][word][word]
+            # the x^-2 coefficient is mode 1
+            diag = field.mode(QQ(1), State({word: ONE})).coefficient(word)
             weight_part = (ground_weight() + word_level(word)) / (k * k)
             assert diag - weight_part == expected_central
 
     def test_psi_exponent_lattice_even_order(self):
-        field = ybar(2, PSI, WINDOW)
-        found = exponents(field)
+        found = exponents(field_table(SlotField(2, PSI), 4))
         assert found
         assert all((2 * e).denominator == 1 for e in found)
         assert any(e.denominator == 2 for e in found)
@@ -81,8 +107,8 @@ class TestYbar:
     def test_psi_exponent_lattice_odd_order(self):
         # For odd order the generator field escapes the (1/k) lattice:
         # the shifted lattice is the obstruction witness.
-        field = ybar(3, PSI, WINDOW)
-        assert any((3 * e).denominator == 2 for e in exponents(field))
+        found = exponents(field_table(SlotField(3, PSI), 6))
+        assert any((3 * e).denominator == 2 for e in found)
 
     @pytest.mark.parametrize(
         "k,name,j",
@@ -90,105 +116,106 @@ class TestYbar:
          for j in range(k)],
     )
     def test_matches_exact_mode_map(self, k, name, j):
-        # The windowed field (sigma-mode enumeration per piece) and the exact
-        # mode map (index formula per mode) are two routes through SlotField:
-        # they must agree on every mode of the window, in every slot.
+        # Slot j+1 is slot 1 with the k-th root of x replaced by its
+        # multiple by eta^j: mode m is scaled by eta^{j k (-m-1)}, and is
+        # zero where that power is fractional.  Checked on every mode of
+        # the window's (1/2k)-lattice, against the twisted_mode map too.
         u = {"psi": PSI, "omega": OMEGA}[name]
-        field = yg_tensor_factor(k, u, j, WINDOW)
-        for i in range(-4 * k, 2 * k + 1):  # exponents -3 .. 3
-            m = QQ(i, k)
-            mode = twisted_mode(k, u, m, substitution_power=j)
+        first, slot = SlotField(k, u), SlotField(k, u, j)
+        eta = eta_k(k)
+        for e in grid(2 * k):
+            m = -e - 1
+            power = j * k * (-m - 1)
+            on_lattice = (k * m).denominator == 1
             for word in KEYS:
-                image = mode(State({word: ONE}))
-                assert dict(image.terms) == field.column((-m - 1,), word), (m, word)
-
-    def test_requires_bounded_window(self):
-        with pytest.raises(ValueError, match="bounded"):
-            ybar(2, PSI, Window({"x": (None, QQ(2))}))
+                state = State({word: ONE})
+                image = slot.mode(m, state)
+                if power.denominator == 1:
+                    expected = first.mode(m, state).scaled(eta ** int(power))
+                else:
+                    expected = ZERO_STATE
+                assert image == expected, (m, word)
+                if on_lattice:
+                    mode = twisted_mode(k, u, m, substitution_power=j)
+                    assert mode(state) == image, (m, word)
 
     def test_zero_state_gives_empty_field(self):
-        field = ybar(2, ZERO_STATE, WINDOW)
-        assert exponents(field) == ()
-
-    def test_mode_action_outside_window(self):
-        # mode 10 sits at exponent -11, outside the window: unknown, not zero
-        field = ybar(2, PSI, WINDOW)
-        with pytest.raises(ValueError, match="outside"):
-            field.column((QQ(-11),), GROUND)
+        for e in grid(2):
+            mode = twisted_mode(2, ZERO_STATE, -e - 1)
+            for word in KEYS:
+                assert mode(State({word: ONE})).is_zero()
+        with pytest.raises(ValueError, match="nonzero"):
+            SlotField(2, ZERO_STATE)
 
 
 class TestTensorFactor:
     def test_power_zero_is_first_slot(self):
-        base = ybar(2, PSI, WINDOW)
-        sub = yg_tensor_factor(2, PSI, 0, WINDOW)
-        assert sub.terms == base.terms
+        base = field_table(SlotField(2, PSI), 4)
+        assert field_table(SlotField(2, PSI, 0), 4) == base
 
     def test_full_turn_returns_original(self):
-        base = ybar(2, PSI, WINDOW)
-        sub = yg_tensor_factor(2, PSI, 2, WINDOW)
-        assert sub.terms == base.terms
+        base = field_table(SlotField(2, PSI), 4)
+        assert field_table(SlotField(2, PSI, 2), 4) == base
 
     def test_sign_pattern_order_two(self):
-        base = ybar(2, PSI, WINDOW)
-        sub = yg_tensor_factor(2, PSI, 1, WINDOW)
-        for mono, table in base.terms.items():
-            e = mono[0]
+        base = field_table(SlotField(2, PSI), 4)
+        sub = field_table(SlotField(2, PSI, 1), 4)
+        assert base
+        assert set(sub) == set(base)
+        for e, table in base.items():
             flip = -ONE if e.denominator == 2 else ONE
             for word, column in table.items():
                 for out_word, value in column.items():
-                    assert sub.terms[mono][word][out_word] == flip * value
+                    assert sub[e][word][out_word] == flip * value
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_central_terms_sum_over_slots(self, k):
         total = ZERO
         for j in range(k):
-            field = yg_tensor_factor(k, OMEGA, j, WINDOW)
-            diag = field.terms[(QQ(-2),)][GROUND][GROUND]
-            total += diag - ground_weight() / (k * k)
+            diag = SlotField(k, OMEGA, j).mode(QQ(1), ground_state())
+            total += diag.coefficient(GROUND) - ground_weight() / (k * k)
         assert total == QQ(k * k - 1) * CENTRAL_CHARGE / (24 * k)
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            yg_tensor_factor(3, PSI, 1, WINDOW)
+            tensor_operator(3, (VACUUM, PSI, VACUUM))
 
 
 class TestTensorProduct:
     def test_all_vacuum_slots_give_identity(self):
-        field = yg_general(2, (VACUUM, VACUUM), WINDOW)
-        assert exponents(field) == (QQ(0),)
+        table = field_table(tensor_operator(2, (VACUUM, VACUUM)), 4)
+        assert exponents(table) == (QQ(0),)
         for word in KEYS:
-            assert field.terms[(QQ(0),)][word] == {word: ONE}
+            assert table[QQ(0)][word] == {word: ONE}
 
     def test_collapse_to_first_slot(self):
-        product = yg_general(2, (PSI, VACUUM), WINDOW)
-        single = ybar(2, PSI, WINDOW)
-        result = compare_fields("collapse1", product, single,
-                                WINDOW, 4, KEYS)
+        product = tensor_operator(2, (PSI, VACUUM))
+        single = SlotField(2, PSI)
+        result = compare_fields("collapse1", columns(product, 2),
+                                columns(single, 2), grid(4), KEYS)
         assert result.passed
 
     def test_collapse_to_second_slot(self):
-        product = yg_general(2, (VACUUM, PSI), WINDOW)
-        single = yg_tensor_factor(2, PSI, 1, WINDOW)
-        result = compare_fields("collapse2", product, single,
-                                WINDOW, 4, KEYS)
+        product = tensor_operator(2, (VACUUM, PSI))
+        single = SlotField(2, PSI, 1)
+        result = compare_fields("collapse2", columns(product, 2),
+                                columns(single, 2), grid(4), KEYS)
         assert result.passed
 
     def test_collapse_order_four(self):
-        window = Window({"x": (QQ(-2), QQ(2))})
-        product = yg_general(4, (VACUUM, OMEGA, VACUUM, VACUUM), window)
-        single = yg_tensor_factor(4, OMEGA, 1, window)
-        result = compare_fields("collapse4", product, single,
-                                window, 8, KEYS)
+        product = tensor_operator(4, (VACUUM, OMEGA, VACUUM, VACUUM))
+        single = SlotField(4, OMEGA, 1)
+        result = compare_fields("collapse4", columns(product, 4),
+                                columns(single, 4), grid(8, (-2, 2)), KEYS)
         assert result.passed
 
     def test_generator_pair_hand_values(self):
         # Exact entries on the puncture ground state, computed by hand from
         # the ordered product of the two slot fields at order two.
-        field = yg_general(2, (PSI, PSI), WINDOW)
-        terms = field.terms
-        assert terms[(QQ(-1),)][GROUND] == {GROUND: QQ(-1, 4)}
-        assert terms[(QQ(-1, 2),)][GROUND] == {(-2, 0): -ONE}
-        assert GROUND not in terms.get((QQ(0),), {})
+        field = tensor_operator(2, (PSI, PSI))
+        assert field.mode(QQ(0), ground_state()) == State({GROUND: QQ(-1, 4)})
+        assert field.mode(QQ(-1, 2), ground_state()) == State({(-2, 0): -ONE})
+        assert field.mode(QQ(-1), ground_state()).coefficient(GROUND) == 0
         assert field.parity == 0
 
     def test_generator_pair_against_slotwise_oracle(self):
@@ -202,7 +229,7 @@ class TestTensorProduct:
                 return image.scaled(-ONE)
             return image
 
-        field = yg_general(2, (PSI, PSI), WINDOW)
+        field = tensor_operator(2, (PSI, PSI))
         for word in ramond_basis(QQ(1)):
             level = word_level(word)
             state = State({word: ONE})
@@ -222,22 +249,52 @@ class TestTensorProduct:
                         total = total + slot_mode(m - 1 - n, True, inner).scaled(-ONE)
                     n += QQ(1, 2)
                 expected = total.scaled(prefactor)
-                actual = field.column((-m - 1,), word)
-                assert dict(expected.terms) == actual, (word, m)
+                assert field.mode(m, state) == expected, (word, m)
                 m += QQ(1, 2)
 
     def test_factor_count_enforced(self):
         with pytest.raises(ValueError, match="factors"):
-            yg_general(2, (PSI,), WINDOW)
+            tensor_operator(2, (PSI,))
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            yg_general(2, (PSI, ZERO_STATE), WINDOW)
+            tensor_operator(2, (PSI, ZERO_STATE))
 
     def test_parity_of_product(self):
-        assert yg_general(2, (PSI, VACUUM), WINDOW).parity == 1
-        assert yg_general(2, (PSI, PSI), WINDOW).parity == 0
+        assert tensor_operator(2, (PSI, VACUUM)).parity == 1
+        assert tensor_operator(2, (PSI, PSI)).parity == 0
         assert tensor_operator(2, (PSI, OMEGA)).parity == 1
+
+
+class TestLattices:
+    """The exponent lattices of the fields, read from their modes."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("u", [PSI, OMEGA], ids=["psi", "omega"])
+    def test_slot_fields_live_on_the_order_lattice(self, k, u):
+        # mode m of an even-order slot field is zero off the (1/k)-lattice,
+        # in every slot; on it, each field has a nonzero mode
+        for j in range(k):
+            field = SlotField(k, u, j)
+            nonzero = False
+            for e in grid(2 * k):
+                m = -e - 1
+                for word in KEYS:
+                    image = field.mode(m, State({word: ONE}))
+                    if (k * m).denominator != 1:
+                        assert image.is_zero(), (j, m, word)
+                    nonzero = nonzero or not image.is_zero()
+            assert nonzero, j
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("u", [VACUUM, PSI, OMEGA],
+                             ids=["vac", "psi", "omega"])
+    def test_recovered_fields_live_on_the_parity_coset(self, k, u):
+        field = RecoveredField(k, u)
+        offset = QQ(u.homogeneous_parity(), 2)
+        table = field_table(field, 2)
+        assert table
+        assert all((e + 1 + offset).denominator == 1 for e in table)
 
 
 class TestTwistedMode:
@@ -287,37 +344,43 @@ class TestTwistedMode:
 
 
 class TestInverseConstruction:
+    @staticmethod
+    def native_columns(u):
+        return _field_column(lambda m, s: sigma_vertex_mode(u, m, s),
+                             u.homogeneous_level(), 1)
+
     @pytest.mark.parametrize("u,name", [(VACUUM, "vac"), (PSI, "psi"),
                                         (OMEGA, "omega")])
     def test_recovers_parity_twisted_field(self, u, name):
-        recovered = u_functor_sigma_op(2, u, WINDOW)
-        reference = sigma_vertex_op(u, WINDOW)
-        result = compare_fields(name, recovered, reference, WINDOW, 2, KEYS)
+        recovered = RecoveredField(2, u)
+        result = compare_fields(name, columns(recovered, 1),
+                                self.native_columns(u), grid(2), KEYS)
         assert result.passed
         assert result.compared > 50
 
     def test_recovers_at_order_four(self):
-        window = Window({"x": (QQ(-2), QQ(2))})
-        recovered = u_functor_sigma_op(4, PSI, window, domain_level=QQ(1))
-        reference = sigma_vertex_op(PSI, window, domain_level=QQ(1))
+        recovered = RecoveredField(4, PSI)
         keys = ramond_basis(QQ(1))
-        result = compare_fields("psi4", recovered, reference, window, 2, keys)
+        result = compare_fields("psi4", columns(recovered, 1),
+                                self.native_columns(PSI), grid(2, (-2, 2)),
+                                keys)
         assert result.passed
 
     @pytest.mark.parametrize("branch", [1, 2, 3, -1])
     def test_branch_violations_rejected(self, branch):
         if branch % 2 == 0:
-            u_functor_sigma_op(2, PSI, WINDOW, branch=branch)
+            RecoveredField(2, PSI, branch=branch)
         else:
             with pytest.raises(ValueError, match="branch"):
-                u_functor_sigma_op(2, PSI, WINDOW, branch=branch)
+                RecoveredField(2, PSI, branch=branch)
             with pytest.raises(ValueError, match="branch"):
                 u_functor_sigma_mode(2, PSI, QQ(1, 2), branch=branch)
 
     def test_full_turn_branch_is_principal(self):
-        a = u_functor_sigma_op(2, PSI, WINDOW, branch=2)
-        b = u_functor_sigma_op(2, PSI, WINDOW)
-        assert a.terms == b.terms
+        a = field_table(RecoveredField(2, PSI, branch=2), 2)
+        b = field_table(RecoveredField(2, PSI), 2)
+        assert a
+        assert a == b
 
     @pytest.mark.parametrize("u", [VACUUM, PSI, OMEGA],
                              ids=["vac", "psi", "omega"])
@@ -335,16 +398,15 @@ class TestInverseConstruction:
                     assert recovered(state) == ZERO_STATE
 
     def test_zero_state_gives_empty_field(self):
-        field = u_functor_sigma_op(2, ZERO_STATE, Window({"x": (QQ(-2), QQ(2))}))
-        assert (field.terms, field.parity) == ({}, 0)
-        with pytest.raises(ValueError, match="bounded"):
-            u_functor_sigma_op(2, ZERO_STATE, Window({"x": (None, QQ(2))}))
+        field = RecoveredField(2, ZERO_STATE)
+        assert field_table(field, 2, (-2, 2)) == {}
+        assert field.parity == 0
         with pytest.raises(ValueError, match="branch"):
-            u_functor_sigma_op(2, ZERO_STATE, WINDOW, branch=1)
+            RecoveredField(2, ZERO_STATE, branch=1)
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            u_functor_sigma_op(3, PSI, WINDOW)
+            RecoveredField(3, PSI)
 
     def test_off_lattice_index_rejected(self):
         with pytest.raises(ValueError, match="lattice"):

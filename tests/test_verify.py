@@ -28,7 +28,6 @@ from twistfock.fermion import (
 from twistfock import verify
 from twistfock.formal import (
     ComparisonResult,
-    OperatorField,
     Window,
     merged_delta_kernel,
 )
@@ -362,8 +361,11 @@ class TestStructureChecks:
         assert_clean_pass(check_limit_axiom(4, PSI, LINE))
 
     def test_translation_derivative_any_order(self):
-        for k in (1, 2, 3):
-            assert_clean_pass(check_translation_derivative(k, PSI, LINE))
+        # L(-1) kills the vacuum: its translated field is empty, and so is
+        # the derivative of its constant field
+        for u in (VACUUM, PSI, OMEGA):
+            for k in (1, 2, 3):
+                assert_clean_pass(check_translation_derivative(k, u, LINE))
 
     def test_grading(self):
         for u in (PSI, OMEGA):
@@ -394,18 +396,18 @@ class TestRoundTrips:
 
     def test_field_witness_names_psi_modes(self, monkeypatch):
         # one injected entry of the native field, in the column of
-        # psi(-1)|R> (doubled word (-2,)) at an exponent the field leaves
-        # empty, must come out as one witness written in psi modes
-        native = verify.sigma_vertex_op
+        # psi(-1)|R> (doubled word (-2,)) at x^-1 (mode 0), where the field
+        # is empty, must come out as one witness written in psi modes
+        native = verify.sigma_vertex_mode
+        column = State({(-2,): ONE})
 
-        def broken(u, window, *, domain_level):
-            field = native(u, window, domain_level=domain_level)
-            terms = {mono: dict(table) for mono, table in field.terms.items()}
-            terms.setdefault((QQ(-1),), {})[(-2,)] = {(-2,): QQ(7)}
-            return OperatorField(field.variables, terms, field.window,
-                                 field.parity)
+        def broken(u, t, target):
+            image = native(u, t, target)
+            if t == 0 and target == column:
+                return image + State({(-2,): QQ(7)})
+            return image
 
-        monkeypatch.setattr(verify, "sigma_vertex_op", broken)
+        monkeypatch.setattr(verify, "sigma_vertex_mode", broken)
         report = check_u_round_trip(2, PSI, LINE, domain_level=QQ(1))
         assert report.mismatches == (
             ("x^-1 @ psi(-1)|R> -> psi(-1)|R>", "0", "7"),
