@@ -359,7 +359,7 @@ def _word_drops(k: int, direction: str, word: tuple) -> tuple:
     """
     table = solve_aj(k, covering_depth(word_level(word)))
     sign = 1 if direction == FORWARD else -1
-    drops = _exp_virasoro(State._of_terms(((word, ONE),)), table, sign)
+    drops = _exp_virasoro(State._of(1, ((word, 1),)), table, sign)
     return tuple(sorted(drops.items()))
 
 
@@ -383,22 +383,26 @@ def apply_delta(k: int, u: State, direction: str = FORWARD,
     if u.is_zero():
         return DeltaExpansion(k, direction, ZERO, ONE, ())
     p = u.homogeneous_level()
+    # the pieces of u's numerators, divided by u.den once per piece
     by_drop = {}
-    for word, coeff in u.terms:
+    for word, num in u.nums:
         for j, state in _word_drops(k, direction, word):
-            by_drop.setdefault(j, []).append((state, coeff))
+            by_drop.setdefault(j, []).append((state, num))
     pieces = []
     for j in sorted(by_drop):
+        if direction == FORWARD:
+            exponent = p / k - p - QQ(j, k)
+            scale = QQ(1, u.den)
+        else:
+            exponent = p - p / k - j
+            scale = QQ(k) ** (-j) / u.den
+        if window is not None and not window.contains("x", exponent):
+            continue
         state = combine(by_drop[j])
         if state.is_zero():
             continue
-        if direction == FORWARD:
-            exponent = p / k - p - QQ(j, k)
-        else:
-            exponent = p - p / k - j
-            state = state.scaled(QQ(k) ** (-j))
-        if window is not None and not window.contains("x", exponent):
-            continue
+        if scale != 1:
+            state = state.scaled(scale)
         pieces.append((exponent, state))
     pieces.sort(key=lambda item: -item[0])
     prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
@@ -508,12 +512,13 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
                 q = p_u + w_j - t - 1
                 fwd = apply_delta(k, image, FORWARD)
                 scalar = k_to_the(k, p_v - q)
+                e_z0 = -t - 1
                 for e_i, result in fwd.pieces:
                     e_z = e_j + e_i
-                    for word, c in result.terms:
-                        key = (word, e_z, QQ(-t - 1))
-                        prev = out.get(key, ZERO)
-                        out[key] = prev + scalar * c
+                    scale = scalar / result.den
+                    for word, num in result.nums:
+                        key = (word, e_z, e_z0)
+                        out[key] = out.get(key, ZERO) + scale * num
             t += 1
     return {key: val for key, val in out.items() if val != 0}
 
@@ -554,11 +559,10 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
                     if g_c != 0:
                         e_z = alpha - i + QQ(e, k) - n
                         e_z0 = QQ(i + n)
-                        factor = binom_c * g_c
-                        for word, c in image.terms:
+                        scale = prefactor * binom_c * g_c / image.den
+                        for word, num in image.nums:
                             key = (word, e_z, e_z0)
-                            prev = out.get(key, ZERO)
-                            out[key] = prev + prefactor * factor * c
+                            out[key] = out.get(key, ZERO) + scale * num
             t += 1
     return {key: val for key, val in out.items() if val != 0}
 
@@ -623,23 +627,24 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
             if not lu.is_zero():
                 ex_lu = apply_delta(k, lu, direction)
                 for e, s in ex_lu.pieces:
-                    for w, c in s.terms:
+                    scale = ex_lu.prefactor / s.den
+                    for w, num in s.nums:
                         key = (w, e)
-                        lhs[key] = lhs.get(key, ZERO) + ex_lu.prefactor * c
+                        lhs[key] = lhs.get(key, ZERO) + scale * num
             for e, s in ex_u.pieces:
                 moved = virasoro(QQ(-1), s)
-                for w, c in moved.terms:
+                scale = shift_scalar * ex_u.prefactor / moved.den
+                for w, num in moved.nums:
                     key = (w, e + shift_exp)
-                    lhs[key] = lhs.get(key, ZERO) - shift_scalar * ex_u.prefactor * c
+                    lhs[key] = lhs.get(key, ZERO) - scale * num
 
             rhs = {}
             for e, s in ex_u.pieces:
                 if e != 0:
-                    for w, c in s.terms:
+                    scale = rhs_scale * e * ex_u.prefactor / s.den
+                    for w, num in s.nums:
                         key = (w, e - 1 + rhs_shift)
-                        rhs[key] = (
-                            rhs.get(key, ZERO) + rhs_scale * e * ex_u.prefactor * c
-                        )
+                        rhs[key] = rhs.get(key, ZERO) + scale * num
 
             keys = sorted(set(lhs) | set(rhs))
             if not keys:

@@ -6,7 +6,16 @@ anticommutation relations {psi_m, psi_n} = delta_{m+n,0}.  Vertex operators
 of descendant vectors are never expanded by hand: every mode is produced by
 the residue-extraction recursion (`iterate_mode_word`), which also covers the
 parity-twisted sector used by the `ramond` module through its half-integer
-lattice shift.  All coefficients stay exact rationals.
+lattice shift.  All coefficients are exact.
+
+Coefficients are integers over one denominator: a `State` holds a positive
+int denominator and an integral numerator per word, in lowest terms, and
+the recursion returns int numerators over a power of two.  So the sums and
+products of the hot path are int arithmetic, with one gcd per result
+instead of one per operation; `Fraction` (and `CycScalar`, for the rare
+cyclotomic coefficient, as a numerator with int coordinates) appears only
+where coefficients enter or leave: `State(table)`, ``terms``,
+``coefficient`` and ``render``.
 
 Words are doubled-integer throughout: a mode m is stored as the int 2m and a
 word as the tuple of those ints, so psi_{-3/2} psi_{-1/2}|0> is the word
@@ -22,25 +31,27 @@ it sums the recursion's results over the pairs of words of the field's
 vector and of the target in one dict and builds one `State`.  `vertex_mode`
 and `ramond.sigma_vertex_mode` are that function on the two sectors.  Every
 other linear combination of states goes through `combine`, which sums
-scalar * state over all its pairs in one dict and sorts once, instead of
-re-sorting after every `+`.
+scalar * state over all its pairs in one dict, over the lcm of their
+denominators, and reduces and sorts once, instead of after every `+`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 from operator import itemgetter
 
 from .scalars import (
     HALF,
-    ONE,
     QQ,
     ZERO,
     binomial,
+    integral_split,
     rational_floor,
+    scalar_content,
     scalar_is_zero,
+    scalar_ratio,
     scalar_str,
 )
 
@@ -117,128 +128,200 @@ def _require_doubled(word: tuple) -> tuple:
 
 
 def _accumulate(table: dict, pairs, factor) -> None:
-    """Add factor * coeff to table[word] for each (word, coeff) pair,
-    dropping the entries that cancel to zero.  A factor that is the object
-    `ONE` is not multiplied."""
+    """Add factor * num to table[word] for each (word, num) pair of
+    integral numerators, dropping the entries that cancel to zero."""
     get = table.get
-    unit = factor is ONE
-    for word, coeff in pairs:
-        new = get(word, 0) + (coeff if unit else factor * coeff)
+    for word, num in pairs:
+        new = get(word, 0) + factor * num
         if new:
             table[word] = new
         else:
             table.pop(word, None)
 
 
-@dataclass(frozen=True)
+def _rescale(table: dict, factor: int) -> None:
+    """Multiply every numerator of a table by an int, in place: the table
+    moves to a denominator `factor` times larger."""
+    for word in table:
+        table[word] *= factor
+
+
+def _content(den: int, nums) -> int:
+    """gcd of a denominator and the coordinates of every numerator."""
+    try:
+        return gcd(den, *nums)
+    except TypeError:  # a cyclotomic numerator
+        return gcd(den, *map(scalar_content, nums))
+
+
 class State:
     """A finite linear combination of doubled words with exact coefficients.
 
-    Invariant: ``terms`` is a tuple of (word, coefficient) pairs sorted by
-    word, with distinct words and no zero coefficient.  So two states are
-    equal exactly when their ``terms`` are, and results built inside the
-    package (`_of_table`, `_of_terms`) rely on the invariant instead of
-    re-validating.  The public constructor `State(table)` validates any
-    mapping, or copies a state.
+    A state is one denominator ``den``, a positive int, and ``nums``, a
+    tuple of (word, numerator) pairs sorted by word, with distinct words
+    and no zero numerator; the coefficient of a word is its numerator over
+    ``den``.  A numerator is an int, or a `CycScalar` with integer
+    coordinates for the rare cyclotomic coefficient.  The form is in
+    lowest terms: no prime divides ``den`` and every numerator's
+    coordinates.  So two states are equal exactly when their denominators
+    and numerators are, and results built inside the package (`_of`,
+    `_of_table`) rely on the invariant instead of re-validating.  The
+    public constructor `State(table)` validates any mapping, or copies a
+    state; ``terms`` and ``coefficient`` give the coefficients as scalars.
     """
 
-    terms: tuple
+    __slots__ = ("den", "nums")
 
     def __init__(self, table):
         if isinstance(table, State):
-            table = dict(table.terms)
-        clean = {}
-        for word, coeff in dict(table).items():
-            if scalar_is_zero(coeff):
-                continue
-            clean[_require_doubled(tuple(word))] = coeff
-        object.__setattr__(self, "terms", tuple(sorted(clean.items(), key=_word_of)))
+            den, nums = table.den, table.nums
+        else:
+            parts = {}
+            for word, coeff in dict(table).items():
+                if not scalar_is_zero(coeff):
+                    parts[_require_doubled(tuple(word))] = integral_split(coeff)
+            # each part is in lowest terms, so over the lcm the whole is too
+            den = lcm(*[d for _, d in parts.values()])
+            nums = tuple(sorted(
+                [(word, n * (den // d)) for word, (n, d) in parts.items()],
+                key=_word_of))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("State is immutable")
 
     @classmethod
-    def _of_terms(cls, terms: tuple) -> "State":
-        """A state from terms that already satisfy the invariant."""
+    def _of(cls, den: int, nums: tuple) -> "State":
+        """A state from a denominator and numerators that already satisfy
+        the invariant."""
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         return self
 
     @classmethod
-    def _of_table(cls, table: dict) -> "State":
-        """A state from a dict of tuple words to nonzero coefficients."""
-        return cls._of_terms(tuple(sorted(table.items(), key=_word_of)))
+    def _of_table(cls, den: int, table: dict) -> "State":
+        """A state from a dict of words to nonzero integral numerators over
+        ``den``: one sort orders it, `_of_terms` reduces it."""
+        if not table:
+            return ZERO_STATE
+        return cls._of_terms(den, sorted(table.items(), key=_word_of))
+
+    @classmethod
+    def _of_terms(cls, den: int, nums: list) -> "State":
+        """A state from sorted (word, nonzero integral numerator) pairs over
+        ``den``, brought to lowest terms by one gcd over all of them: a
+        product of cyclotomic numerators can gain content, so no shortcut
+        over the factors' contents is taken."""
+        if den != 1:
+            g = _content(den, [num for _, num in nums])
+            if g != 1:
+                den //= g
+                nums = [(word, num // g) for word, num in nums]
+        return cls._of(den, tuple(nums))
+
+    @property
+    def terms(self) -> tuple:
+        """The (word, coefficient) pairs, sorted by word, with the
+        coefficients as scalars."""
+        den = self.den
+        return tuple([(word, scalar_ratio(num, den)) for word, num in self.nums])
 
     def __add__(self, other: "State") -> "State":
-        return combine(((self, ONE), (other, ONE)))
+        return combine(((self, 1), (other, 1)))
 
     def __sub__(self, other: "State") -> "State":
-        return combine(((self, ONE), (other, -ONE)))
+        return combine(((self, 1), (other, -1)))
 
     def __neg__(self) -> "State":
-        return self.scaled(-ONE)
+        return State._of(self.den, tuple([(word, -num) for word, num in self.nums]))
 
     def scaled(self, scalar) -> "State":
         """scalar times the state; the word order is kept, and a nonzero
         scalar times a nonzero coefficient is nonzero in a field."""
-        if scalar_is_zero(scalar):
+        if scalar_is_zero(scalar) or not self.nums:
             return ZERO_STATE
-        return State._of_terms(
-            tuple([(word, scalar * coeff) for word, coeff in self.terms])
-        )
+        n, d = integral_split(scalar)
+        return State._of_terms(self.den * d,
+                               [(word, n * num) for word, num in self.nums])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, word):
         """The coefficient of a doubled word."""
-        return dict(self.terms).get(tuple(word), ZERO)
+        num = dict(self.nums).get(tuple(word))
+        return ZERO if num is None else scalar_ratio(num, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.den, self.nums))
+
+    def __repr__(self):
+        return f"State({dict(self.terms)!r})"
 
     def map_words(self, rule) -> "State":
         """Push the state through a linear rule word -> [(word, coeff)]."""
         out = {}
         for word, coeff in self.terms:
-            _accumulate(out, rule(word), coeff)
-        return State._of_table(out)
+            for new_word, factor in rule(word):
+                out[new_word] = out.get(new_word, ZERO) + coeff * factor
+        return State(out)
 
     def homogeneous_level(self):
         """The common word level, or raise if the state is mixed."""
-        sums = {sum(w) for w, _ in self.terms}
+        sums = {sum(w) for w, _ in self.nums}
         if len(sums) > 1:
             levels = ", ".join(str(QQ(-s, 2)) for s in sorted(sums, reverse=True))
             raise ValueError(f"state is not homogeneous: levels {levels}")
         return QQ(-sums.pop(), 2) if sums else None
 
     def homogeneous_parity(self):
-        parities = {word_parity(w) for w, _ in self.terms}
+        parities = {word_parity(w) for w, _ in self.nums}
         if len(parities) > 1:
             raise ValueError("state is not parity-homogeneous")
         return parities.pop() if parities else None
 
     def render(self, word_formatter=format_ns_word) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den = self.den
         parts = []
-        for word, coeff in self.terms:
-            parts.append(f"({scalar_str(coeff)})*{word_formatter(word)}")
+        for word, num in self.nums:
+            if type(num) is int:
+                g = gcd(num, den)
+                text = str(num // g) if g == den else f"{num // g}/{den // g}"
+            else:
+                text = scalar_str(scalar_ratio(num, den))
+            parts.append(f"({text})*{word_formatter(word)}")
         return " + ".join(parts)
 
 
 def combine(pairs) -> State:
     """The linear combination sum of scalar * state over (state, scalar)
-    pairs, summed in one dict and sorted once."""
+    pairs: the numerators are summed in one dict over the lcm of the
+    denominators seen so far, then reduced and sorted once."""
     out: dict = {}
+    den = 1
     for state, scalar in pairs:
-        _accumulate(out, state.terms, scalar)
-    return State._of_table(out)
+        n, d = integral_split(scalar)
+        part = state.den * d
+        if part != den:
+            common = lcm(den, part)
+            if common != den:
+                _rescale(out, common // den)
+                den = common
+            n *= den // part
+        _accumulate(out, state.nums, n)
+    return State._of_table(den, out)
 
 
-ZERO_STATE = State({})
+ZERO_STATE = State._of(1, ())
 VACUUM = State({(): QQ(1)})
 PSI = State({(-1,): QQ(1)})  # psi_{-1/2} |0>
 #: conformal vector: (1/2) psi_{-3/2} psi_{-1/2} |0>, central charge 1/2
@@ -251,16 +334,14 @@ RAMOND_GROUND = State({(): QQ(1)})  # interpreted over |R> words
 # the canonical anticommutation kernel
 # ---------------------------------------------------------------------------
 
-_SIGNED_HALF = (HALF, -HALF)
-
-
 def _apply2(word: tuple, m2: int) -> tuple:
-    """psi_{m2/2} on one ascending doubled word; a tuple of (word, coeff).
+    """psi_{m2/2} on one ascending doubled word; a tuple of (word, int).
 
     Annihilation (m2 > 0) contracts against the matching creation mode with
     the sign of the anticommutations passed; creation (m2 < 0) inserts in
-    order, vanishing on a repeated mode; the twisted-sector zero mode squares
-    to 1/2.  Coefficients are +-1, or +-1/2 for the zero mode.
+    order, vanishing on a repeated mode.  The coefficients are +-1.  The
+    twisted-sector zero mode squares to 1/2, so its coefficients are given
+    doubled: +-1 for the contraction (+-1/2), +-2 for the insertion.
     """
     if m2 > 0:
         if -m2 not in word:
@@ -269,8 +350,8 @@ def _apply2(word: tuple, m2: int) -> tuple:
         return ((word[:i] + word[i + 1 :], -1 if i & 1 else 1),)
     if m2 == 0:  # only reachable in the twisted sector
         if word and word[-1] == 0:
-            return ((word[:-1], _SIGNED_HALF[(len(word) - 1) & 1]),)
-        return ((word + (0,), -1 if len(word) & 1 else 1),)
+            return ((word[:-1], -1 if len(word) & 1 == 0 else 1),)
+        return ((word + (0,), -2 if len(word) & 1 else 2),)
     if m2 in word:
         return ()
     i = bisect_left(word, m2)
@@ -290,7 +371,8 @@ def apply_phys_mode(word, m, ramond: bool):
             raise ValueError(f"twisted-sector mode {m} must be an integer")
     elif (2 * m).denominator != 1 or (2 * m).numerator % 2 == 0:
         raise ValueError(f"untwisted-sector mode {m} must be in Z + 1/2")
-    return [(w, QQ(c)) for w, c in _apply2(word, int(2 * m))]
+    m2 = int(2 * m)
+    return [(w, QQ(c, 1 if m2 else 2)) for w, c in _apply2(word, m2)]
 
 
 def fermion_mode(n, s: State) -> State:
@@ -324,23 +406,29 @@ def fermion_mode(n, s: State) -> State:
 # half-integer lattice gives zero at once.
 
 
+_NOTHING = (1, ())
+
+
 @lru_cache(maxsize=None)
 def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
     """Mode mu2/2 (a lattice index) of the field of `a_word`, on one word.
 
     Words are doubled and so is the index.  `sector_half` is twice the
     sector shift: 0 acts on the untwisted module, 1 on the parity-twisted
-    one.  Returns an unsorted tuple of (word, coefficient) pairs with int
-    coefficients, or exact halves in the twisted sector; every sum of the
-    recursion is finite because annihilation kills high modes and the
-    graded pieces below the sector floor vanish.
+    one.  Returns (den, pairs): ``pairs`` is an unsorted tuple of (word,
+    int numerator) pairs, each coefficient being its numerator over
+    ``den``, a power of two that is 1 in the untwisted sector (the zero
+    mode's 1/2 and the twisted correction's C(1/2, i) are the only
+    fractions).  Every sum of the recursion is finite because annihilation
+    kills high modes and the graded pieces below the sector floor vanish.
     """
     if not a_word:
-        return ((word, 1),) if mu2 == -2 else ()
+        return (1, ((word, 1),)) if mu2 == -2 else _NOTHING
     m1 = a_word[0]
     rest = a_word[1:]
     n = (m1 - 1) // 2
     out: dict = {}
+    den = 1  # a power of two; an inner result's den divides it or is a multiple
 
     # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
     # the level left above the sector floor, and drops by 2 per step
@@ -349,9 +437,17 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     i = 0
     while room >= 0:
         psi2 = sector_half + m1 - 2 * i
-        for mid_word, mid_coeff in iterate_mode_word(
-                rest, mu2 - sector_half + 2 * i, word, sector_half):
-            _accumulate(out, _apply2(mid_word, psi2), d * mid_coeff)
+        inner_den, inner = iterate_mode_word(
+            rest, mu2 - sector_half + 2 * i, word, sector_half)
+        if inner:
+            if not psi2:  # the zero mode's coefficients come doubled
+                inner_den *= 2
+            if inner_den > den:
+                _rescale(out, inner_den // den)
+                den = inner_den
+            factor = d * (den // inner_den)
+            for mid_word, mid_num in inner:
+                _accumulate(out, _apply2(mid_word, psi2), factor * mid_num)
         d = d * (i - n) // (i + 1)
         i += 1
         room -= 2
@@ -365,10 +461,14 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
         i = 0
         psi2 = sector_half + 1
         while psi2 <= top:
-            for mid_word, mid_coeff in _apply2(word, psi2):
-                inner = iterate_mode_word(
+            for mid_word, mid_num in _apply2(word, psi2):
+                inner_den, inner = iterate_mode_word(
                     rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
-                _accumulate(out, inner, sign * d * mid_coeff)
+                if inner:
+                    if inner_den > den:
+                        _rescale(out, inner_den // den)
+                        den = inner_den
+                    _accumulate(out, inner, sign * d * mid_num * (den // inner_den))
             d = d * (i - n) // (i + 1)
             i += 1
             psi2 += 2
@@ -377,11 +477,24 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     if sector_half:
         bound2 = -m1 - (rest[0] if rest else 0)
         for i in range(1, bound2 // 2 + 1):
-            for mid_word, mid_coeff in _apply2(rest, m1 + 2 * i):
-                inner = iterate_mode_word(mid_word, mu2 - 2 * i, word, sector_half)
-                _accumulate(out, inner, -binomial(HALF, i) * mid_coeff)
+            for mid_word, mid_num in _apply2(rest, m1 + 2 * i):
+                inner_den, inner = iterate_mode_word(mid_word, mu2 - 2 * i, word, sector_half)
+                if inner:
+                    b_num, b_den = integral_split(binomial(HALF, i))
+                    inner_den *= b_den
+                    if inner_den > den:
+                        _rescale(out, inner_den // den)
+                        den = inner_den
+                    _accumulate(out, inner, -b_num * mid_num * (den // inner_den))
 
-    return tuple(out.items())
+    if not out:
+        return _NOTHING
+    if den != 1:
+        g = gcd(den, *out.values())
+        if g != 1:
+            den //= g
+            out = {w: num // g for w, num in out.items()}
+    return den, tuple(out.items())
 
 
 def field_mode(v: State, t, target: State, sector_half: int) -> State:
@@ -390,18 +503,25 @@ def field_mode(v: State, t, target: State, sector_half: int) -> State:
     `sector_half` is as in `iterate_mode_word`.  The index is doubled
     once; off the half-integer lattice the mode is zero.  The mode is
     bilinear in v and the target: every pair of their words contributes
-    a_coeff * t_coeff times the recursion's result, summed in one dict.
+    a_num * t_num times the recursion's numerators, summed in one dict
+    over the largest of the recursion's power-of-two denominators and
+    then divided by v.den * target.den.
     """
     den = t.denominator
     if den > 2:
         return ZERO_STATE
     mu2 = t.numerator * (2 // den)
     out: dict = {}
-    for a_word, a_coeff in v.terms:
-        for word, t_coeff in target.terms:
-            _accumulate(out, iterate_mode_word(a_word, mu2, word, sector_half),
-                        a_coeff * t_coeff)
-    return State._of_table(out)
+    den = 1
+    for a_word, a_num in v.nums:
+        for word, t_num in target.nums:
+            inner_den, inner = iterate_mode_word(a_word, mu2, word, sector_half)
+            if inner:
+                if inner_den > den:
+                    _rescale(out, inner_den // den)
+                    den = inner_den
+                _accumulate(out, inner, a_num * t_num * (den // inner_den))
+    return State._of_table(v.den * target.den * den, out)
 
 
 def vertex_mode(v: State, t, target: State) -> State:
@@ -502,12 +622,12 @@ def tensor_vertex_mode(a_tword, t, target_tword):
             t_j = budget
             if t_j > his[j]:
                 return
-            res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
+            _, res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
             _accumulate(out, ((factors + (w,), c) for w, c in res), coeff)
             return
         lo_j = budget - suffix_hi[j + 1]
         for t_j in range(his[j], lo_j - 1, -1):
-            res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
+            _, res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
             for w, c in res:
                 assemble(j + 1, budget - t_j, factors + (w,), coeff * c)
 

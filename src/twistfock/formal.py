@@ -24,6 +24,7 @@ from .scalars import (
     rational_ceil,
     rational_floor,
     scalar_is_zero,
+    scalar_ratio,
 )
 
 # ---------------------------------------------------------------------------
@@ -555,25 +556,29 @@ def compare_fields(
 ) -> ComparisonResult:
     """Compare two operator fields in x entrywise, column by column.
 
-    A field is given by its column function: (e, key) -> the (output key,
-    nonzero scalar) pairs of its x^e coefficient applied to the basis
-    vector ``key``.  Every (exponent, key) column counts once, so two empty
-    columns are compared, and so does every output key of either column,
-    in sorted order; a mismatch is located as "x^e @ key -> output key",
-    keys written by ``key_formatter``.
+    A field is given by its column function: (e, key) -> (den, pairs), its
+    x^e coefficient applied to the basis vector ``key`` as (output key,
+    nonzero numerator) pairs over one positive int denominator, the form
+    of a `fermion.State`.  Every (exponent, key) column counts once, so two
+    empty columns are compared, and so does every output key of either
+    column, in sorted order; the two numerators are compared across the
+    denominators, and a mismatch is recorded with both values and located
+    as "x^e @ key -> output key", keys written by ``key_formatter``.
     """
     result = ComparisonResult(name)
     for e in exponents:
         for key in keys:
-            a = dict(lhs(e, key))
-            b = dict(rhs(e, key))
+            a_den, a = lhs(e, key)
+            b_den, b = rhs(e, key)
+            a, b = dict(a), dict(b)
             result.compared += 1
             for okey in sorted(a.keys() | b.keys()):
-                result.compare(
-                    f"x^{e} @ {key_formatter(key)} -> {key_formatter(okey)}",
-                    a.get(okey, ZERO),
-                    b.get(okey, ZERO),
-                )
+                location = f"x^{e} @ {key_formatter(key)} -> {key_formatter(okey)}"
+                x, y = a.get(okey, 0), b.get(okey, 0)
+                result.compared += 1
+                if x * b_den != y * a_den:
+                    result.mismatches.append(
+                        (location, scalar_ratio(x, a_den), scalar_ratio(y, b_den)))
     return result
 
 

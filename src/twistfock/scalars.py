@@ -221,8 +221,10 @@ class CycScalar:
     @classmethod
     def _of(cls, conductor: int, coeffs: tuple) -> "CycScalar":
         """An element from a coefficient tuple that is already valid: QQ
-        entries, exactly phi(conductor) of them.  Results of arithmetic on
-        valid elements are built here, without re-validating."""
+        or int entries, exactly phi(conductor) of them.  Results of
+        arithmetic on valid elements are built here, without re-validating;
+        an integral numerator (`integral_split`) keeps int entries, so its
+        sums and int multiples stay in int arithmetic."""
         self = object.__new__(cls)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", coeffs)
@@ -363,6 +365,15 @@ class CycScalar:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
+
+    def __floordiv__(self, other):
+        """Coordinatewise floor division by an int: for an element with
+        integer coordinates and a divisor of its `scalar_content`, the
+        exact quotient."""
+        if type(other) is not int:
+            return NotImplemented
+        return CycScalar._of(self.conductor,
+                             tuple([c // other for c in self.coeffs]))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -536,6 +547,35 @@ def scalar_str(x) -> str:
     if isinstance(x, CycScalar):
         return str(x.rational_value())
     return str(x)
+
+
+def integral_split(x) -> tuple:
+    """(numerator, denominator) of a scalar, in lowest terms: the
+    denominator is a positive int and the numerator is integral, an int
+    for a rational and a `CycScalar` with int coordinates for a cyclotomic
+    element.  No prime divides the denominator and every coordinate of the
+    numerator."""
+    if isinstance(x, CycScalar):
+        den = math.lcm(*[c.denominator for c in x.coeffs])
+        return CycScalar._of(x.conductor, tuple(
+            [c.numerator * (den // c.denominator) for c in x.coeffs])), den
+    return x.numerator, x.denominator
+
+
+def scalar_ratio(num, den: int):
+    """The scalar num/den for an integral numerator (see `integral_split`):
+    a `QQ` for an int numerator, a `CycScalar` for a cyclotomic one."""
+    if type(num) is int:
+        return Fraction(num, den)
+    return num * Fraction(1, den)
+
+
+def scalar_content(x) -> int:
+    """The content of an integral scalar: the gcd of its integer
+    coordinates, the value itself for an int."""
+    if isinstance(x, CycScalar):
+        return math.gcd(*[c.numerator for c in x.coeffs])
+    return x
 
 
 def complex_embedding(x) -> complex:

@@ -157,7 +157,9 @@ class _OrderedProduct:
     annihilation modes (nonnegative index) are moved to the right across
     the rest of the product, picking up the Koszul sign of the two
     parities.  Slot fields of even order, and so their products, have
-    their modes on the (1/k)-lattice; off it a mode is zero.
+    their modes on the (1/k)-lattice; off it a mode is zero.  Modes are
+    cached per (index, state), for as long as the product lives: a nested
+    product asks its right factor for the same modes many times.
     """
 
     def __init__(self, left: SlotField, right):
@@ -166,8 +168,16 @@ class _OrderedProduct:
         self.parity = (left.parity + right.parity) % 2
         self.left = left
         self.right = right
+        self._cache = {}
 
     def mode(self, m, state: State) -> State:
+        key = (m, state)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = self._mode(m, state)
+        return hit
+
+    def _mode(self, m, state: State) -> State:
         k = self.k
         level = state.homogeneous_level()
         if level is None or (k * m).denominator != 1:

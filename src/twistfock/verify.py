@@ -379,16 +379,28 @@ def _bounds(window: Window, var: str):
     return lo, hi
 
 
-def _field_column(mode, weight, den: int):
-    """The column function (see `formal.compare_fields`) of a field given
-    by its modes: the column at x^e on a basis word is mode -e-1 on that
-    word, empty above the annihilation bound weight - 1 + level/den."""
+def _field_image(mode, weight, den: int):
+    """(e, word) -> the x^e coefficient of a field given by its modes, on
+    a basis word: mode -e-1 on that word, zero above the annihilation
+    bound weight - 1 + level/den."""
 
-    def column(e, word):
+    def image(e, word) -> State:
         m = -e - 1
         if m > weight - 1 + word_level(word) / den:
-            return ()
-        return mode(m, State({word: ONE})).terms
+            return ZERO_STATE
+        return mode(m, State({word: ONE}))
+
+    return image
+
+
+def _field_column(mode, weight, den: int):
+    """The column function (see `formal.compare_fields`) of a field given
+    by its modes: the denominator and numerators of `_field_image`."""
+    image = _field_image(mode, weight, den)
+
+    def column(e, word):
+        state = image(e, word)
+        return state.den, state.nums
 
     return column
 
@@ -429,31 +441,31 @@ def _supercommutator_grid(left, right, scalars, target, level, grid1, grid2):
     A B - (-1)^{|A||B|} B A.  Both orders compose the same two modes, so
     the bracket has one scalar, looked up in ``scalars`` (`_pair_scalars`
     of the two families) once per grid point."""
-    eps = -ONE if (left.parity and right.parity) else ONE
+    sign = ONE if (left.parity and right.parity) else -ONE  # -(-1)^{|A||B|}
+    # per e1: A(-e1-1) w and the top index of B on it; a zero image has
+    # no top, so no mode of B acts after it
     a_images = {}
     for e1 in grid1:
         m1 = -e1 - 1
-        a_images[e1] = (
-            m1,
-            left.eta_class(m1),
-            left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE,
-        )
+        a = left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE
+        a_top = None if a.is_zero() else right.top(a.homogeneous_level())
+        a_images[e1] = (m1, left.eta_class(m1), a, a_top)
     for e2 in grid2:
         m2 = -e2 - 1
         c2 = right.eta_class(m2)
         b = right.mode(m2, target) if m2 <= right.top(level) else ZERO_STATE
-        b_level = None if b.is_zero() else b.homogeneous_level()
+        b_top = None if b.is_zero() else left.top(b.homogeneous_level())
         for e1 in grid1:
-            m1, c1, a = a_images[e1]
+            m1, c1, a, a_top = a_images[e1]
             if c1 is None or c2 is None:
                 yield e1, e2, ZERO_STATE
                 continue
             scalar = scalars[(c1 + c2) % len(scalars)]
             pairs = []
-            if b_level is not None and m1 <= left.top(b_level):
+            if b_top is not None and m1 <= b_top:
                 pairs.append((left.mode(m1, b), scalar))
-            if not a.is_zero() and m2 <= right.top(a.homogeneous_level()):
-                pairs.append((right.mode(m2, a), -eps * scalar))
+            if a_top is not None and m2 <= a_top:
+                pairs.append((right.mode(m2, a), sign * scalar))
             yield e1, e2, combine(pairs)
 
 
@@ -509,44 +521,62 @@ def _commutator_report(
         (ComparisonResult(name), QQ(kernel_shift)) for name, kernel_shift, _ in forms
     ]
 
+    # per e1, computed once for every word: the forms whose kernel lattice
+    # holds e1, the x1 text of its locations and, where some form needs the
+    # residue, the signed binomials (-1)^t C(e1+t, t) of the iterates with
+    # the eta class of the kernel's root of unity at n = e1 + t
+    on_lattice = {
+        e1: tuple(((e1 - shift) * kernel_den).denominator == 1
+                  for _, shift in results)
+        for e1 in grid1
+    }
+    x1_text = {e1: f"x1^{e1} " for e1 in grid1}
+    x2_text = {e2: f"x2^{e2} @ " for e2 in grid2}
+    kernel_terms = {}
+    for e1 in grid1:
+        if any(on_lattice[e1]):
+            kernel_terms[e1] = tuple(
+                (-binomial(e1 + t, t) if t % 2 else binomial(e1 + t, t),
+                 0 if kernel_eta is None else kernel_eta(e1 + t))
+                for t, _ in iterates
+            )
+
     for word in words:
         target = State({word: ONE})
         level = word_level(word)
-        rhs_modes = {}
+        word_text = format_ramond_word(word)
+        # e1 + e2 -> per iterate, its mode -e1-e2-t-2 on the word and the
+        # mode's eta class
+        images = {}
 
         def residue(e1, e2) -> State:
+            total = e1 + e2
+            hit = images.get(total)
+            if hit is None:
+                hit = []
+                for t, family in iterates:
+                    mu = -total - t - 2
+                    image = (family.mode(mu, target) if mu <= family.top(level)
+                             else ZERO_STATE)
+                    hit.append((image, family.eta_class(mu)))
+                images[total] = hit
             terms = []
-            for t, family in iterates:
-                n = e1 + t
-                key = (t, e1 + e2)
-                hit = rhs_modes.get(key)
-                if hit is None:
-                    mu = -(e1 + e2) - t - 2
-                    image = (
-                        family.mode(mu, target)
-                        if mu <= family.top(level)
-                        else ZERO_STATE
-                    )
-                    hit = rhs_modes[key] = (image, family.eta_class(mu))
-                image, j = hit
-                if image.is_zero():
-                    continue
-                if kernel_eta is not None:
-                    j += kernel_eta(n)
-                coeff = binomial(n, t) * family.scalars[j % len(family.scalars)]
-                terms.append((image, -coeff if t % 2 else coeff))
+            for (_, family), (image, j), (binom, shift) in zip(
+                    iterates, hit, kernel_terms[e1]):
+                if not image.is_zero():
+                    scalars_t = family.scalars
+                    terms.append((image, binom * scalars_t[(j + shift) % len(scalars_t)]))
             return combine(terms).scaled(prefactor)
 
         for e1, e2, lhs in _supercommutator_grid(
             left, right, scalars, target, level, grid1, grid2
         ):
-            location = f"x1^{e1} x2^{e2} @ {format_ramond_word(word)}"
+            location = x1_text[e1] + x2_text[e2] + word_text
             rhs = None
-            for result, kernel_shift in results:
-                on_lattice = ((e1 - kernel_shift) * kernel_den).denominator == 1
-                if on_lattice and rhs is None:
+            for (result, _), on in zip(results, on_lattice[e1]):
+                if on and rhs is None:
                     rhs = residue(e1, e2)
-                result.compare(location, lhs, rhs if on_lattice else ZERO_STATE)
+                result.compare(location, lhs, rhs if on else ZERO_STATE)
     window_text = _window_str(window, ("x1", "x2"))
     return tuple(
         _wrap_comparison(result, k_report, window_text, expected_verdict=expected)
@@ -929,10 +959,8 @@ def check_limit_axiom(
     columns = []
     for a in range(k):
         field = SlotField(k, u, a)
-        column = _field_column(field.mode, field.weight, k)
-        columns.append(
-            {(e, word): State(column(e, word)) for e in grid for word in words}
-        )
+        image = _field_image(field.mode, field.weight, k)
+        columns.append({(e, word): image(e, word) for e in grid for word in words})
     result = ComparisonResult(f"limit-axiom[k={k},{_state_label(u)}]")
     for a in range(k):
         source = columns[a]
@@ -961,7 +989,7 @@ def check_translation_derivative(
     column = _field_column(field.mode, field.weight, k)
     translated = virasoro(QQ(-1), u)
     if translated.is_zero():
-        lhs = lambda e, word: ()  # noqa: E731
+        lhs = lambda e, word: (1, ())  # noqa: E731
     else:
         moved = SlotField(k, translated)
         lhs = _field_column(moved.mode, moved.weight, k)
@@ -969,8 +997,11 @@ def check_translation_derivative(
     def rhs(e, word):
         # d/dx: the x^e coefficient is e+1 times the x^{e+1} one
         if e == -1:
-            return ()
-        return [(out, (e + 1) * c) for out, c in column(e + 1, word)]
+            return 1, ()
+        den, nums = column(e + 1, word)
+        scale = e + 1
+        return (den * scale.denominator,
+                [(out, scale.numerator * num) for out, num in nums])
 
     lo, hi = _bounds(window, "x")
     cmp_window = Window({"x": (lo, hi - 1)})

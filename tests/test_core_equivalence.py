@@ -27,12 +27,21 @@ run without a cache:
 * `SlotField.mode` and `RecoveredField.mode` as they were, with the root
   of unity and k^{-p} multiplied into every coefficient, against one
   scalar times the rational image (of the fields and of verify's mode
-  families).
+  families);
+* `State`, `combine`, `scaled` and `field_mode` as they were, with one
+  `Fraction` or `CycScalar` coefficient per word and the recursion on
+  Fraction coefficients (`FractionState`), against the integer numerators
+  over one denominator: the rendered text must match, and one state built
+  along different paths must be equal, hash equal and hold the same
+  numerators.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
 and hash-equal to the same state built by `State(dict)`.
 """
+
+from bisect import bisect_left
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -51,10 +60,12 @@ from twistfock.deltak import (
 from twistfock.fermion import (
     OMEGA,
     PSI,
+    VACUUM,
     ZERO_STATE,
     State,
     combine,
     field_mode,
+    format_ns_word,
     iterate_mode_word,
     ns_basis,
     ramond_basis,
@@ -62,8 +73,10 @@ from twistfock.fermion import (
     virasoro,
     word_level,
 )
+from twistfock.ramond import format_ramond_word
 from twistfock.ramond import sigma_vertex_mode
 from twistfock.scalars import (
+    HALF,
     ONE,
     QQ,
     ZERO,
@@ -77,7 +90,9 @@ from twistfock.scalars import (
     k_to_the,
     rational_ceil,
     rational_floor,
+    scalar_content,
     scalar_is_zero,
+    scalar_str,
 )
 from twistfock.formal import ScalarSeries, Window
 from twistfock.twist import RecoveredField, SlotField
@@ -234,10 +249,11 @@ def kernel_rule(a_word, t, sector_half: int):
     mu2 = 2 * QQ(t)
     if mu2.denominator != 1:
         return lambda word: []
-    return lambda word: [
-        (w, QQ(c))
-        for w, c in sorted(iterate_mode_word(a_word, int(mu2), word, sector_half))
-    ]
+    def rule(word):
+        den, pairs = iterate_mode_word(a_word, int(mu2), word, sector_half)
+        return [(w, QQ(c, den)) for w, c in sorted(pairs)]
+
+    return rule
 
 
 def old_field_mode(v: State, t, target: State, sector_half: int) -> State:
@@ -254,6 +270,15 @@ def assert_invariant(s: State):
     assert words == sorted(words)
     assert len(set(words)) == len(words)
     assert not any(scalar_is_zero(c) for _, c in s.terms)
+    # integral numerators over one positive denominator, in lowest terms
+    assert type(s.den) is int and s.den > 0
+    for _, num in s.nums:
+        if isinstance(num, CycScalar):
+            assert all(c == int(c) for c in num.coeffs)
+        else:
+            assert type(num) is int
+    assert gcd(s.den, *(scalar_content(num) for _, num in s.nums)) == 1
+    assert s.den == 1 or s.nums
     rebuilt = State(dict(s.terms))
     assert rebuilt == s and hash(rebuilt) == hash(s)
     assert rebuilt.terms == s.terms
@@ -338,6 +363,231 @@ def test_state_arithmetic_matches(a, b, scalar):
     assert_same_state(a.scaled(scalar), old_scaled(a, scalar))
     assert_same_state(a.scaled(ZERO), State({}))
     assert (a - a).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-coefficient State and its kernel, as they were
+# ---------------------------------------------------------------------------
+#
+# Before coefficients became integer numerators over one denominator, a
+# state held one exact scalar per word and every sum and product paid for
+# it; the recursion returned int or Fraction coefficients.  The bodies
+# below are those, run without a cache, as the oracle for the integer form.
+
+
+def _fraction_accumulate(table: dict, pairs, factor) -> None:
+    get = table.get
+    unit = factor is ONE
+    for word, coeff in pairs:
+        new = get(word, 0) + (coeff if unit else factor * coeff)
+        if new:
+            table[word] = new
+        else:
+            table.pop(word, None)
+
+
+class FractionState:
+    """`State` as it was: sorted (word, scalar) terms, no zero scalar."""
+
+    def __init__(self, table):
+        clean = {}
+        for word, coeff in dict(table).items():
+            if not scalar_is_zero(coeff):
+                clean[tuple(word)] = coeff
+        self.terms = tuple(sorted(clean.items(), key=lambda item: item[0]))
+
+    @classmethod
+    def _of_table(cls, table: dict) -> "FractionState":
+        self = object.__new__(cls)
+        self.terms = tuple(sorted(table.items(), key=lambda item: item[0]))
+        return self
+
+    def scaled(self, scalar) -> "FractionState":
+        if scalar_is_zero(scalar):
+            return FractionState({})
+        self_ = object.__new__(FractionState)
+        self_.terms = tuple([(word, scalar * coeff) for word, coeff in self.terms])
+        return self_
+
+    def render(self, word_formatter) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({scalar_str(coeff)})*{word_formatter(word)}"
+                          for word, coeff in self.terms)
+
+
+def fraction_combine(pairs) -> FractionState:
+    out: dict = {}
+    for state, scalar in pairs:
+        _fraction_accumulate(out, state.terms, scalar)
+    return FractionState._of_table(out)
+
+
+_SIGNED_HALF = (HALF, -HALF)
+
+
+def _fraction_apply2(word: tuple, m2: int) -> tuple:
+    if m2 > 0:
+        if -m2 not in word:
+            return ()
+        i = word.index(-m2)
+        return ((word[:i] + word[i + 1:], -1 if i & 1 else 1),)
+    if m2 == 0:
+        if word and word[-1] == 0:
+            return ((word[:-1], _SIGNED_HALF[(len(word) - 1) & 1]),)
+        return ((word + (0,), -1 if len(word) & 1 else 1),)
+    if m2 in word:
+        return ()
+    i = bisect_left(word, m2)
+    return ((word[:i] + (m2,) + word[i:], -1 if i & 1 else 1),)
+
+
+def fraction_iterate(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
+    if not a_word:
+        return ((word, 1),) if mu2 == -2 else ()
+    m1 = a_word[0]
+    rest = a_word[1:]
+    n = (m1 - 1) // 2
+    out: dict = {}
+    room = -sum(word) - sum(rest) - mu2 + sector_half - 2
+    d = 1
+    i = 0
+    while room >= 0:
+        psi2 = sector_half + m1 - 2 * i
+        for mid_word, mid_coeff in fraction_iterate(
+                rest, mu2 - sector_half + 2 * i, word, sector_half):
+            _fraction_accumulate(out, _fraction_apply2(mid_word, psi2), d * mid_coeff)
+        d = d * (i - n) // (i + 1)
+        i += 1
+        room -= 2
+    if word:
+        sign = -1 if (len(rest) + n) & 1 == 0 else 1
+        top = -word[0]
+        d = 1
+        i = 0
+        psi2 = sector_half + 1
+        while psi2 <= top:
+            for mid_word, mid_coeff in _fraction_apply2(word, psi2):
+                inner = fraction_iterate(
+                    rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
+                _fraction_accumulate(out, inner, sign * d * mid_coeff)
+            d = d * (i - n) // (i + 1)
+            i += 1
+            psi2 += 2
+    if sector_half:
+        bound2 = -m1 - (rest[0] if rest else 0)
+        for i in range(1, bound2 // 2 + 1):
+            for mid_word, mid_coeff in _fraction_apply2(rest, m1 + 2 * i):
+                inner = fraction_iterate(mid_word, mu2 - 2 * i, word, sector_half)
+                _fraction_accumulate(out, inner, -binomial(HALF, i) * mid_coeff)
+    return tuple(out.items())
+
+
+def fraction_field_mode(v: FractionState, t, target: FractionState,
+                        sector_half: int) -> FractionState:
+    den = t.denominator
+    if den > 2:
+        return FractionState({})
+    mu2 = t.numerator * (2 // den)
+    out: dict = {}
+    for a_word, a_coeff in v.terms:
+        for word, t_coeff in target.terms:
+            _fraction_accumulate(out, fraction_iterate(a_word, mu2, word, sector_half),
+                                 a_coeff * t_coeff)
+    return FractionState._of_table(out)
+
+
+# coefficients with large and mutually prime denominators, rational and in
+# Q(zeta_8)
+big = st.integers(min_value=-10**18, max_value=10**18)
+big_rationals = st.builds(QQ, big, st.integers(min_value=1, max_value=10**15))
+wide_rationals = rationals | big_rationals
+wide_cyclotomics = st.builds(
+    lambda cs: CycScalar(CONDUCTOR, cs),
+    st.lists(wide_rationals, min_size=4, max_size=4),
+)
+wide_scalars = wide_rationals | wide_cyclotomics
+
+
+def wide_tables(words):
+    return st.dictionaries(st.sampled_from(words), wide_scalars,
+                           min_size=1, max_size=5)
+
+
+@st.composite
+def oracle_inputs(draw):
+    sector_half = draw(st.sampled_from([0, 1]))
+    v = draw(wide_tables(FIELD_WORDS))
+    target = draw(wide_tables(TARGET_WORDS[sector_half]))
+    t = draw(st.sampled_from(INDICES))
+    other = draw(wide_tables(TARGET_WORDS[sector_half]))
+    scalar_list = draw(st.lists(wide_scalars, min_size=2, max_size=3))
+    return sector_half, v, target, t, other, scalar_list
+
+
+@given(oracle_inputs())
+@settings(max_examples=120, deadline=None)
+def test_integer_states_render_as_the_fraction_oracle(args):
+    """`State`, `combine`, `scaled` and `field_mode` on integer numerators
+    render the text of the Fraction-coefficient oracle, in both sectors,
+    and a combination that cancels exactly is the zero state."""
+    sector_half, v, target, t, other, scalar_list = args
+    fmt = format_ramond_word if sector_half else format_ns_word
+    new = {name: State(table) for name, table in
+           (("v", v), ("target", target), ("other", other))}
+    old = {name: FractionState(table) for name, table in
+           (("v", v), ("target", target), ("other", other))}
+    for name in new:
+        assert new[name].render(fmt) == old[name].render(fmt)
+        assert_invariant(new[name])
+
+    got = field_mode(new["v"], t, new["target"], sector_half)
+    expected = fraction_field_mode(old["v"], t, old["target"], sector_half)
+    assert got.render(fmt) == expected.render(fmt)
+    assert_invariant(got)
+
+    # a combination whose last pair cancels its first exactly
+    first, second = scalar_list[:2]
+    pairs = [("target", first), ("other", second), ("target", -first)]
+    got = combine([(new[name], c) for name, c in pairs])
+    expected = fraction_combine([(old[name], c) for name, c in pairs])
+    assert got.render(fmt) == expected.render(fmt)
+    assert got == new["other"].scaled(second)
+    assert_invariant(got)
+    cancelled = combine([(new["other"], second), (new["other"], -second)])
+    assert cancelled.is_zero() and cancelled == ZERO_STATE
+    assert cancelled.den == 1 and hash(cancelled) == hash(ZERO_STATE)
+
+    for scalar in scalar_list:
+        got = new["other"].scaled(scalar)
+        assert got.render(fmt) == old["other"].scaled(scalar).render(fmt)
+        assert_invariant(got)
+
+
+@given(st.sampled_from([0, 1]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_equal_states_from_different_paths_are_equal(sector_half, data):
+    """One state built along five paths: the public constructor, a
+    combination, a scaling and its inverse, the identity mode of the
+    vacuum's field, and a + b - b.  All are equal, hash equal and hold the
+    same denominator and numerators."""
+    words = TARGET_WORDS[sector_half]
+    table = data.draw(wide_tables(words))
+    other = State(data.draw(wide_tables(words)))
+    q = data.draw(wide_scalars.filter(lambda x: not scalar_is_zero(x)))
+    direct = State(table)
+    paths = [
+        combine([(direct, q), (direct, 1 - q)]),
+        combine([(State({word: coeff}), ONE) for word, coeff in table.items()]),
+        direct.scaled(q).scaled(1 / q),
+        field_mode(VACUUM, QQ(-1), direct, sector_half),
+        direct + other - other,
+    ]
+    for state in paths:
+        assert state == direct
+        assert hash(state) == hash(direct)
+        assert state.den == direct.den and state.nums == direct.nums
+        assert_invariant(state)
 
 
 # ---------------------------------------------------------------------------

@@ -311,12 +311,20 @@ class TestMaterializedFields:
         basis = ns_basis(QQ(3, 2))
 
         def field(v):
-            return lambda e, w: vertex_mode(v, -e - 1, State({w: ONE})).terms
+            def column(e, w):
+                image = vertex_mode(v, -e - 1, State({w: ONE}))
+                return image.den, image.nums
+            return column
 
         def derivative(columns):
-            return lambda e, w: [
-                (o, (e + 1) * c) for o, c in columns(e + 1, w) if e != -1
-            ]
+            def column(e, w):
+                if e == -1:
+                    return 1, ()
+                den, nums = columns(e + 1, w)
+                scale = e + 1
+                return (den * scale.denominator,
+                        [(o, scale.numerator * c) for o, c in nums])
+            return column
 
         for v in (PSI, OMEGA):
             result = compare_fields(
@@ -345,7 +353,9 @@ class TestTensorPower:
         for t in range(-3, 2):
             got = dict(tensor_vertex_mode(u, QQ(t), target))
             expect = {}
-            for w, c in iterate_mode_word((-3,), 2 * t, (-1,), 0):
+            den, pairs = iterate_mode_word((-3,), 2 * t, (-1,), 0)
+            assert den == 1  # the untwisted sector has integer coefficients
+            for w, c in pairs:
                 expect[(w, (-1,))] = c
             assert got == expect
 

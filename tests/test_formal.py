@@ -194,16 +194,18 @@ class TestCompareFields:
     def test_counts_columns_and_union_keys_in_sorted_order(self):
         # two fields on exponents {-1, 0} and keys {a, b}: the x^0 column
         # of b is empty on both sides, and one entry of the x^-1 column of
-        # a differs; the left side lists that column's keys unsorted
+        # a differs; the left side lists that column's keys unsorted.  A
+        # column is numerators over a denominator: the right side's are
+        # over 2, so equal values compare equal across denominators
         lhs = {
-            (QQ(-1), "a"): (("z", QQ(1)), ("y", QQ(2))),
-            (QQ(-1), "b"): (("q", QQ(1)),),
-            (QQ(0), "a"): (("x", QQ(3)),),
+            (QQ(-1), "a"): (1, (("z", 1), ("y", 2))),
+            (QQ(-1), "b"): (1, (("q", 1),)),
+            (QQ(0), "a"): (1, (("x", 3),)),
         }
         rhs = {
-            (QQ(-1), "a"): (("y", QQ(2)), ("z", QQ(5))),
-            (QQ(-1), "b"): (("q", QQ(1)),),
-            (QQ(0), "a"): (("x", QQ(3)),),
+            (QQ(-1), "a"): (2, (("y", 4), ("z", 10))),
+            (QQ(-1), "b"): (2, (("q", 2),)),
+            (QQ(0), "a"): (2, (("x", 6),)),
         }
         visited = []
 
@@ -213,8 +215,8 @@ class TestCompareFields:
 
         result = compare_fields(
             "fields",
-            lambda e, key: lhs.get((e, key), ()),
-            lambda e, key: rhs.get((e, key), ()),
+            lambda e, key: lhs.get((e, key), (1, ())),
+            lambda e, key: rhs.get((e, key), (1, ())),
             [QQ(-1), QQ(0)],
             ["a", "b"],
             formatter,

@@ -172,7 +172,7 @@ def kernel_output(a_word, mu, word, sector_half: int):
     and nothing off the half-integer lattice."""
     mu2 = 2 * QQ(mu)
     if mu2.denominator != 1:
-        return ()
+        return 1, ()
     return fermion.iterate_mode_word(
         encode(a_word), int(mu2), encode(word), sector_half
     )
@@ -180,9 +180,9 @@ def kernel_output(a_word, mu, word, sector_half: int):
 
 def wrapped_kernel(a_word, mu, word, sector_half: int):
     """The former public `iterate_mode_word` on QQ words: the kernel's
-    result decoded and sorted."""
-    result = kernel_output(a_word, mu, word, sector_half)
-    return tuple((decode(w), QQ(c)) for w, c in sorted(result))
+    numerators divided by its denominator, decoded and sorted."""
+    den, result = kernel_output(a_word, mu, word, sector_half)
+    return tuple((decode(w), QQ(c, den)) for w, c in sorted(result))
 
 
 class FractionState:
@@ -226,9 +226,12 @@ OFF_LATTICE = [QQ(1, 4), QQ(-3, 4), QQ(1, 3), QQ(-7, 6)]
 
 
 def assert_exact_types(result):
-    """Kernel output: int words, and int or QQ coefficients."""
-    for word, coeff in result:
-        assert type(coeff) in (int, QQ_TYPE)
+    """Kernel output: int words and int numerators over a power of two,
+    which is 1 in the untwisted sector."""
+    den, pairs = result
+    assert type(den) is int and den > 0 and den & (den - 1) == 0
+    for word, num in pairs:
+        assert type(num) is int and num != 0
         assert all(type(m) is int for m in word)
 
 

@@ -187,13 +187,25 @@ class TestTwistedVirasoro:
 def sigma_columns(v):
     """The column function of the twisted field of v, for `compare_fields`:
     the column at x^e on a word is mode -e-1 on it."""
-    return lambda e, w: sigma_vertex_mode(v, -e - 1, State({w: QQ(1)})).terms
+    def column(e, w):
+        image = sigma_vertex_mode(v, -e - 1, State({w: QQ(1)}))
+        return image.den, image.nums
+
+    return column
 
 
 def derivative(columns):
     """d/dx of a field's column function: the x^e column is e+1 times the
     x^{e+1} one."""
-    return lambda e, w: [(o, (e + 1) * c) for o, c in columns(e + 1, w) if e != -1]
+
+    def column(e, w):
+        if e == -1:
+            return 1, ()
+        den, nums = columns(e + 1, w)
+        scale = e + 1
+        return den * scale.denominator, [(o, scale.numerator * c) for o, c in nums]
+
+    return column
 
 
 # ---------------------------------------------------------------------------
