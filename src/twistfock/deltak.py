@@ -79,8 +79,8 @@ def _require_depth(depth: int) -> None:
 
 # Deepest z0-expansion the conjugation check may run at.  Its cost grows
 # steeply with the depth (the operator is applied to states of weight up to
-# the depth): the k = 3 obstruction suite takes about 0.5 s at the default
-# depth 4, 0.9 s at depth 8, 2.6 s at depth 12 and 10 s at depth 16 on a
+# the depth): the k = 3 obstruction suite takes about 0.4 s at the default
+# depth 4, 0.6 s at depth 8, 1.6 s at depth 12 and 5 s at depth 16 on a
 # 2-core host, and runs for minutes at depth 40.
 MAX_CONJUGATION_DEPTH = 12
 
@@ -493,8 +493,10 @@ def _root_degree(weight, depth_z0: int) -> int:
 def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
     """Conjugated side: operator, then vertex modes, then inverse operator.
 
-    Returns a dict (word, z-exponent, z0-exponent) -> scalar with every
-    z0-exponent <= depth_z0 included exactly.
+    Returns a dict (word, 2k·z-exponent, z0-exponent) -> scalar, keyed on
+    ints, with every z0-exponent <= depth_z0 included exactly.  The factor
+    k^{p_v - q} of an image of weight q is k^{-p_u} times an integer power
+    of k, so the sums run over Q and k^{-p_u} multiplies each value once.
     """
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
@@ -504,23 +506,21 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
         w_j = piece.homogeneous_level()
         if w_j is None:
             continue
-        t_hi = rational_floor(p_u + w_j - 1)
-        t = QQ(-depth_z0 - 1)
-        while t <= t_hi:
+        z_j = int(2 * k * e_j)
+        for t in range(-depth_z0 - 1, rational_floor(p_u + w_j - 1) + 1):
             image = vertex_mode(u, t, piece)
-            if not image.is_zero():
-                q = p_u + w_j - t - 1
+            if image.nums:
                 fwd = apply_delta(k, image, FORWARD)
-                scalar = k_to_the(k, p_v - q)
+                scalar = k_to_the(k, p_v - w_j + t + 1)
                 e_z0 = -t - 1
                 for e_i, result in fwd.pieces:
-                    e_z = e_j + e_i
+                    z = z_j + int(2 * k * e_i)
                     scale = scalar / result.den
                     for word, num in result.nums:
-                        key = (word, e_z, e_z0)
+                        key = (word, z, e_z0)
                         out[key] = out.get(key, ZERO) + scale * num
-            t += 1
-    return {key: val for key, val in out.items() if val != 0}
+    prefactor = k_to_the(k, -p_u)
+    return {key: prefactor * val for key, val in out.items() if val != 0}
 
 
 def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
@@ -528,7 +528,8 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
     """Transformed side: operator applied to u, then vertex modes in the
     shifted coordinate (z+z0)^{1/k} - z^{1/k}, expanded binomially; the
     powers of the shifted coordinate are read from ``roots``, whose degree
-    must be at least ``_root_degree(p_u + p_v, depth_z0)``.
+    must be at least ``_root_degree(p_u + p_v, depth_z0)``.  Keyed as
+    `_conjugation_lhs`; the prefactor k^{-p_u} multiplies each value once.
     """
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
@@ -539,32 +540,31 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
         w_piece = piece.homogeneous_level()
         if w_piece is None:
             continue
-        # z-exponent of the binomial base for this piece
+        # z-exponent of the binomial base for this piece, and C(alpha, i)
         alpha = e_piece
+        z_alpha = int(2 * k * alpha)
         t_hi = rational_floor(w_piece + p_v - 1)
-        t = QQ(-depth_z0 - 1)
-        while t <= t_hi:
+        binoms = [binomial(alpha, i) for i in range(depth_z0 + t_hi + 2)]
+        for t in range(-depth_z0 - 1, t_hi + 1):
             image = vertex_mode(piece, t, v)
-            if image.is_zero():
-                t += 1
+            if not image.nums:
                 continue
-            e = int(-t - 1)  # power of the shifted coordinate
+            e = -t - 1  # power of the shifted coordinate
             # (z+z0)^alpha in nonnegative z0-powers, capped by the z0 budget
             for i in range(0, depth_z0 - e + 1):
-                binom_c = binomial(alpha, i)
+                binom_c = binoms[i]
                 if binom_c == 0:
                     continue
                 for n in range(e, depth_z0 - i + 1):
                     g_c = roots.coefficient(e, n)
                     if g_c != 0:
-                        e_z = alpha - i + QQ(e, k) - n
-                        e_z0 = QQ(i + n)
-                        scale = prefactor * binom_c * g_c / image.den
+                        # 2k times alpha - i + e/k - n
+                        z = z_alpha + 2 * (e - k * (i + n))
+                        scale = binom_c * g_c / image.den
                         for word, num in image.nums:
-                            key = (word, e_z, e_z0)
+                            key = (word, z, i + n)
                             out[key] = out.get(key, ZERO) + scale * num
-            t += 1
-    return {key: val for key, val in out.items() if val != 0}
+    return {key: prefactor * val for key, val in out.items() if val != 0}
 
 
 def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
@@ -574,7 +574,7 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
     For every basis state of weight <= cutoff, both sides are expanded as
     maps (word, z-exponent, z0-exponent) -> scalar with z0-exponents capped
     at ``depth`` (at most ``MAX_CONJUGATION_DEPTH``); the two maps must
-    agree on every key.
+    agree on every key; the int keys are decoded only in the locations.
     """
     require_conjugation_depth(depth)
     if u.is_zero():
@@ -587,10 +587,11 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
         v = State({word: ONE})
         lhs = _conjugation_lhs(k, u, v, depth)
         rhs = _conjugation_rhs(k, u, v, depth, roots)
-        for key in sorted(set(lhs) | set(rhs)):
-            out_word, e_z, e_z0 = key
+        source = format_ns_word(word)
+        for key in sorted(lhs.keys() | rhs.keys()):
+            out_word, z, e_z0 = key
             result.compare(
-                (format_ns_word(word), format_ns_word(out_word), e_z, e_z0),
+                (source, format_ns_word(out_word), QQ(z, 2 * k), QQ(e_z0)),
                 lhs.get(key, ZERO),
                 rhs.get(key, ZERO),
             )

@@ -151,12 +151,13 @@ def _min_opt_hi(a, b):
     return min(a, b)
 
 
-def assert_on_lattice(exponent, den: int):
-    """Validate that an exponent lies on the (1/den)-lattice."""
-    e = QQ(exponent)
-    if (e * den).denominator != 1:
-        raise ValueError(f"exponent {e} is not on the (1/{den})-lattice")
-    return e
+def assert_on_lattice(exponent, den: int) -> int:
+    """The int index den·exponent of an exponent on the (1/den)-lattice;
+    raise off it."""
+    index = QQ(exponent) * den
+    if index.denominator != 1:
+        raise ValueError(f"exponent {QQ(exponent)} is not on the (1/{den})-lattice")
+    return index.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +357,6 @@ class ScalarSeries:
 
     # -- calculus ------------------------------------------------------------------
 
-    def derivative(self, var) -> "ScalarSeries":
-        i = self.variables.index(var)
-        coeffs = {}
-        for mono, val in self.coeffs.items():
-            if mono[i] == 0:
-                continue
-            new = list(mono)
-            new[i] = mono[i] - 1
-            coeffs[tuple(new)] = coeffs.get(tuple(new), ZERO) + mono[i] * val
-        window = None if self.window is None else self.window.shifted(var, -1)
-        supp_lo = dict(self.supp_lo)
-        supp_hi = dict(self.supp_hi)
-        supp_lo[var] = _add_opt(supp_lo.get(var), -1)
-        supp_hi[var] = _add_opt(supp_hi.get(var), -1)
-        return ScalarSeries(self.variables, coeffs, window, supp_lo, supp_hi)
-
     def residue(self, var) -> "ScalarSeries":
         """Coefficient of var^-1, as a series in the remaining variables."""
         if self.window is not None and not self.window.contains(var, QQ(-1)):
@@ -397,15 +382,6 @@ class ScalarSeries:
 # ---------------------------------------------------------------------------
 # delta kernels
 # ---------------------------------------------------------------------------
-
-
-def delta_series(var, window: Window) -> ScalarSeries:
-    """The formal distribution with every integer power of var."""
-    lo, hi = window.bounds_for(var)
-    if lo is None or hi is None:
-        raise ValueError("delta_series needs a bounded window")
-    coeffs = {(QQ(n),): QQ(1) for n in range(rational_ceil(lo), rational_floor(hi) + 1)}
-    return ScalarSeries((var,), coeffs, window, {var: None}, {var: None})
 
 
 def merged_delta_kernel(
@@ -552,28 +528,31 @@ def compare_series(
 
 
 def compare_fields(
-    name: str, lhs, rhs, exponents, keys, key_formatter=str
+    name: str, lhs, rhs, exponents, keys, key_formatter=str, scale: int = 1
 ) -> ComparisonResult:
     """Compare two operator fields in x entrywise, column by column.
 
     A field is given by its column function: (e, key) -> (den, pairs), its
-    x^e coefficient applied to the basis vector ``key`` as (output key,
-    nonzero numerator) pairs over one positive int denominator, the form
-    of a `fermion.State`.  Every (exponent, key) column counts once, so two
-    empty columns are compared, and so does every output key of either
-    column, in sorted order; the two numerators are compared across the
-    denominators, and a mismatch is recorded with both values and located
-    as "x^e @ key -> output key", keys written by ``key_formatter``.
+    x^{e/scale} coefficient applied to the basis vector ``key`` as (output
+    key, nonzero numerator) pairs over one positive int denominator, the
+    form of a `fermion.State`; ``exponents`` are the int indices e (with
+    the default scale 1, any exact exponents).  Every (exponent, key)
+    column counts once, so two empty columns are compared, and so does
+    every output key of either column, in sorted order; the two numerators
+    are compared across the denominators, and a mismatch is recorded with
+    both values and located as "x^e @ key -> output key", keys written by
+    ``key_formatter``.
     """
     result = ComparisonResult(name)
     for e in exponents:
+        x_text = f"x^{QQ(e, scale)} @ "
         for key in keys:
             a_den, a = lhs(e, key)
             b_den, b = rhs(e, key)
             a, b = dict(a), dict(b)
             result.compared += 1
             for okey in sorted(a.keys() | b.keys()):
-                location = f"x^{e} @ {key_formatter(key)} -> {key_formatter(okey)}"
+                location = f"{x_text}{key_formatter(key)} -> {key_formatter(okey)}"
                 x, y = a.get(okey, 0), b.get(okey, 0)
                 result.compared += 1
                 if x * b_den != y * a_den:

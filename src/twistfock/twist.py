@@ -64,9 +64,11 @@ class SlotField:
     scales the mode with index m by eta^{power*k*(-m-1)}; where that power
     is fractional the mode is zero.
 
-    The pieces have rational coefficients, so the mode splits into a
-    rational part, `rational_mode`, and one scalar, `scalar`: the prefactor
-    k^{-p} times that root of unity, the only irrational factor.
+    Modes are read on the int index M = 2k m (`mode` is the public form on
+    a rational m), so a piece's doubled sigma-mode index is an int offset
+    plus M.  The pieces have rational coefficients, so the mode splits
+    into a rational part, `image`, and one scalar: the prefactor k^{-p}
+    times the root of unity, the only irrational factor.
 
     Defined for every k >= 1; it closes into a twisted module structure
     only for k even (the odd case is exercised by the obstruction checker).
@@ -80,55 +82,54 @@ class SlotField:
         if p is None:
             raise ValueError("a slot field needs a nonzero homogeneous state")
         self.k = k
+        self.scale = 2 * k
         self.weight = p
         self.parity = u.homogeneous_parity()
         expansion = apply_delta(k, u)
         self.prefactor = expansion.prefactor
         self.pieces = expansion.pieces
-        # the sigma-mode index of piece (e, u_e) is offset_e + k m
-        self._offsets = tuple((piece, k * (e + 1) - 1) for e, piece in self.pieces)
-        self.power = power % k
+        # the doubled sigma-mode index of piece (e, u_e) is 2k(e+1) - 2 + M
+        self._offsets = tuple(
+            (piece, int(self.scale * (e + 1)) - 2) for e, piece in self.pieces)
+        power %= k
+        # by M mod 2k: power*k*(-m-1) = -power*M/2 - power*k mod k
+        self.classes = tuple(
+            None if power * M % 2 else (-power * M // 2) % k
+            for M in range(self.scale))
         # entry j: the prefactor times eta^j, a QQ where rational
         self.scalars = tuple(
             rationalized(self.prefactor * eta) for eta in eta_powers(k)
         )
 
-    def eta_class(self, m):
+    def eta_class(self, M: int):
         """The exponent j in 0..k-1 of the root of unity eta^j in the
-        scalar of mode m, or None where the power is fractional (the mode
+        scalar of mode M, or None where the power is fractional (the mode
         is zero there)."""
-        if not self.power:
-            return 0
-        twist = self.power * self.k * (-m - 1)
-        if twist.denominator != 1:
-            return None
-        return int(twist) % self.k
+        return self.classes[M % self.scale]
 
-    def scalar(self, m):
-        """The scalar of mode m, k^{-p} eta^{eta_class(m)}, or None where
-        the mode is zero."""
-        j = self.eta_class(m)
-        return None if j is None else self.scalars[j]
+    def plan(self, M: int) -> tuple:
+        """The (piece, doubled sigma-mode index) pairs whose sum is mode M."""
+        return tuple((piece, offset + M) for piece, offset in self._offsets)
 
-    def plan(self, m) -> tuple:
-        """The (piece, sigma-mode index) pairs whose sum is mode m."""
-        km = self.k * m
-        return tuple((piece, offset + km) for piece, offset in self._offsets)
-
-    def rational_mode(self, m, state: State) -> State:
-        """Mode m without its scalar: the sum of the sigma-modes of the
+    def image(self, M: int, state: State) -> State:
+        """Mode M without its scalar: the sum of the sigma-modes of the
         pieces, a state over Q for a state over Q."""
-        km = self.k * m
         return combine(
-            (sigma_vertex_mode(piece, offset + km, state), ONE)
+            (sigma_vertex_mode(piece, QQ(offset + M, 2), state), 1)
             for piece, offset in self._offsets
         )
 
-    def mode(self, m, state: State) -> State:
-        scalar = self.scalar(m)
-        if scalar is None:
+    def mode_at(self, M: int, state: State) -> State:
+        """Mode M: its scalar times its image, zero off the class lattice."""
+        j = self.eta_class(M)
+        if j is None:
             return ZERO_STATE
-        return self.rational_mode(m, state).scaled(scalar)
+        return self.image(M, state).scaled(self.scalars[j])
+
+    def mode(self, m, state: State) -> State:
+        """The mode with rational index m; zero off the (1/2k)-lattice."""
+        M = QQ(m) * self.scale
+        return self.mode_at(M.numerator, state) if M.denominator == 1 else ZERO_STATE
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +144,11 @@ def twisted_mode(k: int, u: State, m, *, substitution_power: int = 0):
     by p - m - 1.
     """
     require_even_order(k)
-    m = assert_on_lattice(QQ(m), k)
+    M = 2 * assert_on_lattice(m, k)
     if u.is_zero():
         return lambda state: ZERO_STATE
     field = SlotField(k, u, substitution_power)
-    return lambda state: field.mode(m, state)
+    return lambda state: field.mode_at(M, state)
 
 
 class _OrderedProduct:
@@ -239,10 +240,11 @@ class RecoveredField:
     prefactor times the sum of the first-slot twisted modes of the u_e with
     index e - 1 + (m+1)/k.  The k^{-p_e} of each piece's mode and the k^p
     combine into one rational factor, so a mode is a sum of the pieces'
-    rational parts and a state over Q.  The field of a state of parity r is
-    supported on r/2 + Z; at the complementary offset every mode is zero.
-    The branch of the k-th root is structural: only the principal one is
-    admissible.
+    rational parts and a state over Q, read on the doubled index N = 2m,
+    where a piece's slot index is an int offset plus N.  The field of a
+    state of parity r is supported on r/2 + Z; at the complementary offset
+    every mode is zero.  The branch of the k-th root is structural: only
+    the principal one is admissible.
     """
 
     def __init__(self, k: int, u: State, branch: int = 0):
@@ -256,28 +258,30 @@ class RecoveredField:
         self.prefactor = expansion.prefactor
         # k^p times the piece's k^{-p_e}: the inverse change lowers the
         # weight by whole steps, so this factor is a QQ
-        fields = [(e - 1, SlotField(k, piece)) for e, piece in expansion.pieces]
+        fields = [(e, SlotField(k, piece)) for e, piece in expansion.pieces]
         self._pieces = tuple(
-            (base, field, rationalized(self.prefactor * field.prefactor))
-            for base, field in fields
+            (int(2 * k * (e - 1)) + 2, field,
+             rationalized(self.prefactor * field.prefactor))
+            for e, field in fields
+        )
+
+    def mode_at(self, N: int, state: State) -> State:
+        """The mode with doubled index N = 2m."""
+        if (N - self.parity) % 2:
+            return ZERO_STATE
+        return combine(
+            (field.image(offset + N, state), factor)
+            for offset, field, factor in self._pieces
         )
 
     def mode(self, m, state: State) -> State:
-        m = assert_on_lattice(QQ(m), 2)
-        if (m - QQ(self.parity, 2)).denominator != 1:
-            return ZERO_STATE
-        shift = (m + 1) / self.k
-        return combine(
-            (field.rational_mode(assert_on_lattice(base + shift, self.k), state),
-             factor)
-            for base, field, factor in self._pieces
-        )
+        return self.mode_at(assert_on_lattice(m, 2), state)
 
 def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
     """The recovered mode with index m, as a map (``RecoveredField.mode``)."""
     field = RecoveredField(k, u, branch)
-    m = assert_on_lattice(QQ(m), 2)
-    return lambda state: field.mode(m, state)
+    N = assert_on_lattice(m, 2)
+    return lambda state: field.mode_at(N, state)
 
 
 # ---------------------------------------------------------------------------

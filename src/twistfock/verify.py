@@ -50,7 +50,6 @@ from .fermion import (
     ns_basis,
     vertex_mode,
     virasoro,
-    word_level,
 )
 from .ramond import (
     format_ramond_word,
@@ -180,53 +179,52 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 # ---------------------------------------------------------------------------
 
 
-def _untwisted_class(m) -> int:
-    return 0
-
-
 class _ModeFamily:
-    """A weight-graded family of operators m -> (state -> state), over Q.
+    """A weight-graded family of operators M -> (state -> state), over Q,
+    on the int index M = scale·m of mode m: scale is 2k for slot fields
+    (grade 1/k) and 2 for parity-twisted ones, so one index per check
+    covers its lattice and its exponent grid.
 
-    ``mode(m, state)`` is the rational image: the operator with index m is
-    ``scalars[eta_class(m)]`` times it, where ``scalars[j]`` is the
-    family's prefactor times eta^j (eta^k = 1, so j lies in 0..k-1), and it
-    is zero where ``eta_class(m)`` is None.  A family without roots of
-    unity has ``scalars`` (ONE,) and class 0 everywhere.
-
-    The mode with index m shifts the module grade (measured in units of
-    1/grading_den) by weight - m - 1, so modes above ``top(level)`` kill a
-    state of that level; callers use the bound to truncate sums.  Results
-    are cached per (index, state) because the check grids revisit the same
-    compositions many times.
+    ``mode(M, state)`` is the rational image: the operator is
+    ``scalars[eta_class(M)]`` times it, where ``scalars[j]`` is the
+    family's prefactor times eta^j, and zero where ``eta_class(M)`` is
+    None; the class is periodic in M, one period in ``classes``.  Modes
+    above ``top(level2)`` kill a state of doubled level level2 (minus the
+    sum of its word).  Results are cached per (index, state) because the
+    check grids revisit the same compositions many times.
     """
 
-    def __init__(self, mode, weight, parity: int, grading_den: int, *,
-                 scalars=(ONE,), eta_class=_untwisted_class):
+    def __init__(self, mode, weight, parity: int, scale: int, *,
+                 scalars=(ONE,), classes=(0,)):
         self._mode = mode
         self.weight = QQ(weight)
         self.parity = parity
-        self.grading_den = grading_den
+        self.scale = scale
         self.scalars = scalars
-        self.eta_class = eta_class
+        self.classes = classes
+        self._base = int(scale * (self.weight - 1))
         self._cache = {}
-        self._tops = {}
 
-    def top(self, level) -> QQ:
-        """Largest index whose mode can act without killing level ``level``."""
-        top = self._tops.get(level)
-        if top is None:
-            top = self._tops[level] = self.weight - 1 + QQ(level) / self.grading_den
-        return top
+    def eta_class(self, M: int):
+        return self.classes[M % len(self.classes)]
 
-    def mode(self, m, state: State) -> State:
+    def top(self, level2: int) -> int:
+        return self._base + level2
+
+    def mode(self, M: int, state: State) -> State:
         if state.is_zero():
             return ZERO_STATE
-        key = (m, state)
+        key = (M, state)
         hit = self._cache.get(key)
         if hit is None:
-            hit = ZERO_STATE if self.eta_class(m) is None else self._mode(m, state)
+            hit = ZERO_STATE if self.eta_class(M) is None else self._mode(M, state)
             self._cache[key] = hit
         return hit
+
+
+def _level2(state: State) -> int:
+    """The doubled level of a nonzero homogeneous state."""
+    return -sum(state.nums[0][0])
 
 
 def _pair_scalars(left: _ModeFamily, right: _ModeFamily) -> tuple:
@@ -257,42 +255,35 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
     if not 1 <= slot <= k:
         raise ValueError(f"tensor slot must lie in 1..{k}, got {slot}")
     field = SlotField(k, u, slot - 1)
-    return _ModeFamily(field.rational_mode, field.weight, field.parity, k,
-                       scalars=field.scalars, eta_class=field.eta_class)
+    return _ModeFamily(field.image, field.weight, field.parity, field.scale,
+                       scalars=field.scalars, classes=field.classes)
 
 
-def _parity_twisted_family(u: State) -> _ModeFamily:
-    """Modes of the native parity-twisted field of a state."""
+def _parity_family(k: int, u: State, recovered: bool) -> _ModeFamily:
+    """Modes of the parity-twisted field of a state, on the doubled index
+    N = 2m: recovered through the inverse construction (twisted modes
+    composed with the inverse coordinate change), or else native.  Both
+    are over Q, with no scalar outside."""
     _require_usable(u, "field argument")
-    return _ModeFamily(
-        lambda m, s: sigma_vertex_mode(u, m, s),
-        u.homogeneous_level(),
-        u.homogeneous_parity(),
-        1,
-    )
+    if recovered:
+        field = RecoveredField(k, u)
+        return _ModeFamily(field.mode_at, field.weight, field.parity, 2)
+    return _ModeFamily(lambda N, s: sigma_vertex_mode(u, QQ(N, 2), s),
+                       u.homogeneous_level(), u.homogeneous_parity(), 2)
 
 
-def _recovered_family(k: int, u: State) -> _ModeFamily:
-    """Modes of the parity-twisted field recovered through the inverse
-    construction (twisted modes composed with the inverse coordinate
-    change); they are over Q, with no scalar outside."""
-    _require_usable(u, "field argument")
-    field = RecoveredField(k, u)
-    return _ModeFamily(field.mode, field.weight, field.parity, 1)
-
-
-def _expanded_product(outer, inner, scalars, n, a, b, state: State, level,
-                      scale=ONE):
+def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
+                      state: State, level2: int, scale=ONE):
     """The (state, coefficient) pairs of
         scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
     the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
-    powers of x2, for a state of the given level; ``scalars`` is
-    `_pair_scalars` of the two families.
+    powers of x2, on the families' int index, for a state of doubled level
+    ``level2``; ``scalars`` is `_pair_scalars` of the two families.
 
     The states are rational images; the families' scalar is in every
     coefficient.  It is one lookup for the whole sum: a shift of an index
-    by an integer moves its eta class by a multiple of k.  The sum ends
-    where the inner modes pass ``inner.top(level)`` and kill the state; an
+    by a whole mode moves its eta class by a multiple of k.  The sum ends
+    where the inner modes pass ``inner.top(level2)`` and kill the state; an
     outer mode above the top of the inner image is skipped.
     """
     pairs = []
@@ -300,16 +291,14 @@ def _expanded_product(outer, inner, scalars, n, a, b, state: State, level,
     if ca is None or cb is None:
         return pairs
     scale = scale * scalars[(ca + cb) % len(scalars)]
-    top = inner.top(level)
-    i = 0
-    while b + i <= top:
-        image = inner.mode(b + i, state)
-        if not image.is_zero() and a - i <= outer.top(image.homogeneous_level()):
-            product = outer.mode(a - i, image)
-            if not product.is_zero():
+    step = inner.scale
+    for i, m in enumerate(range(b, inner.top(level2) + 1, step)):
+        image = inner.mode(m, state)
+        if image.nums and a - i * step <= outer.top(_level2(image)):
+            product = outer.mode(a - i * step, image)
+            if product.nums:
                 c = scale * binomial(n, i)
                 pairs.append((product, -c if i % 2 else c))
-        i += 1
     return pairs
 
 
@@ -322,9 +311,9 @@ def _field_product_mode(
     k: int,
     r: int,
     t: int,
-    mu,
+    mu: int,
     state: State,
-    level,
+    level2: int,
 ) -> State:
     """Mode ``mu`` of the t-th product of two mutually local twisted fields,
     restricted to the component of the left field on the exponent class
@@ -338,7 +327,9 @@ def _field_product_mode(
     products of power t + i.  Mode indices that fall off a field's exponent
     lattice contribute zero.
     """
-    r_frac = QQ(r) / k
+    r_frac = QQ(r, k)
+    step = left.scale
+    shift = step * r // k  # the index of r/k
     pairs = []
     for i in range(0, n_loc - t):
         coeff_i = binomial(r_frac, i)
@@ -349,14 +340,14 @@ def _field_product_mode(
         n = t + i
         # ordered half: the left field to the left of the right field
         pairs += _expanded_product(
-            left, right, scalars, n, r_frac + t, mu - r_frac, state, level,
-            coeff_i,
+            left, right, scalars, n, shift + step * t, mu - shift, state,
+            level2, coeff_i,
         )
         # swapped half, with the supersymmetry sign of the exchange
         sign = -eps if n % 2 == 0 else eps
         pairs += _expanded_product(
-            right, left, scalars, n, mu - r_frac + n, r_frac - i, state, level,
-            coeff_i * sign,
+            right, left, scalars, n, mu - shift + step * n, shift - step * i,
+            state, level2, coeff_i * sign,
         )
     return combine(pairs)
 
@@ -366,10 +357,13 @@ def _field_product_mode(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_grid(lo, hi, den: int) -> tuple:
-    start = int(rational_ceil(QQ(lo) * den))
-    stop = int(rational_floor(QQ(hi) * den))
-    return tuple(QQ(i, den) for i in range(start, stop + 1))
+def _lattice_grid(window: Window, var: str, den: int, scale: int) -> range:
+    """The exponents of the (1/den)-lattice in the window's bounded range
+    of ``var``, as int indices scale·e (den divides scale)."""
+    lo, hi = _bounds(window, var)
+    step = scale // den
+    return range(rational_ceil(QQ(lo) * den) * step,
+                 rational_floor(QQ(hi) * den) * step + 1, step)
 
 
 def _bounds(window: Window, var: str):
@@ -379,24 +373,27 @@ def _bounds(window: Window, var: str):
     return lo, hi
 
 
-def _field_image(mode, weight, den: int):
-    """(e, word) -> the x^e coefficient of a field given by its modes, on
-    a basis word: mode -e-1 on that word, zero above the annihilation
-    bound weight - 1 + level/den."""
+def _field_image(mode, weight, scale: int):
+    """(e, word) -> the x^{e/scale} coefficient of a field given by its
+    modes on the index M = scale·m, on a basis word: mode -e - scale on
+    that word, zero above the annihilation bound scale·(weight - 1) plus
+    the word's doubled level (``scale`` is twice the field's grading
+    denominator)."""
+    base = int(scale * (weight - 1))
 
     def image(e, word) -> State:
-        m = -e - 1
-        if m > weight - 1 + word_level(word) / den:
+        m = -e - scale
+        if m > base - sum(word):
             return ZERO_STATE
-        return mode(m, State({word: ONE}))
+        return mode(m, State._of(1, ((word, 1),)))
 
     return image
 
 
-def _field_column(mode, weight, den: int):
+def _field_column(mode, weight, scale: int):
     """The column function (see `formal.compare_fields`) of a field given
     by its modes: the denominator and numerators of `_field_image`."""
-    image = _field_image(mode, weight, den)
+    image = _field_image(mode, weight, scale)
 
     def column(e, word):
         state = image(e, word)
@@ -434,29 +431,30 @@ def _iterate_top(u: State, v: State) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _supercommutator_grid(left, right, scalars, target, level, grid1, grid2):
+def _supercommutator_grid(left, right, scalars, target, level2, grid1, grid2):
     """Yield (e1, e2, [A(-e1-1), B(-e2-1)] w) over the exponent grid, e2
     outer and e1 inner, for the mode families A = left and B = right and a
-    domain state w of the given level; the bracket is the supercommutator
+    domain state w of doubled level ``level2``; exponents are int indices
+    on the families' scale.  The bracket is the supercommutator
     A B - (-1)^{|A||B|} B A.  Both orders compose the same two modes, so
     the bracket has one scalar, looked up in ``scalars`` (`_pair_scalars`
     of the two families) once per grid point."""
     sign = ONE if (left.parity and right.parity) else -ONE  # -(-1)^{|A||B|}
+    step = left.scale
     # per e1: A(-e1-1) w and the top index of B on it; a zero image has
     # no top, so no mode of B acts after it
-    a_images = {}
+    a_images = []
     for e1 in grid1:
-        m1 = -e1 - 1
-        a = left.mode(m1, target) if m1 <= left.top(level) else ZERO_STATE
-        a_top = None if a.is_zero() else right.top(a.homogeneous_level())
-        a_images[e1] = (m1, left.eta_class(m1), a, a_top)
+        m1 = -e1 - step
+        a = left.mode(m1, target) if m1 <= left.top(level2) else ZERO_STATE
+        a_top = right.top(_level2(a)) if a.nums else None
+        a_images.append((e1, m1, left.eta_class(m1), a, a_top))
     for e2 in grid2:
-        m2 = -e2 - 1
+        m2 = -e2 - step
         c2 = right.eta_class(m2)
-        b = right.mode(m2, target) if m2 <= right.top(level) else ZERO_STATE
-        b_top = None if b.is_zero() else left.top(b.homogeneous_level())
-        for e1 in grid1:
-            m1, c1, a, a_top = a_images[e1]
+        b = right.mode(m2, target) if m2 <= right.top(level2) else ZERO_STATE
+        b_top = left.top(_level2(b)) if b.nums else None
+        for e1, m1, c1, a, a_top in a_images:
             if c1 is None or c2 is None:
                 yield e1, e2, ZERO_STATE
                 continue
@@ -493,57 +491,57 @@ def _commutator_report(
     supported on e1 in kernel_shift + (1/kernel_den)Z and zero elsewhere;
     the exponent grid is the (1/(2·kernel_den))-lattice, so it also holds
     the points off the kernel lattice where the commutator must vanish.
-    The t-th product state's field is supplied by ``product_builder`` so the
-    same engine serves first-slot fields, rotated slots (via the optional
+    Every family reads the int index S·m with S = 2·kernel_den, and every
+    exponent is the int S·e: decoded only in the location text.  The t-th
+    product state's field is supplied by ``product_builder`` so the same
+    engine serves first-slot fields, rotated slots (via the optional
     ``kernel_eta``, the eta class of the root of unity weighting the kernel
-    coefficient at n), and parity-twisted fields.  Every scalar is a lookup
-    in a table built once per check: `_pair_scalars` for the left side,
-    each product field's ``scalars`` for the residue.
+    coefficient at the index S·n), and parity-twisted fields.  Every scalar
+    is a lookup in a table built once per check: `_pair_scalars` for the
+    left side, each product field's ``scalars`` for the residue.
 
     ``forms`` is a tuple of (name, kernel_shift, expected_verdict) triples,
-    one report each, in order.  Only the kernel-lattice test depends on the
-    form: the grid, the product-state fields and the residue modes are
-    computed once for all of them.
+    one report each, in order, with the shift as the int S·kernel_shift.
+    Only the kernel-lattice test depends on the form: the grid, the
+    product-state fields and the residue modes are computed once for all
+    of them.
     """
-    lo1, hi1 = _bounds(window, "x1")
-    lo2, hi2 = _bounds(window, "x2")
-    grid1 = _lattice_grid(lo1, hi1, 2 * kernel_den)
-    grid2 = _lattice_grid(lo2, hi2, 2 * kernel_den)
+    step = 2 * kernel_den
+    grid1 = _lattice_grid(window, "x1", step, step)
+    grid2 = _lattice_grid(window, "x2", step, step)
     words = ramond_basis(QQ(domain_level))
     iterates = []
     for t in range(0, _iterate_top(u, v) + 1):
-        it = vertex_mode(u, QQ(t), v)
+        it = vertex_mode(u, t, v)
         if not it.is_zero():
             iterates.append((t, product_builder(it)))
     prefactor = QQ(1, kernel_den)
     scalars = _pair_scalars(left, right)
-    results = [
-        (ComparisonResult(name), QQ(kernel_shift)) for name, kernel_shift, _ in forms
-    ]
+    results = [(ComparisonResult(name), shift) for name, shift, _ in forms]
 
     # per e1, computed once for every word: the forms whose kernel lattice
-    # holds e1, the x1 text of its locations and, where some form needs the
-    # residue, the signed binomials (-1)^t C(e1+t, t) of the iterates with
-    # the eta class of the kernel's root of unity at n = e1 + t
+    # holds e1 (e1 - shift a multiple of 1/kernel_den: an even index), the
+    # x1 text of its locations and, where some form needs the residue, the
+    # signed binomials (-1)^t C(e1+t, t) of the iterates with the eta class
+    # of the kernel's root of unity at n = e1 + t
     on_lattice = {
-        e1: tuple(((e1 - shift) * kernel_den).denominator == 1
-                  for _, shift in results)
+        e1: tuple((e1 - shift) % 2 == 0 for _, shift in results)
         for e1 in grid1
     }
-    x1_text = {e1: f"x1^{e1} " for e1 in grid1}
-    x2_text = {e2: f"x2^{e2} @ " for e2 in grid2}
+    x1_text = {e1: f"x1^{QQ(e1, step)} " for e1 in grid1}
+    x2_text = {e2: f"x2^{QQ(e2, step)} @ " for e2 in grid2}
     kernel_terms = {}
     for e1 in grid1:
         if any(on_lattice[e1]):
             kernel_terms[e1] = tuple(
-                (-binomial(e1 + t, t) if t % 2 else binomial(e1 + t, t),
-                 0 if kernel_eta is None else kernel_eta(e1 + t))
+                ((-1) ** t * binomial(QQ(e1 + step * t, step), t),
+                 0 if kernel_eta is None else kernel_eta(e1 + step * t))
                 for t, _ in iterates
             )
 
     for word in words:
-        target = State({word: ONE})
-        level = word_level(word)
+        target = State._of(1, ((word, 1),))
+        level2 = -sum(word)
         word_text = format_ramond_word(word)
         # e1 + e2 -> per iterate, its mode -e1-e2-t-2 on the word and the
         # mode's eta class
@@ -555,21 +553,21 @@ def _commutator_report(
             if hit is None:
                 hit = []
                 for t, family in iterates:
-                    mu = -total - t - 2
-                    image = (family.mode(mu, target) if mu <= family.top(level)
+                    mu = -total - step * (t + 2)
+                    image = (family.mode(mu, target) if mu <= family.top(level2)
                              else ZERO_STATE)
                     hit.append((image, family.eta_class(mu)))
                 images[total] = hit
             terms = []
             for (_, family), (image, j), (binom, shift) in zip(
                     iterates, hit, kernel_terms[e1]):
-                if not image.is_zero():
+                if image.nums:
                     scalars_t = family.scalars
                     terms.append((image, binom * scalars_t[(j + shift) % len(scalars_t)]))
             return combine(terms).scaled(prefactor)
 
         for e1, e2, lhs in _supercommutator_grid(
-            left, right, scalars, target, level, grid1, grid2
+            left, right, scalars, target, level2, grid1, grid2
         ):
             location = x1_text[e1] + x2_text[e2] + word_text
             rhs = None
@@ -610,7 +608,7 @@ def check_even_supercommutator(
         v,
         window,
         kernel_den=k,
-        forms=((name, ZERO, "pass"),),
+        forms=((name, 0, "pass"),),
         product_builder=lambda s: _first_slot_family(k, s),
         domain_level=domain_level,
     )
@@ -646,8 +644,9 @@ def check_odd_obstruction(
         window,
         kernel_den=k,
         forms=(
-            (f"obstruction-even-form[{base}]", ZERO, "fail" if parity else "pass"),
-            (f"obstruction-odd-form[{base}]", QQ(parity, 2 * k), "pass"),
+            (f"obstruction-even-form[{base}]", 0, "fail" if parity else "pass"),
+            # the shift parity/(2k), on the index 2k·e
+            (f"obstruction-odd-form[{base}]", parity, "pass"),
         ),
         product_builder=lambda s: _first_slot_family(k, s),
         domain_level=domain_level,
@@ -676,7 +675,8 @@ def check_cross_slot_commutator(
     diff = slot_u - slot_v
     kernel_eta = None
     if diff % k:
-        kernel_eta = lambda n: int(diff * k * n) % k  # noqa: E731
+        # diff·k·n on the index 2k·n, which is even on the kernel lattice
+        kernel_eta = lambda n: (diff * n // 2) % k  # noqa: E731
     label = (
         f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
         f"{_state_label(u)},{_state_label(v)}]"
@@ -689,7 +689,7 @@ def check_cross_slot_commutator(
         v,
         window,
         kernel_den=k,
-        forms=((label, ZERO, "pass"),),
+        forms=((label, 0, "pass"),),
         product_builder=lambda s: _first_slot_family(k, s, slot=slot_v),
         kernel_eta=kernel_eta,
         domain_level=domain_level,
@@ -717,12 +717,8 @@ def check_recovered_commutator(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    if use_recovered:
-        builder = lambda s: _recovered_family(k, s)  # noqa: E731
-        tag = "recovered"
-    else:
-        builder = lambda s: _parity_twisted_family(s)  # noqa: E731
-        tag = "native"
+    builder = lambda s: _parity_family(k, s, use_recovered)  # noqa: E731
+    tag = "recovered" if use_recovered else "native"
     label = (
         f"parity-twisted-commutator[{tag},k={k},"
         f"{_state_label(u)},{_state_label(v)}]"
@@ -735,7 +731,8 @@ def check_recovered_commutator(
         v,
         window,
         kernel_den=1,
-        forms=((label, QQ(u.homogeneous_parity(), 2), "pass"),),
+        # the shift parity/2, on the index 2·e
+        forms=((label, u.homogeneous_parity(), "pass"),),
         product_builder=builder,
         domain_level=domain_level,
     )
@@ -747,10 +744,11 @@ def check_recovered_commutator(
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_left(left, right, scalars, eps, r: int, e1, e2, state: State,
-                 level) -> State:
+def _jacobi_left(left, right, scalars, eps, r: int, e1: int, e2: int,
+                 state: State, level2: int) -> State:
     """The x0^{-r-1} x1^e1 x2^e2 coefficient of the left side of the
-    three-variable identity on one state.
+    three-variable identity on one state, e1 and e2 as int indices on the
+    families' scale.
 
     First kernel: x0^{-1} delta((x1-x2)/x0) A(x1) B(x2), whose x0^{-r-1}
     part is (x1-x2)^r.  Second kernel: x0^{-1} delta((x2-x1)/(-x0))
@@ -758,12 +756,14 @@ def _jacobi_left(left, right, scalars, eps, r: int, e1, e2, state: State,
     supersymmetry sign -eps of the swapped product.  ``scalars`` is
     `_pair_scalars` of the two families.
     """
+    step = left.scale
     sign2 = -eps if r % 2 == 0 else eps
     return combine(
-        _expanded_product(left, right, scalars, r, r - e1 - 1, -e2 - 1, state,
-                          level)
+        _expanded_product(left, right, scalars, r, step * (r - 1) - e1,
+                          -e2 - step, state, level2)
         + _expanded_product(
-            right, left, scalars, r, r - e2 - 1, -e1 - 1, state, level, sign2
+            right, left, scalars, r, step * (r - 1) - e2, -e1 - step, state,
+            level2, sign2,
         )
     )
 
@@ -782,7 +782,7 @@ def check_twisted_jacobi(
     product (the fields supercommute after multiplication by a power of the
     coordinate difference, which cuts the fractional binomial expansion to
     finitely many orders).  All three exponents are compared
-    coefficient-exactly.
+    coefficient-exactly; x1 and x2 run over int indices 2k·e.
     """
     require_even_order(k)
     _require_usable(u, "left argument")
@@ -791,53 +791,56 @@ def check_twisted_jacobi(
     right = _first_slot_family(k, v)
     scalars = _pair_scalars(left, right)
     eps = -ONE if (left.parity and right.parity) else ONE
-    lo0, hi0 = _bounds(window, "x0")
-    lo1, hi1 = _bounds(window, "x1")
-    lo2, hi2 = _bounds(window, "x2")
-    grid0 = _lattice_grid(lo0, hi0, 1)
-    grid1 = _lattice_grid(lo1, hi1, k)
-    grid2 = _lattice_grid(lo2, hi2, k)
+    step = left.scale
+    grid0 = _lattice_grid(window, "x0", 1, 1)
+    grid1 = _lattice_grid(window, "x1", k, step)
+    grid2 = _lattice_grid(window, "x2", k, step)
     words = ramond_basis(QQ(domain_level))
     n_loc = rational_floor(u.homogeneous_level() + v.homogeneous_level()) + 1
 
+    # per e1: its text and the signed right-side binomials
+    # (-1)^i C(e1 + i, i) for every order i the x0 grid reaches
+    i_max = n_loc + max(grid0, default=-1)
+    x1_text = {e1: f"x1^{QQ(e1, step)} " for e1 in grid1}
+    x2_text = {e2: f"x2^{QQ(e2, step)} @ " for e2 in grid2}
+    kernel = {e1: [(-1) ** i * binomial(QQ(e1 + step * i, step), i)
+                   for i in range(i_max + 1)] for e1 in grid1}
     result = ComparisonResult(
         f"twisted-jacobi[k={k},{_state_label(u)},{_state_label(v)}]"
     )
     for word in words:
-        target = State({word: ONE})
-        level = word_level(word)
+        target = State._of(1, ((word, 1),))
+        level2 = -sum(word)
+        word_text = format_ramond_word(word)
         rhs_modes = {}
         for alpha in grid0:
-            r = int(-alpha - 1)
+            r = -alpha - 1
             for e1 in grid1:
+                # the exponent class of the left field: -k(e1 + i) mod k
+                r_cls = (-(e1 // 2)) % k
+                binoms = kernel[e1]
                 for e2 in grid2:
                     lhs = _jacobi_left(left, right, scalars, eps, r, e1, e2,
-                                       target, level)
+                                       target, level2)
                     rhs_terms = []
-                    if (e1 * k).denominator == 1:
-                        i_top = n_loc + int(alpha)
-                        for i in range(0, i_top + 1):
-                            t = i - int(alpha) - 1
-                            base = binomial(e1 + i, i)
-                            if i % 2:
-                                base = -base
-                            if base == 0:
-                                continue
-                            mu = -(e1 + e2) - i - 2
-                            r_cls = (-int(k * (e1 + i))) % k
-                            key = (r_cls, t, mu)
-                            image = rhs_modes.get(key)
-                            if image is None:
-                                image = _field_product_mode(
-                                    left, right, scalars, eps, n_loc, k,
-                                    r_cls, t, mu, target, level,
-                                )
-                                rhs_modes[key] = image
-                            if not image.is_zero():
-                                rhs_terms.append((image, base))
+                    for i in range(0, n_loc + alpha + 1):
+                        base = binoms[i]
+                        if base == 0:
+                            continue
+                        t = i - alpha - 1
+                        mu = -e1 - e2 - step * (i + 2)
+                        key = (r_cls, t, mu)
+                        image = rhs_modes.get(key)
+                        if image is None:
+                            image = _field_product_mode(
+                                left, right, scalars, eps, n_loc, k,
+                                r_cls, t, mu, target, level2,
+                            )
+                            rhs_modes[key] = image
+                        if image.nums:
+                            rhs_terms.append((image, base))
                     result.compare(
-                        f"x0^{alpha} x1^{e1} x2^{e2} "
-                        f"@ {format_ramond_word(word)}",
+                        f"x0^{alpha} {x1_text[e1]}{x2_text[e2]}{word_text}",
                         lhs,
                         combine(rhs_terms),
                     )
@@ -884,11 +887,11 @@ def check_locality(
     left = _first_slot_family(k, u, slot=slot_u)
     right = _first_slot_family(k, v, slot=slot_v)
     scalars = _pair_scalars(left, right)
-    lo1, hi1 = _bounds(window, "x1")
-    lo2, hi2 = _bounds(window, "x2")
-    grid1 = _lattice_grid(lo1, hi1, k)
-    grid2 = _lattice_grid(lo2, hi2, k)
+    step = left.scale
+    grid1 = _lattice_grid(window, "x1", k, step)
+    grid2 = _lattice_grid(window, "x2", k, step)
     words = ramond_basis(QQ(domain_level))
+    word_texts = [format_ramond_word(word) for word in words]
     label = (
         f"locality[k={k},slots={slot_u},{slot_v},"
         f"{_state_label(u)},{_state_label(v)}]"
@@ -897,30 +900,30 @@ def check_locality(
     commutator = {}
     for iw, word in enumerate(words):
         for e1, e2, value in _supercommutator_grid(
-            left, right, scalars, State({word: ONE}), word_level(word), grid1,
-            grid2,
+            left, right, scalars, State._of(1, ((word, 1),)), -sum(word),
+            grid1, grid2,
         ):
-            if not value.is_zero():
+            if value.nums:
                 commutator[(iw, e1, e2)] = value
 
     def attempt(power: int) -> ComparisonResult:
         result = ComparisonResult(label)
-        sub1 = tuple(f1 for f1 in grid1 if f1 - power >= lo1)
-        sub2 = tuple(f2 for f2 in grid2 if f2 - power >= lo2)
-        for iw, word in enumerate(words):
+        shift = step * power
+        # the points whose shifted lookups stay inside the window
+        sub1 = [f1 for f1 in grid1 if f1 - shift >= grid1.start]
+        sub2 = [f2 for f2 in grid2 if f2 - shift >= grid2.start]
+        signed = [(-1) ** i * binomial(power, i) for i in range(power + 1)]
+        for iw, word_text in enumerate(word_texts):
             for f1 in sub1:
                 for f2 in sub2:
                     terms = []
-                    for i in range(0, power + 1):
-                        term = commutator.get((iw, f1 - power + i, f2 - i))
-                        if term is None:
-                            continue
-                        coeff = binomial(QQ(power), i)
-                        if i % 2:
-                            coeff = -coeff
-                        terms.append((term, coeff))
+                    for i, coeff in enumerate(signed):
+                        term = commutator.get(
+                            (iw, f1 - shift + step * i, f2 - step * i))
+                        if term is not None:
+                            terms.append((term, coeff))
                     result.compare(
-                        f"x1^{f1} x2^{f2} @ {format_ramond_word(word)}",
+                        f"x1^{QQ(f1, step)} x2^{QQ(f2, step)} @ {word_text}",
                         combine(terms),
                         ZERO_STATE,
                     )
@@ -951,26 +954,28 @@ def check_limit_axiom(
     require_even_order(k)
     _require_usable(u, "tensor factor")
     etas = eta_powers(k)
-    lo, hi = _bounds(window, "x")
-    grid = _lattice_grid(lo, hi, 2 * k)
+    step = 2 * k
+    grid = _lattice_grid(window, "x", step, step)
     words = ramond_basis(QQ(domain_level))
     # slot power a's column at each (e, word), computed once for both of
     # the comparisons it enters
     columns = []
     for a in range(k):
         field = SlotField(k, u, a)
-        image = _field_image(field.mode, field.weight, k)
+        image = _field_image(field.mode_at, field.weight, step)
         columns.append({(e, word): image(e, word) for e in grid for word in words})
+    word_texts = [format_ramond_word(word) for word in words]
     result = ComparisonResult(f"limit-axiom[k={k},{_state_label(u)}]")
     for a in range(k):
         source = columns[a]
         dest = columns[(a - 1) % k]
         for e in grid:
-            power = -k * e
-            scale = etas[int(power) % k] if power.denominator == 1 else ONE
-            for word in words:
+            # eta^{-k e}, where -k e = -e/2 on the index is an integer
+            scale = ONE if e % 2 else etas[(-e // 2) % k]
+            text = f"slot-power {a}: x^{QQ(e, step)} "
+            for word, word_text in zip(words, word_texts):
                 result.compare(
-                    f"slot-power {a}: x^{e} {format_ramond_word(word)}",
+                    text + word_text,
                     source[e, word].scaled(scale),
                     dest[e, word],
                 )
@@ -985,30 +990,30 @@ def check_translation_derivative(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _require_usable(u, "field argument")
+    step = 2 * k
     field = SlotField(k, u)
-    column = _field_column(field.mode, field.weight, k)
+    column = _field_column(field.mode_at, field.weight, step)
     translated = virasoro(QQ(-1), u)
     if translated.is_zero():
         lhs = lambda e, word: (1, ())  # noqa: E731
     else:
         moved = SlotField(k, translated)
-        lhs = _field_column(moved.mode, moved.weight, k)
+        lhs = _field_column(moved.mode_at, moved.weight, step)
 
     def rhs(e, word):
-        # d/dx: the x^e coefficient is e+1 times the x^{e+1} one
-        if e == -1:
+        # d/dx: the x^e coefficient is e+1 times the x^{e+1} one, and e+1
+        # is the index e + step over step
+        if e == -step:
             return 1, ()
-        den, nums = column(e + 1, word)
-        scale = e + 1
-        return (den * scale.denominator,
-                [(out, scale.numerator * num) for out, num in nums])
+        den, nums = column(e + step, word)
+        return den * step, [(out, (e + step) * num) for out, num in nums]
 
     lo, hi = _bounds(window, "x")
     cmp_window = Window({"x": (lo, hi - 1)})
     label = f"translation-derivative[k={k},{_state_label(u)}]"
     result = compare_fields(
-        label, lhs, rhs, _lattice_grid(lo, hi - 1, 2 * k),
-        ramond_basis(QQ(domain_level)), format_ramond_word,
+        label, lhs, rhs, _lattice_grid(cmp_window, "x", step, step),
+        ramond_basis(QQ(domain_level)), format_ramond_word, step,
     )
     return _wrap_comparison(result, k, _window_str(cmp_window, ("x",)))
 
@@ -1021,16 +1026,17 @@ def check_grading(
     require_even_order(k)
     _require_usable(u, "field argument")
     field = SlotField(k, u)
-    p = field.weight
-    lo, hi = _bounds(window, "x")
+    step = field.scale
+    # twice the level shift of mode M = 2k m is 2k(weight - 1) - M
+    base = int(step * (field.weight - 1))
     words = ramond_basis(QQ(domain_level))
     result = ComparisonResult(f"twisted-grading[k={k},{_state_label(u)}]")
-    for e in _lattice_grid(lo, hi, k):
-        m = -e - 1
-        shift = k * (p - m - 1)
+    for e in _lattice_grid(window, "x", k, step):
+        m = -e - step
+        text = f"mode {QQ(m, step)} @ "
         for word in words:
-            image = field.mode(m, State({word: ONE}))
-            expected = word_level(word) + shift
+            image = field.mode_at(m, State._of(1, ((word, 1),)))
+            expected = QQ(base - m - sum(word), 2)
             # a zero image has every grade; a nonzero one must be homogeneous
             # at the expected level, a nonnegative integer
             lhs = rhs = f"level {expected} on the nonnegative integers"
@@ -1043,7 +1049,7 @@ def check_grading(
                     if (actual != expected or QQ(actual).denominator != 1
                             or actual < 0):
                         lhs = f"level {actual}"
-            result.compare(f"mode {m} @ {format_ramond_word(word)}", lhs, rhs)
+            result.compare(text + format_ramond_word(word), lhs, rhs)
     return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
 
@@ -1069,29 +1075,26 @@ def check_weak_associativity(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    if use_recovered:
-        builder = lambda s: _recovered_family(k, s)  # noqa: E731
-        tag = "recovered"
-    else:
-        builder = lambda s: _parity_twisted_family(s)  # noqa: E731
-        tag = "native"
-    # recovered and native families are over Q: their scalars are (ONE,)
+    builder = lambda s: _parity_family(k, s, use_recovered)  # noqa: E731
+    tag = "recovered" if use_recovered else "native"
+    # recovered and native families are over Q: their scalars are (ONE,);
+    # both read the doubled index 2m, and so the x2 exponents are doubled
     fam_u = builder(u)
     fam_v = builder(v)
     scalars = _pair_scalars(fam_u, fam_v)
     parity_u = u.homogeneous_parity()
-    lo0, hi0 = _bounds(window, "x0")
-    lo2, hi2 = _bounds(window, "x2")
-    grid0 = _lattice_grid(lo0, hi0, 1)
-    grid2 = _lattice_grid(lo2, hi2, 2)
+    grid0 = _lattice_grid(window, "x0", 1, 1)
+    grid2 = _lattice_grid(window, "x2", 2, 2)
     words = ramond_basis(QQ(domain_level))
     t_top = _iterate_top(u, v)
+    i_max = t_top + max(grid0, default=-1) + 1
+    x2_text = {beta: f"x2^{QQ(beta, 2)} @ " for beta in grid2}
     iterate_families = {}
 
     def iterate_family(t: int):
         if t in iterate_families:
             return iterate_families[t]
-        state = vertex_mode(u, QQ(t), v)
+        state = vertex_mode(u, t, v)
         family = None if state.is_zero() else builder(state)
         iterate_families[t] = family
         return family
@@ -1102,34 +1105,35 @@ def check_weak_associativity(
 
     def attempt(n: int) -> ComparisonResult:
         result = ComparisonResult(label)
-        exponent = QQ(parity_u, 2) + n
+        exponent = parity_u + 2 * n  # doubled
+        binoms = [binomial(QQ(exponent, 2), i) for i in range(i_max + 1)]
         for word in words:
-            target = State({word: ONE})
-            level = word_level(word)
+            target = State._of(1, ((word, 1),))
+            level2 = -sum(word)
+            word_text = format_ramond_word(word)
             for alpha in grid0:
                 for beta in grid2:
                     # product side: C(alpha+i, i) = (-1)^i C(-alpha-1, i)
                     lhs = combine(
                         _expanded_product(
                             fam_u, fam_v, scalars, -alpha - 1,
-                            exponent - 1 - alpha, -beta - 1, target, level,
+                            exponent - 2 - 2 * alpha, -beta - 2, target, level2,
                         )
                     )
                     # iterate side: i-sum with t = i - alpha - 1
                     rhs_terms = []
-                    i_top = t_top + int(alpha) + 1
-                    for i in range(0, i_top + 1):
-                        family = iterate_family(i - int(alpha) - 1)
+                    for i in range(0, t_top + alpha + 2):
+                        family = iterate_family(i - alpha - 1)
                         if family is None:
                             continue
-                        mu = exponent - i - beta - 1
-                        if mu > family.top(level):
+                        mu = exponent - 2 * i - beta - 2
+                        if mu > family.top(level2):
                             continue
                         image = family.mode(mu, target)
-                        if not image.is_zero():
-                            rhs_terms.append((image, binomial(exponent, i)))
+                        if image.nums:
+                            rhs_terms.append((image, binoms[i]))
                     result.compare(
-                        f"x0^{alpha} x2^{beta} @ {format_ramond_word(word)}",
+                        f"x0^{alpha} {x2_text[beta]}{word_text}",
                         lhs,
                         combine(rhs_terms),
                     )
@@ -1154,16 +1158,17 @@ def check_u_round_trip(
     require_even_order(k)
     _require_usable(u, "field argument")
     recovered = RecoveredField(k, u)
-    lo, hi = _bounds(window, "x")
     label = f"recovery-round-trip[k={k},{_state_label(u)}]"
+    # both fields on the doubled index 2m
     result = compare_fields(
         label,
-        _field_column(recovered.mode, recovered.weight, 1),
-        _field_column(lambda m, s: sigma_vertex_mode(u, m, s),
-                      u.homogeneous_level(), 1),
-        _lattice_grid(lo, hi, 2),
+        _field_column(recovered.mode_at, recovered.weight, 2),
+        _field_column(lambda m, s: sigma_vertex_mode(u, QQ(m, 2), s),
+                      u.homogeneous_level(), 2),
+        _lattice_grid(window, "x", 2, 2),
         ramond_basis(QQ(domain_level)),
         format_ramond_word,
+        2,
     )
     return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
@@ -1176,23 +1181,25 @@ def check_t_round_trip(
     require_even_order(k)
     _require_usable(u, "field argument")
     field = SlotField(k, u)
+    step = field.scale
     recovered = {piece: RecoveredField(k, piece) for _, piece in field.pieces}
-    lo, hi = _bounds(window, "x")
     words = ramond_basis(QQ(domain_level))
     result = ComparisonResult(f"rebuild-round-trip[k={k},{_state_label(u)}]")
-    for e in _lattice_grid(lo, hi, k):
-        m = -e - 1
+    for e in _lattice_grid(window, "x", k, step):
+        m = -e - step
+        # a piece's doubled sigma index is the recovered field's index
         plan = field.plan(m)
+        text = f"mode {QQ(m, step)} @ "
         for word in words:
-            target = State({word: ONE})
+            target = State._of(1, ((word, 1),))
             total = combine(
-                (recovered[piece].mode(index, target), ONE)
+                (recovered[piece].mode_at(index, target), 1)
                 for piece, index in plan
             ).scaled(field.prefactor)
             result.compare(
-                f"mode {m} @ {format_ramond_word(word)}",
+                text + format_ramond_word(word),
                 total,
-                field.mode(m, target),
+                field.mode_at(m, target),
             )
     return _wrap_comparison(result, k, _window_str(window, ("x",)))
 
@@ -1322,6 +1329,13 @@ def run_suite(config: SuiteConfig | None = None) -> list:
     radius = QQ(cfg.radius)
     if radius < 0:
         raise ValueError("no coefficients compared: the window is empty")
+    # a bound below 0 selects no word, so some check would compare nothing
+    if QQ(cfg.domain_level) < 0:
+        raise ValueError(f"no coefficients compared: domain level "
+                         f"{cfg.domain_level} selects no basis word")
+    if QQ(cfg.weight) < 0:
+        raise ValueError(f"no coefficients compared: weight {cfg.weight} "
+                         "selects no basis state")
     require_conjugation_depth(cfg.depth)
     reports = []
 

@@ -33,7 +33,13 @@ run without a cache:
   Fraction coefficients (`FractionState`), against the integer numerators
   over one denominator: the rendered text must match, and one state built
   along different paths must be equal, hash equal and hold the same
-  numerators.
+  numerators;
+* the rational-index bodies of the mode families and of the conjugation
+  check: `SlotField.rational_mode` and `eta_class` on a rational index,
+  `_ModeFamily.top` and `verify._field_image`'s annihilation bound as
+  rational inequalities, and `_conjugation_lhs`/`_rhs` keyed on rational
+  exponents, against the int indices M = scale·m and int keys that
+  replaced them, on indices drawn on and off each lattice.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -892,9 +898,10 @@ def test_coefficients_do_not_depend_on_the_table_depth():
 def test_two_forms_match_two_one_form_calls(k, u, v):
     window = Window.cube(("x1", "x2"), QQ(-1, 2), QQ(1, 2))
     parity = u.homogeneous_parity()
+    # the shifts 0 and parity/(2k), on the index 2k·e
     forms = (
-        ("even", ZERO, "fail" if parity else "pass"),
-        ("odd", QQ(parity, 2 * k), "pass"),
+        ("even", 0, "fail" if parity else "pass"),
+        ("odd", parity, "pass"),
     )
 
     def run(selected):
@@ -972,19 +979,20 @@ def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
         field = SlotField(k, u, power)
         family = verify._first_slot_family(k, u, slot=power + 1)
         for m in mode_grid(2 * k):
-            scalar = field.scalar(m)
-            j = family.eta_class(m)
+            M = int(2 * k * m)
+            j = field.eta_class(M)
+            assert family.eta_class(M) == j
             for target in MODE_TARGETS:
                 expected = old_slot_mode(k, u, power, m, target)
                 assert field.mode(m, target) == expected, (power, m, target)
-                if scalar is None:
-                    assert j is None and expected.is_zero()
-                    assert family.mode(m, target).is_zero()
+                if j is None:
+                    assert expected.is_zero()
+                    assert family.mode(M, target).is_zero()
                     continue
-                image = field.rational_mode(m, target)
+                image = field.image(M, target)
                 assert all_rational(image)
-                assert image.scaled(scalar) == expected
-                assert family.mode(m, target) == image
+                assert image.scaled(field.scalars[j]) == expected
+                assert family.mode(M, target) == image
                 assert image.scaled(family.scalars[j]) == expected
                 nonzero += not expected.is_zero()
     assert nonzero > 0
@@ -995,7 +1003,7 @@ def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
 def test_recovered_mode_is_rational(k, name):
     u = MODE_STATES[name]
     field = RecoveredField(k, u)
-    family = verify._recovered_family(k, u)
+    family = verify._parity_family(k, u, True)
     assert family.scalars == (ONE,)
     nonzero = 0
     for m in mode_grid(2):
@@ -1003,7 +1011,8 @@ def test_recovered_mode_is_rational(k, name):
             got = field.mode(m, target)
             assert all_rational(got)
             assert got == old_recovered_mode(k, u, m, target), (m, target)
-            assert family.mode(m, target) == got
+            assert field.mode_at(int(2 * m), target) == got
+            assert family.mode(int(2 * m), target) == got
             nonzero += not got.is_zero()
     assert nonzero > 0
 
@@ -1016,12 +1025,227 @@ def test_odd_order_commutator_grid_runs_on_rationals():
     right = verify._first_slot_family(k, PSI)
     scalars = verify._pair_scalars(left, right)
     assert scalars[0] == QQ(1, 3) and type(scalars[0]) is QQ_TYPE
-    grid = verify._lattice_grid(QQ(-3, 2), QQ(3, 2), 2 * k)
+    grid = verify._lattice_grid(Window({"x": (QQ(-3, 2), QQ(3, 2))}), "x",
+                                2 * k, 2 * k)
     coefficients = 0
     for word in ramond_basis(QQ(2)):
         for e1, e2, value in verify._supercommutator_grid(
-            left, right, scalars, State({word: ONE}), word_level(word), grid, grid
+            left, right, scalars, State({word: ONE}), -sum(word), grid, grid
         ):
             assert all_rational(value), (e1, e2, word)
             coefficients += len(value.terms)
     assert coefficients > 0
+
+
+# ---------------------------------------------------------------------------
+# rational indices and exponent keys, as they were, against the int codec
+# ---------------------------------------------------------------------------
+
+
+def fraction_rational_mode(field: SlotField, m, state: State) -> State:
+    """`SlotField.rational_mode`: the pieces' sigma modes at the rational
+    index k(e+m+1) - 1."""
+    k = field.k
+    km = k * m
+    return combine(
+        (sigma_vertex_mode(piece, k * (e + 1) - 1 + km, state), ONE)
+        for e, piece in field.pieces
+    )
+
+
+def fraction_eta_class(k: int, power: int, m):
+    """`SlotField.eta_class` on a rational index."""
+    power %= k
+    if not power:
+        return 0
+    twist = power * k * (-m - 1)
+    if twist.denominator != 1:
+        return None
+    return int(twist) % k
+
+
+def fraction_top(weight, grading_den: int, level):
+    """`_ModeFamily.top`: the largest rational index whose mode can act on
+    a state of that level."""
+    return weight - 1 + QQ(level) / grading_den
+
+
+def fraction_field_image(mode, weight, den: int):
+    """`verify._field_image` with its bound on the rational index."""
+
+    def image(e, word):
+        m = -e - 1
+        if m > weight - 1 + word_level(word) / den:
+            return ZERO_STATE
+        return mode(m, State({word: ONE}))
+
+    return image
+
+
+def fraction_conjugation_lhs(k, u, v, depth_z0):
+    """`deltak._conjugation_lhs` keyed on rational exponents."""
+    p_u = u.homogeneous_level()
+    p_v = v.homogeneous_level()
+    inv = apply_delta(k, v, INVERSE)
+    out = {}
+    for e_j, piece in inv.pieces:
+        w_j = piece.homogeneous_level()
+        if w_j is None:
+            continue
+        t_hi = rational_floor(p_u + w_j - 1)
+        t = QQ(-depth_z0 - 1)
+        while t <= t_hi:
+            image = vertex_mode(u, t, piece)
+            if not image.is_zero():
+                q = p_u + w_j - t - 1
+                fwd = apply_delta(k, image, FORWARD)
+                scalar = k_to_the(k, p_v - q)
+                e_z0 = -t - 1
+                for e_i, result in fwd.pieces:
+                    e_z = e_j + e_i
+                    scale = scalar / result.den
+                    for word, num in result.nums:
+                        key = (word, e_z, e_z0)
+                        out[key] = out.get(key, ZERO) + scale * num
+            t += 1
+    return {key: val for key, val in out.items() if val != 0}
+
+
+def fraction_conjugation_rhs(k, u, v, depth_z0, roots):
+    """`deltak._conjugation_rhs` keyed on rational exponents."""
+    p_u = u.homogeneous_level()
+    p_v = v.homogeneous_level()
+    fwd_u = apply_delta(k, u, FORWARD)
+    prefactor = k_to_the(k, -p_u)
+    out = {}
+    for e_piece, piece in fwd_u.pieces:
+        w_piece = piece.homogeneous_level()
+        if w_piece is None:
+            continue
+        alpha = e_piece
+        t_hi = rational_floor(w_piece + p_v - 1)
+        t = QQ(-depth_z0 - 1)
+        while t <= t_hi:
+            image = vertex_mode(piece, t, v)
+            if image.is_zero():
+                t += 1
+                continue
+            e = int(-t - 1)
+            for i in range(0, depth_z0 - e + 1):
+                binom_c = binomial(alpha, i)
+                if binom_c == 0:
+                    continue
+                for n in range(e, depth_z0 - i + 1):
+                    g_c = roots.coefficient(e, n)
+                    if g_c != 0:
+                        e_z = alpha - i + QQ(e, k) - n
+                        e_z0 = QQ(i + n)
+                        scale = prefactor * binom_c * g_c / image.den
+                        for word, num in image.nums:
+                            key = (word, e_z, e_z0)
+                            out[key] = out.get(key, ZERO) + scale * num
+            t += 1
+    return {key: val for key, val in out.items() if val != 0}
+
+
+def lattice_index(m, den: int):
+    """The int den·m, or None off the (1/den)-lattice."""
+    index = m * den
+    return index.numerator if index.denominator == 1 else None
+
+
+CODEC_STATES = [PSI, OMEGA, virasoro(QQ(-1), PSI)]
+CODEC_WORDS = ramond_basis(QQ(3, 2))
+
+
+def rational_index(k: int):
+    """A rational index on the (1/2k)-lattice or off it: a numerator over
+    1, 2, k, 2k, 3k or 4k."""
+    return st.sampled_from([1, 2, k, 2 * k, 3 * k, 4 * k]).flatmap(
+        lambda den: st.integers(-4 * den, 3 * den).map(lambda n: QQ(n, den)))
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_slot_index_matches_the_rational_index(k, data):
+    u = data.draw(st.sampled_from(CODEC_STATES))
+    power = data.draw(st.integers(0, 2 * k))
+    field = SlotField(k, u, power)
+    m = data.draw(rational_index(k))
+    target = State({data.draw(st.sampled_from(CODEC_WORDS)): ONE})
+    old_class = fraction_eta_class(k, power, m)
+    old = fraction_rational_mode(field, m, target)
+    M = lattice_index(m, 2 * k)
+    if M is None:
+        # every sigma index is off the half-integer lattice there
+        assert old.is_zero()
+        assert field.mode(m, target).is_zero()
+        return
+    assert field.eta_class(M) == old_class
+    assert field.image(M, target) == old
+    expected = (ZERO_STATE if old_class is None
+                else old.scaled(field.scalars[old_class]))
+    assert field.mode_at(M, target) == expected
+    assert field.mode(m, target) == expected
+    assert [(piece, QQ(index, 2)) for piece, index in field.plan(M)] == [
+        (piece, k * (e + 1) - 1 + k * m) for e, piece in field.pieces]
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_int_tops_and_bounds_match_the_rational_ones(k, data):
+    u = data.draw(st.sampled_from(CODEC_STATES))
+    families = [(verify._first_slot_family(k, u), k)]
+    if k % 2 == 0:
+        families.append((verify._parity_family(k, u, True), 1))
+    families.append((verify._parity_family(k, u, False), 1))
+    level2 = data.draw(st.integers(0, 12))
+    m = data.draw(rational_index(k))
+    for family, grading_den in families:
+        old = fraction_top(family.weight, grading_den, QQ(level2, 2))
+        assert family.scale == 2 * grading_den
+        assert family.top(level2) == family.scale * old
+        M = lattice_index(m, family.scale)
+        if M is not None:
+            assert (M <= family.top(level2)) == (m <= old)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_field_image_bound_matches_the_rational_bound(k, data):
+    u = data.draw(st.sampled_from(CODEC_STATES))
+    word = data.draw(st.sampled_from(CODEC_WORDS))
+    field = SlotField(k, u)
+    e = data.draw(st.integers(-6 * k, 4 * k))
+    got = verify._field_image(field.mode_at, field.weight, 2 * k)(e, word)
+    old = fraction_field_image(
+        lambda m, s: old_slot_mode(k, u, 0, m, s), field.weight, k)
+    assert got == old(QQ(e, 2 * k), word)
+    if k % 2 == 0:
+        recovered = RecoveredField(k, u)
+        d = data.draw(st.integers(-6, 4))
+        got = verify._field_image(recovered.mode_at, recovered.weight, 2)(d, word)
+        old = fraction_field_image(
+            lambda m, s: old_recovered_mode(k, u, m, s), recovered.weight, 1)
+        assert got == old(QQ(d, 2), word)
+
+
+@given(st.integers(1, 6), st.sampled_from([PSI, OMEGA]),
+       st.sampled_from(ns_basis(QQ(3, 2))), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_int_conjugation_keys_decode_to_the_rational_keys(k, u, word, depth):
+    v = State({word: ONE})
+    degree = deltak._root_degree(u.homogeneous_level() + v.homogeneous_level(),
+                                 depth)
+    roots = _RootPowers(k, degree)
+    for got, old in (
+        (deltak._conjugation_lhs(k, u, v, depth),
+         fraction_conjugation_lhs(k, u, v, depth)),
+        (deltak._conjugation_rhs(k, u, v, depth, roots),
+         fraction_conjugation_rhs(k, u, v, depth, roots)),
+    ):
+        assert all(type(z) is int and type(z0) is int for _, z, z0 in got)
+        decoded = [((w, QQ(z, 2 * k), QQ(z0)), val)
+                   for (w, z, z0), val in sorted(got.items())]
+        # equal keys, values and sort order
+        assert decoded == sorted(old.items(), key=lambda item: item[0])

@@ -11,7 +11,6 @@ from twistfock.formal import (
     Window,
     compare_fields,
     compare_series,
-    delta_series,
     merged_delta_kernel,
     verify_delta_identity,
 )
@@ -20,6 +19,13 @@ from twistfock.scalars import QQ, ZERO
 
 def _series_from(table, variables, window=None, **kw):
     return ScalarSeries(tuple(variables), {tuple(map(QQ, m)): QQ(c) for m, c in table.items()}, window, **kw)
+
+
+def _delta(var, window):
+    """Every integer power of var with coefficient 1, known on the window."""
+    lo, hi = window.bounds_for(var)
+    return _series_from({(n,): 1 for n in range(int(lo), int(hi) + 1)},
+                        (var,), window, supp_lo={var: None}, supp_hi={var: None})
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +56,13 @@ class TestWindow:
 
 
 class TestDeltaKernels:
-    def test_delta_series_window(self):
-        s = delta_series("x", Window({"x": (-2, 2)}))
-        assert sorted(m[0] for m in s.coeffs) == [QQ(n) for n in range(-2, 3)]
-        assert all(c == 1 for c in s.coeffs.values())
-
     def test_residue_requires_window_coverage(self):
-        s = delta_series("x", Window({"x": (0, 2)}))
+        s = _delta("x", Window({"x": (0, 2)}))
         with pytest.raises(ValueError, match="residue"):
             s.residue("x")
 
     def test_residue_of_delta(self):
-        s = delta_series("x", Window({"x": (-2, 2)}))
+        s = _delta("x", Window({"x": (-2, 2)}))
         assert s.residue("x").coeffs == {(): 1}
 
     def test_substitution_property(self):
@@ -140,28 +141,9 @@ class TestProductWindows:
 
     def test_unbounded_products_rejected(self):
         w = Window.cube(("x",), -3, 3)
-        d = delta_series("x", w)
+        d = _delta("x", w)
         with pytest.raises(ValueError, match="non-composable"):
             d * d
-
-
-# ---------------------------------------------------------------------------
-# calculus
-# ---------------------------------------------------------------------------
-
-
-class TestCalculus:
-    def test_residue_of_derivative_vanishes(self):
-        w = Window({"x": (-3, 3)})
-        s = delta_series("x", w) + _series_from({(2,): 7, (-1,): 4}, ("x",))
-        assert not s.derivative("x").residue("x").coeffs
-
-    @given(st.lists(st.integers(-5, 5), min_size=5, max_size=5))
-    def test_residue_derivative_on_polynomials(self, values):
-        """residue of d/dx of any Laurent polynomial is zero."""
-        coeffs = {(QQ(n - 2),): QQ(v) for n, v in enumerate(values)}
-        s = ScalarSeries(("x",), coeffs)
-        assert not s.derivative("x").residue("x").coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +249,7 @@ class TestDeltaIdentities:
 
     def test_mismatch_reported(self):
         w = Window({"x": (-1, 1)})
-        a = delta_series("x", w)
+        a = _delta("x", w)
         b = a.scaled(2)
         result = compare_series("scaled", a, b, w, 1)
         assert not result.passed

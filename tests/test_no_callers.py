@@ -37,10 +37,6 @@ ALLOWED = {
         "the coordinate change's weight law, tested in test_deltak",
     "fermion.fermion_mode": ORACLE,
     "ramond.ramond_mode": ORACLE,
-    "formal.delta_series": "the delta function of the series calculus, "
-                           "tested in test_formal",
-    "formal.ScalarSeries.derivative": "the derivative of the series "
-                                      "calculus, tested in test_formal",
 }
 
 

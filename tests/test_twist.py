@@ -71,10 +71,19 @@ def exponents(table):
     return tuple(sorted(table))
 
 
+def indices(den, window=WINDOW):
+    """The int indices den·e of the (1/den)-lattice inside a window."""
+    lo, hi = window
+    return range(lo * den, hi * den + 1)
+
+
 def columns(field, den):
     """The column function of a slot field, a tensor product or a
-    recovered field, for `compare_fields`."""
-    return _field_column(field.mode, field.weight, den)
+    recovered field of grading denominator den, for `compare_fields`: on
+    the int index 2·den·e, with the modes read at their rational index."""
+    scale = 2 * den
+    return _field_column(lambda m, s: field.mode(QQ(m, scale), s),
+                         field.weight, scale)
 
 
 class TestYbar:
@@ -192,21 +201,22 @@ class TestTensorProduct:
         product = tensor_operator(2, (PSI, VACUUM))
         single = SlotField(2, PSI)
         result = compare_fields("collapse1", columns(product, 2),
-                                columns(single, 2), grid(4), KEYS)
+                                columns(single, 2), indices(4), KEYS, scale=4)
         assert result.passed
 
     def test_collapse_to_second_slot(self):
         product = tensor_operator(2, (VACUUM, PSI))
         single = SlotField(2, PSI, 1)
         result = compare_fields("collapse2", columns(product, 2),
-                                columns(single, 2), grid(4), KEYS)
+                                columns(single, 2), indices(4), KEYS, scale=4)
         assert result.passed
 
     def test_collapse_order_four(self):
         product = tensor_operator(4, (VACUUM, OMEGA, VACUUM, VACUUM))
         single = SlotField(4, OMEGA, 1)
         result = compare_fields("collapse4", columns(product, 4),
-                                columns(single, 4), grid(8, (-2, 2)), KEYS)
+                                columns(single, 4), indices(8, (-2, 2)), KEYS,
+                                scale=8)
         assert result.passed
 
     def test_generator_pair_hand_values(self):
@@ -346,15 +356,16 @@ class TestTwistedMode:
 class TestInverseConstruction:
     @staticmethod
     def native_columns(u):
-        return _field_column(lambda m, s: sigma_vertex_mode(u, m, s),
-                             u.homogeneous_level(), 1)
+        return _field_column(lambda m, s: sigma_vertex_mode(u, QQ(m, 2), s),
+                             u.homogeneous_level(), 2)
 
     @pytest.mark.parametrize("u,name", [(VACUUM, "vac"), (PSI, "psi"),
                                         (OMEGA, "omega")])
     def test_recovers_parity_twisted_field(self, u, name):
         recovered = RecoveredField(2, u)
         result = compare_fields(name, columns(recovered, 1),
-                                self.native_columns(u), grid(2), KEYS)
+                                self.native_columns(u), indices(2), KEYS,
+                                scale=2)
         assert result.passed
         assert result.compared > 50
 
@@ -362,8 +373,8 @@ class TestInverseConstruction:
         recovered = RecoveredField(4, PSI)
         keys = ramond_basis(QQ(1))
         result = compare_fields("psi4", columns(recovered, 1),
-                                self.native_columns(PSI), grid(2, (-2, 2)),
-                                keys)
+                                self.native_columns(PSI), indices(2, (-2, 2)),
+                                keys, scale=2)
         assert result.passed
 
     @pytest.mark.parametrize("branch", [1, 2, 3, -1])

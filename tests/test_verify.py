@@ -23,7 +23,6 @@ from twistfock.fermion import (
     ZERO_STATE,
     State,
     combine,
-    word_level,
 )
 from twistfock import verify
 from twistfock.formal import (
@@ -273,8 +272,10 @@ class TestJacobiKernels:
         left, right = _first_slot_family(k, u), _first_slot_family(k, v)
         for family in (left, right):
             # an inner mode b + i with b = -e - 1 >= -hi - 1 acts only while
-            # b + i <= top, i.e. for i <= top + hi + 1
-            assert family.top(self.LEVEL) + hi + 1 < self.REACH
+            # b + i <= top, i.e. for i <= top + hi + 1; the top is an index
+            # on the family's scale, at the doubled level
+            top = QQ(family.top(int(2 * self.LEVEL)), family.scale)
+            assert top + hi + 1 < self.REACH
         eps = -ONE if (left.parity and right.parity) else ONE
         scalars = _pair_scalars(left, right)
         first = merged_delta_kernel(
@@ -316,8 +317,8 @@ class TestJacobiKernels:
                                 )
                         expected = combine(terms)
                         actual = _jacobi_left(
-                            left, right, scalars, eps, int(-alpha - 1), e1, e2,
-                            w, word_level(word),
+                            left, right, scalars, eps, int(-alpha - 1),
+                            int(2 * k * e1), int(2 * k * e2), w, -sum(word),
                         )
                         assert actual == expected, (alpha, e1, e2, word)
                         nonzero += not expected.is_zero()
@@ -467,6 +468,26 @@ class TestRunSuite:
     def test_empty_window_is_an_error(self):
         with pytest.raises(ValueError, match="no coefficients compared"):
             run_suite(SuiteConfig(radius=QQ(-1)))
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("domain_level", QQ(-1), "domain level -1 selects no basis word"),
+        ("domain_level", QQ(-1, 2), "domain level -1/2 selects no basis word"),
+        ("weight", QQ(-1), "weight -1 selects no basis state"),
+    ])
+    def test_negative_bound_is_refused_before_any_check(
+            self, monkeypatch, field, value, reason):
+        called = []
+        for name in vars(verify):
+            if name.startswith("check_") or name in (
+                    "verify_delta_identity", "round_trip_defect"):
+                monkeypatch.setattr(
+                    verify, name,
+                    lambda *args, name=name, **kwargs: called.append(name))
+        config = SuiteConfig(k=4, jacobi=False, **{field: value})
+        with pytest.raises(ValueError) as raised:
+            run_suite(config)
+        assert str(raised.value) == f"no coefficients compared: {reason}"
+        assert called == []
 
     def test_suite_json_shape(self):
         reports = run_suite(SuiteConfig(k=3))
