@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .scalars import QQ, ONE, CycScalar, complex_embedding, scalar_str
 from .formal import Window
@@ -27,7 +26,7 @@ from .deltak import (
     apply_delta,
     solve_aj,
 )
-from .twist import TwistedModuleView, require_even_order
+from .twist import TwistedModuleView
 from .verify import (
     SuiteConfig,
     parse_bool,
@@ -39,47 +38,6 @@ from .verify import (
 )
 
 FORMATS = ("json", "csv", "table")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on.
-
-    ``fmt`` is the output format (each subcommand has its own default),
-    ``out`` an optional output path (stdout otherwise), and the rational
-    knobs (``radius``, ``domain_level``, ``weight``) bound the verification
-    windows.  Invariants: k >= 1 and cutoff >= 0; commands that build the
-    twisted module additionally require an even k.
-    """
-
-    command: str
-    k: int = 2
-    cutoff: int = 4
-    depth: int = 4
-    fmt: str = ""
-    out: str | None = None
-    expect_obstruction: bool = False
-    decimal: bool = False
-    state: str = "psi"
-    inverse: bool = False
-    jacobi: bool = True
-    radius: QQ = QQ(3, 2)
-    domain_level: QQ = QQ(2)
-    weight: QQ = QQ(2)
-    lo: QQ | None = None
-    hi: QQ | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.fmt and self.fmt not in FORMATS:
-            raise ValueError(
-                f"format must be one of {', '.join(FORMATS)}, got {self.fmt!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -136,29 +94,20 @@ def _apply_overrides(namespace: argparse.Namespace, mapping: dict) -> None:
         setattr(namespace, attr, value)
 
 
-def _config_from_namespace(args: argparse.Namespace) -> RunConfig:
-    fields = (
-        "k",
-        "cutoff",
-        "depth",
-        "fmt",
-        "out",
-        "expect_obstruction",
-        "decimal",
-        "state",
-        "inverse",
-        "jacobi",
-        "radius",
-        "domain_level",
-        "weight",
-        "lo",
-        "hi",
-    )
-    kwargs = {"command": args.command}
-    for field in fields:
-        if hasattr(args, field):
-            kwargs[field] = getattr(args, field)
-    return RunConfig(**kwargs)
+def _config_from_namespace(args: argparse.Namespace) -> argparse.Namespace:
+    """The run configuration: the flags with any config-file overrides,
+    checked (k >= 1, cutoff >= 0, depth >= 1, a known or empty format)."""
+    if args.k < 1:
+        raise ValueError(f"k must be a positive integer, got {args.k}")
+    if getattr(args, "cutoff", 0) < 0:
+        raise ValueError(f"cutoff must be >= 0, got {args.cutoff}")
+    if getattr(args, "depth", 1) < 1:
+        raise ValueError(f"depth must be >= 1, got {args.depth}")
+    if args.fmt and args.fmt not in FORMATS:
+        raise ValueError(
+            f"format must be one of {', '.join(FORMATS)}, got {args.fmt!r}"
+        )
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +195,7 @@ def parse_state(text: str) -> State:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ajcoeffs(cfg: RunConfig) -> int:
+def cmd_ajcoeffs(cfg: argparse.Namespace) -> int:
     table = solve_aj(cfg.k, cfg.depth)
     rows = [
         (str(j), _value(value, cfg.decimal)) for j, value in table.rows()
@@ -261,7 +210,7 @@ def cmd_ajcoeffs(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_delta_apply(cfg: RunConfig) -> int:
+def cmd_delta_apply(cfg: argparse.Namespace) -> int:
     state = parse_state(cfg.state)
     weight = state.homogeneous_level()
     direction = INVERSE if cfg.inverse else FORWARD
@@ -298,8 +247,7 @@ def cmd_delta_apply(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_char(cfg: RunConfig) -> int:
-    require_even_order(cfg.k)
+def cmd_char(cfg: argparse.Namespace) -> int:
     view = TwistedModuleView(cfg.k, cfg.cutoff)
     series = view.graded_dimension()
     rows = []
@@ -318,8 +266,7 @@ def cmd_char(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_twist_build(cfg: RunConfig) -> int:
-    require_even_order(cfg.k)
+def cmd_twist_build(cfg: argparse.Namespace) -> int:
     view = TwistedModuleView(cfg.k, cfg.cutoff)
     rows = []
     for word in view.basis():
@@ -351,16 +298,8 @@ def cmd_twist_build(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    suite_cfg = SuiteConfig(
-        k=cfg.k,
-        cutoff=cfg.cutoff,
-        radius=cfg.radius,
-        domain_level=cfg.domain_level,
-        weight=cfg.weight,
-        depth=cfg.depth,
-        jacobi=cfg.jacobi,
-    )
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    suite_cfg = SuiteConfig(*[getattr(cfg, f) for f in SuiteConfig._fields])
     reports = run_suite(suite_cfg)
     fmt = cfg.fmt or "table"
     if fmt == "json":

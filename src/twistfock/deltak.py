@@ -23,7 +23,7 @@ Everything is exact; nothing is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .scalars import (
@@ -104,21 +104,19 @@ def covering_depth(weight) -> int:
     return max(1, rational_ceil(QQ(weight)))
 
 
-@dataclass(frozen=True)
-class AjTable:
+class AjTable(namedtuple("AjTable", "k depth values")):
     """Coefficients a_1..a_J of the derivation D = sum_j a_j x^{j+1} d/dx
     chosen so that exp(-D) x = ((1+x)^k - 1)/k exactly through degree J+1."""
 
-    k: int
-    depth: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        _require_depth(self.depth)
-        if len(self.values) != self.depth:
+    def __new__(cls, k: int, depth: int, values: tuple):
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        _require_depth(depth)
+        if len(values) != depth:
             raise ValueError("coefficient count does not match depth")
+        return super().__new__(cls, k, depth, values)
 
     def a(self, j: int):
         """The j-th coefficient, 1-indexed."""
@@ -294,8 +292,8 @@ FORWARD = "forward"
 INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
-class DeltaExpansion:
+class DeltaExpansion(
+        namedtuple("DeltaExpansion", "k direction weight prefactor pieces")):
     """A finite graded expansion: prefactor * sum_j state_j * x^{exponent_j}.
 
     The prefactor is k^{-weight} (forward) or k^{+weight} (inverse); for
@@ -303,11 +301,7 @@ class DeltaExpansion:
     The per-piece states carry all remaining rational scalars.
     """
 
-    k: int
-    direction: str
-    weight: QQ
-    prefactor: object
-    pieces: tuple
+    __slots__ = ()
 
     def leading_exponent(self):
         if not self.pieces:

@@ -14,7 +14,7 @@ time from functions the caller builds on their exact modes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from .scalars import (
@@ -165,7 +165,6 @@ def assert_on_lattice(exponent, den: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ScalarSeries:
     """Finite coefficient table + window + optional true support bounds.
 
@@ -174,26 +173,39 @@ class ScalarSeries:
     per variable (None = unbounded); they make products of truncations sound.
     """
 
-    variables: tuple
-    coeffs: dict
-    window: Window | None = None
-    supp_lo: dict = field(default_factory=dict)
-    supp_hi: dict = field(default_factory=dict)
+    __slots__ = ("variables", "coeffs", "window", "supp_lo", "supp_hi")
 
-    def __post_init__(self):
+    def __init__(self, variables: tuple, coeffs: dict, window: Window | None = None,
+                 supp_lo: dict | None = None, supp_hi: dict | None = None):
         clean = {}
-        for mono, value in self.coeffs.items():
-            if scalar_is_zero(value):
-                continue
-            clean[tuple(QQ(e) for e in mono)] = value
+        for mono, value in coeffs.items():
+            if not scalar_is_zero(value):
+                clean[tuple(QQ(e) for e in mono)] = value
+        self.variables = variables
         self.coeffs = clean
-        if self.window is None:
+        self.window = window
+        self.supp_lo = {} if supp_lo is None else supp_lo
+        self.supp_hi = {} if supp_hi is None else supp_hi
+        if window is None:
             # complete series: true support is the stored hull
-            for i, var in enumerate(self.variables):
-                exps = [m[i] for m in self.coeffs]
+            for i, var in enumerate(variables):
+                exps = [m[i] for m in clean]
                 hull = (min(exps), max(exps)) if exps else (ZERO, ZERO)
                 self.supp_lo.setdefault(var, hull[0])
                 self.supp_hi.setdefault(var, hull[1])
+
+    def _values(self) -> tuple:
+        return (self.variables, self.coeffs, self.window, self.supp_lo,
+                self.supp_hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return ("ScalarSeries(variables={!r}, coeffs={!r}, window={!r}, "
+                "supp_lo={!r}, supp_hi={!r})".format(*self._values()))
 
     # -- knowledge ----------------------------------------------------------
 
@@ -443,15 +455,28 @@ def merged_delta_kernel(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ComparisonResult:
     """Outcome of a window-exact coefficient comparison: the number of
     coefficients compared and a (location, lhs, rhs) witness for each one
     that differed, in comparison order."""
 
-    name: str
-    compared: int = 0
-    mismatches: list = field(default_factory=list)
+    __slots__ = ("name", "compared", "mismatches")
+
+    def __init__(self, name: str, compared: int = 0,
+                 mismatches: list | None = None):
+        self.name = name
+        self.compared = compared
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.compared, self.mismatches)
+                == (other.name, other.compared, other.mismatches))
+
+    def __repr__(self) -> str:
+        return (f"ComparisonResult(name={self.name!r}, "
+                f"compared={self.compared!r}, mismatches={self.mismatches!r})")
 
     def compare(self, location, lhs, rhs) -> None:
         """Count one compared coefficient; record it when the sides differ."""
@@ -625,8 +650,7 @@ def verify_delta_identity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(namedtuple("QSeries", "offset coeffs step")):
     """Truncated graded-dimension series on a rational weight lattice.
 
     ``coeffs[i]`` is the dimension of the graded piece of weight
@@ -634,16 +658,14 @@ class QSeries:
     dimension zero, and weights beyond the truncation are unknown.
     """
 
-    offset: QQ
-    coeffs: tuple
-    step: QQ = QQ(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "offset", QQ(self.offset))
-        object.__setattr__(self, "step", QQ(self.step))
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.step <= 0:
+    def __new__(cls, offset: QQ, coeffs: tuple, step: QQ = QQ(1)):
+        offset, step = QQ(offset), QQ(step)
+        coeffs = tuple(int(c) for c in coeffs)
+        if step <= 0:
             raise ValueError("step must be positive")
+        return super().__new__(cls, offset, coeffs, step)
 
     def weight(self, i: int) -> QQ:
         return self.offset + i * self.step

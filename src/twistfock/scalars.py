@@ -190,6 +190,13 @@ def _reduction_rows(conductor: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# Largest conductor N of Q(zeta_N): an element holds phi(N) coordinates.
+# sqrt(k) lives in Q(zeta_{4k}), so half-integer weights allow k <= 256;
+# `delta-apply --state psi` takes at most about 2.6 s there on a 2-core
+# host (k = 255), and 27 s at k = 1021.
+MAX_CONDUCTOR = 1024
+
+
 class CycScalar:
     """Element of Q(zeta_N): coefficient vector of length phi(N) over Q.
 
@@ -202,6 +209,9 @@ class CycScalar:
     def __init__(self, conductor: int, coeffs):
         if conductor < 1:
             raise ValueError(f"conductor must be >= 1, got {conductor}")
+        if conductor > MAX_CONDUCTOR:
+            raise ValueError(f"cyclotomic conductor {conductor} exceeds the "
+                             f"ceiling {MAX_CONDUCTOR}")
         degree = euler_phi(conductor)
         coeffs = [QQ(c) for c in coeffs]
         if len(coeffs) > degree:
@@ -452,9 +462,8 @@ def cyc_sqrt_k(k: int) -> CycScalar:
     Built from zeta_8 + zeta_8^-1 = sqrt(2) and quadratic Gauss sums for odd
     primes; the classical sign of the Gauss sum makes every factor positive.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     conductor = 4 * k
+    CycScalar(conductor, ())  # refuses a conductor out of range before factoring
     square_part = 1
     squarefree = k
     p = 2

@@ -19,7 +19,7 @@ window.  Scalars live in Q or in a cyclotomic field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalars import QQ, ZERO, ONE, eta_powers, rationalized
 from .formal import QSeries, assert_on_lattice
@@ -46,6 +46,22 @@ def require_even_order(k: int):
         raise ValueError(
             f"the cyclic-twist construction needs an even tensor order, got k={k}"
         )
+
+
+# Largest truncation level of the twisted module.  Its basis grows like the
+# partitions of the level into distinct parts, and the character check
+# applies the twisted L(0) to every word: at the ceiling `verify --k 2` takes
+# about 6 s on a 2-core host (3 s of it that check, a quarter more per
+# level), `char` and `twist-build` under 0.5 s.
+MAX_CUTOFF = 32
+
+
+def require_cutoff(cutoff: int) -> None:
+    """Refuse a module cutoff outside 0..MAX_CUTOFF, before any work."""
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the ceiling {MAX_CUTOFF}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +305,7 @@ def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedModuleView:
+class TwistedModuleView(namedtuple("TwistedModuleView", "k cutoff")):
     """The Ramond module viewed as a twisted module over the tensor power.
 
     The underlying space is unchanged; the grade of a basis word of
@@ -298,13 +313,12 @@ class TwistedModuleView:
     the parity-twisted weight operator plus the constant (k^2-1)c/(24k).
     """
 
-    k: int
-    cutoff: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_even_order(self.k)
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+    def __new__(cls, k: int, cutoff: int):
+        require_even_order(k)
+        require_cutoff(cutoff)
+        return super().__new__(cls, k, cutoff)
 
     def basis(self):
         return ramond_basis(QQ(self.cutoff))
@@ -361,8 +375,10 @@ class TwistedModuleView:
 
 
 __all__ = [
+    "MAX_CUTOFF",
     "RecoveredField",
     "TwistedModuleView",
+    "require_cutoff",
     "require_even_order",
     "tensor_operator",
     "twisted_mode",

@@ -17,7 +17,7 @@ distinguish "failed as the theory predicts" from "failed unexpectedly".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalars import (
     ONE,
@@ -68,6 +68,7 @@ from .twist import (
     RecoveredField,
     SlotField,
     TwistedModuleView,
+    require_cutoff,
     require_even_order,
 )
 
@@ -77,7 +78,6 @@ from .twist import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one named, window-exact check.
 
@@ -89,13 +89,33 @@ class CheckReport:
     ``verdict == expected_verdict``.
     """
 
-    name: str
-    k: int
-    window: str
-    compared: int
-    mismatches: tuple
-    expected_verdict: str = "pass"
-    detail: str = ""
+    __slots__ = ("name", "k", "window", "compared", "mismatches",
+                 "expected_verdict", "detail")
+
+    def __init__(self, name: str, k: int, window: str, compared: int,
+                 mismatches: tuple, expected_verdict: str = "pass",
+                 detail: str = ""):
+        values = (name, k, window, compared, mismatches, expected_verdict, detail)
+        for attr, value in zip(self.__slots__, values):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckReport is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, attr) for attr in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._values())
+        return f"CheckReport({', '.join(f'{a}={v!r}' for a, v in pairs)})"
 
     @property
     def verdict(self) -> str:
@@ -274,32 +294,33 @@ def _parity_family(k: int, u: State, recovered: bool) -> _ModeFamily:
 
 def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
                       state: State, level2: int, scale=ONE):
-    """The (state, coefficient) pairs of
+    """At most one (state, coefficient) pair for
         scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
     the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
     powers of x2, on the families' int index, for a state of doubled level
     ``level2``; ``scalars`` is `_pair_scalars` of the two families.
 
-    The states are rational images; the families' scalar is in every
-    coefficient.  It is one lookup for the whole sum: a shift of an index
-    by a whole mode moves its eta class by a multiple of k.  The sum ends
-    where the inner modes pass ``inner.top(level2)`` and kill the state; an
-    outer mode above the top of the inner image is skipped.
+    The sum over i is the rational images combined with the int binomials;
+    the coefficient is ``scale`` times the families' scalar.  That scalar
+    is one lookup for the whole sum: a shift of an index by a whole mode
+    moves its eta class by a multiple of k.  The sum ends where the inner
+    modes pass ``inner.top(level2)`` and kill the state; an outer mode
+    above the top of the inner image is skipped.
     """
     pairs = []
     ca, cb = outer.eta_class(a), inner.eta_class(b)
     if ca is None or cb is None:
         return pairs
-    scale = scale * scalars[(ca + cb) % len(scalars)]
     step = inner.scale
     for i, m in enumerate(range(b, inner.top(level2) + 1, step)):
         image = inner.mode(m, state)
         if image.nums and a - i * step <= outer.top(_level2(image)):
             product = outer.mode(a - i * step, image)
             if product.nums:
-                c = scale * binomial(n, i)
+                c = binomial(n, i).numerator
                 pairs.append((product, -c if i % 2 else c))
-    return pairs
+    scale = scale * scalars[(ca + cb) % len(scalars)]
+    return [(combine(pairs), scale)] if pairs else pairs
 
 
 def _field_product_mode(
@@ -1255,27 +1276,22 @@ def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(namedtuple(
+        "SuiteConfig", "k cutoff radius domain_level weight depth jacobi",
+        defaults=(2, 4, QQ(3, 2), QQ(2), QQ(2), 4, True))):
     """Configuration of the aggregated verification suite.
 
     ``radius`` bounds every exponent window (negative radius is the empty
     window and is rejected); ``cutoff`` is the number of graded pieces of
-    the character comparison; ``domain_level`` bounds the twisted-module
-    words the operator checks act on; ``weight`` bounds the untwisted
-    states fed to the coordinate-change checks; ``depth`` is the expansion
-    depth of the conjugation check (at most ``MAX_CONJUGATION_DEPTH``, checked
-    before any check runs); ``jacobi`` toggles the (more expensive)
-    three-variable identity.
+    the character comparison (at most ``MAX_CUTOFF``); ``domain_level``
+    bounds the twisted-module words the operator checks act on; ``weight``
+    bounds the untwisted states fed to the coordinate-change checks;
+    ``depth`` is the expansion depth of the conjugation check (at most
+    ``MAX_CONJUGATION_DEPTH``); both ceilings are checked before any check
+    runs.  ``jacobi`` toggles the (more expensive) three-variable identity.
     """
 
-    k: int = 2
-    cutoff: int = 4
-    radius: QQ = QQ(3, 2)
-    domain_level: QQ = QQ(2)
-    weight: QQ = QQ(2)
-    depth: int = 4
-    jacobi: bool = True
+    __slots__ = ()
 
 
 def parse_rational(raw) -> QQ:
@@ -1337,6 +1353,7 @@ def run_suite(config: SuiteConfig | None = None) -> list:
         raise ValueError(f"no coefficients compared: weight {cfg.weight} "
                          "selects no basis state")
     require_conjugation_depth(cfg.depth)
+    require_cutoff(cfg.cutoff)
     reports = []
 
     def add(report: CheckReport):

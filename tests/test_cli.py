@@ -24,6 +24,8 @@ from twistfock.fermion import OMEGA, PSI, VACUUM, State
 from twistfock import cli
 from twistfock.cli import main, parse_config_file, parse_state
 from twistfock.deltak import MAX_CONJUGATION_DEPTH, MAX_TABLE_DEPTH
+from twistfock.scalars import MAX_CONDUCTOR
+from twistfock.twist import MAX_CUTOFF
 from twistfock.verify import parse_bool, parse_rational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -438,6 +440,48 @@ class TestConjugationDepthCeiling:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert err.startswith("error: conjugation depth")
+
+
+class TestCutoffCeiling:
+    """char, twist-build and verify refuse a module cutoff above the
+    ceiling before any work; only ceiling + 1 is tried, never a large one."""
+
+    @pytest.mark.parametrize("command", [
+        ("char", "--k", "2"),
+        ("twist-build", "--k", "4"),
+        ("verify", "--k", "3", "--expect-obstruction"),
+    ])
+    def test_above_the_ceiling_exits_two(self, capsys, command):
+        cutoff = str(MAX_CUTOFF + 1)
+        code, out, err = run_cli(capsys, *command, "--cutoff", cutoff)
+        assert (code, out) == (2, "")
+        assert err == f"error: cutoff {cutoff} exceeds the ceiling {MAX_CUTOFF}\n"
+
+    def test_char_at_the_ceiling_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "char", "--k", "2", "--cutoff", str(MAX_CUTOFF))
+        assert code == 0 and len(out.splitlines()) == MAX_CUTOFF + 2
+
+
+class TestConductorCeiling:
+    """An order whose half-integer weights need a cyclotomic field above the
+    ceiling exits 2 with one line; rational results run at any order."""
+
+    def test_half_integer_weight_above_the_ceiling_exits_two(self, capsys):
+        k = MAX_CONDUCTOR // 4 + 1
+        code, out, err = run_cli(capsys, "delta-apply", "--k", str(k), "--state", "psi")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cyclotomic conductor {4 * k} exceeds the ceiling {MAX_CONDUCTOR}\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("delta-apply", "--state", "omega"),
+        ("delta-apply", "--state=-3/2,-1/2", "--inverse"),
+        ("ajcoeffs", "--depth", "2"),
+    ])
+    def test_rational_results_run_at_any_order(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--k", str(10**11))
+        assert code == 0 and out
 
 
 class TestSharedParser:

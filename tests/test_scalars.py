@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfock.scalars import (
+    MAX_CONDUCTOR,
     QQ,
     CycScalar,
     binomial,
@@ -72,6 +73,14 @@ class TestExamples:
         b = cyc_root_of_unity(12, 1)
         with pytest.raises(ValueError, match="conductor mismatch"):
             a * b
+
+    def test_conductor_ceiling(self):
+        assert CycScalar(MAX_CONDUCTOR, [1]).coeffs[0] == 1
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            CycScalar(MAX_CONDUCTOR + 1, [1])
+        # refused before k is factored, which would take minutes here
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            cyc_sqrt_k(10**18 + 3)
 
     def test_rational_elements_mix_across_conductors(self):
         a = CycScalar.from_rational(QQ(1, 2), 8)

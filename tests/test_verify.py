@@ -31,7 +31,7 @@ from twistfock.formal import (
     merged_delta_kernel,
 )
 from twistfock.ramond import format_ramond_word, ramond_basis
-from twistfock.twist import SlotField
+from twistfock.twist import MAX_CUTOFF, SlotField
 from twistfock.verify import (
     _first_slot_family,
     _jacobi_left,
@@ -63,6 +63,20 @@ CUBE2 = Window.cube(("x1", "x2"), QQ(-3, 2), QQ(3, 2))
 CUBE3 = Window.cube(("x0", "x1", "x2"), QQ(-3, 2), QQ(3, 2))
 ASSOC2 = Window.cube(("x0", "x2"), QQ(-3, 2), QQ(3, 2))
 LINE = Window({"x": (QQ(-5, 2), QQ(5, 2))})
+
+
+@pytest.fixture
+def no_checks(monkeypatch):
+    """Replace every check function of the suite by a recorder; the list of
+    the names called is returned."""
+    called = []
+    for name in vars(verify):
+        if name.startswith("check_") or name in (
+                "verify_delta_identity", "round_trip_defect"):
+            monkeypatch.setattr(
+                verify, name,
+                lambda *args, name=name, **kwargs: called.append(name))
+    return called
 
 
 def assert_clean_pass(report):
@@ -475,19 +489,19 @@ class TestRunSuite:
         ("weight", QQ(-1), "weight -1 selects no basis state"),
     ])
     def test_negative_bound_is_refused_before_any_check(
-            self, monkeypatch, field, value, reason):
-        called = []
-        for name in vars(verify):
-            if name.startswith("check_") or name in (
-                    "verify_delta_identity", "round_trip_defect"):
-                monkeypatch.setattr(
-                    verify, name,
-                    lambda *args, name=name, **kwargs: called.append(name))
+            self, no_checks, field, value, reason):
         config = SuiteConfig(k=4, jacobi=False, **{field: value})
         with pytest.raises(ValueError) as raised:
             run_suite(config)
         assert str(raised.value) == f"no coefficients compared: {reason}"
-        assert called == []
+        assert no_checks == []
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_cutoff_above_the_ceiling_is_refused_before_any_check(
+            self, no_checks, k):
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            run_suite(SuiteConfig(k=k, cutoff=MAX_CUTOFF + 1))
+        assert no_checks == []
 
     def test_suite_json_shape(self):
         reports = run_suite(SuiteConfig(k=3))
