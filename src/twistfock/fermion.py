@@ -117,11 +117,10 @@ _word_of = itemgetter(0)
 
 
 def _require_doubled(word: tuple) -> tuple:
-    """The word, once its entries are checked to be doubled-int modes (in a
-    tensor word, tuples of them): a rational mode is refused, never read."""
+    """The word, once its entries are checked to be doubled-int modes: a
+    rational mode is refused, never read."""
     for m in word:
-        if type(m) is not int and not (
-                type(m) is tuple and all(type(x) is int for x in m)):
+        if type(m) is not int:
             raise TypeError(f"word entry {m!r} is not a doubled-int mode; "
                             "encode modes with check_ns_word/check_ramond_word")
     return word
@@ -570,105 +569,3 @@ def ns_basis(max_level) -> list:
 def ramond_basis(max_level) -> list:
     """All parity-twisted words of level <= max_level (mode 0 allowed once)."""
     return _basis(max_level, 0)
-
-
-# ---------------------------------------------------------------------------
-# the tensor power and its signed permutation action
-# ---------------------------------------------------------------------------
-
-
-def tensor_parity(tword) -> int:
-    return sum(len(f) for f in tword) % 2
-
-
-def tensor_vertex_mode(a_tword, t, target_tword):
-    """Lattice mode t of Y(a_1 (x) ... (x) a_k, x) on one tensor word.
-
-    The field factorizes slot-by-slot in the same variable; the mode is the
-    finite convolution over integer slot modes t_1 + ... + t_k = t - (k-1).
-    Each t_j is bounded above by its slot's grading floor and below by the
-    other slots' upper bounds, so the sum is finite.  The Koszul sign counts
-    each odd slot field crossing the odd original factors to its left.
-    """
-    t = QQ(t)
-    k = len(a_tword)
-    if len(target_tword) != k:
-        raise ValueError("tensor words must have the same number of factors")
-    budget_total = t - (k - 1)
-    if budget_total.denominator != 1:
-        return ()
-    budget_total = int(budget_total)
-
-    sign = QQ(1)
-    left_parity = 0
-    for j in range(k):
-        if word_parity(a_tword[j]) and left_parity:
-            sign = -sign
-        left_parity ^= word_parity(target_tword[j])
-
-    # largest integer mode keeping slot j at or above its grading floor
-    his = [
-        rational_floor(word_level(target_tword[j]) + word_level(a_tword[j]) - 1)
-        for j in range(k)
-    ]
-    suffix_hi = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix_hi[j] = suffix_hi[j + 1] + his[j]
-
-    out: dict = {}
-
-    def assemble(j, budget, factors, coeff):
-        if j == k - 1:
-            t_j = budget
-            if t_j > his[j]:
-                return
-            _, res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
-            _accumulate(out, ((factors + (w,), c) for w, c in res), coeff)
-            return
-        lo_j = budget - suffix_hi[j + 1]
-        for t_j in range(his[j], lo_j - 1, -1):
-            _, res = iterate_mode_word(a_tword[j], 2 * t_j, target_tword[j], 0)
-            for w, c in res:
-                assemble(j + 1, budget - t_j, factors + (w,), coeff * c)
-
-    assemble(0, budget_total, (), sign)
-    return tuple(sorted(out.items(), key=lambda item: item[0]))
-
-
-def permutation_action(perm, tword):
-    """The signed right action of a permutation on a tensor word.
-
-    `perm` maps 1-based positions to 1-based positions; the image word has
-    factor v_{perm(i)} in slot i, and the sign is the Koszul sign of the
-    rearrangement: -1 for every inverted pair of odd factors.
-    """
-    k = len(tword)
-    if sorted(perm) != list(range(1, k + 1)):
-        raise ValueError(f"not a permutation of 1..{k}: {perm}")
-    factors = tuple(tword)
-    new_factors = tuple(factors[perm[i] - 1] for i in range(k))
-    sign = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            if perm[i] > perm[j] and len(new_factors[i]) % 2 and len(new_factors[j]) % 2:
-                sign = -sign
-    return new_factors, QQ(sign)
-
-
-def cycle_permutation(k: int) -> tuple:
-    """(1 2 ... k): position i receives the factor from position i+1."""
-    return tuple(list(range(2, k + 1)) + [1])
-
-
-def compose_permutations(g1, g2) -> tuple:
-    """The product acting as: first g1, then g2 (right-action composition)."""
-    return tuple(g1[g2[i] - 1] for i in range(len(g1)))
-
-
-def tensor_slot_vector(v: State, j: int, k: int) -> State:
-    """The tensor state with v in slot j (1-based) and vacua elsewhere."""
-    table = {}
-    for word, coeff in v.terms:
-        factors = tuple(() if i != j - 1 else word for i in range(k))
-        table[factors] = coeff
-    return State(table)

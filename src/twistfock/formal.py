@@ -96,15 +96,6 @@ class Window:
             merged[var] = (lo, hi)
         return Window(merged)
 
-    def shifted(self, var, amount) -> "Window":
-        bounds = dict(self.bounds)
-        lo, hi = self.bounds_for(var)
-        bounds[var] = (_add_opt(lo, amount), _add_opt(hi, amount))
-        return Window(bounds)
-
-    def drop(self, var) -> "Window":
-        return Window({v: b for v, b in self.bounds.items() if v != var})
-
     def lattice_points(self, variables, den: int):
         """All exponent tuples on the (1/den)-lattice inside this window."""
         ranges = []
@@ -366,29 +357,6 @@ class ScalarSeries:
             v: _add_opt(a.supp_hi.get(v), b.supp_hi.get(v)) for v in a.variables
         }
         return ScalarSeries(a.variables, coeffs, window, supp_lo, supp_hi)
-
-    # -- calculus ------------------------------------------------------------------
-
-    def residue(self, var) -> "ScalarSeries":
-        """Coefficient of var^-1, as a series in the remaining variables."""
-        if self.window is not None and not self.window.contains(var, QQ(-1)):
-            slo, shi = self._supp(var)
-            outside = (slo is not None and slo > -1) or (shi is not None and shi < -1)
-            if not outside:
-                raise ValueError(
-                    f"window does not cover the residue exponent -1 in {var}"
-                )
-        i = self.variables.index(var)
-        rest = tuple(v for v in self.variables if v != var)
-        coeffs = {}
-        for mono, val in self.coeffs.items():
-            if mono[i] == -1:
-                reduced = tuple(e for j, e in enumerate(mono) if j != i)
-                coeffs[reduced] = coeffs.get(reduced, ZERO) + val
-        window = None if self.window is None else self.window.drop(var)
-        supp_lo = {v: self.supp_lo.get(v) for v in rest}
-        supp_hi = {v: self.supp_hi.get(v) for v in rest}
-        return ScalarSeries(rest, coeffs, window, supp_lo, supp_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,15 @@ def _reduction_rows(conductor: int) -> tuple:
 MAX_CONDUCTOR = 1024
 
 
+def require_conductor(conductor: int) -> None:
+    """Refuse a conductor outside 1..MAX_CONDUCTOR, before any work."""
+    if conductor < 1:
+        raise ValueError(f"conductor must be >= 1, got {conductor}")
+    if conductor > MAX_CONDUCTOR:
+        raise ValueError(f"cyclotomic conductor {conductor} exceeds the "
+                         f"ceiling {MAX_CONDUCTOR}")
+
+
 class CycScalar:
     """Element of Q(zeta_N): coefficient vector of length phi(N) over Q.
 
@@ -207,11 +216,7 @@ class CycScalar:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        if conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {conductor}")
-        if conductor > MAX_CONDUCTOR:
-            raise ValueError(f"cyclotomic conductor {conductor} exceeds the "
-                             f"ceiling {MAX_CONDUCTOR}")
+        require_conductor(conductor)
         degree = euler_phi(conductor)
         coeffs = [QQ(c) for c in coeffs]
         if len(coeffs) > degree:
@@ -463,7 +468,7 @@ def cyc_sqrt_k(k: int) -> CycScalar:
     primes; the classical sign of the Gauss sum makes every factor positive.
     """
     conductor = 4 * k
-    CycScalar(conductor, ())  # refuses a conductor out of range before factoring
+    require_conductor(conductor)
     square_part = 1
     squarefree = k
     p = 2

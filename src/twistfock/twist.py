@@ -6,9 +6,8 @@ even: the twisted field of a first-slot vector is the parity-twisted field
 of the coordinate-changed vector evaluated at the k-th root of the
 variable, and other slots follow by root-of-unity substitution.  One class,
 ``SlotField``, holds that field for one state in one slot as its exact
-modes.  General pure tensors are normal-ordered products of slot fields.
-The inverse construction recovers the parity-twisted action from the
-twisted action by the opposite coordinate change, with a structurally
+modes.  The inverse construction recovers the parity-twisted action from
+the twisted action by the opposite coordinate change, with a structurally
 enforced branch choice; one class, ``RecoveredField``, holds the recovered
 field of one state.
 
@@ -149,7 +148,7 @@ class SlotField:
 
 
 # ---------------------------------------------------------------------------
-# twisted modes and their normal-ordered products
+# twisted modes
 # ---------------------------------------------------------------------------
 
 
@@ -165,73 +164,6 @@ def twisted_mode(k: int, u: State, m, *, substitution_power: int = 0):
         return lambda state: ZERO_STATE
     field = SlotField(k, u, substitution_power)
     return lambda state: field.mode_at(M, state)
-
-
-class _OrderedProduct:
-    """Normal-ordered product of a slot operator with another operator.
-
-    Creation modes (negative index) of the left factor act on the left;
-    annihilation modes (nonnegative index) are moved to the right across
-    the rest of the product, picking up the Koszul sign of the two
-    parities.  Slot fields of even order, and so their products, have
-    their modes on the (1/k)-lattice; off it a mode is zero.  Modes are
-    cached per (index, state), for as long as the product lives: a nested
-    product asks its right factor for the same modes many times.
-    """
-
-    def __init__(self, left: SlotField, right):
-        self.k = left.k
-        self.weight = left.weight + right.weight
-        self.parity = (left.parity + right.parity) % 2
-        self.left = left
-        self.right = right
-        self._cache = {}
-
-    def mode(self, m, state: State) -> State:
-        key = (m, state)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._mode(m, state)
-        return hit
-
-    def _mode(self, m, state: State) -> State:
-        k = self.k
-        level = state.homogeneous_level()
-        if level is None or (k * m).denominator != 1:
-            return ZERO_STATE
-        step = QQ(1, k)
-        eps = -ONE if (self.left.parity and self.right.parity) else ONE
-        pairs = []
-        # annihilation part of the left factor, moved right
-        n = ZERO
-        n_top = self.left.weight - 1 + level / k
-        while n <= n_top:
-            inner = self.left.mode(n, state)
-            if not inner.is_zero():
-                pairs.append((self.right.mode(m - 1 - n, inner), eps))
-            n += step
-        # creation part of the left factor, kept left
-        n_bottom = m - self.right.weight - level / k
-        n = -step
-        while n >= n_bottom:
-            inner = self.right.mode(m - 1 - n, state)
-            if not inner.is_zero():
-                pairs.append((self.left.mode(n, inner), ONE))
-            n -= step
-        return combine(pairs)
-
-
-def tensor_operator(k: int, factors):
-    """The normal-ordered mode family of a pure tensor of k homogeneous
-    states, nested right-to-left over the slots."""
-    require_even_order(k)
-    if len(factors) != k:
-        raise ValueError(f"expected {k} tensor factors, got {len(factors)}")
-    ops = [SlotField(k, u, j) for j, u in enumerate(factors)]
-    current = ops[-1]
-    for op in reversed(ops[:-1]):
-        current = _OrderedProduct(op, current)
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +312,6 @@ __all__ = [
     "TwistedModuleView",
     "require_cutoff",
     "require_even_order",
-    "tensor_operator",
     "twisted_mode",
     "u_functor_sigma_mode",
 ]

@@ -29,6 +29,7 @@ from .scalars import (
     rational_ceil,
     rational_floor,
     rationalized,
+    require_conductor,
     scalar_str,
 )
 from .formal import (
@@ -802,8 +803,12 @@ def check_twisted_jacobi(
     class of the first, evaluated through the locality-truncated field
     product (the fields supercommute after multiplication by a power of the
     coordinate difference, which cuts the fractional binomial expansion to
-    finitely many orders).  All three exponents are compared
-    coefficient-exactly; x1 and x2 run over int indices 2k·e.
+    finitely many orders).  It is not a normal-ordered product of slot
+    fields for the iterate Y(g^j u, x0) v: that product lacks the
+    fractional binomial C(r/k, i) corrections of the twisted iterate formula
+    (H. Li 1996; Barron-Dong-Mason 2002) and differs at x0^{>=0}.  All
+    three exponents are compared coefficient-exactly; x1 and x2 run over
+    int indices 2k·e.
     """
     require_even_order(k)
     _require_usable(u, "left argument")
@@ -1238,9 +1243,6 @@ def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
     prefactor -k·c/24 plus the conversion constant equals the contracted
     single-factor prefactor -c/(24k).
     """
-    require_even_order(k)
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     view = TwistedModuleView(k, cutoff)
     result = ComparisonResult(f"character-correspondence[k={k},cutoff={cutoff}]")
     operator = view.twisted_weight_operator()
@@ -1287,8 +1289,10 @@ class SuiteConfig(namedtuple(
     bounds the twisted-module words the operator checks act on; ``weight``
     bounds the untwisted states fed to the coordinate-change checks;
     ``depth`` is the expansion depth of the conjugation check (at most
-    ``MAX_CONJUGATION_DEPTH``); both ceilings are checked before any check
-    runs.  ``jacobi`` toggles the (more expensive) three-variable identity.
+    ``MAX_CONJUGATION_DEPTH``); ``k`` is at most ``MAX_CONDUCTOR / 4``, as
+    the slot fields live in Q(zeta_{4k}); the ceilings are checked before
+    any check runs.  ``jacobi`` toggles the (more expensive) three-variable
+    identity.
     """
 
     __slots__ = ()
@@ -1342,6 +1346,7 @@ def run_suite(config: SuiteConfig | None = None) -> list:
     k = cfg.k
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    require_conductor(4 * k)
     radius = QQ(cfg.radius)
     if radius < 0:
         raise ValueError("no coefficients compared: the window is empty")

@@ -474,6 +474,16 @@ class TestConductorCeiling:
             f"error: cyclotomic conductor {4 * k} exceeds the ceiling {MAX_CONDUCTOR}\n"
         )
 
+    def test_verify_above_the_ceiling_exits_two(self, capsys):
+        # every verify run builds Q(zeta_{4k}) for its slot fields, so the
+        # order is refused before any check, at odd k too
+        k = MAX_CONDUCTOR // 4 + 1
+        code, out, err = run_cli(capsys, "verify", "--k", str(k))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cyclotomic conductor {4 * k} exceeds the ceiling {MAX_CONDUCTOR}\n"
+        )
+
     @pytest.mark.parametrize("argv", [
         ("delta-apply", "--state", "omega"),
         ("delta-apply", "--state=-3/2,-1/2", "--inverse"),

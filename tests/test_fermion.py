@@ -1,4 +1,4 @@
-"""Tests for the free-fermion algebra, its vertex operators, and tensor powers."""
+"""Tests for the free-fermion algebra and its vertex operators."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +12,11 @@ from twistfock.fermion import (
     check_ns_word,
     check_ramond_word,
     combine,
-    compose_permutations,
-    cycle_permutation,
     fermion_mode,
     format_ns_word,
     format_ramond_word,
-    iterate_mode_word,
     ns_basis,
-    permutation_action,
     ramond_basis,
-    tensor_parity,
-    tensor_slot_vector,
-    tensor_vertex_mode,
     vertex_mode,
     virasoro,
     word_level,
@@ -84,8 +77,9 @@ class TestModeAlgebra:
         assert PSI == State({check_ns_word((-H,)): QQ(1)})
 
     def test_rational_words_are_refused(self):
-        # a rational mode is never read as a doubled one, or guessed at
-        for bad in ((-H,), (QQ(-1),), (-0.5,)):
+        # a rational mode is never read as a doubled one, or guessed at,
+        # and a word is flat: no entry is a tuple of modes
+        for bad in ((-H,), (QQ(-1),), (-0.5,), ((-1,),)):
             with pytest.raises(TypeError, match="doubled-int"):
                 State({bad: QQ(1)})
 
@@ -332,93 +326,6 @@ class TestMaterializedFields:
                 field(virasoro(-1, v)), exponents, basis,
             )
             assert result.passed
-
-
-# ---------------------------------------------------------------------------
-# tensor powers and the signed permutation action
-# ---------------------------------------------------------------------------
-
-
-class TestTensorPower:
-    def test_identity_on_tensor_square(self):
-        vac2 = ((), ())
-        assert tensor_vertex_mode(vac2, QQ(-1), ((-1,), ())) == (
-            (((-1,), ()), QQ(1)),
-        )
-        assert tensor_vertex_mode(vac2, QQ(0), ((-1,), ())) == ()
-
-    def test_vacuum_second_factor_no_sign(self):
-        u = ((-3,), ())
-        target = ((-1,), (-1,))
-        for t in range(-3, 2):
-            got = dict(tensor_vertex_mode(u, QQ(t), target))
-            expect = {}
-            den, pairs = iterate_mode_word((-3,), 2 * t, (-1,), 0)
-            assert den == 1  # the untwisted sector has integer coefficients
-            for w, c in pairs:
-                expect[(w, (-1,))] = c
-            assert got == expect
-
-    def test_koszul_sign_second_slot(self):
-        """Y(1 (x) u')(v (x) w) picks up -1 for odd u' and odd v."""
-        u = ((), (-1,))
-        target = ((-1,), ())
-        got = dict(tensor_vertex_mode(u, QQ(-1), target))
-        assert got == {((-1,), (-1,)): QQ(-1)}
-
-    def test_slot_vector_embedding(self):
-        v = tensor_slot_vector(PSI, 2, 3)
-        assert v == State({((), (-1,), ()): QQ(1)})
-
-    def test_cycle_action_and_signs(self):
-        even, odd = (), (-1,)
-        swapped, sign = permutation_action((2, 1), (even, even))
-        assert swapped == (even, even) and sign == 1
-        swapped, sign = permutation_action((2, 1), (odd, odd))
-        assert swapped == (odd, odd) and sign == -1
-        moved, sign = permutation_action(cycle_permutation(3), (odd, even, odd))
-        assert moved == (even, odd, odd)
-        assert sign == -1  # odd slot 1 crosses one odd factor
-
-    def test_cycle_shifts_slot_vectors(self):
-        """g u^j = u^{j-1} for the cycle and j >= 2."""
-        k = 3
-        g = cycle_permutation(k)
-        for j in range(2, k + 1):
-            tword = tuple((-1,) if i == j - 1 else () for i in range(k))
-            moved, sign = permutation_action(g, tword)
-            expected = tuple((-1,) if i == j - 2 else () for i in range(k))
-            assert moved == expected and sign == 1
-
-    @given(st.permutations(list(range(1, 5))), st.permutations(list(range(1, 5))))
-    @settings(max_examples=40)
-    def test_right_action_composition(self, g1, g2):
-        factors = ((-1,), (), (-3, -1), (-1,))
-        first, s1 = permutation_action(tuple(g1), factors)
-        second, s2 = permutation_action(tuple(g2), first)
-        combined, s12 = permutation_action(
-            compose_permutations(tuple(g1), tuple(g2)), factors
-        )
-        assert second == combined
-        assert s1 * s2 == s12
-
-    def test_cycle_power_is_identity(self):
-        for k in (2, 3, 4):
-            g = cycle_permutation(k)
-            basis_words = [w for w in ns_basis(QQ(3, 2))]
-            for f1 in basis_words[:3]:
-                for f2 in basis_words[:3]:
-                    tword = tuple([f1, f2] + [()] * (k - 2))
-                    current, total = tword, QQ(1)
-                    for _ in range(k):
-                        current, sign = permutation_action(g, current)
-                        total *= sign
-                    assert current == tword
-                    assert total == 1
-
-    def test_tensor_parity_additive(self):
-        assert tensor_parity(((-1,), (-1,))) == 0
-        assert tensor_parity(((-1,), ())) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from twistfock.twist import (
     SlotField,
     TwistedModuleView,
     require_even_order,
-    tensor_operator,
     twisted_mode,
     u_functor_sigma_mode,
 )
@@ -187,93 +186,7 @@ class TestTensorFactor:
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            tensor_operator(3, (VACUUM, PSI, VACUUM))
-
-
-class TestTensorProduct:
-    def test_all_vacuum_slots_give_identity(self):
-        table = field_table(tensor_operator(2, (VACUUM, VACUUM)), 4)
-        assert exponents(table) == (QQ(0),)
-        for word in KEYS:
-            assert table[QQ(0)][word] == {word: ONE}
-
-    def test_collapse_to_first_slot(self):
-        product = tensor_operator(2, (PSI, VACUUM))
-        single = SlotField(2, PSI)
-        result = compare_fields("collapse1", columns(product, 2),
-                                columns(single, 2), indices(4), KEYS, scale=4)
-        assert result.passed
-
-    def test_collapse_to_second_slot(self):
-        product = tensor_operator(2, (VACUUM, PSI))
-        single = SlotField(2, PSI, 1)
-        result = compare_fields("collapse2", columns(product, 2),
-                                columns(single, 2), indices(4), KEYS, scale=4)
-        assert result.passed
-
-    def test_collapse_order_four(self):
-        product = tensor_operator(4, (VACUUM, OMEGA, VACUUM, VACUUM))
-        single = SlotField(4, OMEGA, 1)
-        result = compare_fields("collapse4", columns(product, 4),
-                                columns(single, 4), indices(8, (-2, 2)), KEYS,
-                                scale=8)
-        assert result.passed
-
-    def test_generator_pair_hand_values(self):
-        # Exact entries on the puncture ground state, computed by hand from
-        # the ordered product of the two slot fields at order two.
-        field = tensor_operator(2, (PSI, PSI))
-        assert field.mode(QQ(0), ground_state()) == State({GROUND: QQ(-1, 4)})
-        assert field.mode(QQ(-1, 2), ground_state()) == State({(-2, 0): -ONE})
-        assert field.mode(QQ(-1), ground_state()).coefficient(GROUND) == 0
-        assert field.parity == 0
-
-    def test_generator_pair_against_slotwise_oracle(self):
-        # Independent oracle: assemble the ordered product directly from
-        # parity-twisted modes with explicit index arithmetic.
-        prefactor = QQ(1, 2)  # product of the two slot prefactors, squared root-2 halves
-
-        def slot_mode(n, flip, state):
-            image = sigma_vertex_mode(PSI, 2 * n + QQ(1, 2), state)
-            if flip and (2 * n).denominator == 1 and int(2 * n) % 2:
-                return image.scaled(-ONE)
-            return image
-
-        field = tensor_operator(2, (PSI, PSI))
-        for word in ramond_basis(QQ(1)):
-            level = word_level(word)
-            state = State({word: ONE})
-            m = QQ(-5, 2)
-            while m <= min(QQ(2), 1 + level / 2):
-                total = ZERO_STATE
-                n = QQ(-1, 2)
-                while n >= m - 1 - level / 2 - 2:
-                    inner = slot_mode(m - 1 - n, True, state)
-                    if not inner.is_zero():
-                        total = total + slot_mode(n, False, inner)
-                    n -= QQ(1, 2)
-                n = QQ(0)
-                while n <= level / 2 - QQ(1, 2) + 1:
-                    inner = slot_mode(n, False, state)
-                    if not inner.is_zero():
-                        total = total + slot_mode(m - 1 - n, True, inner).scaled(-ONE)
-                    n += QQ(1, 2)
-                expected = total.scaled(prefactor)
-                assert field.mode(m, state) == expected, (word, m)
-                m += QQ(1, 2)
-
-    def test_factor_count_enforced(self):
-        with pytest.raises(ValueError, match="factors"):
-            tensor_operator(2, (PSI,))
-
-    def test_zero_factor_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            tensor_operator(2, (PSI, ZERO_STATE))
-
-    def test_parity_of_product(self):
-        assert tensor_operator(2, (PSI, VACUUM)).parity == 1
-        assert tensor_operator(2, (PSI, PSI)).parity == 0
-        assert tensor_operator(2, (PSI, OMEGA)).parity == 1
+            twisted_mode(3, PSI, QQ(0), substitution_power=1)
 
 
 class TestLattices:

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from twistfock.scalars import ONE, QQ
+from twistfock.scalars import MAX_CONDUCTOR, ONE, QQ, binomial
 from twistfock.fermion import (
     OMEGA,
     PSI,
@@ -23,6 +23,7 @@ from twistfock.fermion import (
     ZERO_STATE,
     State,
     combine,
+    vertex_mode,
 )
 from twistfock import verify
 from twistfock.formal import (
@@ -34,6 +35,7 @@ from twistfock.ramond import format_ramond_word, ramond_basis
 from twistfock.twist import MAX_CUTOFF, SlotField
 from twistfock.verify import (
     _first_slot_family,
+    _iterate_top,
     _jacobi_left,
     _pair_scalars,
     _smallest_passing,
@@ -339,6 +341,59 @@ class TestJacobiKernels:
         # the comparison is not vacuous: some coefficients are nonzero
         assert nonzero > 0
 
+    @pytest.mark.parametrize("k, radius, level, count", [
+        (2, 2, QQ(1), 648), (4, 1, QQ(1, 2), 162),
+    ], ids=["k2", "k4"])
+    @pytest.mark.parametrize("u, v", [
+        (PSI, PSI), (OMEGA, OMEGA), (PSI, OMEGA), (OMEGA, PSI), (VACUUM, PSI),
+    ], ids=["psi-psi", "omega-omega", "psi-omega", "omega-psi", "vacuum-psi"])
+    def test_left_side_below_x0_zero_is_the_iterate_field(
+            self, k, radius, level, count, u, v):
+        """At x0^alpha with alpha < 0 only the untwisted class of the right
+        side survives, and it is the first-slot field of the iterate: the
+        x1^e1 x2^e2 coefficient is
+            (1/k) sum_i (-1)^i C(e1 + i, i) (u_{i-alpha-1} v)_{-e1-e2-i-2}
+        for i up to the iterate top plus alpha plus one, the mode being that
+        of the iterate state's `SlotField`.  So the oracle shares neither
+        `_field_product_mode` nor `verify._expanded_product`."""
+        left, right = _first_slot_family(k, u), _first_slot_family(k, v)
+        eps = -ONE if (left.parity and right.parity) else ONE
+        scalars = _pair_scalars(left, right)
+        top = _iterate_top(u, v)
+        step = 2 * k
+        grid = range(-step * radius, step * radius + 1, 2)
+        iterates = {}
+
+        def iterate_field(t):
+            if t not in iterates:
+                state = vertex_mode(u, t, v)
+                iterates[t] = None if state.is_zero() else SlotField(k, state)
+            return iterates[t]
+
+        compared = nonzero = 0
+        for word in ramond_basis(level):
+            w = State({word: ONE})
+            for alpha in range(-radius, 0):
+                for E1 in grid:
+                    for E2 in grid:
+                        terms = []
+                        for i in range(top + alpha + 2):
+                            field = iterate_field(i - alpha - 1)
+                            if field is None:
+                                continue
+                            c = (-1) ** i * binomial(QQ(E1, step) + i, i) / k
+                            image = field.mode_at(-E1 - E2 - step * (i + 2), w)
+                            terms.append((image, c))
+                        expected = combine(terms)
+                        actual = _jacobi_left(left, right, scalars, eps,
+                                              -alpha - 1, E1, E2, w, -sum(word))
+                        assert actual == expected, (alpha, E1, E2, word)
+                        compared += 1
+                        nonzero += not expected.is_zero()
+        assert compared == count
+        # 1_t v = 0 for t >= 0, so the vacuum's left side vanishes below x0^0
+        assert (nonzero > 0) == (u != VACUUM)
+
 
 class TestLocality:
     def test_fermion_pair_has_small_vanishing_power(self):
@@ -501,6 +556,13 @@ class TestRunSuite:
             self, no_checks, k):
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             run_suite(SuiteConfig(k=k, cutoff=MAX_CUTOFF + 1))
+        assert no_checks == []
+
+    def test_order_above_the_conductor_ceiling_is_refused_before_any_check(
+            self, no_checks):
+        k = MAX_CONDUCTOR // 4 + 1
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            run_suite(SuiteConfig(k=k))
         assert no_checks == []
 
     def test_suite_json_shape(self):
