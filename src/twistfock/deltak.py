@@ -25,16 +25,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import lcm
 
 from .scalars import (
     QQ,
     ZERO,
     ONE,
     binomial,
+    integral_split,
     k_to_the,
     rational_ceil,
     rational_floor,
     rationalized,
+    scalar_ratio,
 )
 from .formal import (
     ComparisonResult,
@@ -45,8 +48,12 @@ from .formal import (
 from .fermion import (
     State,
     ZERO_STATE,
+    _accumulate,
+    _content,
+    _rescale,
     combine,
     format_ns_word,
+    iterate_mode_word,
     ns_basis,
     vertex_mode,
     virasoro,
@@ -61,9 +68,9 @@ from .fermion import (
 
 # Deepest coefficient table any caller may ask for.  The solve holds a
 # (J+1) x (J+2) array of exact fractions whose numerators grow with J and
-# costs O(J^3) fraction operations: depth 128 takes about 6.5 s on a 2-core
-# host (a state of weight 255/2, which reads it, about 20 s in all), and a
-# depth of a million would exhaust memory before any check ran.
+# costs O(J^3) fraction operations: depth 128 takes about 6.5-8.5 s on a
+# 2-core host (a state of weight 255/2, which reads it, about 11 s in all),
+# and a depth of a million would exhaust memory before any check ran.
 MAX_TABLE_DEPTH = 128
 
 
@@ -79,9 +86,10 @@ def _require_depth(depth: int) -> None:
 
 # Deepest z0-expansion the conjugation check may run at.  Its cost grows
 # steeply with the depth (the operator is applied to states of weight up to
-# the depth): the k = 3 obstruction suite takes about 0.4 s at the default
-# depth 4, 0.6 s at depth 8, 1.6 s at depth 12 and 5 s at depth 16 on a
-# 2-core host, and runs for minutes at depth 40.
+# the depth): on a 2-core host the k = 3 obstruction suite takes about
+# 0.2 s at the default depth 4, 0.3 s at depth 8 and 0.6 s at depth 12
+# (wall time with start-up), and, measured in process past the ceiling,
+# 1.5 s at depth 16 and 3.7 s at depth 20.
 MAX_CONJUGATION_DEPTH = 12
 
 
@@ -309,6 +317,11 @@ class DeltaExpansion(
         return self.pieces[0][0]
 
 
+# The conformal vector is one half of this doubled word, so L(j) is one half
+# of the recursion's mode 2j + 2 of its field.
+_OMEGA_WORD = (-3, -1)
+
+
 def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     """exp(sign * sum_j a_j L(j)) applied to u, graded by total weight drop.
 
@@ -318,28 +331,58 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     depth at least floor(p).  Each positive Virasoro mode strictly lowers
     the grade, so the series terminates once the drop exceeds the weight
     of u.
+
+    The series runs on integral numerators.  The a_j are ints A_j over
+    their lcm D, and L(j) on a word is read from the untwisted recursion's
+    int numerators, so the m-th term, (sign/m) sum_j a_j L(j) of the one
+    before, is one dict per drop, word -> numerator, over one denominator:
+    the previous one times 2Dm (the conformal vector's 1/2 and the 1/m),
+    reduced by one gcd per term.  The terms are summed per drop over a
+    running lcm, and only those sums become `State`s.
     """
     top = rational_floor(u.homogeneous_level())
-    summands = {0: [(u, ONE)]}
-    term = {0: u}
+    values = [table.a(j) for j in range(1, top + 1)]
+    D = lcm(*[a.denominator for a in values])
+    coeffs = [(j, sign * a.numerator * (D // a.denominator))
+              for j, a in enumerate(values, start=1) if a]
+    den = u.den
+    term = {0: dict(u.nums)}  # drop -> {word: numerator over den}
+    total_den = den
+    totals = {0: dict(u.nums)}
     m = 0
-    while term:
+    while True:
         m += 1
         nxt = {}
-        for drop, state in term.items():
-            for j in range(1, top - drop + 1):
-                image = virasoro(QQ(j), state)
-                if not image.is_zero():
-                    scalar = table.a(j) * QQ(sign) / m
-                    nxt.setdefault(drop + j, []).append((image, scalar))
-        term = {}
-        for d, pairs in nxt.items():
-            s = combine(pairs)
-            if not s.is_zero():
-                term[d] = s
-                summands.setdefault(d, []).append((s, ONE))
-    total = {d: combine(pairs) for d, pairs in summands.items()}
-    return {d: s for d, s in total.items() if not s.is_zero()}
+        for drop, words in term.items():
+            for j, A in coeffs:
+                if j > top - drop:
+                    break
+                out = nxt.setdefault(drop + j, {})
+                mu2 = 2 * j + 2
+                for word, num in words.items():
+                    # the untwisted recursion's denominator is 1
+                    _, pairs = iterate_mode_word(_OMEGA_WORD, mu2, word, 0)
+                    _accumulate(out, pairs, A * num)
+        term = {d: words for d, words in nxt.items() if words}
+        if not term:
+            break
+        den *= 2 * D * m
+        g = _content(den, [num for words in term.values() for num in words.values()])
+        if g != 1:
+            den //= g
+            for words in term.values():
+                for word in words:
+                    words[word] //= g
+        if total_den % den:
+            common = lcm(total_den, den)
+            for words in totals.values():
+                _rescale(words, common // total_den)
+            total_den = common
+        factor = total_den // den
+        for d, words in term.items():
+            _accumulate(totals.setdefault(d, {}), words.items(), factor)
+    return {d: State._of_table(total_den, words)
+            for d, words in totals.items() if words}
 
 
 @lru_cache(maxsize=None)
@@ -484,18 +527,79 @@ def _root_degree(weight, depth_z0: int) -> int:
     return depth_z0 + rational_floor(QQ(weight))
 
 
-def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
+class _KeyedSums:
+    """A map key -> scalar built as a sum of scalar * state, the coefficient
+    of each word of the state under the key (word, *tail).
+
+    The values are integral numerators over one running denominator
+    ``den``, the lcm of the parts added so far, so a state costs one int
+    product per word and at most one rescale, never a `Fraction` per word.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self):
+        self.den = 1
+        self.nums = {}
+
+    def add(self, scalar, state: State, *tail) -> None:
+        """Add scalar * state, keyed on (word, *tail)."""
+        n, d = integral_split(scalar)
+        part = d * state.den
+        den = self.den
+        if den % part:
+            common = lcm(den, part)
+            _rescale(self.nums, common // den)
+            self.den = den = common
+        n *= den // part
+        nums = self.nums
+        get = nums.get
+        for word, num in state.nums:
+            key = (word, *tail)
+            nums[key] = get(key, 0) + n * num
+
+    def lowest(self) -> tuple:
+        """(den, {key: numerator}) without the keys that cancelled, in
+        lowest terms."""
+        nums = {key: num for key, num in self.nums.items() if num}
+        g = _content(self.den, list(nums.values()))
+        if g == 1:
+            return self.den, nums
+        return self.den // g, {key: num // g for key, num in nums.items()}
+
+
+def _compare_sums(result: ComparisonResult, lhs: tuple, rhs: tuple,
+                  prefactor, locate) -> None:
+    """Compare two (den, {key: numerator}) maps on every key of either, in
+    sorted order, across their denominators.  Both values carry the factor
+    ``prefactor``, left out of the sums; a mismatch is recorded at
+    ``locate(key)`` with both values times it (zero for a missing key)."""
+    l_den, l_nums = lhs
+    r_den, r_nums = rhs
+    for key in sorted(l_nums.keys() | r_nums.keys()):
+        x, y = l_nums.get(key, 0), r_nums.get(key, 0)
+        result.compared += 1
+        if x * r_den != y * l_den:
+            result.mismatches.append((
+                locate(key),
+                prefactor * scalar_ratio(x, l_den) if x else ZERO,
+                prefactor * scalar_ratio(y, r_den) if y else ZERO,
+            ))
+
+
+def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
     """Conjugated side: operator, then vertex modes, then inverse operator.
 
-    Returns a dict (word, 2k·z-exponent, z0-exponent) -> scalar, keyed on
-    ints, with every z0-exponent <= depth_z0 included exactly.  The factor
-    k^{p_v - q} of an image of weight q is k^{-p_u} times an integer power
-    of k, so the sums run over Q and k^{-p_u} multiplies each value once.
+    Returns (den, {(word, 2k·z-exponent, z0-exponent): numerator}) in
+    lowest terms, keyed on ints, with every z0-exponent <= depth_z0
+    included exactly; each value is k^{-p_u} times numerator/den.  The
+    factor k^{p_v - q} of an image of weight q is k^{-p_u} times an integer
+    power of k, so the sums run over Q and the common k^{-p_u} is left out.
     """
     p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
     inv = apply_delta(k, v, INVERSE)
-    out = {}
+    sums = _KeyedSums()
     for e_j, piece in inv.pieces:
         w_j = piece.homogeneous_level()
         if w_j is None:
@@ -508,28 +612,21 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> dict:
                 scalar = k_to_the(k, p_v - w_j + t + 1)
                 e_z0 = -t - 1
                 for e_i, result in fwd.pieces:
-                    z = z_j + int(2 * k * e_i)
-                    scale = scalar / result.den
-                    for word, num in result.nums:
-                        key = (word, z, e_z0)
-                        out[key] = out.get(key, ZERO) + scale * num
-    prefactor = k_to_the(k, -p_u)
-    return {key: prefactor * val for key, val in out.items() if val != 0}
+                    sums.add(scalar, result, z_j + int(2 * k * e_i), e_z0)
+    return sums.lowest()
 
 
 def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
-                     roots: _RootPowers) -> dict:
+                     roots: _RootPowers) -> tuple:
     """Transformed side: operator applied to u, then vertex modes in the
     shifted coordinate (z+z0)^{1/k} - z^{1/k}, expanded binomially; the
     powers of the shifted coordinate are read from ``roots``, whose degree
-    must be at least ``_root_degree(p_u + p_v, depth_z0)``.  Keyed as
-    `_conjugation_lhs`; the prefactor k^{-p_u} multiplies each value once.
+    must be at least ``_root_degree(p_u + p_v, depth_z0)``.  Returned as
+    `_conjugation_lhs`, the prefactor k^{-p_u} of every value left out.
     """
-    p_u = u.homogeneous_level()
     p_v = v.homogeneous_level()
     fwd_u = apply_delta(k, u, FORWARD)
-    prefactor = k_to_the(k, -p_u)
-    out = {}
+    sums = _KeyedSums()
     for e_piece, piece in fwd_u.pieces:
         w_piece = piece.homogeneous_level()
         if w_piece is None:
@@ -554,11 +651,8 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
                     if g_c != 0:
                         # 2k times alpha - i + e/k - n
                         z = z_alpha + 2 * (e - k * (i + n))
-                        scale = binom_c * g_c / image.den
-                        for word, num in image.nums:
-                            key = (word, z, i + n)
-                            out[key] = out.get(key, ZERO) + scale * num
-    return {key: prefactor * val for key, val in out.items() if val != 0}
+                        sums.add(binom_c * g_c, image, z, i + n)
+    return sums.lowest()
 
 
 def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
@@ -568,27 +662,29 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
     For every basis state of weight <= cutoff, both sides are expanded as
     maps (word, z-exponent, z0-exponent) -> scalar with z0-exponents capped
     at ``depth`` (at most ``MAX_CONJUGATION_DEPTH``); the two maps must
-    agree on every key; the int keys are decoded only in the locations.
+    agree on every key.  They are compared on their integral numerators,
+    across their denominators; the prefactor k^{-p_u} common to both sides
+    and the decoded int keys enter only a mismatch witness.
     """
     require_conjugation_depth(depth)
     if u.is_zero():
         raise ValueError("conjugation check needs a nonzero homogeneous state")
     p_u = u.homogeneous_level()
+    prefactor = k_to_the(k, -p_u)
     # one table of root powers, deep enough for every basis state
     roots = _RootPowers(k, _root_degree(p_u + QQ(cutoff), depth))
     result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
     for word in ns_basis(cutoff):
         v = State({word: ONE})
-        lhs = _conjugation_lhs(k, u, v, depth)
-        rhs = _conjugation_rhs(k, u, v, depth, roots)
         source = format_ns_word(word)
-        for key in sorted(lhs.keys() | rhs.keys()):
-            out_word, z, e_z0 = key
-            result.compare(
-                (source, format_ns_word(out_word), QQ(z, 2 * k), QQ(e_z0)),
-                lhs.get(key, ZERO),
-                rhs.get(key, ZERO),
-            )
+        _compare_sums(
+            result,
+            _conjugation_lhs(k, u, v, depth),
+            _conjugation_rhs(k, u, v, depth, roots),
+            prefactor,
+            lambda key: (source, format_ns_word(key[0]), QQ(key[1], 2 * k),
+                         QQ(key[2])),
+        )
     return result
 
 
@@ -611,47 +707,40 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
     for word in basis:
         u = State({word: ONE})
         lu = virasoro(QQ(-1), u)
+        source = format_ns_word(word)
 
         # the right side is rhs_scale z^rhs_shift d/dz of (op applied to u)
         for direction, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
             (FORWARD, QQ(1, k), QQ(1, k) - 1, ONE, ZERO),
             (INVERSE, QQ(k), -QQ(1, k) + 1, QQ(k), 1 - QQ(1, k)),
         ):
+            # every value carries the prefactor of op applied to u, left
+            # out of the sums: L(-1) raises the weight by one, so the
+            # prefactor of op applied to L(-1)u is shift_scalar times it
             ex_u = apply_delta(k, u, direction)
-            lhs = {}
+            lhs = _KeyedSums()
             if not lu.is_zero():
-                ex_lu = apply_delta(k, lu, direction)
-                for e, s in ex_lu.pieces:
-                    scale = ex_lu.prefactor / s.den
-                    for w, num in s.nums:
-                        key = (w, e)
-                        lhs[key] = lhs.get(key, ZERO) + scale * num
+                for e, s in apply_delta(k, lu, direction).pieces:
+                    lhs.add(shift_scalar, s, e)
             for e, s in ex_u.pieces:
-                moved = virasoro(QQ(-1), s)
-                scale = shift_scalar * ex_u.prefactor / moved.den
-                for w, num in moved.nums:
-                    key = (w, e + shift_exp)
-                    lhs[key] = lhs.get(key, ZERO) - scale * num
+                lhs.add(-shift_scalar, virasoro(QQ(-1), s), e + shift_exp)
 
-            rhs = {}
+            rhs = _KeyedSums()
             for e, s in ex_u.pieces:
                 if e != 0:
-                    scale = rhs_scale * e * ex_u.prefactor / s.den
-                    for w, num in s.nums:
-                        key = (w, e - 1 + rhs_shift)
-                        rhs[key] = rhs.get(key, ZERO) + scale * num
+                    rhs.add(rhs_scale * e, s, e - 1 + rhs_shift)
 
-            keys = sorted(set(lhs) | set(rhs))
-            if not keys:
+            if not (lhs.nums or rhs.nums):
                 # both sides identically zero: that agreement is itself a check
-                result.compare((direction, format_ns_word(word)), lhs, rhs)
-            for key in keys:
-                w, e = key
-                result.compare(
-                    (direction, format_ns_word(word), format_ns_word(w), e),
-                    lhs.get(key, ZERO),
-                    rhs.get(key, ZERO),
-                )
+                result.compare((direction, source), lhs.nums, rhs.nums)
+            # a key whose sum cancelled is still compared
+            _compare_sums(
+                result,
+                (lhs.den, lhs.nums),
+                (rhs.den, rhs.nums),
+                ex_u.prefactor,
+                lambda key: (direction, source, format_ns_word(key[0]), key[1]),
+            )
     return result
 
 

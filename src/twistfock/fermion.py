@@ -26,13 +26,16 @@ boundary, where `check_ns_word`/`check_ramond_word` encode a word of modes
 and `format_ns_word`/`format_ramond_word` print one.  Lattice indices and
 levels stay exact rationals in the public functions.
 
-A mode of a descendant field on a state of either sector is `field_mode`:
-it sums the recursion's results over the pairs of words of the field's
-vector and of the target in one dict and builds one `State`.  `vertex_mode`
-and `ramond.sigma_vertex_mode` are that function on the two sectors.  Every
-other linear combination of states goes through `combine`, which sums
-scalar * state over all its pairs in one dict, over the lcm of their
-denominators, and reduces and sorts once, instead of after every `+`.
+A sum of modes of descendant fields, each at its own index, on a state of
+either sector is `mode_sum`: it sums the recursion's numerators over every
+field and every pair of words of the field's vector and of the target in
+one dict and builds one `State`.  A single mode, `field_mode`, is its
+one-piece call, and `vertex_mode` and `ramond.sigma_vertex_mode` are that
+on the two sectors; a twisted slot field's mode (`twist.SlotField.image`)
+is one `mode_sum` over its coordinate-change pieces.  Every other linear
+combination of states goes through `combine`, which sums scalar * state
+over all its pairs in one dict, over the lcm of their denominators, and
+reduces and sorts once, instead of after every `+`.
 """
 
 from __future__ import annotations
@@ -496,31 +499,45 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     return den, tuple(out.items())
 
 
+def mode_sum(pieces, target: State, sector_half: int) -> State:
+    """The sum over (v, mu2) pieces of the mode mu2/2 of the field of v on
+    a state of either sector.
+
+    `sector_half` is as in `iterate_mode_word`, and each index mu2 is a
+    doubled lattice index, an int.  Each mode is bilinear in its v and the
+    target: every pair of their words contributes v_num * t_num times the
+    recursion's numerators, all of them summed in one dict over the lcm of
+    the pieces' denominators times the recursion's powers of two, and one
+    `State` is built at the end.
+    """
+    out: dict = {}
+    den = 1
+    for v, mu2 in pieces:
+        v_den = v.den
+        for a_word, a_num in v.nums:
+            for word, t_num in target.nums:
+                inner_den, inner = iterate_mode_word(a_word, mu2, word, sector_half)
+                if inner:
+                    part = v_den * inner_den
+                    if den % part:
+                        common = lcm(den, part)
+                        _rescale(out, common // den)
+                        den = common
+                    _accumulate(out, inner, a_num * t_num * (den // part))
+    return State._of_table(target.den * den, out)
+
+
 def field_mode(v: State, t, target: State, sector_half: int) -> State:
     """Lattice mode t of the field of v on a state of either sector.
 
     `sector_half` is as in `iterate_mode_word`.  The index is doubled
-    once; off the half-integer lattice the mode is zero.  The mode is
-    bilinear in v and the target: every pair of their words contributes
-    a_num * t_num times the recursion's numerators, summed in one dict
-    over the largest of the recursion's power-of-two denominators and
-    then divided by v.den * target.den.
+    once; off the half-integer lattice the mode is zero.  On it, the mode
+    is `mode_sum` of the one piece (v, 2t).
     """
     den = t.denominator
     if den > 2:
         return ZERO_STATE
-    mu2 = t.numerator * (2 // den)
-    out: dict = {}
-    den = 1
-    for a_word, a_num in v.nums:
-        for word, t_num in target.nums:
-            inner_den, inner = iterate_mode_word(a_word, mu2, word, sector_half)
-            if inner:
-                if inner_den > den:
-                    _rescale(out, inner_den // den)
-                    den = inner_den
-                _accumulate(out, inner, a_num * t_num * (den // inner_den))
-    return State._of_table(v.den * target.den * den, out)
+    return mode_sum(((v, t.numerator * (2 // den)),), target, sector_half)
 
 
 def vertex_mode(v: State, t, target: State) -> State:

@@ -28,13 +28,13 @@ from .fermion import (
     State,
     ZERO_STATE,
     combine,
+    mode_sum,
     word_level,
 )
 from .ramond import (
     format_ramond_word,
     ground_weight,
     ramond_basis,
-    sigma_vertex_mode,
 )
 from .deltak import INVERSE, apply_delta
 
@@ -83,7 +83,10 @@ class SlotField:
     a rational m), so a piece's doubled sigma-mode index is an int offset
     plus M.  The pieces have rational coefficients, so the mode splits
     into a rational part, `image`, and one scalar: the prefactor k^{-p}
-    times the root of unity, the only irrational factor.
+    times the root of unity, the only irrational factor.  The image is one
+    `fermion.mode_sum` over the pieces at their doubled indices: the
+    parity-twisted recursion's numerators of every piece are summed in one
+    dict, with no `State` per piece.
 
     Defined for every k >= 1; it closes into a twisted module structure
     only for k even (the odd case is exercised by the obstruction checker).
@@ -129,10 +132,7 @@ class SlotField:
     def image(self, M: int, state: State) -> State:
         """Mode M without its scalar: the sum of the sigma-modes of the
         pieces, a state over Q for a state over Q."""
-        return combine(
-            (sigma_vertex_mode(piece, QQ(offset + M, 2), state), 1)
-            for piece, offset in self._offsets
-        )
+        return mode_sum(self.plan(M), state, 1)
 
     def mode_at(self, M: int, state: State) -> State:
         """Mode M: its scalar times its image, zero off the class lattice."""

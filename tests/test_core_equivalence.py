@@ -39,7 +39,17 @@ run without a cache:
   `_ModeFamily.top` and `verify._field_image`'s annihilation bound as
   rational inequalities, and `_conjugation_lhs`/`_rhs` keyed on rational
   exponents, against the int indices M = scale·m and int keys that
-  replaced them, on indices drawn on and off each lattice.
+  replaced them, on indices drawn on and off each lattice;
+* the coordinate change, slot-field modes and conjugation check on
+  `Fraction` scalars, as they were before they ran on integral numerators:
+  `_exp_virasoro` applying each L(j) through `virasoro` with a `Fraction`
+  a_j and `combine`-ing per drop, `SlotField.image` as a `combine` of one
+  `sigma_vertex_mode` state per coordinate-change piece, the int-keyed
+  `_conjugation_lhs`/`_rhs` adding `Fraction` (or `CycScalar`) values key
+  by key with the prefactor k^{-p_u} in each value, and the
+  `check_conjugation` and `check_L_minus1_identities` that compared such
+  maps value by value; with a planted wrong coefficient both conjugation
+  checks must give the same witnesses.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -98,9 +108,10 @@ from twistfock.scalars import (
     rational_floor,
     scalar_content,
     scalar_is_zero,
+    scalar_ratio,
     scalar_str,
 )
-from twistfock.formal import ScalarSeries, Window
+from twistfock.formal import ComparisonResult, ScalarSeries, Window
 from twistfock.twist import RecoveredField, SlotField
 
 QQ_TYPE = type(QQ(1))
@@ -788,7 +799,7 @@ def test_conjugation_reads_inside_the_stated_degree():
     depth = 3
     degree = deltak._root_degree(u.homogeneous_level() + v.homogeneous_level(), depth)
     rhs = deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree))
-    assert rhs
+    assert rhs[1]
     assert deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree + 4)) == rhs
     with pytest.raises(ValueError, match="outside the exact range"):
         deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree - 1))
@@ -1239,9 +1250,9 @@ def test_int_conjugation_keys_decode_to_the_rational_keys(k, u, word, depth):
                                  depth)
     roots = _RootPowers(k, degree)
     for got, old in (
-        (deltak._conjugation_lhs(k, u, v, depth),
+        (side_values(k, u, deltak._conjugation_lhs(k, u, v, depth)),
          fraction_conjugation_lhs(k, u, v, depth)),
-        (deltak._conjugation_rhs(k, u, v, depth, roots),
+        (side_values(k, u, deltak._conjugation_rhs(k, u, v, depth, roots)),
          fraction_conjugation_rhs(k, u, v, depth, roots)),
     ):
         assert all(type(z) is int and type(z0) is int for _, z, z0 in got)
@@ -1249,3 +1260,311 @@ def test_int_conjugation_keys_decode_to_the_rational_keys(k, u, word, depth):
                    for (w, z, z0), val in sorted(got.items())]
         # equal keys, values and sort order
         assert decoded == sorted(old.items(), key=lambda item: item[0])
+
+
+# ---------------------------------------------------------------------------
+# the coordinate change, slot modes and conjugation check on Fraction
+# scalars, as they were
+# ---------------------------------------------------------------------------
+
+
+def side_values(k, u, side):
+    """A conjugation side, (den, {key: numerator}) without the prefactor
+    k^{-p_u}, as the key -> scalar map of the sides it replaced."""
+    den, nums = side
+    prefactor = k_to_the(k, -u.homogeneous_level())
+    return {key: prefactor * scalar_ratio(num, den) for key, num in nums.items()}
+
+
+def combine_exp_virasoro(u, table, sign):
+    """`deltak._exp_virasoro`: one `virasoro` state per L(j), a `Fraction`
+    scalar a_j sign / m per image, one `combine` per drop and term."""
+    top = rational_floor(u.homogeneous_level())
+    summands = {0: [(u, ONE)]}
+    term = {0: u}
+    m = 0
+    while term:
+        m += 1
+        nxt = {}
+        for drop, state in term.items():
+            for j in range(1, top - drop + 1):
+                image = virasoro(QQ(j), state)
+                if not image.is_zero():
+                    scalar = table.a(j) * QQ(sign) / m
+                    nxt.setdefault(drop + j, []).append((image, scalar))
+        term = {}
+        for d, pairs in nxt.items():
+            s = combine(pairs)
+            if not s.is_zero():
+                term[d] = s
+                summands.setdefault(d, []).append((s, ONE))
+    total = {d: combine(pairs) for d, pairs in summands.items()}
+    return {d: s for d, s in total.items() if not s.is_zero()}
+
+
+def combine_slot_image(field, M, state):
+    """`SlotField.image`: one `sigma_vertex_mode` state per piece, combined."""
+    return combine(
+        (sigma_vertex_mode(piece, QQ(offset + M, 2), state), 1)
+        for piece, offset in field._offsets
+    )
+
+
+def scalar_conjugation_lhs(k, u, v, depth_z0):
+    """`deltak._conjugation_lhs` adding `Fraction`/`CycScalar` values."""
+    p_u = u.homogeneous_level()
+    p_v = v.homogeneous_level()
+    inv = apply_delta(k, v, INVERSE)
+    out = {}
+    for e_j, piece in inv.pieces:
+        w_j = piece.homogeneous_level()
+        if w_j is None:
+            continue
+        z_j = int(2 * k * e_j)
+        for t in range(-depth_z0 - 1, rational_floor(p_u + w_j - 1) + 1):
+            image = vertex_mode(u, t, piece)
+            if image.nums:
+                fwd = apply_delta(k, image, FORWARD)
+                scalar = k_to_the(k, p_v - w_j + t + 1)
+                e_z0 = -t - 1
+                for e_i, result in fwd.pieces:
+                    z = z_j + int(2 * k * e_i)
+                    scale = scalar / result.den
+                    for word, num in result.nums:
+                        key = (word, z, e_z0)
+                        out[key] = out.get(key, ZERO) + scale * num
+    prefactor = k_to_the(k, -p_u)
+    return {key: prefactor * val for key, val in out.items() if val != 0}
+
+
+def scalar_conjugation_rhs(k, u, v, depth_z0, roots):
+    """`deltak._conjugation_rhs` adding `Fraction`/`CycScalar` values."""
+    p_u = u.homogeneous_level()
+    p_v = v.homogeneous_level()
+    fwd_u = apply_delta(k, u, FORWARD)
+    prefactor = k_to_the(k, -p_u)
+    out = {}
+    for e_piece, piece in fwd_u.pieces:
+        w_piece = piece.homogeneous_level()
+        if w_piece is None:
+            continue
+        alpha = e_piece
+        z_alpha = int(2 * k * alpha)
+        t_hi = rational_floor(w_piece + p_v - 1)
+        binoms = [binomial(alpha, i) for i in range(depth_z0 + t_hi + 2)]
+        for t in range(-depth_z0 - 1, t_hi + 1):
+            image = vertex_mode(piece, t, v)
+            if not image.nums:
+                continue
+            e = -t - 1
+            for i in range(0, depth_z0 - e + 1):
+                binom_c = binoms[i]
+                if binom_c == 0:
+                    continue
+                for n in range(e, depth_z0 - i + 1):
+                    g_c = roots.coefficient(e, n)
+                    if g_c != 0:
+                        z = z_alpha + 2 * (e - k * (i + n))
+                        scale = binom_c * g_c / image.den
+                        for word, num in image.nums:
+                            key = (word, z, i + n)
+                            out[key] = out.get(key, ZERO) + scale * num
+    return {key: prefactor * val for key, val in out.items() if val != 0}
+
+
+def scalar_check_conjugation(k, u, *, cutoff=QQ(5, 2), depth=4):
+    """`deltak.check_conjugation` comparing the scalar sides key by key."""
+    p_u = u.homogeneous_level()
+    roots = _RootPowers(k, deltak._root_degree(p_u + QQ(cutoff), depth))
+    result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
+    for word in ns_basis(cutoff):
+        v = State({word: ONE})
+        lhs = scalar_conjugation_lhs(k, u, v, depth)
+        rhs = scalar_conjugation_rhs(k, u, v, depth, roots)
+        source = format_ns_word(word)
+        for key in sorted(lhs.keys() | rhs.keys()):
+            out_word, z, e_z0 = key
+            result.compare(
+                (source, format_ns_word(out_word), QQ(z, 2 * k), QQ(e_z0)),
+                lhs.get(key, ZERO),
+                rhs.get(key, ZERO),
+            )
+    return result
+
+
+def scalar_L_minus1_identities(k, *, cutoff=QQ(2)):
+    """`deltak.check_L_minus1_identities` with the prefactors in every
+    value, compared value by value."""
+    result = ComparisonResult(f"translation-identities[k={k},wt<={cutoff}]")
+    for word in ns_basis(cutoff):
+        u = State({word: ONE})
+        lu = virasoro(QQ(-1), u)
+        for direction, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
+            (FORWARD, QQ(1, k), QQ(1, k) - 1, ONE, ZERO),
+            (INVERSE, QQ(k), -QQ(1, k) + 1, QQ(k), 1 - QQ(1, k)),
+        ):
+            ex_u = apply_delta(k, u, direction)
+            lhs = {}
+            if not lu.is_zero():
+                ex_lu = apply_delta(k, lu, direction)
+                for e, s in ex_lu.pieces:
+                    scale = ex_lu.prefactor / s.den
+                    for w, num in s.nums:
+                        key = (w, e)
+                        lhs[key] = lhs.get(key, ZERO) + scale * num
+            for e, s in ex_u.pieces:
+                moved = virasoro(QQ(-1), s)
+                scale = shift_scalar * ex_u.prefactor / moved.den
+                for w, num in moved.nums:
+                    key = (w, e + shift_exp)
+                    lhs[key] = lhs.get(key, ZERO) - scale * num
+            rhs = {}
+            for e, s in ex_u.pieces:
+                if e != 0:
+                    scale = rhs_scale * e * ex_u.prefactor / s.den
+                    for w, num in s.nums:
+                        key = (w, e - 1 + rhs_shift)
+                        rhs[key] = rhs.get(key, ZERO) + scale * num
+            keys = sorted(set(lhs) | set(rhs))
+            if not keys:
+                result.compare((direction, format_ns_word(word)), lhs, rhs)
+            for key in keys:
+                w, e = key
+                result.compare(
+                    (direction, format_ns_word(word), format_ns_word(w), e),
+                    lhs.get(key, ZERO),
+                    rhs.get(key, ZERO),
+                )
+    return result
+
+
+CYCLOTOMIC_OMEGA = State({(-3, -1): cyc_sqrt_k(2) / 2})  # in delta_inputs()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_exp_virasoro_matches_the_combine_loop(k):
+    inputs = delta_inputs()
+    assert CYCLOTOMIC_OMEGA in inputs
+    for u in inputs:
+        p = u.homogeneous_level()
+        for depth in (covering_depth(p), covering_depth(p) + 2):
+            table = solve_aj(k, depth)
+            for sign in (1, -1):
+                got = deltak._exp_virasoro(u, table, sign)
+                assert got == combine_exp_virasoro(u, table, sign), (
+                    k, u.render(), depth, sign)
+                for piece in got.values():
+                    assert_invariant(piece)
+
+
+def test_exp_virasoro_refuses_a_shallow_table():
+    u = State({(-7, -1): ONE})  # weight 4 reads a_1..a_4
+    for exp_virasoro in (deltak._exp_virasoro, combine_exp_virasoro):
+        with pytest.raises(ValueError, match="outside table of depth 3"):
+            exp_virasoro(u, solve_aj(2, 3), 1)
+
+
+SLOT_STATES = [
+    OMEGA,
+    State({(-5, -1): QQ(-3, 4)}),
+    State({(-7, -1): QQ(2), (-5, -3): QQ(1, 3)}),
+    quasi_primary_combination(),
+    CYCLOTOMIC_OMEGA,
+]
+SLOT_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(3, 2))] + [
+    State({(-2, 0): QQ(-2, 3), (-3, -1): ONE, (-4,): QQ(5, 7)}),
+]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_slot_image_matches_the_combined_sigma_modes(k):
+    distinct_dens = nonzero = 0
+    for u in SLOT_STATES:
+        field = SlotField(k, u)
+        distinct_dens += len({piece.den for _, piece in field.pieces}) > 1
+        for M in range(-6 * k, 2 * k + 1):
+            for target in SLOT_TARGETS:
+                got = field.image(M, target)
+                assert got == combine_slot_image(field, M, target), (
+                    u.render(), M, target.render(format_ramond_word))
+                assert_invariant(got)
+                nonzero += not got.is_zero()
+    assert distinct_dens > 0 and nonzero > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_conjugation_sides_match_the_scalar_sides(k):
+    depth = 3
+    for u in (PSI, OMEGA, CYCLOTOMIC_OMEGA):
+        for word in ns_basis(QQ(3, 2)):
+            v = State({word: ONE})
+            degree = deltak._root_degree(
+                u.homogeneous_level() + v.homogeneous_level(), depth)
+            roots = _RootPowers(k, degree)
+            for got, old in (
+                (deltak._conjugation_lhs(k, u, v, depth),
+                 scalar_conjugation_lhs(k, u, v, depth)),
+                (deltak._conjugation_rhs(k, u, v, depth, roots),
+                 scalar_conjugation_rhs(k, u, v, depth, roots)),
+            ):
+                den, nums = got
+                assert type(den) is int and den > 0
+                assert all(num for num in nums.values())
+                assert gcd(den, *(scalar_content(n) for n in nums.values())) == 1
+                assert side_values(k, u, got) == old, (k, u.render(), word)
+
+
+@pytest.mark.parametrize("k, u", [(2, PSI), (3, PSI), (3, OMEGA), (4, PSI)])
+def test_conjugation_check_matches_the_scalar_check(k, u):
+    got = deltak.check_conjugation(k, u, cutoff=QQ(3, 2), depth=3)
+    assert got == scalar_check_conjugation(k, u, cutoff=QQ(3, 2), depth=3)
+    assert got.passed
+
+
+def test_planted_root_error_gives_the_scalar_witnesses(monkeypatch):
+    """One wrong root-table coefficient: the integral comparison reports the
+    same mismatches as the scalar one, located and valued alike, the values
+    carrying the cyclotomic prefactor 3^{-1/2}."""
+    original = _RootPowers.coefficient
+
+    def planted(self, e, n):
+        value = original(self, e, n)
+        return value + QQ(1, 5) if (e, n) == (1, 2) else value
+
+    monkeypatch.setattr(_RootPowers, "coefficient", planted)
+    got = deltak.check_conjugation(3, PSI)
+    expected = scalar_check_conjugation(3, PSI)
+    assert got.mismatches
+    assert got.mismatches == expected.mismatches
+    assert got == expected
+    prefactor = k_to_the(3, QQ(-1, 2))
+    assert isinstance(prefactor, CycScalar) and not prefactor.is_rational()
+    values = [value for _, lhs, rhs in got.mismatches for value in (lhs, rhs)
+              if not scalar_is_zero(value)]
+    assert values and all(isinstance(value, CycScalar) for value in values)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_translation_identities_match_the_scalar_maps(k):
+    got = deltak.check_L_minus1_identities(k, cutoff=QQ(2))
+    assert got == scalar_L_minus1_identities(k, cutoff=QQ(2))
+    assert got.passed
+
+
+def test_planted_translation_error_gives_the_scalar_witnesses(monkeypatch):
+    """L(-1) scaled by 3/2 breaks both identities: the two checks report
+    the same mismatches, at k = 2 with cyclotomic prefactors k^{-p}."""
+    real = virasoro
+
+    def planted(n, s):
+        image = real(n, s)
+        return image.scaled(QQ(3, 2)) if n == -1 else image
+
+    monkeypatch.setattr(deltak, "virasoro", planted)
+    monkeypatch.setitem(globals(), "virasoro", planted)
+    got = deltak.check_L_minus1_identities(2, cutoff=QQ(2))
+    expected = scalar_L_minus1_identities(2, cutoff=QQ(2))
+    assert got.mismatches
+    assert got == expected
+    assert any(isinstance(value, CycScalar)
+               for _, lhs, rhs in got.mismatches for value in (lhs, rhs))

@@ -236,6 +236,14 @@ class TestApplyDelta:
         assert round_trip_defect(k, state).is_zero()
 
 
+def side_values(k, u, side):
+    """A conjugation side's (den, numerators) as key -> scalar, with the
+    prefactor k^{-p_u} it leaves out."""
+    den, nums = side
+    prefactor = k_to_the(k, -u.homogeneous_level())
+    return {key: prefactor * QQ(num, den) for key, num in nums.items()}
+
+
 class TestConjugation:
     def test_k1_is_trivial(self):
         report = check_conjugation(1, PSI, cutoff=QQ(3, 2), depth=3)
@@ -258,8 +266,8 @@ class TestConjugation:
 
     def test_mismatched_inputs_are_detected(self):
         v = State({(-1,): ONE})
-        lhs = _conjugation_lhs(2, PSI, v, 3)
-        rhs = _conjugation_rhs(2, OMEGA, v, 3, _RootPowers(2, 8))
+        lhs = side_values(2, PSI, _conjugation_lhs(2, PSI, v, 3))
+        rhs = side_values(2, OMEGA, _conjugation_rhs(2, OMEGA, v, 3, _RootPowers(2, 8)))
         assert any(
             lhs.get(key, ZERO) != rhs.get(key, ZERO) for key in set(lhs) | set(rhs)
         )

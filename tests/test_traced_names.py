@@ -28,6 +28,8 @@ def test_tracer_finds_every_name():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
-    from twistfock import ramond, twist
+    from twistfock import ramond, verify
 
-    assert twist.sigma_vertex_mode is ramond.sigma_vertex_mode
+    # the native parity-twisted families call the traced function by this
+    # name (slot-field modes sum their pieces through fermion.mode_sum)
+    assert verify.sigma_vertex_mode is ramond.sigma_vertex_mode
