@@ -96,13 +96,10 @@ def _apply_overrides(namespace: argparse.Namespace, mapping: dict) -> None:
 
 def _config_from_namespace(args: argparse.Namespace) -> argparse.Namespace:
     """The run configuration: the flags with any config-file overrides,
-    checked (k >= 1, cutoff >= 0, depth >= 1, a known or empty format)."""
+    checked (k >= 1, a known or empty format); the library refuses a bad
+    cutoff or depth before any work."""
     if args.k < 1:
         raise ValueError(f"k must be a positive integer, got {args.k}")
-    if getattr(args, "cutoff", 0) < 0:
-        raise ValueError(f"cutoff must be >= 0, got {args.cutoff}")
-    if getattr(args, "depth", 1) < 1:
-        raise ValueError(f"depth must be >= 1, got {args.depth}")
     if args.fmt and args.fmt not in FORMATS:
         raise ValueError(
             f"format must be one of {', '.join(FORMATS)}, got {args.fmt!r}"
@@ -214,13 +211,13 @@ def cmd_delta_apply(cfg: argparse.Namespace) -> int:
     state = parse_state(cfg.state)
     weight = state.homogeneous_level()
     direction = INVERSE if cfg.inverse else FORWARD
-    window = None
-    if cfg.lo is not None or cfg.hi is not None:
-        window = Window({"x": (cfg.lo, cfg.hi)})
-    expansion = apply_delta(cfg.k, state, direction, window)
+    window = Window({"x": (cfg.lo, cfg.hi)})
+    expansion = apply_delta(cfg.k, state, direction)
     rows = []
     json_pieces = []
     for exponent, piece in expansion.pieces:
+        if not window.contains("x", exponent):
+            continue
         if direction == FORWARD:
             j = (weight / cfg.k - weight - exponent) * cfg.k
         else:

@@ -94,7 +94,10 @@ MAX_CONJUGATION_DEPTH = 12
 
 
 def require_conjugation_depth(depth: int) -> None:
-    """Refuse a conjugation depth above MAX_CONJUGATION_DEPTH, before any work."""
+    """Refuse a conjugation depth outside 1..MAX_CONJUGATION_DEPTH, before
+    any work."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > MAX_CONJUGATION_DEPTH:
         raise ValueError(
             f"conjugation depth {depth} exceeds the ceiling {MAX_CONJUGATION_DEPTH}"
@@ -227,7 +230,7 @@ def solve_aj(k: int, J: int) -> AjTable:
 # ---------------------------------------------------------------------------
 
 
-def f_inverse_series(k: int, window: Window, *, with_z: bool = True) -> ScalarSeries:
+def f_inverse_series(k: int, window: Window) -> ScalarSeries:
     """The compositional inverse (1 + k z^{-1/k} x)^{1/k} - 1, truncated.
 
     The leading term is z^{-1/k} x; the x-window must be bounded above
@@ -239,23 +242,17 @@ def f_inverse_series(k: int, window: Window, *, with_z: bool = True) -> ScalarSe
     if hi is None:
         raise ValueError("f_inverse_series needs a bounded x-window")
     top = rational_floor(hi)
-    variables = ("x", "z") if with_z else ("x",)
-    coeffs = {}
-    for m in range(1, top + 1):
-        c = binomial(QQ(1, k), m) * QQ(k) ** m
-        mono = (QQ(m), QQ(-m, k)) if with_z else (QQ(m),)
-        coeffs[mono] = c
-    supp_lo = {"x": ONE}
-    supp_hi = {"x": None}
-    if with_z:
-        supp_lo["z"] = None
-        supp_hi["z"] = QQ(-1, k)
+    coeffs = {
+        (QQ(m), QQ(-m, k)): binomial(QQ(1, k), m) * QQ(k) ** m
+        for m in range(1, top + 1)
+    }
     return ScalarSeries(
-        variables, coeffs, Window({"x": (None, hi)}), supp_lo, supp_hi
+        ("x", "z"), coeffs, Window({"x": (None, hi)}),
+        {"x": ONE, "z": None}, {"x": None, "z": QQ(-1, k)},
     )
 
 
-def check_f_composition(k: int, degree: int = 10, *, with_z: bool = True) -> ComparisonResult:
+def check_f_composition(k: int, degree: int = 10) -> ComparisonResult:
     """Verify that the cover map undoes its compositional inverse.
 
     Substitutes the inverse series into the cover map and compares the
@@ -263,30 +260,21 @@ def check_f_composition(k: int, degree: int = 10, *, with_z: bool = True) -> Com
     x-degree (every lattice point of the window, exact equality).
     """
     window = Window({"x": (None, QQ(degree))})
-    inner = f_inverse_series(k, window, with_z=with_z)
+    inner = f_inverse_series(k, window)
     variables = inner.variables
-    zero_mono = (ZERO,) * len(variables)
-    one = ScalarSeries(variables, {zero_mono: ONE}, None)
+    one = ScalarSeries(variables, {(ZERO, ZERO): ONE}, None)
     shifted = inner + one
     power = one
     for _ in range(k):
         power = power * shifted
     composed = power - one
-    if with_z:
-        prefactor = ScalarSeries(variables, {(ZERO, QQ(1, k)): QQ(1, k)}, None)
-        identity = ScalarSeries(variables, {(ONE, ZERO): ONE}, None)
-    else:
-        prefactor = ScalarSeries(variables, {zero_mono: QQ(1, k)}, None)
-        identity = ScalarSeries(variables, {(ONE,): ONE}, None)
-    composed = prefactor * composed
-    bounds = {"x": (ZERO, QQ(degree))}
-    if with_z:
-        bounds["z"] = (QQ(-degree), QQ(degree))
+    prefactor = ScalarSeries(variables, {(ZERO, QQ(1, k)): QQ(1, k)}, None)
+    identity = ScalarSeries(variables, {(ONE, ZERO): ONE}, None)
     return compare_series(
         f"cover-map-composition[k={k},degree={degree}]",
-        composed,
+        prefactor * composed,
         identity,
-        Window(bounds),
+        Window({"x": (ZERO, QQ(degree)), "z": (QQ(-degree), QQ(degree))}),
         k,
     )
 
@@ -310,11 +298,6 @@ class DeltaExpansion(
     """
 
     __slots__ = ()
-
-    def leading_exponent(self):
-        if not self.pieces:
-            raise ValueError("empty expansion has no leading exponent")
-        return self.pieces[0][0]
 
 
 # The conformal vector is one half of this doubled word, so L(j) is one half
@@ -400,15 +383,13 @@ def _word_drops(k: int, direction: str, word: tuple) -> tuple:
     return tuple(sorted(drops.items()))
 
 
-def apply_delta(k: int, u: State, direction: str = FORWARD,
-                window: Window | None = None) -> DeltaExpansion:
+def apply_delta(k: int, u: State, direction: str = FORWARD) -> DeltaExpansion:
     """Apply the coordinate-change operator of order k to a homogeneous state.
 
     Forward direction: pieces of weight p-j at exponents p/k - p - j/k with
     a common prefactor k^{-p}.  Inverse direction: pieces at exponents
     p - p/k - j with prefactor k^{+p} (the rational part k^{-j} is folded
-    into the piece states).  An optional window keeps only the exponents it
-    contains (variable "x").  The operator is linear, so the pieces are the
+    into the piece states).  The operator is linear, so the pieces are the
     cached per-word pieces weighted by the coefficients of u.
     """
     if k < 1:
@@ -433,8 +414,6 @@ def apply_delta(k: int, u: State, direction: str = FORWARD,
         else:
             exponent = p - p / k - j
             scale = QQ(k) ** (-j) / u.den
-        if window is not None and not window.contains("x", exponent):
-            continue
         state = combine(by_drop[j])
         if state.is_zero():
             continue
@@ -602,8 +581,6 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
     sums = _KeyedSums()
     for e_j, piece in inv.pieces:
         w_j = piece.homogeneous_level()
-        if w_j is None:
-            continue
         z_j = int(2 * k * e_j)
         for t in range(-depth_z0 - 1, rational_floor(p_u + w_j - 1) + 1):
             image = vertex_mode(u, t, piece)
@@ -629,8 +606,6 @@ def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
     sums = _KeyedSums()
     for e_piece, piece in fwd_u.pieces:
         w_piece = piece.homogeneous_level()
-        if w_piece is None:
-            continue
         # z-exponent of the binomial base for this piece, and C(alpha, i)
         alpha = e_piece
         z_alpha = int(2 * k * alpha)

@@ -13,7 +13,6 @@ time from functions the caller builds on their exact modes.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from enum import Enum
 
@@ -95,18 +94,6 @@ class Window:
                 raise ValueError(f"empty window intersection for {var}")
             merged[var] = (lo, hi)
         return Window(merged)
-
-    def lattice_points(self, variables, den: int):
-        """All exponent tuples on the (1/den)-lattice inside this window."""
-        ranges = []
-        for var in variables:
-            lo, hi = self.bounds_for(var)
-            if lo is None or hi is None:
-                raise ValueError(f"cannot enumerate unbounded window for {var}")
-            lo_n = rational_ceil(lo * den)
-            hi_n = rational_floor(hi * den)
-            ranges.append([QQ(n, den) for n in range(lo_n, hi_n + 1)])
-        return itertools.product(*ranges)
 
     def is_bounded(self, variables) -> bool:
         return all(
@@ -495,28 +482,28 @@ def compare_series(
     window: Window,
     lattice_den: int,
 ) -> ComparisonResult:
-    """Compare two series on every lattice point of a bounded window."""
+    """Compare two series on every lattice point of a bounded window.
+
+    Every point must be known on both sides, so only stored monomials can
+    disagree and the zeros elsewhere match for free; a window reaching past
+    what a side knows is refused."""
     variables = tuple(dict.fromkeys(lhs.variables + rhs.variables))
     if not window.is_bounded(variables):
         raise ValueError("comparison window must be bounded")
     lhs_a, rhs_a = lhs._aligned(rhs)
+    if not (_known_on_window(lhs_a, window) and _known_on_window(rhs_a, window)):
+        raise ValueError("comparison window reaches past a truncated series")
     result = ComparisonResult(name)
-    if _known_on_window(lhs_a, window) and _known_on_window(rhs_a, window):
-        # every lattice point is known on both sides, so only stored
-        # monomials can disagree; zeros elsewhere match for free
-        for mono in set(lhs_a.coeffs) | set(rhs_a.coeffs):
-            if not window.contains_mono(lhs_a.variables, mono):
-                continue
-            if any((e * lattice_den).denominator != 1 for e in mono):
-                continue
-            result.compare(
-                mono, lhs_a.coeffs.get(mono, ZERO), rhs_a.coeffs.get(mono, ZERO)
-            )
-        result.mismatches.sort(key=lambda item: item[0])
-        result.compared = _lattice_size(window, lhs_a.variables, lattice_den)
-        return result
-    for mono in window.lattice_points(lhs_a.variables, lattice_den):
-        result.compare(mono, lhs_a.get(mono), rhs_a.get(mono))
+    for mono in set(lhs_a.coeffs) | set(rhs_a.coeffs):
+        if not window.contains_mono(lhs_a.variables, mono):
+            continue
+        if any((e * lattice_den).denominator != 1 for e in mono):
+            continue
+        result.compare(
+            mono, lhs_a.coeffs.get(mono, ZERO), rhs_a.coeffs.get(mono, ZERO)
+        )
+    result.mismatches.sort(key=lambda item: item[0])
+    result.compared = _lattice_size(window, lhs_a.variables, lattice_den)
     return result
 
 

@@ -63,76 +63,6 @@ def binomial(r, i: int):
     return result
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over Q (coefficient lists, low degree first)
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [ZERO] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _psub(a: list, b: list) -> list:
-    return _padd(a, [-c for c in b])
-
-
-def _pmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _ptrim(out)
-
-
-def _pdivmod(a: list, b: list) -> tuple[list, list]:
-    """Exact polynomial division with remainder over Q."""
-    b = _ptrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _ptrim(list(a))
-    quot = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = ONE / b[-1]
-    while len(rem) >= len(b):
-        coeff = rem[-1] * inv_lead
-        deg = len(rem) - len(b)
-        quot[deg] = coeff
-        for i, cb in enumerate(b):
-            rem[deg + i] = rem[deg + i] - coeff * cb
-        _ptrim(rem)
-        if not rem:
-            break
-    return _ptrim(quot), rem
-
-
-def _pxgcd(a: list, b: list) -> tuple[list, list, list]:
-    """Extended gcd over Q[t]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    s0, s1 = [ONE], []
-    t0, t1 = [], [ONE]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    return r0, s0, t0
-
-
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient."""
@@ -152,31 +82,38 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Coefficients of the n-th cyclotomic polynomial (low degree first)."""
-    if n == 1:
-        return (QQ(-1), ONE)
-    # x^n - 1 divided by the product of Phi_d over proper divisors d | n
-    poly = [QQ(-1)] + [ZERO] * (n - 1) + [ONE]
+    """Int coefficients of the n-th cyclotomic polynomial (low degree
+    first): x^n - 1 divided by Phi_d for every proper divisor d of n.  Each
+    Phi_d is monic with int coefficients, so every division is exact int
+    synthetic division."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _pdivmod(poly, list(cyclotomic_poly(d)))
-            if r:
+            divisor = cyclotomic_poly(d)
+            degree = len(divisor) - 1
+            quot = [0] * (len(poly) - degree)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + degree]
+                if c:
+                    for j, b in enumerate(divisor):
+                        poly[i + j] -= c * b
+            if any(poly[:degree]):
                 raise ArithmeticError("cyclotomic polynomial division not exact")
-            poly = q
+            poly = quot
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(conductor: int) -> tuple:
-    """x^j mod Phi_n for phi(n) <= j <= 2 phi(n) - 2, the powers a product
-    of two reduced elements reaches, each as phi(n) ints (low degree
-    first).  Phi_n is monic with integer coefficients, so every row is
-    integral."""
-    poly = [int(c) for c in cyclotomic_poly(conductor)]
+    """x^j mod Phi_n for phi(n) <= j <= max(2 phi(n) - 2, n - 1), each as
+    phi(n) ints (low degree first): every power that a product of two
+    reduced elements reaches, and every power of zeta_n.  Phi_n is monic
+    with int coefficients, so every row is integral."""
+    poly = cyclotomic_poly(conductor)
     degree = len(poly) - 1
     row = [-c for c in poly[:-1]]  # x^degree
     rows = []
-    for _ in range(degree - 1):
+    for _ in range(max(2 * degree - 2, conductor - 1) - degree + 1):
         rows.append(tuple(row))
         top = row[-1]
         row = [0] + row[:-1]
@@ -192,8 +129,9 @@ def _reduction_rows(conductor: int) -> tuple:
 
 # Largest conductor N of Q(zeta_N): an element holds phi(N) coordinates.
 # sqrt(k) lives in Q(zeta_{4k}), so half-integer weights allow k <= 256;
-# `delta-apply --state psi` takes at most about 2.6 s there on a 2-core
-# host (k = 255), and 27 s at k = 1021.
+# `delta-apply --state psi` takes at most about 0.2 s there on a 2-core
+# host (cold, every k <= 256), and 0.4 s at k = 1021 with the ceiling
+# lifted.  Raising the ceiling would change which inputs are refused.
 MAX_CONDUCTOR = 1024
 
 
@@ -217,11 +155,7 @@ class CycScalar:
 
     def __init__(self, conductor: int, coeffs):
         require_conductor(conductor)
-        degree = euler_phi(conductor)
-        coeffs = [QQ(c) for c in coeffs]
-        if len(coeffs) > degree:
-            coeffs = self._reduce(conductor, coeffs)
-        coeffs = coeffs + [ZERO] * (degree - len(coeffs))
+        coeffs = self._reduce(conductor, [QQ(c) for c in coeffs])
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -230,8 +164,22 @@ class CycScalar:
 
     @staticmethod
     def _reduce(conductor: int, coeffs: list) -> list:
-        _, rem = _pdivmod(list(coeffs), list(cyclotomic_poly(conductor)))
-        return rem
+        """The phi(N) power-basis coordinates of sum_j c_j x^j modulo
+        Phi_N, N the conductor: exponents folded with x^N = 1, then every
+        power from phi(N) on replaced by its row of `_reduction_rows`."""
+        if len(coeffs) > conductor:
+            folded = coeffs[:conductor]
+            for j in range(conductor, len(coeffs)):
+                folded[j % conductor] += coeffs[j]
+            coeffs = folded
+        degree = euler_phi(conductor)
+        out = coeffs[:degree] + [ZERO] * (degree - len(coeffs))
+        for c, row in zip(coeffs[degree:], _reduction_rows(conductor)):
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+        return out
 
     @classmethod
     def _of(cls, conductor: int, coeffs: tuple) -> "CycScalar":
@@ -253,8 +201,7 @@ class CycScalar:
 
     @classmethod
     def root_of_unity(cls, conductor: int, exponent: int) -> "CycScalar":
-        exponent %= conductor
-        return cls(conductor, [ZERO] * exponent + [ONE])
+        return cls(conductor, [0] * (exponent % conductor) + [1])
 
     # -- predicates and conversions -----------------------------------------
 
@@ -341,20 +288,13 @@ class CycScalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        degree = len(a.coeffs)
-        raw = [ZERO] * (2 * degree - 1)
+        raw = [ZERO] * (2 * len(a.coeffs) - 1)
         for i, ca in enumerate(a.coeffs):
             if ca:
                 for j, cb in enumerate(b.coeffs):
                     if cb:
                         raw[i + j] += ca * cb
-        out = raw[:degree]
-        for c, row in zip(raw[degree:], _reduction_rows(a.conductor)):
-            if c:
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycScalar._of(a.conductor, tuple(out))
+        return CycScalar._of(a.conductor, tuple(self._reduce(a.conductor, raw)))
 
     __rmul__ = __mul__
 
@@ -363,11 +303,17 @@ class CycScalar:
             raise ZeroDivisionError("division by zero CycScalar")
         if self.is_rational():
             return CycScalar.from_rational(ONE / self.coeffs[0], self.conductor)
-        g, u, _ = _pxgcd(list(self.coeffs), list(cyclotomic_poly(self.conductor)))
-        if len(g) != 1:
-            raise ArithmeticError("inverse failed: gcd not constant")
-        scale = ONE / g[0]
-        return CycScalar(self.conductor, [c * scale for c in u])
+        # the product of the other Galois conjugates (zeta -> zeta^j, j a
+        # unit mod N) over the norm, which is their product with self
+        n = self.conductor
+        others = CycScalar.from_rational(ONE, n)
+        for j in range(2, n):
+            if math.gcd(j, n) == 1:
+                coeffs = [ZERO] * n
+                for i, c in enumerate(self.coeffs):
+                    coeffs[i * j % n] += c
+                others = others * CycScalar(n, coeffs)
+        return others * (ONE / (self * others).rational_value())
 
     def __truediv__(self, other):
         if is_rational(other):
@@ -490,10 +436,12 @@ def cyc_sqrt_k(k: int) -> CycScalar:
                     conductor, -z8
                 )
             else:
+                # the Gauss sum of zeta_p = zeta_N^(N/p), reduced once
                 zp = conductor // p
-                factor = CycScalar.from_rational(0, conductor)
+                powers = [0] * conductor
                 for a in range(p):
-                    factor = factor + cyc_root_of_unity(conductor, zp * (a * a % p))
+                    powers[zp * (a * a % p)] += 1
+                factor = CycScalar(conductor, powers)
                 if p % 4 == 3:
                     # Gauss sum equals i*sqrt(p); divide by i = zeta_4
                     factor = factor * cyc_root_of_unity(conductor, -(conductor // 4))

@@ -233,8 +233,6 @@ class _ModeFamily:
         return self._base + level2
 
     def mode(self, M: int, state: State) -> State:
-        if state.is_zero():
-            return ZERO_STATE
         key = (M, state)
         hit = self._cache.get(key)
         if hit is None:
@@ -309,9 +307,6 @@ def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
     above the top of the inner image is skipped.
     """
     pairs = []
-    ca, cb = outer.eta_class(a), inner.eta_class(b)
-    if ca is None or cb is None:
-        return pairs
     step = inner.scale
     for i, m in enumerate(range(b, inner.top(level2) + 1, step)):
         image = inner.mode(m, state)
@@ -320,8 +315,10 @@ def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
             if product.nums:
                 c = binomial(n, i).numerator
                 pairs.append((product, -c if i % 2 else c))
-    scale = scale * scalars[(ca + cb) % len(scalars)]
-    return [(combine(pairs), scale)] if pairs else pairs
+    if not pairs:
+        return pairs
+    j = (outer.eta_class(a) + inner.eta_class(b)) % len(scalars)
+    return [(combine(pairs), scale * scalars[j])]
 
 
 def _field_product_mode(

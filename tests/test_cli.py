@@ -398,6 +398,18 @@ class TestValidation:
         assert code == 2
         assert "cutoff" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--depth", "0"), "depth must be >= 1, got 0"),
+        (("ajcoeffs", "--depth", "0"), "depth must be >= 1, got 0"),
+        (("char", "--cutoff", "-1"), "cutoff must be >= 0, got -1"),
+        (("twist-build", "--cutoff", "-1"), "cutoff must be >= 0, got -1"),
+        (("verify", "--cutoff", "-1"), "cutoff must be >= 0, got -1"),
+    ])
+    def test_depth_and_cutoff_below_the_floor_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestTableDepthCeiling:
     """ajcoeffs takes the depth as a flag; delta-apply reads a table of depth

@@ -21,9 +21,11 @@ run without a cache:
   state, with an explicit a_j table at the covering depth and deeper;
 * two one-form `verify._commutator_report` calls, against one call that
   walks the grid once for both obstruction forms;
-* the `CycScalar` product as it was: the dense polynomial product `_pmul`
-  reduced by division through the validating constructor, against the
-  cached per-conductor reduction table;
+* `CycScalar` arithmetic by polynomial division over Q, as it was: the
+  dense product `_pmul` and the long division `_pdivmod`, which built each
+  cyclotomic polynomial from x^n - 1 and reduced every product and every
+  root of unity, against the int cyclotomic polynomials and the one
+  per-conductor reduction table;
 * `SlotField.mode` and `RecoveredField.mode` as they were, with the root
   of unity and k^{-p} multiplied into every coefficient, against one
   scalar times the rational image (of the fields and of verify's mode
@@ -57,6 +59,7 @@ and hash-equal to the same state built by `State(dict)`.
 """
 
 from bisect import bisect_left
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -98,8 +101,8 @@ from twistfock.scalars import (
     ZERO,
     CycScalar,
     binomial,
-    _pmul,
     cyc_sqrt_k,
+    cyclotomic_poly,
     eta_k,
     euler_phi,
     is_rational,
@@ -638,13 +641,97 @@ def test_cyclotomic_results_match_validated_construction(a, b, r):
     assert a.is_rational() == all(c == 0 for c in a.coeffs[1:])
 
 
+# ---------------------------------------------------------------------------
+# cyclotomic arithmetic by polynomial division over Q, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _ptrim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pmul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return _ptrim(out)
+
+
+def _pdivmod(a: list, b: list) -> tuple:
+    """Exact polynomial division with remainder over Q."""
+    b = _ptrim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = _ptrim(list(a))
+    quot = [ZERO] * max(0, len(a) - len(b) + 1)
+    inv_lead = ONE / b[-1]
+    while len(rem) >= len(b):
+        coeff = rem[-1] * inv_lead
+        deg = len(rem) - len(b)
+        quot[deg] = coeff
+        for i, cb in enumerate(b):
+            rem[deg + i] = rem[deg + i] - coeff * cb
+        _ptrim(rem)
+        if not rem:
+            break
+    return _ptrim(quot), rem
+
+
+@lru_cache(maxsize=None)
+def fraction_cyclotomic_polys() -> dict:
+    """n -> Phi_n for n <= 120 as `Fraction` coefficient tuples: the old
+    body, x^n - 1 divided by Phi_d over the proper divisors d, with the
+    smaller polynomials read from this table instead of a cache."""
+    polys = {1: (QQ(-1), ONE)}
+    for n in range(2, 121):
+        poly = [QQ(-1)] + [ZERO] * (n - 1) + [ONE]
+        for d in range(1, n):
+            if n % d == 0:
+                q, r = _pdivmod(poly, list(polys[d]))
+                assert not r
+                poly = q
+        polys[n] = tuple(poly)
+    return polys
+
+
+def fraction_reduced(n: int, poly: list) -> CycScalar:
+    """The element of Q(zeta_n) with power-basis polynomial ``poly``,
+    reduced by long division by Phi_n over Q."""
+    _, rem = _pdivmod(list(poly), list(fraction_cyclotomic_polys()[n]))
+    rem = rem + [ZERO] * (euler_phi(n) - len(rem))
+    return CycScalar._of(n, tuple(rem))
+
+
+def test_int_cyclotomic_polynomials_match_the_fraction_division():
+    for n in range(1, 121):
+        got = cyclotomic_poly(n)
+        assert got == fraction_cyclotomic_polys()[n], n
+        assert all(type(c) is int for c in got)
+        assert len(got) == euler_phi(n) + 1
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 60])
+def test_roots_of_unity_match_the_fraction_division(n):
+    for e in range(n):
+        expected = fraction_reduced(n, [ZERO] * e + [ONE])
+        assert_same_scalar(CycScalar.root_of_unity(n, e), expected)
+        assert_same_scalar(CycScalar.root_of_unity(n, e - n), expected)
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 8, 12, 16, 24])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_product_matches_polynomial_division(n, data):
     vectors = st.lists(rationals, min_size=euler_phi(n), max_size=euler_phi(n))
     a, b = data.draw(vectors), data.draw(vectors)
-    expected = CycScalar(n, _pmul(a, b))
+    expected = fraction_reduced(n, _pmul(a, b))
     assert_same_scalar(CycScalar(n, a) * CycScalar(n, b), expected)
 
 
@@ -810,7 +897,7 @@ def test_conjugation_reads_inside_the_stated_degree():
 # ---------------------------------------------------------------------------
 
 
-def direct_apply_delta(k, u, direction, table, window=None, *,
+def direct_apply_delta(k, u, direction, table, *,
                        exp_virasoro=deltak._exp_virasoro):
     if u.is_zero():
         return DeltaExpansion(k, direction, ZERO, ONE, ())
@@ -825,8 +912,6 @@ def direct_apply_delta(k, u, direction, table, window=None, *,
         else:
             exponent = p - p / k - j
             state = state.scaled(QQ(k) ** (-j))
-        if window is not None and not window.contains("x", exponent):
-            continue
         pieces.append((exponent, state))
     pieces.sort(key=lambda item: -item[0])
     prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)

@@ -34,11 +34,6 @@ def _delta(var, window):
 
 
 class TestWindow:
-    def test_lattice_points_quarter_lattice(self):
-        w = Window.cube(("x",), QQ(-1, 2), QQ(1, 2))
-        points = [m[0] for m in w.lattice_points(("x",), 4)]
-        assert points == [QQ(n, 4) for n in range(-2, 3)]
-
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="empty window"):
             Window({"x": (1, 0)})
@@ -128,6 +123,15 @@ class TestProductWindows:
         assert prod.get((QQ(6),)) == 5  # splittings 1+5, 2+4, 3+3, 4+2, 5+1
         with pytest.raises(ValueError, match="outside the window"):
             prod.get((QQ(7),))
+
+    def test_comparison_past_the_truncation_is_refused(self):
+        a = ScalarSeries(
+            ("t",), {(QQ(1),): QQ(1)}, Window({"t": (None, 5)}),
+            {"t": QQ(1)}, {"t": None},
+        )
+        assert compare_series("inside", a, a, Window({"t": (0, 5)}), 1).compared == 6
+        with pytest.raises(ValueError, match="reaches past a truncated series"):
+            compare_series("past", a, a, Window({"t": (0, 6)}), 1)
 
     def test_unbounded_products_rejected(self):
         w = Window.cube(("x",), -3, 3)

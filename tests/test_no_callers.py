@@ -26,8 +26,6 @@ ALLOWED = {
                                   "acceptance criterion 12",
     "twist.TwistedModuleView.twisted_weight_eigenvalue":
         "acceptance criterion 10",
-    "deltak.DeltaExpansion.leading_exponent":
-        "the coordinate change's weight law, tested in test_deltak",
     "fermion.fermion_mode": ORACLE,
     "ramond.ramond_mode": ORACLE,
 }

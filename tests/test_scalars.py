@@ -153,10 +153,10 @@ class TestFieldAxioms:
         """(a*b)*c = a*(b*c)."""
         assert (a * b) * c == a * (b * c)
 
-    @settings(max_examples=40)
-    @given(cyc_scalars())
+    @settings(max_examples=60)
+    @given(st.sampled_from([8, 12, 24]).flatmap(cyc_scalars))
     def test_multiplicative_inverse(self, a):
-        """a * a^-1 = 1 for nonzero a."""
+        """a * a^-1 = 1 for nonzero a, in the fields of k = 2, 3 and 6."""
         if not a.is_zero():
             assert a * a.inverse() == 1
 

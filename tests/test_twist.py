@@ -155,6 +155,10 @@ class TestYbar:
         with pytest.raises(ValueError, match="nonzero"):
             SlotField(2, ZERO_STATE)
 
+    def test_mixed_weight_state_is_refused(self):
+        with pytest.raises(ValueError, match="nonzero homogeneous state"):
+            SlotField(2, PSI + OMEGA)
+
 
 class TestTensorFactor:
     def test_power_zero_is_first_slot(self):

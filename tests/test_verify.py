@@ -441,6 +441,21 @@ class TestStructureChecks:
         for u in (PSI, OMEGA):
             assert_clean_pass(check_grading(2, u, LINE))
 
+    @pytest.mark.parametrize("image, lhs, rhs", [
+        # the Ramond ground state: level 0, the wrong level for most modes
+        (State({(): ONE}), "level 0", "on the nonnegative integers"),
+        # the ground state plus a level-1 word: no level at all
+        (State({(): ONE, (-2,): ONE}), "(1)*|R> + (1)*psi(-1)|R>",
+         "a homogeneous state"),
+    ], ids=["wrong-level", "mixed-level"])
+    def test_grading_reports_a_planted_image(self, monkeypatch, image, lhs, rhs):
+        monkeypatch.setattr(SlotField, "mode_at", lambda self, M, state: image)
+        report = check_grading(2, PSI, LINE)
+        assert report.verdict == "fail"
+        assert 0 < len(report.mismatches) <= report.compared
+        for _, got_lhs, got_rhs in report.mismatches:
+            assert got_lhs == lhs and got_rhs.endswith(rhs)
+
     @pytest.mark.parametrize(
         "use_recovered", [True, False], ids=["recovered", "native"]
     )
@@ -557,6 +572,20 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             run_suite(SuiteConfig(k=k, cutoff=MAX_CUTOFF + 1))
         assert no_checks == []
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_one_is_refused_before_any_check(self, no_checks, depth):
+        with pytest.raises(ValueError) as raised:
+            run_suite(SuiteConfig(k=3, depth=depth))
+        assert str(raised.value) == f"depth must be >= 1, got {depth}"
+        assert no_checks == []
+
+    def test_check_comparing_nothing_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(verify, "verify_delta_identity",
+                            lambda *args: ComparisonResult("planted"))
+        with pytest.raises(ValueError) as raised:
+            run_suite(SuiteConfig(k=2))
+        assert str(raised.value) == "no coefficients compared in check 'planted'"
 
     def test_order_above_the_conductor_ceiling_is_refused_before_any_check(
             self, no_checks):
