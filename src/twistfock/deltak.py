@@ -7,8 +7,8 @@ coordinate.  It provides:
 * the coefficient table of the generating derivation, solved exactly from
   the cover map ((1+x)^k - 1)/k and cross-checked against the compositional
   inverse (1+kx)^{1/k} - 1;
-* the compositional inverse of the cover map as an exact windowed series,
-  and the check that the cover map undoes it;
+* the check that the cover map undoes its compositional inverse, on the
+  exact coefficients of one power series in t = x z^{-1/k};
 * forward and inverse application of the operator to homogeneous states,
   producing finite graded expansions with exact scalar prefactors
   (half-integer weights land in a real quadratic subfield of a cyclotomic
@@ -41,7 +41,6 @@ from .scalars import (
 )
 from .formal import (
     ComparisonResult,
-    ScalarSeries,
     Window,
     compare_series,
 )
@@ -215,8 +214,7 @@ def solve_aj(k: int, J: int) -> AjTable:
     values = tuple(a[1:])
 
     forward = _exp_derivation_on_x(values, +1, J + 1)
-    for m in range(J + 2):
-        oracle = binomial(QQ(1, k), m) * QQ(k) ** m if m >= 1 else ZERO
+    for m, oracle in enumerate(_inverse_cover_series(k, J + 1)):
         if forward[m] != oracle:
             raise ArithmeticError(
                 f"coefficient table failed the inverse-map cross-check at "
@@ -230,50 +228,35 @@ def solve_aj(k: int, J: int) -> AjTable:
 # ---------------------------------------------------------------------------
 
 
-def f_inverse_series(k: int, window: Window) -> ScalarSeries:
-    """The compositional inverse (1 + k z^{-1/k} x)^{1/k} - 1, truncated.
-
-    The leading term is z^{-1/k} x; the x-window must be bounded above
-    because the binomial series does not terminate for k > 1.
-    """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    _, hi = window.bounds_for("x")
-    if hi is None:
-        raise ValueError("f_inverse_series needs a bounded x-window")
-    top = rational_floor(hi)
-    coeffs = {
-        (QQ(m), QQ(-m, k)): binomial(QQ(1, k), m) * QQ(k) ** m
-        for m in range(1, top + 1)
-    }
-    return ScalarSeries(
-        ("x", "z"), coeffs, Window({"x": (None, hi)}),
-        {"x": ONE, "z": None}, {"x": None, "z": QQ(-1, k)},
-    )
+def _inverse_cover_series(k: int, degree: int) -> list:
+    """Coefficients c_0..c_degree, in t = x z^{-1/k}, of the compositional
+    inverse (1 + k t)^{1/k} - 1 of the cover map: c_m = C(1/k, m) k^m."""
+    return [ZERO] + [binomial(QQ(1, k), m) * k**m for m in range(1, degree + 1)]
 
 
 def check_f_composition(k: int, degree: int = 10) -> ComparisonResult:
     """Verify that the cover map undoes its compositional inverse.
 
-    Substitutes the inverse series into the cover map and compares the
-    result against the identity series coefficientwise through the given
-    x-degree (every lattice point of the window, exact equality).
+    In t = x z^{-1/k} the cover map is ((1 + t)^k - 1)/k, so the identity
+    is (1 + sum_{m>=1} C(1/k, m) k^m t^m)^k - 1 = k t.  Both sides are
+    expanded through t^degree, t^m is read as the (x, z) monomial
+    (m, (1 - m)/k) (the cover map's factor z^{1/k} times t^m), and every
+    point of the (1/k)-lattice with x in [0, degree], z in [-degree, degree]
+    is compared, exact equality.
     """
-    window = Window({"x": (None, QQ(degree))})
-    inner = f_inverse_series(k, window)
-    variables = inner.variables
-    one = ScalarSeries(variables, {(ZERO, ZERO): ONE}, None)
-    shifted = inner + one
-    power = one
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    shifted = _inverse_cover_series(k, degree)
+    shifted[0] = ONE
+    power = [ONE] + [ZERO] * degree
     for _ in range(k):
-        power = power * shifted
-    composed = power - one
-    prefactor = ScalarSeries(variables, {(ZERO, QQ(1, k)): QQ(1, k)}, None)
-    identity = ScalarSeries(variables, {(ONE, ZERO): ONE}, None)
+        power = [sum(power[j] * shifted[m - j] for j in range(m + 1))
+                 for m in range(degree + 1)]
+    composed = {(QQ(m), QQ(1 - m, k)): power[m] for m in range(1, degree + 1)}
     return compare_series(
         f"cover-map-composition[k={k},degree={degree}]",
-        prefactor * composed,
-        identity,
+        composed,
+        {(ONE, ZERO): QQ(k)},
         Window({"x": (ZERO, QQ(degree)), "z": (QQ(-degree), QQ(degree))}),
         k,
     )
@@ -731,7 +714,6 @@ __all__ = [
     "check_conjugation",
     "check_f_composition",
     "covering_depth",
-    "f_inverse_series",
     "require_conjugation_depth",
     "round_trip_defect",
     "solve_aj",

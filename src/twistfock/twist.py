@@ -225,6 +225,7 @@ class RecoveredField:
     def mode(self, m, state: State) -> State:
         return self.mode_at(assert_on_lattice(m, 2), state)
 
+
 def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
     """The recovered mode with index m, as a map (``RecoveredField.mode``)."""
     field = RecoveredField(k, u, branch)

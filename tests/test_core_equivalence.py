@@ -14,9 +14,10 @@ run without a cache:
   derivation pass, then a separate pass dividing every entry by m;
 * the unbounded coordinate-change loop, which applies L(j) for every j up
   to the table depth, at the old depth ceil(p) * k + 2;
-* `formal.series_power` with its helpers, which raised the windowed series
-  (1+y)^{1/k} - 1 to each power the conjugation check reads, against the
-  one exact root table `deltak._RootPowers`;
+* ((1+y)^{1/k} - 1)^e as plain truncated power series (repeated products,
+  and the reciprocal series for e < 0), at each power the conjugation
+  check reads, against the one exact root table `deltak._RootPowers`,
+  which expands the same powers by Miller's recurrence;
 * `apply_delta` without the per-word cache: `_exp_virasoro` on the whole
   state, with an explicit a_j table at the covering depth and deeper;
 * two one-form `verify._commutator_report` calls, against one call that
@@ -105,7 +106,6 @@ from twistfock.scalars import (
     cyclotomic_poly,
     eta_k,
     euler_phi,
-    is_rational,
     k_to_the,
     rational_ceil,
     rational_floor,
@@ -114,7 +114,7 @@ from twistfock.scalars import (
     scalar_ratio,
     scalar_str,
 )
-from twistfock.formal import ComparisonResult, ScalarSeries, Window
+from twistfock.formal import ComparisonResult, Window
 from twistfock.twist import RecoveredField, SlotField
 
 QQ_TYPE = type(QQ(1))
@@ -752,129 +752,50 @@ def test_square_orders_give_rational_prefactors():
 
 
 # ---------------------------------------------------------------------------
-# the windowed root power, verbatim
+# the root power as plain truncated power series
 # ---------------------------------------------------------------------------
 
 
-def series_monomial(variables, mono, coeff=1) -> ScalarSeries:
-    return ScalarSeries(tuple(variables), {tuple(QQ(e) for e in mono): QQ(coeff)})
+def _series_product(a: list, b: list) -> list:
+    """The product of two power series truncated to the length of a."""
+    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(len(a))]
 
 
-def _scalar_power(base, exponent):
-    """base**e for rational base: integer e directly, half-integer via sqrt."""
-    e = QQ(exponent)
-    if e.denominator == 1:
-        return QQ(base) ** int(e)
-    if e.denominator != 2:
-        raise ValueError(f"cannot raise scalar to exponent {e}")
-    b = QQ(base)
-    if b <= 0:
-        raise ValueError(f"cannot take half-integer power of {b}")
-    n = rational_floor(e)
-    root = cyc_sqrt_k(int(b.numerator * b.denominator)) / QQ(b.denominator)
-    return (b**n) * root
+def _series_reciprocal(a: list) -> list:
+    """1/a truncated to the length of a, for a[0] != 0."""
+    inverse = [1 / a[0]]
+    for n in range(1, len(a)):
+        inverse.append(-sum(a[j] * inverse[n - j] for j in range(1, n + 1)) / a[0])
+    return inverse
 
 
-def series_power(unit: ScalarSeries, expansion_var, exponent) -> ScalarSeries:
-    """Raise a series with invertible leading term to a rational power.
-
-    The series must have its lowest `expansion_var`-order slice equal to a
-    single monomial c*m; then unit^e = c^e * m^e * (1 + w)^e with w of
-    positive order, expanded binomially and truncated by the window.
-    """
-    e = QQ(exponent)
-    i = unit.variables.index(expansion_var)
-    if unit.window is None:
-        raise ValueError("series_power expects a windowed truncation")
-    lo, hi = unit.window.bounds_for(expansion_var)
-    if lo is None or hi is None:
-        raise ValueError("series_power needs a bounded expansion window")
-    depth = hi - lo
-    orders = sorted({m[i] for m in unit.coeffs})
-    if not orders:
-        raise ValueError("cannot raise the zero series to a power")
-    lead_order = orders[0]
-    lead_terms = [(m, c) for m, c in unit.coeffs.items() if m[i] == lead_order]
-    if len(lead_terms) != 1:
-        raise ValueError("leading slice is not a single monomial")
-    lead_mono, lead_coeff = lead_terms[0]
-    if not is_rational(lead_coeff):
-        raise ValueError("leading coefficient must be rational")
-    # w = unit/lead - 1 has expansion_var-order >= 1 lattice step
-    inv_lead_mono = tuple(-x for x in lead_mono)
-    inv_lead = ScalarSeries(
-        unit.variables,
-        {inv_lead_mono: QQ(1) / lead_coeff},
-        None,
-    )
-    w = (inv_lead * unit) + series_monomial(
-        unit.variables, (ZERO,) * len(unit.variables), -1
-    )
-    result = series_monomial(unit.variables, (ZERO,) * len(unit.variables), 1)
-    w_power = result
-    step_lo = min((m[i] for m in w.coeffs), default=None)
-    if step_lo is None:
-        term_count = 0
-    elif step_lo <= 0:
-        raise ValueError("unit part has nonpositive order; not a unit series")
-    else:
-        term_count = rational_floor(depth / step_lo)
-    for n in range(1, term_count + 1):
-        w_power = w_power * w
-        result = result + w_power.scaled(binomial(e, n))
-    # a non-terminating binomial series is exact only up to the truncation
-    # depth, even when the inputs were complete polynomials; its true support
-    # is the limit over all powers of w, not the hull of the kept terms
-    terminates = e.denominator == 1 and 0 <= e <= term_count
-    if not terminates:
-        cap = Window({expansion_var: (None, depth)})
-        capped = cap if result.window is None else result.window.intersect(cap)
-        supp_lo, supp_hi = {}, {}
-        for var in unit.variables:
-            wlo, whi = w._supp(var)
-            supp_lo[var] = ZERO if (wlo is not None and wlo >= 0) else None
-            supp_hi[var] = ZERO if (whi is not None and whi <= 0) else None
-        supp_lo[expansion_var] = ZERO
-        result = ScalarSeries(
-            result.variables,
-            {
-                m: c
-                for m, c in result.coeffs.items()
-                if capped.contains_mono(result.variables, m)
-            },
-            capped,
-            supp_lo,
-            supp_hi,
-        )
-    prefactor_mono = tuple(x * e for x in lead_mono)
-    prefactor = ScalarSeries(
-        unit.variables, {prefactor_mono: _scalar_power(lead_coeff, e)}, None
-    )
-    return prefactor * result
-
-
-def _geometric_root_series(k: int, top: int) -> ScalarSeries:
-    """(1+y)^{1/k} - 1 as a windowed one-variable series through y^top."""
-    coeffs = {(QQ(m),): binomial(QQ(1, k), m) for m in range(1, top + 1)}
-    return ScalarSeries(
-        ("y",), coeffs, Window({"y": (ONE, QQ(top))}), {"y": ONE}, {"y": None}
-    )
+def root_power_coefficient(k: int, top: int, e: int, n: int):
+    """The coefficient of y^n in ((1+y)^{1/k} - 1)^e, exact for
+    n <= e + top - 1: (1+y)^{1/k} - 1 = (y/k) u with the unit
+    u = sum_m k C(1/k, m+1) y^m, and u^e is a repeated product through
+    y^(top-1), of u for e >= 0 and of its reciprocal for e < 0."""
+    if n < e:
+        return ZERO
+    unit = [k * binomial(QQ(1, k), m + 1) for m in range(top)]
+    factor = unit if e >= 0 else _series_reciprocal(unit)
+    power = [ONE] + [ZERO] * (top - 1)
+    for _ in range(abs(e)):
+        power = _series_product(power, factor)
+    return QQ(1, k) ** e * power[n - e]
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_root_table_matches_the_windowed_power(k):
+    # the truncated power is exact through y^(e + top - 1) and zero below y^e
     for top in (1, 4, 9):
         roots = _RootPowers(k, top - 1)
-        old_root = _geometric_root_series(k, top)
         for e in range(-6, 7):
-            old = series_power(old_root, "y", e)
-            # the old window: exact through y^(e + top - 1), zero below y^e
             for n in range(e - 2, e + top):
-                expected = old.get((QQ(n),))
+                expected = root_power_coefficient(k, top, e, n)
                 got = roots.coefficient(e, n)
                 assert got == expected, (k, top, e, n)
                 assert type(got) is type(expected), (k, top, e, n)
-            # past the window the table raises, never reads as zero
+            # past the exact range the table raises, never reads as zero
             with pytest.raises(ValueError, match="outside the exact range"):
                 roots.coefficient(e, e + top)
 

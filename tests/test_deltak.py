@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from twistfock import deltak
 from twistfock.cli import main
 from twistfock.scalars import QQ, ZERO, ONE, cyc_sqrt_k, k_to_the
-from twistfock.formal import Window
 from twistfock.fermion import (
     OMEGA,
     PSI,
@@ -28,7 +27,6 @@ from twistfock.deltak import (
     check_conjugation,
     check_f_composition,
     covering_depth,
-    f_inverse_series,
     round_trip_defect,
     solve_aj,
     _RootPowers,
@@ -105,13 +103,11 @@ class TestCoefficientTable:
 
 class TestCoverMap:
     def test_k1_cover_map_is_linear(self):
-        finv = f_inverse_series(1, Window({"x": (None, QQ(5))}))
-        assert finv.coeffs == {(ONE, QQ(-1)): ONE}
+        assert deltak._inverse_cover_series(1, 5) == [ZERO, ONE] + [ZERO] * 4
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_inverse_leading_term(self, k):
-        finv = f_inverse_series(k, Window({"x": (None, QQ(6))}))
-        assert finv.coeffs[(ONE, QQ(-1, k))] == ONE
+        assert deltak._inverse_cover_series(k, 6)[:2] == [ZERO, ONE]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_composition_is_identity(self, k):
@@ -119,9 +115,26 @@ class TestCoverMap:
         assert report.passed
         assert report.compared > 0
 
-    def test_inverse_needs_bounded_window(self):
-        with pytest.raises(ValueError, match="bounded"):
-            f_inverse_series(2, Window({"x": (None, None)}))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_compares_every_point_of_the_window(self, k):
+        # x in [0, 4] and z in [-4, 4], both on the (1/k)-lattice
+        assert check_f_composition(k, 4).compared == (4 * k + 1) * (8 * k + 1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_planted_inverse_coefficient_fails_with_a_witness(self, k, monkeypatch):
+        exact = deltak._inverse_cover_series
+
+        def planted(k, degree):
+            coeffs = exact(k, degree)
+            coeffs[3] += QQ(1, 5)
+            return coeffs
+
+        monkeypatch.setattr(deltak, "_inverse_cover_series", planted)
+        report = check_f_composition(k, 6)
+        assert not report.passed
+        # t^3 gains k/5 through the linear term k f of (1 + f)^k; t^3 is the
+        # monomial x^3 z^(-2/k), where the identity side is zero
+        assert report.mismatches[0] == ((QQ(3), QQ(-2, k)), QQ(k, 5), ZERO)
 
 
 class TestApplyDelta:

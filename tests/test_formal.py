@@ -1,13 +1,13 @@
-"""Tests for windowed formal series, delta kernels, and the identity suite."""
+"""Tests for windows, delta-kernel tables, and the identity suite."""
+
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twistfock.formal import (
     ComparisonResult,
     DeltaIdentity,
-    ScalarSeries,
     Window,
     compare_fields,
     compare_series,
@@ -17,15 +17,36 @@ from twistfock.formal import (
 from twistfock.scalars import QQ, ZERO
 
 
-def _series_from(table, variables, window=None, **kw):
-    return ScalarSeries(tuple(variables), {tuple(map(QQ, m)): QQ(c) for m, c in table.items()}, window, **kw)
+def _times(f: dict, kernel: dict) -> dict:
+    """The product of a Laurent polynomial f and a kernel table."""
+    out = {}
+    for fm, fc in f.items():
+        for km, kc in kernel.items():
+            mono = tuple(a + b for a, b in zip(fm, km))
+            out[mono] = out.get(mono, 0) + fc * kc
+    return out
 
 
-def _delta(var, window):
-    """Every integer power of var with coefficient 1, known on the window."""
-    lo, hi = window.bounds_for(var)
-    return _series_from({(n,): 1 for n in range(int(lo), int(hi) + 1)},
-                        (var,), window, supp_lo={var: None}, supp_hi={var: None})
+def _closed_form(point, shift, lattice_den, second_sign, bottom_sign):
+    """The coefficient of top^a second^i bottom^b in the merged kernel,
+    read off its defining sum at one point: e = -b - 1 must lie in
+    shift + Z/lattice_den, i in Z>=0 and a = e - i."""
+    a, i, b = point
+    e = -b - 1
+    if ((e - shift) * lattice_den).denominator != 1:
+        return 0
+    if i.denominator != 1 or i < 0 or a != e - i:
+        return 0
+    i = int(i)
+    c = prod((e - j for j in range(i)), start=Fraction(1)) / factorial(i)
+    c *= Fraction(second_sign) ** i
+    if bottom_sign == -1:
+        c *= Fraction(-1) ** int(e)
+    return c
+
+
+def _points(lo, hi, den):
+    return [Fraction(n, den) for n in range(int(lo * den), int(hi * den) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -38,106 +59,103 @@ class TestWindow:
         with pytest.raises(ValueError, match="empty window"):
             Window({"x": (1, 0)})
 
-    def test_intersect(self):
-        a = Window({"x": (-2, 3)})
-        b = Window({"x": (0, 5)})
-        assert a.intersect(b).bounds_for("x") == (QQ(0), QQ(3))
-
 
 # ---------------------------------------------------------------------------
 # delta kernels
 # ---------------------------------------------------------------------------
 
 
+# (top, second, bottom, window, shift, lattice_den, second_sign, bottom_sign);
+# the last two are the unbounded-top windows of the Jacobi kernel oracle in
+# tests/test_verify.py
+KERNEL_CASES = [
+    ("x1", "x0", "x2", Window.cube(("x0", "x1", "x2"), -3, 3), QQ(1, 2), 1, -1, 1),
+    ("x2", "x0", "x1", Window.cube(("x0", "x1", "x2"), -3, 3), QQ(-1, 2), 1, 1, 1),
+    ("x1", "x0", "x2", Window.cube(("x0", "x1", "x2"), -2, 2), ZERO, 3, -1, 1),
+    ("x1", "x0", "x2", Window.cube(("x0", "x1", "x2"), QQ(-3, 2), QQ(3, 2)),
+     QQ(-1, 3), 2, 1, 1),
+    ("x1", "x2", "x0", Window.cube(("x0", "x1", "x2"), -2, 2), ZERO, 1, -1, -1),
+    ("x1", "x2", "x0", Window({"x0": (-1, 1), "x2": (0, 8)}), ZERO, 1, -1, 1),
+    ("x2", "x1", "x0", Window({"x0": (-1, 1), "x1": (0, 8)}), ZERO, 1, -1, -1),
+]
+
+
 class TestDeltaKernels:
     def test_substitution_property(self):
         """f(x1) * x2^-1 delta(x1/x2) = f(x2) * x2^-1 delta(x1/x2)."""
-        w = Window({"x1": (-4, 4), "x2": (-4, 4)})
-        kernel = _series_from(
-            {(n, -n - 1): 1 for n in range(-8, 9)},
-            ("x1", "x2"),
-            w,
-            supp_lo={"x1": None, "x2": None},
-            supp_hi={"x1": None, "x2": None},
+        # x0 held at exponent 0 leaves x2^-1 delta(x1/x2); the kernel is
+        # complete for x2 in [-9, 8], so both products are exact on the
+        # inner window
+        kernel = merged_delta_kernel(
+            "x1", "x0", "x2", Window({"x0": (0, 0), "x2": (-9, 8)})
         )
-        f1 = _series_from({(2, 0): 3, (-1, 0): 5}, ("x1", "x2"))
-        f2 = _series_from({(0, 2): 3, (0, -1): 5}, ("x1", "x2"))
-        lhs = f1 * kernel
-        rhs = f2 * kernel
-        inner = Window({"x1": (-2, 2), "x2": (-2, 2)})
-        result = compare_series("delta-substitution", lhs, rhs, inner, 1)
-        assert result.passed
+        f1 = {(ZERO, QQ(2), ZERO): QQ(3), (ZERO, QQ(-1), ZERO): QQ(5)}
+        f2 = {(ZERO, ZERO, QQ(2)): QQ(3), (ZERO, ZERO, QQ(-1)): QQ(5)}
+        inner = Window({"x0": (0, 0), "x1": (-2, 2), "x2": (-2, 2)})
+        lhs = _times(f1, kernel)
+        assert any(inner.contains_mono(("x0", "x1", "x2"), m) for m in lhs)
+        result = compare_series("delta-substitution", lhs, _times(f2, kernel),
+                                inner, 1)
+        assert result.passed and result.compared == 25
 
     def test_merged_kernel_is_delta_at_integer_lattice(self):
         w = Window.cube(("x1", "x0", "x2"), -3, 3)
         kernel = merged_delta_kernel("x1", "x0", "x2", w)
-        # coefficient at (n-i, i, -n-1) is C(n,i)*(-1)^i
-        assert kernel.get((QQ(2), QQ(0), QQ(-3))) == 1
-        assert kernel.get((QQ(1), QQ(1), QQ(-3))) == -2
-        assert kernel.get((QQ(0), QQ(1), QQ(-2))) == -1
+        # x1^(n-i) x0^i x2^(-n-1) has C(n,i)*(-1)^i, keyed (x0, x1, x2)
+        assert kernel[(QQ(0), QQ(2), QQ(-3))] == 1
+        assert kernel[(QQ(1), QQ(1), QQ(-3))] == -2
+        assert kernel[(QQ(1), QQ(0), QQ(-2))] == -1
 
-
-# ---------------------------------------------------------------------------
-# window soundness of products
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def unit_truncations(draw):
-    depth = 5
-    coeffs = {(QQ(0),): QQ(1)}
-    for n in range(1, depth + 1):
-        coeffs[(QQ(n),)] = QQ(draw(st.integers(-4, 4)))
-    return ScalarSeries(
-        ("t",), coeffs, Window({"t": (None, depth)}), {"t": ZERO}, {"t": None}
-    )
-
-
-class TestProductWindows:
-    @given(unit_truncations(), unit_truncations(), unit_truncations())
-    @settings(max_examples=30)
-    def test_associativity_inside_windows(self, a, b, c):
-        """(a*b)*c and a*(b*c) agree wherever both windows claim knowledge."""
-        left = (a * b) * c
-        right = a * (b * c)
-        lo = QQ(0)
-        hi = min(left.window.bounds_for("t")[1], right.window.bounds_for("t")[1])
-        result = compare_series(
-            "assoc", left, right, Window({"t": (lo, hi)}), 1
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=range(len(KERNEL_CASES)))
+    def test_table_is_the_closed_form_at_every_point(self, case):
+        top, second, bottom, window, shift, lattice_den, s_sign, b_sign = case
+        table = merged_delta_kernel(
+            top, second, bottom, window, shift=shift, lattice_den=lattice_den,
+            second_sign=s_sign, bottom_sign=b_sign,
         )
-        assert result.passed
+        den = 2 * lattice_den * shift.denominator
+        blo, bhi = window.bounds_for(bottom)
+        slo, shi = window.bounds_for(second)
+        tlo, thi = window.bounds_for(top)
+        # an unbounded top reaches e - i >= -bhi - 1 - shi at most; look
+        # two steps past that on both sides
+        tlo = -bhi - 3 - shi if tlo is None else tlo
+        thi = -blo + 1 if thi is None else thi
+        order = sorted((top, second, bottom))
+        points = [
+            (a, i, b)
+            for a in _points(tlo, thi, den)
+            for i in _points(slo, shi, den)
+            for b in _points(blo, bhi, den)
+        ]
+        seen, nonzero = set(), 0
+        for point in points:
+            named = dict(zip((top, second, bottom), point))
+            mono = tuple(named[v] for v in order)
+            seen.add(mono)
+            expected = _closed_form(point, shift, lattice_den, s_sign, b_sign)
+            assert table.get(mono, 0) == expected, point
+            nonzero += expected != 0
+        assert nonzero == len(table) > 0
+        assert set(table) <= seen
 
-    def test_truncation_window_shrinks_soundly(self):
-        # multiplying truncations known to order 5 starting at order 1
-        # yields knowledge exactly up to order 6
-        a = ScalarSeries(
-            ("t",),
-            {(QQ(n),): QQ(1) for n in range(1, 6)},
-            Window({"t": (None, 5)}),
-            {"t": QQ(1)},
-            {"t": None},
-        )
-        prod = a * a
-        assert prod.window.bounds_for("t")[1] == 6
-        assert prod.get((QQ(2),)) == 1
-        assert prod.get((QQ(6),)) == 5  # splittings 1+5, 2+4, 3+3, 4+2, 5+1
-        with pytest.raises(ValueError, match="outside the window"):
-            prod.get((QQ(7),))
+    def test_planted_coefficient_is_the_one_witness(self):
+        w = Window.cube(("x0", "x1", "x2"), -2, 2)
+        kernel = merged_delta_kernel("x1", "x0", "x2", w, shift=QQ(1, 2))
+        mono = sorted(kernel)[len(kernel) // 2]
+        planted = dict(kernel)
+        planted[mono] += QQ(1, 7)
+        result = compare_series("planted", planted, kernel, w, 2)
+        assert result.compared == 9**3
+        assert result.mismatches == [(mono, kernel[mono] + QQ(1, 7), kernel[mono])]
 
-    def test_comparison_past_the_truncation_is_refused(self):
-        a = ScalarSeries(
-            ("t",), {(QQ(1),): QQ(1)}, Window({"t": (None, 5)}),
-            {"t": QQ(1)}, {"t": None},
-        )
-        assert compare_series("inside", a, a, Window({"t": (0, 5)}), 1).compared == 6
-        with pytest.raises(ValueError, match="reaches past a truncated series"):
-            compare_series("past", a, a, Window({"t": (0, 6)}), 1)
-
-    def test_unbounded_products_rejected(self):
-        w = Window.cube(("x",), -3, 3)
-        d = _delta("x", w)
-        with pytest.raises(ValueError, match="non-composable"):
-            d * d
+    @pytest.mark.parametrize("bounds, message", [
+        ({"x0": (0, 3), "x2": (None, 3)}, "denominator variable"),
+        ({"x0": (0, None), "x2": (-3, 3)}, "expansion variable"),
+    ])
+    def test_unbounded_bottom_or_expansion_is_refused(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            merged_delta_kernel("x1", "x0", "x2", Window(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +261,16 @@ class TestDeltaIdentities:
 
     def test_mismatch_reported(self):
         w = Window({"x": (-1, 1)})
-        a = _delta("x", w)
-        b = a.scaled(2)
+        a = {(QQ(n),): QQ(1) for n in range(-1, 2)}
+        b = {mono: 2 * c for mono, c in a.items()}
         result = compare_series("scaled", a, b, w, 1)
         assert not result.passed
         assert len(result.mismatches) == 3
+
+    def test_unbounded_comparison_window_is_refused(self):
+        a = {(QQ(1),): QQ(1)}
+        with pytest.raises(ValueError, match="must be bounded"):
+            compare_series("unbounded", a, a, Window({"t": (0, None)}), 1)
 
 
 if __name__ == "__main__":

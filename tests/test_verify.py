@@ -265,8 +265,9 @@ class TestTwistedJacobi:
 class TestJacobiKernels:
     """The left side of the three-variable identity built a second way.
 
-    Each monomial c x1^p1 x2^p2 x0^p0 of the kernel x0^{-1} delta((x1-x2)/x0)
-    from `formal.merged_delta_kernel` contributes c A(p1-e1-1) B(p2-e2-1) w
+    Each monomial c x0^p0 x1^p1 x2^p2 (keyed (p0, p1, p2)) of the kernel
+    table x0^{-1} delta((x1-x2)/x0) from `formal.merged_delta_kernel`,
+    complete on a window with x1 unbounded, contributes c A(p1-e1-1) B(p2-e2-1) w
     to the x0^p0 x1^e1 x2^e2 coefficient; each monomial of
     x0^{-1} delta((x2-x1)/(-x0)) contributes -eps c B(p2-e2-1) A(p1-e1-1) w.
     A and B are the raw slot-field modes, with no annihilation bound, so the
@@ -319,13 +320,13 @@ class TestJacobiKernels:
                 for e1 in grid:
                     for e2 in grid:
                         terms = []
-                        for (p1, p2, p0), c in first.coeffs.items():
+                        for (p0, p1, p2), c in first.items():
                             if p0 == alpha:
                                 inner = act(field_b, p2 - e2 - 1, w)
                                 terms.append(
                                     (act(field_a, p1 - e1 - 1, inner), c)
                                 )
-                        for (p2, p1, p0), c in second.coeffs.items():
+                        for (p0, p1, p2), c in second.items():
                             if p0 == alpha:
                                 inner = act(field_a, p1 - e1 - 1, w)
                                 terms.append(
