@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 
 from .scalars import (
@@ -406,9 +406,24 @@ def fermion_mode(n, s: State) -> State:
 # and the zero mode's 1/2 are not integers.  Every index shift above is a
 # multiple of 1/2 and the recursion ends at mu = -1, so an index off the
 # half-integer lattice gives zero at once.
+#
+# The vacuum's field is the identity: its only nonzero mode is index -1.
+# So on a one-mode word (a' the vacuum) each regular sum keeps one term,
+# in closed form: the first at i = s - 1 - mu, the second at
+# i = n + mu - s + 1, each when it is an integer >= 0.  Where the field
+# word itself is empty (the twisted correction on a two-mode word, a
+# vacuum piece in `mode_sum`) the caller applies the identity inline, so
+# an empty field word never becomes a cache entry.
 
 
 _NOTHING = (1, ())
+
+
+@lru_cache(maxsize=None)
+def _half_binomial(i: int) -> tuple:
+    """C(1/2, i) of the twisted correction as an int (numerator,
+    denominator) pair; the denominator is a power of two."""
+    return integral_split(binomial(HALF, i))
 
 
 @lru_cache(maxsize=None)
@@ -423,6 +438,15 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     mode's 1/2 and the twisted correction's C(1/2, i) are the only
     fractions).  Every sum of the recursion is finite because annihilation
     kills high modes and the graded pieces below the sector floor vanish.
+
+    A one-mode field word (m1,) is in closed form.  Its a' is the vacuum,
+    whose field is the identity at index -1 only, so each regular sum
+    keeps the one i that puts a' there: 2i = sector_half - 2 - mu2 in the
+    first and 2i = m1 + 1 + mu2 - sector_half in the second, when that is
+    even and >= 0, with the int coefficient (-1)^i C(n, i) = C(i-n-1, i).
+    Only the twisted correction recurses.  The empty field word is the
+    identity at mu2 = -2; the recursion and `mode_sum` apply it inline and
+    never ask for it.
     """
     if not a_word:
         return (1, ((word, 1),)) if mu2 == -2 else _NOTHING
@@ -432,62 +456,89 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     out: dict = {}
     den = 1  # a power of two; an inner result's den divides it or is a multiple
 
-    # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
-    # the level left above the sector floor, and drops by 2 per step
-    room = -sum(word) - sum(rest) - mu2 + sector_half - 2
-    d = 1
-    i = 0
-    while room >= 0:
-        psi2 = sector_half + m1 - 2 * i
-        inner_den, inner = iterate_mode_word(
-            rest, mu2 - sector_half + 2 * i, word, sector_half)
-        if inner:
+    if not rest:
+        # first regular sum: (a')_{mu-s+i} is the identity at mu-s+i = -1;
+        # the room left there is the target's level, never negative
+        twice_i = sector_half - 2 - mu2
+        if twice_i >= 0 and not twice_i & 1:
+            i = twice_i // 2
+            psi2 = sector_half + m1 - twice_i
             if not psi2:  # the zero mode's coefficients come doubled
-                inner_den *= 2
-            if inner_den > den:
-                _rescale(out, inner_den // den)
-                den = inner_den
-            factor = d * (den // inner_den)
-            for mid_word, mid_num in inner:
-                _accumulate(out, _apply2(mid_word, psi2), factor * mid_num)
-        d = d * (i - n) // (i + 1)
-        i += 1
-        room -= 2
-
-    # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
-    # above the word's largest creation mode kill it
-    if word:
-        sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
-        top = -word[0]
+                den = 2
+            _accumulate(out, _apply2(word, psi2), comb(i - n - 1, i))
+        # second regular sum: (a')_{n+mu-s-i} is the identity at
+        # n+mu-s-i = -1; an annihilator missing from the word gives nothing
+        twice_i = m1 + 1 + mu2 - sector_half
+        if twice_i >= 0 and not twice_i & 1:
+            i = twice_i // 2
+            sign = 1 if n & 1 else -1  # -eps (-1)^n with eps = 1
+            _accumulate(out, _apply2(word, sector_half + 1 + twice_i),
+                        sign * den * comb(i - n - 1, i))
+    else:
+        # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
+        # the level left above the sector floor, and drops by 2 per step
+        room = -sum(word) - sum(rest) - mu2 + sector_half - 2
         d = 1
         i = 0
-        psi2 = sector_half + 1
-        while psi2 <= top:
-            for mid_word, mid_num in _apply2(word, psi2):
-                inner_den, inner = iterate_mode_word(
-                    rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
-                if inner:
-                    if inner_den > den:
-                        _rescale(out, inner_den // den)
-                        den = inner_den
-                    _accumulate(out, inner, sign * d * mid_num * (den // inner_den))
+        while room >= 0:
+            psi2 = sector_half + m1 - 2 * i
+            inner_den, inner = iterate_mode_word(
+                rest, mu2 - sector_half + 2 * i, word, sector_half)
+            if inner:
+                if not psi2:  # the zero mode's coefficients come doubled
+                    inner_den *= 2
+                if inner_den > den:
+                    _rescale(out, inner_den // den)
+                    den = inner_den
+                factor = d * (den // inner_den)
+                for mid_word, mid_num in inner:
+                    _accumulate(out, _apply2(mid_word, psi2), factor * mid_num)
             d = d * (i - n) // (i + 1)
             i += 1
-            psi2 += 2
+            room -= 2
 
-    # twisted correction terms: strictly lower weight, same length
+        # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
+        # above the word's largest creation mode kill it
+        if word:
+            sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
+            top = -word[0]
+            d = 1
+            i = 0
+            psi2 = sector_half + 1
+            while psi2 <= top:
+                for mid_word, mid_num in _apply2(word, psi2):
+                    inner_den, inner = iterate_mode_word(
+                        rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
+                    if inner:
+                        if inner_den > den:
+                            _rescale(out, inner_den // den)
+                            den = inner_den
+                        _accumulate(out, inner, sign * d * mid_num * (den // inner_den))
+                d = d * (i - n) // (i + 1)
+                i += 1
+                psi2 += 2
+
+    # twisted correction terms: strictly lower weight
     if sector_half:
         bound2 = -m1 - (rest[0] if rest else 0)
         for i in range(1, bound2 // 2 + 1):
+            b_num, b_den = _half_binomial(i)
+            inner_mu2 = mu2 - 2 * i
             for mid_word, mid_num in _apply2(rest, m1 + 2 * i):
-                inner_den, inner = iterate_mode_word(mid_word, mu2 - 2 * i, word, sector_half)
-                if inner:
-                    b_num, b_den = integral_split(binomial(HALF, i))
-                    inner_den *= b_den
-                    if inner_den > den:
-                        _rescale(out, inner_den // den)
-                        den = inner_den
-                    _accumulate(out, inner, -b_num * mid_num * (den // inner_den))
+                if mid_word:
+                    inner_den, inner = iterate_mode_word(
+                        mid_word, inner_mu2, word, sector_half)
+                    if not inner:
+                        continue
+                elif inner_mu2 == -2:  # the vacuum's field, inline
+                    inner_den, inner = 1, ((word, 1),)
+                else:
+                    continue
+                inner_den *= b_den
+                if inner_den > den:
+                    _rescale(out, inner_den // den)
+                    den = inner_den
+                _accumulate(out, inner, -b_num * mid_num * (den // inner_den))
 
     if not out:
         return _NOTHING
@@ -508,22 +559,29 @@ def mode_sum(pieces, target: State, sector_half: int) -> State:
     target: every pair of their words contributes v_num * t_num times the
     recursion's numerators, all of them summed in one dict over the lcm of
     the pieces' denominators times the recursion's powers of two, and one
-    `State` is built at the end.
+    `State` is built at the end.  A vacuum word of v is the identity field,
+    applied inline at mu2 = -2 and skipped at every other index.
     """
     out: dict = {}
     den = 1
     for v, mu2 in pieces:
         v_den = v.den
         for a_word, a_num in v.nums:
+            if not a_word and mu2 != -2:
+                continue
             for word, t_num in target.nums:
-                inner_den, inner = iterate_mode_word(a_word, mu2, word, sector_half)
-                if inner:
-                    part = v_den * inner_den
-                    if den % part:
-                        common = lcm(den, part)
-                        _rescale(out, common // den)
-                        den = common
-                    _accumulate(out, inner, a_num * t_num * (den // part))
+                if a_word:
+                    inner_den, inner = iterate_mode_word(a_word, mu2, word, sector_half)
+                    if not inner:
+                        continue
+                else:
+                    inner_den, inner = 1, ((word, 1),)
+                part = v_den * inner_den
+                if den % part:
+                    common = lcm(den, part)
+                    _rescale(out, common // den)
+                    den = common
+                _accumulate(out, inner, a_num * t_num * (den // part))
     return State._of_table(target.den * den, out)
 
 

@@ -9,7 +9,10 @@ Oracles, copied below and run without a cache:
 * the public `iterate_mode_word` as it was while words were `QQ` tuples: a
   wrapper that encoded its arguments, ran the kernel and decoded the result;
 * `State` and `field_mode` as they were on `QQ` words, with the old word
-  rendering, driven by the Fraction recursion.
+  rendering, driven by the Fraction recursion;
+* the doubled-integer `iterate_mode_word` and `mode_sum` as they were
+  before the one-mode and vacuum cases were put in closed form: both
+  regular sums scan every i, and the vacuum's field is a recursion call.
 
 The kernel must give the same (word, coefficient) pairs as the Fraction
 recursion, with int words and exact int or `QQ` coefficients, and a mode of
@@ -17,15 +20,25 @@ a field must render to the same text in both representations, in both
 sectors.
 """
 
+from math import gcd, lcm
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfock import fermion
 from twistfock.fermion import (
+    OMEGA,
+    PSI,
+    VACUUM,
     State,
+    _accumulate,
+    _apply2,
+    _rescale,
     field_mode,
     format_ns_word,
     format_ramond_word,
+    mode_sum,
     ns_basis,
     ramond_basis,
 )
@@ -34,6 +47,7 @@ from twistfock.scalars import (
     QQ,
     ZERO,
     binomial,
+    integral_split,
     rational_floor,
     scalar_is_zero,
 )
@@ -314,3 +328,182 @@ def test_both_sectors_render_equal_states(args):
         assert new.render(format_ramond_word) == old.render("|R>")
     else:
         assert new.render(format_ns_word) == old.render("|0>")
+
+
+# ---------------------------------------------------------------------------
+# the doubled-integer recursion before its closed forms, verbatim, uncached
+# ---------------------------------------------------------------------------
+
+_NOTHING = (1, ())
+
+
+def scanning_recursion(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
+    """`iterate_mode_word` as it was before its one-mode and vacuum closed
+    forms: both regular sums scan every i up to the room left, and the
+    vacuum's field is reached through the recursion."""
+    if not a_word:
+        return (1, ((word, 1),)) if mu2 == -2 else _NOTHING
+    m1 = a_word[0]
+    rest = a_word[1:]
+    n = (m1 - 1) // 2
+    out: dict = {}
+    den = 1  # a power of two; an inner result's den divides it or is a multiple
+
+    # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
+    # the level left above the sector floor, and drops by 2 per step
+    room = -sum(word) - sum(rest) - mu2 + sector_half - 2
+    d = 1
+    i = 0
+    while room >= 0:
+        psi2 = sector_half + m1 - 2 * i
+        inner_den, inner = scanning_recursion(
+            rest, mu2 - sector_half + 2 * i, word, sector_half)
+        if inner:
+            if not psi2:  # the zero mode's coefficients come doubled
+                inner_den *= 2
+            if inner_den > den:
+                _rescale(out, inner_den // den)
+                den = inner_den
+            factor = d * (den // inner_den)
+            for mid_word, mid_num in inner:
+                _accumulate(out, _apply2(mid_word, psi2), factor * mid_num)
+        d = d * (i - n) // (i + 1)
+        i += 1
+        room -= 2
+
+    # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
+    # above the word's largest creation mode kill it
+    if word:
+        sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
+        top = -word[0]
+        d = 1
+        i = 0
+        psi2 = sector_half + 1
+        while psi2 <= top:
+            for mid_word, mid_num in _apply2(word, psi2):
+                inner_den, inner = scanning_recursion(
+                    rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
+                if inner:
+                    if inner_den > den:
+                        _rescale(out, inner_den // den)
+                        den = inner_den
+                    _accumulate(out, inner, sign * d * mid_num * (den // inner_den))
+            d = d * (i - n) // (i + 1)
+            i += 1
+            psi2 += 2
+
+    # twisted correction terms: strictly lower weight, same length
+    if sector_half:
+        bound2 = -m1 - (rest[0] if rest else 0)
+        for i in range(1, bound2 // 2 + 1):
+            for mid_word, mid_num in _apply2(rest, m1 + 2 * i):
+                inner_den, inner = scanning_recursion(mid_word, mu2 - 2 * i, word, sector_half)
+                if inner:
+                    b_num, b_den = integral_split(binomial(HALF, i))
+                    inner_den *= b_den
+                    if inner_den > den:
+                        _rescale(out, inner_den // den)
+                        den = inner_den
+                    _accumulate(out, inner, -b_num * mid_num * (den // inner_den))
+
+    if not out:
+        return _NOTHING
+    if den != 1:
+        g = gcd(den, *out.values())
+        if g != 1:
+            den //= g
+            out = {w: num // g for w, num in out.items()}
+    return den, tuple(out.items())
+
+
+def scanning_mode_sum(pieces, target: State, sector_half: int) -> State:
+    """`mode_sum` as it was: a vacuum word of a field goes to the recursion
+    like any other word."""
+    out: dict = {}
+    den = 1
+    for v, mu2 in pieces:
+        v_den = v.den
+        for a_word, a_num in v.nums:
+            for word, t_num in target.nums:
+                inner_den, inner = scanning_recursion(a_word, mu2, word, sector_half)
+                if inner:
+                    part = v_den * inner_den
+                    if den % part:
+                        common = lcm(den, part)
+                        _rescale(out, common // den)
+                        den = common
+                    _accumulate(out, inner, a_num * t_num * (den // part))
+    return State._of_table(target.den * den, out)
+
+
+def sorted_result(result) -> tuple:
+    """(den, pairs) with the pairs sorted: the kernel's pairs are unsorted."""
+    den, pairs = result
+    return den, tuple(sorted(pairs))
+
+
+SHORT_FIELD_WORDS = [w for w in ns_basis(3) if 1 <= len(w) <= 2]
+DOUBLED_INDICES = range(-24, 17)
+FIRST_TARGETS = {0: ns_basis(3)[:8], 1: ramond_basis(3)[:8]}
+
+
+@pytest.mark.parametrize("sector_half", [0, 1])
+@pytest.mark.parametrize("a_word", SHORT_FIELD_WORDS)
+def test_closed_forms_match_the_scanning_recursion(a_word, sector_half):
+    """Every one- and two-mode field word of level <= 3, on every doubled
+    index of [-24, 16] and the first targets of the sector's basis, gives
+    the same denominator and pairs as the recursion that scans every i."""
+    assert {len(w) for w in SHORT_FIELD_WORDS} == {1, 2}
+    fermion.iterate_mode_word.cache_clear()
+    nonzero = 0
+    for mu2 in DOUBLED_INDICES:
+        for word in FIRST_TARGETS[sector_half]:
+            args = (a_word, mu2, word, sector_half)
+            expected = sorted_result(scanning_recursion(*args))
+            assert sorted_result(fermion.iterate_mode_word(*args)) == expected, args
+            nonzero += bool(expected[1])
+    assert nonzero  # the sweep reaches nonzero modes
+
+
+def _target_state(words) -> State:
+    return State({w: QQ(j + 1, 2 + j % 3) for j, w in enumerate(words)})
+
+
+@pytest.mark.parametrize("sector_half", [0, 1])
+def test_vacuum_pieces_match_the_scanning_mode_sum(sector_half):
+    """`mode_sum` on fields with a vacuum term, at the vacuum's index -2
+    and off it, alone and beside other pieces."""
+    target = _target_state(FIRST_TARGETS[sector_half])
+    with_vacuum = OMEGA + VACUUM.scaled(QQ(-3, 4))
+    for mu2 in range(-6, 5):
+        for pieces in (((with_vacuum, mu2),),
+                       ((with_vacuum, mu2), (PSI, mu2 - 1), (VACUUM, -2)),
+                       ((VACUUM, mu2),)):
+            got = mode_sum(pieces, target, sector_half)
+            assert got == scanning_mode_sum(pieces, target, sector_half), (pieces, mu2)
+    assert not mode_sum(((with_vacuum, -2),), target, sector_half).is_zero()
+
+
+def test_no_empty_field_word_reaches_the_kernel(monkeypatch):
+    """The vacuum's field is applied inline by every caller inside the
+    package, so an empty field word never becomes a cache entry."""
+    kernel = fermion.iterate_mode_word
+    empty_calls = []
+    calls = []
+
+    def spy(a_word, mu2, word, sector_half):
+        calls.append(a_word)
+        if not a_word:
+            empty_calls.append((mu2, word, sector_half))
+        return kernel(a_word, mu2, word, sector_half)
+
+    kernel.cache_clear()
+    monkeypatch.setattr(fermion, "iterate_mode_word", spy)
+    fields = (PSI, OMEGA, OMEGA + VACUUM)
+    for sector_half, basis in ((0, ns_basis(2)), (1, ramond_basis(2))):
+        target = _target_state(basis[:6])
+        for j in range(-8, 5):
+            for v in fields:
+                field_mode(v, QQ(j, 2), target, sector_half)
+    kernel.cache_clear()
+    assert calls and empty_calls == []
