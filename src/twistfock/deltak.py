@@ -37,11 +37,11 @@ from .scalars import (
     rational_ceil,
     rational_floor,
     rationalized,
-    scalar_ratio,
 )
 from .formal import (
     ComparisonResult,
     Window,
+    compare_numerators,
     compare_series,
 )
 from .fermion import (
@@ -530,25 +530,6 @@ class _KeyedSums:
         return self.den // g, {key: num // g for key, num in nums.items()}
 
 
-def _compare_sums(result: ComparisonResult, lhs: tuple, rhs: tuple,
-                  prefactor, locate) -> None:
-    """Compare two (den, {key: numerator}) maps on every key of either, in
-    sorted order, across their denominators.  Both values carry the factor
-    ``prefactor``, left out of the sums; a mismatch is recorded at
-    ``locate(key)`` with both values times it (zero for a missing key)."""
-    l_den, l_nums = lhs
-    r_den, r_nums = rhs
-    for key in sorted(l_nums.keys() | r_nums.keys()):
-        x, y = l_nums.get(key, 0), r_nums.get(key, 0)
-        result.compared += 1
-        if x * r_den != y * l_den:
-            result.mismatches.append((
-                locate(key),
-                prefactor * scalar_ratio(x, l_den) if x else ZERO,
-                prefactor * scalar_ratio(y, r_den) if y else ZERO,
-            ))
-
-
 def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
     """Conjugated side: operator, then vertex modes, then inverse operator.
 
@@ -635,13 +616,13 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
     for word in ns_basis(cutoff):
         v = State({word: ONE})
         source = format_ns_word(word)
-        _compare_sums(
+        compare_numerators(
             result,
             _conjugation_lhs(k, u, v, depth),
             _conjugation_rhs(k, u, v, depth, roots),
-            prefactor,
             lambda key: (source, format_ns_word(key[0]), QQ(key[1], 2 * k),
                          QQ(key[2])),
+            prefactor,
         )
     return result
 
@@ -692,12 +673,12 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
                 # both sides identically zero: that agreement is itself a check
                 result.compare((direction, source), lhs.nums, rhs.nums)
             # a key whose sum cancelled is still compared
-            _compare_sums(
+            compare_numerators(
                 result,
                 (lhs.den, lhs.nums),
                 (rhs.den, rhs.nums),
-                ex_u.prefactor,
                 lambda key: (direction, source, format_ns_word(key[0]), key[1]),
+                ex_u.prefactor,
             )
     return result
 

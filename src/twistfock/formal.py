@@ -18,6 +18,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .scalars import (
+    ONE,
     QQ,
     ZERO,
     binomial,
@@ -226,6 +227,26 @@ def compare_series(
     return result
 
 
+def compare_numerators(result: ComparisonResult, lhs: tuple, rhs: tuple,
+                       locate, factor=ONE) -> None:
+    """Compare two (den, {key: numerator}) maps on every key of either, in
+    sorted order, by cross-multiplying across their denominators; each key
+    counts as one comparison.  A mismatch is recorded at ``locate(key)``
+    with both values, each times ``factor`` (a factor common to both sides
+    and left out of the maps); a missing key is the rational 0."""
+    l_den, l_nums = lhs
+    r_den, r_nums = rhs
+    for key in sorted(l_nums.keys() | r_nums.keys()):
+        x, y = l_nums.get(key, 0), r_nums.get(key, 0)
+        result.compared += 1
+        if x * r_den != y * l_den:
+            result.mismatches.append((
+                locate(key),
+                factor * scalar_ratio(x, l_den) if x else ZERO,
+                factor * scalar_ratio(y, r_den) if y else ZERO,
+            ))
+
+
 def compare_fields(
     name: str, lhs, rhs, exponents, keys, key_formatter=str, scale: int = 1
 ) -> ComparisonResult:
@@ -236,11 +257,9 @@ def compare_fields(
     key, nonzero numerator) pairs over one positive int denominator, the
     form of a `fermion.State`; ``exponents`` are the int indices e (with
     the default scale 1, any exact exponents).  Every (exponent, key)
-    column counts once, so two empty columns are compared, and so does
-    every output key of either column, in sorted order; the two numerators
-    are compared across the denominators, and a mismatch is recorded with
-    both values and located as "x^e @ key -> output key", keys written by
-    ``key_formatter``.
+    column counts once, so two empty columns are compared, and its output
+    keys go to `compare_numerators`, a mismatch located as "x^e @ key ->
+    output key", keys written by ``key_formatter``.
     """
     result = ComparisonResult(name)
     for e in exponents:
@@ -248,15 +267,11 @@ def compare_fields(
         for key in keys:
             a_den, a = lhs(e, key)
             b_den, b = rhs(e, key)
-            a, b = dict(a), dict(b)
             result.compared += 1
-            for okey in sorted(a.keys() | b.keys()):
-                location = f"{x_text}{key_formatter(key)} -> {key_formatter(okey)}"
-                x, y = a.get(okey, 0), b.get(okey, 0)
-                result.compared += 1
-                if x * b_den != y * a_den:
-                    result.mismatches.append(
-                        (location, scalar_ratio(x, a_den), scalar_ratio(y, b_den)))
+            column = f"{x_text}{key_formatter(key)} -> "
+            compare_numerators(
+                result, (a_den, dict(a)), (b_den, dict(b)),
+                lambda okey: column + key_formatter(okey))
     return result
 
 

@@ -9,16 +9,21 @@ variable, and other slots follow by root-of-unity substitution.  One class,
 modes.  The inverse construction recovers the parity-twisted action from
 the twisted action by the opposite coordinate change, with a structurally
 enforced branch choice; one class, ``RecoveredField``, holds the recovered
-field of one state.
+field of one state.  At order 1 the coordinate change is the identity, so
+``SlotField(1, u)`` is the native parity-twisted field of u.
 
 A field is its family of modes, Y(u, x) = sum_m u_m x^{-m-1}: every mode
 is an exact map on the Ramond basis, and no field is tabulated over a
-window.  Scalars live in Q or in a cyclotomic field.
+window.  Both classes share one mode interface: an int index, a rational
+image that is one `fermion.mode_sum` over the field's plan, one scalar per
+eta class, and the annihilation bound `top`.  Scalars live in Q or in a
+cyclotomic field.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .scalars import QQ, ZERO, ONE, eta_powers, rationalized
 from .formal import QSeries, assert_on_lattice
@@ -27,7 +32,6 @@ from .fermion import (
     OMEGA,
     State,
     ZERO_STATE,
-    combine,
     mode_sum,
     word_level,
 )
@@ -68,7 +72,48 @@ def require_cutoff(cutoff: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SlotField:
+class _ModeField:
+    """A field held as its exact modes on an int index M = scale·m: mode M
+    is the scalar ``scalars[eta_class(M)]`` times the rational `image`, one
+    `fermion.mode_sum` over the plan, and zero where the class is None.  A
+    subclass sets ``scale``, ``weight``, ``parity``, ``_offsets``,
+    ``classes`` (one period of the class in M) and ``scalars``.
+    """
+
+    @cached_property
+    def _base(self) -> int:
+        return int(self.scale * (self.weight - 1))
+
+    def top(self, level2: int) -> int:
+        """The largest index whose mode can act on a state of doubled level
+        level2: a mode M shifts the doubled level by scale·(weight - 1) - M,
+        and no state has a negative level."""
+        return self._base + level2
+
+    def eta_class(self, M: int):
+        """The exponent j of the scalar ``scalars[j]`` of mode M, or None
+        where the mode is zero."""
+        return self.classes[M % self.scale]
+
+    def plan(self, M: int) -> tuple:
+        """The (state, doubled sigma-mode index) pairs whose sum is mode M."""
+        return tuple((piece, offset + M) for piece, offset in self._offsets)
+
+    def image(self, M: int, state: State) -> State:
+        """Mode M without its scalar: the sum of the sigma-modes of the
+        plan, its recursion numerators summed in one dict with no `State`
+        per pair; a state over Q for a state over Q."""
+        return mode_sum(self.plan(M), state, 1)
+
+    def mode_at(self, M: int, state: State) -> State:
+        """Mode M: its scalar times its image, zero off the class lattice."""
+        j = self.eta_class(M)
+        if j is None:
+            return ZERO_STATE
+        return self.image(M, state).scaled(self.scalars[j])
+
+
+class SlotField(_ModeField):
     """The twisted field of one homogeneous state in one tensor slot.
 
     The first-slot field is the parity-twisted field of the
@@ -81,15 +126,13 @@ class SlotField:
 
     Modes are read on the int index M = 2k m (`mode` is the public form on
     a rational m), so a piece's doubled sigma-mode index is an int offset
-    plus M.  The pieces have rational coefficients, so the mode splits
-    into a rational part, `image`, and one scalar: the prefactor k^{-p}
-    times the root of unity, the only irrational factor.  The image is one
-    `fermion.mode_sum` over the pieces at their doubled indices: the
-    parity-twisted recursion's numerators of every piece are summed in one
-    dict, with no `State` per piece.
+    plus M.  The pieces have rational coefficients, so the image is over Q
+    and the scalar is the prefactor k^{-p} times the root of unity, the
+    only irrational factor.
 
-    Defined for every k >= 1; it closes into a twisted module structure
-    only for k even (the odd case is exercised by the obstruction checker).
+    Defined for every k >= 1, where k = 1 gives the parity-twisted field of
+    u itself; it closes into a twisted module structure only for k even
+    (the odd case is exercised by the obstruction checker).
     """
 
     def __init__(self, k: int, u: State, power: int = 0):
@@ -118,28 +161,6 @@ class SlotField:
         self.scalars = tuple(
             rationalized(self.prefactor * eta) for eta in eta_powers(k)
         )
-
-    def eta_class(self, M: int):
-        """The exponent j in 0..k-1 of the root of unity eta^j in the
-        scalar of mode M, or None where the power is fractional (the mode
-        is zero there)."""
-        return self.classes[M % self.scale]
-
-    def plan(self, M: int) -> tuple:
-        """The (piece, doubled sigma-mode index) pairs whose sum is mode M."""
-        return tuple((piece, offset + M) for piece, offset in self._offsets)
-
-    def image(self, M: int, state: State) -> State:
-        """Mode M without its scalar: the sum of the sigma-modes of the
-        pieces, a state over Q for a state over Q."""
-        return mode_sum(self.plan(M), state, 1)
-
-    def mode_at(self, M: int, state: State) -> State:
-        """Mode M: its scalar times its image, zero off the class lattice."""
-        j = self.eta_class(M)
-        if j is None:
-            return ZERO_STATE
-        return self.image(M, state).scaled(self.scalars[j])
 
     def mode(self, m, state: State) -> State:
         """The mode with rational index m; zero off the (1/2k)-lattice."""
@@ -180,47 +201,42 @@ def _check_branch(k: int, branch: int):
         )
 
 
-class RecoveredField:
+class RecoveredField(_ModeField):
     """The parity-twisted field recovered from the twisted module.
 
     The inverse coordinate change sends a homogeneous state u of weight p
     to k^p times pieces (e, u_e); the recovered mode with index m is that
     prefactor times the sum of the first-slot twisted modes of the u_e with
     index e - 1 + (m+1)/k.  The k^{-p_e} of each piece's mode and the k^p
-    combine into one rational factor, so a mode is a sum of the pieces'
-    rational parts and a state over Q, read on the doubled index N = 2m,
-    where a piece's slot index is an int offset plus N.  The field of a
-    state of parity r is supported on r/2 + Z; at the complementary offset
-    every mode is zero.  The branch of the k-th root is structural: only
-    the principal one is admissible.
+    combine into one rational factor, folded into the states of the piece's
+    plan; so the plan is every coordinate-change piece of every inverse
+    piece, and a mode is one `fermion.mode_sum`, a state over Q, read on
+    the doubled index N = 2m.  The field of a state of parity r is
+    supported on r/2 + Z: its class is None at the complementary offset.
+    The branch of the k-th root is structural: only the principal one is
+    admissible.
     """
 
     def __init__(self, k: int, u: State, branch: int = 0):
         require_even_order(k)
         _check_branch(k, branch)
-        self.k = k
+        self.scale = 2
         # the zero state has no weight or parity; its field is empty
         self.weight = u.homogeneous_level() or ZERO
         self.parity = u.homogeneous_parity() or 0
+        self.classes = (None, 0) if self.parity else (0, None)
+        self.scalars = (ONE,)
         expansion = apply_delta(k, u, INVERSE)
-        self.prefactor = expansion.prefactor
-        # k^p times the piece's k^{-p_e}: the inverse change lowers the
-        # weight by whole steps, so this factor is a QQ
-        fields = [(e, SlotField(k, piece)) for e, piece in expansion.pieces]
-        self._pieces = tuple(
-            (int(2 * k * (e - 1)) + 2, field,
-             rationalized(self.prefactor * field.prefactor))
-            for e, field in fields
-        )
-
-    def mode_at(self, N: int, state: State) -> State:
-        """The mode with doubled index N = 2m."""
-        if (N - self.parity) % 2:
-            return ZERO_STATE
-        return combine(
-            (field.image(offset + N, state), factor)
-            for offset, field, factor in self._pieces
-        )
+        plan = []
+        for e, piece in expansion.pieces:
+            field = SlotField(k, piece)
+            # k^p times the piece's k^{-p_e}: the inverse change lowers the
+            # weight by whole steps, so this factor is a QQ
+            factor = rationalized(expansion.prefactor * field.prefactor)
+            # the slot index of piece (e, u_e) is 2k(e-1) + 2 + N
+            plan += [(state.scaled(factor), index)
+                     for state, index in field.plan(int(2 * k * (e - 1)) + 2)]
+        self._offsets = tuple(plan)
 
     def mode(self, m, state: State) -> State:
         return self.mode_at(assert_on_lattice(m, 2), state)

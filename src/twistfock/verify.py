@@ -12,6 +12,11 @@ identity on a nonempty set of coefficients, while the corrected identity —
 whose kernel lattice is shifted by (parity of the left argument)/(2·order)
 — passes.  Both facts are recorded as expected verdicts, so the suite can
 distinguish "failed as the theory predicts" from "failed unexpectedly".
+
+The checks read the fields of `twist` through their one mode interface.
+Only the checks built on expanded products, the three-variable identity
+and weak associativity, revisit the same compositions, so only they cache
+a field's images (`_ModeFamily`), for the life of the check.
 """
 
 from __future__ import annotations
@@ -196,47 +201,42 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 
 
 # ---------------------------------------------------------------------------
-# graded mode families
+# fields and the mode cache of the expanded products
 # ---------------------------------------------------------------------------
 
 
-class _ModeFamily:
-    """A weight-graded family of operators M -> (state -> state), over Q,
-    on the int index M = scale·m of mode m: scale is 2k for slot fields
-    (grade 1/k) and 2 for parity-twisted ones, so one index per check
-    covers its lattice and its exponent grid.
+def _bounded_image(field, M: int, state: State, level2: int) -> State:
+    """The rational image of mode M of a field (`twist.SlotField` or
+    `twist.RecoveredField`) on a state of doubled level level2: zero off
+    the field's class lattice or above its top.  The class is tested
+    first: a slot field's image does not know its slot."""
+    if M > field.top(level2) or field.eta_class(M) is None:
+        return ZERO_STATE
+    return field.image(M, state)
 
-    ``mode(M, state)`` is the rational image: the operator is
-    ``scalars[eta_class(M)]`` times it, where ``scalars[j]`` is the
-    family's prefactor times eta^j, and zero where ``eta_class(M)`` is
-    None; the class is periodic in M, one period in ``classes``.  Modes
-    above ``top(level2)`` kill a state of doubled level level2 (minus the
-    sum of its word).  Results are cached per (index, state) because the
-    check grids revisit the same compositions many times.
+
+class _ModeFamily:
+    """The rational images of one field's modes, cached per (index, state)
+    for one check: the expanded products of the three-variable identity
+    and of weak associativity revisit the same compositions many times.
+
+    ``mode(M, state)`` is the field's image, zero where its eta class is
+    None; every other attribute is the field's.
     """
 
-    def __init__(self, mode, weight, parity: int, scale: int, *,
-                 scalars=(ONE,), classes=(0,)):
-        self._mode = mode
-        self.weight = QQ(weight)
-        self.parity = parity
-        self.scale = scale
-        self.scalars = scalars
-        self.classes = classes
-        self._base = int(scale * (self.weight - 1))
+    def __init__(self, field):
+        self.field = field
         self._cache = {}
 
-    def eta_class(self, M: int):
-        return self.classes[M % len(self.classes)]
-
-    def top(self, level2: int) -> int:
-        return self._base + level2
+    def __getattr__(self, name):
+        return getattr(self.field, name)
 
     def mode(self, M: int, state: State) -> State:
         key = (M, state)
         hit = self._cache.get(key)
         if hit is None:
-            hit = ZERO_STATE if self.eta_class(M) is None else self._mode(M, state)
+            hit = (ZERO_STATE if self.field.eta_class(M) is None
+                   else self.field.image(M, state))
             self._cache[key] = hit
         return hit
 
@@ -246,8 +246,8 @@ def _level2(state: State) -> int:
     return -sum(state.nums[0][0])
 
 
-def _pair_scalars(left: _ModeFamily, right: _ModeFamily) -> tuple:
-    """The scalars of composed modes of two families, built once per check.
+def _pair_scalars(left, right) -> tuple:
+    """The scalars of composed modes of two fields, built once per check.
 
     Entry j is the product of the two prefactors times eta^j: the scalar
     of left(a) right(b), in either order, when the eta classes of a and b
@@ -258,14 +258,13 @@ def _pair_scalars(left: _ModeFamily, right: _ModeFamily) -> tuple:
     return tuple(rationalized(base * eta) for eta in eta_powers(len(left.scalars)))
 
 
-def _require_usable(u: State, role: str) -> State:
+def _require_usable(u: State, role: str) -> None:
     if u.is_zero() or u.homogeneous_level() is None:
         raise ValueError(f"{role} must be a nonzero homogeneous state")
-    return u
 
 
-def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
-    """Modes of the twisted field of a state placed in one tensor slot.
+def _slot_field(k: int, u: State, *, slot: int = 1) -> SlotField:
+    """The twisted field of a state placed in one tensor slot.
 
     Built for every order k >= 1: even orders give the module action, odd
     orders give the field whose failed identity is the obstruction
@@ -273,22 +272,16 @@ def _first_slot_family(k: int, u: State, *, slot: int = 1) -> _ModeFamily:
     """
     if not 1 <= slot <= k:
         raise ValueError(f"tensor slot must lie in 1..{k}, got {slot}")
-    field = SlotField(k, u, slot - 1)
-    return _ModeFamily(field.image, field.weight, field.parity, field.scale,
-                       scalars=field.scalars, classes=field.classes)
+    return SlotField(k, u, slot - 1)
 
 
-def _parity_family(k: int, u: State, recovered: bool) -> _ModeFamily:
-    """Modes of the parity-twisted field of a state, on the doubled index
-    N = 2m: recovered through the inverse construction (twisted modes
-    composed with the inverse coordinate change), or else native.  Both
-    are over Q, with no scalar outside."""
+def _parity_field(k: int, u: State, recovered: bool):
+    """The parity-twisted field of a state, on the doubled index N = 2m:
+    recovered through the inverse construction (twisted modes composed
+    with the inverse coordinate change), or else native, the slot field
+    of order 1.  Both are over Q, with the one scalar 1."""
     _require_usable(u, "field argument")
-    if recovered:
-        field = RecoveredField(k, u)
-        return _ModeFamily(field.mode_at, field.weight, field.parity, 2)
-    return _ModeFamily(lambda N, s: sigma_vertex_mode(u, QQ(N, 2), s),
-                       u.homogeneous_level(), u.homogeneous_parity(), 2)
+    return RecoveredField(k, u) if recovered else SlotField(1, u)
 
 
 def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
@@ -392,31 +385,17 @@ def _bounds(window: Window, var: str):
     return lo, hi
 
 
-def _field_image(mode, weight, scale: int):
-    """(e, word) -> the x^{e/scale} coefficient of a field given by its
-    modes on the index M = scale·m, on a basis word: mode -e - scale on
-    that word, zero above the annihilation bound scale·(weight - 1) plus
-    the word's doubled level (``scale`` is twice the field's grading
-    denominator)."""
-    base = int(scale * (weight - 1))
-
-    def image(e, word) -> State:
-        m = -e - scale
-        if m > base - sum(word):
-            return ZERO_STATE
-        return mode(m, State._of(1, ((word, 1),)))
-
-    return image
-
-
-def _field_column(mode, weight, scale: int):
-    """The column function (see `formal.compare_fields`) of a field given
-    by its modes: the denominator and numerators of `_field_image`."""
-    image = _field_image(mode, weight, scale)
+def _field_column(field):
+    """The column function (see `formal.compare_fields`) of a field: its
+    x^{e/scale} coefficient on a basis word, mode -e - scale with its
+    scalar."""
 
     def column(e, word):
-        state = image(e, word)
-        return state.den, state.nums
+        M = -e - field.scale
+        image = _bounded_image(field, M, State._of(1, ((word, 1),)), -sum(word))
+        if image.nums:
+            image = image.scaled(field.scalars[field.eta_class(M)])
+        return image.den, image.nums
 
     return column
 
@@ -452,12 +431,13 @@ def _iterate_top(u: State, v: State) -> int:
 
 def _supercommutator_grid(left, right, scalars, target, level2, grid1, grid2):
     """Yield (e1, e2, [A(-e1-1), B(-e2-1)] w) over the exponent grid, e2
-    outer and e1 inner, for the mode families A = left and B = right and a
-    domain state w of doubled level ``level2``; exponents are int indices
-    on the families' scale.  The bracket is the supercommutator
+    outer and e1 inner, for the fields A = left and B = right and a domain
+    state w of doubled level ``level2``; exponents are int indices on the
+    fields' scale.  The bracket is the supercommutator
     A B - (-1)^{|A||B|} B A.  Both orders compose the same two modes, so
     the bracket has one scalar, looked up in ``scalars`` (`_pair_scalars`
-    of the two families) once per grid point."""
+    of the two fields) once per grid point.  What the grid revisits is kept
+    here, with no mode cache: the image of A per e1 and of B per e2."""
     sign = ONE if (left.parity and right.parity) else -ONE  # -(-1)^{|A||B|}
     step = left.scale
     # per e1: A(-e1-1) w and the top index of B on it; a zero image has
@@ -465,13 +445,13 @@ def _supercommutator_grid(left, right, scalars, target, level2, grid1, grid2):
     a_images = []
     for e1 in grid1:
         m1 = -e1 - step
-        a = left.mode(m1, target) if m1 <= left.top(level2) else ZERO_STATE
+        a = _bounded_image(left, m1, target, level2)
         a_top = right.top(_level2(a)) if a.nums else None
         a_images.append((e1, m1, left.eta_class(m1), a, a_top))
     for e2 in grid2:
         m2 = -e2 - step
         c2 = right.eta_class(m2)
-        b = right.mode(m2, target) if m2 <= right.top(level2) else ZERO_STATE
+        b = _bounded_image(right, m2, target, level2)
         b_top = left.top(_level2(b)) if b.nums else None
         for e1, m1, c1, a, a_top in a_images:
             if c1 is None or c2 is None:
@@ -480,16 +460,16 @@ def _supercommutator_grid(left, right, scalars, target, level2, grid1, grid2):
             scalar = scalars[(c1 + c2) % len(scalars)]
             pairs = []
             if b_top is not None and m1 <= b_top:
-                pairs.append((left.mode(m1, b), scalar))
+                pairs.append((left.image(m1, b), scalar))
             if a_top is not None and m2 <= a_top:
-                pairs.append((right.mode(m2, a), sign * scalar))
+                pairs.append((right.image(m2, a), sign * scalar))
             yield e1, e2, combine(pairs)
 
 
 def _commutator_report(
     k_report: int,
-    left: _ModeFamily,
-    right: _ModeFamily,
+    left,
+    right,
     u: State,
     v: State,
     window: Window,
@@ -500,7 +480,7 @@ def _commutator_report(
     kernel_eta=None,
     domain_level=QQ(2),
 ) -> tuple:
-    """Compare a supercommutator of two mode families with its residue form.
+    """Compare a supercommutator of two fields with its residue form.
 
     Left side, per exponent pair (e1, e2) and domain word w:
         A(-e1-1) B(-e2-1) w  -  (-1)^{|A||B|} B(-e2-1) A(-e1-1) w.
@@ -510,7 +490,7 @@ def _commutator_report(
     supported on e1 in kernel_shift + (1/kernel_den)Z and zero elsewhere;
     the exponent grid is the (1/(2·kernel_den))-lattice, so it also holds
     the points off the kernel lattice where the commutator must vanish.
-    Every family reads the int index S·m with S = 2·kernel_den, and every
+    Every field reads the int index S·m with S = 2·kernel_den, and every
     exponent is the int S·e: decoded only in the location text.  The t-th
     product state's field is supplied by ``product_builder`` so the same
     engine serves first-slot fields, rotated slots (via the optional
@@ -571,17 +551,16 @@ def _commutator_report(
             hit = images.get(total)
             if hit is None:
                 hit = []
-                for t, family in iterates:
+                for t, field in iterates:
                     mu = -total - step * (t + 2)
-                    image = (family.mode(mu, target) if mu <= family.top(level2)
-                             else ZERO_STATE)
-                    hit.append((image, family.eta_class(mu)))
+                    hit.append((_bounded_image(field, mu, target, level2),
+                                field.eta_class(mu)))
                 images[total] = hit
             terms = []
-            for (_, family), (image, j), (binom, shift) in zip(
+            for (_, field), (image, j), (binom, shift) in zip(
                     iterates, hit, kernel_terms[e1]):
                 if image.nums:
-                    scalars_t = family.scalars
+                    scalars_t = field.scalars
                     terms.append((image, binom * scalars_t[(j + shift) % len(scalars_t)]))
             return combine(terms).scaled(prefactor)
 
@@ -621,14 +600,14 @@ def check_even_supercommutator(
     name = f"even-supercommutator[k={k},{_state_label(u)},{_state_label(v)}]"
     (report,) = _commutator_report(
         k,
-        _first_slot_family(k, u),
-        _first_slot_family(k, v),
+        _slot_field(k, u),
+        _slot_field(k, v),
         u,
         v,
         window,
         kernel_den=k,
         forms=((name, 0, "pass"),),
-        product_builder=lambda s: _first_slot_family(k, s),
+        product_builder=lambda s: _slot_field(k, s),
         domain_level=domain_level,
     )
     return report
@@ -656,8 +635,8 @@ def check_odd_obstruction(
     base = f"k={k},{_state_label(u)},{_state_label(v)}"
     return _commutator_report(
         k,
-        _first_slot_family(k, u),
-        _first_slot_family(k, v),
+        _slot_field(k, u),
+        _slot_field(k, v),
         u,
         v,
         window,
@@ -667,7 +646,7 @@ def check_odd_obstruction(
             # the shift parity/(2k), on the index 2k·e
             (f"obstruction-odd-form[{base}]", parity, "pass"),
         ),
-        product_builder=lambda s: _first_slot_family(k, s),
+        product_builder=lambda s: _slot_field(k, s),
         domain_level=domain_level,
     )
 
@@ -702,14 +681,14 @@ def check_cross_slot_commutator(
     )
     (report,) = _commutator_report(
         k,
-        _first_slot_family(k, u, slot=slot_u),
-        _first_slot_family(k, v, slot=slot_v),
+        _slot_field(k, u, slot=slot_u),
+        _slot_field(k, v, slot=slot_v),
         u,
         v,
         window,
         kernel_den=k,
         forms=((label, 0, "pass"),),
-        product_builder=lambda s: _first_slot_family(k, s, slot=slot_v),
+        product_builder=lambda s: _slot_field(k, s, slot=slot_v),
         kernel_eta=kernel_eta,
         domain_level=domain_level,
     )
@@ -736,7 +715,7 @@ def check_recovered_commutator(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    builder = lambda s: _parity_family(k, s, use_recovered)  # noqa: E731
+    builder = lambda s: _parity_field(k, s, use_recovered)  # noqa: E731
     tag = "recovered" if use_recovered else "native"
     label = (
         f"parity-twisted-commutator[{tag},k={k},"
@@ -810,8 +789,8 @@ def check_twisted_jacobi(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    left = _first_slot_family(k, u)
-    right = _first_slot_family(k, v)
+    left = _ModeFamily(_slot_field(k, u))
+    right = _ModeFamily(_slot_field(k, v))
     scalars = _pair_scalars(left, right)
     eps = -ONE if (left.parity and right.parity) else ONE
     step = left.scale
@@ -907,8 +886,8 @@ def check_locality(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    left = _first_slot_family(k, u, slot=slot_u)
-    right = _first_slot_family(k, v, slot=slot_v)
+    left = _slot_field(k, u, slot=slot_u)
+    right = _slot_field(k, v, slot=slot_v)
     scalars = _pair_scalars(left, right)
     step = left.scale
     grid1 = _lattice_grid(window, "x1", k, step)
@@ -980,13 +959,21 @@ def check_limit_axiom(
     step = 2 * k
     grid = _lattice_grid(window, "x", step, step)
     words = ramond_basis(QQ(domain_level))
-    # slot power a's column at each (e, word), computed once for both of
-    # the comparisons it enters
+    # the image of each (e, word) is the same in every slot, and computed
+    # once; slot power a's column scales it by the slot's scalar, zero
+    # where the slot's eta class is None, and enters two comparisons
+    slots = [SlotField(k, u, a) for a in range(k)]
+    images = {(e, word): _bounded_image(slots[0], -e - step,
+                                        State._of(1, ((word, 1),)), -sum(word))
+              for e in grid for word in words}
     columns = []
-    for a in range(k):
-        field = SlotField(k, u, a)
-        image = _field_image(field.mode_at, field.weight, step)
-        columns.append({(e, word): image(e, word) for e in grid for word in words})
+    for slot in slots:
+        column = {}
+        for (e, word), image in images.items():
+            j = slot.eta_class(-e - step)
+            column[e, word] = (ZERO_STATE if j is None
+                               else image.scaled(slot.scalars[j]))
+        columns.append(column)
     word_texts = [format_ramond_word(word) for word in words]
     result = ComparisonResult(f"limit-axiom[k={k},{_state_label(u)}]")
     for a in range(k):
@@ -1014,14 +1001,12 @@ def check_translation_derivative(
         raise ValueError(f"k must be a positive integer, got {k}")
     _require_usable(u, "field argument")
     step = 2 * k
-    field = SlotField(k, u)
-    column = _field_column(field.mode_at, field.weight, step)
+    column = _field_column(SlotField(k, u))
     translated = virasoro(QQ(-1), u)
     if translated.is_zero():
         lhs = lambda e, word: (1, ())  # noqa: E731
     else:
-        moved = SlotField(k, translated)
-        lhs = _field_column(moved.mode_at, moved.weight, step)
+        lhs = _field_column(SlotField(k, translated))
 
     def rhs(e, word):
         # d/dx: the x^e coefficient is e+1 times the x^{e+1} one, and e+1
@@ -1050,8 +1035,6 @@ def check_grading(
     _require_usable(u, "field argument")
     field = SlotField(k, u)
     step = field.scale
-    # twice the level shift of mode M = 2k m is 2k(weight - 1) - M
-    base = int(step * (field.weight - 1))
     words = ramond_basis(QQ(domain_level))
     result = ComparisonResult(f"twisted-grading[k={k},{_state_label(u)}]")
     for e in _lattice_grid(window, "x", k, step):
@@ -1059,7 +1042,8 @@ def check_grading(
         text = f"mode {QQ(m, step)} @ "
         for word in words:
             image = field.mode_at(m, State._of(1, ((word, 1),)))
-            expected = QQ(base - m - sum(word), 2)
+            # the image of mode M lies at doubled level top(level2) - M
+            expected = QQ(field.top(-sum(word)) - m, 2)
             # a zero image has every grade; a nonzero one must be homogeneous
             # at the expected level, a nonnegative integer
             lhs = rhs = f"level {expected} on the nonnegative integers"
@@ -1098,12 +1082,12 @@ def check_weak_associativity(
     require_even_order(k)
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
-    builder = lambda s: _parity_family(k, s, use_recovered)  # noqa: E731
+    builder = lambda s: _parity_field(k, s, use_recovered)  # noqa: E731
     tag = "recovered" if use_recovered else "native"
-    # recovered and native families are over Q: their scalars are (ONE,);
+    # recovered and native fields are over Q: their scalars are (ONE,);
     # both read the doubled index 2m, and so the x2 exponents are doubled
-    fam_u = builder(u)
-    fam_v = builder(v)
+    fam_u = _ModeFamily(builder(u))
+    fam_v = _ModeFamily(builder(v))
     scalars = _pair_scalars(fam_u, fam_v)
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
@@ -1112,15 +1096,12 @@ def check_weak_associativity(
     t_top = _iterate_top(u, v)
     i_max = t_top + max(grid0, default=-1) + 1
     x2_text = {beta: f"x2^{QQ(beta, 2)} @ " for beta in grid2}
+    # the field of every iterate u_t v that an i-sum reaches, t = i - alpha - 1
     iterate_families = {}
-
-    def iterate_family(t: int):
-        if t in iterate_families:
-            return iterate_families[t]
+    for t in range(-max(grid0, default=-1) - 1, t_top + 1):
         state = vertex_mode(u, t, v)
-        family = None if state.is_zero() else builder(state)
-        iterate_families[t] = family
-        return family
+        iterate_families[t] = (None if state.is_zero()
+                               else _ModeFamily(builder(state)))
 
     label = (
         f"weak-associativity[{tag},k={k},{_state_label(u)},{_state_label(v)}]"
@@ -1146,7 +1127,7 @@ def check_weak_associativity(
                     # iterate side: i-sum with t = i - alpha - 1
                     rhs_terms = []
                     for i in range(0, t_top + alpha + 2):
-                        family = iterate_family(i - alpha - 1)
+                        family = iterate_families[i - alpha - 1]
                         if family is None:
                             continue
                         mu = exponent - 2 * i - beta - 2
@@ -1180,14 +1161,19 @@ def check_u_round_trip(
     equals the native parity-twisted field, coefficient for coefficient."""
     require_even_order(k)
     _require_usable(u, "field argument")
-    recovered = RecoveredField(k, u)
     label = f"recovery-round-trip[k={k},{_state_label(u)}]"
+
+    def native(e, word):
+        # the reference: the parity-twisted field's own mode -e/2 - 1, with
+        # no annihilation bound, so the recovered field's bound is checked
+        image = sigma_vertex_mode(u, QQ(-e - 2, 2), State._of(1, ((word, 1),)))
+        return image.den, image.nums
+
     # both fields on the doubled index 2m
     result = compare_fields(
         label,
-        _field_column(recovered.mode_at, recovered.weight, 2),
-        _field_column(lambda m, s: sigma_vertex_mode(u, QQ(m, 2), s),
-                      u.homogeneous_level(), 2),
+        _field_column(RecoveredField(k, u)),
+        native,
         _lattice_grid(window, "x", 2, 2),
         ramond_basis(QQ(domain_level)),
         format_ramond_word,

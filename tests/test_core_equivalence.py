@@ -37,9 +37,9 @@ run without a cache:
   over one denominator: the rendered text must match, and one state built
   along different paths must be equal, hash equal and hold the same
   numerators;
-* the rational-index bodies of the mode families and of the conjugation
+* the rational-index bodies of the fields and of the conjugation
   check: `SlotField.rational_mode` and `eta_class` on a rational index,
-  `_ModeFamily.top` and `verify._field_image`'s annihilation bound as
+  the fields' `top` and `verify._field_column`'s annihilation bound as
   rational inequalities, and `_conjugation_lhs`/`_rhs` keyed on rational
   exponents, against the int indices M = scale·m and int keys that
   replaced them, on indices drawn on and off each lattice;
@@ -52,7 +52,12 @@ run without a cache:
   by key with the prefactor k^{-p_u} in each value, and the
   `check_conjugation` and `check_L_minus1_identities` that compared such
   maps value by value; with a planted wrong coefficient both conjugation
-  checks must give the same witnesses.
+  checks must give the same witnesses;
+* `RecoveredField.mode_at` as it was, one `SlotField.image` per inverse
+  piece `combine`-d with its factor k^p·k^{-p_e}, against the flat plan
+  whose one `mode_sum` covers every piece of every inverse piece; and the
+  native parity-twisted field's `sigma_vertex_mode`, against the order-1
+  slot field that replaced it.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -109,6 +114,7 @@ from twistfock.scalars import (
     k_to_the,
     rational_ceil,
     rational_floor,
+    rationalized,
     scalar_content,
     scalar_is_zero,
     scalar_ratio,
@@ -924,14 +930,14 @@ def test_two_forms_match_two_one_form_calls(k, u, v):
     def run(selected):
         return verify._commutator_report(
             k,
-            verify._first_slot_family(k, u),
-            verify._first_slot_family(k, v),
+            verify._slot_field(k, u),
+            verify._slot_field(k, v),
             u,
             v,
             window,
             kernel_den=k,
             forms=selected,
-            product_builder=lambda s: verify._first_slot_family(k, s),
+            product_builder=lambda s: verify._slot_field(k, s),
             domain_level=QQ(1),
         )
 
@@ -994,7 +1000,7 @@ def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
     nonzero = 0
     for power in range(k):
         field = SlotField(k, u, power)
-        family = verify._first_slot_family(k, u, slot=power + 1)
+        family = verify._ModeFamily(verify._slot_field(k, u, slot=power + 1))
         for m in mode_grid(2 * k):
             M = int(2 * k * m)
             j = field.eta_class(M)
@@ -1020,7 +1026,7 @@ def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
 def test_recovered_mode_is_rational(k, name):
     u = MODE_STATES[name]
     field = RecoveredField(k, u)
-    family = verify._parity_family(k, u, True)
+    family = verify._ModeFamily(verify._parity_field(k, u, True))
     assert family.scalars == (ONE,)
     nonzero = 0
     for m in mode_grid(2):
@@ -1034,12 +1040,75 @@ def test_recovered_mode_is_rational(k, name):
     assert nonzero > 0
 
 
+class OldRecoveredField:
+    """`RecoveredField` as it was: a mode is one `SlotField.image` per
+    inverse piece, combined with the piece's rational factor."""
+
+    def __init__(self, k: int, u: State):
+        self.parity = u.homogeneous_parity() or 0
+        expansion = apply_delta(k, u, INVERSE)
+        self.prefactor = expansion.prefactor
+        fields = [(e, SlotField(k, piece)) for e, piece in expansion.pieces]
+        self._pieces = tuple(
+            (int(2 * k * (e - 1)) + 2, field,
+             rationalized(self.prefactor * field.prefactor))
+            for e, field in fields
+        )
+
+    def mode_at(self, N: int, state: State) -> State:
+        if (N - self.parity) % 2:
+            return ZERO_STATE
+        return combine(
+            (field.image(offset + N, state), factor)
+            for offset, field, factor in self._pieces
+        )
+
+
+FLAT_STATES = {
+    "vacuum": VACUUM,
+    "psi": PSI,
+    "omega": OMEGA,
+    "psi_{-3/2}": State({(-3,): ONE}),
+    "psi_{-5/2}psi_{-1/2}": State({(-5, -1): ONE}),
+}
+FLAT_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(2))[:10]]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("name", sorted(FLAT_STATES))
+def test_recovered_mode_is_one_flat_mode_sum(k, name):
+    u = FLAT_STATES[name]
+    field = RecoveredField(k, u)
+    old = OldRecoveredField(k, u)
+    nonzero = 0
+    for N in range(-12, 9):
+        for target in FLAT_TARGETS:
+            expected = old.mode_at(N, target)
+            assert field.mode_at(N, target) == expected, (N, target)
+            nonzero += not expected.is_zero()
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_STATES))
+def test_native_field_is_the_order_one_slot_field(name):
+    u = FLAT_STATES[name]
+    field = SlotField(1, u)
+    nonzero = 0
+    for N in range(-12, 9):
+        for target in FLAT_TARGETS:
+            expected = sigma_vertex_mode(u, QQ(N, 2), target)
+            assert field.image(N, target) == expected, (N, target)
+            assert field.mode_at(N, target) == expected, (N, target)
+            nonzero += not expected.is_zero()
+    assert nonzero > 0
+
+
 def test_odd_order_commutator_grid_runs_on_rationals():
-    """The k = 3 (psi, psi) obstruction grid: both families carry 3^{-1/2},
+    """The k = 3 (psi, psi) obstruction grid: both fields carry 3^{-1/2},
     whose square 1/3 is rational, so every coefficient is a Fraction."""
     k = 3
-    left = verify._first_slot_family(k, PSI)
-    right = verify._first_slot_family(k, PSI)
+    left = verify._slot_field(k, PSI)
+    right = verify._slot_field(k, PSI)
     scalars = verify._pair_scalars(left, right)
     assert scalars[0] == QQ(1, 3) and type(scalars[0]) is QQ_TYPE
     grid = verify._lattice_grid(Window({"x": (QQ(-3, 2), QQ(3, 2))}), "x",
@@ -1082,13 +1151,13 @@ def fraction_eta_class(k: int, power: int, m):
 
 
 def fraction_top(weight, grading_den: int, level):
-    """`_ModeFamily.top`: the largest rational index whose mode can act on
+    """The fields' `top`: the largest rational index whose mode can act on
     a state of that level."""
     return weight - 1 + QQ(level) / grading_den
 
 
 def fraction_field_image(mode, weight, den: int):
-    """`verify._field_image` with its bound on the rational index."""
+    """`verify._field_column` with its bound on the rational index."""
 
     def image(e, word):
         m = -e - 1
@@ -1212,19 +1281,19 @@ def test_slot_index_matches_the_rational_index(k, data):
 @settings(max_examples=120, deadline=None)
 def test_int_tops_and_bounds_match_the_rational_ones(k, data):
     u = data.draw(st.sampled_from(CODEC_STATES))
-    families = [(verify._first_slot_family(k, u), k)]
+    fields = [(verify._slot_field(k, u), k)]
     if k % 2 == 0:
-        families.append((verify._parity_family(k, u, True), 1))
-    families.append((verify._parity_family(k, u, False), 1))
+        fields.append((verify._parity_field(k, u, True), 1))
+    fields.append((verify._parity_field(k, u, False), 1))
     level2 = data.draw(st.integers(0, 12))
     m = data.draw(rational_index(k))
-    for family, grading_den in families:
-        old = fraction_top(family.weight, grading_den, QQ(level2, 2))
-        assert family.scale == 2 * grading_den
-        assert family.top(level2) == family.scale * old
-        M = lattice_index(m, family.scale)
+    for field, grading_den in fields:
+        old = fraction_top(field.weight, grading_den, QQ(level2, 2))
+        assert field.scale == 2 * grading_den
+        assert field.top(level2) == field.scale * old
+        M = lattice_index(m, field.scale)
         if M is not None:
-            assert (M <= family.top(level2)) == (m <= old)
+            assert (M <= field.top(level2)) == (m <= old)
 
 
 @given(st.integers(1, 6), st.data())
@@ -1234,17 +1303,19 @@ def test_field_image_bound_matches_the_rational_bound(k, data):
     word = data.draw(st.sampled_from(CODEC_WORDS))
     field = SlotField(k, u)
     e = data.draw(st.integers(-6 * k, 4 * k))
-    got = verify._field_image(field.mode_at, field.weight, 2 * k)(e, word)
+    got = verify._field_column(field)(e, word)
     old = fraction_field_image(
-        lambda m, s: old_slot_mode(k, u, 0, m, s), field.weight, k)
-    assert got == old(QQ(e, 2 * k), word)
+        lambda m, s: old_slot_mode(k, u, 0, m, s), field.weight, k)(
+        QQ(e, 2 * k), word)
+    assert got == (old.den, old.nums)
     if k % 2 == 0:
         recovered = RecoveredField(k, u)
         d = data.draw(st.integers(-6, 4))
-        got = verify._field_image(recovered.mode_at, recovered.weight, 2)(d, word)
+        got = verify._field_column(recovered)(d, word)
         old = fraction_field_image(
-            lambda m, s: old_recovered_mode(k, u, m, s), recovered.weight, 1)
-        assert got == old(QQ(d, 2), word)
+            lambda m, s: old_recovered_mode(k, u, m, s), recovered.weight, 1)(
+            QQ(d, 2), word)
+        assert got == (old.den, old.nums)
 
 
 @given(st.integers(1, 6), st.sampled_from([PSI, OMEGA]),

@@ -10,6 +10,7 @@ from twistfock.formal import (
     DeltaIdentity,
     Window,
     compare_fields,
+    compare_numerators,
     compare_series,
     merged_delta_kernel,
     verify_delta_identity,
@@ -187,12 +188,12 @@ class TestComparisonResult:
 class TestCompareFields:
     def test_counts_columns_and_union_keys_in_sorted_order(self):
         # two fields on exponents {-1, 0} and keys {a, b}: the x^0 column
-        # of b is empty on both sides, and one entry of the x^-1 column of
-        # a differs; the left side lists that column's keys unsorted.  A
+        # of b is empty on both sides, and both entries of the x^-1 column
+        # of a differ; the left side lists that column's keys unsorted.  A
         # column is numerators over a denominator: the right side's are
         # over 2, so equal values compare equal across denominators
         lhs = {
-            (QQ(-1), "a"): (1, (("z", 1), ("y", 2))),
+            (QQ(-1), "a"): (1, (("z", 1), ("y", 3))),
             (QQ(-1), "b"): (1, (("q", 1),)),
             (QQ(0), "a"): (1, (("x", 3),)),
         }
@@ -217,11 +218,27 @@ class TestCompareFields:
         )
         # four columns, and 2 + 1 + 1 + 0 output keys in their unions
         assert result.compared == 4 + 4
-        assert result.mismatches == [("x^-1 @ A -> Z", QQ(1), QQ(5))]
+        assert result.mismatches == [
+            ("x^-1 @ A -> Y", QQ(3), QQ(2)),
+            ("x^-1 @ A -> Z", QQ(1), QQ(5)),
+        ]
         assert not result.passed
-        # each compared entry formats its column key, then its output key
-        assert visited[1::2] == ["y", "z", "q", "x"]
-        assert visited[0::2] == ["a", "a", "b", "a"]
+        # each column formats its key once; an output key is formatted
+        # only where its entry differs
+        assert visited == ["a", "y", "z", "b", "a", "b"]
+
+
+class TestCompareNumerators:
+    def test_factor_scales_both_witnesses_and_a_missing_key_is_zero(self):
+        result = ComparisonResult("sums")
+        compare_numerators(
+            result, (2, {"b": 3, "a": 1}), (4, {"a": 2, "c": 1}),
+            lambda key: key.upper(), QQ(3),
+        )
+        # one comparison per key of either map, in sorted order; 1/2 and
+        # 2/4 agree across the denominators
+        assert result.compared == 3
+        assert result.mismatches == [("B", QQ(9, 2), ZERO), ("C", ZERO, QQ(3, 4))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ run is pinned as CSV too: its window cells hold commas, so the pin fixes the
 CSV quoting.  Two more obstruction runs are pinned by hash: k = 3 at
 conjugation depth 6, whose shifted-coordinate expansion reads root powers
 ((1+y)^{1/k} - 1)^e at larger |e| than the default depth, and the second odd
-order k = 5, which no benchmark workload runs.
+order k = 5, which no benchmark workload runs.  The k = 6 run, at a
+reduced radius and with the three-variable identity off, is the one pin on
+the 1/6 lattice: there eta is irrational (its conductor is 24) and the
+cross-slot kernel class takes three values.
 
 Three more command lines are pinned by hash because no delta-session
 request reaches them: an inverse change of a two-mode word at k = 4 through
@@ -88,6 +91,14 @@ K5_SHA256 = (
     "0c1d6cb0dd8473d92fb5718a284065f92b8431adc0e6349c9128270f87cc1747"
 )
 
+K6_ARGV = [
+    "verify", "--k", "6", "--jacobi", "off", "--radius", "1/2",
+    "--format", "json",
+]
+K6_SHA256 = (
+    "0ab83100f0958bca559ddde9937169f54fa29e033bfa9431170d73abc969e996"
+)
+
 CLI_SHA256 = {
     "delta-apply --k 4 --state=-5/2,-3/2 --inverse --lo -4 --hi 0 --format csv":
         "148d0f15228f9a0ed2b22e052100381f31d2dd555011fc129bb0bd083833be95",
@@ -136,6 +147,10 @@ def test_k3_depth6_report_matches_pinned_hash(capsys):
 
 def test_k5_report_matches_pinned_hash(capsys):
     assert report_sha256(capsys, K5_ARGV) == K5_SHA256
+
+
+def test_k6_report_matches_pinned_hash(capsys):
+    assert report_sha256(capsys, K6_ARGV) == K6_SHA256
 
 
 @pytest.mark.parametrize("command", sorted(CLI_SHA256))

@@ -37,7 +37,6 @@ from twistfock.twist import (
     twisted_mode,
     u_functor_sigma_mode,
 )
-from twistfock.verify import _field_column
 
 WINDOW = (-3, 3)
 KEYS = ramond_basis(QQ(2))
@@ -76,13 +75,17 @@ def indices(den, window=WINDOW):
     return range(lo * den, hi * den + 1)
 
 
-def columns(field, den):
-    """The column function of a slot field, a tensor product or a
-    recovered field of grading denominator den, for `compare_fields`: on
-    the int index 2·den·e, with the modes read at their rational index."""
+def columns(mode, den):
+    """The column function of a field of grading denominator den given by
+    its modes at their rational index, for `compare_fields`: on the int
+    index 2·den·e, with no annihilation bound."""
     scale = 2 * den
-    return _field_column(lambda m, s: field.mode(QQ(m, scale), s),
-                         field.weight, scale)
+
+    def column(e, word):
+        image = mode(QQ(-e - scale, scale), State({word: ONE}))
+        return image.den, image.nums
+
+    return column
 
 
 class TestYbar:
@@ -273,14 +276,13 @@ class TestTwistedMode:
 class TestInverseConstruction:
     @staticmethod
     def native_columns(u):
-        return _field_column(lambda m, s: sigma_vertex_mode(u, QQ(m, 2), s),
-                             u.homogeneous_level(), 2)
+        return columns(lambda m, s: sigma_vertex_mode(u, m, s), 1)
 
     @pytest.mark.parametrize("u,name", [(VACUUM, "vac"), (PSI, "psi"),
                                         (OMEGA, "omega")])
     def test_recovers_parity_twisted_field(self, u, name):
         recovered = RecoveredField(2, u)
-        result = compare_fields(name, columns(recovered, 1),
+        result = compare_fields(name, columns(recovered.mode, 1),
                                 self.native_columns(u), indices(2), KEYS,
                                 scale=2)
         assert result.passed
@@ -289,7 +291,7 @@ class TestInverseConstruction:
     def test_recovers_at_order_four(self):
         recovered = RecoveredField(4, PSI)
         keys = ramond_basis(QQ(1))
-        result = compare_fields("psi4", columns(recovered, 1),
+        result = compare_fields("psi4", columns(recovered.mode, 1),
                                 self.native_columns(PSI), indices(2, (-2, 2)),
                                 keys, scale=2)
         assert result.passed

@@ -34,10 +34,11 @@ from twistfock.formal import (
 from twistfock.ramond import format_ramond_word, ramond_basis
 from twistfock.twist import MAX_CUTOFF, SlotField
 from twistfock.verify import (
-    _first_slot_family,
+    _ModeFamily,
     _iterate_top,
     _jacobi_left,
     _pair_scalars,
+    _slot_field,
     _smallest_passing,
     _wrap_comparison,
     CheckReport,
@@ -286,7 +287,8 @@ class TestJacobiKernels:
     )
     def test_left_side_matches_delta_kernels(self, u, v):
         k, lo, hi = self.K, -self.BOUND, self.BOUND
-        left, right = _first_slot_family(k, u), _first_slot_family(k, v)
+        left = _ModeFamily(_slot_field(k, u))
+        right = _ModeFamily(_slot_field(k, v))
         for family in (left, right):
             # an inner mode b + i with b = -e - 1 >= -hi - 1 acts only while
             # b + i <= top, i.e. for i <= top + hi + 1; the top is an index
@@ -357,7 +359,8 @@ class TestJacobiKernels:
         for i up to the iterate top plus alpha plus one, the mode being that
         of the iterate state's `SlotField`.  So the oracle shares neither
         `_field_product_mode` nor `verify._expanded_product`."""
-        left, right = _first_slot_family(k, u), _first_slot_family(k, v)
+        left = _ModeFamily(_slot_field(k, u))
+        right = _ModeFamily(_slot_field(k, v))
         eps = -ONE if (left.parity and right.parity) else ONE
         scalars = _pair_scalars(left, right)
         top = _iterate_top(u, v)
@@ -421,6 +424,57 @@ class TestLocality:
                 2, PSI, PSI, window, slot_u=slots[0], slot_v=slots[1],
                 domain_level=QQ(1),
             )
+
+
+SMALL2 = Window.cube(("x1", "x2"), QQ(-1, 2), QQ(1, 2))
+SMALL3 = Window.cube(("x0", "x1", "x2"), QQ(-1, 2), QQ(1, 2))
+SMALL_ASSOC = Window.cube(("x0", "x2"), QQ(-1, 2), QQ(1, 2))
+
+#: the checks that read fields directly, and the ones that cache modes
+FIELD_CHECKS = {
+    "even-supercommutator": lambda: check_even_supercommutator(
+        2, PSI, OMEGA, SMALL2, domain_level=QQ(1)),
+    "cross-slot": lambda: check_cross_slot_commutator(
+        2, PSI, PSI, 1, 2, SMALL2, domain_level=QQ(1)),
+    "locality": lambda: check_locality(2, PSI, PSI, SMALL2, domain_level=QQ(1)),
+    "recovered-commutator": lambda: check_recovered_commutator(
+        2, PSI, PSI, SMALL2, domain_level=QQ(1)),
+    "native-commutator": lambda: check_recovered_commutator(
+        2, PSI, PSI, SMALL2, domain_level=QQ(1), use_recovered=False),
+}
+CACHING_CHECKS = {
+    "twisted-jacobi": lambda: check_twisted_jacobi(
+        2, PSI, PSI, SMALL3, domain_level=QQ(1)),
+    "weak-associativity": lambda: check_weak_associativity(
+        2, PSI, PSI, SMALL_ASSOC, domain_level=QQ(1)),
+}
+
+
+class TestModeCache:
+    """Only the checks built on expanded products cache modes: the
+    commutator engine and locality read the fields directly."""
+
+    @pytest.fixture
+    def family_calls(self, monkeypatch):
+        calls = []
+        mode = verify._ModeFamily.mode
+
+        def counted(family, M, state):
+            calls.append(M)
+            return mode(family, M, state)
+
+        monkeypatch.setattr(verify._ModeFamily, "mode", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(FIELD_CHECKS))
+    def test_commutator_checks_never_use_the_cache(self, family_calls, name):
+        assert_clean_pass(FIELD_CHECKS[name]())
+        assert family_calls == []
+
+    @pytest.mark.parametrize("name", sorted(CACHING_CHECKS))
+    def test_expanded_product_checks_use_the_cache(self, family_calls, name):
+        assert_clean_pass(CACHING_CHECKS[name]())
+        assert family_calls
 
 
 class TestStructureChecks:
