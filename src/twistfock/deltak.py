@@ -6,7 +6,8 @@ coordinate.  It provides:
 
 * the coefficient table of the generating derivation, solved exactly from
   the cover map ((1+x)^k - 1)/k and cross-checked against the compositional
-  inverse (1+kx)^{1/k} - 1;
+  inverse (1+kx)^{1/k} - 1, both on ints over one denominator per degree
+  or per series term;
 * the check that the cover map undoes its compositional inverse, on the
   exact coefficients of one power series in t = x z^{-1/k};
 * forward and inverse application of the operator to homogeneous states,
@@ -16,7 +17,10 @@ coordinate.  It provides:
 * coefficientwise verification of the conjugation identity relating a
   conjugated vertex operator to the vertex operator of a transformed state
   in a shifted coordinate, and of the two derivative identities tying the
-  operator to the translation generator.
+  operator to the translation generator.  Both sides of the conjugation
+  identity are int numerators over one denominator: the conjugated side
+  reads the operator's cached per-word pieces directly, and the shifted
+  coordinate's powers come from a root table built on ints.
 
 Everything is exact; nothing is floating point.
 """
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import lcm
+from math import comb, gcd, lcm
 
 from .scalars import (
     QQ,
@@ -66,10 +70,10 @@ from .fermion import (
 
 
 # Deepest coefficient table any caller may ask for.  The solve holds a
-# (J+1) x (J+2) array of exact fractions whose numerators grow with J and
-# costs O(J^3) fraction operations: depth 128 takes about 6.5-8.5 s on a
-# 2-core host (a state of weight 255/2, which reads it, about 11 s in all),
-# and a depth of a million would exhaust memory before any check ran.
+# (J+1) x (J+2) array of int numerators that grow with J and costs O(J^3)
+# int operations: depth 128 takes about 0.4 s on a 2-core host (a state of
+# weight 255/2, which reads it, about 1.2 s in all), and a depth of a
+# million would exhaust memory before any check ran.
 MAX_TABLE_DEPTH = 128
 
 
@@ -86,9 +90,9 @@ def _require_depth(depth: int) -> None:
 # Deepest z0-expansion the conjugation check may run at.  Its cost grows
 # steeply with the depth (the operator is applied to states of weight up to
 # the depth): on a 2-core host the k = 3 obstruction suite takes about
-# 0.2 s at the default depth 4, 0.3 s at depth 8 and 0.6 s at depth 12
+# 0.15 s at the default depth 4, 0.2 s at depth 8 and 0.4 s at depth 12
 # (wall time with start-up), and, measured in process past the ceiling,
-# 1.5 s at depth 16 and 3.7 s at depth 20.
+# 0.9 s at depth 16 and 2.3 s at depth 20.
 MAX_CONJUGATION_DEPTH = 12
 
 
@@ -143,31 +147,51 @@ def _exp_derivation_on_x(values, sign: int, top: int):
     """exp(sign * D) applied to the polynomial x, truncated to degree top.
 
     The m-th term is (sign/m) D of the previous one, and D sends x^i to
-    sum_j a_j i x^{i+j}; the factor sign * i / m is folded into the source
-    coefficient once, so each (i, j) pair costs one product and one sum.
-    Each application of D raises the minimal degree by at least one, so the
-    exponential series terminates after at most ``top`` applications.
+    sum_j a_j i x^{i+j}.  The series runs on ints: the a_j are ints A_j
+    over their lcm D, each term is one dict degree -> numerator over one
+    denominator (the previous one times Dm, reduced by one gcd), and the
+    terms are summed over a running lcm; only the returned coefficients
+    are `QQ`.  Each application of D raises the minimal degree by at least
+    one, so the exponential series terminates after at most ``top``
+    applications.
     """
-    total = [ZERO] * (top + 1)
     if top < 1:
-        return total
-    total[1] = ONE
-    term = {1: ONE}  # the nonzero coefficients of the current term
-    nonzero = [(j, a) for j, a in enumerate(values, start=1) if a]
+        return [ZERO] * (top + 1)
+    D = lcm(*[a.denominator for a in values])
+    coeffs = [(j, a.numerator * (D // a.denominator))
+              for j, a in enumerate(values, start=1) if a]
+    den = total_den = 1
+    term = {1: 1}  # the nonzero numerators of the current term, over den
+    totals = {1: 1}
     m = 0
-    while term:
+    while True:
         m += 1
         out = {}
         for i, c in term.items():
-            source = c * QQ(sign * i, m)
-            for j, a in nonzero:
+            source = sign * i * c
+            for j, A in coeffs:
                 d = i + j
                 if d > top:
                     break
-                out[d] = out.get(d, ZERO) + a * source
+                out[d] = out.get(d, 0) + A * source
         term = {d: c for d, c in out.items() if c}
+        if not term:
+            break
+        den *= D * m
+        g = gcd(den, *term.values())
+        if g != 1:
+            den //= g
+            term = {d: c // g for d, c in term.items()}
+        if total_den % den:
+            common = lcm(total_den, den)
+            _rescale(totals, common // total_den)
+            total_den = common
+        factor = total_den // den
         for d, c in term.items():
-            total[d] += c
+            totals[d] = totals.get(d, 0) + factor * c
+    total = [ZERO] * (top + 1)
+    for d, c in totals.items():
+        total[d] = QQ(c, total_den)
     return total
 
 
@@ -184,6 +208,13 @@ def solve_aj(k: int, J: int) -> AjTable:
     a_{n-1} = sum_{m>=2} T_m[n] - C(k, n)/k.  Filling the terms column by
     column in n = 2..J+1 costs O(J^3).
 
+    The pass runs on ints: every degree-n value (each T_m[n], and a_{n-1})
+    is an int over one denominator ``dens[n]``.  Column n is first summed
+    over a common multiple of its products' and its 1/m's denominators,
+    then reduced by the gcd of the whole column, so ``dens[n]`` is the lcm
+    of the column's denominators in lowest terms; only the finished a_j
+    become `QQ`.
+
     The finished table is cross-checked against the independent expansion
     exp(+D) x = (1+kx)^{1/k} - 1 through degree J+1, computed by
     `_exp_derivation_on_x`, which shares no code with the pass above.
@@ -192,26 +223,38 @@ def solve_aj(k: int, J: int) -> AjTable:
         raise ValueError(f"k must be a positive integer, got {k}")
     _require_depth(J)
     top = J + 1
-    a = [ZERO] * (J + 1)  # a[j] for j = 1..J; a[0] unused
-    # terms[m][n]: degree-n coefficient of T_m, for m = 0..top-1
-    terms = [[ZERO] * (top + 1) for _ in range(top)]
-    terms[0][1] = ONE
+    a = [0] * (J + 1)  # a[j] over dens[j + 1], for j = 1..J; a[0] unused
+    # terms[m][n]: the numerator of the degree-n coefficient of T_m, over
+    # dens[n], for m = 0..top-1
+    terms = [[0] * (top + 1) for _ in range(top)]
+    terms[0][1] = 1
+    dens = [1] * (top + 1)
     for n in range(2, top + 1):
-        total = ZERO
+        # a_j T_{m-1}[n-j] (n-j) over dens[j+1] dens[n-j], for j <= n-2
+        parts = [dens[j + 1] * dens[n - j] for j in range(1, n - 1)]
+        L = lcm(*parts)
+        weights = [a[j] * (n - j) * (L // part)
+                   for j, part in enumerate(parts, start=1)]
+        M = L * lcm(k, *range(2, n))  # a multiple of m L (m < n) and of k
+        column = [0] * n  # column[m] = T_m[n] over M, for m = 2..n-1
+        total = 0
         for m in range(2, n):
             prev = terms[m - 1]
-            acc = ZERO
+            acc = 0
             for j in range(1, n - m + 1):
-                c = prev[n - j]
-                if c:
-                    acc += a[j] * c * (n - j)
+                acc += weights[j - 1] * prev[n - j]
             if acc:
-                value = -acc / m
-                terms[m][n] = value
+                value = -acc * (M // (m * L))
+                column[m] = value
                 total += value
-        a[n - 1] = total - binomial(QQ(k), n) / k
+        a_n = total - comb(k, n) * (M // k)
+        g = gcd(M, a_n, *column)
+        dens[n] = M // g
+        a[n - 1] = a_n // g
         terms[1][n] = -a[n - 1]
-    values = tuple(a[1:])
+        for m in range(2, n):
+            terms[m][n] = column[m] // g
+    values = tuple([QQ(a[j], dens[j + 1]) for j in range(1, J + 1)])
 
     forward = _exp_derivation_on_x(values, +1, J + 1)
     for m, oracle in enumerate(_inverse_cover_series(k, J + 1)):
@@ -442,30 +485,42 @@ class _RootPowers:
     h = sum_{n>=1} k C(1/k, n+1) y^n.  (1+h)^e is expanded through y^degree
     by J.C.P. Miller's recurrence, b_0 = 1 and
         n b_n = sum_{i=1}^{n} ((e+1) i - n) h_i b_{n-i},
-    once per exponent e, on first use.  So the coefficient of y^n is exact
-    for n <= e + degree and zero below y^e; any other coefficient is
-    unknown, and asking for it raises.
+    once per exponent e, on first use.  The recurrence runs on ints: with
+    h_i = hn_i / H over the lcm H of their denominators and
+    b_n = B_n / (n! H^n), it reads
+        B_n = sum_{i=1}^{n} ((e+1) i - n) hn_i B_{n-i} (n-1)!/(n-i)! H^{i-1},
+    and only the finished coefficients k^{-e} B_n / (n! H^n) become `QQ`.
+    So the coefficient of y^n is exact for n <= e + degree and zero below
+    y^e; any other coefficient is unknown, and asking for it raises.
     """
 
     def __init__(self, k: int, degree: int):
         self.k = k
         self.degree = degree
-        self._unit = [ZERO] + [
-            k * binomial(QQ(1, k), n + 1) for n in range(1, degree + 1)
-        ]
+        unit = [k * binomial(QQ(1, k), n + 1) for n in range(1, degree + 1)]
+        H = lcm(*[h.denominator for h in unit])
+        self._unit = H, [0] + [h.numerator * (H // h.denominator) for h in unit]
         self._tables = {}
 
     def _power(self, e: int) -> list:
-        h = self._unit
-        b = [ONE]
+        H, h = self._unit
+        B = [1]
         for n in range(1, self.degree + 1):
-            acc = ZERO
+            acc = 0
+            weight = 1  # (n-1)!/(n-i)! H^{i-1}
             for i in range(1, n + 1):
                 if h[i]:
-                    acc += ((e + 1) * i - n) * h[i] * b[n - i]
-            b.append(acc / n)
-        scale = QQ(1, self.k) ** e
-        return [scale * c for c in b]
+                    acc += ((e + 1) * i - n) * h[i] * B[n - i] * weight
+                weight *= (n - i) * H
+            B.append(acc)
+        k_num, k_den = (1, self.k ** e) if e >= 0 else (self.k ** -e, 1)
+        out = []
+        den = k_den
+        for n, c in enumerate(B):
+            if n:
+                den *= n * H
+            out.append(QQ(k_num * c, den))
+        return out
 
     def coefficient(self, e: int, n: int):
         """The coefficient of y^n in ((1+y)^{1/k} - 1)^e."""
@@ -504,9 +559,10 @@ class _KeyedSums:
         self.den = 1
         self.nums = {}
 
-    def add(self, scalar, state: State, *tail) -> None:
-        """Add scalar * state, keyed on (word, *tail)."""
-        n, d = integral_split(scalar)
+    def add(self, n, d: int, state: State, *tail) -> None:
+        """Add (n/d) * state, keyed on (word, *tail): n is an integral
+        numerator (see `integral_split`) and d a positive int, not
+        necessarily in lowest terms."""
         part = d * state.den
         den = self.den
         if den % part:
@@ -530,67 +586,99 @@ class _KeyedSums:
         return self.den // g, {key: num // g for key, num in nums.items()}
 
 
+def _level2(state: State) -> int:
+    """Twice the level of a nonzero homogeneous state, an int."""
+    return int(2 * state.homogeneous_level())
+
+
 def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
     """Conjugated side: operator, then vertex modes, then inverse operator.
 
     Returns (den, {(word, 2k·z-exponent, z0-exponent): numerator}) in
     lowest terms, keyed on ints, with every z0-exponent <= depth_z0
-    included exactly; each value is k^{-p_u} times numerator/den.  The
-    factor k^{p_v - q} of an image of weight q is k^{-p_u} times an integer
-    power of k, so the sums run over Q and the common k^{-p_u} is left out.
+    included exactly; each value is k^{-p_u} times numerator/den.
+
+    The side reads the cached per-word pieces of the operator directly,
+    so it builds no expansion per image.  The piece of a word of v at
+    inverse drop j (weight w = p_v - j) lies at the z-exponent
+    p_v - p_v/k - j, with the rational factor k^{-j}; the piece of an image
+    word of weight q at forward drop i adds q/k - q - i/k.  A key holds 2k
+    times the sum, an int.  The factor k^{p_v - q} of an image of weight
+    q = p_u + w - t - 1 is k^{-p_u} times k^{j + t + 1}, so with the k^{-j}
+    of the inverse piece each image carries the int power k^{t+1}, and the
+    common k^{-p_u} is left out.
     """
-    p_u = u.homogeneous_level()
-    p_v = v.homogeneous_level()
-    inv = apply_delta(k, v, INVERSE)
+    u2 = _level2(u)
+    v2 = _level2(v)
     sums = _KeyedSums()
-    for e_j, piece in inv.pieces:
-        w_j = piece.homogeneous_level()
-        z_j = int(2 * k * e_j)
-        for t in range(-depth_z0 - 1, rational_floor(p_u + w_j - 1) + 1):
-            image = vertex_mode(u, t, piece)
-            if image.nums:
-                fwd = apply_delta(k, image, FORWARD)
-                scalar = k_to_the(k, p_v - w_j + t + 1)
+    for v_word, v_num in v.nums:
+        for j, piece in _word_drops(k, INVERSE, v_word):
+            w2 = v2 - 2 * j
+            z_j = (k - 1) * v2 - 2 * k * j
+            for t in range(-depth_z0 - 1, (u2 + w2) // 2):
+                image = vertex_mode(u, t, piece)
+                if not image.nums:
+                    continue
+                d = v.den * image.den
+                if t >= -1:
+                    n = v_num * k ** (t + 1)
+                else:
+                    n, d = v_num, d * k ** (-t - 1)
+                q2 = u2 + w2 - 2 * t - 2
+                z_q = z_j + (1 - k) * q2
                 e_z0 = -t - 1
-                for e_i, result in fwd.pieces:
-                    sums.add(scalar, result, z_j + int(2 * k * e_i), e_z0)
+                for word, num in image.nums:
+                    for i, result in _word_drops(k, FORWARD, word):
+                        sums.add(n * num, d, result, z_q - 2 * i, e_z0)
     return sums.lowest()
 
 
-def _conjugation_rhs(k: int, u: State, v: State, depth_z0: int,
+def _conjugation_rhs(k: int, fwd_u: DeltaExpansion, v: State, depth_z0: int,
                      roots: _RootPowers) -> tuple:
-    """Transformed side: operator applied to u, then vertex modes in the
-    shifted coordinate (z+z0)^{1/k} - z^{1/k}, expanded binomially; the
-    powers of the shifted coordinate are read from ``roots``, whose degree
-    must be at least ``_root_degree(p_u + p_v, depth_z0)``.  Returned as
-    `_conjugation_lhs`, the prefactor k^{-p_u} of every value left out.
+    """Transformed side: the operator applied to u (``fwd_u``, taken once
+    per check), then vertex modes in the shifted coordinate
+    (z+z0)^{1/k} - z^{1/k}, expanded binomially.
+
+    The mode of z-power e of a piece at exponent alpha contributes at
+    z0-exponent s the coefficient of y^s in (1+y)^alpha ((1+y)^{1/k} - 1)^e,
+    the sum over i + n = s of C(alpha, i) and the coefficient of y^n read
+    from ``roots``, whose degree must be at least
+    ``_root_degree(p_u + p_v, depth_z0)``; both are read as int pairs and
+    summed over their lcm.  Returned as `_conjugation_lhs`, the prefactor
+    k^{-p_u} of every value left out.
     """
-    p_v = v.homogeneous_level()
-    fwd_u = apply_delta(k, u, FORWARD)
+    v2 = _level2(v)
     sums = _KeyedSums()
-    for e_piece, piece in fwd_u.pieces:
-        w_piece = piece.homogeneous_level()
+    for alpha, piece in fwd_u.pieces:
         # z-exponent of the binomial base for this piece, and C(alpha, i)
-        alpha = e_piece
         z_alpha = int(2 * k * alpha)
-        t_hi = rational_floor(w_piece + p_v - 1)
-        binoms = [binomial(alpha, i) for i in range(depth_z0 + t_hi + 2)]
+        t_hi = (_level2(piece) + v2) // 2 - 1
+        binoms = []
+        for i in range(depth_z0 + t_hi + 2):
+            c = binomial(alpha, i)
+            binoms.append((c.numerator, c.denominator))
         for t in range(-depth_z0 - 1, t_hi + 1):
             image = vertex_mode(piece, t, v)
             if not image.nums:
                 continue
             e = -t - 1  # power of the shifted coordinate
-            # (z+z0)^alpha in nonnegative z0-powers, capped by the z0 budget
-            for i in range(0, depth_z0 - e + 1):
-                binom_c = binoms[i]
-                if binom_c == 0:
+            # the coefficients of y^e..y^depth_z0 of the root power
+            row = []
+            for n in range(e, depth_z0 + 1):
+                c = roots.coefficient(e, n)
+                row.append((c.numerator, c.denominator))
+            for s in range(e, depth_z0 + 1):
+                # C(alpha, i) times the root coefficient of y^(s-i)
+                parts = [(b_n * g_n, b_d * g_d)
+                         for (b_n, b_d), (g_n, g_d) in zip(binoms, row[s - e::-1])
+                         if b_n and g_n]
+                if not parts:
                     continue
-                for n in range(e, depth_z0 - i + 1):
-                    g_c = roots.coefficient(e, n)
-                    if g_c != 0:
-                        # 2k times alpha - i + e/k - n
-                        z = z_alpha + 2 * (e - k * (i + n))
-                        sums.add(binom_c * g_c, image, z, i + n)
+                d = lcm(*[part for _, part in parts])
+                n = sum([c * (d // part) for c, part in parts])
+                if n:
+                    # 2k times alpha + e/k - s
+                    sums.add(n, d, image, z_alpha + 2 * (e - k * s), s)
     return sums.lowest()
 
 
@@ -610,6 +698,7 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
         raise ValueError("conjugation check needs a nonzero homogeneous state")
     p_u = u.homogeneous_level()
     prefactor = k_to_the(k, -p_u)
+    fwd_u = apply_delta(k, u, FORWARD)
     # one table of root powers, deep enough for every basis state
     roots = _RootPowers(k, _root_degree(p_u + QQ(cutoff), depth))
     result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
@@ -619,7 +708,7 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
         compare_numerators(
             result,
             _conjugation_lhs(k, u, v, depth),
-            _conjugation_rhs(k, u, v, depth, roots),
+            _conjugation_rhs(k, fwd_u, v, depth, roots),
             lambda key: (source, format_ns_word(key[0]), QQ(key[1], 2 * k),
                          QQ(key[2])),
             prefactor,
@@ -660,14 +749,14 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
             lhs = _KeyedSums()
             if not lu.is_zero():
                 for e, s in apply_delta(k, lu, direction).pieces:
-                    lhs.add(shift_scalar, s, e)
+                    lhs.add(*integral_split(shift_scalar), s, e)
             for e, s in ex_u.pieces:
-                lhs.add(-shift_scalar, virasoro(QQ(-1), s), e + shift_exp)
+                lhs.add(*integral_split(-shift_scalar), virasoro(QQ(-1), s), e + shift_exp)
 
             rhs = _KeyedSums()
             for e, s in ex_u.pieces:
                 if e != 0:
-                    rhs.add(rhs_scale * e, s, e - 1 + rhs_shift)
+                    rhs.add(*integral_split(rhs_scale * e), s, e - 1 + rhs_shift)
 
             if not (lhs.nums or rhs.nums):
                 # both sides identically zero: that agreement is itself a check

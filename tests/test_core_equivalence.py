@@ -57,7 +57,15 @@ run without a cache:
   piece `combine`-d with its factor k^p·k^{-p_e}, against the flat plan
   whose one `mode_sum` covers every piece of every inverse piece; and the
   native parity-twisted field's `sigma_vertex_mode`, against the order-1
-  slot field that replaced it.
+  slot field that replaced it;
+* the conjugation sides as they were before they ran on the cached
+  per-word pieces: the conjugated side with one `apply_delta` per inverse
+  change and per vertex-mode image, the transformed side taking u's
+  forward change per basis word and adding one `Fraction` product
+  C(alpha, i) g(e, n) per (i, n), and the check built on them, which must
+  report the same witnesses under a planted error in one per-word piece
+  or in one root coefficient; and `solve_aj`, `_exp_derivation_on_x` and
+  `_RootPowers._power` on `Fraction` recurrences, against their int forms.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -120,7 +128,7 @@ from twistfock.scalars import (
     scalar_ratio,
     scalar_str,
 )
-from twistfock.formal import ComparisonResult, Window
+from twistfock.formal import ComparisonResult, Window, compare_numerators
 from twistfock.twist import RecoveredField, SlotField
 
 QQ_TYPE = type(QQ(1))
@@ -812,11 +820,12 @@ def test_conjugation_reads_inside_the_stated_degree():
     u, v = OMEGA, State({(-5, -1): ONE})  # doubled: psi(-5/2)psi(-1/2)
     depth = 3
     degree = deltak._root_degree(u.homogeneous_level() + v.homogeneous_level(), depth)
-    rhs = deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree))
+    fwd_u = apply_delta(3, u, FORWARD)
+    rhs = deltak._conjugation_rhs(3, fwd_u, v, depth, _RootPowers(3, degree))
     assert rhs[1]
-    assert deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree + 4)) == rhs
+    assert deltak._conjugation_rhs(3, fwd_u, v, depth, _RootPowers(3, degree + 4)) == rhs
     with pytest.raises(ValueError, match="outside the exact range"):
-        deltak._conjugation_rhs(3, u, v, depth, _RootPowers(3, degree - 1))
+        deltak._conjugation_rhs(3, fwd_u, v, depth, _RootPowers(3, degree - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1329,7 +1338,8 @@ def test_int_conjugation_keys_decode_to_the_rational_keys(k, u, word, depth):
     for got, old in (
         (side_values(k, u, deltak._conjugation_lhs(k, u, v, depth)),
          fraction_conjugation_lhs(k, u, v, depth)),
-        (side_values(k, u, deltak._conjugation_rhs(k, u, v, depth, roots)),
+        (side_values(k, u, deltak._conjugation_rhs(
+            k, apply_delta(k, u, FORWARD), v, depth, roots)),
          fraction_conjugation_rhs(k, u, v, depth, roots)),
     ):
         assert all(type(z) is int and type(z0) is int for _, z, z0 in got)
@@ -1581,7 +1591,8 @@ def test_conjugation_sides_match_the_scalar_sides(k):
             for got, old in (
                 (deltak._conjugation_lhs(k, u, v, depth),
                  scalar_conjugation_lhs(k, u, v, depth)),
-                (deltak._conjugation_rhs(k, u, v, depth, roots),
+                (deltak._conjugation_rhs(k, apply_delta(k, u, FORWARD), v,
+                                         depth, roots),
                  scalar_conjugation_rhs(k, u, v, depth, roots)),
             ):
                 den, nums = got
@@ -1645,3 +1656,262 @@ def test_planted_translation_error_gives_the_scalar_witnesses(monkeypatch):
     assert got == expected
     assert any(isinstance(value, CycScalar)
                for _, lhs, rhs in got.mismatches for value in (lhs, rhs))
+
+
+# ---------------------------------------------------------------------------
+# the conjugation check on apply_delta images, and the a_j and root tables
+# on Fraction recurrences, as they were
+# ---------------------------------------------------------------------------
+
+
+def fraction_exp_derivation_on_x(values, sign: int, top: int):
+    """`deltak._exp_derivation_on_x` on `Fraction` coefficients."""
+    total = [ZERO] * (top + 1)
+    if top < 1:
+        return total
+    total[1] = ONE
+    term = {1: ONE}  # the nonzero coefficients of the current term
+    nonzero = [(j, a) for j, a in enumerate(values, start=1) if a]
+    m = 0
+    while term:
+        m += 1
+        out = {}
+        for i, c in term.items():
+            source = c * QQ(sign * i, m)
+            for j, a in nonzero:
+                d = i + j
+                if d > top:
+                    break
+                out[d] = out.get(d, ZERO) + a * source
+        term = {d: c for d, c in out.items() if c}
+        for d, c in term.items():
+            total[d] += c
+    return total
+
+
+def fraction_solve_aj(k: int, J: int) -> tuple:
+    """`deltak.solve_aj` on `Fraction` coefficients, uncached; the values,
+    after the same cross-check."""
+    top = J + 1
+    a = [ZERO] * (J + 1)  # a[j] for j = 1..J; a[0] unused
+    # terms[m][n]: degree-n coefficient of T_m, for m = 0..top-1
+    terms = [[ZERO] * (top + 1) for _ in range(top)]
+    terms[0][1] = ONE
+    for n in range(2, top + 1):
+        total = ZERO
+        for m in range(2, n):
+            prev = terms[m - 1]
+            acc = ZERO
+            for j in range(1, n - m + 1):
+                c = prev[n - j]
+                if c:
+                    acc += a[j] * c * (n - j)
+            if acc:
+                value = -acc / m
+                terms[m][n] = value
+                total += value
+        a[n - 1] = total - binomial(QQ(k), n) / k
+        terms[1][n] = -a[n - 1]
+    values = tuple(a[1:])
+    forward = fraction_exp_derivation_on_x(values, +1, J + 1)
+    oracle = [ZERO] + [binomial(QQ(1, k), m) * k**m for m in range(1, J + 2)]
+    assert forward == oracle, (k, J)
+    return values
+
+
+def fraction_root_power(k: int, degree: int, e: int) -> list:
+    """`deltak._RootPowers._power` on `Fraction` coefficients: Miller's
+    recurrence on the unit part, then the scale k^{-e}."""
+    h = [ZERO] + [k * binomial(QQ(1, k), n + 1) for n in range(1, degree + 1)]
+    b = [ONE]
+    for n in range(1, degree + 1):
+        acc = ZERO
+        for i in range(1, n + 1):
+            if h[i]:
+                acc += ((e + 1) * i - n) * h[i] * b[n - i]
+        b.append(acc / n)
+    scale = QQ(1, k) ** e
+    return [scale * c for c in b]
+
+
+def apply_delta_conjugation_lhs(k, u, v, depth_z0):
+    """`deltak._conjugation_lhs` with one `apply_delta` per inverse change
+    and per vertex-mode image."""
+    p_v = v.homogeneous_level()
+    p_u = u.homogeneous_level()
+    inv = apply_delta(k, v, INVERSE)
+    sums = deltak._KeyedSums()
+    for e_j, piece in inv.pieces:
+        w_j = piece.homogeneous_level()
+        z_j = int(2 * k * e_j)
+        for t in range(-depth_z0 - 1, rational_floor(p_u + w_j - 1) + 1):
+            image = vertex_mode(u, t, piece)
+            if image.nums:
+                fwd = apply_delta(k, image, FORWARD)
+                scalar = k_to_the(k, p_v - w_j + t + 1)
+                e_z0 = -t - 1
+                for e_i, result in fwd.pieces:
+                    sums.add(scalar.numerator, scalar.denominator, result,
+                             z_j + int(2 * k * e_i), e_z0)
+    return sums.lowest()
+
+
+def per_word_conjugation_rhs(k, u, v, depth_z0, roots):
+    """`deltak._conjugation_rhs` taking u's forward change once per basis
+    word and adding one `Fraction` product C(alpha, i) g(e, n) per (i, n)."""
+    p_v = v.homogeneous_level()
+    fwd_u = apply_delta(k, u, FORWARD)
+    sums = deltak._KeyedSums()
+    for e_piece, piece in fwd_u.pieces:
+        w_piece = piece.homogeneous_level()
+        alpha = e_piece
+        z_alpha = int(2 * k * alpha)
+        t_hi = rational_floor(w_piece + p_v - 1)
+        binoms = [binomial(alpha, i) for i in range(depth_z0 + t_hi + 2)]
+        for t in range(-depth_z0 - 1, t_hi + 1):
+            image = vertex_mode(piece, t, v)
+            if not image.nums:
+                continue
+            e = -t - 1
+            for i in range(0, depth_z0 - e + 1):
+                binom_c = binoms[i]
+                if binom_c == 0:
+                    continue
+                for n in range(e, depth_z0 - i + 1):
+                    g_c = roots.coefficient(e, n)
+                    if g_c != 0:
+                        c = binom_c * g_c
+                        z = z_alpha + 2 * (e - k * (i + n))
+                        sums.add(c.numerator, c.denominator, image, z, i + n)
+    return sums.lowest()
+
+
+def apply_delta_check_conjugation(k, u, *, cutoff=QQ(5, 2), depth=4):
+    """`deltak.check_conjugation` on the two sides above."""
+    p_u = u.homogeneous_level()
+    prefactor = k_to_the(k, -p_u)
+    roots = _RootPowers(k, deltak._root_degree(p_u + QQ(cutoff), depth))
+    result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
+    for word in ns_basis(cutoff):
+        v = State({word: ONE})
+        source = format_ns_word(word)
+        compare_numerators(
+            result,
+            apply_delta_conjugation_lhs(k, u, v, depth),
+            per_word_conjugation_rhs(k, u, v, depth, roots),
+            lambda key: (source, format_ns_word(key[0]), QQ(key[1], 2 * k),
+                         QQ(key[2])),
+            prefactor,
+        )
+    return result
+
+
+# psi, omega, psi_{-3/2}|0> and psi_{-5/2}psi_{-1/2}|0>
+CONJUGATED_STATES = [PSI, OMEGA, State({(-3,): ONE}), State({(-5, -1): ONE})]
+
+
+@given(st.integers(1, 6), st.integers(1, 4),
+       st.sampled_from(CONJUGATED_STATES), st.sampled_from(ns_basis(QQ(5, 2))))
+@settings(max_examples=150, deadline=None)
+def test_int_sides_match_the_apply_delta_sides(k, depth, u, word):
+    v = State({word: ONE})
+    roots = _RootPowers(k, deltak._root_degree(
+        u.homogeneous_level() + v.homogeneous_level(), depth))
+    for got, old in (
+        (deltak._conjugation_lhs(k, u, v, depth),
+         apply_delta_conjugation_lhs(k, u, v, depth)),
+        (deltak._conjugation_rhs(k, apply_delta(k, u, FORWARD), v, depth, roots),
+         per_word_conjugation_rhs(k, u, v, depth, roots)),
+    ):
+        assert type(got[0]) is int
+        assert got == old, (k, depth, u.render(), word)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_int_root_tables_match_the_fraction_recurrence(k):
+    for degree in (0, 1, 2, 3, 5, 8, 12, 16, 20, 24):
+        roots = _RootPowers(k, degree)
+        for e in range(-8, 9):
+            got = roots._power(e)
+            expected = fraction_root_power(k, degree, e)
+            assert got == expected, (k, degree, e)
+            assert [type(c) for c in got] == [type(c) for c in expected]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_int_aj_tables_match_the_fraction_solve(k):
+    for J in range(1, 25):
+        got = solve_aj.__wrapped__(k, J)
+        assert got.values == fraction_solve_aj(k, J), (k, J)
+        assert all(type(a) is QQ_TYPE for a in got.values)
+        assert solve_aj(k, J) == got
+        for sign in (1, -1):
+            for top in (0, 1, J // 2, J + 1):
+                new = deltak._exp_derivation_on_x(got.values, sign, top)
+                old = fraction_exp_derivation_on_x(got.values, sign, top)
+                assert new == old, (k, J, sign, top)
+                assert all(type(c) is QQ_TYPE for c in new)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_cross_check_compares_every_degree(monkeypatch, degree):
+    """A wrong coefficient of exp(+D) x at any degree 0..J+1 fails the
+    solve, named by its degree; the cache is bypassed."""
+    honest = deltak._exp_derivation_on_x
+
+    def perturbed(values, sign, top):
+        out = honest(values, sign, top)
+        out[degree] += 1
+        return out
+
+    monkeypatch.setattr(deltak, "_exp_derivation_on_x", perturbed)
+    with pytest.raises(ArithmeticError, match=f"cross-check at degree {degree}:"):
+        solve_aj.__wrapped__(3, 5)
+
+
+def assert_same_witnesses(got, expected):
+    """The same mismatches, in order, with the cyclotomic prefactor 3^{-1/2}
+    multiplied into every nonzero witness value and nowhere else."""
+    assert got.mismatches
+    assert got.mismatches == expected.mismatches
+    assert got == expected
+    values = [value for _, lhs, rhs in got.mismatches for value in (lhs, rhs)
+              if not scalar_is_zero(value)]
+    assert values and all(isinstance(value, CycScalar) for value in values)
+
+
+def test_planted_word_piece_error_gives_the_oracle_witnesses(monkeypatch):
+    """One numerator of one cached per-word piece raised by 1: the check
+    that reads the pieces directly and the one that reads them through
+    `apply_delta` report the same mismatches."""
+    honest = deltak._word_drops
+    planted_at = (3, INVERSE, (-3, -1))
+
+    def planted(k, direction, word):
+        pieces = honest(k, direction, word)
+        if (k, direction, word) != planted_at:
+            return pieces
+        (drop, state), *rest = pieces
+        (first, num), *others = state.nums
+        return ((drop, State._of_terms(state.den, [(first, num + 1), *others])),
+                *rest)
+
+    monkeypatch.setattr(deltak, "_word_drops", planted)
+    got = deltak.check_conjugation(3, PSI)
+    assert_same_witnesses(got, apply_delta_check_conjugation(3, PSI))
+
+
+def test_planted_root_table_error_gives_the_oracle_witnesses(monkeypatch):
+    """One coefficient of one root power's table raised by 1/7: both checks
+    read it and report the same mismatches."""
+    honest = _RootPowers._power
+
+    def planted(self, e):
+        table = honest(self, e)
+        if e == 2:
+            table[1] += QQ(1, 7)
+        return table
+
+    monkeypatch.setattr(_RootPowers, "_power", planted)
+    got = deltak.check_conjugation(3, PSI)
+    assert_same_witnesses(got, apply_delta_check_conjugation(3, PSI))

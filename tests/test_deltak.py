@@ -291,7 +291,8 @@ class TestConjugation:
     def test_mismatched_inputs_are_detected(self):
         v = State({(-1,): ONE})
         lhs = side_values(2, PSI, _conjugation_lhs(2, PSI, v, 3))
-        rhs = side_values(2, OMEGA, _conjugation_rhs(2, OMEGA, v, 3, _RootPowers(2, 8)))
+        fwd = apply_delta(2, OMEGA, FORWARD)
+        rhs = side_values(2, OMEGA, _conjugation_rhs(2, fwd, v, 3, _RootPowers(2, 8)))
         assert any(
             lhs.get(key, ZERO) != rhs.get(key, ZERO) for key in set(lhs) | set(rhs)
         )

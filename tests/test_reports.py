@@ -25,7 +25,9 @@ cross-slot kernel class takes three values.
 Three more command lines are pinned by hash because no delta-session
 request reaches them: an inverse change of a two-mode word at k = 4 through
 an exponent window, as CSV; the conformal vector at k = 2 as a table of
-`~`-marked decimals; and an order-3 coefficient table as JSON.  The graded
+`~`-marked decimals; and three coefficient tables as JSON, order 3 at
+depths 6 and 40 and order 8 at depth 24, so that a solve which renders any
+of those coefficients differently fails here.  The graded
 dimension (`char`) and the truncated twisted module (`twist-build`) are
 pinned the same way, since no benchmark workload runs either command.
 
@@ -106,6 +108,10 @@ CLI_SHA256 = {
         "117e65449726e1be5d26eecb6ba987ef61728ef47882016a07659e2c743c7622",
     "ajcoeffs --k 3 --depth 6 --format json":
         "c3c401d13625e42a63bec117e3596aadcd6a06f66822c4406d294613cadef2d5",
+    "ajcoeffs --k 3 --depth 40 --format json":
+        "66ac9f5b1c0547001274a012df2abeb51ffcb97e103c16deece156399fed721b",
+    "ajcoeffs --k 8 --depth 24 --format json":
+        "5378fbe36d88fb2dd9256b39ff2833136dd2b62cfdd7e416eac9d4e4007ce000",
     "char --k 2 --cutoff 7":
         "dd896173e7fca7cbca2978fbd7d3101f21938612de91f225c1d2649446e331bc",
     "twist-build --k 4 --cutoff 4 --format json":
