@@ -7,6 +7,12 @@ output is a pure function of the run configuration: exact fractions, stable
 row order, no timestamps — rerunning a command reproduces its output byte
 for byte.  A ``--decimal`` flag renders floating approximations, each marked
 with a leading ``~``.
+
+The subcommand parsers are the one table of options: each option's type,
+default and choices are stated once, in its ``add_argument``, and
+``verify``'s defaults are those of `verify.SuiteConfig`.  A config-file
+entry ``key=value`` is the flag ``--key value``, with ``_`` for ``-`` in
+the key, read by the flag's own type and checked against its choices.
 """
 
 from __future__ import annotations
@@ -45,25 +51,6 @@ FORMATS = ("json", "csv", "table")
 # ---------------------------------------------------------------------------
 
 
-_COERCERS = {
-    "k": int,
-    "cutoff": int,
-    "depth": int,
-    "format": str,
-    "out": str,
-    "state": str,
-    "expect_obstruction": parse_bool,
-    "decimal": parse_bool,
-    "inverse": parse_bool,
-    "jacobi": parse_bool,
-    "radius": parse_rational,
-    "domain_level": parse_rational,
-    "weight": parse_rational,
-    "lo": parse_rational,
-    "hi": parse_rational,
-}
-
-
 def parse_config_file(text: str) -> dict:
     """Parse the simple key=value format: one pair per line, blank lines and
     ``#`` comments skipped, values kept as strings."""
@@ -79,31 +66,36 @@ def parse_config_file(text: str) -> dict:
     return mapping
 
 
-def _apply_overrides(namespace: argparse.Namespace, mapping: dict) -> None:
-    """Config-file entries override flag values (and flag defaults)."""
-    for key, raw in mapping.items():
-        attr = "fmt" if key == "format" else key
-        if key not in _COERCERS or not hasattr(namespace, attr):
+def _config_from_namespace(args: argparse.Namespace, options: dict):
+    """The run configuration: the flags, overridden by the entries of the
+    config file if one is given, and checked (k >= 1, each entry among its
+    flag's choices); the library refuses a bad cutoff or depth before any
+    work.  ``options`` maps each config key of the subcommand to its flag's
+    action (``build_parser``), whose type reads the entry: ``parse_bool``
+    for an on/off flag."""
+    entries = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            entries = parse_config_file(handle.read())
+    for key, raw in entries.items():
+        action = options.get(key)
+        if action is None:
             raise ValueError(
                 f"config key {key!r} does not apply to this subcommand"
             )
+        read = action.type or (parse_bool if action.nargs == 0 else str)
         try:
-            value = _COERCERS[key](raw)
-        except ValueError as exc:
+            setattr(args, action.dest, read(raw))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-        setattr(namespace, attr, value)
-
-
-def _config_from_namespace(args: argparse.Namespace) -> argparse.Namespace:
-    """The run configuration: the flags with any config-file overrides,
-    checked (k >= 1, a known or empty format); the library refuses a bad
-    cutoff or depth before any work."""
     if args.k < 1:
         raise ValueError(f"k must be a positive integer, got {args.k}")
-    if args.fmt and args.fmt not in FORMATS:
-        raise ValueError(
-            f"format must be one of {', '.join(FORMATS)}, got {args.fmt!r}"
-        )
+    for key in entries:
+        choices, value = options[key].choices, getattr(args, options[key].dest)
+        if choices is not None and value not in choices:
+            raise ValueError(
+                f"{key} must be one of {', '.join(choices)}, got {value!r}"
+            )
     return args
 
 
@@ -202,8 +194,7 @@ def cmd_ajcoeffs(cfg: argparse.Namespace) -> int:
         "depth": cfg.depth,
         "rows": [{"j": int(j), "a": a} for j, a in rows],
     }
-    fmt = cfg.fmt or "csv"
-    _emit(_render_rows(fmt, ("j", "a_j"), rows, payload), cfg.out)
+    _emit(_render_rows(cfg.fmt, ("j", "a_j"), rows, payload), cfg.out)
     return 0
 
 
@@ -239,8 +230,7 @@ def cmd_delta_apply(cfg: argparse.Namespace) -> int:
         "prefactor": _value(expansion.prefactor, cfg.decimal),
         "pieces": json_pieces,
     }
-    fmt = cfg.fmt or "json"
-    _emit(_render_rows(fmt, ("j", "exponent", "state"), rows, payload), cfg.out)
+    _emit(_render_rows(cfg.fmt, ("j", "exponent", "state"), rows, payload), cfg.out)
     return 0
 
 
@@ -258,8 +248,7 @@ def cmd_char(cfg: argparse.Namespace) -> int:
         "step": _value(series.step, cfg.decimal),
         "terms": [{"exponent": e, "dim": int(d)} for e, d in rows],
     }
-    fmt = cfg.fmt or "csv"
-    _emit(_render_rows(fmt, ("exponent", "dimension"), rows, payload), cfg.out)
+    _emit(_render_rows(cfg.fmt, ("exponent", "dimension"), rows, payload), cfg.out)
     return 0
 
 
@@ -289,19 +278,17 @@ def cmd_twist_build(cfg: argparse.Namespace) -> int:
             for w, sw, g, tw in rows
         ],
     }
-    fmt = cfg.fmt or "csv"
     header = ("word", "sigma_weight", "grade", "twisted_weight")
-    _emit(_render_rows(fmt, header, rows, payload), cfg.out)
+    _emit(_render_rows(cfg.fmt, header, rows, payload), cfg.out)
     return 0
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     suite_cfg = SuiteConfig(*[getattr(cfg, f) for f in SuiteConfig._fields])
     reports = run_suite(suite_cfg)
-    fmt = cfg.fmt or "table"
-    if fmt == "json":
+    if cfg.fmt == "json":
         text = suite_json(reports)
-    elif fmt == "csv":
+    elif cfg.fmt == "csv":
         header = (
             "check",
             "k",
@@ -325,7 +312,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             )
             for r in reports
         ]
-        text = _render_rows(fmt, header, rows, None)
+        text = _render_rows("csv", header, rows, None)
     else:
         text = suite_table(reports)
     _emit(text, cfg.out)
@@ -346,26 +333,27 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, default_format: str) -> None:
-    parser.add_argument("--k", type=int, default=2, help="tensor order (>= 1)")
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=FORMATS,
-        default="",
-        help=f"output format (default: {default_format})",
-    )
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+def _add_common(parser: argparse.ArgumentParser, *, default_format: str) -> list:
+    """Add the options every subcommand takes; return the actions of those
+    that are config keys, all but --config."""
+    keyed = [
+        parser.add_argument("--k", type=int, default=2, help="tensor order (>= 1)"),
+        parser.add_argument("--format", dest="fmt", choices=FORMATS,
+                            default=default_format,
+                            help="output format (default: %(default)s)"),
+        parser.add_argument("--out", default=None, help="output path (default: stdout)"),
+    ]
     parser.add_argument(
         "--config",
         default=None,
         help="key=value file whose entries override the flags",
     )
-    parser.add_argument(
+    keyed.append(parser.add_argument(
         "--decimal",
         action="store_true",
         help="render ~-marked floating approximations instead of fractions",
-    )
+    ))
+    return keyed
 
 
 def _argument_type(parse):
@@ -389,6 +377,14 @@ _BOOL_ARG = _argument_type(parse_bool)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand: the one table of options.
+
+    It carries two tables derived from its actions, once.  ``config_keys``
+    maps each subcommand to its config keys, each a flag's name without its
+    dashes and with ``_`` for ``-``, mapped to the flag's action.
+    ``signed_flags`` holds the flags among them that take a value, which may
+    start with "-": a number (--lo -1/3) or a mode word (--state -3/2,-1/2).
+    """
     parser = argparse.ArgumentParser(
         prog="twistfock",
         description=(
@@ -399,93 +395,107 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {}
 
     p = sub.add_parser(
         "ajcoeffs", help="derivation coefficient table a_1..a_depth"
     )
-    _add_common(p, default_format="csv")
-    p.add_argument(
-        "--depth", type=int, default=4, help="number of coefficients"
-    )
+    options["ajcoeffs"] = _add_common(p, default_format="csv") + [
+        p.add_argument(
+            "--depth", type=int, default=4, help="number of coefficients"
+        ),
+    ]
 
     p = sub.add_parser(
         "delta-apply", help="apply the coordinate-change operator to a state"
     )
-    _add_common(p, default_format="json")
-    p.add_argument(
-        "--state",
-        default="psi",
-        help="vacuum|1|psi|omega or mode indices, e.g. -3/2,-1/2",
-    )
-    p.add_argument(
-        "--inverse", action="store_true", help="apply the inverse direction"
-    )
-    p.add_argument("--lo", type=_RATIONAL_ARG, default=None,
-                   help="keep exponents >= lo")
-    p.add_argument("--hi", type=_RATIONAL_ARG, default=None,
-                   help="keep exponents <= hi")
+    options["delta-apply"] = _add_common(p, default_format="json") + [
+        p.add_argument(
+            "--state",
+            default="psi",
+            help="vacuum|1|psi|omega or mode indices, e.g. -3/2,-1/2",
+        ),
+        p.add_argument(
+            "--inverse", action="store_true", help="apply the inverse direction"
+        ),
+        p.add_argument("--lo", type=_RATIONAL_ARG, default=None,
+                       help="keep exponents >= lo"),
+        p.add_argument("--hi", type=_RATIONAL_ARG, default=None,
+                       help="keep exponents <= hi"),
+    ]
 
     p = sub.add_parser(
         "char", help="graded dimension of the truncated twisted module"
     )
-    _add_common(p, default_format="csv")
-    p.add_argument(
-        "--cutoff", type=int, default=7, help="number of graded pieces - 1"
-    )
+    options["char"] = _add_common(p, default_format="csv") + [
+        p.add_argument(
+            "--cutoff", type=int, default=7, help="number of graded pieces - 1"
+        ),
+    ]
 
     p = sub.add_parser(
         "twist-build", help="basis and weights of the truncated twisted module"
     )
-    _add_common(p, default_format="csv")
-    p.add_argument(
-        "--cutoff", type=int, default=4, help="largest included integer level"
-    )
+    options["twist-build"] = _add_common(p, default_format="csv") + [
+        p.add_argument(
+            "--cutoff", type=int, default=4, help="largest included integer level"
+        ),
+    ]
 
     p = sub.add_parser("verify", help="run the verification suite")
-    _add_common(p, default_format="table")
-    p.add_argument(
-        "--cutoff", type=int, default=4, help="character graded pieces"
-    )
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=4,
-        help=f"conjugation expansion depth (at most {MAX_CONJUGATION_DEPTH})",
-    )
-    p.add_argument(
-        "--radius",
-        type=_RATIONAL_ARG,
-        default=QQ(3, 2),
-        help="exponent window radius (rational, e.g. 3/2)",
-    )
-    p.add_argument(
-        "--domain-level",
-        dest="domain_level",
-        type=_RATIONAL_ARG,
-        default=QQ(2),
-        help="largest twisted-module level acted on (rational)",
-    )
-    p.add_argument(
-        "--weight",
-        type=_RATIONAL_ARG,
-        default=QQ(2),
-        help="largest untwisted weight fed to coordinate-change checks",
-    )
-    p.add_argument(
-        "--jacobi",
-        type=_BOOL_ARG,
-        default=True,
-        metavar="BOOL",
-        help="include the three-variable kernel identity (default: true)",
-    )
-    p.add_argument(
-        "--expect-obstruction",
-        dest="expect_obstruction",
-        action="store_true",
-        help=(
-            "succeed when every check matches its expected verdict, "
-            "counting the odd-order obstruction's expected failure as success"
+    options["verify"] = _add_common(p, default_format="table") + [
+        p.add_argument("--cutoff", type=int, help="character graded pieces"),
+        p.add_argument(
+            "--depth",
+            type=int,
+            help=f"conjugation expansion depth (at most {MAX_CONJUGATION_DEPTH})",
         ),
+        p.add_argument(
+            "--radius",
+            type=_RATIONAL_ARG,
+            help="exponent window radius (rational, e.g. 3/2)",
+        ),
+        p.add_argument(
+            "--domain-level",
+            dest="domain_level",
+            type=_RATIONAL_ARG,
+            help="largest twisted-module level acted on (rational)",
+        ),
+        p.add_argument(
+            "--weight",
+            type=_RATIONAL_ARG,
+            help="largest untwisted weight fed to coordinate-change checks",
+        ),
+        p.add_argument(
+            "--jacobi",
+            type=_BOOL_ARG,
+            metavar="BOOL",
+            help="include the three-variable kernel identity "
+                 "(default: %(default)s)",
+        ),
+        p.add_argument(
+            "--expect-obstruction",
+            dest="expect_obstruction",
+            action="store_true",
+            help=(
+                "succeed when every check matches its expected verdict, "
+                "counting the odd-order obstruction's expected failure as success"
+            ),
+        ),
+    ]
+    # the suite's own defaults, --k's too; set after the actions exist, so
+    # they replace the action defaults
+    p.set_defaults(**SuiteConfig()._asdict())
+
+    parser.config_keys = {
+        command: {action.option_strings[0][2:].replace("-", "_"): action
+                  for action in actions}
+        for command, actions in options.items()
+    }
+    parser.signed_flags = frozenset(
+        action.option_strings[0]
+        for actions in options.values() for action in actions
+        if action.nargs != 0
     )
     return parser
 
@@ -505,20 +515,13 @@ def _shared_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose value may start with "-": a rational (--lo -1/3) or a mode
-# word (--state -3/2,-1/2).  argparse reads such a token as an option unless
-# it is a plain number, so main first joins it to its flag, as --lo=-1/3.
-_SIGNED_FLAGS = frozenset(
-    ("--state", "--lo", "--hi", "--radius", "--domain-level", "--weight")
-)
-
-
-def _join_signed_values(argv) -> list:
-    """argv with each negative value of a flag in _SIGNED_FLAGS joined to
-    the flag by "="."""
+def _join_signed_values(argv, signed_flags) -> list:
+    """argv with each negative value of a flag in ``signed_flags`` joined to
+    the flag by "=": argparse reads such a token as an option unless it is a
+    plain number."""
     out = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and out[-1] in signed_flags and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -527,12 +530,10 @@ def _join_signed_values(argv) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _shared_parser().parse_args(_join_signed_values(argv))
+    parser = _shared_parser()
+    args = parser.parse_args(_join_signed_values(argv, parser.signed_flags))
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                _apply_overrides(args, parse_config_file(handle.read()))
-        cfg = _config_from_namespace(args)
+        cfg = _config_from_namespace(args, parser.config_keys[args.command])
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

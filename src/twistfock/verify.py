@@ -17,6 +17,11 @@ The checks read the fields of `twist` through their one mode interface.
 Only the checks built on expanded products, the three-variable identity
 and weak associativity, revisit the same compositions, so only they cache
 a field's images (`_ModeFamily`), for the life of the check.
+
+Every operator check acts on `_domain`: the Ramond-sector words, the
+parity-twisted module of the even-order fields, with their states, doubled
+levels and texts.  `_require_pair`, `_pair_label`, `_window_str` and
+`_axis_texts` write a check's preamble, name, window and locations.
 """
 
 from __future__ import annotations
@@ -400,12 +405,41 @@ def _field_column(field):
     return column
 
 
-def _window_str(window: Window, variables) -> str:
-    parts = []
-    for var in variables:
-        lo, hi = window.bounds_for(var)
-        parts.append(f"{var} in [{lo}, {hi}]")
-    return "; ".join(parts)
+def _domain(domain_level) -> list:
+    """The domain of every operator check: the words of the Ramond sector,
+    the parity-twisted module that the slot fields of even order act on, up
+    to ``domain_level``, in basis order, each as (word, state, doubled
+    level, text)."""
+    return [(word, State._of(1, ((word, 1),)), -sum(word), format_ramond_word(word))
+            for word in ramond_basis(QQ(domain_level))]
+
+
+def _window_str(window: Window) -> str:
+    return "; ".join(f"{var} in [{lo}, {hi}]"
+                     for var, (lo, hi) in sorted(window.bounds.items()))
+
+
+def _axis_texts(var: str, grid, scale: int, end: str = " ") -> dict:
+    """The location text "var^e" of each int index of a grid, e the index
+    over ``scale``, followed by ``end``."""
+    return {e: f"{var}^{QQ(e, scale)}{end}" for e in grid}
+
+
+def _signed_binomials(e: int, step: int, orders) -> list:
+    """(-1)^t C(e/step + t, t) for each order t: the kernel coefficients of
+    a residue at the exponent e/step, e an int index."""
+    return [(-1) ** t * binomial(QQ(e + step * t, step), t) for t in orders]
+
+
+def _require_pair(k: int, u: State, v: State) -> None:
+    """The preamble of a two-field check of even order."""
+    require_even_order(k)
+    _require_usable(u, "left argument")
+    _require_usable(v, "right argument")
+
+
+def _pair_label(u: State, v: State) -> str:
+    return f"{_state_label(u)},{_state_label(v)}"
 
 
 def _state_label(u: State) -> str:
@@ -508,7 +542,6 @@ def _commutator_report(
     step = 2 * kernel_den
     grid1 = _lattice_grid(window, "x1", step, step)
     grid2 = _lattice_grid(window, "x2", step, step)
-    words = ramond_basis(QQ(domain_level))
     iterates = []
     for t in range(0, _iterate_top(u, v) + 1):
         it = vertex_mode(u, t, v)
@@ -527,21 +560,18 @@ def _commutator_report(
         e1: tuple((e1 - shift) % 2 == 0 for _, shift in results)
         for e1 in grid1
     }
-    x1_text = {e1: f"x1^{QQ(e1, step)} " for e1 in grid1}
-    x2_text = {e2: f"x2^{QQ(e2, step)} @ " for e2 in grid2}
-    kernel_terms = {}
-    for e1 in grid1:
-        if any(on_lattice[e1]):
-            kernel_terms[e1] = tuple(
-                ((-1) ** t * binomial(QQ(e1 + step * t, step), t),
-                 0 if kernel_eta is None else kernel_eta(e1 + step * t))
-                for t, _ in iterates
-            )
+    x1_text = _axis_texts("x1", grid1, step)
+    x2_text = _axis_texts("x2", grid2, step, " @ ")
+    orders = [t for t, _ in iterates]
+    kernel_terms = {
+        e1: tuple(
+            (binom, 0 if kernel_eta is None else kernel_eta(e1 + step * t))
+            for t, binom in zip(orders, _signed_binomials(e1, step, orders))
+        )
+        for e1 in grid1 if any(on_lattice[e1])
+    }
 
-    for word in words:
-        target = State._of(1, ((word, 1),))
-        level2 = -sum(word)
-        word_text = format_ramond_word(word)
+    for _, target, level2, word_text in _domain(domain_level):
         # e1 + e2 -> per iterate, its mode -e1-e2-t-2 on the word and the
         # mode's eta class
         images = {}
@@ -573,7 +603,7 @@ def _commutator_report(
                 if on and rhs is None:
                     rhs = residue(e1, e2)
                 result.compare(location, lhs, rhs if on else ZERO_STATE)
-    window_text = _window_str(window, ("x1", "x2"))
+    window_text = _window_str(window)
     return tuple(
         _wrap_comparison(result, k_report, window_text, expected_verdict=expected)
         for (result, _), (_, _, expected) in zip(results, forms)
@@ -594,10 +624,8 @@ def check_even_supercommutator(
     The kernel lattice is the plain (1/k)-lattice: no correction factor is
     needed, which is exactly what fails for odd order.
     """
-    require_even_order(k)
-    _require_usable(u, "left argument")
-    _require_usable(v, "right argument")
-    name = f"even-supercommutator[k={k},{_state_label(u)},{_state_label(v)}]"
+    _require_pair(k, u, v)
+    name = f"even-supercommutator[k={k},{_pair_label(u, v)}]"
     (report,) = _commutator_report(
         k,
         _slot_field(k, u),
@@ -632,7 +660,7 @@ def check_odd_obstruction(
     _require_usable(u, "left argument")
     _require_usable(v, "right argument")
     parity = u.homogeneous_parity()
-    base = f"k={k},{_state_label(u)},{_state_label(v)}"
+    base = f"k={k},{_pair_label(u, v)}"
     return _commutator_report(
         k,
         _slot_field(k, u),
@@ -667,17 +695,14 @@ def check_cross_slot_commutator(
     and weights the kernel coefficient at exponent n by the
     (slot_u - slot_v)·k·n-th power of the primitive root of unity.
     """
-    require_even_order(k)
-    _require_usable(u, "left argument")
-    _require_usable(v, "right argument")
+    _require_pair(k, u, v)
     diff = slot_u - slot_v
     kernel_eta = None
     if diff % k:
         # diff·k·n on the index 2k·n, which is even on the kernel lattice
         kernel_eta = lambda n: (diff * n // 2) % k  # noqa: E731
     label = (
-        f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
-        f"{_state_label(u)},{_state_label(v)}]"
+        f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},{_pair_label(u, v)}]"
     )
     (report,) = _commutator_report(
         k,
@@ -712,15 +737,10 @@ def check_recovered_commutator(
     recovery really is a parity-twisted field map; otherwise the native
     fields are used (a cross-validation of the engine itself).
     """
-    require_even_order(k)
-    _require_usable(u, "left argument")
-    _require_usable(v, "right argument")
+    _require_pair(k, u, v)
     builder = lambda s: _parity_field(k, s, use_recovered)  # noqa: E731
     tag = "recovered" if use_recovered else "native"
-    label = (
-        f"parity-twisted-commutator[{tag},k={k},"
-        f"{_state_label(u)},{_state_label(v)}]"
-    )
+    label = f"parity-twisted-commutator[{tag},k={k},{_pair_label(u, v)}]"
     (report,) = _commutator_report(
         k,
         builder(u),
@@ -786,9 +806,7 @@ def check_twisted_jacobi(
     three exponents are compared coefficient-exactly; x1 and x2 run over
     int indices 2k·e.
     """
-    require_even_order(k)
-    _require_usable(u, "left argument")
-    _require_usable(v, "right argument")
+    _require_pair(k, u, v)
     left = _ModeFamily(_slot_field(k, u))
     right = _ModeFamily(_slot_field(k, v))
     scalars = _pair_scalars(left, right)
@@ -797,23 +815,19 @@ def check_twisted_jacobi(
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid1 = _lattice_grid(window, "x1", k, step)
     grid2 = _lattice_grid(window, "x2", k, step)
-    words = ramond_basis(QQ(domain_level))
-    n_loc = rational_floor(u.homogeneous_level() + v.homogeneous_level()) + 1
+    # (x1 - x2)^n_loc kills the supercommutator: its poles have order at
+    # most _iterate_top + 1, one per iterate u_t v
+    n_loc = _iterate_top(u, v) + 2
 
-    # per e1: its text and the signed right-side binomials
-    # (-1)^i C(e1 + i, i) for every order i the x0 grid reaches
+    # per e1 the signed right-side binomials (-1)^i C(e1 + i, i) for every
+    # order i the x0 grid reaches
     i_max = n_loc + max(grid0, default=-1)
-    x1_text = {e1: f"x1^{QQ(e1, step)} " for e1 in grid1}
-    x2_text = {e2: f"x2^{QQ(e2, step)} @ " for e2 in grid2}
-    kernel = {e1: [(-1) ** i * binomial(QQ(e1 + step * i, step), i)
-                   for i in range(i_max + 1)] for e1 in grid1}
-    result = ComparisonResult(
-        f"twisted-jacobi[k={k},{_state_label(u)},{_state_label(v)}]"
-    )
-    for word in words:
-        target = State._of(1, ((word, 1),))
-        level2 = -sum(word)
-        word_text = format_ramond_word(word)
+    x0_text = _axis_texts("x0", grid0, 1)
+    x1_text = _axis_texts("x1", grid1, step)
+    x2_text = _axis_texts("x2", grid2, step, " @ ")
+    kernel = {e1: _signed_binomials(e1, step, range(i_max + 1)) for e1 in grid1}
+    result = ComparisonResult(f"twisted-jacobi[k={k},{_pair_label(u, v)}]")
+    for _, target, level2, word_text in _domain(domain_level):
         rhs_modes = {}
         for alpha in grid0:
             r = -alpha - 1
@@ -842,11 +856,11 @@ def check_twisted_jacobi(
                         if image.nums:
                             rhs_terms.append((image, base))
                     result.compare(
-                        f"x0^{alpha} {x1_text[e1]}{x2_text[e2]}{word_text}",
+                        x0_text[alpha] + x1_text[e1] + x2_text[e2] + word_text,
                         lhs,
                         combine(rhs_terms),
                     )
-    return _wrap_comparison(result, k, _window_str(window, ("x0", "x1", "x2")))
+    return _wrap_comparison(result, k, _window_str(window))
 
 
 def _smallest_passing(attempt, top: int, k: int, window: str, what: str,
@@ -883,27 +897,22 @@ def check_locality(
     each candidate N is tested on the sub-grid where all shifted lookups
     stay inside the window.
     """
-    require_even_order(k)
-    _require_usable(u, "left argument")
-    _require_usable(v, "right argument")
+    _require_pair(k, u, v)
     left = _slot_field(k, u, slot=slot_u)
     right = _slot_field(k, v, slot=slot_v)
     scalars = _pair_scalars(left, right)
     step = left.scale
     grid1 = _lattice_grid(window, "x1", k, step)
     grid2 = _lattice_grid(window, "x2", k, step)
-    words = ramond_basis(QQ(domain_level))
-    word_texts = [format_ramond_word(word) for word in words]
-    label = (
-        f"locality[k={k},slots={slot_u},{slot_v},"
-        f"{_state_label(u)},{_state_label(v)}]"
-    )
+    domain = _domain(domain_level)
+    x1_text = _axis_texts("x1", grid1, step)
+    x2_text = _axis_texts("x2", grid2, step, " @ ")
+    label = f"locality[k={k},slots={slot_u},{slot_v},{_pair_label(u, v)}]"
 
     commutator = {}
-    for iw, word in enumerate(words):
+    for iw, (_, target, level2, _) in enumerate(domain):
         for e1, e2, value in _supercommutator_grid(
-            left, right, scalars, State._of(1, ((word, 1),)), -sum(word),
-            grid1, grid2,
+            left, right, scalars, target, level2, grid1, grid2
         ):
             if value.nums:
                 commutator[(iw, e1, e2)] = value
@@ -915,7 +924,7 @@ def check_locality(
         sub1 = [f1 for f1 in grid1 if f1 - shift >= grid1.start]
         sub2 = [f2 for f2 in grid2 if f2 - shift >= grid2.start]
         signed = [(-1) ** i * binomial(power, i) for i in range(power + 1)]
-        for iw, word_text in enumerate(word_texts):
+        for iw, (_, _, _, word_text) in enumerate(domain):
             for f1 in sub1:
                 for f2 in sub2:
                     terms = []
@@ -925,15 +934,14 @@ def check_locality(
                         if term is not None:
                             terms.append((term, coeff))
                     result.compare(
-                        f"x1^{QQ(f1, step)} x2^{QQ(f2, step)} @ {word_text}",
+                        x1_text[f1] + x2_text[f2] + word_text,
                         combine(terms),
                         ZERO_STATE,
                     )
         return result
 
     return _smallest_passing(
-        attempt, max_power, k, _window_str(window, ("x1", "x2")),
-        "vanishing power", "N",
+        attempt, max_power, k, _window_str(window), "vanishing power", "N"
     )
 
 
@@ -958,14 +966,13 @@ def check_limit_axiom(
     etas = eta_powers(k)
     step = 2 * k
     grid = _lattice_grid(window, "x", step, step)
-    words = ramond_basis(QQ(domain_level))
+    domain = _domain(domain_level)
     # the image of each (e, word) is the same in every slot, and computed
     # once; slot power a's column scales it by the slot's scalar, zero
     # where the slot's eta class is None, and enters two comparisons
     slots = [SlotField(k, u, a) for a in range(k)]
-    images = {(e, word): _bounded_image(slots[0], -e - step,
-                                        State._of(1, ((word, 1),)), -sum(word))
-              for e in grid for word in words}
+    images = {(e, word): _bounded_image(slots[0], -e - step, target, level2)
+              for e in grid for word, target, level2, _ in domain}
     columns = []
     for slot in slots:
         column = {}
@@ -974,7 +981,7 @@ def check_limit_axiom(
             column[e, word] = (ZERO_STATE if j is None
                                else image.scaled(slot.scalars[j]))
         columns.append(column)
-    word_texts = [format_ramond_word(word) for word in words]
+    x_text = _axis_texts("x", grid, step)
     result = ComparisonResult(f"limit-axiom[k={k},{_state_label(u)}]")
     for a in range(k):
         source = columns[a]
@@ -982,14 +989,14 @@ def check_limit_axiom(
         for e in grid:
             # eta^{-k e}, where -k e = -e/2 on the index is an integer
             scale = ONE if e % 2 else etas[(-e // 2) % k]
-            text = f"slot-power {a}: x^{QQ(e, step)} "
-            for word, word_text in zip(words, word_texts):
+            text = f"slot-power {a}: {x_text[e]}"
+            for word, _, _, word_text in domain:
                 result.compare(
                     text + word_text,
                     source[e, word].scaled(scale),
                     dest[e, word],
                 )
-    return _wrap_comparison(result, k, _window_str(window, ("x",)))
+    return _wrap_comparison(result, k, _window_str(window))
 
 
 def check_translation_derivative(
@@ -1021,9 +1028,10 @@ def check_translation_derivative(
     label = f"translation-derivative[k={k},{_state_label(u)}]"
     result = compare_fields(
         label, lhs, rhs, _lattice_grid(cmp_window, "x", step, step),
-        ramond_basis(QQ(domain_level)), format_ramond_word, step,
+        [word for word, _, _, _ in _domain(domain_level)], format_ramond_word,
+        step,
     )
-    return _wrap_comparison(result, k, _window_str(cmp_window, ("x",)))
+    return _wrap_comparison(result, k, _window_str(cmp_window))
 
 
 def check_grading(
@@ -1035,15 +1043,15 @@ def check_grading(
     _require_usable(u, "field argument")
     field = SlotField(k, u)
     step = field.scale
-    words = ramond_basis(QQ(domain_level))
+    domain = _domain(domain_level)
     result = ComparisonResult(f"twisted-grading[k={k},{_state_label(u)}]")
     for e in _lattice_grid(window, "x", k, step):
         m = -e - step
         text = f"mode {QQ(m, step)} @ "
-        for word in words:
-            image = field.mode_at(m, State._of(1, ((word, 1),)))
+        for _, target, level2, word_text in domain:
+            image = field.mode_at(m, target)
             # the image of mode M lies at doubled level top(level2) - M
-            expected = QQ(field.top(-sum(word)) - m, 2)
+            expected = QQ(field.top(level2) - m, 2)
             # a zero image has every grade; a nonzero one must be homogeneous
             # at the expected level, a nonnegative integer
             lhs = rhs = f"level {expected} on the nonnegative integers"
@@ -1056,8 +1064,8 @@ def check_grading(
                     if (actual != expected or QQ(actual).denominator != 1
                             or actual < 0):
                         lhs = f"level {actual}"
-            result.compare(text + format_ramond_word(word), lhs, rhs)
-    return _wrap_comparison(result, k, _window_str(window, ("x",)))
+            result.compare(text + word_text, lhs, rhs)
+    return _wrap_comparison(result, k, _window_str(window))
 
 
 def check_weak_associativity(
@@ -1079,9 +1087,7 @@ def check_weak_associativity(
     Passing certifies the associativity half of the twisted-field axioms on
     the recovered fields.
     """
-    require_even_order(k)
-    _require_usable(u, "left argument")
-    _require_usable(v, "right argument")
+    _require_pair(k, u, v)
     builder = lambda s: _parity_field(k, s, use_recovered)  # noqa: E731
     tag = "recovered" if use_recovered else "native"
     # recovered and native fields are over Q: their scalars are (ONE,);
@@ -1092,10 +1098,11 @@ def check_weak_associativity(
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid2 = _lattice_grid(window, "x2", 2, 2)
-    words = ramond_basis(QQ(domain_level))
+    domain = _domain(domain_level)
     t_top = _iterate_top(u, v)
     i_max = t_top + max(grid0, default=-1) + 1
-    x2_text = {beta: f"x2^{QQ(beta, 2)} @ " for beta in grid2}
+    x0_text = _axis_texts("x0", grid0, 1)
+    x2_text = _axis_texts("x2", grid2, 2, " @ ")
     # the field of every iterate u_t v that an i-sum reaches, t = i - alpha - 1
     iterate_families = {}
     for t in range(-max(grid0, default=-1) - 1, t_top + 1):
@@ -1103,18 +1110,13 @@ def check_weak_associativity(
         iterate_families[t] = (None if state.is_zero()
                                else _ModeFamily(builder(state)))
 
-    label = (
-        f"weak-associativity[{tag},k={k},{_state_label(u)},{_state_label(v)}]"
-    )
+    label = f"weak-associativity[{tag},k={k},{_pair_label(u, v)}]"
 
     def attempt(n: int) -> ComparisonResult:
         result = ComparisonResult(label)
         exponent = parity_u + 2 * n  # doubled
         binoms = [binomial(QQ(exponent, 2), i) for i in range(i_max + 1)]
-        for word in words:
-            target = State._of(1, ((word, 1),))
-            level2 = -sum(word)
-            word_text = format_ramond_word(word)
+        for _, target, level2, word_text in domain:
             for alpha in grid0:
                 for beta in grid2:
                     # product side: C(alpha+i, i) = (-1)^i C(-alpha-1, i)
@@ -1137,15 +1139,14 @@ def check_weak_associativity(
                         if image.nums:
                             rhs_terms.append((image, binoms[i]))
                     result.compare(
-                        f"x0^{alpha} {x2_text[beta]}{word_text}",
+                        x0_text[alpha] + x2_text[beta] + word_text,
                         lhs,
                         combine(rhs_terms),
                     )
         return result
 
     return _smallest_passing(
-        attempt, max_order, k, _window_str(window, ("x0", "x2")),
-        "exponent shift", "n",
+        attempt, max_order, k, _window_str(window), "exponent shift", "n"
     )
 
 
@@ -1175,11 +1176,11 @@ def check_u_round_trip(
         _field_column(RecoveredField(k, u)),
         native,
         _lattice_grid(window, "x", 2, 2),
-        ramond_basis(QQ(domain_level)),
+        [word for word, _, _, _ in _domain(domain_level)],
         format_ramond_word,
         2,
     )
-    return _wrap_comparison(result, k, _window_str(window, ("x",)))
+    return _wrap_comparison(result, k, _window_str(window))
 
 
 def check_t_round_trip(
@@ -1192,25 +1193,20 @@ def check_t_round_trip(
     field = SlotField(k, u)
     step = field.scale
     recovered = {piece: RecoveredField(k, piece) for _, piece in field.pieces}
-    words = ramond_basis(QQ(domain_level))
+    domain = _domain(domain_level)
     result = ComparisonResult(f"rebuild-round-trip[k={k},{_state_label(u)}]")
     for e in _lattice_grid(window, "x", k, step):
         m = -e - step
         # a piece's doubled sigma index is the recovered field's index
         plan = field.plan(m)
         text = f"mode {QQ(m, step)} @ "
-        for word in words:
-            target = State._of(1, ((word, 1),))
+        for _, target, _, word_text in domain:
             total = combine(
                 (recovered[piece].mode_at(index, target), 1)
                 for piece, index in plan
             ).scaled(field.prefactor)
-            result.compare(
-                text + format_ramond_word(word),
-                total,
-                field.mode_at(m, target),
-            )
-    return _wrap_comparison(result, k, _window_str(window, ("x",)))
+            result.compare(text + word_text, total, field.mode_at(m, target))
+    return _wrap_comparison(result, k, _window_str(window))
 
 
 def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
@@ -1356,7 +1352,7 @@ def run_suite(config: SuiteConfig | None = None) -> list:
         shifts = (ZERO, QQ(1, 2), QQ(-1, 2)) if kind is DeltaIdentity.DF1 else (ZERO,)
         for shift in shifts:
             result = verify_delta_identity(kind, k, shift, cube3)
-            add(_wrap_comparison(result, k, _window_str(cube3, ("x0", "x1", "x2"))))
+            add(_wrap_comparison(result, k, _window_str(cube3)))
 
     degree = max(2, int(rational_ceil(2 * radius)) + 2)
     add(

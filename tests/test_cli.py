@@ -26,7 +26,7 @@ from twistfock.cli import main, parse_config_file, parse_state
 from twistfock.deltak import MAX_CONJUGATION_DEPTH, MAX_TABLE_DEPTH
 from twistfock.scalars import MAX_CONDUCTOR
 from twistfock.twist import MAX_CUTOFF
-from twistfock.verify import parse_bool, parse_rational
+from twistfock.verify import SuiteConfig, parse_bool, parse_rational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -283,10 +283,21 @@ class TestVerify:
         assert code == 2
         assert "no coefficients compared" in err
 
-    @pytest.mark.parametrize("flag", ["--radius", "--domain-level", "--weight"])
-    def test_negative_fraction_reaches_the_check_with_a_space(self, capsys, flag):
-        spaced = run_cli(capsys, "verify", "--k", "2", flag, "-1/2")
-        assert spaced == run_cli(capsys, "verify", "--k", "2", f"{flag}=-1/2")
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("verify", "--radius", "-1/2", id="--radius"),
+        pytest.param("verify", "--domain-level", "-1/2", id="--domain-level"),
+        pytest.param("verify", "--weight", "-1/2", id="--weight"),
+        *(pytest.param(command, flag, "-1", id=f"{command} {flag}")
+          for command, flags in (("verify", ("--k", "--cutoff", "--depth")),
+                                 ("char", ("--k", "--cutoff")),
+                                 ("twist-build", ("--k", "--cutoff")),
+                                 ("ajcoeffs", ("--k", "--depth")))
+          for flag in flags),
+    ])
+    def test_negative_fraction_reaches_the_check_with_a_space(
+            self, capsys, command, flag, value):
+        spaced = run_cli(capsys, command, "--k", "2", flag, value)
+        assert spaced == run_cli(capsys, command, "--k", "2", f"{flag}={value}")
         code, _, err = spaced
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
 
@@ -353,6 +364,130 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "ajcoeffs", "--config", "/nonexistent.cfg")
         assert code == 2
         assert err.startswith("error:")
+
+
+# Each subcommand on a cheap request, and a value of each of its flags but
+# --config and --out (whose output goes to a file; see
+# test_out_entry_equals_flag): (flag arguments, config entry).  An on/off
+# flag is given alone on the command line and as a spelling of true in the
+# file.
+_COMMON_FLAGS = {
+    "--format": (("--format", "json"), "format=json"),
+    "--decimal": (("--decimal",), "decimal=on"),
+}
+_VERIFY_BASE = ("verify", "--k", "2", "--radius", "0", "--domain-level", "0",
+                "--weight", "0", "--jacobi", "off", "--cutoff", "0",
+                "--depth", "1")
+FLAG_CASES = {
+    ("ajcoeffs",): {
+        **_COMMON_FLAGS,
+        "--k": (("--k", "3"), "k=3"),
+        "--depth": (("--depth", "3"), "depth=3"),
+    },
+    ("delta-apply",): {
+        **_COMMON_FLAGS,
+        "--format": (("--format", "csv"), "format=csv"),
+        "--k": (("--k", "3"), "k=3"),
+        "--state": (("--state", "omega"), "state=omega"),
+        "--inverse": (("--inverse",), "inverse=yes"),
+        "--lo": (("--lo", "-1/8"), "lo=-1/8"),
+        "--hi": (("--hi", "-1/2"), "hi=-1/2"),
+    },
+    ("char", "--cutoff", "2"): {
+        **_COMMON_FLAGS,
+        "--k": (("--k", "4"), "k=4"),
+        "--cutoff": (("--cutoff", "3"), "cutoff=3"),
+    },
+    ("twist-build", "--cutoff", "1"): {
+        **_COMMON_FLAGS,
+        "--k": (("--k", "4"), "k=4"),
+        "--cutoff": (("--cutoff", "2"), "cutoff=2"),
+    },
+    _VERIFY_BASE: {
+        **_COMMON_FLAGS,
+        "--k": (("--k", "1"), "k=1"),
+        "--cutoff": (("--cutoff", "1"), "cutoff=1"),
+        "--depth": (("--depth", "2"), "depth=2"),
+        "--radius": (("--radius", "1/2"), "radius=1/2"),
+        "--domain-level": (("--domain-level", "1"), "domain_level=1"),
+        "--weight": (("--weight", "1/2"), "weight=1/2"),
+        "--jacobi": (("--jacobi", "on"), "jacobi=on"),
+        "--expect-obstruction": (("--expect-obstruction",),
+                                 "expect_obstruction=true"),
+    },
+}
+# flags that leave this output as it is: verify renders no value, and its
+# suite at k = 2 has no obstruction to expect
+NO_EFFECT = {("verify", "--decimal"), ("verify", "--expect-obstruction")}
+DEFAULT_FORMATS = {"ajcoeffs": "csv", "delta-apply": "json", "char": "csv",
+                   "twist-build": "csv", "verify": "table"}
+
+
+class TestConfigFlagEquivalence:
+    """A config-file entry key=value is the flag --key value: the same
+    output, exit code and error text, for every flag of every subcommand."""
+
+    @pytest.mark.parametrize("base, flag", [
+        pytest.param(base, flag, id=f"{base[0]} {flag}")
+        for base, flags in FLAG_CASES.items() for flag in flags
+    ])
+    def test_entry_equals_flag(self, capsys, tmp_path, base, flag):
+        flag_argv, entry = FLAG_CASES[base][flag]
+        config = tmp_path / "run.cfg"
+        config.write_text(entry + "\n")
+        by_flag = run_cli(capsys, *base, *flag_argv)
+        assert by_flag == run_cli(capsys, *base, "--config", str(config))
+        if (base[0], flag) not in NO_EFFECT:
+            assert by_flag != run_cli(capsys, *base)
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_FORMATS))
+    def test_out_entry_equals_flag(self, capsys, tmp_path, command):
+        base = next(base for base in FLAG_CASES if base[0] == command)
+        target = tmp_path / "out.txt"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out={target}\n")
+        runs = []
+        for argv in (("--out", str(target)), ("--config", str(config))):
+            runs.append((run_cli(capsys, *base, *argv),
+                         target.read_text(encoding="utf-8")))
+            target.unlink()
+        assert runs[0] == runs[1]
+        (code, out, err), text = runs[0]
+        assert (out, err) == ("", "") and text
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_FORMATS))
+    @pytest.mark.parametrize("key", ["config", "command", "fmt", "help",
+                                     "domain-level"])
+    def test_non_flag_key_rejected(self, capsys, tmp_path, command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=1\n")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config key {key!r} does not apply to this subcommand\n"
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_FORMATS))
+    @pytest.mark.parametrize("value", ["xml", ""], ids=["xml", "empty"])
+    def test_unknown_format_entry_rejected(self, capsys, tmp_path, command, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"format={value}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: format must be one of json, csv, table, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_FORMATS))
+    def test_no_format_is_the_default_format(self, capsys, command):
+        base = next(base for base in FLAG_CASES if base[0] == command)
+        plain = run_cli(capsys, *base)
+        assert plain[0] == 0
+        assert plain == run_cli(capsys, *base, "--format", DEFAULT_FORMATS[command])
+
+    def test_verify_defaults_are_the_suite_defaults(self):
+        args = cli.build_parser().parse_args(["verify"])
+        for field, default in SuiteConfig()._asdict().items():
+            value = getattr(args, field)
+            assert (field, value, type(value)) == (field, default, type(default))
 
 
 class TestReproducibility:
