@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .scalars import QQ, ONE, CycScalar, complex_embedding, scalar_str
+from .scalars import QQ, ONE, CycScalar, complex_embedding, require_order, scalar_str
 from .formal import Window
 from .fermion import OMEGA, PSI, VACUUM, State, check_ns_word
 from .ramond import format_ramond_word
@@ -88,8 +88,7 @@ def _config_from_namespace(args: argparse.Namespace, options: dict):
             setattr(args, action.dest, read(raw))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    if args.k < 1:
-        raise ValueError(f"k must be a positive integer, got {args.k}")
+    require_order(args.k)
     for key in entries:
         choices, value = options[key].choices, getattr(args, options[key].dest)
         if choices is not None and value not in choices:

@@ -13,7 +13,8 @@ coordinate.  It provides:
 * forward and inverse application of the operator to homogeneous states,
   producing finite graded expansions with exact scalar prefactors
   (half-integer weights land in a real quadratic subfield of a cyclotomic
-  field);
+  field); this and the cross-check's exp(+D) x are one exponential series,
+  `_exp_series`;
 * coefficientwise verification of the conjugation identity relating a
   conjugated vertex operator to the vertex operator of a transformed state
   in a shifted coordinate, and of the two derivative identities tying the
@@ -21,6 +22,8 @@ coordinate.  It provides:
   identity are int numerators over one denominator: the conjugated side
   reads the operator's cached per-word pieces directly, and the shifted
   coordinate's powers come from a root table built on ints.
+
+Every running sum here is `fermion._add`, and `fermion._lowest` reduces it.
 
 Everything is exact; nothing is floating point.
 """
@@ -41,6 +44,7 @@ from .scalars import (
     rational_ceil,
     rational_floor,
     rationalized,
+    require_order,
 )
 from .formal import (
     ComparisonResult,
@@ -51,9 +55,9 @@ from .formal import (
 from .fermion import (
     State,
     ZERO_STATE,
-    _accumulate,
-    _content,
-    _rescale,
+    _add,
+    _level2,
+    _lowest,
     combine,
     format_ns_word,
     iterate_mode_word,
@@ -125,8 +129,7 @@ class AjTable(namedtuple("AjTable", "k depth values")):
     __slots__ = ()
 
     def __new__(cls, k: int, depth: int, values: tuple):
-        if k < 1:
-            raise ValueError(f"k must be a positive integer, got {k}")
+        require_order(k)
         _require_depth(depth)
         if len(values) != depth:
             raise ValueError("coefficient count does not match depth")
@@ -143,55 +146,50 @@ class AjTable(namedtuple("AjTable", "k depth values")):
         return [(j, self.values[j - 1]) for j in range(1, self.depth + 1)]
 
 
+def _exp_series(seed: dict, den: int, derive, scale: int) -> tuple:
+    """(den, {key: numerator}) of the exponential series sum_{m>=0} T_m,
+    with T_0 the table ``seed`` over ``den`` and T_m = derive(T_{m-1}) /
+    (scale m): ``derive`` maps a term's numerators to the next term's
+    nonzero ones before that division, and ends the series with an empty
+    table.  Each term is one table over the previous denominator times
+    scale·m, reduced by `_lowest`; the terms are summed by `_add`."""
+    total_den, totals = den, dict(seed)
+    term, m = seed, 0
+    while True:
+        m += 1
+        term = derive(term)
+        if not term:
+            return total_den, totals
+        den, term = _lowest(den * scale * m, term)
+        total_den = _add(totals, total_den, term.items(), 1, den)
+
+
 def _exp_derivation_on_x(values, sign: int, top: int):
     """exp(sign * D) applied to the polynomial x, truncated to degree top.
 
     The m-th term is (sign/m) D of the previous one, and D sends x^i to
-    sum_j a_j i x^{i+j}.  The series runs on ints: the a_j are ints A_j
-    over their lcm D, each term is one dict degree -> numerator over one
-    denominator (the previous one times Dm, reduced by one gcd), and the
-    terms are summed over a running lcm; only the returned coefficients
-    are `QQ`.  Each application of D raises the minimal degree by at least
-    one, so the exponential series terminates after at most ``top``
-    applications.
+    sum_j a_j i x^{i+j}.  The a_j are ints A_j over their lcm D, so this is
+    `_exp_series` on degree -> numerator tables with scale D; only the
+    returned coefficients are `QQ`.  Each application of D raises the
+    minimal degree by at least one, so the exponential series terminates
+    after at most ``top`` applications.
     """
     if top < 1:
         return [ZERO] * (top + 1)
     D = lcm(*[a.denominator for a in values])
-    coeffs = [(j, a.numerator * (D // a.denominator))
+    coeffs = [(j, sign * a.numerator * (D // a.denominator))
               for j, a in enumerate(values, start=1) if a]
-    den = total_den = 1
-    term = {1: 1}  # the nonzero numerators of the current term, over den
-    totals = {1: 1}
-    m = 0
-    while True:
-        m += 1
+
+    def derive(term: dict) -> dict:
         out = {}
         for i, c in term.items():
-            source = sign * i * c
-            for j, A in coeffs:
-                d = i + j
-                if d > top:
-                    break
-                out[d] = out.get(d, 0) + A * source
-        term = {d: c for d, c in out.items() if c}
-        if not term:
-            break
-        den *= D * m
-        g = gcd(den, *term.values())
-        if g != 1:
-            den //= g
-            term = {d: c // g for d, c in term.items()}
-        if total_den % den:
-            common = lcm(total_den, den)
-            _rescale(totals, common // total_den)
-            total_den = common
-        factor = total_den // den
-        for d, c in term.items():
-            totals[d] = totals.get(d, 0) + factor * c
+            _add(out, 1, [(i + j, A) for j, A in coeffs if i + j <= top], i * c)
+        return out
+
+    den, totals = _exp_series({1: 1}, 1, derive, D)
     total = [ZERO] * (top + 1)
     for d, c in totals.items():
-        total[d] = QQ(c, total_den)
+        total[d] = QQ(c, den)
     return total
 
 
@@ -219,8 +217,7 @@ def solve_aj(k: int, J: int) -> AjTable:
     exp(+D) x = (1+kx)^{1/k} - 1 through degree J+1, computed by
     `_exp_derivation_on_x`, which shares no code with the pass above.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_order(k)
     _require_depth(J)
     top = J + 1
     a = [0] * (J + 1)  # a[j] over dens[j + 1], for j = 1..J; a[0] unused
@@ -287,8 +284,7 @@ def check_f_composition(k: int, degree: int = 10) -> ComparisonResult:
     point of the (1/k)-lattice with x in [0, degree], z in [-degree, degree]
     is compared, exact equality.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_order(k)
     shifted = _inverse_cover_series(k, degree)
     shifted[0] = ONE
     power = [ONE] + [ZERO] * degree
@@ -341,57 +337,35 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     the grade, so the series terminates once the drop exceeds the weight
     of u.
 
-    The series runs on integral numerators.  The a_j are ints A_j over
-    their lcm D, and L(j) on a word is read from the untwisted recursion's
-    int numerators, so the m-th term, (sign/m) sum_j a_j L(j) of the one
-    before, is one dict per drop, word -> numerator, over one denominator:
-    the previous one times 2Dm (the conformal vector's 1/2 and the 1/m),
-    reduced by one gcd per term.  The terms are summed per drop over a
-    running lcm, and only those sums become `State`s.
+    The series is `_exp_series` on tables (drop, word) -> numerator.  The
+    a_j are ints A_j over their lcm D, and L(j) on a word is read from the
+    untwisted recursion's int numerators, so the scale is 2D (the
+    conformal vector's 1/2 and the lcm); only the sum per drop becomes a
+    `State`.
     """
     top = rational_floor(u.homogeneous_level())
     values = [table.a(j) for j in range(1, top + 1)]
     D = lcm(*[a.denominator for a in values])
     coeffs = [(j, sign * a.numerator * (D // a.denominator))
               for j, a in enumerate(values, start=1) if a]
-    den = u.den
-    term = {0: dict(u.nums)}  # drop -> {word: numerator over den}
-    total_den = den
-    totals = {0: dict(u.nums)}
-    m = 0
-    while True:
-        m += 1
-        nxt = {}
-        for drop, words in term.items():
+
+    def derive(term: dict) -> dict:
+        out = {}
+        for (drop, word), num in term.items():
             for j, A in coeffs:
                 if j > top - drop:
                     break
-                out = nxt.setdefault(drop + j, {})
-                mu2 = 2 * j + 2
-                for word, num in words.items():
-                    # the untwisted recursion's denominator is 1
-                    _, pairs = iterate_mode_word(_OMEGA_WORD, mu2, word, 0)
-                    _accumulate(out, pairs, A * num)
-        term = {d: words for d, words in nxt.items() if words}
-        if not term:
-            break
-        den *= 2 * D * m
-        g = _content(den, [num for words in term.values() for num in words.values()])
-        if g != 1:
-            den //= g
-            for words in term.values():
-                for word in words:
-                    words[word] //= g
-        if total_den % den:
-            common = lcm(total_den, den)
-            for words in totals.values():
-                _rescale(words, common // total_den)
-            total_den = common
-        factor = total_den // den
-        for d, words in term.items():
-            _accumulate(totals.setdefault(d, {}), words.items(), factor)
-    return {d: State._of_table(total_den, words)
-            for d, words in totals.items() if words}
+                # the untwisted recursion's denominator is 1
+                _, pairs = iterate_mode_word(_OMEGA_WORD, 2 * j + 2, word, 0)
+                _add(out, 1, [((drop + j, w), c) for w, c in pairs], A * num)
+        return out
+
+    den, totals = _exp_series({(0, word): num for word, num in u.nums}, u.den,
+                              derive, 2 * D)
+    by_drop = {}
+    for (drop, word), num in totals.items():
+        by_drop.setdefault(drop, {})[word] = num
+    return {d: State._of_table(den, words) for d, words in by_drop.items()}
 
 
 @lru_cache(maxsize=None)
@@ -418,8 +392,7 @@ def apply_delta(k: int, u: State, direction: str = FORWARD) -> DeltaExpansion:
     into the piece states).  The operator is linear, so the pieces are the
     cached per-word pieces weighted by the coefficients of u.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_order(k)
     if direction not in (FORWARD, INVERSE):
         raise ValueError(
             f"direction must be '{FORWARD}' or '{INVERSE}', got {direction!r}"
@@ -544,53 +517,6 @@ def _root_degree(weight, depth_z0: int) -> int:
     return depth_z0 + rational_floor(QQ(weight))
 
 
-class _KeyedSums:
-    """A map key -> scalar built as a sum of scalar * state, the coefficient
-    of each word of the state under the key (word, *tail).
-
-    The values are integral numerators over one running denominator
-    ``den``, the lcm of the parts added so far, so a state costs one int
-    product per word and at most one rescale, never a `Fraction` per word.
-    """
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self):
-        self.den = 1
-        self.nums = {}
-
-    def add(self, n, d: int, state: State, *tail) -> None:
-        """Add (n/d) * state, keyed on (word, *tail): n is an integral
-        numerator (see `integral_split`) and d a positive int, not
-        necessarily in lowest terms."""
-        part = d * state.den
-        den = self.den
-        if den % part:
-            common = lcm(den, part)
-            _rescale(self.nums, common // den)
-            self.den = den = common
-        n *= den // part
-        nums = self.nums
-        get = nums.get
-        for word, num in state.nums:
-            key = (word, *tail)
-            nums[key] = get(key, 0) + n * num
-
-    def lowest(self) -> tuple:
-        """(den, {key: numerator}) without the keys that cancelled, in
-        lowest terms."""
-        nums = {key: num for key, num in self.nums.items() if num}
-        g = _content(self.den, list(nums.values()))
-        if g == 1:
-            return self.den, nums
-        return self.den // g, {key: num // g for key, num in nums.items()}
-
-
-def _level2(state: State) -> int:
-    """Twice the level of a nonzero homogeneous state, an int."""
-    return int(2 * state.homogeneous_level())
-
-
 def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
     """Conjugated side: operator, then vertex modes, then inverse operator.
 
@@ -610,7 +536,7 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
     """
     u2 = _level2(u)
     v2 = _level2(v)
-    sums = _KeyedSums()
+    table, den = {}, 1
     for v_word, v_num in v.nums:
         for j, piece in _word_drops(k, INVERSE, v_word):
             w2 = v2 - 2 * j
@@ -629,8 +555,11 @@ def _conjugation_lhs(k: int, u: State, v: State, depth_z0: int) -> tuple:
                 e_z0 = -t - 1
                 for word, num in image.nums:
                     for i, result in _word_drops(k, FORWARD, word):
-                        sums.add(n * num, d, result, z_q - 2 * i, e_z0)
-    return sums.lowest()
+                        z = z_q - 2 * i
+                        den = _add(table, den,
+                                   [((w, z, e_z0), c) for w, c in result.nums],
+                                   n * num, d * result.den)
+    return _lowest(den, table)
 
 
 def _conjugation_rhs(k: int, fwd_u: DeltaExpansion, v: State, depth_z0: int,
@@ -648,7 +577,7 @@ def _conjugation_rhs(k: int, fwd_u: DeltaExpansion, v: State, depth_z0: int,
     k^{-p_u} of every value left out.
     """
     v2 = _level2(v)
-    sums = _KeyedSums()
+    table, den = {}, 1
     for alpha, piece in fwd_u.pieces:
         # z-exponent of the binomial base for this piece, and C(alpha, i)
         z_alpha = int(2 * k * alpha)
@@ -678,8 +607,11 @@ def _conjugation_rhs(k: int, fwd_u: DeltaExpansion, v: State, depth_z0: int,
                 n = sum([c * (d // part) for c, part in parts])
                 if n:
                     # 2k times alpha + e/k - s
-                    sums.add(n, d, image, z_alpha + 2 * (e - k * s), s)
-    return sums.lowest()
+                    z = z_alpha + 2 * (e - k * s)
+                    den = _add(table, den,
+                               [((w, z, s), c) for w, c in image.nums],
+                               n, d * image.den)
+    return _lowest(den, table)
 
 
 def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
@@ -746,26 +678,35 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
             # out of the sums: L(-1) raises the weight by one, so the
             # prefactor of op applied to L(-1)u is shift_scalar times it
             ex_u = apply_delta(k, u, direction)
-            lhs = _KeyedSums()
+            touched = set()
+
+            def add(table, den, scalar, state, e):  # keyed on (word, e)
+                keyed = [((word, e), num) for word, num in state.nums]
+                touched.update(key for key, _ in keyed)
+                n, d = integral_split(scalar)
+                return _add(table, den, keyed, n, d * state.den)
+
+            lhs, l_den = {}, 1
             if not lu.is_zero():
                 for e, s in apply_delta(k, lu, direction).pieces:
-                    lhs.add(*integral_split(shift_scalar), s, e)
+                    l_den = add(lhs, l_den, shift_scalar, s, e)
             for e, s in ex_u.pieces:
-                lhs.add(*integral_split(-shift_scalar), virasoro(QQ(-1), s), e + shift_exp)
+                l_den = add(lhs, l_den, -shift_scalar, virasoro(QQ(-1), s),
+                            e + shift_exp)
 
-            rhs = _KeyedSums()
+            rhs, r_den = {}, 1
             for e, s in ex_u.pieces:
                 if e != 0:
-                    rhs.add(*integral_split(rhs_scale * e), s, e - 1 + rhs_shift)
+                    r_den = add(rhs, r_den, rhs_scale * e, s, e - 1 + rhs_shift)
 
-            if not (lhs.nums or rhs.nums):
+            if not touched:
                 # both sides identically zero: that agreement is itself a check
-                result.compare((direction, source), lhs.nums, rhs.nums)
+                result.compare((direction, source), lhs, rhs)
             # a key whose sum cancelled is still compared
             compare_numerators(
                 result,
-                (lhs.den, lhs.nums),
-                (rhs.den, rhs.nums),
+                (l_den, dict.fromkeys(touched, 0) | lhs),
+                (r_den, rhs),
                 lambda key: (direction, source, format_ns_word(key[0]), key[1]),
                 ex_u.prefactor,
             )

@@ -12,10 +12,12 @@ Coefficients are integers over one denominator: a `State` holds a positive
 int denominator and an integral numerator per word, in lowest terms, and
 the recursion returns int numerators over a power of two.  So the sums and
 products of the hot path are int arithmetic, with one gcd per result
-instead of one per operation; `Fraction` (and `CycScalar`, for the rare
-cyclotomic coefficient, as a numerator with int coordinates) appears only
-where coefficients enter or leave: `State(table)`, ``terms``,
-``coefficient`` and ``render``.
+instead of one per operation.  Every running sum, here and in `deltak`,
+adds each part with `_add`, which moves the table to the lcm of the two
+denominators, and `_lowest` takes the one gcd.  `Fraction` (and
+`CycScalar`, for the rare cyclotomic coefficient, as a numerator with int
+coordinates) appears only where coefficients enter or leave:
+`State(table)`, ``terms``, ``coefficient`` and ``render``.
 
 Words are doubled-integer throughout: a mode m is stored as the int 2m and a
 word as the tuple of those ints, so psi_{-3/2} psi_{-1/2}|0> is the word
@@ -129,23 +131,27 @@ def _require_doubled(word: tuple) -> tuple:
     return word
 
 
-def _accumulate(table: dict, pairs, factor) -> None:
-    """Add factor * num to table[word] for each (word, num) pair of
-    integral numerators, dropping the entries that cancel to zero."""
+def _add(table: dict, den: int, pairs, n, d: int = 1) -> int:
+    """Add (n/d) * num to table[key] for each (key, num) pair, where the
+    table holds integral numerators over ``den``; returns its new
+    denominator lcm(den, d), to which it is first rescaled.  ``n`` is an
+    integral numerator (see `integral_split`), ``d`` a positive int; a key
+    whose sum cancels to zero is dropped."""
+    if den % d:
+        common = lcm(den, d)
+        factor = common // den
+        for key in table:
+            table[key] *= factor
+        den = common
+    n *= den // d
     get = table.get
-    for word, num in pairs:
-        new = get(word, 0) + factor * num
+    for key, num in pairs:
+        new = get(key, 0) + n * num
         if new:
-            table[word] = new
+            table[key] = new
         else:
-            table.pop(word, None)
-
-
-def _rescale(table: dict, factor: int) -> None:
-    """Multiply every numerator of a table by an int, in place: the table
-    moves to a denominator `factor` times larger."""
-    for word in table:
-        table[word] *= factor
+            table.pop(key, None)
+    return den
 
 
 def _content(den: int, nums) -> int:
@@ -154,6 +160,21 @@ def _content(den: int, nums) -> int:
         return gcd(den, *nums)
     except TypeError:  # a cyclotomic numerator
         return gcd(den, *map(scalar_content, nums))
+
+
+def _lowest(den: int, table: dict) -> tuple:
+    """(den, table) of a numerator table in lowest terms: both divided by
+    the gcd of the denominator and every numerator's coordinates."""
+    g = _content(den, table.values())
+    if g == 1:
+        return den, table
+    return den // g, {key: num // g for key, num in table.items()}
+
+
+def _level2(state: State) -> int:
+    """Twice the level of a nonzero homogeneous state, an int, read from
+    its first word."""
+    return -sum(state.nums[0][0])
 
 
 class State:
@@ -306,20 +327,13 @@ class State:
 
 def combine(pairs) -> State:
     """The linear combination sum of scalar * state over (state, scalar)
-    pairs: the numerators are summed in one dict over the lcm of the
-    denominators seen so far, then reduced and sorted once."""
+    pairs: the numerators are summed by `_add` in one dict over the lcm of
+    the denominators seen so far, then reduced and sorted once."""
     out: dict = {}
     den = 1
     for state, scalar in pairs:
         n, d = integral_split(scalar)
-        part = state.den * d
-        if part != den:
-            common = lcm(den, part)
-            if common != den:
-                _rescale(out, common // den)
-                den = common
-            n *= den // part
-        _accumulate(out, state.nums, n)
+        den = _add(out, den, state.nums, n, state.den * d)
     return State._of_table(den, out)
 
 
@@ -454,7 +468,7 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     rest = a_word[1:]
     n = (m1 - 1) // 2
     out: dict = {}
-    den = 1  # a power of two; an inner result's den divides it or is a multiple
+    den = 1  # a power of two: `_add` keeps the lcm of the inner results' dens
 
     if not rest:
         # first regular sum: (a')_{mu-s+i} is the identity at mu-s+i = -1;
@@ -463,17 +477,17 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
         if twice_i >= 0 and not twice_i & 1:
             i = twice_i // 2
             psi2 = sector_half + m1 - twice_i
-            if not psi2:  # the zero mode's coefficients come doubled
-                den = 2
-            _accumulate(out, _apply2(word, psi2), comb(i - n - 1, i))
+            # the zero mode's coefficients come doubled
+            den = _add(out, den, _apply2(word, psi2), comb(i - n - 1, i),
+                       1 if psi2 else 2)
         # second regular sum: (a')_{n+mu-s-i} is the identity at
         # n+mu-s-i = -1; an annihilator missing from the word gives nothing
         twice_i = m1 + 1 + mu2 - sector_half
         if twice_i >= 0 and not twice_i & 1:
             i = twice_i // 2
             sign = 1 if n & 1 else -1  # -eps (-1)^n with eps = 1
-            _accumulate(out, _apply2(word, sector_half + 1 + twice_i),
-                        sign * den * comb(i - n - 1, i))
+            den = _add(out, den, _apply2(word, sector_half + 1 + twice_i),
+                       sign * comb(i - n - 1, i))
     else:
         # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
         # the level left above the sector floor, and drops by 2 per step
@@ -487,12 +501,9 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
             if inner:
                 if not psi2:  # the zero mode's coefficients come doubled
                     inner_den *= 2
-                if inner_den > den:
-                    _rescale(out, inner_den // den)
-                    den = inner_den
-                factor = d * (den // inner_den)
                 for mid_word, mid_num in inner:
-                    _accumulate(out, _apply2(mid_word, psi2), factor * mid_num)
+                    den = _add(out, den, _apply2(mid_word, psi2), d * mid_num,
+                               inner_den)
             d = d * (i - n) // (i + 1)
             i += 1
             room -= 2
@@ -510,10 +521,7 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
                     inner_den, inner = iterate_mode_word(
                         rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
                     if inner:
-                        if inner_den > den:
-                            _rescale(out, inner_den // den)
-                            den = inner_den
-                        _accumulate(out, inner, sign * d * mid_num * (den // inner_den))
+                        den = _add(out, den, inner, sign * d * mid_num, inner_den)
                 d = d * (i - n) // (i + 1)
                 i += 1
                 psi2 += 2
@@ -534,19 +542,12 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
                     inner_den, inner = 1, ((word, 1),)
                 else:
                     continue
-                inner_den *= b_den
-                if inner_den > den:
-                    _rescale(out, inner_den // den)
-                    den = inner_den
-                _accumulate(out, inner, -b_num * mid_num * (den // inner_den))
+                den = _add(out, den, inner, -b_num * mid_num, inner_den * b_den)
 
     if not out:
         return _NOTHING
     if den != 1:
-        g = gcd(den, *out.values())
-        if g != 1:
-            den //= g
-            out = {w: num // g for w, num in out.items()}
+        den, out = _lowest(den, out)
     return den, tuple(out.items())
 
 
@@ -557,9 +558,9 @@ def mode_sum(pieces, target: State, sector_half: int) -> State:
     `sector_half` is as in `iterate_mode_word`, and each index mu2 is a
     doubled lattice index, an int.  Each mode is bilinear in its v and the
     target: every pair of their words contributes v_num * t_num times the
-    recursion's numerators, all of them summed in one dict over the lcm of
-    the pieces' denominators times the recursion's powers of two, and one
-    `State` is built at the end.  A vacuum word of v is the identity field,
+    recursion's numerators, all of them summed by `_add` in one dict over
+    the lcm of the pieces' denominators times the recursion's powers of
+    two, and one `State` is built at the end.  A vacuum word of v is the identity field,
     applied inline at mu2 = -2 and skipped at every other index.
     """
     out: dict = {}
@@ -576,12 +577,7 @@ def mode_sum(pieces, target: State, sector_half: int) -> State:
                         continue
                 else:
                     inner_den, inner = 1, ((word, 1),)
-                part = v_den * inner_den
-                if den % part:
-                    common = lcm(den, part)
-                    _rescale(out, common // den)
-                    den = common
-                _accumulate(out, inner, a_num * t_num * (den // part))
+                den = _add(out, den, inner, a_num * t_num, v_den * inner_den)
     return State._of_table(target.den * den, out)
 
 

@@ -135,6 +135,12 @@ def _reduction_rows(conductor: int) -> tuple:
 MAX_CONDUCTOR = 1024
 
 
+def require_order(k: int) -> None:
+    """Refuse a tensor order k < 1, before any work."""
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+
+
 def require_conductor(conductor: int) -> None:
     """Refuse a conductor outside 1..MAX_CONDUCTOR, before any work."""
     if conductor < 1:

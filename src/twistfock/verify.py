@@ -40,6 +40,7 @@ from .scalars import (
     rational_floor,
     rationalized,
     require_conductor,
+    require_order,
     scalar_str,
 )
 from .formal import (
@@ -56,6 +57,7 @@ from .fermion import (
     VACUUM,
     State,
     ZERO_STATE,
+    _level2,
     combine,
     format_ns_word,
     ns_basis,
@@ -244,11 +246,6 @@ class _ModeFamily:
                    else self.field.image(M, state))
             self._cache[key] = hit
         return hit
-
-
-def _level2(state: State) -> int:
-    """The doubled level of a nonzero homogeneous state."""
-    return -sum(state.nums[0][0])
 
 
 def _pair_scalars(left, right) -> tuple:
@@ -537,7 +534,10 @@ def _commutator_report(
     one report each, in order, with the shift as the int S·kernel_shift.
     Only the kernel-lattice test depends on the form: the grid, the
     product-state fields and the residue modes are computed once for all
-    of them.
+    of them.  So the forms' right sides differ exactly where the residue is
+    nonzero and some but not all forms hold e1 on their lattice; a form
+    expected to fail can fail only at such a point, and a window without
+    one is refused with ValueError.
     """
     step = 2 * kernel_den
     grid1 = _lattice_grid(window, "x1", step, step)
@@ -563,6 +563,7 @@ def _commutator_report(
     x1_text = _axis_texts("x1", grid1, step)
     x2_text = _axis_texts("x2", grid2, step, " @ ")
     orders = [t for t, _ in iterates]
+    witnesses = 0  # the points where the forms' right sides differ
     kernel_terms = {
         e1: tuple(
             (binom, 0 if kernel_eta is None else kernel_eta(e1 + step * t))
@@ -603,7 +604,15 @@ def _commutator_report(
                 if on and rhs is None:
                     rhs = residue(e1, e2)
                 result.compare(location, lhs, rhs if on else ZERO_STATE)
+            if rhs is not None and rhs.nums and not all(on_lattice[e1]):
+                witnesses += 1
     window_text = _window_str(window)
+    for name, _, expected in forms:
+        if expected == "fail" and not witnesses:
+            raise ValueError(
+                f"{name} cannot fail on the window {window_text}: at no "
+                "point there does its residue side differ from another "
+                "form's; widen the window")
     return tuple(
         _wrap_comparison(result, k_report, window_text, expected_verdict=expected)
         for (result, _), (_, _, expected) in zip(results, forms)
@@ -1004,8 +1013,7 @@ def check_translation_derivative(
 ) -> CheckReport:
     """The first-slot field of the translated state is the x-derivative of
     the first-slot field — valid for every order, even or odd."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_order(k)
     _require_usable(u, "field argument")
     step = 2 * k
     column = _field_column(SlotField(k, u))
@@ -1323,8 +1331,7 @@ def run_suite(config: SuiteConfig | None = None) -> list:
     """
     cfg = config or SuiteConfig()
     k = cfg.k
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_order(k)
     require_conductor(4 * k)
     radius = QQ(cfg.radius)
     if radius < 0:

@@ -259,6 +259,38 @@ class TestVerify:
         assert code == 0
         assert "obstruction-odd-form" in out
 
+    @pytest.mark.parametrize("radius, bounds", [
+        ("0", "[0, 0]"), ("1/4", "[-1/4, 1/4]"),
+    ], ids=["radius-0", "radius-1/4"])
+    def test_obstruction_window_without_a_witness_exits_two(
+            self, capsys, radius, bounds):
+        # on these windows the two forms' residue sides agree at every
+        # point, so the even form's expected failure could not happen
+        code, out, err = run_cli(
+            capsys, "verify", "--k", "3", "--expect-obstruction",
+            "--radius", radius,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: obstruction-even-form[k=3,psi,psi] cannot fail on the "
+            f"window x1 in {bounds}; x2 in {bounds}: at no point there does "
+            "its residue side differ from another form's; widen the window\n"
+        )
+
+    def test_obstruction_window_with_a_witness_fails_as_expected(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--k", "3", "--expect-obstruction",
+            "--radius", "1/2", "--format", "json",
+        )
+        assert code == 0
+        rows = {row["name"]: row for row in json.loads(out)}
+        even = rows["obstruction-even-form[k=3,psi,psi]"]
+        odd = rows["obstruction-odd-form[k=3,psi,psi]"]
+        assert (even["verdict"], even["compared"], even["mismatch_count"]) == (
+            "fail", 294, 6)
+        assert (odd["verdict"], odd["compared"]) == ("pass", 294)
+        assert all(row["as_expected"] for row in rows.values())
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys,

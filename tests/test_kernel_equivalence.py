@@ -12,7 +12,14 @@ Oracles, copied below and run without a cache:
   rendering, driven by the Fraction recursion;
 * the doubled-integer `iterate_mode_word` and `mode_sum` as they were
   before the one-mode and vacuum cases were put in closed form: both
-  regular sums scan every i, and the vacuum's field is a recursion call.
+  regular sums scan every i, and the vacuum's field is a recursion call;
+  they add through `_accumulate` and `_rescale`, the two helpers that
+  `fermion._add` replaced, copied below as they were.
+
+The running-denominator sum `fermion._add` must equal a `Fraction` dict
+sum on any sequence of additions, with int and cyclotomic numerators,
+mixed denominators and sums that cancel; the same check run on an `_add`
+that skips the rescale must fail.
 
 The kernel must give the same (word, coefficient) pairs as the Fraction
 recursion, with int words and exact int or `QQ` coefficients, and a mode of
@@ -32,9 +39,8 @@ from twistfock.fermion import (
     PSI,
     VACUUM,
     State,
-    _accumulate,
+    _add,
     _apply2,
-    _rescale,
     field_mode,
     format_ns_word,
     format_ramond_word,
@@ -46,10 +52,12 @@ from twistfock.scalars import (
     HALF,
     QQ,
     ZERO,
+    CycScalar,
     binomial,
     integral_split,
     rational_floor,
     scalar_is_zero,
+    scalar_ratio,
 )
 
 QQ_TYPE = type(QQ(1))
@@ -337,6 +345,25 @@ def test_both_sectors_render_equal_states(args):
 _NOTHING = (1, ())
 
 
+def _accumulate(table: dict, pairs, factor) -> None:
+    """Add factor * num to table[word] for each (word, num) pair of
+    integral numerators, dropping the entries that cancel to zero."""
+    get = table.get
+    for word, num in pairs:
+        new = get(word, 0) + factor * num
+        if new:
+            table[word] = new
+        else:
+            table.pop(word, None)
+
+
+def _rescale(table: dict, factor: int) -> None:
+    """Multiply every numerator of a table by an int, in place: the table
+    moves to a denominator `factor` times larger."""
+    for word in table:
+        table[word] *= factor
+
+
 def scanning_recursion(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
     """`iterate_mode_word` as it was before its one-mode and vacuum closed
     forms: both regular sums scan every i up to the room left, and the
@@ -507,3 +534,65 @@ def test_no_empty_field_word_reaches_the_kernel(monkeypatch):
                 field_mode(v, QQ(j, 2), target, sector_half)
     kernel.cache_clear()
     assert calls and empty_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the running-denominator sum against a Fraction dict sum
+# ---------------------------------------------------------------------------
+
+# integral numerators: ints and elements of Z[i], conductor 4
+NUMERATORS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda a, b: CycScalar(4, (a, b)), st.integers(-3, 3),
+              st.integers(-3, 3)),
+)
+
+
+@st.composite
+def additions(draw):
+    """A sequence of (pairs, n, d) additions over a few keys; some are
+    followed later by their negation, so sums cancel to zero."""
+    steps = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.sampled_from("abcd"), NUMERATORS), max_size=4),
+        st.integers(-4, 4).filter(bool),
+        st.sampled_from([1, 2, 3, 4, 6, 9, 12]),
+    ), min_size=1, max_size=8))
+    undone = [(pairs, -n, d) for pairs, n, d in steps if draw(st.booleans())]
+    return steps + draw(st.permutations(undone))
+
+
+def add_matches_fraction_sums(add):
+    """The property test of a running-denominator sum ``add``: after any
+    sequence of additions its table over its denominator is the Fraction
+    dict sum, with no zero entry and the lcm of the parts' d as
+    denominator."""
+
+    @given(additions())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def check(steps):
+        table, den, expected, every_d = {}, 1, {}, 1
+        for pairs, n, d in steps:
+            den = add(table, den, pairs, n, d)
+            every_d = lcm(every_d, d)
+            for key, num in pairs:
+                expected[key] = expected.get(key, ZERO) + num * QQ(n, d)
+        expected = {key: value for key, value in expected.items()
+                    if not scalar_is_zero(value)}
+        assert type(den) is int and den == every_d
+        assert not any(scalar_is_zero(num) for num in table.values())
+        assert {key: scalar_ratio(num, den) for key, num in table.items()} == expected
+
+    return check
+
+
+test_add_matches_fraction_sums = add_matches_fraction_sums(_add)
+
+
+def test_add_that_skips_the_rescale_fails():
+    def unscaled_add(table, den, pairs, n, d=1):
+        common = lcm(den, d)
+        _accumulate(table, pairs, n * (common // d))
+        return common
+
+    with pytest.raises(AssertionError):
+        add_matches_fraction_sums(unscaled_add)()

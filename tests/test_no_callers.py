@@ -155,6 +155,36 @@ def test_unused_definitions_are_the_allowlist():
     assert unused_definitions() == set(ALLOWED)
 
 
+# The private names one module of the package imports from another: only
+# fermion's helpers of the numerator format, the running sum `_add`, its
+# reduction `_lowest` and the doubled level `_level2` read off a state's
+# first word.  A module that reaches into another's privates fails here.
+PRIVATE_IMPORTS = {
+    ("deltak", "fermion", "_add"),
+    ("deltak", "fermion", "_level2"),
+    ("deltak", "fermion", "_lowest"),
+    ("verify", "fermion", "_level2"),
+}
+
+
+def private_imports(src: Path = SRC) -> set:
+    """(importer, module, name) of every ``from .module import _name``
+    (or ``from twistfock.module import _name``) in the package."""
+    return {
+        (path.stem, node.module.rpartition(".")[2], alias.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("twistfock."))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_cross_module_private_imports_are_pinned():
+    assert private_imports() == PRIVATE_IMPORTS
+
+
 def test_builtin_named_method_needs_a_receiver_of_its_class(tmp_path):
     # dict.get does not keep Table.get alive, and is_known, called only by
     # the dead get, is dead too; Counts.add is reached through a name bound
