@@ -76,8 +76,10 @@ class _ModeField:
     """A field held as its exact modes on an int index M = scale·m: mode M
     is the scalar ``scalars[eta_class(M)]`` times the rational `image`, one
     `fermion.mode_sum` over the plan, and zero where the class is None.  A
-    subclass sets ``scale``, ``weight``, ``parity``, ``_offsets``,
-    ``classes`` (one period of the class in M) and ``scalars``.
+    subclass sets ``k``, ``state`` (the field's vector), ``power`` (its
+    slot power mod k), ``scale``, ``weight``, ``parity``, ``_offsets``,
+    ``classes`` (one period of the class in M) and ``scalars``, and
+    ``field_of(u)`` gives the field of another state of the same kind.
     """
 
     @cached_property
@@ -142,7 +144,8 @@ class SlotField(_ModeField):
             p = None
         if p is None:
             raise ValueError("a slot field needs a nonzero homogeneous state")
-        self.k = k
+        self.k, self.state = k, u
+        self.power = power = power % k
         self.scale = 2 * k
         self.weight = p
         self.parity = u.homogeneous_parity()
@@ -152,7 +155,6 @@ class SlotField(_ModeField):
         # the doubled sigma-mode index of piece (e, u_e) is 2k(e+1) - 2 + M
         self._offsets = tuple(
             (piece, int(self.scale * (e + 1)) - 2) for e, piece in self.pieces)
-        power %= k
         # by M mod 2k: power*k*(-m-1) = -power*M/2 - power*k mod k
         self.classes = tuple(
             None if power * M % 2 else (-power * M // 2) % k
@@ -161,6 +163,10 @@ class SlotField(_ModeField):
         self.scalars = tuple(
             rationalized(self.prefactor * eta) for eta in eta_powers(k)
         )
+
+    def field_of(self, u: State) -> "SlotField":
+        """The field of u in the same slot."""
+        return SlotField(self.k, u, self.power)
 
     def mode(self, m, state: State) -> State:
         """The mode with rational index m; zero off the (1/2k)-lattice."""
@@ -220,6 +226,7 @@ class RecoveredField(_ModeField):
     def __init__(self, k: int, u: State, branch: int = 0):
         require_even_order(k)
         _check_branch(k, branch)
+        self.k, self.state, self.power = k, u, 0
         self.scale = 2
         # the zero state has no weight or parity; its field is empty
         self.weight = u.homogeneous_level() or ZERO
@@ -237,6 +244,10 @@ class RecoveredField(_ModeField):
             plan += [(state.scaled(factor), index)
                      for state, index in field.plan(int(2 * k * (e - 1)) + 2)]
         self._offsets = tuple(plan)
+
+    def field_of(self, u: State) -> "RecoveredField":
+        """The recovered field of u, on the principal branch."""
+        return RecoveredField(self.k, u)
 
     def mode(self, m, state: State) -> State:
         return self.mode_at(assert_on_lattice(m, 2), state)

@@ -14,9 +14,13 @@ whose kernel lattice is shifted by (parity of the left argument)/(2·order)
 distinguish "failed as the theory predicts" from "failed unexpectedly".
 
 The checks read the fields of `twist` through their one mode interface.
-Only the checks built on expanded products, the three-variable identity
-and weak associativity, revisit the same compositions, so only they cache
-a field's images (`_ModeFamily`), for the life of the check.
+A field carries the data of its residue kernel, so the commutator engine
+takes two fields and nothing more about them: the kernel lattice from
+their scale, the kernel's root of unity from their slot powers, and the
+field of each product state u_t v from ``field_of``.  Only the checks
+built on expanded products, the three-variable identity and weak
+associativity, revisit the same compositions, so only they cache a
+field's images (`_ModeFamily`), for the life of the check.
 
 Every operator check acts on `_domain`: the Ramond-sector words, the
 parity-twisted module of the even-order fields, with their states, doubled
@@ -282,7 +286,6 @@ def _parity_field(k: int, u: State, recovered: bool):
     recovered through the inverse construction (twisted modes composed
     with the inverse coordinate change), or else native, the slot field
     of order 1.  Both are over Q, with the one scalar 1."""
-    _require_usable(u, "field argument")
     return RecoveredField(k, u) if recovered else SlotField(1, u)
 
 
@@ -497,38 +500,25 @@ def _supercommutator_grid(left, right, scalars, target, level2, grid1, grid2):
             yield e1, e2, combine(pairs)
 
 
-def _commutator_report(
-    k_report: int,
-    left,
-    right,
-    u: State,
-    v: State,
-    window: Window,
-    *,
-    kernel_den: int,
-    forms,
-    product_builder,
-    kernel_eta=None,
-    domain_level=QQ(2),
-) -> tuple:
+def _commutator_report(k_report: int, left, right, window: Window, *,
+                       forms, domain_level=QQ(2)) -> tuple:
     """Compare a supercommutator of two fields with its residue form.
 
     Left side, per exponent pair (e1, e2) and domain word w:
         A(-e1-1) B(-e2-1) w  -  (-1)^{|A||B|} B(-e2-1) A(-e1-1) w.
     Right side: the residue of the product-state kernel,
-        (1/kernel_den) * sum_{t>=0} C(e1+t, t) (-1)^t [weight(e1+t)]
-                         * (mode -e1-e2-t-2 of the field of u_t v) w,
-    supported on e1 in kernel_shift + (1/kernel_den)Z and zero elsewhere;
-    the exponent grid is the (1/(2·kernel_den))-lattice, so it also holds
-    the points off the kernel lattice where the commutator must vanish.
-    Every field reads the int index S·m with S = 2·kernel_den, and every
-    exponent is the int S·e: decoded only in the location text.  The t-th
-    product state's field is supplied by ``product_builder`` so the same
-    engine serves first-slot fields, rotated slots (via the optional
-    ``kernel_eta``, the eta class of the root of unity weighting the kernel
-    coefficient at the index S·n), and parity-twisted fields.  Every scalar
-    is a lookup in a table built once per check: `_pair_scalars` for the
-    left side, each product field's ``scalars`` for the residue.
+        (2/S) * sum_{t>=0} C(e1+t, t) (-1)^t eta^{c(e1+t)}
+                * (mode -e1-e2-t-2 of right.field_of(u_t v)) w,
+    supported on e1 in kernel_shift + (2/S)Z and zero elsewhere, with S
+    the fields' ``scale`` (2k for slot fields, 2 for parity-twisted ones),
+    u and v their ``state``s and the kernel's eta class
+    c(n) = (left.power - right.power)·k·n, 0 for two fields in one slot.
+    The exponent grid is the (1/S)-lattice, so it also holds the points off
+    the kernel lattice where the commutator must vanish.  Fields and
+    exponents are read on the int index S·m, decoded only in the location
+    text; every scalar is a lookup in a table built once per check:
+    `_pair_scalars` for the left side, each product field's ``scalars`` for
+    the residue.
 
     ``forms`` is a tuple of (name, kernel_shift, expected_verdict) triples,
     one report each, in order, with the shift as the int S·kernel_shift.
@@ -539,23 +529,24 @@ def _commutator_report(
     expected to fail can fail only at such a point, and a window without
     one is refused with ValueError.
     """
-    step = 2 * kernel_den
+    step = left.scale
     grid1 = _lattice_grid(window, "x1", step, step)
     grid2 = _lattice_grid(window, "x2", step, step)
     iterates = []
-    for t in range(0, _iterate_top(u, v) + 1):
-        it = vertex_mode(u, t, v)
+    for t in range(0, _iterate_top(left.state, right.state) + 1):
+        it = vertex_mode(left.state, t, right.state)
         if not it.is_zero():
-            iterates.append((t, product_builder(it)))
-    prefactor = QQ(1, kernel_den)
+            iterates.append((t, right.field_of(it)))
+    prefactor = QQ(2, step)
+    power = left.power - right.power
     scalars = _pair_scalars(left, right)
     results = [(ComparisonResult(name), shift) for name, shift, _ in forms]
 
     # per e1, computed once for every word: the forms whose kernel lattice
-    # holds e1 (e1 - shift a multiple of 1/kernel_den: an even index), the
-    # x1 text of its locations and, where some form needs the residue, the
-    # signed binomials (-1)^t C(e1+t, t) of the iterates with the eta class
-    # of the kernel's root of unity at n = e1 + t
+    # holds e1 (e1 - shift an even index), the x1 text of its locations and,
+    # where some form needs the residue, the signed binomials
+    # (-1)^t C(e1+t, t) of the iterates with the eta class c(n) of the kernel
+    # at n = e1 + t, power·k·n = power·(S·n)/2 on the even index S·n
     on_lattice = {
         e1: tuple((e1 - shift) % 2 == 0 for _, shift in results)
         for e1 in grid1
@@ -566,7 +557,7 @@ def _commutator_report(
     witnesses = 0  # the points where the forms' right sides differ
     kernel_terms = {
         e1: tuple(
-            (binom, 0 if kernel_eta is None else kernel_eta(e1 + step * t))
+            (binom, power * (e1 + step * t) // 2)
             for t, binom in zip(orders, _signed_binomials(e1, step, orders))
         )
         for e1 in grid1 if any(on_lattice[e1])
@@ -636,16 +627,8 @@ def check_even_supercommutator(
     _require_pair(k, u, v)
     name = f"even-supercommutator[k={k},{_pair_label(u, v)}]"
     (report,) = _commutator_report(
-        k,
-        _slot_field(k, u),
-        _slot_field(k, v),
-        u,
-        v,
-        window,
-        kernel_den=k,
-        forms=((name, 0, "pass"),),
-        product_builder=lambda s: _slot_field(k, s),
-        domain_level=domain_level,
+        k, _slot_field(k, u), _slot_field(k, v), window,
+        forms=((name, 0, "pass"),), domain_level=domain_level,
     )
     return report
 
@@ -671,31 +654,18 @@ def check_odd_obstruction(
     parity = u.homogeneous_parity()
     base = f"k={k},{_pair_label(u, v)}"
     return _commutator_report(
-        k,
-        _slot_field(k, u),
-        _slot_field(k, v),
-        u,
-        v,
-        window,
-        kernel_den=k,
+        k, _slot_field(k, u), _slot_field(k, v), window,
         forms=(
             (f"obstruction-even-form[{base}]", 0, "fail" if parity else "pass"),
             # the shift parity/(2k), on the index 2k·e
             (f"obstruction-odd-form[{base}]", parity, "pass"),
         ),
-        product_builder=lambda s: _slot_field(k, s),
         domain_level=domain_level,
     )
 
 
 def check_cross_slot_commutator(
-    k: int,
-    u: State,
-    v: State,
-    slot_u: int,
-    slot_v: int,
-    window: Window,
-    *,
+    k: int, u: State, v: State, slot_u: int, slot_v: int, window: Window, *,
     domain_level=QQ(2),
 ) -> CheckReport:
     """Supercommutator of twisted fields living in two tensor slots.
@@ -705,37 +675,17 @@ def check_cross_slot_commutator(
     (slot_u - slot_v)·k·n-th power of the primitive root of unity.
     """
     _require_pair(k, u, v)
-    diff = slot_u - slot_v
-    kernel_eta = None
-    if diff % k:
-        # diff·k·n on the index 2k·n, which is even on the kernel lattice
-        kernel_eta = lambda n: (diff * n // 2) % k  # noqa: E731
-    label = (
-        f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},{_pair_label(u, v)}]"
-    )
+    label = (f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
+             f"{_pair_label(u, v)}]")
     (report,) = _commutator_report(
-        k,
-        _slot_field(k, u, slot=slot_u),
-        _slot_field(k, v, slot=slot_v),
-        u,
-        v,
-        window,
-        kernel_den=k,
-        forms=((label, 0, "pass"),),
-        product_builder=lambda s: _slot_field(k, s, slot=slot_v),
-        kernel_eta=kernel_eta,
-        domain_level=domain_level,
+        k, _slot_field(k, u, slot=slot_u), _slot_field(k, v, slot=slot_v),
+        window, forms=((label, 0, "pass"),), domain_level=domain_level,
     )
     return report
 
 
 def check_recovered_commutator(
-    k: int,
-    u: State,
-    v: State,
-    window: Window,
-    *,
-    domain_level=QQ(2),
+    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2),
     use_recovered: bool = True,
 ) -> CheckReport:
     """Supercommutator of parity-twisted fields against the residue form
@@ -747,20 +697,13 @@ def check_recovered_commutator(
     fields are used (a cross-validation of the engine itself).
     """
     _require_pair(k, u, v)
-    builder = lambda s: _parity_field(k, s, use_recovered)  # noqa: E731
     tag = "recovered" if use_recovered else "native"
     label = f"parity-twisted-commutator[{tag},k={k},{_pair_label(u, v)}]"
     (report,) = _commutator_report(
-        k,
-        builder(u),
-        builder(v),
-        u,
-        v,
+        k, _parity_field(k, u, use_recovered), _parity_field(k, v, use_recovered),
         window,
-        kernel_den=1,
         # the shift parity/2, on the index 2·e
         forms=((label, u.homogeneous_parity(), "pass"),),
-        product_builder=builder,
         domain_level=domain_level,
     )
     return report
@@ -877,8 +820,6 @@ def _smallest_passing(attempt, top: int, k: int, window: str, what: str,
     """The report of the first n in 0..top whose comparison ``attempt(n)``
     passes, detailed "<what> <var>=n", or else of the last attempt's
     failure."""
-    if top < 0:
-        raise ValueError(f"the search bound {var} must be >= 0, got {top}")
     for n in range(top + 1):
         result = attempt(n)
         if result.passed:
@@ -906,6 +847,8 @@ def check_locality(
     each candidate N is tested on the sub-grid where all shifted lookups
     stay inside the window.
     """
+    if max_power < 0:
+        raise ValueError(f"the search bound N must be >= 0, got {max_power}")
     _require_pair(k, u, v)
     left = _slot_field(k, u, slot=slot_u)
     right = _slot_field(k, v, slot=slot_v)
@@ -1095,13 +1038,14 @@ def check_weak_associativity(
     Passing certifies the associativity half of the twisted-field axioms on
     the recovered fields.
     """
+    if max_order < 0:
+        raise ValueError(f"the search bound n must be >= 0, got {max_order}")
     _require_pair(k, u, v)
-    builder = lambda s: _parity_field(k, s, use_recovered)  # noqa: E731
     tag = "recovered" if use_recovered else "native"
     # recovered and native fields are over Q: their scalars are (ONE,);
     # both read the doubled index 2m, and so the x2 exponents are doubled
-    fam_u = _ModeFamily(builder(u))
-    fam_v = _ModeFamily(builder(v))
+    fam_u = _ModeFamily(_parity_field(k, u, use_recovered))
+    fam_v = _ModeFamily(_parity_field(k, v, use_recovered))
     scalars = _pair_scalars(fam_u, fam_v)
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
@@ -1116,7 +1060,7 @@ def check_weak_associativity(
     for t in range(-max(grid0, default=-1) - 1, t_top + 1):
         state = vertex_mode(u, t, v)
         iterate_families[t] = (None if state.is_zero()
-                               else _ModeFamily(builder(state)))
+                               else _ModeFamily(fam_v.field_of(state)))
 
     label = f"weak-associativity[{tag},k={k},{_pair_label(u, v)}]"
 

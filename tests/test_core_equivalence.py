@@ -945,12 +945,8 @@ def test_two_forms_match_two_one_form_calls(k, u, v):
             k,
             verify._slot_field(k, u),
             verify._slot_field(k, v),
-            u,
-            v,
             window,
-            kernel_den=k,
             forms=selected,
-            product_builder=lambda s: verify._slot_field(k, s),
             domain_level=QQ(1),
         )
 

@@ -33,3 +33,24 @@ def test_tracer_finds_every_name():
     # the native parity-twisted families call the traced function by this
     # name (slot-field modes sum their pieces through fermion.mode_sum)
     assert verify.sigma_vertex_mode is ramond.sigma_vertex_mode
+
+
+def test_tracer_sees_every_check():
+    # a check called through any name but its `verify` binding would read
+    # 0 in every bench span; the two runs below call each check at least once
+    from twistfock.scalars import QQ
+    from twistfock import verify
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer(tracing.package_modules())
+    tracer.install()
+    try:
+        # the verify-k2 workload of bench/workloads.py, then odd order
+        verify.run_suite(verify.SuiteConfig(
+            k=2, radius=QQ(0), domain_level=QQ(1), weight=QQ(1), depth=2))
+        verify.run_suite(verify.SuiteConfig(k=3, radius=QQ(1, 2)))
+    finally:
+        tracer.uninstall()
+    unseen = [check for check in tracing.CHECKS
+              if tracer.compared[tracing.check_metric(check)] == 0]
+    assert unseen == []

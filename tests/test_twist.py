@@ -227,6 +227,51 @@ class TestLattices:
         assert all((e + 1 + offset).denominator == 1 for e in table)
 
 
+class TestFieldOf:
+    """A field's kernel data: its state, slot power and ``field_of``, the
+    field of another state of the same kind, equal to a fresh one."""
+
+    TARGETS = (PSI, OMEGA, VACUUM)
+
+    @staticmethod
+    def assert_like(derived, fresh, field):
+        assert type(derived) is type(field)
+        for name in ("k", "power", "scale"):
+            assert getattr(derived, name) == getattr(field, name), name
+        # the scalars carry the prefactor of the state's weight
+        for name in ("state", "classes", "scalars"):
+            assert getattr(derived, name) == getattr(fresh, name), name
+        for M in range(-2 * derived.scale, 2 * derived.scale + 1):
+            for word in ramond_basis(QQ(1)):
+                state = State({word: ONE})
+                assert derived.mode_at(M, state) == fresh.mode_at(M, state), M
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    @pytest.mark.parametrize("u", [PSI, OMEGA], ids=["psi", "omega"])
+    def test_slot_field(self, k, u):
+        for p in range(k):
+            field = SlotField(k, u, p)
+            assert (field.state, field.power) == (u, p)
+            assert SlotField(k, u, p - k).power == p
+            for v in self.TARGETS:
+                derived = field.field_of(v)
+                # a slot field's classes depend on its slot alone
+                assert derived.classes == field.classes
+                self.assert_like(derived, SlotField(k, v, p), field)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("u", [PSI, OMEGA], ids=["psi", "omega"])
+    def test_recovered_field(self, k, u):
+        field = RecoveredField(k, u)
+        assert (field.state, field.power) == (u, 0)
+        for v in self.TARGETS:
+            derived = field.field_of(v)
+            # the classes are the parity coset of the state
+            if v.homogeneous_parity() == u.homogeneous_parity():
+                assert derived.classes == field.classes
+            self.assert_like(derived, RecoveredField(k, v), field)
+
+
 class TestTwistedMode:
     def test_vacuum_modes(self):
         identity = twisted_mode(2, VACUUM, QQ(-1))

@@ -149,8 +149,6 @@ class TestReportMechanics:
             assert calls == list(range(good + 1))
             assert_clean_pass(report)
             assert report.detail == f"shift n={good}"
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            _smallest_passing(attempt, -1, 2, "w", "shift", "n")
 
     def test_suite_passed_mixes_expected_verdicts(self):
         reports = [
@@ -180,6 +178,31 @@ class TestCommutatorChecks:
             assert_clean_pass(
                 check_cross_slot_commutator(2, PSI, PSI, slots[0], slots[1], CUBE2)
             )
+        # (psi, omega) has the non-vacuum product psi, whose field depends
+        # on its slot: a product field in the wrong slot fails here
+        assert_clean_pass(check_cross_slot_commutator(2, PSI, OMEGA, 1, 2, CUBE2))
+
+    @pytest.mark.parametrize("k,mismatched,compared",
+                             [(2, 18, 1014), (4, 42, 3750)])
+    def test_cross_slot_kernel_weight_comes_from_the_fields(
+            self, k, mismatched, compared):
+        # slots (2, 1): the residue kernel is weighted by the root of unity
+        # of the left field's power less the right one's; zeroing the left
+        # power after construction keeps every mode and drops that weight
+        def run(planted):
+            left = _slot_field(k, PSI, slot=2)
+            if planted:
+                left.power = 0
+            (report,) = verify._commutator_report(
+                k, left, _slot_field(k, PSI, slot=1), CUBE2,
+                forms=(("cross-slot", 0, "pass"),),
+            )
+            return report
+
+        assert_clean_pass(run(False))
+        assert run(False).compared == compared
+        planted = run(True)
+        assert (planted.compared, len(planted.mismatches)) == (compared, mismatched)
 
     def test_cross_slot_rejects_bad_slot(self):
         with pytest.raises(ValueError):
@@ -448,6 +471,37 @@ CACHING_CHECKS = {
     "weak-associativity": lambda: check_weak_associativity(
         2, PSI, PSI, SMALL_ASSOC, domain_level=QQ(1)),
 }
+
+
+class TestSearchBounds:
+    """A negative search bound is refused before any field or grid is
+    built; the counting patches see the work of a bound of 0."""
+
+    def test_locality_refuses_before_the_grid(self, monkeypatch):
+        calls = []
+        grid = verify._supercommutator_grid
+        monkeypatch.setattr(verify, "_supercommutator_grid",
+                            lambda *args: calls.append(1) or grid(*args))
+        with pytest.raises(ValueError,
+                           match="the search bound N must be >= 0, got -1"):
+            check_locality(2, PSI, PSI, SMALL2, max_power=-1, domain_level=QQ(1))
+        assert calls == []
+        check_locality(2, PSI, PSI, SMALL2, max_power=0, domain_level=QQ(1))
+        assert calls
+
+    def test_weak_associativity_refuses_before_the_families(self, monkeypatch):
+        calls = []
+        family = verify._ModeFamily
+        monkeypatch.setattr(verify, "_ModeFamily",
+                            lambda field: calls.append(1) or family(field))
+        with pytest.raises(ValueError,
+                           match="the search bound n must be >= 0, got -1"):
+            check_weak_associativity(2, PSI, PSI, SMALL_ASSOC, max_order=-1,
+                                     domain_level=QQ(1))
+        assert calls == []
+        check_weak_associativity(2, PSI, PSI, SMALL_ASSOC, max_order=0,
+                                 domain_level=QQ(1))
+        assert calls
 
 
 class TestModeCache:
