@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .scalars import (
@@ -288,14 +288,6 @@ class State:
     def __repr__(self):
         return f"State({dict(self.terms)!r})"
 
-    def map_words(self, rule) -> "State":
-        """Push the state through a linear rule word -> [(word, coeff)]."""
-        out = {}
-        for word, coeff in self.terms:
-            for new_word, factor in rule(word):
-                out[new_word] = out.get(new_word, ZERO) + coeff * factor
-        return State(out)
-
     def homogeneous_level(self):
         """The common word level, or raise if the state is mixed."""
         sums = {sum(w) for w, _ in self.nums}
@@ -374,29 +366,6 @@ def _apply2(word: tuple, m2: int) -> tuple:
     return ((word[:i] + (m2,) + word[i:], -1 if i & 1 else 1),)
 
 
-def apply_phys_mode(word, m, ramond: bool):
-    """psi_m, for a physical mode m, applied to one doubled word; returns
-    [(word, rational)].
-
-    `ramond` selects the sector whose lattice m must lie on: the integers for
-    the parity-twisted sector, Z + 1/2 for the untwisted one.
-    """
-    m = QQ(m)
-    if ramond:
-        if m.denominator != 1:
-            raise ValueError(f"twisted-sector mode {m} must be an integer")
-    elif (2 * m).denominator != 1 or (2 * m).numerator % 2 == 0:
-        raise ValueError(f"untwisted-sector mode {m} must be in Z + 1/2")
-    m2 = int(2 * m)
-    return [(w, QQ(c, 1 if m2 else 2)) for w, c in _apply2(word, m2)]
-
-
-def fermion_mode(n, s: State) -> State:
-    """The generating field's physical mode psi_n on an untwisted state."""
-    n = QQ(n)
-    return s.map_words(lambda word: apply_phys_mode(word, n, ramond=False))
-
-
 # ---------------------------------------------------------------------------
 # the iterate recursion: modes of descendant fields in either sector
 # ---------------------------------------------------------------------------
@@ -416,15 +385,15 @@ def fermion_mode(n, s: State) -> State:
 # index and the shift s enter as twice their value.  The field's word a is
 # untwisted, so m1 lies in Z + 1/2 and n = m1 - 1/2 is an integer; then
 # (-1)^i C(n,i) = C(i-n-1, i) is an integer too, built by the exact integer
-# step d_{i+1} = d_i (i-n)/(i+1).  Only the twisted correction's C(1/2, i)
-# and the zero mode's 1/2 are not integers.  Every index shift above is a
+# step d_{i+1} = d_i (i-n)/(i+1).  Only the binomials of half-integers and
+# the zero mode's 1/2 are not integers.  Every index shift above is a
 # multiple of 1/2 and the recursion ends at mu = -1, so an index off the
 # half-integer lattice gives zero at once.
 #
-# The vacuum's field is the identity: its only nonzero mode is index -1.
-# So on a one-mode word (a' the vacuum) each regular sum keeps one term,
-# in closed form: the first at i = s - 1 - mu, the second at
-# i = n + mu - s + 1, each when it is an integer >= 0.  Where the field
+# A one-mode word psi_{-1/2-n'}|0> is L(-1)^{n'}|psi>/n'!, and a twisted
+# module keeps the L(-1)-derivative property (H. Li 1996), so its field is
+# the n'-th derivative of the generator's over n'! and its mode mu is one
+# psi mode, C(n'-mu-1, n') psi_{mu+1/2-n'}: no recursion.  Where the field
 # word itself is empty (the twisted correction on a two-mode word, a
 # vacuum piece in `mode_sum`) the caller applies the identity inline, so
 # an empty field word never becomes a cache entry.
@@ -449,86 +418,80 @@ def iterate_mode_word(a_word: tuple, mu2: int, word: tuple, sector_half: int) ->
     one.  Returns (den, pairs): ``pairs`` is an unsorted tuple of (word,
     int numerator) pairs, each coefficient being its numerator over
     ``den``, a power of two that is 1 in the untwisted sector (the zero
-    mode's 1/2 and the twisted correction's C(1/2, i) are the only
-    fractions).  Every sum of the recursion is finite because annihilation
-    kills high modes and the graded pieces below the sector floor vanish.
+    mode's 1/2 and the binomials of half-integers are the only fractions).
+    Every sum of the recursion is finite because annihilation kills high
+    modes and the graded pieces below the sector floor vanish.
 
-    A one-mode field word (m1,) is in closed form.  Its a' is the vacuum,
-    whose field is the identity at index -1 only, so each regular sum
-    keeps the one i that puts a' there: 2i = sector_half - 2 - mu2 in the
-    first and 2i = m1 + 1 + mu2 - sector_half in the second, when that is
-    even and >= 0, with the int coefficient (-1)^i C(n, i) = C(i-n-1, i).
-    Only the twisted correction recurses.  The empty field word is the
-    identity at mu2 = -2; the recursion and `mode_sum` apply it inline and
-    never ask for it.
+    A one-mode field word (m1,) is in closed form: with n' = (-1 - m1)/2,
+    x = -3 - m1 - mu2 and psi2 = mu2 + m1 + 2, its mode is C(x/2, n') times
+    psi_{psi2/2}, zero where psi2 is off the sector's psi lattice; the
+    binomial is prod_{j<n'} (x - 2j) over 2^n' n'!, all ints.  The empty
+    field word is the identity at mu2 = -2; the recursion and
+    `mode_sum` apply it inline and never ask for it.
     """
     if not a_word:
         return (1, ((word, 1),)) if mu2 == -2 else _NOTHING
     m1 = a_word[0]
     rest = a_word[1:]
+    if not rest:
+        psi2 = mu2 + m1 + 2
+        if not (psi2 + sector_half) & 1:  # off the sector's psi lattice
+            return _NOTHING
+        n1 = (-1 - m1) // 2
+        x = -3 - m1 - mu2
+        num = prod(range(x, x - 2 * n1, -2))
+        pairs = _apply2(word, psi2)
+        if not num or not pairs:
+            return _NOTHING
+        ((new_word, c),) = pairs
+        # the zero mode's coefficients come doubled
+        den = (factorial(n1) << n1) * (1 if psi2 else 2)
+        g = gcd(c * num, den)
+        return den // g, ((new_word, c * num // g),)
     n = (m1 - 1) // 2
     out: dict = {}
     den = 1  # a power of two: `_add` keeps the lcm of the inner results' dens
 
-    if not rest:
-        # first regular sum: (a')_{mu-s+i} is the identity at mu-s+i = -1;
-        # the room left there is the target's level, never negative
-        twice_i = sector_half - 2 - mu2
-        if twice_i >= 0 and not twice_i & 1:
-            i = twice_i // 2
-            psi2 = sector_half + m1 - twice_i
-            # the zero mode's coefficients come doubled
-            den = _add(out, den, _apply2(word, psi2), comb(i - n - 1, i),
-                       1 if psi2 else 2)
-        # second regular sum: (a')_{n+mu-s-i} is the identity at
-        # n+mu-s-i = -1; an annihilator missing from the word gives nothing
-        twice_i = m1 + 1 + mu2 - sector_half
-        if twice_i >= 0 and not twice_i & 1:
-            i = twice_i // 2
-            sign = 1 if n & 1 else -1  # -eps (-1)^n with eps = 1
-            den = _add(out, den, _apply2(word, sector_half + 1 + twice_i),
-                       sign * comb(i - n - 1, i))
-    else:
-        # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
-        # the level left above the sector floor, and drops by 2 per step
-        room = -sum(word) - sum(rest) - mu2 + sector_half - 2
+    # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
+    # the level left above the sector floor, and drops by 2 per step
+    room = -sum(word) - sum(rest) - mu2 + sector_half - 2
+    d = 1
+    i = 0
+    while room >= 0:
+        psi2 = sector_half + m1 - 2 * i
+        inner_den, inner = iterate_mode_word(
+            rest, mu2 - sector_half + 2 * i, word, sector_half)
+        if inner:
+            if not psi2:  # the zero mode's coefficients come doubled
+                inner_den *= 2
+            for mid_word, mid_num in inner:
+                den = _add(out, den, _apply2(mid_word, psi2), d * mid_num,
+                           inner_den)
+        d = d * (i - n) // (i + 1)
+        i += 1
+        room -= 2
+
+    # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
+    # above the word's largest creation mode kill it
+    if word:
+        sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
+        top = -word[0]
         d = 1
         i = 0
-        while room >= 0:
-            psi2 = sector_half + m1 - 2 * i
-            inner_den, inner = iterate_mode_word(
-                rest, mu2 - sector_half + 2 * i, word, sector_half)
-            if inner:
-                if not psi2:  # the zero mode's coefficients come doubled
-                    inner_den *= 2
-                for mid_word, mid_num in inner:
-                    den = _add(out, den, _apply2(mid_word, psi2), d * mid_num,
-                               inner_den)
+        psi2 = sector_half + 1
+        while psi2 <= top:
+            for mid_word, mid_num in _apply2(word, psi2):
+                inner_den, inner = iterate_mode_word(
+                    rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
+                if inner:
+                    den = _add(out, den, inner, sign * d * mid_num, inner_den)
             d = d * (i - n) // (i + 1)
             i += 1
-            room -= 2
-
-        # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
-        # above the word's largest creation mode kill it
-        if word:
-            sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
-            top = -word[0]
-            d = 1
-            i = 0
-            psi2 = sector_half + 1
-            while psi2 <= top:
-                for mid_word, mid_num in _apply2(word, psi2):
-                    inner_den, inner = iterate_mode_word(
-                        rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
-                    if inner:
-                        den = _add(out, den, inner, sign * d * mid_num, inner_den)
-                d = d * (i - n) // (i + 1)
-                i += 1
-                psi2 += 2
+            psi2 += 2
 
     # twisted correction terms: strictly lower weight
     if sector_half:
-        bound2 = -m1 - (rest[0] if rest else 0)
+        bound2 = -m1 - rest[0]
         for i in range(1, bound2 // 2 + 1):
             b_num, b_den = _half_binomial(i)
             inner_mu2 = mu2 - 2 * i

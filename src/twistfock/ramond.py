@@ -18,7 +18,6 @@ from .fermion import (
     OMEGA,
     RAMOND_GROUND,
     State,
-    apply_phys_mode,
     check_ramond_word,
     field_mode,
     format_ramond_word,
@@ -28,7 +27,6 @@ from .formal import QSeries
 from .scalars import QQ, rational_floor
 
 __all__ = [
-    "ramond_mode",
     "sigma_vertex_mode",
     "sigma_virasoro",
     "ground_weight",
@@ -38,17 +36,6 @@ __all__ = [
     "format_ramond_word",
     "ramond_basis",
 ]
-
-
-def ramond_mode(n, s: State) -> State:
-    """The generating field's integer physical mode psi_n on a twisted state
-    (n is the mode itself, not doubled).
-
-    Satisfies {psi_m, psi_n} = delta_{m+n,0} with psi_0^2 = 1/2; modes n <= 0
-    insert into the word with the reordering sign, n > 0 contract.
-    """
-    n = QQ(n)
-    return s.map_words(lambda word: apply_phys_mode(word, n, ramond=True))
 
 
 def sigma_vertex_mode(v: State, t, target: State) -> State:

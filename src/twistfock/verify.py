@@ -319,6 +319,20 @@ def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
     return [(combine(pairs), scale * scalars[j])]
 
 
+def _expanded_bracket(left, right, scalars, eps, n: int, a: int, b: int,
+                      state: State, level2: int, scale=ONE):
+    """The pairs of the bracket expansion of (x1 - x2)^n at one grid
+    point: the ordered half, the `_expanded_product` of left(a) right(b),
+    and the swapped half, right(b + step n) left(a - step n) with the
+    supersymmetry sign of the exchange, -eps for even n and eps for odd."""
+    step = left.scale
+    sign = -eps if n % 2 == 0 else eps
+    return (_expanded_product(left, right, scalars, n, a, b, state, level2,
+                              scale)
+            + _expanded_product(right, left, scalars, n, b + step * n,
+                                a - step * n, state, level2, scale * sign))
+
+
 def _field_product_mode(
     left: _ModeFamily,
     right: _ModeFamily,
@@ -340,9 +354,8 @@ def _field_product_mode(
     carrying the exponent class; because a power ``n_loc`` of the coordinate
     difference annihilates the supercommutator of the two fields, every
     expansion order i with t + i >= n_loc cancels identically, so the outer
-    sum is finite.  Within each order the two ordered halves are expanded
-    products of power t + i.  Mode indices that fall off a field's exponent
-    lattice contribute zero.
+    sum is finite.  Each order is one `_expanded_bracket` of power t + i.
+    Mode indices that fall off a field's exponent lattice contribute zero.
     """
     r_frac = QQ(r, k)
     step = left.scale
@@ -354,17 +367,9 @@ def _field_product_mode(
             continue
         if i % 2:
             coeff_i = -coeff_i
-        n = t + i
-        # ordered half: the left field to the left of the right field
-        pairs += _expanded_product(
-            left, right, scalars, n, shift + step * t, mu - shift, state,
-            level2, coeff_i,
-        )
-        # swapped half, with the supersymmetry sign of the exchange
-        sign = -eps if n % 2 == 0 else eps
-        pairs += _expanded_product(
-            right, left, scalars, n, mu - shift + step * n, shift - step * i,
-            state, level2, coeff_i * sign,
+        pairs += _expanded_bracket(
+            left, right, scalars, eps, t + i, shift + step * t, mu - shift,
+            state, level2, coeff_i,
         )
     return combine(pairs)
 
@@ -727,15 +732,9 @@ def _jacobi_left(left, right, scalars, eps, r: int, e1: int, e2: int,
     `_pair_scalars` of the two families.
     """
     step = left.scale
-    sign2 = -eps if r % 2 == 0 else eps
-    return combine(
-        _expanded_product(left, right, scalars, r, step * (r - 1) - e1,
-                          -e2 - step, state, level2)
-        + _expanded_product(
-            right, left, scalars, r, step * (r - 1) - e2, -e1 - step, state,
-            level2, sign2,
-        )
-    )
+    return combine(_expanded_bracket(left, right, scalars, eps, r,
+                                     step * (r - 1) - e1, -e2 - step, state,
+                                     level2))
 
 
 def check_twisted_jacobi(

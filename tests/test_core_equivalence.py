@@ -5,9 +5,10 @@ run without a cache:
 
 * the triangular `solve_aj`, which re-expands exp(-D) x from scratch for
   every coefficient (with its own copy of the derivation expansion);
-* `vertex_mode` / `sigma_vertex_mode` as a composition of `map_words`,
-  `+` and `scaled`, those three written out as they were: build a dict,
-  then the validating public constructor `State(table)`, on every step;
+* `vertex_mode` / `sigma_vertex_mode` as a composition of the former
+  `State.map_words`, `+` and `scaled`, those three written out as they
+  were: build a dict, then the validating public constructor
+  `State(table)`, on every step;
 * `CycScalar` sums, differences, negation and rational scaling through the
   validating public constructor;
 * the inverse-map cross-check `_exp_derivation_on_x` as it was: a dense

@@ -12,7 +12,6 @@ from twistfock.fermion import (
     check_ns_word,
     check_ramond_word,
     combine,
-    fermion_mode,
     format_ns_word,
     format_ramond_word,
     ns_basis,
@@ -24,6 +23,8 @@ from twistfock.fermion import (
 )
 from twistfock.formal import compare_fields
 from twistfock.scalars import ONE, QQ, binomial
+
+from psi_oracle import fermion_mode
 
 H = QQ(1, 2)
 

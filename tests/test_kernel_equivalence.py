@@ -2,10 +2,10 @@
 
 Oracles, copied below and run without a cache:
 
-* the body of `iterate_mode_word` and `apply_phys_mode` as they were before
-  the recursion moved to doubled-integer modes.  They work on `QQ` words
-  and indices throughout, so they share no arithmetic with the kernel under
-  test;
+* the body of `iterate_mode_word` as it was before the recursion moved to
+  doubled-integer modes, with the psi action `psi_oracle.apply_phys_mode`.
+  They work on `QQ` words and indices throughout, so they share no
+  arithmetic with the kernel under test;
 * the public `iterate_mode_word` as it was while words were `QQ` tuples: a
   wrapper that encoded its arguments, ran the kernel and decoded the result;
 * `State` and `field_mode` as they were on `QQ` words, with the old word
@@ -14,7 +14,12 @@ Oracles, copied below and run without a cache:
   before the one-mode and vacuum cases were put in closed form: both
   regular sums scan every i, and the vacuum's field is a recursion call;
   they add through `_accumulate` and `_rescale`, the two helpers that
-  `fermion._add` replaced, copied below as they were.
+  `fermion._add` replaced, copied below as they were;
+* the doubled-integer `iterate_mode_word` as it was before a one-mode
+  field word became one psi mode by the L(-1)-derivative property: each
+  regular sum keeps one term, and the twisted correction recurses.  The
+  closed form must match it on one-mode words of both sectors, and the
+  same check run on a closed form without its lattice guard must fail.
 
 The running-denominator sum `fermion._add` must equal a `Fraction` dict
 sum on any sequence of additions, with int and cyclotomic numerators,
@@ -27,7 +32,9 @@ a field must render to the same text in both representations, in both
 sectors.
 """
 
-from math import gcd, lcm
+import ast
+from math import comb, factorial, gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +48,8 @@ from twistfock.fermion import (
     State,
     _add,
     _apply2,
+    _half_binomial,
+    _lowest,
     field_mode,
     format_ns_word,
     format_ramond_word,
@@ -60,17 +69,8 @@ from twistfock.scalars import (
     scalar_ratio,
 )
 
-QQ_TYPE = type(QQ(1))
-
-
-def decode(word2) -> tuple:
-    """The QQ word of a doubled word."""
-    return tuple(QQ(m2, 2) for m2 in word2)
-
-
-def encode(word) -> tuple:
-    """The doubled word of a QQ word."""
-    return tuple(int(2 * m) for m in word)
+import psi_oracle
+from psi_oracle import apply_phys_mode, decode, encode
 
 
 def word_level(word) -> QQ:
@@ -80,36 +80,6 @@ def word_level(word) -> QQ:
 # ---------------------------------------------------------------------------
 # the Fraction recursion, verbatim, uncached
 # ---------------------------------------------------------------------------
-
-
-def apply_phys_mode(word, m, ramond: bool):
-    """psi_m applied to one ordered word; returns [(word, rational)].
-
-    Annihilation (m > 0) contracts against a matching creation mode with the
-    sign of the anticommutations passed; creation (m < 0) inserts in order,
-    vanishing on a repeated mode; the twisted-sector zero mode squares to 1/2.
-    """
-    m = QQ(m)
-    if ramond:
-        if m.denominator != 1:
-            raise ValueError(f"twisted-sector mode {m} must be an integer")
-    elif (2 * m).denominator != 1 or (2 * m).numerator % 2 == 0:
-        raise ValueError(f"untwisted-sector mode {m} must be in Z + 1/2")
-    if m > 0:
-        for i, entry in enumerate(word):
-            if entry + m == 0:
-                reduced = word[:i] + word[i + 1 :]
-                return [(reduced, QQ(-1) ** i)]
-        return []
-    if m == 0:  # only reachable in the twisted sector
-        if word and word[-1] == 0:
-            return [(word[:-1], HALF * QQ(-1) ** (len(word) - 1))]
-        return [(word + (ZERO,), QQ(-1) ** len(word))]
-    if m in word:
-        return []
-    position = sum(1 for entry in word if entry < m)
-    inserted = tuple(sorted(word + (m,)))
-    return [(inserted, QQ(-1) ** position)]
 
 
 def _merge(table, addition, factor):
@@ -295,11 +265,28 @@ def test_anticommutation_kernel_matches(sector_half, index, m2):
     word = TARGETS[sector_half][index % len(TARGETS[sector_half])]
     if (m2 % 2 == 0) != bool(sector_half):
         m2 += 1  # keep the mode on the sector's lattice
-    m = QQ(m2, 2)
-    got = fermion.apply_phys_mode(encode(word), m, sector_half == 1)
-    expected = apply_phys_mode(word, m, sector_half == 1)
-    assert [(decode(w), c) for w, c in got] == expected
-    assert all(type(c) is QQ_TYPE for _, c in got)
+    got = _apply2(encode(word), m2)
+    expected = apply_phys_mode(word, QQ(m2, 2), sector_half == 1)
+    # the zero mode's coefficients come doubled
+    assert [(decode(w), QQ(c, 1 if m2 else 2)) for w, c in got] == expected
+    assert all(type(c) is int for _, c in got)
+
+
+def test_psi_oracle_shares_no_code_with_the_kernel():
+    """The oracle's psi action takes nothing from `twistfock.fermion` but
+    `State` and the word formatters: never `_apply2`."""
+    allowed = {"State", "format_ns_word", "format_ramond_word"}
+    taken = set()
+    for node in ast.walk(ast.parse(Path(psi_oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "twistfock.fermion" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module == "twistfock.fermion":
+                taken |= names
+            elif node.module == "twistfock":
+                assert "fermion" not in names
+    assert taken <= allowed
 
 
 def states_on(words):
@@ -534,6 +521,167 @@ def test_no_empty_field_word_reaches_the_kernel(monkeypatch):
                 field_mode(v, QQ(j, 2), target, sector_half)
     kernel.cache_clear()
     assert calls and empty_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the doubled-integer recursion before its one-mode closed form, verbatim,
+# uncached
+# ---------------------------------------------------------------------------
+
+
+def one_term_recursion(a_word: tuple, mu2: int, word: tuple, sector_half: int) -> tuple:
+    """`iterate_mode_word` as it was before its one-mode closed form:
+    on a one-mode word each regular sum keeps the one term that puts the
+    vacuum's field at index -1, and the twisted correction recurses."""
+    if not a_word:
+        return (1, ((word, 1),)) if mu2 == -2 else _NOTHING
+    m1 = a_word[0]
+    rest = a_word[1:]
+    n = (m1 - 1) // 2
+    out: dict = {}
+    den = 1  # a power of two: `_add` keeps the lcm of the inner results' dens
+
+    if not rest:
+        # first regular sum: (a')_{mu-s+i} is the identity at mu-s+i = -1;
+        # the room left there is the target's level, never negative
+        twice_i = sector_half - 2 - mu2
+        if twice_i >= 0 and not twice_i & 1:
+            i = twice_i // 2
+            psi2 = sector_half + m1 - twice_i
+            # the zero mode's coefficients come doubled
+            den = _add(out, den, _apply2(word, psi2), comb(i - n - 1, i),
+                       1 if psi2 else 2)
+        # second regular sum: (a')_{n+mu-s-i} is the identity at
+        # n+mu-s-i = -1; an annihilator missing from the word gives nothing
+        twice_i = m1 + 1 + mu2 - sector_half
+        if twice_i >= 0 and not twice_i & 1:
+            i = twice_i // 2
+            sign = 1 if n & 1 else -1  # -eps (-1)^n with eps = 1
+            den = _add(out, den, _apply2(word, sector_half + 1 + twice_i),
+                       sign * comb(i - n - 1, i))
+    else:
+        # first regular sum: psi_{s+n-i} after (a')_{mu-s+i}; `room` is twice
+        # the level left above the sector floor, and drops by 2 per step
+        room = -sum(word) - sum(rest) - mu2 + sector_half - 2
+        d = 1
+        i = 0
+        while room >= 0:
+            psi2 = sector_half + m1 - 2 * i
+            inner_den, inner = one_term_recursion(
+                rest, mu2 - sector_half + 2 * i, word, sector_half)
+            if inner:
+                if not psi2:  # the zero mode's coefficients come doubled
+                    inner_den *= 2
+                for mid_word, mid_num in inner:
+                    den = _add(out, den, _apply2(mid_word, psi2), d * mid_num,
+                               inner_den)
+            d = d * (i - n) // (i + 1)
+            i += 1
+            room -= 2
+
+        # second regular sum: (a')_{n+mu-s-i} after psi_{s+i}; annihilators
+        # above the word's largest creation mode kill it
+        if word:
+            sign = -1 if (len(rest) + n) & 1 == 0 else 1  # -eps (-1)^n
+            top = -word[0]
+            d = 1
+            i = 0
+            psi2 = sector_half + 1
+            while psi2 <= top:
+                for mid_word, mid_num in _apply2(word, psi2):
+                    inner_den, inner = one_term_recursion(
+                        rest, m1 - 1 + mu2 - sector_half - 2 * i, mid_word, sector_half)
+                    if inner:
+                        den = _add(out, den, inner, sign * d * mid_num, inner_den)
+                d = d * (i - n) // (i + 1)
+                i += 1
+                psi2 += 2
+
+    # twisted correction terms: strictly lower weight
+    if sector_half:
+        bound2 = -m1 - (rest[0] if rest else 0)
+        for i in range(1, bound2 // 2 + 1):
+            b_num, b_den = _half_binomial(i)
+            inner_mu2 = mu2 - 2 * i
+            for mid_word, mid_num in _apply2(rest, m1 + 2 * i):
+                if mid_word:
+                    inner_den, inner = one_term_recursion(
+                        mid_word, inner_mu2, word, sector_half)
+                    if not inner:
+                        continue
+                elif inner_mu2 == -2:  # the vacuum's field, inline
+                    inner_den, inner = 1, ((word, 1),)
+                else:
+                    continue
+                den = _add(out, den, inner, -b_num * mid_num, inner_den * b_den)
+
+    if not out:
+        return _NOTHING
+    if den != 1:
+        den, out = _lowest(den, out)
+    return den, tuple(out.items())
+
+
+ONE_MODE_TARGETS = {0: ns_basis(5), 1: ramond_basis(5)}
+
+
+@st.composite
+def one_mode_inputs(draw):
+    sector_half = draw(st.sampled_from([0, 1]))
+    m1 = -1 - 2 * draw(st.integers(0, 10))
+    mu2 = draw(st.integers(-40, 24))
+    word = draw(st.sampled_from(ONE_MODE_TARGETS[sector_half]))
+    return (m1,), mu2, word, sector_half
+
+
+def one_mode_matches(kernel):
+    """The property test of a one-mode kernel: on every one-mode field word
+    of level <= 21/2, doubled index in [-40, 24] and target of level <= 5,
+    in both sectors, it gives the same denominator and pairs as the
+    recursion that keeps one term per regular sum."""
+
+    @given(one_mode_inputs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(args):
+        expected = sorted_result(one_term_recursion(*args))
+        assert sorted_result(kernel(*args)) == expected, args
+
+    return check
+
+
+test_one_mode_closed_form_matches = one_mode_matches(fermion.iterate_mode_word)
+
+
+def unguarded_closed_form(a_word, mu2, word, sector_half):
+    """The one-mode closed form without its lattice guard: psi2 off the
+    sector's psi lattice is applied as if it were a mode."""
+    (m1,) = a_word
+    psi2 = mu2 + m1 + 2
+    n1 = (-1 - m1) // 2
+    x = -3 - m1 - mu2
+    num = prod(range(x, x - 2 * n1, -2))
+    pairs = _apply2(word, psi2)
+    if not num or not pairs:
+        return _NOTHING
+    ((new_word, c),) = pairs
+    den = (factorial(n1) << n1) * (1 if psi2 else 2)
+    g = gcd(c * num, den)
+    return den // g, ((new_word, c * num // g),)
+
+
+def test_closed_form_without_the_lattice_guard_fails():
+    with pytest.raises(AssertionError):
+        one_mode_matches(unguarded_closed_form)()
+
+
+@pytest.mark.parametrize("args", [((-5,), -3, (-2, 0), 1), ((-9,), 3, (), 1)])
+def test_cold_one_mode_call_adds_one_cache_entry(args):
+    """A one-mode field word makes no recursive call: a cold call caches
+    itself alone (the one-term recursion added 3 and 5 entries here)."""
+    kernel = fermion.iterate_mode_word
+    kernel.cache_clear()
+    assert kernel(*args)[1]
+    assert kernel.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

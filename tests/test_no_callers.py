@@ -28,15 +28,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twistfock"
 
-ORACLE = "the generator's modes, an oracle for the mode recursion"
-
 ALLOWED = {
     "twist.u_functor_sigma_mode": "timed by the benchmark's tracer; "
                                   "acceptance criterion 12",
     "twist.TwistedModuleView.twisted_weight_eigenvalue":
         "acceptance criterion 10",
-    "fermion.fermion_mode": ORACLE,
-    "ramond.ramond_mode": ORACLE,
 }
 
 BUILTIN_METHODS = frozenset(

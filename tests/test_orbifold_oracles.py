@@ -19,16 +19,19 @@ terms of the parity-twisted generator alone:
   formula gives 1/(24k)), and the NS vacuum energy over k, -1/(48k), for
   odd k.
 
-The right sides are built from `ramond.ramond_mode`, which applies one
-physical mode to each word, and from exact rationals.
+The right sides are built from `psi_oracle.ramond_mode`, which applies one
+physical mode to each word without the package's psi action, and from
+exact rationals.
 """
 
 import pytest
 
 from twistfock.fermion import CENTRAL_CHARGE, OMEGA, PSI, State, combine, word_level
-from twistfock.ramond import ramond_basis, ramond_mode
+from twistfock.ramond import ramond_basis
 from twistfock.scalars import ONE, QQ, k_to_the
 from twistfock.twist import SlotField, TwistedModuleView
+
+from psi_oracle import ramond_mode
 
 WORDS = ramond_basis(QQ(3))
 

@@ -22,12 +22,13 @@ from twistfock.formal import compare_fields
 from twistfock.ramond import (
     ground_weight,
     ramond_basis,
-    ramond_mode,
     sigma_L0_spectrum,
     sigma_vertex_mode,
     sigma_virasoro,
 )
 from twistfock.scalars import QQ, ZERO, binomial, cyc_sqrt_k, rational_floor
+
+from psi_oracle import ramond_mode
 
 H = QQ(1, 2)
 
