@@ -416,45 +416,25 @@ def cyc_root_of_unity(conductor: int, exponent: int) -> CycScalar:
 def cyc_sqrt_k(k: int) -> CycScalar:
     """The square root of k in Q(zeta_{4k}) that is positive in the real embedding.
 
-    Built from zeta_8 + zeta_8^-1 = sqrt(2) and quadratic Gauss sums for odd
-    primes; the classical sign of the Gauss sum makes every factor positive.
+    Write k = s^2 m with m squarefree, zeta = zeta_{4k} and i = zeta^k.
+    The quadratic Gauss sum of Z/4m, G = sum_{a mod 4m} zeta_{4m}^{a^2}
+    with zeta_{4m} = zeta^{s^2}, is (1 + i) 2 sqrt(m); so
+    sqrt(k) = s (1 - i) G / 4, one power sum reduced once.
     """
     conductor = 4 * k
     require_conductor(conductor)
-    square_part = 1
-    squarefree = k
-    p = 2
-    while p * p <= squarefree:
-        while squarefree % (p * p) == 0:
-            squarefree //= p * p
-            square_part *= p
-        p += 1
-    result = CycScalar.from_rational(square_part, conductor)
-    remaining = squarefree
-    p = 2
-    while remaining > 1:
-        if remaining % p == 0:
-            remaining //= p
-            if p == 2:
-                # sqrt(2) = zeta_8 + zeta_8^-1; 8 | 4k because k is even here
-                z8 = conductor // 8
-                factor = cyc_root_of_unity(conductor, z8) + cyc_root_of_unity(
-                    conductor, -z8
-                )
-            else:
-                # the Gauss sum of zeta_p = zeta_N^(N/p), reduced once
-                zp = conductor // p
-                powers = [0] * conductor
-                for a in range(p):
-                    powers[zp * (a * a % p)] += 1
-                factor = CycScalar(conductor, powers)
-                if p % 4 == 3:
-                    # Gauss sum equals i*sqrt(p); divide by i = zeta_4
-                    factor = factor * cyc_root_of_unity(conductor, -(conductor // 4))
-            result = result * factor
-        p += 1
+    s = math.isqrt(k)
+    while k % (s * s):
+        s -= 1
+    c = conductor // (s * s)  # 4m
+    powers = [0] * conductor
+    for a in range(c):
+        e = s * s * (a * a % c)
+        powers[e] += 1  # the term zeta^e of G
+        powers[(e + k) % conductor] -= 1  # and of -i G
+    result = CycScalar(conductor, powers) * QQ(s, 4)
     numeric = result.complex_value()
-    if abs(numeric - math.sqrt(k)) > 1e-9:  # pragma: no cover - sanity guard
+    if abs(numeric - math.sqrt(k)) > 1e-9:
         raise ArithmeticError(f"sqrt({k}) construction failed: {numeric}")
     return result
 

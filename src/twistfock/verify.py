@@ -17,14 +17,16 @@ The checks read the fields of `twist` through their one mode interface.
 A field carries the data of its residue kernel, so the commutator engine
 takes two fields and nothing more about them: the kernel lattice from
 their scale, the kernel's root of unity from their slot powers, and the
-field of each product state u_t v from ``field_of``.  Only the checks
-built on expanded products, the three-variable identity and weak
-associativity, revisit the same compositions, so only they cache a
-field's images (`_ModeFamily`), for the life of the check.
+field of each product state u_t v from ``field_of``.  Two fields composed
+in both orders are one `_Pair`, with their scalar table and exchange sign,
+and a mode read takes its level from its state.  Only the checks built on
+expanded products, the three-variable identity and weak associativity,
+revisit the same compositions, so only they cache a field's images
+(`_ModeFamily`); the product of (x1 - x2)^n has n + 1 terms for n >= 0.
 
 Every operator check acts on `_domain`: the Ramond-sector words, the
-parity-twisted module of the even-order fields, with their states, doubled
-levels and texts.  `_require_pair`, `_pair_label`, `_window_str` and
+parity-twisted module of the even-order fields, with their states and
+texts.  `_require_pair`, `_pair_label`, `_window_str` and
 `_axis_texts` write a check's preamble, name, window and locations.
 """
 
@@ -216,12 +218,12 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 # ---------------------------------------------------------------------------
 
 
-def _bounded_image(field, M: int, state: State, level2: int) -> State:
+def _bounded_image(field, M: int, state: State) -> State:
     """The rational image of mode M of a field (`twist.SlotField` or
-    `twist.RecoveredField`) on a state of doubled level level2: zero off
-    the field's class lattice or above its top.  The class is tested
-    first: a slot field's image does not know its slot."""
-    if M > field.top(level2) or field.eta_class(M) is None:
+    `twist.RecoveredField`) on a nonzero homogeneous state: zero off the
+    field's class lattice or above its top on the state.  The class is
+    tested first: a slot field's image does not know its slot."""
+    if M > field.top(_level2(state)) or field.eta_class(M) is None:
         return ZERO_STATE
     return field.image(M, state)
 
@@ -231,8 +233,8 @@ class _ModeFamily:
     for one check: the expanded products of the three-variable identity
     and of weak associativity revisit the same compositions many times.
 
-    ``mode(M, state)`` is the field's image, zero where its eta class is
-    None; every other attribute is the field's.
+    ``mode(M, state)`` is the cached `_bounded_image`; every other
+    attribute is the field's.
     """
 
     def __init__(self, field):
@@ -243,25 +245,37 @@ class _ModeFamily:
         return getattr(self.field, name)
 
     def mode(self, M: int, state: State) -> State:
+        # above the top the image is zero, and no entry is kept for it
+        if M > self.field.top(_level2(state)):
+            return ZERO_STATE
         key = (M, state)
         hit = self._cache.get(key)
         if hit is None:
-            hit = (ZERO_STATE if self.field.eta_class(M) is None
-                   else self.field.image(M, state))
-            self._cache[key] = hit
+            hit = self._cache[key] = _bounded_image(self.field, M, state)
         return hit
 
 
-def _pair_scalars(left, right) -> tuple:
-    """The scalars of composed modes of two fields, built once per check.
+class _Pair(namedtuple("_Pair", "left right scalars eps")):
+    """Two fields composed in both orders, built once per check by `_pair`:
+    entry j of ``scalars`` is the scalar of left(a) right(b), in either
+    order, when the eta classes of a and b sum to j mod k (the product of
+    the prefactors times eta^j, a QQ where rational), so a composed pair
+    costs one lookup; ``eps`` is the exchange sign (-1)^{|A||B|}.
 
-    Entry j is the product of the two prefactors times eta^j: the scalar
-    of left(a) right(b), in either order, when the eta classes of a and b
-    sum to j mod k.  So each composed pair costs one lookup, not a
-    product of cyclotomic scalars; an entry is a QQ where rational.
+    The ``_expanded_*`` helpers need `_ModeFamily` members, whose ``mode``
+    takes the int index: a bare `twist.SlotField.mode` takes a rational
+    index and would read another mode.
     """
+
+    __slots__ = ()
+
+
+def _pair(left, right) -> _Pair:
     base = left.scalars[0] * right.scalars[0]
-    return tuple(rationalized(base * eta) for eta in eta_powers(len(left.scalars)))
+    scalars = tuple(rationalized(base * eta)
+                    for eta in eta_powers(len(left.scalars)))
+    return _Pair(left, right, scalars,
+                 -ONE if (left.parity and right.parity) else ONE)
 
 
 def _require_usable(u: State, role: str) -> None:
@@ -290,25 +304,29 @@ def _parity_field(k: int, u: State, recovered: bool):
 
 
 def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
-                      state: State, level2: int, scale=ONE):
+                      state: State, scale=ONE):
     """At most one (state, coefficient) pair for
         scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
     the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
-    powers of x2, on the families' int index, for a state of doubled level
-    ``level2``; ``scalars`` is `_pair_scalars` of the two families.
+    powers of x2, on the families' int index; ``scalars`` is the
+    `_Pair` table of the two families, in either order.
 
     The sum over i is the rational images combined with the int binomials;
     the coefficient is ``scale`` times the families' scalar.  That scalar
     is one lookup for the whole sum: a shift of an index by a whole mode
-    moves its eta class by a multiple of k.  The sum ends where the inner
-    modes pass ``inner.top(level2)`` and kill the state; an outer mode
-    above the top of the inner image is skipped.
+    moves its eta class by a multiple of k.  For n >= 0 the binomial has
+    n + 1 terms and the sum stops there; for n < 0 it stops where the
+    inner modes pass their top on the state and kill it.  A mode above its
+    top reads zero in its family.
     """
     pairs = []
     step = inner.scale
-    for i, m in enumerate(range(b, inner.top(level2) + 1, step)):
+    top = inner.top(_level2(state))
+    if n >= 0:
+        top = min(top, b + step * n)
+    for i, m in enumerate(range(b, top + 1, step)):
         image = inner.mode(m, state)
-        if image.nums and a - i * step <= outer.top(_level2(image)):
+        if image.nums:
             product = outer.mode(a - i * step, image)
             if product.nums:
                 c = binomial(n, i).numerator
@@ -319,36 +337,25 @@ def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
     return [(combine(pairs), scale * scalars[j])]
 
 
-def _expanded_bracket(left, right, scalars, eps, n: int, a: int, b: int,
-                      state: State, level2: int, scale=ONE):
+def _expanded_bracket(pair: _Pair, n: int, a: int, b: int, state: State,
+                      scale=ONE):
     """The pairs of the bracket expansion of (x1 - x2)^n at one grid
     point: the ordered half, the `_expanded_product` of left(a) right(b),
     and the swapped half, right(b + step n) left(a - step n) with the
     supersymmetry sign of the exchange, -eps for even n and eps for odd."""
+    left, right, scalars, eps = pair
     step = left.scale
     sign = -eps if n % 2 == 0 else eps
-    return (_expanded_product(left, right, scalars, n, a, b, state, level2,
-                              scale)
+    return (_expanded_product(left, right, scalars, n, a, b, state, scale)
             + _expanded_product(right, left, scalars, n, b + step * n,
-                                a - step * n, state, level2, scale * sign))
+                                a - step * n, state, scale * sign))
 
 
-def _field_product_mode(
-    left: _ModeFamily,
-    right: _ModeFamily,
-    scalars,
-    eps,
-    n_loc: int,
-    k: int,
-    r: int,
-    t: int,
-    mu: int,
-    state: State,
-    level2: int,
-) -> State:
+def _field_product_mode(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
+                        state: State) -> State:
     """Mode ``mu`` of the t-th product of two mutually local twisted fields,
     restricted to the component of the left field on the exponent class
-    r/k + Z, acting on one state.
+    r/k + Z, k the length of the pair's scalar table, on one state.
 
     The product of fields is expanded with the fractional binomial factor
     carrying the exponent class; because a power ``n_loc`` of the coordinate
@@ -357,8 +364,9 @@ def _field_product_mode(
     sum is finite.  Each order is one `_expanded_bracket` of power t + i.
     Mode indices that fall off a field's exponent lattice contribute zero.
     """
+    k = len(pair.scalars)
     r_frac = QQ(r, k)
-    step = left.scale
+    step = pair.left.scale
     shift = step * r // k  # the index of r/k
     pairs = []
     for i in range(0, n_loc - t):
@@ -367,10 +375,8 @@ def _field_product_mode(
             continue
         if i % 2:
             coeff_i = -coeff_i
-        pairs += _expanded_bracket(
-            left, right, scalars, eps, t + i, shift + step * t, mu - shift,
-            state, level2, coeff_i,
-        )
+        pairs += _expanded_bracket(pair, t + i, shift + step * t, mu - shift,
+                                   state, coeff_i)
     return combine(pairs)
 
 
@@ -402,7 +408,7 @@ def _field_column(field):
 
     def column(e, word):
         M = -e - field.scale
-        image = _bounded_image(field, M, State._of(1, ((word, 1),)), -sum(word))
+        image = _bounded_image(field, M, State._of(1, ((word, 1),)))
         if image.nums:
             image = image.scaled(field.scalars[field.eta_class(M)])
         return image.den, image.nums
@@ -413,9 +419,8 @@ def _field_column(field):
 def _domain(domain_level) -> list:
     """The domain of every operator check: the words of the Ramond sector,
     the parity-twisted module that the slot fields of even order act on, up
-    to ``domain_level``, in basis order, each as (word, state, doubled
-    level, text)."""
-    return [(word, State._of(1, ((word, 1),)), -sum(word), format_ramond_word(word))
+    to ``domain_level``, in basis order, each as (word, state, text)."""
+    return [(word, State._of(1, ((word, 1),)), format_ramond_word(word))
             for word in ramond_basis(QQ(domain_level))]
 
 
@@ -468,29 +473,29 @@ def _iterate_top(u: State, v: State) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _supercommutator_grid(left, right, scalars, target, level2, grid1, grid2):
+def _supercommutator_grid(pair: _Pair, target: State, grid1, grid2):
     """Yield (e1, e2, [A(-e1-1), B(-e2-1)] w) over the exponent grid, e2
-    outer and e1 inner, for the fields A = left and B = right and a domain
-    state w of doubled level ``level2``; exponents are int indices on the
-    fields' scale.  The bracket is the supercommutator
-    A B - (-1)^{|A||B|} B A.  Both orders compose the same two modes, so
-    the bracket has one scalar, looked up in ``scalars`` (`_pair_scalars`
-    of the two fields) once per grid point.  What the grid revisits is kept
-    here, with no mode cache: the image of A per e1 and of B per e2."""
-    sign = ONE if (left.parity and right.parity) else -ONE  # -(-1)^{|A||B|}
+    outer and e1 inner, for the fields A and B of the pair and a domain
+    state w; exponents are int indices on the fields' scale.  The bracket
+    is the supercommutator A B - eps B A.  Both orders compose the same two
+    modes, so the bracket has one scalar, looked up in the pair's table
+    once per grid point.  What the grid revisits is kept here, with no
+    mode cache: the image of A per e1 and of B per e2."""
+    left, right, scalars, eps = pair
+    sign = -eps
     step = left.scale
     # per e1: A(-e1-1) w and the top index of B on it; a zero image has
     # no top, so no mode of B acts after it
     a_images = []
     for e1 in grid1:
         m1 = -e1 - step
-        a = _bounded_image(left, m1, target, level2)
+        a = _bounded_image(left, m1, target)
         a_top = right.top(_level2(a)) if a.nums else None
         a_images.append((e1, m1, left.eta_class(m1), a, a_top))
     for e2 in grid2:
         m2 = -e2 - step
         c2 = right.eta_class(m2)
-        b = _bounded_image(right, m2, target, level2)
+        b = _bounded_image(right, m2, target)
         b_top = left.top(_level2(b)) if b.nums else None
         for e1, m1, c1, a, a_top in a_images:
             if c1 is None or c2 is None:
@@ -521,9 +526,9 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
     The exponent grid is the (1/S)-lattice, so it also holds the points off
     the kernel lattice where the commutator must vanish.  Fields and
     exponents are read on the int index S·m, decoded only in the location
-    text; every scalar is a lookup in a table built once per check:
-    `_pair_scalars` for the left side, each product field's ``scalars`` for
-    the residue.
+    text; every scalar is a lookup in a table built once per check: the
+    `_Pair` table of the two fields for the left side, each product
+    field's ``scalars`` for the residue.
 
     ``forms`` is a tuple of (name, kernel_shift, expected_verdict) triples,
     one report each, in order, with the shift as the int S·kernel_shift.
@@ -544,7 +549,7 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
             iterates.append((t, right.field_of(it)))
     prefactor = QQ(2, step)
     power = left.power - right.power
-    scalars = _pair_scalars(left, right)
+    pair = _pair(left, right)
     results = [(ComparisonResult(name), shift) for name, shift, _ in forms]
 
     # per e1, computed once for every word: the forms whose kernel lattice
@@ -568,7 +573,7 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
         for e1 in grid1 if any(on_lattice[e1])
     }
 
-    for _, target, level2, word_text in _domain(domain_level):
+    for _, target, word_text in _domain(domain_level):
         # e1 + e2 -> per iterate, its mode -e1-e2-t-2 on the word and the
         # mode's eta class
         images = {}
@@ -580,7 +585,7 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
                 hit = []
                 for t, field in iterates:
                     mu = -total - step * (t + 2)
-                    hit.append((_bounded_image(field, mu, target, level2),
+                    hit.append((_bounded_image(field, mu, target),
                                 field.eta_class(mu)))
                 images[total] = hit
             terms = []
@@ -591,9 +596,7 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
                     terms.append((image, binom * scalars_t[(j + shift) % len(scalars_t)]))
             return combine(terms).scaled(prefactor)
 
-        for e1, e2, lhs in _supercommutator_grid(
-            left, right, scalars, target, level2, grid1, grid2
-        ):
+        for e1, e2, lhs in _supercommutator_grid(pair, target, grid1, grid2):
             location = x1_text[e1] + x2_text[e2] + word_text
             rhs = None
             for (result, _), on in zip(results, on_lattice[e1]):
@@ -719,8 +722,7 @@ def check_recovered_commutator(
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_left(left, right, scalars, eps, r: int, e1: int, e2: int,
-                 state: State, level2: int) -> State:
+def _jacobi_left(pair: _Pair, r: int, e1: int, e2: int, state: State) -> State:
     """The x0^{-r-1} x1^e1 x2^e2 coefficient of the left side of the
     three-variable identity on one state, e1 and e2 as int indices on the
     families' scale.
@@ -728,13 +730,11 @@ def _jacobi_left(left, right, scalars, eps, r: int, e1: int, e2: int,
     First kernel: x0^{-1} delta((x1-x2)/x0) A(x1) B(x2), whose x0^{-r-1}
     part is (x1-x2)^r.  Second kernel: x0^{-1} delta((x2-x1)/(-x0))
     B(x2) A(x1), whose x0^{-r-1} part is (-1)^r (x2-x1)^r, scaled by the
-    supersymmetry sign -eps of the swapped product.  ``scalars`` is
-    `_pair_scalars` of the two families.
+    supersymmetry sign -eps of the swapped product.
     """
-    step = left.scale
-    return combine(_expanded_bracket(left, right, scalars, eps, r,
-                                     step * (r - 1) - e1, -e2 - step, state,
-                                     level2))
+    step = pair.left.scale
+    return combine(_expanded_bracket(pair, r, step * (r - 1) - e1,
+                                     -e2 - step, state))
 
 
 def check_twisted_jacobi(
@@ -758,11 +758,8 @@ def check_twisted_jacobi(
     int indices 2k·e.
     """
     _require_pair(k, u, v)
-    left = _ModeFamily(_slot_field(k, u))
-    right = _ModeFamily(_slot_field(k, v))
-    scalars = _pair_scalars(left, right)
-    eps = -ONE if (left.parity and right.parity) else ONE
-    step = left.scale
+    pair = _pair(_ModeFamily(_slot_field(k, u)), _ModeFamily(_slot_field(k, v)))
+    step = pair.left.scale
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid1 = _lattice_grid(window, "x1", k, step)
     grid2 = _lattice_grid(window, "x2", k, step)
@@ -778,7 +775,7 @@ def check_twisted_jacobi(
     x2_text = _axis_texts("x2", grid2, step, " @ ")
     kernel = {e1: _signed_binomials(e1, step, range(i_max + 1)) for e1 in grid1}
     result = ComparisonResult(f"twisted-jacobi[k={k},{_pair_label(u, v)}]")
-    for _, target, level2, word_text in _domain(domain_level):
+    for _, target, word_text in _domain(domain_level):
         rhs_modes = {}
         for alpha in grid0:
             r = -alpha - 1
@@ -787,8 +784,7 @@ def check_twisted_jacobi(
                 r_cls = (-(e1 // 2)) % k
                 binoms = kernel[e1]
                 for e2 in grid2:
-                    lhs = _jacobi_left(left, right, scalars, eps, r, e1, e2,
-                                       target, level2)
+                    lhs = _jacobi_left(pair, r, e1, e2, target)
                     rhs_terms = []
                     for i in range(0, n_loc + alpha + 1):
                         base = binoms[i]
@@ -800,9 +796,7 @@ def check_twisted_jacobi(
                         image = rhs_modes.get(key)
                         if image is None:
                             image = _field_product_mode(
-                                left, right, scalars, eps, n_loc, k,
-                                r_cls, t, mu, target, level2,
-                            )
+                                pair, n_loc, r_cls, t, mu, target)
                             rhs_modes[key] = image
                         if image.nums:
                             rhs_terms.append((image, base))
@@ -849,10 +843,8 @@ def check_locality(
     if max_power < 0:
         raise ValueError(f"the search bound N must be >= 0, got {max_power}")
     _require_pair(k, u, v)
-    left = _slot_field(k, u, slot=slot_u)
-    right = _slot_field(k, v, slot=slot_v)
-    scalars = _pair_scalars(left, right)
-    step = left.scale
+    pair = _pair(_slot_field(k, u, slot=slot_u), _slot_field(k, v, slot=slot_v))
+    step = pair.left.scale
     grid1 = _lattice_grid(window, "x1", k, step)
     grid2 = _lattice_grid(window, "x2", k, step)
     domain = _domain(domain_level)
@@ -861,10 +853,8 @@ def check_locality(
     label = f"locality[k={k},slots={slot_u},{slot_v},{_pair_label(u, v)}]"
 
     commutator = {}
-    for iw, (_, target, level2, _) in enumerate(domain):
-        for e1, e2, value in _supercommutator_grid(
-            left, right, scalars, target, level2, grid1, grid2
-        ):
+    for iw, (_, target, _) in enumerate(domain):
+        for e1, e2, value in _supercommutator_grid(pair, target, grid1, grid2):
             if value.nums:
                 commutator[(iw, e1, e2)] = value
 
@@ -875,7 +865,7 @@ def check_locality(
         sub1 = [f1 for f1 in grid1 if f1 - shift >= grid1.start]
         sub2 = [f2 for f2 in grid2 if f2 - shift >= grid2.start]
         signed = [(-1) ** i * binomial(power, i) for i in range(power + 1)]
-        for iw, (_, _, _, word_text) in enumerate(domain):
+        for iw, (_, _, word_text) in enumerate(domain):
             for f1 in sub1:
                 for f2 in sub2:
                     terms = []
@@ -922,8 +912,8 @@ def check_limit_axiom(
     # once; slot power a's column scales it by the slot's scalar, zero
     # where the slot's eta class is None, and enters two comparisons
     slots = [SlotField(k, u, a) for a in range(k)]
-    images = {(e, word): _bounded_image(slots[0], -e - step, target, level2)
-              for e in grid for word, target, level2, _ in domain}
+    images = {(e, word): _bounded_image(slots[0], -e - step, target)
+              for e in grid for word, target, _ in domain}
     columns = []
     for slot in slots:
         column = {}
@@ -941,7 +931,7 @@ def check_limit_axiom(
             # eta^{-k e}, where -k e = -e/2 on the index is an integer
             scale = ONE if e % 2 else etas[(-e // 2) % k]
             text = f"slot-power {a}: {x_text[e]}"
-            for word, _, _, word_text in domain:
+            for word, _, word_text in domain:
                 result.compare(
                     text + word_text,
                     source[e, word].scaled(scale),
@@ -978,7 +968,7 @@ def check_translation_derivative(
     label = f"translation-derivative[k={k},{_state_label(u)}]"
     result = compare_fields(
         label, lhs, rhs, _lattice_grid(cmp_window, "x", step, step),
-        [word for word, _, _, _ in _domain(domain_level)], format_ramond_word,
+        [word for word, _, _ in _domain(domain_level)], format_ramond_word,
         step,
     )
     return _wrap_comparison(result, k, _window_str(cmp_window))
@@ -998,10 +988,11 @@ def check_grading(
     for e in _lattice_grid(window, "x", k, step):
         m = -e - step
         text = f"mode {QQ(m, step)} @ "
-        for _, target, level2, word_text in domain:
+        for _, target, word_text in domain:
             image = field.mode_at(m, target)
-            # the image of mode M lies at doubled level top(level2) - M
-            expected = QQ(field.top(level2) - m, 2)
+            # the image of mode M lies at doubled level top - M, the top on
+            # the word's doubled level
+            expected = QQ(field.top(_level2(target)) - m, 2)
             # a zero image has every grade; a nonzero one must be homogeneous
             # at the expected level, a nonnegative integer
             lhs = rhs = f"level {expected} on the nonnegative integers"
@@ -1045,7 +1036,7 @@ def check_weak_associativity(
     # both read the doubled index 2m, and so the x2 exponents are doubled
     fam_u = _ModeFamily(_parity_field(k, u, use_recovered))
     fam_v = _ModeFamily(_parity_field(k, v, use_recovered))
-    scalars = _pair_scalars(fam_u, fam_v)
+    scalars = _pair(fam_u, fam_v).scalars
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid2 = _lattice_grid(window, "x2", 2, 2)
@@ -1067,14 +1058,14 @@ def check_weak_associativity(
         result = ComparisonResult(label)
         exponent = parity_u + 2 * n  # doubled
         binoms = [binomial(QQ(exponent, 2), i) for i in range(i_max + 1)]
-        for _, target, level2, word_text in domain:
+        for _, target, word_text in domain:
             for alpha in grid0:
                 for beta in grid2:
                     # product side: C(alpha+i, i) = (-1)^i C(-alpha-1, i)
                     lhs = combine(
                         _expanded_product(
                             fam_u, fam_v, scalars, -alpha - 1,
-                            exponent - 2 - 2 * alpha, -beta - 2, target, level2,
+                            exponent - 2 - 2 * alpha, -beta - 2, target,
                         )
                     )
                     # iterate side: i-sum with t = i - alpha - 1
@@ -1083,10 +1074,7 @@ def check_weak_associativity(
                         family = iterate_families[i - alpha - 1]
                         if family is None:
                             continue
-                        mu = exponent - 2 * i - beta - 2
-                        if mu > family.top(level2):
-                            continue
-                        image = family.mode(mu, target)
+                        image = family.mode(exponent - 2 * i - beta - 2, target)
                         if image.nums:
                             rhs_terms.append((image, binoms[i]))
                     result.compare(
@@ -1127,7 +1115,7 @@ def check_u_round_trip(
         _field_column(RecoveredField(k, u)),
         native,
         _lattice_grid(window, "x", 2, 2),
-        [word for word, _, _, _ in _domain(domain_level)],
+        [word for word, _, _ in _domain(domain_level)],
         format_ramond_word,
         2,
     )
@@ -1151,7 +1139,7 @@ def check_t_round_trip(
         # a piece's doubled sigma index is the recovered field's index
         plan = field.plan(m)
         text = f"mode {QQ(m, step)} @ "
-        for _, target, _, word_text in domain:
+        for _, target, word_text in domain:
             total = combine(
                 (recovered[piece].mode_at(index, target), 1)
                 for piece, index in plan

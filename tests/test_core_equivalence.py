@@ -69,13 +69,24 @@ run without a cache:
   running sum that `fermion._add` replaced, and the check built on them,
   which must report the same witnesses under a planted error in one
   per-word piece or in one root coefficient; and `solve_aj`, `_exp_derivation_on_x` and
-  `_RootPowers._power` on `Fraction` recurrences, against their int forms.
+  `_RootPowers._power` on `Fraction` recurrences, against their int forms;
+* `cyc_sqrt_k` as it was, zeta_8 + zeta_8^-1 for the prime 2 and one
+  quadratic Gauss sum per odd prime, against the one Gauss sum of Z/4m;
+  with (1 + i) planted for (1 - i), the float guard must refuse the value;
+* `verify._expanded_product` as it was, with a doubled-level parameter,
+  its sum run to the inner top past the binomial's support, and the old
+  unbounded `_ModeFamily` and `_pair_scalars`, against the product that
+  reads the level from its state and stops at n + 1 terms for n >= 0; a
+  stop one term early must differ, one call reads the inner family at
+  most n + 1 times, and a mode family keeps no entry above the top.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
 and hash-equal to the same state built by `State(dict)`.
 """
 
+import inspect
+import textwrap
 from bisect import bisect_left
 from functools import lru_cache
 from math import gcd, lcm
@@ -101,6 +112,7 @@ from twistfock.fermion import (
     ZERO_STATE,
     State,
     _content,
+    _level2,
     combine,
     field_mode,
     format_ns_word,
@@ -123,6 +135,7 @@ from twistfock.scalars import (
     cyc_sqrt_k,
     cyclotomic_poly,
     eta_k,
+    eta_powers,
     euler_phi,
     k_to_the,
     rational_ceil,
@@ -1125,14 +1138,14 @@ def test_odd_order_commutator_grid_runs_on_rationals():
     k = 3
     left = verify._slot_field(k, PSI)
     right = verify._slot_field(k, PSI)
-    scalars = verify._pair_scalars(left, right)
-    assert scalars[0] == QQ(1, 3) and type(scalars[0]) is QQ_TYPE
+    pair = verify._pair(left, right)
+    assert pair.scalars[0] == QQ(1, 3) and type(pair.scalars[0]) is QQ_TYPE
     grid = verify._lattice_grid(Window({"x": (QQ(-3, 2), QQ(3, 2))}), "x",
                                 2 * k, 2 * k)
     coefficients = 0
     for word in ramond_basis(QQ(2)):
         for e1, e2, value in verify._supercommutator_grid(
-            left, right, scalars, State({word: ONE}), -sum(word), grid, grid
+            pair, State({word: ONE}), grid, grid
         ):
             assert all_rational(value), (e1, e2, word)
             coefficients += len(value.terms)
@@ -1958,3 +1971,210 @@ def test_planted_root_table_error_gives_the_oracle_witnesses(monkeypatch):
     monkeypatch.setattr(_RootPowers, "_power", planted)
     got = deltak.check_conjugation(3, PSI)
     assert_same_witnesses(got, apply_delta_check_conjugation(3, PSI))
+
+
+# ---------------------------------------------------------------------------
+# the square root of k by one prime Gauss sum per prime, and the expanded
+# product with its level parameter and its zero tail, as they were
+# ---------------------------------------------------------------------------
+
+
+def mutated(function, old: str, new: str):
+    """A copy of a module-level function with the one occurrence of ``old``
+    in its source replaced by ``new``, run in a copy of its module's
+    namespace: a planted error in exactly that line."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
+def prime_gauss_sqrt_k(k: int) -> CycScalar:
+    """`scalars.cyc_sqrt_k` as it was: sqrt(2) = zeta_8 + zeta_8^-1 and one
+    quadratic Gauss sum per odd prime of the squarefree part of k."""
+    conductor = 4 * k
+    square_part = 1
+    squarefree = k
+    p = 2
+    while p * p <= squarefree:
+        while squarefree % (p * p) == 0:
+            squarefree //= p * p
+            square_part *= p
+        p += 1
+    result = CycScalar.from_rational(square_part, conductor)
+    remaining = squarefree
+    p = 2
+    while remaining > 1:
+        if remaining % p == 0:
+            remaining //= p
+            if p == 2:
+                z8 = conductor // 8
+                factor = (CycScalar.root_of_unity(conductor, z8)
+                          + CycScalar.root_of_unity(conductor, -z8))
+            else:
+                zp = conductor // p
+                powers = [0] * conductor
+                for a in range(p):
+                    powers[zp * (a * a % p)] += 1
+                factor = CycScalar(conductor, powers)
+                if p % 4 == 3:
+                    factor = factor * CycScalar.root_of_unity(
+                        conductor, -(conductor // 4))
+            result = result * factor
+        p += 1
+    return result
+
+
+@pytest.mark.parametrize("k", [*range(1, 65), 96, 128, 210, 255, 256])
+def test_sqrt_k_by_one_gauss_sum_matches_the_prime_gauss_sums(k):
+    got = cyc_sqrt_k(k)
+    assert got.conductor == 4 * k
+    assert got.coeffs == prime_gauss_sqrt_k(k).coeffs
+
+
+def test_sqrt_k_with_the_wrong_unit_is_refused():
+    """(1 + i) in place of (1 - i) gives i sqrt(k): the float guard of
+    `cyc_sqrt_k` refuses it."""
+    planted = mutated(cyc_sqrt_k.__wrapped__,
+                      "powers[(e + k) % conductor] -= 1",
+                      "powers[(e + k) % conductor] += 1")
+    for k in (2, 3, 12):
+        with pytest.raises(ArithmeticError, match=f"sqrt[(]{k}[)] construction"):
+            planted(k)
+
+
+class OldModeFamily:
+    """`verify._ModeFamily` as it was: every (index, state) is cached, with
+    no bound; zero where the eta class is None."""
+
+    def __init__(self, field):
+        self.field = field
+        self._cache = {}
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def mode(self, M: int, state: State) -> State:
+        key = (M, state)
+        if key not in self._cache:
+            self._cache[key] = (ZERO_STATE if self.field.eta_class(M) is None
+                                else self.field.image(M, state))
+        return self._cache[key]
+
+
+def old_pair_scalars(left, right) -> tuple:
+    """`verify._pair_scalars`: entry j is the product of the two
+    prefactors times eta^j."""
+    base = left.scalars[0] * right.scalars[0]
+    return tuple(rationalized(base * eta)
+                 for eta in eta_powers(len(left.scalars)))
+
+
+def old_expanded_product(outer, inner, scalars, n, a, b, state, level2,
+                         scale=ONE):
+    """`verify._expanded_product` with its level parameter: the sum runs to
+    the inner top at every n, past the binomial's support, and skips an
+    outer mode above the top of the inner image."""
+    pairs = []
+    step = inner.scale
+    for i, m in enumerate(range(b, inner.top(level2) + 1, step)):
+        image = inner.mode(m, state)
+        if image.nums and a - i * step <= outer.top(_level2(image)):
+            product = outer.mode(a - i * step, image)
+            if product.nums:
+                c = binomial(n, i).numerator
+                pairs.append((product, -c if i % 2 else c))
+    if not pairs:
+        return pairs
+    j = (outer.eta_class(a) + inner.eta_class(b)) % len(scalars)
+    return [(combine(pairs), scale * scalars[j])]
+
+
+PRODUCT_PAIRS = [(PSI, PSI), (PSI, OMEGA), (OMEGA, PSI), (OMEGA, OMEGA)]
+PRODUCT_WORDS = ramond_basis(QQ(1))
+
+
+def product_sweep(k: int, product) -> int:
+    """Compare ``product`` with the old expanded product over n in -3..3,
+    the int indices a, b in -2·step..step on the 1/k-lattice and every word
+    of `ramond_basis(1)`, for the four pairs of psi and omega; the number
+    of nonzero products."""
+    step = 2 * k
+    grid = range(-2 * step, step + 1, 2)
+    nonzero = 0
+    for u, v in PRODUCT_PAIRS:
+        outer = verify._ModeFamily(verify._slot_field(k, u))
+        inner = verify._ModeFamily(verify._slot_field(k, v))
+        old_outer = OldModeFamily(verify._slot_field(k, u))
+        old_inner = OldModeFamily(verify._slot_field(k, v))
+        scalars = verify._pair(outer, inner).scalars
+        assert scalars == old_pair_scalars(old_outer, old_inner)
+        for word in PRODUCT_WORDS:
+            state = State({word: ONE})
+            for n in range(-3, 4):
+                for a in grid:
+                    for b in grid:
+                        got = combine(product(outer, inner, scalars, n, a, b,
+                                              state))
+                        expected = combine(old_expanded_product(
+                            old_outer, old_inner, scalars, n, a, b, state,
+                            -sum(word)))
+                        if got != expected:
+                            return -1
+                        nonzero += not expected.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_expanded_product_matches_the_level_parameter_form(k):
+    assert product_sweep(k, verify._expanded_product) > 0
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_expanded_product_stopping_before_the_last_binomial_term_fails(k):
+    planted = mutated(verify._expanded_product, "b + step * n)",
+                      "b + step * (n - 1))")
+    assert product_sweep(k, planted) == -1
+
+
+class CountedFamily(verify._ModeFamily):
+    """A mode family that counts its reads."""
+
+    reads = 0
+
+    def mode(self, M, state):
+        self.reads += 1
+        return super().mode(M, state)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_expanded_product_reads_the_binomial_support_only(k):
+    """For n >= 0 one product reads the inner family at most n + 1 times,
+    and n + 1 times somewhere."""
+    step = 2 * k
+    outer = verify._ModeFamily(verify._slot_field(k, OMEGA))
+    scalars = verify._pair(outer, outer).scalars
+    most = {}
+    for word in PRODUCT_WORDS:
+        state = State({word: ONE})
+        for n in range(4):
+            for b in range(-4 * step, step + 1, 2):
+                inner = CountedFamily(verify._slot_field(k, PSI))
+                verify._expanded_product(outer, inner, scalars, n, 0, b, state)
+                assert inner.reads <= n + 1, (word, n, b)
+                most[n] = max(most.get(n, 0), inner.reads)
+    assert most == {n: n + 1 for n in range(4)}
+
+
+def test_mode_family_above_the_top_adds_no_cache_entry():
+    family = verify._ModeFamily(verify._slot_field(2, OMEGA))
+    for word in PRODUCT_WORDS:
+        state = State({word: ONE})
+        top = family.top(-sum(word))
+        for M in (top + 2, top + 4 * family.scale):
+            before = dict(family._cache)
+            assert family.mode(M, state) is ZERO_STATE
+            assert family._cache == before
+        family.mode(top, state)
+        assert (top, state) in family._cache

@@ -48,6 +48,9 @@ def test_tracer_sees_every_check():
         # the verify-k2 workload of bench/workloads.py, then odd order
         verify.run_suite(verify.SuiteConfig(
             k=2, radius=QQ(0), domain_level=QQ(1), weight=QQ(1), depth=2))
+        # the expanded-product checks read their mode families through
+        # the one traced method, or the per-layer count would read 0
+        assert tracer.counts["verify.mode_family.calls"] > 0
         verify.run_suite(verify.SuiteConfig(k=3, radius=QQ(1, 2)))
     finally:
         tracer.uninstall()

@@ -37,7 +37,7 @@ from twistfock.verify import (
     _ModeFamily,
     _iterate_top,
     _jacobi_left,
-    _pair_scalars,
+    _pair,
     _slot_field,
     _smallest_passing,
     _wrap_comparison,
@@ -204,6 +204,19 @@ class TestCommutatorChecks:
         planted = run(True)
         assert (planted.compared, len(planted.mismatches)) == (compared, mismatched)
 
+    @pytest.mark.parametrize("k,mismatched,compared",
+                             [(2, 132, 1014), (4, 724, 3750)])
+    def test_cross_slot_product_field_keeps_its_slot(
+            self, monkeypatch, k, mismatched, compared):
+        # (psi, omega) in slots (1, 2): the product state psi enters the
+        # residue through the right field's `field_of`; a product field
+        # put back in the first slot fails the check
+        assert_clean_pass(check_cross_slot_commutator(k, PSI, OMEGA, 1, 2, CUBE2))
+        monkeypatch.setattr(SlotField, "field_of",
+                            lambda self, u: SlotField(self.k, u))
+        planted = check_cross_slot_commutator(k, PSI, OMEGA, 1, 2, CUBE2)
+        assert (planted.compared, len(planted.mismatches)) == (compared, mismatched)
+
     def test_cross_slot_rejects_bad_slot(self):
         with pytest.raises(ValueError):
             check_cross_slot_commutator(2, PSI, PSI, 0, 1, CUBE2)
@@ -319,7 +332,7 @@ class TestJacobiKernels:
             top = QQ(family.top(int(2 * self.LEVEL)), family.scale)
             assert top + hi + 1 < self.REACH
         eps = -ONE if (left.parity and right.parity) else ONE
-        scalars = _pair_scalars(left, right)
+        pair = _pair(left, right)
         first = merged_delta_kernel(
             "x1", "x2", "x0", Window({"x0": (lo, hi), "x2": (0, self.REACH)})
         )
@@ -359,8 +372,8 @@ class TestJacobiKernels:
                                 )
                         expected = combine(terms)
                         actual = _jacobi_left(
-                            left, right, scalars, eps, int(-alpha - 1),
-                            int(2 * k * e1), int(2 * k * e2), w, -sum(word),
+                            pair, int(-alpha - 1), int(2 * k * e1),
+                            int(2 * k * e2), w,
                         )
                         assert actual == expected, (alpha, e1, e2, word)
                         nonzero += not expected.is_zero()
@@ -382,10 +395,8 @@ class TestJacobiKernels:
         for i up to the iterate top plus alpha plus one, the mode being that
         of the iterate state's `SlotField`.  So the oracle shares neither
         `_field_product_mode` nor `verify._expanded_product`."""
-        left = _ModeFamily(_slot_field(k, u))
-        right = _ModeFamily(_slot_field(k, v))
-        eps = -ONE if (left.parity and right.parity) else ONE
-        scalars = _pair_scalars(left, right)
+        pair = _pair(_ModeFamily(_slot_field(k, u)),
+                     _ModeFamily(_slot_field(k, v)))
         top = _iterate_top(u, v)
         step = 2 * k
         grid = range(-step * radius, step * radius + 1, 2)
@@ -412,8 +423,7 @@ class TestJacobiKernels:
                             image = field.mode_at(-E1 - E2 - step * (i + 2), w)
                             terms.append((image, c))
                         expected = combine(terms)
-                        actual = _jacobi_left(left, right, scalars, eps,
-                                              -alpha - 1, E1, E2, w, -sum(word))
+                        actual = _jacobi_left(pair, -alpha - 1, E1, E2, w)
                         assert actual == expected, (alpha, E1, E2, word)
                         compared += 1
                         nonzero += not expected.is_zero()
