@@ -238,8 +238,7 @@ def cmd_char(cfg: argparse.Namespace) -> int:
     series = view.graded_dimension()
     rows = []
     for n, coeff in enumerate(series.coeffs):
-        exponent = series.offset + n * series.step
-        rows.append((_value(exponent, cfg.decimal), str(int(coeff))))
+        rows.append((_value(series.weight(n), cfg.decimal), str(int(coeff))))
     payload = {
         "k": cfg.k,
         "cutoff": cfg.cutoff,

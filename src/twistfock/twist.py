@@ -16,7 +16,9 @@ A field is its family of modes, Y(u, x) = sum_m u_m x^{-m-1}: every mode
 is an exact map on the Ramond basis, and no field is tabulated over a
 window.  Both classes share one mode interface: an int index, a rational
 image that is one `fermion.mode_sum` over the field's plan, one scalar per
-eta class, and the annihilation bound `top`.  Scalars live in Q or in a
+eta class, the annihilation bound `top` on a state, and `mode`, the image
+read within both bounds.  The public forms on a rational index are
+`twisted_mode` and `u_functor_sigma_mode`.  Scalars live in Q or in a
 cyclotomic field.
 """
 
@@ -32,6 +34,7 @@ from .fermion import (
     OMEGA,
     State,
     ZERO_STATE,
+    _level2,
     mode_sum,
     word_level,
 )
@@ -75,7 +78,8 @@ def require_cutoff(cutoff: int) -> None:
 class _ModeField:
     """A field held as its exact modes on an int index M = scale·m: mode M
     is the scalar ``scalars[eta_class(M)]`` times the rational `image`, one
-    `fermion.mode_sum` over the plan, and zero where the class is None.  A
+    `fermion.mode_sum` over the plan, and zero where the class is None or
+    above the `top` on the state; `mode` reads the image within both.  A
     subclass sets ``k``, ``state`` (the field's vector), ``power`` (its
     slot power mod k), ``scale``, ``weight``, ``parity``, ``_offsets``,
     ``classes`` (one period of the class in M) and ``scalars``, and
@@ -86,11 +90,11 @@ class _ModeField:
     def _base(self) -> int:
         return int(self.scale * (self.weight - 1))
 
-    def top(self, level2: int) -> int:
-        """The largest index whose mode can act on a state of doubled level
-        level2: a mode M shifts the doubled level by scale·(weight - 1) - M,
+    def top(self, state: State) -> int:
+        """The largest index whose mode can act on a nonzero homogeneous
+        state: a mode M shifts the doubled level by scale·(weight - 1) - M,
         and no state has a negative level."""
-        return self._base + level2
+        return self._base + _level2(state)
 
     def eta_class(self, M: int):
         """The exponent j of the scalar ``scalars[j]`` of mode M, or None
@@ -114,6 +118,14 @@ class _ModeField:
             return ZERO_STATE
         return self.image(M, state).scaled(self.scalars[j])
 
+    def mode(self, M: int, state: State) -> State:
+        """Mode M without its scalar, on a nonzero homogeneous state: zero
+        above the top on the state or off the class lattice, else `image`
+        (which alone knows neither bound)."""
+        if M > self.top(state) or self.eta_class(M) is None:
+            return ZERO_STATE
+        return self.image(M, state)
+
 
 class SlotField(_ModeField):
     """The twisted field of one homogeneous state in one tensor slot.
@@ -126,11 +138,11 @@ class SlotField(_ModeField):
     scales the mode with index m by eta^{power*k*(-m-1)}; where that power
     is fractional the mode is zero.
 
-    Modes are read on the int index M = 2k m (`mode` is the public form on
-    a rational m), so a piece's doubled sigma-mode index is an int offset
-    plus M.  The pieces have rational coefficients, so the image is over Q
-    and the scalar is the prefactor k^{-p} times the root of unity, the
-    only irrational factor.
+    Modes are read on the int index M = 2k m (`twisted_mode` is the public
+    form on a rational m), so a piece's doubled sigma-mode index is an int
+    offset plus M.  The pieces have rational coefficients, so the image is
+    over Q and the scalar is the prefactor k^{-p} times the root of unity,
+    the only irrational factor.
 
     Defined for every k >= 1, where k = 1 gives the parity-twisted field of
     u itself; it closes into a twisted module structure only for k even
@@ -168,11 +180,6 @@ class SlotField(_ModeField):
         """The field of u in the same slot."""
         return SlotField(self.k, u, self.power)
 
-    def mode(self, m, state: State) -> State:
-        """The mode with rational index m; zero off the (1/2k)-lattice."""
-        M = QQ(m) * self.scale
-        return self.mode_at(M.numerator, state) if M.denominator == 1 else ZERO_STATE
-
 
 # ---------------------------------------------------------------------------
 # twisted modes
@@ -182,8 +189,8 @@ class SlotField(_ModeField):
 def twisted_mode(k: int, u: State, m, *, substitution_power: int = 0):
     """The mode with index m of a single-slot twisted field, as a map.
 
-    The map is ``SlotField.mode`` at m; it shifts the tensor-power grading
-    by p - m - 1.
+    The map is ``SlotField.mode_at`` on the index 2k m; it shifts the
+    tensor-power grading by p - m - 1.
     """
     require_even_order(k)
     M = 2 * assert_on_lattice(m, k)
@@ -249,12 +256,10 @@ class RecoveredField(_ModeField):
         """The recovered field of u, on the principal branch."""
         return RecoveredField(self.k, u)
 
-    def mode(self, m, state: State) -> State:
-        return self.mode_at(assert_on_lattice(m, 2), state)
-
 
 def u_functor_sigma_mode(k: int, u: State, m, *, branch: int = 0):
-    """The recovered mode with index m, as a map (``RecoveredField.mode``)."""
+    """The recovered mode with index m, as a map (``RecoveredField.mode_at``
+    on the index 2m)."""
     field = RecoveredField(k, u, branch)
     N = assert_on_lattice(m, 2)
     return lambda state: field.mode_at(N, state)

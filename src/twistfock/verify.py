@@ -17,12 +17,14 @@ The checks read the fields of `twist` through their one mode interface.
 A field carries the data of its residue kernel, so the commutator engine
 takes two fields and nothing more about them: the kernel lattice from
 their scale, the kernel's root of unity from their slot powers, and the
-field of each product state u_t v from ``field_of``.  Two fields composed
-in both orders are one `_Pair`, with their scalar table and exchange sign,
-and a mode read takes its level from its state.  Only the checks built on
-expanded products, the three-variable identity and weak associativity,
-revisit the same compositions, so only they cache a field's images
-(`_ModeFamily`); the product of (x1 - x2)^n has n + 1 terms for n >= 0.
+field of each product state u_t v from ``field_of``.  A field also bounds
+its own modes: ``field.mode(M, state)`` is zero off its class lattice and
+above ``field.top(state)``, so no check here derives either bound.  Two
+fields composed in both orders are one `_Pair`, with their scalar table
+and exchange sign.  Only the checks built on expanded products, the
+three-variable identity and weak associativity, revisit the same
+compositions, so only they cache a field's images (`_ModeFamily`); the
+product of (x1 - x2)^n has n + 1 terms for n >= 0.
 
 Every operator check acts on `_domain`: the Ramond-sector words, the
 parity-twisted module of the even-order fields, with their states and
@@ -63,7 +65,6 @@ from .fermion import (
     VACUUM,
     State,
     ZERO_STATE,
-    _level2,
     combine,
     format_ns_word,
     ns_basis,
@@ -218,22 +219,12 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 # ---------------------------------------------------------------------------
 
 
-def _bounded_image(field, M: int, state: State) -> State:
-    """The rational image of mode M of a field (`twist.SlotField` or
-    `twist.RecoveredField`) on a nonzero homogeneous state: zero off the
-    field's class lattice or above its top on the state.  The class is
-    tested first: a slot field's image does not know its slot."""
-    if M > field.top(_level2(state)) or field.eta_class(M) is None:
-        return ZERO_STATE
-    return field.image(M, state)
-
-
 class _ModeFamily:
     """The rational images of one field's modes, cached per (index, state)
     for one check: the expanded products of the three-variable identity
     and of weak associativity revisit the same compositions many times.
 
-    ``mode(M, state)`` is the cached `_bounded_image`; every other
+    ``mode(M, state)`` is the field's own bounded read, cached; every other
     attribute is the field's.
     """
 
@@ -246,12 +237,12 @@ class _ModeFamily:
 
     def mode(self, M: int, state: State) -> State:
         # above the top the image is zero, and no entry is kept for it
-        if M > self.field.top(_level2(state)):
+        if M > self.field.top(state):
             return ZERO_STATE
         key = (M, state)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = _bounded_image(self.field, M, state)
+            hit = self._cache[key] = self.field.mode(M, state)
         return hit
 
 
@@ -260,11 +251,9 @@ class _Pair(namedtuple("_Pair", "left right scalars eps")):
     entry j of ``scalars`` is the scalar of left(a) right(b), in either
     order, when the eta classes of a and b sum to j mod k (the product of
     the prefactors times eta^j, a QQ where rational), so a composed pair
-    costs one lookup; ``eps`` is the exchange sign (-1)^{|A||B|}.
-
-    The ``_expanded_*`` helpers need `_ModeFamily` members, whose ``mode``
-    takes the int index: a bare `twist.SlotField.mode` takes a rational
-    index and would read another mode.
+    costs one lookup; ``eps`` is the exchange sign (-1)^{|A||B|}.  The
+    two are bare fields or `_ModeFamily`s: both read ``mode`` on the int
+    index.
     """
 
     __slots__ = ()
@@ -308,20 +297,20 @@ def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
     """At most one (state, coefficient) pair for
         scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
     the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
-    powers of x2, on the families' int index; ``scalars`` is the
-    `_Pair` table of the two families, in either order.
+    powers of x2, on the fields' int index; ``scalars`` is the `_Pair`
+    table of the two fields (bare or `_ModeFamily`), in either order.
 
     The sum over i is the rational images combined with the int binomials;
-    the coefficient is ``scale`` times the families' scalar.  That scalar
+    the coefficient is ``scale`` times the fields' scalar.  That scalar
     is one lookup for the whole sum: a shift of an index by a whole mode
     moves its eta class by a multiple of k.  For n >= 0 the binomial has
     n + 1 terms and the sum stops there; for n < 0 it stops where the
     inner modes pass their top on the state and kill it.  A mode above its
-    top reads zero in its family.
+    top reads zero in its field.
     """
     pairs = []
     step = inner.scale
-    top = inner.top(_level2(state))
+    top = inner.top(state)
     if n >= 0:
         top = min(top, b + step * n)
     for i, m in enumerate(range(b, top + 1, step)):
@@ -408,7 +397,7 @@ def _field_column(field):
 
     def column(e, word):
         M = -e - field.scale
-        image = _bounded_image(field, M, State._of(1, ((word, 1),)))
+        image = field.mode(M, State._of(1, ((word, 1),)))
         if image.nums:
             image = image.scaled(field.scalars[field.eta_class(M)])
         return image.den, image.nums
@@ -480,33 +469,29 @@ def _supercommutator_grid(pair: _Pair, target: State, grid1, grid2):
     is the supercommutator A B - eps B A.  Both orders compose the same two
     modes, so the bracket has one scalar, looked up in the pair's table
     once per grid point.  What the grid revisits is kept here, with no
-    mode cache: the image of A per e1 and of B per e2."""
+    mode cache: the image of A per e1 and of B per e2; a zero image has no
+    level, so no mode acts after it."""
     left, right, scalars, eps = pair
     sign = -eps
     step = left.scale
-    # per e1: A(-e1-1) w and the top index of B on it; a zero image has
-    # no top, so no mode of B acts after it
     a_images = []
     for e1 in grid1:
         m1 = -e1 - step
-        a = _bounded_image(left, m1, target)
-        a_top = right.top(_level2(a)) if a.nums else None
-        a_images.append((e1, m1, left.eta_class(m1), a, a_top))
+        a_images.append((e1, m1, left.eta_class(m1), left.mode(m1, target)))
     for e2 in grid2:
         m2 = -e2 - step
         c2 = right.eta_class(m2)
-        b = _bounded_image(right, m2, target)
-        b_top = left.top(_level2(b)) if b.nums else None
-        for e1, m1, c1, a, a_top in a_images:
+        b = right.mode(m2, target)
+        for e1, m1, c1, a in a_images:
             if c1 is None or c2 is None:
                 yield e1, e2, ZERO_STATE
                 continue
             scalar = scalars[(c1 + c2) % len(scalars)]
             pairs = []
-            if b_top is not None and m1 <= b_top:
-                pairs.append((left.image(m1, b), scalar))
-            if a_top is not None and m2 <= a_top:
-                pairs.append((right.image(m2, a), sign * scalar))
+            if b.nums:
+                pairs.append((left.mode(m1, b), scalar))
+            if a.nums:
+                pairs.append((right.mode(m2, a), sign * scalar))
             yield e1, e2, combine(pairs)
 
 
@@ -585,7 +570,7 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
                 hit = []
                 for t, field in iterates:
                     mu = -total - step * (t + 2)
-                    hit.append((_bounded_image(field, mu, target),
+                    hit.append((field.mode(mu, target),
                                 field.eta_class(mu)))
                 images[total] = hit
             terms = []
@@ -912,7 +897,7 @@ def check_limit_axiom(
     # once; slot power a's column scales it by the slot's scalar, zero
     # where the slot's eta class is None, and enters two comparisons
     slots = [SlotField(k, u, a) for a in range(k)]
-    images = {(e, word): _bounded_image(slots[0], -e - step, target)
+    images = {(e, word): slots[0].mode(-e - step, target)
               for e in grid for word, target, _ in domain}
     columns = []
     for slot in slots:
@@ -992,7 +977,7 @@ def check_grading(
             image = field.mode_at(m, target)
             # the image of mode M lies at doubled level top - M, the top on
             # the word's doubled level
-            expected = QQ(field.top(_level2(target)) - m, 2)
+            expected = QQ(field.top(target) - m, 2)
             # a zero image has every grade; a nonzero one must be homogeneous
             # at the expected level, a nonnegative integer
             lhs = rhs = f"level {expected} on the nonnegative integers"
@@ -1183,8 +1168,8 @@ def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
     for n in range(pieces):
         result.compare(
             f"graded piece {n}",
-            f"q^{twisted.offset + n * twisted.step} dim {twisted.coeffs[n]}",
-            f"q^{(sigma.offset + n - c / 24) / k} dim {sigma.coeffs[n]}",
+            f"q^{twisted.weight(n)} dim {twisted.coeffs[n]}",
+            f"q^{(sigma.weight(n) - c / 24) / k} dim {sigma.coeffs[n]}",
         )
     return _wrap_comparison(
         result, k, f"graded pieces 0..{cutoff}", detail=f"{pieces} graded pieces"

@@ -78,7 +78,15 @@ run without a cache:
   unbounded `_ModeFamily` and `_pair_scalars`, against the product that
   reads the level from its state and stops at n + 1 terms for n >= 0; a
   stop one term early must differ, one call reads the inner family at
-  most n + 1 times, and a mode family keeps no entry above the top.
+  most n + 1 times, and a mode family keeps no entry above the top;
+* `verify._bounded_image` and the fields' `top` on a doubled level as they
+  were, against the bounded `_ModeField.mode` that replaced them, for slot
+  fields in every slot at orders 1 to 4 and recovered fields at orders 2
+  and 4; without its class test the read must differ in an odd slot at
+  order 3; the expanded product on bare slot fields must equal it on their
+  mode families; and the rational-index `SlotField.mode` and
+  `RecoveredField.mode` as they were (`rational_slot_mode`,
+  `rational_recovered_mode`), which the field tests read.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -95,7 +103,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistfock import deltak, verify
+from twistfock import deltak, twist, verify
 from twistfock.deltak import (
     FORWARD,
     INVERSE,
@@ -146,8 +154,13 @@ from twistfock.scalars import (
     scalar_ratio,
     scalar_str,
 )
-from twistfock.formal import ComparisonResult, Window, compare_numerators
-from twistfock.twist import RecoveredField, SlotField
+from twistfock.formal import (
+    ComparisonResult,
+    Window,
+    assert_on_lattice,
+    compare_numerators,
+)
+from twistfock.twist import RecoveredField, SlotField, u_functor_sigma_mode
 
 QQ_TYPE = type(QQ(1))
 
@@ -1009,6 +1022,34 @@ def old_recovered_mode(k: int, u: State, m, state: State) -> State:
     ).scaled(expansion.prefactor)
 
 
+def rational_slot_mode(field, m, state: State) -> State:
+    """`SlotField.mode` as it was: the mode with rational index m; zero off
+    the (1/2k)-lattice."""
+    M = QQ(m) * field.scale
+    return field.mode_at(M.numerator, state) if M.denominator == 1 else ZERO_STATE
+
+
+def rational_recovered_mode(field, m, state: State) -> State:
+    """`RecoveredField.mode` as it was: the mode with rational index m;
+    raises off the (1/2)-lattice."""
+    return field.mode_at(assert_on_lattice(m, 2), state)
+
+
+def old_top(field, level2: int) -> int:
+    """`_ModeField.top` as it was, on a doubled level: the largest index
+    whose mode can act on a state of doubled level level2."""
+    return int(field.scale * (field.weight - 1)) + level2
+
+
+def old_bounded_image(field, M: int, state: State) -> State:
+    """`verify._bounded_image`: the rational image of mode M of a field on a
+    nonzero homogeneous state, zero off the field's class lattice or above
+    its top on the state."""
+    if M > old_top(field, _level2(state)) or field.eta_class(M) is None:
+        return ZERO_STATE
+    return field.image(M, state)
+
+
 MODE_STATES = {"psi": PSI, "omega": OMEGA, "L(-1)psi": virasoro(QQ(-1), PSI)}
 MODE_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(2))]
 
@@ -1036,7 +1077,8 @@ def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
             assert family.eta_class(M) == j
             for target in MODE_TARGETS:
                 expected = old_slot_mode(k, u, power, m, target)
-                assert field.mode(m, target) == expected, (power, m, target)
+                assert rational_slot_mode(field, m, target) == expected, (
+                    power, m, target)
                 if j is None:
                     assert expected.is_zero()
                     assert family.mode(M, target).is_zero()
@@ -1059,14 +1101,63 @@ def test_recovered_mode_is_rational(k, name):
     assert family.scalars == (ONE,)
     nonzero = 0
     for m in mode_grid(2):
+        mode = u_functor_sigma_mode(k, u, m)
         for target in MODE_TARGETS:
-            got = field.mode(m, target)
+            got = mode(target)
             assert all_rational(got)
             assert got == old_recovered_mode(k, u, m, target), (m, target)
             assert field.mode_at(int(2 * m), target) == got
             assert family.mode(int(2 * m), target) == got
             nonzero += not got.is_zero()
     assert nonzero > 0
+
+
+def bounded_read_sweep(field, mode) -> int:
+    """Compare ``mode`` with the old `_bounded_image` of a field at every
+    int index from two modes below -1 to one mode above the top, on every
+    target of `MODE_TARGETS`: the number of nonzero images, or -1 at the
+    first difference."""
+    nonzero = 0
+    for target in MODE_TARGETS:
+        top = old_top(field, _level2(target))
+        for M in range(-2 * field.scale, top + field.scale + 1):
+            expected = old_bounded_image(field, M, target)
+            if mode(M, target) != expected:
+                return -1
+            nonzero += not expected.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(MODE_STATES))
+def test_slot_field_mode_is_the_bounded_image(k, name):
+    nonzero = 0
+    for power in range(k):
+        field = SlotField(k, MODE_STATES[name], power)
+        got = bounded_read_sweep(field, field.mode)
+        assert got >= 0, power
+        nonzero += got
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("name", sorted(MODE_STATES))
+def test_recovered_field_mode_is_the_bounded_image(k, name):
+    field = RecoveredField(k, MODE_STATES[name])
+    assert bounded_read_sweep(field, field.mode) > 0
+
+
+@pytest.mark.parametrize("name", ["psi", "L(-1)psi"])
+def test_mode_without_the_class_test_differs_at_an_odd_slot_power(name):
+    """A slot field's image does not know its slot: at odd order an odd
+    state's image is nonzero at odd indices, and only the class test zeroes
+    them in an odd slot power."""
+    planted = mutated(twist._ModeField.mode,
+                      " or self.eta_class(M) is None", "")
+    for power in range(3):
+        field = SlotField(3, MODE_STATES[name], power)
+        got = bounded_read_sweep(field, lambda M, s: planted(field, M, s))
+        assert (got == -1) == (power % 2 == 1), power
 
 
 class OldRecoveredField:
@@ -1294,14 +1385,14 @@ def test_slot_index_matches_the_rational_index(k, data):
     if M is None:
         # every sigma index is off the half-integer lattice there
         assert old.is_zero()
-        assert field.mode(m, target).is_zero()
+        assert rational_slot_mode(field, m, target).is_zero()
         return
     assert field.eta_class(M) == old_class
     assert field.image(M, target) == old
     expected = (ZERO_STATE if old_class is None
                 else old.scaled(field.scalars[old_class]))
     assert field.mode_at(M, target) == expected
-    assert field.mode(m, target) == expected
+    assert rational_slot_mode(field, m, target) == expected
     assert [(piece, QQ(index, 2)) for piece, index in field.plan(M)] == [
         (piece, k * (e + 1) - 1 + k * m) for e, piece in field.pieces]
 
@@ -1315,14 +1406,16 @@ def test_int_tops_and_bounds_match_the_rational_ones(k, data):
         fields.append((verify._parity_field(k, u, True), 1))
     fields.append((verify._parity_field(k, u, False), 1))
     level2 = data.draw(st.integers(0, 12))
+    # psi_{-level2/2}, a Ramond or NS word of doubled level level2
+    state = State({(-level2,) if level2 else (): ONE})
     m = data.draw(rational_index(k))
     for field, grading_den in fields:
         old = fraction_top(field.weight, grading_den, QQ(level2, 2))
         assert field.scale == 2 * grading_den
-        assert field.top(level2) == field.scale * old
+        assert field.top(state) == field.scale * old
         M = lattice_index(m, field.scale)
         if M is not None:
-            assert (M <= field.top(level2)) == (m <= old)
+            assert (M <= field.top(state)) == (m <= old)
 
 
 @given(st.integers(1, 6), st.data())
@@ -2078,9 +2171,9 @@ def old_expanded_product(outer, inner, scalars, n, a, b, state, level2,
     outer mode above the top of the inner image."""
     pairs = []
     step = inner.scale
-    for i, m in enumerate(range(b, inner.top(level2) + 1, step)):
+    for i, m in enumerate(range(b, old_top(inner, level2) + 1, step)):
         image = inner.mode(m, state)
-        if image.nums and a - i * step <= outer.top(_level2(image)):
+        if image.nums and a - i * step <= old_top(outer, _level2(image)):
             product = outer.mode(a - i * step, image)
             if product.nums:
                 c = binomial(n, i).numerator
@@ -2138,6 +2231,35 @@ def test_expanded_product_stopping_before_the_last_binomial_term_fails(k):
     assert product_sweep(k, planted) == -1
 
 
+@pytest.mark.parametrize("k, cases, nonzero",
+                         [(2, 5488, 4038), (4, 18928, 12996)])
+def test_expanded_product_on_bare_fields_matches_the_families(
+        k, cases, nonzero):
+    """A bare field's `mode` takes the int index, as its family's does, so
+    the expanded product of two bare slot fields is that of their families,
+    on the grid of `product_sweep`."""
+    step = 2 * k
+    grid = range(-2 * step, step + 1, 2)
+    counted = [0, 0]
+    for u, v in PRODUCT_PAIRS:
+        outer, inner = verify._slot_field(k, u), verify._slot_field(k, v)
+        families = verify._ModeFamily(outer), verify._ModeFamily(inner)
+        scalars = verify._pair(outer, inner).scalars
+        for word in PRODUCT_WORDS:
+            state = State({word: ONE})
+            for n in range(-3, 4):
+                for a in grid:
+                    for b in grid:
+                        bare = combine(verify._expanded_product(
+                            outer, inner, scalars, n, a, b, state))
+                        cached = combine(verify._expanded_product(
+                            *families, scalars, n, a, b, state))
+                        assert bare == cached, (u, v, n, a, b)
+                        counted[0] += 1
+                        counted[1] += not bare.is_zero()
+    assert counted == [cases, nonzero]
+
+
 class CountedFamily(verify._ModeFamily):
     """A mode family that counts its reads."""
 
@@ -2171,7 +2293,7 @@ def test_mode_family_above_the_top_adds_no_cache_entry():
     family = verify._ModeFamily(verify._slot_field(2, OMEGA))
     for word in PRODUCT_WORDS:
         state = State({word: ONE})
-        top = family.top(-sum(word))
+        top = family.top(state)
         for M in (top + 2, top + 4 * family.scale):
             before = dict(family._cache)
             assert family.mode(M, state) is ZERO_STATE

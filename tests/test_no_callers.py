@@ -159,7 +159,7 @@ PRIVATE_IMPORTS = {
     ("deltak", "fermion", "_add"),
     ("deltak", "fermion", "_level2"),
     ("deltak", "fermion", "_lowest"),
-    ("verify", "fermion", "_level2"),
+    ("twist", "fermion", "_level2"),
 }
 
 

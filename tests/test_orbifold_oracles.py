@@ -29,7 +29,7 @@ import pytest
 from twistfock.fermion import CENTRAL_CHARGE, OMEGA, PSI, State, combine, word_level
 from twistfock.ramond import ramond_basis
 from twistfock.scalars import ONE, QQ, k_to_the
-from twistfock.twist import SlotField, TwistedModuleView
+from twistfock.twist import TwistedModuleView, twisted_mode
 
 from psi_oracle import ramond_mode
 
@@ -66,15 +66,15 @@ def test_ramond_bilinear_is_the_weight_operator():
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_generator_slot_modes_are_rescaled_ramond_modes(k):
-    field = SlotField(k, PSI)
     scale = k_to_the(k, QQ(-1, 2))
     compared = nonzero = 0
     for n in range(-3 * k, 3 * k + 1):
         m = QQ(n, k)
+        mode = twisted_mode(k, PSI, m)
         for word in WORDS:
             s = State({word: ONE})
             expected = ramond_mode(n + QQ(k, 2), s).scaled(scale)
-            assert field.mode(m, s) == expected, (m, word)
+            assert mode(s) == expected, (m, word)
             compared += 1
             nonzero += not expected.is_zero()
     assert compared == (6 * k + 1) * len(WORDS)
@@ -83,15 +83,15 @@ def test_generator_slot_modes_are_rescaled_ramond_modes(k):
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_twisted_virasoro_is_the_rescaled_ramond_bilinear(k):
-    field = SlotField(k, OMEGA)
     central = QQ(k * k - 1) * CENTRAL_CHARGE / (24 * k)
     for n in range(-3, 4):
+        mode = twisted_mode(k, OMEGA, QQ(n + 1))
         for word in WORDS:
             s = State({word: ONE})
             expected = ramond_virasoro(k * n, s).scaled(QQ(1, k))
             if n == 0:
                 expected = expected + s.scaled(central)
-            assert field.mode(QQ(n + 1), s).scaled(QQ(k)) == expected, (n, word)
+            assert mode(s).scaled(QQ(k)) == expected, (n, word)
 
 
 def bernoulli2(x):

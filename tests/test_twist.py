@@ -9,6 +9,8 @@ coefficient times half the central charge, scaled by k^-2.  A field is read
 through its modes: its x^e coefficient is the mode with index -e-1.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,8 @@ from twistfock.twist import (
     u_functor_sigma_mode,
 )
 
+from test_core_equivalence import rational_recovered_mode, rational_slot_mode
+
 WINDOW = (-3, 3)
 KEYS = ramond_basis(QQ(2))
 GROUND = ()
@@ -55,11 +59,14 @@ def grid(den, window=WINDOW):
 
 def field_table(field, den, window=WINDOW, keys=KEYS):
     """The nonzero x^e coefficients of a field on a window's
-    (1/den)-lattice, read from its modes: {e: {word: {out: scalar}}}."""
+    (1/den)-lattice, read from its modes at their rational index:
+    {e: {word: {out: scalar}}}."""
+    mode = (rational_recovered_mode if isinstance(field, RecoveredField)
+            else rational_slot_mode)
     table = {}
     for e in grid(den, window):
         for word in keys:
-            image = field.mode(-e - 1, State({word: ONE}))
+            image = mode(field, -e - 1, State({word: ONE}))
             if not image.is_zero():
                 table.setdefault(e, {})[word] = dict(image.terms)
     return table
@@ -101,11 +108,11 @@ class TestYbar:
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_omega_central_coefficient(self, k):
-        field = SlotField(k, OMEGA)
+        # the x^-2 coefficient is mode 1
+        mode = twisted_mode(k, OMEGA, QQ(1))
         expected_central = QQ(k * k - 1, 48 * k * k)
         for word in KEYS:
-            # the x^-2 coefficient is mode 1
-            diag = field.mode(QQ(1), State({word: ONE})).coefficient(word)
+            diag = mode(State({word: ONE})).coefficient(word)
             weight_part = (ground_weight() + word_level(word)) / (k * k)
             assert diag - weight_part == expected_central
 
@@ -140,9 +147,10 @@ class TestYbar:
             on_lattice = (k * m).denominator == 1
             for word in KEYS:
                 state = State({word: ONE})
-                image = slot.mode(m, state)
+                image = rational_slot_mode(slot, m, state)
                 if power.denominator == 1:
-                    expected = first.mode(m, state).scaled(eta ** int(power))
+                    expected = rational_slot_mode(first, m, state).scaled(
+                        eta ** int(power))
                 else:
                     expected = ZERO_STATE
                 assert image == expected, (m, word)
@@ -187,7 +195,8 @@ class TestTensorFactor:
     def test_central_terms_sum_over_slots(self, k):
         total = ZERO
         for j in range(k):
-            diag = SlotField(k, OMEGA, j).mode(QQ(1), ground_state())
+            diag = twisted_mode(k, OMEGA, QQ(1),
+                                substitution_power=j)(ground_state())
             total += diag.coefficient(GROUND) - ground_weight() / (k * k)
         assert total == QQ(k * k - 1) * CENTRAL_CHARGE / (24 * k)
 
@@ -210,7 +219,7 @@ class TestLattices:
             for e in grid(2 * k):
                 m = -e - 1
                 for word in KEYS:
-                    image = field.mode(m, State({word: ONE}))
+                    image = rational_slot_mode(field, m, State({word: ONE}))
                     if (k * m).denominator != 1:
                         assert image.is_zero(), (j, m, word)
                     nonzero = nonzero or not image.is_zero()
@@ -326,17 +335,17 @@ class TestInverseConstruction:
     @pytest.mark.parametrize("u,name", [(VACUUM, "vac"), (PSI, "psi"),
                                         (OMEGA, "omega")])
     def test_recovers_parity_twisted_field(self, u, name):
-        recovered = RecoveredField(2, u)
-        result = compare_fields(name, columns(recovered.mode, 1),
+        recovered = partial(rational_recovered_mode, RecoveredField(2, u))
+        result = compare_fields(name, columns(recovered, 1),
                                 self.native_columns(u), indices(2), KEYS,
                                 scale=2)
         assert result.passed
         assert result.compared > 50
 
     def test_recovers_at_order_four(self):
-        recovered = RecoveredField(4, PSI)
+        recovered = partial(rational_recovered_mode, RecoveredField(4, PSI))
         keys = ramond_basis(QQ(1))
-        result = compare_fields("psi4", columns(recovered.mode, 1),
+        result = compare_fields("psi4", columns(recovered, 1),
                                 self.native_columns(PSI), indices(2, (-2, 2)),
                                 keys, scale=2)
         assert result.passed

@@ -24,8 +24,9 @@ from twistfock.fermion import (
     State,
     combine,
     vertex_mode,
+    word_level,
 )
-from twistfock import verify
+from twistfock import twist, verify
 from twistfock.formal import (
     ComparisonResult,
     Window,
@@ -61,6 +62,8 @@ from twistfock.verify import (
     suite_passed,
     suite_table,
 )
+
+from test_core_equivalence import rational_slot_mode
 
 CUBE2 = Window.cube(("x1", "x2"), QQ(-3, 2), QQ(3, 2))
 CUBE3 = Window.cube(("x0", "x1", "x2"), QQ(-3, 2), QQ(3, 2))
@@ -325,11 +328,15 @@ class TestJacobiKernels:
         k, lo, hi = self.K, -self.BOUND, self.BOUND
         left = _ModeFamily(_slot_field(k, u))
         right = _ModeFamily(_slot_field(k, v))
+        # a word at the top level of the domain
+        top_state = next(State({word: ONE})
+                         for word in ramond_basis(self.LEVEL)
+                         if word_level(word) == self.LEVEL)
         for family in (left, right):
             # an inner mode b + i with b = -e - 1 >= -hi - 1 acts only while
             # b + i <= top, i.e. for i <= top + hi + 1; the top is an index
-            # on the family's scale, at the doubled level
-            top = QQ(family.top(int(2 * self.LEVEL)), family.scale)
+            # on the family's scale, on a word of the top level
+            top = QQ(family.top(top_state), family.scale)
             assert top + hi + 1 < self.REACH
         eps = -ONE if (left.parity and right.parity) else ONE
         pair = _pair(left, right)
@@ -346,7 +353,7 @@ class TestJacobiKernels:
         def act(field, m, state):
             key = (id(field), m, state)
             if key not in cache:
-                cache[key] = field.mode(m, state)
+                cache[key] = rational_slot_mode(field, m, state)
             return cache[key]
 
         grid0 = [QQ(a) for a in range(int(lo), int(hi) + 1)]
@@ -574,6 +581,31 @@ class TestStructureChecks:
         assert 0 < len(report.mismatches) <= report.compared
         for _, got_lhs, got_rhs in report.mismatches:
             assert got_lhs == lhs and got_rhs.endswith(rhs)
+
+    # per (k, state): the (mismatches, compared) of the grading check and
+    # of the recovery round trip on LINE, the top one index low
+    TOP_LOW = [
+        (2, PSI, (42, 66), (6, 90)),
+        (2, OMEGA, (64, 66), (2, 114)),
+        (4, PSI, (78, 126), (6, 90)),
+        (4, OMEGA, (120, 126), (2, 114)),
+    ]
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["low", "high"])
+    def test_a_top_one_index_off_is_reported(self, monkeypatch, shift):
+        """The grading check reads a mode's level from the field's top, and
+        the recovery round trip compares the bounded recovered field with
+        the unbounded native one: a top one index low fails both, one index
+        high fails the grading as often and the round trip never."""
+        top = twist._ModeField.top
+        monkeypatch.setattr(twist._ModeField, "top",
+                            lambda self, state: top(self, state) + shift)
+        for k, u, grading, (bad, compared) in self.TOP_LOW:
+            report = check_grading(k, u, LINE)
+            assert (len(report.mismatches), report.compared) == grading
+            report = check_u_round_trip(k, u, LINE)
+            assert (len(report.mismatches), report.compared) == (
+                bad if shift < 0 else 0, compared)
 
     @pytest.mark.parametrize(
         "use_recovered", [True, False], ids=["recovered", "native"]
