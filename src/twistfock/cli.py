@@ -34,6 +34,7 @@ from .deltak import (
 )
 from .twist import TwistedModuleView
 from .verify import (
+    MAX_WEIGHT,
     SuiteConfig,
     parse_bool,
     parse_rational,
@@ -69,10 +70,10 @@ def parse_config_file(text: str) -> dict:
 def _config_from_namespace(args: argparse.Namespace, options: dict):
     """The run configuration: the flags, overridden by the entries of the
     config file if one is given, and checked (k >= 1, each entry among its
-    flag's choices); the library refuses a bad cutoff or depth before any
-    work.  ``options`` maps each config key of the subcommand to its flag's
-    action (``build_parser``), whose type reads the entry: ``parse_bool``
-    for an on/off flag."""
+    flag's choices); the library refuses a bad cutoff, depth or weight
+    before any work.  ``options`` maps each config key of the subcommand to
+    its flag's action (``build_parser``), whose type reads the entry:
+    ``parse_bool`` for an on/off flag."""
     entries = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -462,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--weight",
             type=_RATIONAL_ARG,
-            help="largest untwisted weight fed to coordinate-change checks",
+            help=("largest untwisted weight fed to coordinate-change checks "
+                  f"(rational, at most {MAX_WEIGHT}, where k=2 takes about 2 s; "
+                  "the time doubles about every two units)"),
         ),
         p.add_argument(
             "--jacobi",

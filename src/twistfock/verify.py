@@ -21,10 +21,18 @@ field of each product state u_t v from ``field_of``.  A field also bounds
 its own modes: ``field.mode(M, state)`` is zero off its class lattice and
 above ``field.top(state)``, so no check here derives either bound.  Two
 fields composed in both orders are one `_Pair`, with their scalar table
-and exchange sign.  Only the checks built on expanded products, the
-three-variable identity and weak associativity, revisit the same
-compositions, so only they cache a field's images (`_ModeFamily`); the
-product of (x1 - x2)^n has n + 1 terms for n >= 0.
+and exchange sign.
+
+The expanded product of (x1 - x2)^n Y(u, x1) Y(v, x2) is one list of
+summands, each a composite A(a')B(b')w with an int binomial weight, n + 1
+of them for n >= 0 (`_product_terms`).  The three-variable identity
+compares each grid point as one linear form over those composites: the
+weights of both sides are summed first, over one running denominator,
+and only the composites whose weights do not cancel are read, each once
+per domain word; a point whose form is not zero is rebuilt as two states
+for its witness.  Weak associativity combines the summands as states.
+Both checks read a field's images through `_ModeFamily`, the mode reader
+that caches them for one check.
 
 Every operator check acts on `_domain`: the Ramond-sector words, the
 parity-twisted module of the even-order fields, with their states and
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import groupby
 
 from .scalars import (
     ONE,
@@ -65,11 +74,13 @@ from .fermion import (
     VACUUM,
     State,
     ZERO_STATE,
+    _add,
     combine,
     format_ns_word,
     ns_basis,
     vertex_mode,
     virasoro,
+    word_level,
 )
 from .ramond import (
     format_ramond_word,
@@ -215,14 +226,16 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 
 
 # ---------------------------------------------------------------------------
-# fields and the mode cache of the expanded products
+# fields, their mode reader and the expanded products
 # ---------------------------------------------------------------------------
 
 
 class _ModeFamily:
-    """The rational images of one field's modes, cached per (index, state)
-    for one check: the expanded products of the three-variable identity
-    and of weak associativity revisit the same compositions many times.
+    """The mode reader of the expanded-product checks: one field's rational
+    images, cached per (index, state) for one check.  The three-variable
+    identity reads each composite's inner and outer image through it, and
+    many composites share an inner image; weak associativity and a
+    mismatch's rebuilt sides read it the same way.
 
     ``mode(M, state)`` is the field's own bounded read, cached; every other
     attribute is the field's.
@@ -292,52 +305,116 @@ def _parity_field(k: int, u: State, recovered: bool):
     return RecoveredField(k, u) if recovered else SlotField(1, u)
 
 
-def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
-                      state: State, scale=ONE):
-    """At most one (state, coefficient) pair for
-        scale * sum_{i>=0} (-1)^i C(n, i) outer(a - i) inner(b + i) state,
+def _product_terms(inner, n: int, a: int, b: int, state: State) -> list:
+    """The (outer index, inner index, weight) of each summand of
+        sum_{i>=0} (-1)^i C(n, i) outer(a - i step) inner(b + i step) state,
     the modes of (x1 - x2)^n Y(u, x1) Y(v, x2) expanded in nonnegative
-    powers of x2, on the fields' int index; ``scalars`` is the `_Pair`
-    table of the two fields (bare or `_ModeFamily`), in either order.
-
-    The sum over i is the rational images combined with the int binomials;
-    the coefficient is ``scale`` times the fields' scalar.  That scalar
-    is one lookup for the whole sum: a shift of an index by a whole mode
-    moves its eta class by a multiple of k.  For n >= 0 the binomial has
-    n + 1 terms and the sum stops there; for n < 0 it stops where the
-    inner modes pass their top on the state and kill it.  A mode above its
-    top reads zero in its field.
-    """
-    pairs = []
+    powers of x2, on the fields' int index; the weight is the int
+    (-1)^i C(n, i).  For n >= 0 the binomial has n + 1 terms and the sum
+    stops there; for n < 0 it stops where the inner modes pass their top
+    on the state and kill it."""
     step = inner.scale
     top = inner.top(state)
     if n >= 0:
         top = min(top, b + step * n)
+    terms = []
     for i, m in enumerate(range(b, top + 1, step)):
+        c = binomial(n, i).numerator
+        terms.append((a - i * step, m, -c if i % 2 else c))
+    return terms
+
+
+def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
+                      state: State, scale=ONE):
+    """At most one (state, coefficient) pair for the `_product_terms` of
+    outer(a) inner(b) on ``state``, times ``scale``; ``scalars`` is the
+    `_Pair` table of the two fields (bare or `_ModeFamily`), in either
+    order.
+
+    The sum is the rational images combined with the int weights; the
+    coefficient is ``scale`` times the fields' scalar.  That scalar is one
+    lookup for the whole sum: a shift of an index by a whole mode moves its
+    eta class by a multiple of k.  A mode above its top reads zero in its
+    field.
+    """
+    pairs = []
+    for a_i, m, c in _product_terms(inner, n, a, b, state):
         image = inner.mode(m, state)
         if image.nums:
-            product = outer.mode(a - i * step, image)
+            product = outer.mode(a_i, image)
             if product.nums:
-                c = binomial(n, i).numerator
-                pairs.append((product, -c if i % 2 else c))
+                pairs.append((product, c))
     if not pairs:
         return pairs
     j = (outer.eta_class(a) + inner.eta_class(b)) % len(scalars)
     return [(combine(pairs), scale * scalars[j])]
 
 
-def _expanded_bracket(pair: _Pair, n: int, a: int, b: int, state: State,
-                      scale=ONE):
-    """The pairs of the bracket expansion of (x1 - x2)^n at one grid
-    point: the ordered half, the `_expanded_product` of left(a) right(b),
-    and the swapped half, right(b + step n) left(a - step n) with the
-    supersymmetry sign of the exchange, -eps for even n and eps for odd."""
-    left, right, scalars, eps = pair
+def _bracket_halves(pair: _Pair, n: int, a: int, b: int, scale) -> tuple:
+    """The two halves of the bracket expansion of (x1 - x2)^n at one grid
+    point, as (order, outer, inner, a, b, scale): the ordered half
+    left(a) right(b), order 0, and the swapped half, order 1,
+    right(b + step n) left(a - step n) with the supersymmetry sign of the
+    exchange, -eps for even n and eps for odd."""
+    left, right, _, eps = pair
     step = left.scale
     sign = -eps if n % 2 == 0 else eps
-    return (_expanded_product(left, right, scalars, n, a, b, state, scale)
-            + _expanded_product(right, left, scalars, n, b + step * n,
-                                a - step * n, state, scale * sign))
+    return ((0, left, right, a, b, scale),
+            (1, right, left, b + step * n, a - step * n, scale * sign))
+
+
+def _expanded_bracket(pair: _Pair, n: int, a: int, b: int, state: State,
+                      scale=ONE) -> list:
+    """The pairs of the bracket expansion of (x1 - x2)^n at one grid
+    point: one `_expanded_product` per `_bracket_halves` entry."""
+    pairs = []
+    for _, outer, inner, a_h, b_h, s in _bracket_halves(pair, n, a, b, scale):
+        pairs += _expanded_product(outer, inner, pair.scalars, n, a_h, b_h,
+                                   state, s)
+    return pairs
+
+
+def _bracket_form(table: dict, den: int, pair: _Pair, n: int, a: int,
+                  b: int, state: State, scale=ONE) -> int:
+    """Add the bracket expansion of `_expanded_bracket` to a linear form
+    over the composites: table[(j, order, a', b')] gains the int weight of
+    outer(a') inner(b') times ``scale``, j the eta class of the half's
+    scalar, the form held by `fermion._add` as int numerators over one
+    running denominator, which is returned.  No mode is read."""
+    for order, outer, inner, a_h, b_h, s in _bracket_halves(
+            pair, n, a, b, scale):
+        terms = _product_terms(inner, n, a_h, b_h, state)
+        c_outer, c_inner = outer.eta_class(a_h), inner.eta_class(b_h)
+        if terms and c_outer is not None and c_inner is not None:
+            j = (c_outer + c_inner) % len(pair.scalars)
+            den = _add(table, den,
+                       [((j, order, a_i, m), c) for a_i, m, c in terms],
+                       s.numerator, s.denominator)
+    return den
+
+
+def _jacobi_bracket(step: int, r: int, e1: int, e2: int) -> tuple:
+    """The (n, a, b) of the bracket whose expansion is the left side of the
+    three-variable identity at x0^{-r-1} x1^e1 x2^e2 (see `_jacobi_left`)."""
+    return r, step * (r - 1) - e1, -e2 - step
+
+
+def _field_product_brackets(pair: _Pair, n_loc: int, r: int, t: int,
+                            mu: int) -> list:
+    """The (n, a, b, scale) of each bracket of `_field_product_mode`."""
+    k = len(pair.scalars)
+    r_frac = QQ(r, k)
+    step = pair.left.scale
+    shift = step * r // k  # the index of r/k
+    brackets = []
+    for i in range(0, n_loc - t):
+        coeff_i = binomial(r_frac, i)
+        if coeff_i == 0:
+            continue
+        if i % 2:
+            coeff_i = -coeff_i
+        brackets.append((t + i, shift + step * t, mu - shift, coeff_i))
+    return brackets
 
 
 def _field_product_mode(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
@@ -350,23 +427,54 @@ def _field_product_mode(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
     carrying the exponent class; because a power ``n_loc`` of the coordinate
     difference annihilates the supercommutator of the two fields, every
     expansion order i with t + i >= n_loc cancels identically, so the outer
-    sum is finite.  Each order is one `_expanded_bracket` of power t + i.
-    Mode indices that fall off a field's exponent lattice contribute zero.
+    sum is finite.  Each order is one `_expanded_bracket` of power t + i,
+    with the (n, a, b, scale) of `_field_product_brackets`.  Mode indices
+    that fall off a field's exponent lattice contribute zero.
     """
-    k = len(pair.scalars)
-    r_frac = QQ(r, k)
-    step = pair.left.scale
-    shift = step * r // k  # the index of r/k
     pairs = []
-    for i in range(0, n_loc - t):
-        coeff_i = binomial(r_frac, i)
-        if coeff_i == 0:
-            continue
-        if i % 2:
-            coeff_i = -coeff_i
-        pairs += _expanded_bracket(pair, t + i, shift + step * t, mu - shift,
-                                   state, coeff_i)
+    for n, a, b, scale in _field_product_brackets(pair, n_loc, r, t, mu):
+        pairs += _expanded_bracket(pair, n, a, b, state, scale)
     return combine(pairs)
+
+
+def _field_product_form(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
+                        state: State) -> tuple:
+    """`_field_product_mode` as a linear form over the composites:
+    (den, table), the table as `_bracket_form` builds it."""
+    table, den = {}, 1
+    for n, a, b, scale in _field_product_brackets(pair, n_loc, r, t, mu):
+        den = _bracket_form(table, den, pair, n, a, b, state, scale)
+    return den, table
+
+
+def _settles_to_zero(pair: _Pair, table: dict, den: int, state: State,
+                     composites: dict) -> bool:
+    """Whether a linear form over the composites is zero on ``state``.
+
+    The composite A(a')B(b') state (order 0) or B(a')A(b') state (order 1)
+    of each key is read once per state, through the pair's members, into
+    ``composites``; its rational image, times the key's int weight, is
+    summed by `fermion._add` into one numerator dict per eta class.  The
+    scalar of class j is nonzero, so the form is zero when every class sum
+    is: a sufficient test, and exact when one class holds every key.
+    """
+    sums = {}
+    for key, num in table.items():
+        image = composites.get(key)
+        if image is None:
+            _, order, a, b = key
+            outer, inner = ((pair.left, pair.right) if order == 0
+                            else (pair.right, pair.left))
+            image = inner.mode(b, state)
+            if image.nums:
+                image = outer.mode(a, image)
+            composites[key] = image
+        if image.nums:
+            acc = sums.get(key[0])
+            if acc is None:
+                acc = sums[key[0]] = [{}, 1]
+            acc[1] = _add(acc[0], acc[1], image.nums, num, den * image.den)
+    return not any(acc[0] for acc in sums.values())
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +823,57 @@ def _jacobi_left(pair: _Pair, r: int, e1: int, e2: int, state: State) -> State:
     First kernel: x0^{-1} delta((x1-x2)/x0) A(x1) B(x2), whose x0^{-r-1}
     part is (x1-x2)^r.  Second kernel: x0^{-1} delta((x2-x1)/(-x0))
     B(x2) A(x1), whose x0^{-r-1} part is (-1)^r (x2-x1)^r, scaled by the
-    supersymmetry sign -eps of the swapped product.
+    supersymmetry sign -eps of the swapped product.  The bracket's (n, a,
+    b) is `_jacobi_bracket`.
     """
+    n, a, b = _jacobi_bracket(pair.left.scale, r, e1, e2)
+    return combine(_expanded_bracket(pair, n, a, b, state))
+
+
+def _jacobi_forms(pair: _Pair, n_loc: int, grid0, grid1, grid2,
+                  state: State) -> list:
+    """The linear form, left minus right side, of the three-variable
+    identity at each grid point (alpha, e1, e2), in grid order, on the
+    words of the level of ``state``: (alpha, e1, e2, den, table, rhs_keys),
+    the table as `_bracket_form` builds it and ``rhs_keys`` the ((class, t,
+    mu), weight) of each right-side term, for a rebuild.  The right side is
+    the i-sum of `check_twisted_jacobi`, each term a `_field_product_form`
+    kept per (class, t, mu)."""
     step = pair.left.scale
-    return combine(_expanded_bracket(pair, r, step * (r - 1) - e1,
-                                     -e2 - step, state))
+    k = len(pair.scalars)
+    # per e1 the signed right-side binomials (-1)^i C(e1 + i, i) for every
+    # order i the x0 grid reaches
+    i_max = n_loc + max(grid0, default=-1)
+    kernel = {e1: _signed_binomials(e1, step, range(i_max + 1)) for e1 in grid1}
+    rhs_forms = {}
+    forms = []
+    for alpha in grid0:
+        r = -alpha - 1
+        for e1 in grid1:
+            # the exponent class of the left field: -k(e1 + i) mod k
+            r_cls = (-(e1 // 2)) % k
+            binoms = kernel[e1]
+            for e2 in grid2:
+                table = {}
+                den = _bracket_form(table, 1, pair,
+                                    *_jacobi_bracket(step, r, e1, e2), state)
+                rhs_keys = []
+                for i in range(0, n_loc + alpha + 1):
+                    base = binoms[i]
+                    if base == 0:
+                        continue
+                    key = (r_cls, i - alpha - 1, -e1 - e2 - step * (i + 2))
+                    form = rhs_forms.get(key)
+                    if form is None:
+                        form = rhs_forms[key] = _field_product_form(
+                            pair, n_loc, *key, state)
+                    rhs_keys.append((key, base))
+                    f_den, f_table = form
+                    if f_table:
+                        den = _add(table, den, f_table.items(),
+                                   -base.numerator, base.denominator * f_den)
+                forms.append((alpha, e1, e2, den, table, rhs_keys))
+    return forms
 
 
 def check_twisted_jacobi(
@@ -741,6 +895,20 @@ def check_twisted_jacobi(
     (H. Li 1996; Barron-Dong-Mason 2002) and differs at x0^{>=0}.  All
     three exponents are compared coefficient-exactly; x1 and x2 run over
     int indices 2k·e.
+
+    Both sides are rational combinations of the composites A(a')B(b')w and
+    B(a')A(b')w of the same two fields, with the pair's scalar of one eta
+    class j per composite.  So each grid point on a domain word w is one
+    linear form, left minus right, over the keys (j, order, a', b'): every
+    bracket adds int weights to it over one running denominator
+    (`_bracket_form`), the field products' forms are kept per (class, t,
+    mu), and the words of one level share every form (`_jacobi_forms`).
+    The composites whose weights cancel are never read; the rest are read
+    once per word and summed in one numerator dict per class
+    (`_settles_to_zero`).  Only a point whose form is not
+    zero is rebuilt side by side with `_jacobi_left` and
+    `_field_product_mode` and compared, so a witness is the two sides'
+    states.
     """
     _require_pair(k, u, v)
     pair = _pair(_ModeFamily(_slot_field(k, u)), _ModeFamily(_slot_field(k, v)))
@@ -751,45 +919,28 @@ def check_twisted_jacobi(
     # (x1 - x2)^n_loc kills the supercommutator: its poles have order at
     # most _iterate_top + 1, one per iterate u_t v
     n_loc = _iterate_top(u, v) + 2
-
-    # per e1 the signed right-side binomials (-1)^i C(e1 + i, i) for every
-    # order i the x0 grid reaches
-    i_max = n_loc + max(grid0, default=-1)
     x0_text = _axis_texts("x0", grid0, 1)
     x1_text = _axis_texts("x1", grid1, step)
     x2_text = _axis_texts("x2", grid2, step, " @ ")
-    kernel = {e1: _signed_binomials(e1, step, range(i_max + 1)) for e1 in grid1}
     result = ComparisonResult(f"twisted-jacobi[k={k},{_pair_label(u, v)}]")
-    for _, target, word_text in _domain(domain_level):
-        rhs_modes = {}
-        for alpha in grid0:
-            r = -alpha - 1
-            for e1 in grid1:
-                # the exponent class of the left field: -k(e1 + i) mod k
-                r_cls = (-(e1 // 2)) % k
-                binoms = kernel[e1]
-                for e2 in grid2:
-                    lhs = _jacobi_left(pair, r, e1, e2, target)
-                    rhs_terms = []
-                    for i in range(0, n_loc + alpha + 1):
-                        base = binoms[i]
-                        if base == 0:
-                            continue
-                        t = i - alpha - 1
-                        mu = -e1 - e2 - step * (i + 2)
-                        key = (r_cls, t, mu)
-                        image = rhs_modes.get(key)
-                        if image is None:
-                            image = _field_product_mode(
-                                pair, n_loc, r_cls, t, mu, target)
-                            rhs_modes[key] = image
-                        if image.nums:
-                            rhs_terms.append((image, base))
-                    result.compare(
-                        x0_text[alpha] + x1_text[e1] + x2_text[e2] + word_text,
-                        lhs,
-                        combine(rhs_terms),
-                    )
+    # a form reads its state only through the tops, so the words of one
+    # level share their forms
+    for _, words in groupby(_domain(domain_level),
+                            key=lambda entry: word_level(entry[0])):
+        words = list(words)
+        forms = _jacobi_forms(pair, n_loc, grid0, grid1, grid2, words[0][1])
+        for _, target, word_text in words:
+            composites = {}
+            for alpha, e1, e2, den, table, rhs_keys in forms:
+                if _settles_to_zero(pair, table, den, target, composites):
+                    result.compared += 1
+                    continue
+                result.compare(
+                    x0_text[alpha] + x1_text[e1] + x2_text[e2] + word_text,
+                    _jacobi_left(pair, -alpha - 1, e1, e2, target),
+                    combine([(_field_product_mode(pair, n_loc, *key, target),
+                              base) for key, base in rhs_keys]),
+                )
     return _wrap_comparison(result, k, _window_str(window))
 
 
@@ -1190,7 +1341,8 @@ class SuiteConfig(namedtuple(
     window and is rejected); ``cutoff`` is the number of graded pieces of
     the character comparison (at most ``MAX_CUTOFF``); ``domain_level``
     bounds the twisted-module words the operator checks act on; ``weight``
-    bounds the untwisted states fed to the coordinate-change checks;
+    bounds the untwisted states fed to the coordinate-change checks (at
+    most ``MAX_WEIGHT``);
     ``depth`` is the expansion depth of the conjugation check (at most
     ``MAX_CONJUGATION_DEPTH``); ``k`` is at most ``MAX_CONDUCTOR / 4``, as
     the slot fields live in Q(zeta_{4k}); the ceilings are checked before
@@ -1235,6 +1387,15 @@ def parse_bool(raw) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# Largest untwisted weight of the coordinate-change checks.  The round
+# trip, conjugation and translation-generator checks run over every
+# untwisted state up to it, and their cost doubles about every two units
+# of weight: `verify --k 2 --jacobi off --radius 0 --domain-level 0` takes
+# about 1 s at weight 10, 2 s at the ceiling and 11 s at weight 16 on a
+# 2-core host.
+MAX_WEIGHT = 12
+
+
 def run_suite(config: SuiteConfig | None = None) -> list:
     """Run the aggregated suite and return its reports in a fixed order.
 
@@ -1261,6 +1422,9 @@ def run_suite(config: SuiteConfig | None = None) -> list:
                          "selects no basis state")
     require_conjugation_depth(cfg.depth)
     require_cutoff(cfg.cutoff)
+    if QQ(cfg.weight) > MAX_WEIGHT:
+        raise ValueError(
+            f"weight {cfg.weight} exceeds the ceiling {MAX_WEIGHT}")
     reports = []
 
     def add(report: CheckReport):
@@ -1388,6 +1552,7 @@ def run_suite(config: SuiteConfig | None = None) -> list:
 
 
 __all__ = [
+    "MAX_WEIGHT",
     "CheckReport",
     "SuiteConfig",
     "parse_bool",

@@ -27,7 +27,8 @@ from twistfock.cli import main, parse_config_file, parse_state
 from twistfock.deltak import MAX_CONJUGATION_DEPTH, MAX_TABLE_DEPTH
 from twistfock.scalars import MAX_CONDUCTOR
 from twistfock.twist import MAX_CUTOFF
-from twistfock.verify import SuiteConfig, parse_bool, parse_rational
+from twistfock import verify
+from twistfock.verify import MAX_WEIGHT, SuiteConfig, parse_bool, parse_rational
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -640,6 +641,50 @@ class TestCutoffCeiling:
     def test_char_at_the_ceiling_runs(self, capsys):
         code, out, _ = run_cli(capsys, "char", "--k", "2", "--cutoff", str(MAX_CUTOFF))
         assert code == 0 and len(out.splitlines()) == MAX_CUTOFF + 2
+
+
+class TestWeightCeiling:
+    """verify refuses an untwisted weight above the ceiling with one line,
+    before any check runs; only weights just above the ceiling are tried,
+    never a large one, and the ceiling itself is let through."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # the suite's first check: a call means the run got past its
+        # preamble, and the sentinel stops it there
+        calls = []
+
+        def first_check(*args):
+            calls.append(args)
+            raise LookupError("suite started")
+
+        monkeypatch.setattr(verify, "verify_delta_identity", first_check)
+        return calls
+
+    @pytest.mark.parametrize("weight", [f"{2 * MAX_WEIGHT + 1}/2",
+                                        str(MAX_WEIGHT + 1)])
+    def test_flag_above_the_ceiling_exits_two(self, capsys, started, weight):
+        code, out, err = run_cli(capsys, "verify", "--k", "2", "--weight",
+                                 weight)
+        assert (code, out) == (2, "")
+        assert err == f"error: weight {weight} exceeds the ceiling {MAX_WEIGHT}\n"
+        assert started == []
+
+    def test_config_above_the_ceiling_exits_two(self, capsys, started,
+                                                tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"weight={MAX_WEIGHT + 1}\n")
+        code, out, err = run_cli(capsys, "verify", "--k", "3",
+                                 "--expect-obstruction", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == (f"error: weight {MAX_WEIGHT + 1} exceeds the ceiling "
+                       f"{MAX_WEIGHT}\n")
+        assert started == []
+
+    def test_ceiling_is_accepted(self, started):
+        with pytest.raises(LookupError, match="suite started"):
+            verify.run_suite(SuiteConfig(weight=QQ(MAX_WEIGHT)))
+        assert len(started) == 1
 
 
 class TestConductorCeiling:

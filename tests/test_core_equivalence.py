@@ -86,7 +86,17 @@ run without a cache:
   order 3; the expanded product on bare slot fields must equal it on their
   mode families; and the rational-index `SlotField.mode` and
   `RecoveredField.mode` as they were (`rational_slot_mode`,
-  `rational_recovered_mode`), which the field tests read.
+  `rational_recovered_mode`), which the field tests read;
+* `verify.check_twisted_jacobi` as it was, both sides built as states and
+  combined at every grid point, against the check that sums each point's
+  int weights as one linear form over the composites and reads only the
+  composites whose weights do not cancel, at k = 2 and 4 on the suite's
+  three pairs with x0 in -1..1: an honest run rebuilds no side, a
+  point rebuilt without need reports the same, and one composite's weight
+  planted one too high must give the same witnesses; along with them,
+  Pascal's rule E_{n+1}(a, b) = E_n(a, b) - E_n(a - step, b + step) on the
+  expanded product for n in -4..3, and one eta class per grid point of the
+  forms, in slot 1 and in slot 2.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -2225,10 +2235,13 @@ def test_expanded_product_matches_the_level_parameter_form(k):
 
 
 @pytest.mark.parametrize("k", [2, 4])
-def test_expanded_product_stopping_before_the_last_binomial_term_fails(k):
-    planted = mutated(verify._expanded_product, "b + step * n)",
+def test_expanded_product_stopping_before_the_last_binomial_term_fails(
+        k, monkeypatch):
+    # the stop lives in the summand list that the product reads
+    planted = mutated(verify._product_terms, "b + step * n)",
                       "b + step * (n - 1))")
-    assert product_sweep(k, planted) == -1
+    monkeypatch.setattr(verify, "_product_terms", planted)
+    assert product_sweep(k, verify._expanded_product) == -1
 
 
 @pytest.mark.parametrize("k, cases, nonzero",
@@ -2300,3 +2313,191 @@ def test_mode_family_above_the_top_adds_no_cache_entry():
             assert family._cache == before
         family.mode(top, state)
         assert (top, state) in family._cache
+
+
+# ---------------------------------------------------------------------------
+# the twisted Jacobi check as it was: both sides built and combined at every
+# grid point; Pascal's rule along the expanded product; one eta class per
+# grid point of the linear form
+# ---------------------------------------------------------------------------
+
+
+def combine_path_twisted_jacobi(k, u, v, window, *, domain_level=QQ(2)):
+    """`verify.check_twisted_jacobi` as it was: at every grid point the left
+    side `_jacobi_left` and the right side, a combination of
+    `_field_product_mode` states kept per (class, t, mu) on the word, are
+    built as states and compared."""
+    verify._require_pair(k, u, v)
+    pair = verify._pair(verify._ModeFamily(verify._slot_field(k, u)),
+                        verify._ModeFamily(verify._slot_field(k, v)))
+    step = pair.left.scale
+    grid0 = verify._lattice_grid(window, "x0", 1, 1)
+    grid1 = verify._lattice_grid(window, "x1", k, step)
+    grid2 = verify._lattice_grid(window, "x2", k, step)
+    n_loc = verify._iterate_top(u, v) + 2
+    i_max = n_loc + max(grid0, default=-1)
+    x0_text = verify._axis_texts("x0", grid0, 1)
+    x1_text = verify._axis_texts("x1", grid1, step)
+    x2_text = verify._axis_texts("x2", grid2, step, " @ ")
+    kernel = {e1: verify._signed_binomials(e1, step, range(i_max + 1))
+              for e1 in grid1}
+    result = ComparisonResult(
+        f"twisted-jacobi[k={k},{verify._pair_label(u, v)}]")
+    for _, target, word_text in verify._domain(domain_level):
+        rhs_modes = {}
+        for alpha in grid0:
+            r = -alpha - 1
+            for e1 in grid1:
+                r_cls = (-(e1 // 2)) % k
+                binoms = kernel[e1]
+                for e2 in grid2:
+                    lhs = verify._jacobi_left(pair, r, e1, e2, target)
+                    rhs_terms = []
+                    for i in range(0, n_loc + alpha + 1):
+                        base = binoms[i]
+                        if base == 0:
+                            continue
+                        t = i - alpha - 1
+                        mu = -e1 - e2 - step * (i + 2)
+                        key = (r_cls, t, mu)
+                        image = rhs_modes.get(key)
+                        if image is None:
+                            image = verify._field_product_mode(
+                                pair, n_loc, r_cls, t, mu, target)
+                            rhs_modes[key] = image
+                        if image.nums:
+                            rhs_terms.append((image, base))
+                    result.compare(
+                        x0_text[alpha] + x1_text[e1] + x2_text[e2] + word_text,
+                        lhs,
+                        combine(rhs_terms),
+                    )
+    return verify._wrap_comparison(result, k, verify._window_str(window))
+
+
+JACOBI_PAIRS = [(PSI, PSI), (OMEGA, OMEGA), (VACUUM, PSI)]
+# x0 runs over -1, 0, 1 in both windows
+JACOBI_CASES = [
+    (2, Window.cube(("x0", "x1", "x2"), QQ(-1), QQ(1)), QQ(1)),
+    (4, Window.cube(("x0", "x1", "x2"), QQ(-1), QQ(1)), QQ(1, 2)),
+]
+
+
+@pytest.mark.parametrize("k, window, level", JACOBI_CASES, ids=["k2", "k4"])
+@pytest.mark.parametrize("u, v", JACOBI_PAIRS,
+                         ids=["psi-psi", "omega-omega", "vacuum-psi"])
+def test_jacobi_forms_match_the_combine_path(monkeypatch, k, window, level,
+                                            u, v):
+    """The same report; and every form of the honest check settles to
+    zero, so no side is rebuilt."""
+    expected = combine_path_twisted_jacobi(k, u, v, window, domain_level=level)
+    rebuilt = []
+    monkeypatch.setattr(verify, "_jacobi_left",
+                        lambda *args: rebuilt.append(args))
+    got = verify.check_twisted_jacobi(k, u, v, window, domain_level=level)
+    assert got == expected
+    assert got.verdict == "pass" and got.compared > 0
+    assert rebuilt == []
+
+
+def test_unsettled_points_are_rebuilt_to_the_same_report(monkeypatch):
+    """A form that is not found zero costs a rebuild, never a witness: with
+    every point rebuilt the report is the same."""
+    k, window, level = JACOBI_CASES[0]
+    fast = verify.check_twisted_jacobi(k, OMEGA, OMEGA, window,
+                                       domain_level=level)
+    monkeypatch.setattr(verify, "_settles_to_zero", lambda *args: False)
+    assert verify.check_twisted_jacobi(k, OMEGA, OMEGA, window,
+                                       domain_level=level) == fast
+
+
+@pytest.mark.parametrize("k, window, level", JACOBI_CASES, ids=["k2", "k4"])
+def test_planted_composite_weight_gives_the_oracle_witnesses(
+        monkeypatch, k, window, level):
+    """The weight of one composite, A(a')B(b')w at the modes a' = b' = -1/2
+    (the int index -k), raised by one wherever an expanded product adds it:
+    the linear forms and the combine path read the same summands, and both
+    report the same mismatches."""
+    planted_at = (-k, -k)
+    honest = verify._product_terms
+
+    def planted(inner, n, a, b, state):
+        return [(a_i, m, c + 1 if (a_i, m) == planted_at else c)
+                for a_i, m, c in honest(inner, n, a, b, state)]
+
+    monkeypatch.setattr(verify, "_product_terms", planted)
+    got = verify.check_twisted_jacobi(k, PSI, PSI, window, domain_level=level)
+    expected = combine_path_twisted_jacobi(k, PSI, PSI, window,
+                                           domain_level=level)
+    assert got.mismatches
+    assert got == expected
+
+
+def jacobi_classes(k, slot, u, v, window, level) -> list:
+    """The set of eta classes of the keys of each grid point's Jacobi form,
+    for the pair of u and v both in ``slot``, over the words of the
+    domain."""
+    left = verify._ModeFamily(verify._slot_field(k, u, slot=slot))
+    right = verify._ModeFamily(verify._slot_field(k, v, slot=slot))
+    pair = verify._pair(left, right)
+    step = left.scale
+    grid0 = verify._lattice_grid(window, "x0", 1, 1)
+    grid1 = verify._lattice_grid(window, "x1", k, step)
+    grid2 = verify._lattice_grid(window, "x2", k, step)
+    n_loc = verify._iterate_top(u, v) + 2
+    return [{key[0] for key in table}
+            for _, target, _ in verify._domain(level)
+            for *_, table, _ in verify._jacobi_forms(
+                pair, n_loc, grid0, grid1, grid2, target)]
+
+
+@pytest.mark.parametrize("k, window, level", JACOBI_CASES, ids=["k2", "k4"])
+def test_one_eta_class_per_grid_point(k, window, level):
+    """Every key of a grid point's form has the same eta class, so each
+    point's form is one rational combination times one nonzero scalar.  The
+    check's first-slot fields have the one class 0; in slot 2 the class
+    varies from point to point, and still one class holds each point (a
+    point whose weights all cancel holds none)."""
+    for u, v in JACOBI_PAIRS:
+        first = jacobi_classes(k, 1, u, v, window, level)
+        assert set().union(*first) == {0}
+        moved = jacobi_classes(k, 2, u, v, window, level)
+        assert all(len(classes) <= 1 for classes in moved)
+        assert len(set().union(*moved)) > 1
+
+
+# (cases, nonzero E_{n+1}) of the Pascal sweep
+PASCAL_CASES = {2: (6272, 4630), 4: (21632, 14870)}
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_expanded_product_follows_pascals_rule(k):
+    """(x1 - x2)^{n+1} = (x1 - x2)(x1 - x2)^n along the expanded product:
+    E_{n+1}(a, b) = E_n(a, b) - E_n(a - step, b + step), for n in -4..3; at
+    n < 0 both sides are sums that the inner top cuts short."""
+    step = 2 * k
+    grid = range(-2 * step, step + 1, 2)
+    cases = nonzero = 0
+    for u, v in PRODUCT_PAIRS:
+        outer = verify._ModeFamily(verify._slot_field(k, u))
+        inner = verify._ModeFamily(verify._slot_field(k, v))
+        scalars = verify._pair(outer, inner).scalars
+
+        def product(n, a, b, state):
+            return combine(verify._expanded_product(outer, inner, scalars,
+                                                    n, a, b, state))
+
+        for word in PRODUCT_WORDS:
+            state = State({word: ONE})
+            for n in range(-4, 4):
+                for a in grid:
+                    for b in grid:
+                        expected = product(n + 1, a, b, state)
+                        assert expected == (
+                            product(n, a, b, state)
+                            - product(n, a - step, b + step, state)
+                        ), (u, v, word, n, a, b)
+                        cases += 1
+                        nonzero += not expected.is_zero()
+    assert (cases, nonzero) == PASCAL_CASES[k]
+

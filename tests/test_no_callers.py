@@ -160,6 +160,7 @@ PRIVATE_IMPORTS = {
     ("deltak", "fermion", "_level2"),
     ("deltak", "fermion", "_lowest"),
     ("twist", "fermion", "_level2"),
+    ("verify", "fermion", "_add"),
 }
 
 
