@@ -235,7 +235,8 @@ class _ModeFamily:
     images, cached per (index, state) for one check.  The three-variable
     identity reads each composite's inner and outer image through it, and
     many composites share an inner image; weak associativity and a
-    mismatch's rebuilt sides read it the same way.
+    mismatch's rebuilt sides read it the same way.  Its ``mode`` is the
+    read that the benchmark's layer tracer counts.
 
     ``mode(M, state)`` is the field's own bounded read, cached; every other
     attribute is the field's.
