@@ -25,14 +25,13 @@ and exchange sign.
 
 The expanded product of (x1 - x2)^n Y(u, x1) Y(v, x2) is one list of
 summands, each a composite A(a')B(b')w with an int binomial weight, n + 1
-of them for n >= 0 (`_product_terms`).  The three-variable identity
-compares each grid point as one linear form over those composites: the
-weights of both sides are summed first, over one running denominator,
-and only the composites whose weights do not cancel are read, each once
-per domain word; a point whose form is not zero is rebuilt as two states
-for its witness.  Weak associativity combines the summands as states.
-Both checks read a field's images through `_ModeFamily`, the mode reader
-that caches them for one check.
+of them for n >= 0 (`_product_terms`).  The three-variable identity and
+weak associativity add those weights to linear forms over the composites
+over one running denominator (`_product_form`), and one evaluator reads
+every form (`_form_value`): only the composites whose weights do not
+cancel are read, each once per domain word.  The three-variable identity
+compares each grid point as one form, left minus right, and reads a left
+side only for a witness.  `_ModeFamily` caches the images for one check.
 
 Every operator check acts on `_domain`: the Ramond-sector words, the
 parity-twisted module of the even-order fields, with their states and
@@ -52,6 +51,7 @@ from .scalars import (
     ZERO,
     binomial,
     eta_powers,
+    integral_split,
     is_rational,
     rational_ceil,
     rational_floor,
@@ -232,11 +232,11 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 
 class _ModeFamily:
     """The mode reader of the expanded-product checks: one field's rational
-    images, cached per (index, state) for one check.  The three-variable
-    identity reads each composite's inner and outer image through it, and
-    many composites share an inner image; weak associativity and a
-    mismatch's rebuilt sides read it the same way.  Its ``mode`` is the
-    read that the benchmark's layer tracer counts.
+    images, cached per (index, state) for one check.  `_form_value` reads
+    each composite's inner and outer image through it, for the
+    three-variable identity and for weak associativity, and many
+    composites share an inner image.  Its ``mode`` is the read that the
+    benchmark's layer tracer counts.
 
     ``mode(M, state)`` is the field's own bounded read, cached; every other
     attribute is the field's.
@@ -265,9 +265,9 @@ class _Pair(namedtuple("_Pair", "left right scalars eps")):
     entry j of ``scalars`` is the scalar of left(a) right(b), in either
     order, when the eta classes of a and b sum to j mod k (the product of
     the prefactors times eta^j, a QQ where rational), so a composed pair
-    costs one lookup; ``eps`` is the exchange sign (-1)^{|A||B|}.  The
-    two are bare fields or `_ModeFamily`s: both read ``mode`` on the int
-    index.
+    costs one lookup, and `_form_value` one per eta class of a form;
+    ``eps`` is the exchange sign (-1)^{|A||B|}.  The two are bare fields
+    or `_ModeFamily`s: both read ``mode`` on the int index.
     """
 
     __slots__ = ()
@@ -325,73 +325,37 @@ def _product_terms(inner, n: int, a: int, b: int, state: State) -> list:
     return terms
 
 
-def _expanded_product(outer, inner, scalars, n: int, a: int, b: int,
-                      state: State, scale=ONE):
-    """At most one (state, coefficient) pair for the `_product_terms` of
-    outer(a) inner(b) on ``state``, times ``scale``; ``scalars`` is the
-    `_Pair` table of the two fields (bare or `_ModeFamily`), in either
-    order.
-
-    The sum is the rational images combined with the int weights; the
-    coefficient is ``scale`` times the fields' scalar.  That scalar is one
-    lookup for the whole sum: a shift of an index by a whole mode moves its
-    eta class by a multiple of k.  A mode above its top reads zero in its
-    field.
-    """
-    pairs = []
-    for a_i, m, c in _product_terms(inner, n, a, b, state):
-        image = inner.mode(m, state)
-        if image.nums:
-            product = outer.mode(a_i, image)
-            if product.nums:
-                pairs.append((product, c))
-    if not pairs:
-        return pairs
-    j = (outer.eta_class(a) + inner.eta_class(b)) % len(scalars)
-    return [(combine(pairs), scale * scalars[j])]
-
-
-def _bracket_halves(pair: _Pair, n: int, a: int, b: int, scale) -> tuple:
-    """The two halves of the bracket expansion of (x1 - x2)^n at one grid
-    point, as (order, outer, inner, a, b, scale): the ordered half
-    left(a) right(b), order 0, and the swapped half, order 1,
-    right(b + step n) left(a - step n) with the supersymmetry sign of the
-    exchange, -eps for even n and eps for odd."""
-    left, right, _, eps = pair
-    step = left.scale
-    sign = -eps if n % 2 == 0 else eps
-    return ((0, left, right, a, b, scale),
-            (1, right, left, b + step * n, a - step * n, scale * sign))
-
-
-def _expanded_bracket(pair: _Pair, n: int, a: int, b: int, state: State,
-                      scale=ONE) -> list:
-    """The pairs of the bracket expansion of (x1 - x2)^n at one grid
-    point: one `_expanded_product` per `_bracket_halves` entry."""
-    pairs = []
-    for _, outer, inner, a_h, b_h, s in _bracket_halves(pair, n, a, b, scale):
-        pairs += _expanded_product(outer, inner, pair.scalars, n, a_h, b_h,
-                                   state, s)
-    return pairs
+def _product_form(table: dict, den: int, pair: _Pair, order: int, n: int,
+                  a: int, b: int, state: State, scale=ONE) -> int:
+    """Add one ordered half of an expanded product, the `_product_terms` of
+    outer(a) inner(b) on ``state`` times ``scale``, to a linear form over
+    the composites; outer is pair[order] and inner pair[1 - order].
+    table[(j, order, a', b')] gains the int weight of outer(a') inner(b'),
+    j the eta class of the half's scalar (a shift by a whole mode moves a
+    class by a multiple of k), held by `fermion._add` as int numerators
+    over one running denominator, which is returned.  No mode is read."""
+    outer, inner = pair[order], pair[1 - order]
+    terms = _product_terms(inner, n, a, b, state)
+    c_outer, c_inner = outer.eta_class(a), inner.eta_class(b)
+    if terms and c_outer is not None and c_inner is not None:
+        j = (c_outer + c_inner) % len(pair.scalars)
+        den = _add(table, den, [((j, order, a_i, m), c) for a_i, m, c in terms],
+                   scale.numerator, scale.denominator)
+    return den
 
 
 def _bracket_form(table: dict, den: int, pair: _Pair, n: int, a: int,
                   b: int, state: State, scale=ONE) -> int:
-    """Add the bracket expansion of `_expanded_bracket` to a linear form
-    over the composites: table[(j, order, a', b')] gains the int weight of
-    outer(a') inner(b') times ``scale``, j the eta class of the half's
-    scalar, the form held by `fermion._add` as int numerators over one
-    running denominator, which is returned.  No mode is read."""
-    for order, outer, inner, a_h, b_h, s in _bracket_halves(
-            pair, n, a, b, scale):
-        terms = _product_terms(inner, n, a_h, b_h, state)
-        c_outer, c_inner = outer.eta_class(a_h), inner.eta_class(b_h)
-        if terms and c_outer is not None and c_inner is not None:
-            j = (c_outer + c_inner) % len(pair.scalars)
-            den = _add(table, den,
-                       [((j, order, a_i, m), c) for a_i, m, c in terms],
-                       s.numerator, s.denominator)
-    return den
+    """Add the bracket expansion of (x1 - x2)^n at one grid point to a
+    linear form over the composites as two `_product_form` halves: the
+    ordered half left(a) right(b), order 0, and the swapped half, order 1,
+    right(b + step n) left(a - step n) with the supersymmetry sign of the
+    exchange, -eps for even n and eps for odd."""
+    step = pair.left.scale
+    sign = -pair.eps if n % 2 == 0 else pair.eps
+    den = _product_form(table, den, pair, 0, n, a, b, state, scale)
+    return _product_form(table, den, pair, 1, n, b + step * n, a - step * n,
+                         state, scale * sign)
 
 
 def _jacobi_bracket(step: int, r: int, e1: int, e2: int) -> tuple:
@@ -402,7 +366,7 @@ def _jacobi_bracket(step: int, r: int, e1: int, e2: int) -> tuple:
 
 def _field_product_brackets(pair: _Pair, n_loc: int, r: int, t: int,
                             mu: int) -> list:
-    """The (n, a, b, scale) of each bracket of `_field_product_mode`."""
+    """The (n, a, b, scale) of each bracket of `_field_product_form`."""
     k = len(pair.scalars)
     r_frac = QQ(r, k)
     step = pair.left.scale
@@ -418,64 +382,58 @@ def _field_product_brackets(pair: _Pair, n_loc: int, r: int, t: int,
     return brackets
 
 
-def _field_product_mode(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
-                        state: State) -> State:
+def _field_product_form(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
+                        state: State) -> tuple:
     """Mode ``mu`` of the t-th product of two mutually local twisted fields,
     restricted to the component of the left field on the exponent class
-    r/k + Z, k the length of the pair's scalar table, on one state.
+    r/k + Z, k the length of the pair's scalar table, as a linear form over
+    the composites on the words of the level of ``state``: (den, table),
+    the table as `_bracket_form` builds it.
 
     The product of fields is expanded with the fractional binomial factor
     carrying the exponent class; because a power ``n_loc`` of the coordinate
     difference annihilates the supercommutator of the two fields, every
     expansion order i with t + i >= n_loc cancels identically, so the outer
-    sum is finite.  Each order is one `_expanded_bracket` of power t + i,
-    with the (n, a, b, scale) of `_field_product_brackets`.  Mode indices
-    that fall off a field's exponent lattice contribute zero.
+    sum is finite.  Each order is one `_bracket_form` of power t + i, with
+    the (n, a, b, scale) of `_field_product_brackets`.  Mode indices that
+    fall off a field's exponent lattice contribute zero.
     """
-    pairs = []
-    for n, a, b, scale in _field_product_brackets(pair, n_loc, r, t, mu):
-        pairs += _expanded_bracket(pair, n, a, b, state, scale)
-    return combine(pairs)
-
-
-def _field_product_form(pair: _Pair, n_loc: int, r: int, t: int, mu: int,
-                        state: State) -> tuple:
-    """`_field_product_mode` as a linear form over the composites:
-    (den, table), the table as `_bracket_form` builds it."""
     table, den = {}, 1
     for n, a, b, scale in _field_product_brackets(pair, n_loc, r, t, mu):
         den = _bracket_form(table, den, pair, n, a, b, state, scale)
     return den, table
 
 
-def _settles_to_zero(pair: _Pair, table: dict, den: int, state: State,
-                     composites: dict) -> bool:
-    """Whether a linear form over the composites is zero on ``state``.
+def _form_value(pair: _Pair, table: dict, den: int, state: State,
+                composites: dict) -> State:
+    """The value on ``state`` of a linear form over the composites.
 
     The composite A(a')B(b') state (order 0) or B(a')A(b') state (order 1)
     of each key is read once per state, through the pair's members, into
     ``composites``; its rational image, times the key's int weight, is
-    summed by `fermion._add` into one numerator dict per eta class.  The
-    scalar of class j is nonzero, so the form is zero when every class sum
-    is: a sufficient test, and exact when one class holds every key.
+    summed by `fermion._add` into one numerator dict per eta class, and
+    each class sum is added to the value times its scalar, once.  A form
+    whose class sums all cancel is `ZERO_STATE`, with no scalar applied.
     """
     sums = {}
     for key, num in table.items():
         image = composites.get(key)
         if image is None:
             _, order, a, b = key
-            outer, inner = ((pair.left, pair.right) if order == 0
-                            else (pair.right, pair.left))
-            image = inner.mode(b, state)
+            image = pair[1 - order].mode(b, state)
             if image.nums:
-                image = outer.mode(a, image)
+                image = pair[order].mode(a, image)
             composites[key] = image
         if image.nums:
-            acc = sums.get(key[0])
-            if acc is None:
-                acc = sums[key[0]] = [{}, 1]
-            acc[1] = _add(acc[0], acc[1], image.nums, num, den * image.den)
-    return not any(acc[0] for acc in sums.values())
+            nums, acc_den = sums.get(key[0]) or ({}, 1)
+            sums[key[0]] = nums, _add(nums, acc_den, image.nums, num,
+                                      den * image.den)
+    out, out_den = {}, 1
+    for j, (nums, acc_den) in sums.items():
+        if nums:
+            n, d = integral_split(pair.scalars[j])
+            out_den = _add(out, out_den, nums.items(), n, acc_den * d)
+    return State._of_table(out_den, out)
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +774,12 @@ def check_recovered_commutator(
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_left(pair: _Pair, r: int, e1: int, e2: int, state: State) -> State:
+def _jacobi_left(pair: _Pair, r: int, e1: int, e2: int, state: State,
+                 composites: dict) -> State:
     """The x0^{-r-1} x1^e1 x2^e2 coefficient of the left side of the
     three-variable identity on one state, e1 and e2 as int indices on the
-    families' scale.
+    families' scale, its composites read through the word's
+    ``composites`` (see `_form_value`).
 
     First kernel: x0^{-1} delta((x1-x2)/x0) A(x1) B(x2), whose x0^{-r-1}
     part is (x1-x2)^r.  Second kernel: x0^{-1} delta((x2-x1)/(-x0))
@@ -827,19 +787,20 @@ def _jacobi_left(pair: _Pair, r: int, e1: int, e2: int, state: State) -> State:
     supersymmetry sign -eps of the swapped product.  The bracket's (n, a,
     b) is `_jacobi_bracket`.
     """
-    n, a, b = _jacobi_bracket(pair.left.scale, r, e1, e2)
-    return combine(_expanded_bracket(pair, n, a, b, state))
+    table = {}
+    den = _bracket_form(table, 1, pair,
+                        *_jacobi_bracket(pair.left.scale, r, e1, e2), state)
+    return _form_value(pair, table, den, state, composites)
 
 
 def _jacobi_forms(pair: _Pair, n_loc: int, grid0, grid1, grid2,
                   state: State) -> list:
     """The linear form, left minus right side, of the three-variable
     identity at each grid point (alpha, e1, e2), in grid order, on the
-    words of the level of ``state``: (alpha, e1, e2, den, table, rhs_keys),
-    the table as `_bracket_form` builds it and ``rhs_keys`` the ((class, t,
-    mu), weight) of each right-side term, for a rebuild.  The right side is
-    the i-sum of `check_twisted_jacobi`, each term a `_field_product_form`
-    kept per (class, t, mu)."""
+    words of the level of ``state``: (alpha, e1, e2, den, table), the table
+    as `_bracket_form` builds it.  The right side is the i-sum of
+    `check_twisted_jacobi`, each term a `_field_product_form` kept per
+    (class, t, mu)."""
     step = pair.left.scale
     k = len(pair.scalars)
     # per e1 the signed right-side binomials (-1)^i C(e1 + i, i) for every
@@ -858,7 +819,6 @@ def _jacobi_forms(pair: _Pair, n_loc: int, grid0, grid1, grid2,
                 table = {}
                 den = _bracket_form(table, 1, pair,
                                     *_jacobi_bracket(step, r, e1, e2), state)
-                rhs_keys = []
                 for i in range(0, n_loc + alpha + 1):
                     base = binoms[i]
                     if base == 0:
@@ -868,12 +828,11 @@ def _jacobi_forms(pair: _Pair, n_loc: int, grid0, grid1, grid2,
                     if form is None:
                         form = rhs_forms[key] = _field_product_form(
                             pair, n_loc, *key, state)
-                    rhs_keys.append((key, base))
                     f_den, f_table = form
                     if f_table:
                         den = _add(table, den, f_table.items(),
                                    -base.numerator, base.denominator * f_den)
-                forms.append((alpha, e1, e2, den, table, rhs_keys))
+                forms.append((alpha, e1, e2, den, table))
     return forms
 
 
@@ -905,11 +864,11 @@ def check_twisted_jacobi(
     (`_bracket_form`), the field products' forms are kept per (class, t,
     mu), and the words of one level share every form (`_jacobi_forms`).
     The composites whose weights cancel are never read; the rest are read
-    once per word and summed in one numerator dict per class
-    (`_settles_to_zero`).  Only a point whose form is not
-    zero is rebuilt side by side with `_jacobi_left` and
-    `_field_product_mode` and compared, so a witness is the two sides'
-    states.
+    once per word by `_form_value`, the one reader of every form, whose
+    value at a point is the defect, left minus right.  Only a point with a
+    nonzero defect reads its left side, `_jacobi_left`, through the same
+    composites, so its witness is that side and the left side minus the
+    defect.
     """
     _require_pair(k, u, v)
     pair = _pair(_ModeFamily(_slot_field(k, u)), _ModeFamily(_slot_field(k, v)))
@@ -932,15 +891,16 @@ def check_twisted_jacobi(
         forms = _jacobi_forms(pair, n_loc, grid0, grid1, grid2, words[0][1])
         for _, target, word_text in words:
             composites = {}
-            for alpha, e1, e2, den, table, rhs_keys in forms:
-                if _settles_to_zero(pair, table, den, target, composites):
+            for alpha, e1, e2, den, table in forms:
+                defect = _form_value(pair, table, den, target, composites)
+                if not defect.nums:
                     result.compared += 1
                     continue
+                lhs = _jacobi_left(pair, -alpha - 1, e1, e2, target,
+                                   composites)
                 result.compare(
                     x0_text[alpha] + x1_text[e1] + x2_text[e2] + word_text,
-                    _jacobi_left(pair, -alpha - 1, e1, e2, target),
-                    combine([(_field_product_mode(pair, n_loc, *key, target),
-                              base) for key, base in rhs_keys]),
+                    lhs, lhs - defect,
                 )
     return _wrap_comparison(result, k, _window_str(window))
 
@@ -1163,7 +1123,8 @@ def check_weak_associativity(
     (x2+x0)^E Y(Y(u,x0)v, x2) w    (expanded with x0 second)
     at every (x0, x2) exponent pair of the window, for every domain word w.
     Passing certifies the associativity half of the twisted-field axioms on
-    the recovered fields.
+    the recovered fields.  The product side of a point is one
+    `_product_form`, read by `_form_value` through the word's composites.
     """
     if max_order < 0:
         raise ValueError(f"the search bound n must be >= 0, got {max_order}")
@@ -1171,9 +1132,8 @@ def check_weak_associativity(
     tag = "recovered" if use_recovered else "native"
     # recovered and native fields are over Q: their scalars are (ONE,);
     # both read the doubled index 2m, and so the x2 exponents are doubled
-    fam_u = _ModeFamily(_parity_field(k, u, use_recovered))
-    fam_v = _ModeFamily(_parity_field(k, v, use_recovered))
-    scalars = _pair(fam_u, fam_v).scalars
+    pair = _pair(_ModeFamily(_parity_field(k, u, use_recovered)),
+                 _ModeFamily(_parity_field(k, v, use_recovered)))
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid2 = _lattice_grid(window, "x2", 2, 2)
@@ -1187,7 +1147,7 @@ def check_weak_associativity(
     for t in range(-max(grid0, default=-1) - 1, t_top + 1):
         state = vertex_mode(u, t, v)
         iterate_families[t] = (None if state.is_zero()
-                               else _ModeFamily(fam_v.field_of(state)))
+                               else _ModeFamily(pair.right.field_of(state)))
 
     label = f"weak-associativity[{tag},k={k},{_pair_label(u, v)}]"
 
@@ -1196,15 +1156,15 @@ def check_weak_associativity(
         exponent = parity_u + 2 * n  # doubled
         binoms = [binomial(QQ(exponent, 2), i) for i in range(i_max + 1)]
         for _, target, word_text in domain:
+            composites = {}
             for alpha in grid0:
                 for beta in grid2:
                     # product side: C(alpha+i, i) = (-1)^i C(-alpha-1, i)
-                    lhs = combine(
-                        _expanded_product(
-                            fam_u, fam_v, scalars, -alpha - 1,
-                            exponent - 2 - 2 * alpha, -beta - 2, target,
-                        )
-                    )
+                    table = {}
+                    den = _product_form(table, 1, pair, 0, -alpha - 1,
+                                        exponent - 2 - 2 * alpha, -beta - 2,
+                                        target)
+                    lhs = _form_value(pair, table, den, target, composites)
                     # iterate side: i-sum with t = i - alpha - 1
                     rhs_terms = []
                     for i in range(0, t_top + alpha + 2):

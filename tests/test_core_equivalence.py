@@ -76,9 +76,10 @@ run without a cache:
 * `verify._expanded_product` as it was, with a doubled-level parameter,
   its sum run to the inner top past the binomial's support, and the old
   unbounded `_ModeFamily` and `_pair_scalars`, against the product that
-  reads the level from its state and stops at n + 1 terms for n >= 0; a
-  stop one term early must differ, one call reads the inner family at
-  most n + 1 times, and a mode family keeps no entry above the top;
+  reads the level from its state, stops at n + 1 terms for n >= 0 and is
+  one `_product_form` read by `_form_value`; a stop one term early must
+  differ, one product reads the inner family at most n + 1 times, and a
+  mode family keeps no entry above the top;
 * `verify._bounded_image` and the fields' `top` on a doubled level as they
   were, against the bounded `_ModeField.mode` that replaced them, for slot
   fields in every slot at orders 1 to 4 and recovered fields at orders 2
@@ -87,16 +88,22 @@ run without a cache:
   mode families; and the rational-index `SlotField.mode` and
   `RecoveredField.mode` as they were (`rational_slot_mode`,
   `rational_recovered_mode`), which the field tests read;
-* `verify.check_twisted_jacobi` as it was, both sides built as states and
-  combined at every grid point, against the check that sums each point's
-  int weights as one linear form over the composites and reads only the
-  composites whose weights do not cancel, at k = 2 and 4 on the suite's
-  three pairs with x0 in -1..1: an honest run rebuilds no side, a
-  point rebuilt without need reports the same, and one composite's weight
-  planted one too high must give the same witnesses; along with them,
-  Pascal's rule E_{n+1}(a, b) = E_n(a, b) - E_n(a - step, b + step) on the
-  expanded product for n in -4..3, and one eta class per grid point of the
-  forms, in slot 1 and in slot 2.
+* the state path of the expanded product as it was, the summands of
+  `verify._product_terms` combined as states: `_expanded_product`,
+  `_expanded_bracket` with its `_bracket_halves`, `_field_product_mode`
+  and `_jacobi_left` (the `combine_path_*` functions), and on them
+  `verify.check_twisted_jacobi` and `verify.check_weak_associativity` as
+  they were, against the checks whose every linear form over the
+  composites is read by the one evaluator `_form_value`.  The Jacobi
+  check runs at k = 2 and 4 on the suite's three pairs with x0 in -1..1:
+  an honest run reads no left side for a witness, and one composite's
+  weight planted one too high must give the same witnesses; so must it
+  in weak associativity at k = 2 and 4, recovered and native.  With both
+  fields in slot 2 at k = 4 the left side must equal the state path at
+  every point, where classes j != 0 take cyclotomic scalars.  Along with
+  them, Pascal's rule E_{n+1}(a, b) = E_n(a, b) - E_n(a - step, b + step)
+  on the expanded product for n in -4..3, and one eta class per grid
+  point of the forms, in slot 1 and in slot 2.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -2194,15 +2201,71 @@ def old_expanded_product(outer, inner, scalars, n, a, b, state, level2,
     return [(combine(pairs), scale * scalars[j])]
 
 
+def combine_path_product(outer, inner, scalars, n, a, b, state, scale=ONE):
+    """`verify._expanded_product` as it was before one evaluator read every
+    linear form: at most one (state, coefficient) pair for the
+    `verify._product_terms` of outer(a) inner(b) on ``state``, the images
+    combined with the int weights and the coefficient ``scale`` times the
+    fields' scalar."""
+    pairs = []
+    for a_i, m, c in verify._product_terms(inner, n, a, b, state):
+        image = inner.mode(m, state)
+        if image.nums:
+            product = outer.mode(a_i, image)
+            if product.nums:
+                pairs.append((product, c))
+    if not pairs:
+        return pairs
+    j = (outer.eta_class(a) + inner.eta_class(b)) % len(scalars)
+    return [(combine(pairs), scale * scalars[j])]
+
+
+def combine_path_bracket(pair, n, a, b, state, scale=ONE) -> list:
+    """`verify._expanded_bracket` (with `_bracket_halves`) as it was: the
+    `combine_path_product` pairs of the ordered half left(a) right(b) and
+    of the swapped half right(b + step n) left(a - step n), the latter
+    with the sign -eps for even n and eps for odd."""
+    left, right, scalars, eps = pair
+    step = left.scale
+    sign = -eps if n % 2 == 0 else eps
+    return (combine_path_product(left, right, scalars, n, a, b, state, scale)
+            + combine_path_product(right, left, scalars, n, b + step * n,
+                                   a - step * n, state, scale * sign))
+
+
+def combine_path_field_product(pair, n_loc, r, t, mu, state) -> State:
+    """`verify._field_product_mode` as it was: one `combine_path_bracket`
+    per bracket of `verify._field_product_brackets`, combined."""
+    pairs = []
+    for n, a, b, scale in verify._field_product_brackets(pair, n_loc, r, t, mu):
+        pairs += combine_path_bracket(pair, n, a, b, state, scale)
+    return combine(pairs)
+
+
+def combine_path_jacobi_left(pair, r, e1, e2, state) -> State:
+    """`verify._jacobi_left` as it was: its bracket combined as states."""
+    n, a, b = verify._jacobi_bracket(pair.left.scale, r, e1, e2)
+    return combine(combine_path_bracket(pair, n, a, b, state))
+
+
+def form_product(pair, n, a, b, state) -> State:
+    """The expanded product left(a) right(b) of a pair on ``state`` through
+    the live path: one `verify._product_form` half, order 0, read by
+    `verify._form_value`."""
+    table = {}
+    den = verify._product_form(table, 1, pair, 0, n, a, b, state)
+    return verify._form_value(pair, table, den, state, {})
+
+
 PRODUCT_PAIRS = [(PSI, PSI), (PSI, OMEGA), (OMEGA, PSI), (OMEGA, OMEGA)]
 PRODUCT_WORDS = ramond_basis(QQ(1))
 
 
-def product_sweep(k: int, product) -> int:
-    """Compare ``product`` with the old expanded product over n in -3..3,
-    the int indices a, b in -2·step..step on the 1/k-lattice and every word
-    of `ramond_basis(1)`, for the four pairs of psi and omega; the number
-    of nonzero products."""
+def product_sweep(k: int) -> int:
+    """Compare `form_product` with the old expanded product over n in
+    -3..3, the int indices a, b in -2·step..step on the 1/k-lattice and
+    every word of `ramond_basis(1)`, for the four pairs of psi and omega;
+    the number of nonzero products."""
     step = 2 * k
     grid = range(-2 * step, step + 1, 2)
     nonzero = 0
@@ -2211,15 +2274,15 @@ def product_sweep(k: int, product) -> int:
         inner = verify._ModeFamily(verify._slot_field(k, v))
         old_outer = OldModeFamily(verify._slot_field(k, u))
         old_inner = OldModeFamily(verify._slot_field(k, v))
-        scalars = verify._pair(outer, inner).scalars
+        pair = verify._pair(outer, inner)
+        scalars = pair.scalars
         assert scalars == old_pair_scalars(old_outer, old_inner)
         for word in PRODUCT_WORDS:
             state = State({word: ONE})
             for n in range(-3, 4):
                 for a in grid:
                     for b in grid:
-                        got = combine(product(outer, inner, scalars, n, a, b,
-                                              state))
+                        got = form_product(pair, n, a, b, state)
                         expected = combine(old_expanded_product(
                             old_outer, old_inner, scalars, n, a, b, state,
                             -sum(word)))
@@ -2231,7 +2294,7 @@ def product_sweep(k: int, product) -> int:
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_expanded_product_matches_the_level_parameter_form(k):
-    assert product_sweep(k, verify._expanded_product) > 0
+    assert product_sweep(k) > 0
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -2241,7 +2304,7 @@ def test_expanded_product_stopping_before_the_last_binomial_term_fails(
     planted = mutated(verify._product_terms, "b + step * n)",
                       "b + step * (n - 1))")
     monkeypatch.setattr(verify, "_product_terms", planted)
-    assert product_sweep(k, verify._expanded_product) == -1
+    assert product_sweep(k) == -1
 
 
 @pytest.mark.parametrize("k, cases, nonzero",
@@ -2256,17 +2319,16 @@ def test_expanded_product_on_bare_fields_matches_the_families(
     counted = [0, 0]
     for u, v in PRODUCT_PAIRS:
         outer, inner = verify._slot_field(k, u), verify._slot_field(k, v)
-        families = verify._ModeFamily(outer), verify._ModeFamily(inner)
-        scalars = verify._pair(outer, inner).scalars
+        bare_pair = verify._pair(outer, inner)
+        pair = verify._pair(verify._ModeFamily(outer),
+                            verify._ModeFamily(inner))
         for word in PRODUCT_WORDS:
             state = State({word: ONE})
             for n in range(-3, 4):
                 for a in grid:
                     for b in grid:
-                        bare = combine(verify._expanded_product(
-                            outer, inner, scalars, n, a, b, state))
-                        cached = combine(verify._expanded_product(
-                            *families, scalars, n, a, b, state))
+                        bare = form_product(bare_pair, n, a, b, state)
+                        cached = form_product(pair, n, a, b, state)
                         assert bare == cached, (u, v, n, a, b)
                         counted[0] += 1
                         counted[1] += not bare.is_zero()
@@ -2289,14 +2351,13 @@ def test_expanded_product_reads_the_binomial_support_only(k):
     and n + 1 times somewhere."""
     step = 2 * k
     outer = verify._ModeFamily(verify._slot_field(k, OMEGA))
-    scalars = verify._pair(outer, outer).scalars
     most = {}
     for word in PRODUCT_WORDS:
         state = State({word: ONE})
         for n in range(4):
             for b in range(-4 * step, step + 1, 2):
                 inner = CountedFamily(verify._slot_field(k, PSI))
-                verify._expanded_product(outer, inner, scalars, n, 0, b, state)
+                form_product(verify._pair(outer, inner), n, 0, b, state)
                 assert inner.reads <= n + 1, (word, n, b)
                 most[n] = max(most.get(n, 0), inner.reads)
     assert most == {n: n + 1 for n in range(4)}
@@ -2316,17 +2377,17 @@ def test_mode_family_above_the_top_adds_no_cache_entry():
 
 
 # ---------------------------------------------------------------------------
-# the twisted Jacobi check as it was: both sides built and combined at every
-# grid point; Pascal's rule along the expanded product; one eta class per
-# grid point of the linear form
+# the twisted Jacobi check and weak associativity as they were: both sides
+# built and combined at every grid point; Pascal's rule along the expanded
+# product; one eta class per grid point of the linear form
 # ---------------------------------------------------------------------------
 
 
 def combine_path_twisted_jacobi(k, u, v, window, *, domain_level=QQ(2)):
     """`verify.check_twisted_jacobi` as it was: at every grid point the left
-    side `_jacobi_left` and the right side, a combination of
-    `_field_product_mode` states kept per (class, t, mu) on the word, are
-    built as states and compared."""
+    side `combine_path_jacobi_left` and the right side, a combination of
+    `combine_path_field_product` states kept per (class, t, mu) on the
+    word, are built as states and compared."""
     verify._require_pair(k, u, v)
     pair = verify._pair(verify._ModeFamily(verify._slot_field(k, u)),
                         verify._ModeFamily(verify._slot_field(k, v)))
@@ -2351,7 +2412,7 @@ def combine_path_twisted_jacobi(k, u, v, window, *, domain_level=QQ(2)):
                 r_cls = (-(e1 // 2)) % k
                 binoms = kernel[e1]
                 for e2 in grid2:
-                    lhs = verify._jacobi_left(pair, r, e1, e2, target)
+                    lhs = combine_path_jacobi_left(pair, r, e1, e2, target)
                     rhs_terms = []
                     for i in range(0, n_loc + alpha + 1):
                         base = binoms[i]
@@ -2362,7 +2423,7 @@ def combine_path_twisted_jacobi(k, u, v, window, *, domain_level=QQ(2)):
                         key = (r_cls, t, mu)
                         image = rhs_modes.get(key)
                         if image is None:
-                            image = verify._field_product_mode(
+                            image = combine_path_field_product(
                                 pair, n_loc, r_cls, t, mu, target)
                             rhs_modes[key] = image
                         if image.nums:
@@ -2388,27 +2449,16 @@ JACOBI_CASES = [
                          ids=["psi-psi", "omega-omega", "vacuum-psi"])
 def test_jacobi_forms_match_the_combine_path(monkeypatch, k, window, level,
                                             u, v):
-    """The same report; and every form of the honest check settles to
-    zero, so no side is rebuilt."""
+    """The same report; and every point's form is zero on the honest
+    check, so no left side is read for a witness."""
     expected = combine_path_twisted_jacobi(k, u, v, window, domain_level=level)
-    rebuilt = []
+    witnessed = []
     monkeypatch.setattr(verify, "_jacobi_left",
-                        lambda *args: rebuilt.append(args))
+                        lambda *args: witnessed.append(args))
     got = verify.check_twisted_jacobi(k, u, v, window, domain_level=level)
     assert got == expected
     assert got.verdict == "pass" and got.compared > 0
-    assert rebuilt == []
-
-
-def test_unsettled_points_are_rebuilt_to_the_same_report(monkeypatch):
-    """A form that is not found zero costs a rebuild, never a witness: with
-    every point rebuilt the report is the same."""
-    k, window, level = JACOBI_CASES[0]
-    fast = verify.check_twisted_jacobi(k, OMEGA, OMEGA, window,
-                                       domain_level=level)
-    monkeypatch.setattr(verify, "_settles_to_zero", lambda *args: False)
-    assert verify.check_twisted_jacobi(k, OMEGA, OMEGA, window,
-                                       domain_level=level) == fast
+    assert witnessed == []
 
 
 @pytest.mark.parametrize("k, window, level", JACOBI_CASES, ids=["k2", "k4"])
@@ -2433,6 +2483,70 @@ def test_planted_composite_weight_gives_the_oracle_witnesses(
     assert got == expected
 
 
+@pytest.mark.parametrize("use_recovered", [True, False],
+                         ids=["recovered", "native"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_planted_composite_weight_gives_the_weak_associativity_witnesses(
+        monkeypatch, k, use_recovered):
+    """The weight of the composite A(-1/2)B(-1/2)w (the doubled index -1)
+    raised by one wherever an expanded product adds it: the product side
+    read as a linear form and the state path of
+    `combine_path_weak_associativity` report the same mismatches, at the
+    last exponent shift searched."""
+    planted_at = (-1, -1)
+    honest = verify._product_terms
+
+    def planted(inner, n, a, b, state):
+        return [(a_i, m, c + 1 if (a_i, m) == planted_at else c)
+                for a_i, m, c in honest(inner, n, a, b, state)]
+
+    monkeypatch.setattr(verify, "_product_terms", planted)
+    window = Window.cube(("x0", "x2"), QQ(-1), QQ(1))
+    options = dict(max_order=1, domain_level=QQ(1),
+                   use_recovered=use_recovered)
+    got = verify.check_weak_associativity(k, PSI, PSI, window, **options)
+    expected = combine_path_weak_associativity(k, PSI, PSI, window, **options)
+    assert got.mismatches
+    assert got == expected
+
+
+@pytest.mark.parametrize("u, v", JACOBI_PAIRS,
+                         ids=["psi-psi", "omega-omega", "vacuum-psi"])
+def test_slot_two_left_side_matches_the_combine_path(u, v):
+    """Both fields in slot 2 at k = 4, where the eta class of a form varies
+    by point: at every point of the k4 window, on every word, the left side
+    read by `_form_value` equals the combined states of
+    `combine_path_jacobi_left`, and some points of a class j != 0 take a
+    cyclotomic scalar."""
+    k, window, level = JACOBI_CASES[1]
+    pair = verify._pair(
+        verify._ModeFamily(verify._slot_field(k, u, slot=2)),
+        verify._ModeFamily(verify._slot_field(k, v, slot=2)))
+    step = pair.left.scale
+    grid0 = verify._lattice_grid(window, "x0", 1, 1)
+    grid1 = verify._lattice_grid(window, "x1", k, step)
+    grid2 = verify._lattice_grid(window, "x2", k, step)
+    moved = cyclotomic = 0
+    for _, target, _ in verify._domain(level):
+        composites = {}
+        for alpha in grid0:
+            for e1 in grid1:
+                for e2 in grid2:
+                    r = -alpha - 1
+                    got = verify._jacobi_left(pair, r, e1, e2, target,
+                                              composites)
+                    assert got == combine_path_jacobi_left(
+                        pair, r, e1, e2, target), (alpha, e1, e2, target)
+                    table = {}
+                    verify._bracket_form(table, 1, pair, *verify._jacobi_bracket(
+                        step, r, e1, e2), target)
+                    if got.nums and {key[0] for key in table} != {0}:
+                        moved += 1
+                        cyclotomic += any(type(num) is not int
+                                          for _, num in got.nums)
+    assert moved > 0 and cyclotomic > 0
+
+
 def jacobi_classes(k, slot, u, v, window, level) -> list:
     """The set of eta classes of the keys of each grid point's Jacobi form,
     for the pair of u and v both in ``slot``, over the words of the
@@ -2447,7 +2561,7 @@ def jacobi_classes(k, slot, u, v, window, level) -> list:
     n_loc = verify._iterate_top(u, v) + 2
     return [{key[0] for key in table}
             for _, target, _ in verify._domain(level)
-            for *_, table, _ in verify._jacobi_forms(
+            for *_, table in verify._jacobi_forms(
                 pair, n_loc, grid0, grid1, grid2, target)]
 
 
@@ -2466,6 +2580,57 @@ def test_one_eta_class_per_grid_point(k, window, level):
         assert len(set().union(*moved)) > 1
 
 
+def combine_path_weak_associativity(k, u, v, window, *, max_order=6,
+                                    domain_level=QQ(2), use_recovered=True):
+    """`verify.check_weak_associativity` as it was: the product side of
+    every (x0, x2) point one `combine_path_product`, combined as a state."""
+    verify._require_pair(k, u, v)
+    tag = "recovered" if use_recovered else "native"
+    fam_u = verify._ModeFamily(verify._parity_field(k, u, use_recovered))
+    fam_v = verify._ModeFamily(verify._parity_field(k, v, use_recovered))
+    scalars = verify._pair(fam_u, fam_v).scalars
+    parity_u = u.homogeneous_parity()
+    grid0 = verify._lattice_grid(window, "x0", 1, 1)
+    grid2 = verify._lattice_grid(window, "x2", 2, 2)
+    domain = verify._domain(domain_level)
+    t_top = verify._iterate_top(u, v)
+    i_max = t_top + max(grid0, default=-1) + 1
+    x0_text = verify._axis_texts("x0", grid0, 1)
+    x2_text = verify._axis_texts("x2", grid2, 2, " @ ")
+    iterate_families = {}
+    for t in range(-max(grid0, default=-1) - 1, t_top + 1):
+        state = vertex_mode(u, t, v)
+        iterate_families[t] = (None if state.is_zero()
+                               else verify._ModeFamily(fam_v.field_of(state)))
+    label = f"weak-associativity[{tag},k={k},{verify._pair_label(u, v)}]"
+
+    def attempt(n: int) -> ComparisonResult:
+        result = ComparisonResult(label)
+        exponent = parity_u + 2 * n
+        binoms = [binomial(QQ(exponent, 2), i) for i in range(i_max + 1)]
+        for _, target, word_text in domain:
+            for alpha in grid0:
+                for beta in grid2:
+                    lhs = combine(combine_path_product(
+                        fam_u, fam_v, scalars, -alpha - 1,
+                        exponent - 2 - 2 * alpha, -beta - 2, target))
+                    rhs_terms = []
+                    for i in range(0, t_top + alpha + 2):
+                        family = iterate_families[i - alpha - 1]
+                        if family is None:
+                            continue
+                        image = family.mode(exponent - 2 * i - beta - 2, target)
+                        if image.nums:
+                            rhs_terms.append((image, binoms[i]))
+                    result.compare(x0_text[alpha] + x2_text[beta] + word_text,
+                                   lhs, combine(rhs_terms))
+        return result
+
+    return verify._smallest_passing(attempt, max_order, k,
+                                    verify._window_str(window),
+                                    "exponent shift", "n")
+
+
 # (cases, nonzero E_{n+1}) of the Pascal sweep
 PASCAL_CASES = {2: (6272, 4630), 4: (21632, 14870)}
 
@@ -2481,11 +2646,10 @@ def test_expanded_product_follows_pascals_rule(k):
     for u, v in PRODUCT_PAIRS:
         outer = verify._ModeFamily(verify._slot_field(k, u))
         inner = verify._ModeFamily(verify._slot_field(k, v))
-        scalars = verify._pair(outer, inner).scalars
+        pair = verify._pair(outer, inner)
 
         def product(n, a, b, state):
-            return combine(verify._expanded_product(outer, inner, scalars,
-                                                    n, a, b, state))
+            return form_product(pair, n, a, b, state)
 
         for word in PRODUCT_WORDS:
             state = State({word: ONE})

@@ -312,7 +312,8 @@ class TestJacobiKernels:
     x0^{-1} delta((x2-x1)/(-x0)) contributes -eps c B(p2-e2-1) A(p1-e1-1) w.
     A and B are the raw slot-field modes, with no annihilation bound, so the
     oracle shares neither the binomial loop nor the truncation of
-    `verify._expanded_product`.
+    `verify._product_terms`; the left side is read as the check reads it,
+    a linear form over the composites through `verify._form_value`.
     """
 
     K = 2
@@ -361,6 +362,7 @@ class TestJacobiKernels:
         nonzero = 0
         for word in ramond_basis(self.LEVEL):
             w = State({word: ONE})
+            composites = {}
             for alpha in grid0:
                 for e1 in grid:
                     for e2 in grid:
@@ -380,7 +382,7 @@ class TestJacobiKernels:
                         expected = combine(terms)
                         actual = _jacobi_left(
                             pair, int(-alpha - 1), int(2 * k * e1),
-                            int(2 * k * e2), w,
+                            int(2 * k * e2), w, composites,
                         )
                         assert actual == expected, (alpha, e1, e2, word)
                         nonzero += not expected.is_zero()
@@ -401,7 +403,7 @@ class TestJacobiKernels:
             (1/k) sum_i (-1)^i C(e1 + i, i) (u_{i-alpha-1} v)_{-e1-e2-i-2}
         for i up to the iterate top plus alpha plus one, the mode being that
         of the iterate state's `SlotField`.  So the oracle shares neither
-        `_field_product_mode` nor `verify._expanded_product`."""
+        `_field_product_form` nor `verify._product_terms`."""
         pair = _pair(_ModeFamily(_slot_field(k, u)),
                      _ModeFamily(_slot_field(k, v)))
         top = _iterate_top(u, v)
@@ -418,6 +420,7 @@ class TestJacobiKernels:
         compared = nonzero = 0
         for word in ramond_basis(level):
             w = State({word: ONE})
+            composites = {}
             for alpha in range(-radius, 0):
                 for E1 in grid:
                     for E2 in grid:
@@ -430,7 +433,8 @@ class TestJacobiKernels:
                             image = field.mode_at(-E1 - E2 - step * (i + 2), w)
                             terms.append((image, c))
                         expected = combine(terms)
-                        actual = _jacobi_left(pair, -alpha - 1, E1, E2, w)
+                        actual = _jacobi_left(pair, -alpha - 1, E1, E2, w,
+                                              composites)
                         assert actual == expected, (alpha, E1, E2, word)
                         compared += 1
                         nonzero += not expected.is_zero()
