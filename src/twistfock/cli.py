@@ -23,8 +23,7 @@ import sys
 
 from .scalars import QQ, ONE, CycScalar, complex_embedding, require_order, scalar_str
 from .formal import Window
-from .fermion import OMEGA, PSI, VACUUM, State, check_ns_word
-from .ramond import format_ramond_word
+from .fermion import NS, OMEGA, PSI, VACUUM, R, State
 from .deltak import (
     FORWARD,
     INVERSE,
@@ -176,7 +175,7 @@ def parse_state(text: str) -> State:
             indices.append(parse_rational(part))
         except ValueError as exc:
             raise ValueError(f"bad mode index {part!r} in state") from exc
-    return State({check_ns_word(indices): ONE})
+    return State({NS.check_word(indices): ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def cmd_twist_build(cfg: argparse.Namespace) -> int:
     for word in view.basis():
         rows.append(
             (
-                format_ramond_word(word),
+                R.format_word(word),
                 _value(view.sigma_weight(word), cfg.decimal),
                 _value(view.t_grade(word), cfg.decimal),
                 _value(view.expected_twisted_weight(word), cfg.decimal),

@@ -53,15 +53,14 @@ from .formal import (
     compare_series,
 )
 from .fermion import (
+    NS,
     State,
     ZERO_STATE,
     _add,
     _level2,
     _lowest,
     combine,
-    format_ns_word,
     iterate_mode_word,
-    ns_basis,
     vertex_mode,
     virasoro,
     word_level,
@@ -356,7 +355,7 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
                 if j > top - drop:
                     break
                 # the untwisted recursion's denominator is 1
-                _, pairs = iterate_mode_word(_OMEGA_WORD, 2 * j + 2, word, 0)
+                _, pairs = iterate_mode_word(_OMEGA_WORD, 2 * j + 2, word, NS.half)
                 _add(out, 1, [((drop + j, w), c) for w, c in pairs], A * num)
         return out
 
@@ -634,14 +633,14 @@ def check_conjugation(k: int, u: State, *, cutoff=QQ(5, 2),
     # one table of root powers, deep enough for every basis state
     roots = _RootPowers(k, _root_degree(p_u + QQ(cutoff), depth))
     result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
-    for word in ns_basis(cutoff):
+    for word in NS.basis(cutoff):
         v = State({word: ONE})
-        source = format_ns_word(word)
+        source = NS.format_word(word)
         compare_numerators(
             result,
             _conjugation_lhs(k, u, v, depth),
             _conjugation_rhs(k, fwd_u, v, depth, roots),
-            lambda key: (source, format_ns_word(key[0]), QQ(key[1], 2 * k),
+            lambda key: (source, NS.format_word(key[0]), QQ(key[1], 2 * k),
                          QQ(key[2])),
             prefactor,
         )
@@ -663,11 +662,11 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
     exact finite expansions; every (state, word, exponent) slot is compared.
     """
     result = ComparisonResult(f"translation-identities[k={k},wt<={cutoff}]")
-    basis = ns_basis(cutoff)
+    basis = NS.basis(cutoff)
     for word in basis:
         u = State({word: ONE})
         lu = virasoro(QQ(-1), u)
-        source = format_ns_word(word)
+        source = NS.format_word(word)
 
         # the right side is rhs_scale z^rhs_shift d/dz of (op applied to u)
         for direction, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
@@ -707,7 +706,7 @@ def check_L_minus1_identities(k: int, *, cutoff=QQ(2)) -> ComparisonResult:
                 result,
                 (l_den, dict.fromkeys(touched, 0) | lhs),
                 (r_den, rhs),
-                lambda key: (direction, source, format_ns_word(key[0]), key[1]),
+                lambda key: (direction, source, NS.format_word(key[0]), key[1]),
                 ex_u.prefactor,
             )
     return result

@@ -24,25 +24,26 @@ word as the tuple of those ints, so psi_{-3/2} psi_{-1/2}|0> is the word
 (-3, -1) and psi_{-1} psi_0|R> is (-2, 0).  Doubling is increasing, so
 doubled words sort as the modes do.  `State` terms, the bases and the
 recursion all use this one form; physical modes appear only at the text
-boundary, where `check_ns_word`/`check_ramond_word` encode a word of modes
-and `format_ns_word`/`format_ramond_word` print one.  Lattice indices and
-levels stay exact rationals in the public functions.
+boundary, where a `Sector` (`NS` on |0>, `R` on |R>) encodes a word of
+modes with ``check_word`` and prints one with ``format_word``.  Lattice
+indices and levels stay exact rationals in the public functions.
 
 A sum of modes of descendant fields, each at its own index, on a state of
 either sector is `mode_sum`: it sums the recursion's numerators over every
 field and every pair of words of the field's vector and of the target in
 one dict and builds one `State`.  A single mode, `field_mode`, is its
 one-piece call, and `vertex_mode` and `ramond.sigma_vertex_mode` are that
-on the two sectors; a twisted slot field's mode (`twist.SlotField.image`)
-is one `mode_sum` over its coordinate-change pieces.  Every other linear
-combination of states goes through `combine`, which sums scalar * state
-over all its pairs in one dict, over the lcm of their denominators, and
-reduces and sorts once, instead of after every `+`.
+on the two sectors; a twisted field's mode (`twist._ModeField.image`) is
+one `mode_sum` over its plan, in the sector the field names.  Every other
+linear combination of states goes through `combine`, which sums scalar *
+state over all its pairs in one dict, over the lcm of their denominators,
+and reduces and sorts once, instead of after every `+`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import itemgetter
@@ -65,33 +66,6 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 
 
-def _encode(word, sector_half: int) -> tuple:
-    """The doubled word of a word of physical modes of one sector
-    (`sector_half` as in `iterate_mode_word`): strictly ascending creation
-    modes, in Z + 1/2 untwisted and in Z twisted."""
-    lattice, top = ("Z", ZERO) if sector_half else ("Z + 1/2", -HALF)
-    modes = tuple(QQ(m) for m in word)
-    for m in modes:
-        if m.denominator != 2 - sector_half:
-            raise ValueError(f"mode {m} is not in {lattice}")
-        if m > top:
-            raise ValueError(f"mode {m} is not a creation mode")
-    if any(a >= b for a, b in zip(modes, modes[1:])):
-        text = ", ".join(str(m) for m in modes)
-        raise ValueError(f"word ({text}) is not strictly ascending")
-    return tuple(int(2 * m) for m in modes)
-
-
-def check_ns_word(word) -> tuple:
-    """The doubled word of strictly ascending untwisted modes <= -1/2."""
-    return _encode(word, 0)
-
-
-def check_ramond_word(word) -> tuple:
-    """The doubled word of strictly ascending twisted modes <= 0."""
-    return _encode(word, 1)
-
-
 def word_level(word) -> QQ:
     """Sum of -mode over the word: the grading above the sector's floor."""
     return QQ(-sum(word), 2)
@@ -106,12 +80,54 @@ def _mode_str(m2: int) -> str:
     return f"{m2}/2" if m2 & 1 else str(m2 // 2)
 
 
-def format_ns_word(word) -> str:
-    return "".join(f"psi({_mode_str(m2)})" for m2 in word) + "|0>"
+class Sector(namedtuple("Sector", "half ket")):
+    """One of the fermion's two modules: the untwisted (NS) module on |0>,
+    or the parity-twisted (Ramond) module on |R>.  ``half`` is twice the
+    sector shift, the int `iterate_mode_word` takes (0 or 1), and ``ket``
+    the text of the highest-weight vector.  A sector reads, prints and
+    enumerates its own words; `NS` and `R` are its two instances."""
+
+    __slots__ = ()
+
+    def check_word(self, modes) -> tuple:
+        """The doubled word of a word of physical modes: strictly ascending
+        creation modes, <= -1/2 in Z + 1/2 on |0> and <= 0 in Z on |R>."""
+        lattice = "Z" if self.half else "Z + 1/2"
+        modes = tuple(QQ(m) for m in modes)
+        for m in modes:
+            if m.denominator != 2 - self.half:
+                raise ValueError(f"mode {m} is not in {lattice}")
+            if 2 * m > self.half - 1:
+                raise ValueError(f"mode {m} is not a creation mode")
+        if any(a >= b for a, b in zip(modes, modes[1:])):
+            text = ", ".join(str(m) for m in modes)
+            raise ValueError(f"word ({text}) is not strictly ascending")
+        return tuple(int(2 * m) for m in modes)
+
+    def format_word(self, word) -> str:
+        return "".join(f"psi({_mode_str(m2)})" for m2 in word) + self.ket
+
+    def basis(self, max_level) -> list:
+        """All doubled words of level <= max_level, sorted by (level,
+        word); empty below level 0.  Every level is a multiple of 1/2, so
+        twice the level bound may be floored."""
+        words = []
+
+        def build(prefix, next2, budget2):
+            words.append(tuple(reversed(prefix)))
+            m2 = next2
+            while -m2 <= budget2:
+                build(prefix + [m2], m2 - 2, budget2 + m2)
+                m2 -= 2
+
+        budget2 = rational_floor(2 * QQ(max_level))
+        if budget2 >= 0:
+            build([], self.half - 1, budget2)  # the largest creation mode
+        return sorted(words, key=lambda w: (-sum(w), w))
 
 
-def format_ramond_word(word) -> str:
-    return "".join(f"psi({_mode_str(m2)})" for m2 in word) + "|R>"
+NS = Sector(0, "|0>")
+R = Sector(1, "|R>")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +143,7 @@ def _require_doubled(word: tuple) -> tuple:
     for m in word:
         if type(m) is not int:
             raise TypeError(f"word entry {m!r} is not a doubled-int mode; "
-                            "encode modes with check_ns_word/check_ramond_word")
+                            "encode modes with NS.check_word/R.check_word")
     return word
 
 
@@ -302,7 +318,7 @@ class State:
             raise ValueError("state is not parity-homogeneous")
         return parities.pop() if parities else None
 
-    def render(self, word_formatter=format_ns_word) -> str:
+    def render(self, sector=NS) -> str:
         if not self.nums:
             return "0"
         den = self.den
@@ -313,7 +329,7 @@ class State:
                 text = str(num // g) if g == den else f"{num // g}/{den // g}"
             else:
                 text = scalar_str(scalar_ratio(num, den))
-            parts.append(f"({text})*{word_formatter(word)}")
+            parts.append(f"({text})*{sector.format_word(word)}")
         return " + ".join(parts)
 
 
@@ -335,7 +351,6 @@ PSI = State({(-1,): QQ(1)})  # psi_{-1/2} |0>
 #: conformal vector: (1/2) psi_{-3/2} psi_{-1/2} |0>, central charge 1/2
 OMEGA = State({(-3, -1): HALF})
 CENTRAL_CHARGE = HALF
-RAMOND_GROUND = State({(): QQ(1)})  # interpreted over |R> words
 
 
 # ---------------------------------------------------------------------------
@@ -563,43 +578,9 @@ def vertex_mode(v: State, t, target: State) -> State:
     The index is the lattice one: Y(v,x) = sum_t v_t x^{-t-1}, so the
     generator's mode t corresponds to the physical mode t + 1/2.
     """
-    return field_mode(v, t, target, 0)
+    return field_mode(v, t, target, NS.half)
 
 
 def virasoro(n, s: State) -> State:
     """L(n): lattice mode n+1 of the conformal vector's field."""
     return vertex_mode(OMEGA, QQ(n) + 1, s)
-
-
-# ---------------------------------------------------------------------------
-# bases
-# ---------------------------------------------------------------------------
-
-
-def _basis(max_level, first2: int) -> list:
-    """All doubled words of strictly descending modes <= first2 with level
-    <= max_level, sorted by (level, word); empty below level 0.  Every level
-    is a multiple of 1/2, so twice the level bound may be floored."""
-    words = []
-
-    def build(prefix, next2, budget2):
-        words.append(tuple(reversed(prefix)))
-        m2 = next2
-        while -m2 <= budget2:
-            build(prefix + [m2], m2 - 2, budget2 + m2)
-            m2 -= 2
-
-    budget2 = rational_floor(2 * QQ(max_level))
-    if budget2 >= 0:
-        build([], first2, budget2)
-    return sorted(words, key=lambda w: (-sum(w), w))
-
-
-def ns_basis(max_level) -> list:
-    """All untwisted words of level <= max_level, sorted by (level, word)."""
-    return _basis(max_level, -1)
-
-
-def ramond_basis(max_level) -> list:
-    """All parity-twisted words of level <= max_level (mode 0 allowed once)."""
-    return _basis(max_level, 0)

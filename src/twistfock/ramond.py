@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fermion import (
-    OMEGA,
-    RAMOND_GROUND,
-    State,
-    check_ramond_word,
-    field_mode,
-    format_ramond_word,
-    ramond_basis,
-)
+from .fermion import OMEGA, VACUUM, R, State, field_mode
 from .formal import QSeries
 from .scalars import QQ, rational_floor
 
@@ -31,10 +23,9 @@ __all__ = [
     "sigma_virasoro",
     "ground_weight",
     "sigma_L0_spectrum",
-    # re-exported conveniences for twisted-sector words
-    "check_ramond_word",
-    "format_ramond_word",
-    "ramond_basis",
+    # re-exported: the twisted sector, whose words R.basis enumerates,
+    # R.check_word encodes and R.format_word prints
+    "R",
 ]
 
 
@@ -45,7 +36,7 @@ def sigma_vertex_mode(v: State, t, target: State) -> State:
     nonzero modes sit on t in 1/2 + Z (the generator's mode t is the
     physical mode t + 1/2), for even parity on t in Z.
     """
-    return field_mode(v, t, target, 1)
+    return field_mode(v, t, target, R.half)
 
 
 def sigma_virasoro(n, s: State) -> State:
@@ -60,9 +51,10 @@ def ground_weight() -> QQ:
     The value (1/16) is produced by the mode recursion applied to the
     conformal vector — it is derived output, not an input constant.
     """
-    image = sigma_virasoro(0, RAMOND_GROUND)
+    # the ground vector is the empty word, the vacuum's word read on |R>
+    image = sigma_virasoro(0, VACUUM)
     value = image.coefficient(())
-    if image != RAMOND_GROUND.scaled(value):
+    if image != VACUUM.scaled(value):
         raise AssertionError("twisted L(0) is not scalar on the ground vector")
     return value
 
@@ -79,7 +71,7 @@ def sigma_L0_spectrum(cutoff) -> QSeries:
     if top < 0:
         return QSeries(base, ())
     counts = [0] * (top + 1)
-    for w in ramond_basis(QQ(top)):
+    for w in R.basis(QQ(top)):
         s = State({w: QQ(1)})
         image = sigma_virasoro(0, s)
         value = image.coefficient(w)

@@ -32,17 +32,14 @@ from .formal import QSeries, assert_on_lattice
 from .fermion import (
     CENTRAL_CHARGE,
     OMEGA,
+    R,
     State,
     ZERO_STATE,
     _level2,
     mode_sum,
     word_level,
 )
-from .ramond import (
-    format_ramond_word,
-    ground_weight,
-    ramond_basis,
-)
+from .ramond import ground_weight
 from .deltak import INVERSE, apply_delta
 
 
@@ -84,7 +81,10 @@ class _ModeField:
     slot power mod k), ``scale``, ``weight``, ``parity``, ``_offsets``,
     ``classes`` (one period of the class in M) and ``scalars``, and
     ``field_of(u)`` gives the field of another state of the same kind.
+    ``sector`` is the module the modes act on: the parity-twisted one.
     """
+
+    sector = R
 
     @cached_property
     def _base(self) -> int:
@@ -109,7 +109,7 @@ class _ModeField:
         """Mode M without its scalar: the sum of the sigma-modes of the
         plan, its recursion numerators summed in one dict with no `State`
         per pair; a state over Q for a state over Q."""
-        return mode_sum(self.plan(M), state, 1)
+        return mode_sum(self.plan(M), state, self.sector.half)
 
     def mode_at(self, M: int, state: State) -> State:
         """Mode M: its scalar times its image, zero off the class lattice."""
@@ -286,7 +286,7 @@ class TwistedModuleView(namedtuple("TwistedModuleView", "k cutoff")):
         return super().__new__(cls, k, cutoff)
 
     def basis(self):
-        return ramond_basis(QQ(self.cutoff))
+        return R.basis(QQ(self.cutoff))
 
     def t_grade(self, word) -> QQ:
         return QQ(word_level(word), self.k)
@@ -320,7 +320,7 @@ class TwistedModuleView(namedtuple("TwistedModuleView", "k cutoff")):
         if image != state.scaled(expected):
             raise AssertionError(
                 f"twisted weight operator is not the expected scalar on "
-                f"{format_ramond_word(word)}"
+                f"{R.format_word(word)}"
             )
         return expected
 

@@ -33,10 +33,11 @@ cancel are read, each once per domain word.  The three-variable identity
 compares each grid point as one form, left minus right, and reads a left
 side only for a witness.  `_ModeFamily` caches the images for one check.
 
-Every operator check acts on `_domain`: the Ramond-sector words, the
-parity-twisted module of the even-order fields, with their states and
-texts.  `_require_pair`, `_pair_label`, `_window_str` and
-`_axis_texts` write a check's preamble, name, window and locations.
+Every operator check acts on `_domain`: the words of the sector that its
+field names (``field.sector``, the parity-twisted module `R` for every
+field of `twist`), with their states and texts.  `_require_pair`,
+`_pair_label`, `_window_str` and `_axis_texts` write a check's preamble,
+name, window and locations.
 """
 
 from __future__ import annotations
@@ -69,25 +70,20 @@ from .formal import (
 )
 from .fermion import (
     CENTRAL_CHARGE,
+    NS,
     OMEGA,
     PSI,
     VACUUM,
+    R,
     State,
     ZERO_STATE,
     _add,
     combine,
-    format_ns_word,
-    ns_basis,
     vertex_mode,
     virasoro,
     word_level,
 )
-from .ramond import (
-    format_ramond_word,
-    ramond_basis,
-    sigma_L0_spectrum,
-    sigma_vertex_mode,
-)
+from .ramond import sigma_L0_spectrum, sigma_vertex_mode
 from .deltak import (
     check_L_minus1_identities,
     check_conjugation,
@@ -214,7 +210,7 @@ def _wrap_comparison(result: ComparisonResult, k: int, window: str, *,
 
     def rendered(value) -> str:
         if isinstance(value, State):
-            return value.render(format_ramond_word)
+            return value.render(R)
         return scalar_str(value)
 
     mismatches = tuple(
@@ -472,12 +468,13 @@ def _field_column(field):
     return column
 
 
-def _domain(domain_level) -> list:
-    """The domain of every operator check: the words of the Ramond sector,
-    the parity-twisted module that the slot fields of even order act on, up
-    to ``domain_level``, in basis order, each as (word, state, text)."""
-    return [(word, State._of(1, ((word, 1),)), format_ramond_word(word))
-            for word in ramond_basis(QQ(domain_level))]
+def _domain(field, domain_level) -> list:
+    """The domain of every operator check: the words of the sector that
+    ``field`` acts on, up to ``domain_level``, in basis order, each as
+    (word, state, text)."""
+    sector = field.sector
+    return [(word, State._of(1, ((word, 1),)), sector.format_word(word))
+            for word in sector.basis(QQ(domain_level))]
 
 
 def _window_str(window: Window) -> str:
@@ -625,7 +622,7 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
         for e1 in grid1 if any(on_lattice[e1])
     }
 
-    for _, target, word_text in _domain(domain_level):
+    for _, target, word_text in _domain(left, domain_level):
         # e1 + e2 -> per iterate, its mode -e1-e2-t-2 on the word and the
         # mode's eta class
         images = {}
@@ -885,7 +882,7 @@ def check_twisted_jacobi(
     result = ComparisonResult(f"twisted-jacobi[k={k},{_pair_label(u, v)}]")
     # a form reads its state only through the tops, so the words of one
     # level share their forms
-    for _, words in groupby(_domain(domain_level),
+    for _, words in groupby(_domain(pair.left, domain_level),
                             key=lambda entry: word_level(entry[0])):
         words = list(words)
         forms = _jacobi_forms(pair, n_loc, grid0, grid1, grid2, words[0][1])
@@ -944,7 +941,7 @@ def check_locality(
     step = pair.left.scale
     grid1 = _lattice_grid(window, "x1", k, step)
     grid2 = _lattice_grid(window, "x2", k, step)
-    domain = _domain(domain_level)
+    domain = _domain(pair.left, domain_level)
     x1_text = _axis_texts("x1", grid1, step)
     x2_text = _axis_texts("x2", grid2, step, " @ ")
     label = f"locality[k={k},slots={slot_u},{slot_v},{_pair_label(u, v)}]"
@@ -1004,11 +1001,11 @@ def check_limit_axiom(
     etas = eta_powers(k)
     step = 2 * k
     grid = _lattice_grid(window, "x", step, step)
-    domain = _domain(domain_level)
     # the image of each (e, word) is the same in every slot, and computed
     # once; slot power a's column scales it by the slot's scalar, zero
     # where the slot's eta class is None, and enters two comparisons
     slots = [SlotField(k, u, a) for a in range(k)]
+    domain = _domain(slots[0], domain_level)
     images = {(e, word): slots[0].mode(-e - step, target)
               for e in grid for word, target, _ in domain}
     columns = []
@@ -1045,7 +1042,8 @@ def check_translation_derivative(
     require_order(k)
     _require_usable(u, "field argument")
     step = 2 * k
-    column = _field_column(SlotField(k, u))
+    field = SlotField(k, u)
+    column = _field_column(field)
     translated = virasoro(QQ(-1), u)
     if translated.is_zero():
         lhs = lambda e, word: (1, ())  # noqa: E731
@@ -1065,8 +1063,8 @@ def check_translation_derivative(
     label = f"translation-derivative[k={k},{_state_label(u)}]"
     result = compare_fields(
         label, lhs, rhs, _lattice_grid(cmp_window, "x", step, step),
-        [word for word, _, _ in _domain(domain_level)], format_ramond_word,
-        step,
+        [word for word, _, _ in _domain(field, domain_level)],
+        field.sector.format_word, step,
     )
     return _wrap_comparison(result, k, _window_str(cmp_window))
 
@@ -1080,7 +1078,7 @@ def check_grading(
     _require_usable(u, "field argument")
     field = SlotField(k, u)
     step = field.scale
-    domain = _domain(domain_level)
+    domain = _domain(field, domain_level)
     result = ComparisonResult(f"twisted-grading[k={k},{_state_label(u)}]")
     for e in _lattice_grid(window, "x", k, step):
         m = -e - step
@@ -1137,7 +1135,7 @@ def check_weak_associativity(
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid2 = _lattice_grid(window, "x2", 2, 2)
-    domain = _domain(domain_level)
+    domain = _domain(pair.left, domain_level)
     t_top = _iterate_top(u, v)
     i_max = t_top + max(grid0, default=-1) + 1
     x0_text = _axis_texts("x0", grid0, 1)
@@ -1207,13 +1205,14 @@ def check_u_round_trip(
         return image.den, image.nums
 
     # both fields on the doubled index 2m
+    field = RecoveredField(k, u)
     result = compare_fields(
         label,
-        _field_column(RecoveredField(k, u)),
+        _field_column(field),
         native,
         _lattice_grid(window, "x", 2, 2),
-        [word for word, _, _ in _domain(domain_level)],
-        format_ramond_word,
+        [word for word, _, _ in _domain(field, domain_level)],
+        field.sector.format_word,
         2,
     )
     return _wrap_comparison(result, k, _window_str(window))
@@ -1229,7 +1228,7 @@ def check_t_round_trip(
     field = SlotField(k, u)
     step = field.scale
     recovered = {piece: RecoveredField(k, piece) for _, piece in field.pieces}
-    domain = _domain(domain_level)
+    domain = _domain(field, domain_level)
     result = ComparisonResult(f"rebuild-round-trip[k={k},{_state_label(u)}]")
     for e in _lattice_grid(window, "x", k, step):
         m = -e - step
@@ -1264,7 +1263,7 @@ def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
     for word in view.basis():
         state = State({word: ONE})
         result.compare(
-            f"weight operator @ {format_ramond_word(word)}",
+            f"weight operator @ {R.format_word(word)}",
             operator(state),
             state.scaled(view.expected_twisted_weight(word)),
         )
@@ -1413,9 +1412,9 @@ def run_suite(config: SuiteConfig | None = None) -> list:
     round_trip = ComparisonResult(
         f"coordinate-change-round-trip[k={k},wt<={weight}]"
     )
-    for word in ns_basis(weight):
+    for word in NS.basis(weight):
         defect = round_trip_defect(k, State({word: ONE}))
-        location = f"round trip @ {format_ns_word(word)}"
+        location = f"round trip @ {NS.format_word(word)}"
         round_trip.compare(location, defect.render(), "0")
     add(_wrap_comparison(round_trip, k, f"untwisted weight <= {weight}"))
 

@@ -13,8 +13,8 @@ import time
 
 from twistfock.scalars import QQ, ONE
 from twistfock.formal import DeltaIdentity, Window, verify_delta_identity
-from twistfock.fermion import OMEGA, PSI, VACUUM, State, ns_basis, word_level
-from twistfock.ramond import ground_weight, ramond_basis
+from twistfock.fermion import NS, OMEGA, PSI, VACUUM, State, word_level
+from twistfock.ramond import R, ground_weight
 from twistfock.deltak import (
     _exp_derivation_on_x,
     check_conjugation,
@@ -103,7 +103,7 @@ def test_criterion_03_coordinate_change_round_trip():
     problems = []
     count = 0
     for k in (2, 4):
-        for word in ns_basis(QQ(4)):
+        for word in NS.basis(QQ(4)):
             defect = round_trip_defect(k, State({word: ONE}))
             count += 1
             if not defect.is_zero():
@@ -145,7 +145,7 @@ def test_criterion_05_translation_generator_identities():
 
 def test_criterion_06_central_coefficient():
     problems = []
-    words = ramond_basis(QQ(2))
+    words = R.basis(QQ(2))
     for k in (2, 4, 6):
         expected = QQ(k * k - 1, 48 * k * k)
         # the x^-2 coefficient of the first-slot conformal field is mode 1

@@ -11,7 +11,7 @@ graded-dimension routines it is compared against.
 
 import pytest
 
-from twistfock.fermion import State, ns_basis, virasoro
+from twistfock.fermion import NS, State, virasoro
 from twistfock.ramond import sigma_L0_spectrum
 from twistfock.scalars import QQ
 from twistfock.twist import TwistedModuleView
@@ -60,7 +60,7 @@ def test_twisted_module_graded_dimension_matches_product(k):
 def test_untwisted_L0_eigenvalue_counts_match_product():
     top_half = 10  # weights up to 5
     counts = [0] * (top_half + 1)
-    for word in ns_basis(QQ(top_half, 2)):
+    for word in NS.basis(QQ(top_half, 2)):
         state = State({word: QQ(1)})
         image = virasoro(0, state)
         eigenvalue = image.coefficient(word)

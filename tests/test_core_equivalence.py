@@ -131,8 +131,10 @@ from twistfock.deltak import (
     solve_aj,
 )
 from twistfock.fermion import (
+    NS,
     OMEGA,
     PSI,
+    R,
     VACUUM,
     ZERO_STATE,
     State,
@@ -140,15 +142,11 @@ from twistfock.fermion import (
     _level2,
     combine,
     field_mode,
-    format_ns_word,
     iterate_mode_word,
-    ns_basis,
-    ramond_basis,
     vertex_mode,
     virasoro,
     word_level,
 )
-from twistfock.ramond import format_ramond_word
 from twistfock.ramond import sigma_vertex_mode
 from twistfock.scalars import (
     HALF,
@@ -272,9 +270,9 @@ def unbounded_exp_virasoro(u, table, sign):
 def homogeneous_states():
     """Every basis word of weight <= 4, plus a two-term combination of the
     words of each weight <= 5 that has more than one."""
-    out = [State({word: ONE}) for word in ns_basis(4)]
+    out = [State({word: ONE}) for word in NS.basis(4)]
     by_level = {}
-    for word in ns_basis(5):
+    for word in NS.basis(5):
         by_level.setdefault(word_level(word), []).append(word)
     for group in by_level.values():
         if len(group) > 1:
@@ -295,7 +293,7 @@ def test_level_bound_matches_unbounded_loop(k):
 
 
 def test_virasoro_vanishes_above_the_level():
-    for word in ns_basis(5):
+    for word in NS.basis(5):
         level = word_level(word)
         for j in range(int(level) + 1, 8):
             assert virasoro(QQ(j), State({word: ONE})).is_zero(), (word, j)
@@ -393,8 +391,8 @@ def states(words):
     ).map(State)
 
 
-FIELD_WORDS = ns_basis(2)
-TARGET_WORDS = {0: ns_basis(2), 1: ramond_basis(2)}
+FIELD_WORDS = NS.basis(2)
+TARGET_WORDS = {0: NS.basis(2), 1: R.basis(2)}
 INDICES = [QQ(j, 2) for j in range(-8, 7)]
 
 
@@ -417,7 +415,7 @@ def test_field_mode_matches_composition(args):
     assert_same_state(public(v, t, target), expected)
 
 
-ALL_WORDS = ns_basis(2)
+ALL_WORDS = NS.basis(2)
 
 
 @given(
@@ -614,18 +612,18 @@ def test_integer_states_render_as_the_fraction_oracle(args):
     render the text of the Fraction-coefficient oracle, in both sectors,
     and a combination that cancels exactly is the zero state."""
     sector_half, v, target, t, other, scalar_list = args
-    fmt = format_ramond_word if sector_half else format_ns_word
+    sector = R if sector_half else NS
     new = {name: State(table) for name, table in
            (("v", v), ("target", target), ("other", other))}
     old = {name: FractionState(table) for name, table in
            (("v", v), ("target", target), ("other", other))}
     for name in new:
-        assert new[name].render(fmt) == old[name].render(fmt)
+        assert new[name].render(sector) == old[name].render(sector.format_word)
         assert_invariant(new[name])
 
     got = field_mode(new["v"], t, new["target"], sector_half)
     expected = fraction_field_mode(old["v"], t, old["target"], sector_half)
-    assert got.render(fmt) == expected.render(fmt)
+    assert got.render(sector) == expected.render(sector.format_word)
     assert_invariant(got)
 
     # a combination whose last pair cancels its first exactly
@@ -633,7 +631,7 @@ def test_integer_states_render_as_the_fraction_oracle(args):
     pairs = [("target", first), ("other", second), ("target", -first)]
     got = combine([(new[name], c) for name, c in pairs])
     expected = fraction_combine([(old[name], c) for name, c in pairs])
-    assert got.render(fmt) == expected.render(fmt)
+    assert got.render(sector) == expected.render(sector.format_word)
     assert got == new["other"].scaled(second)
     assert_invariant(got)
     cancelled = combine([(new["other"], second), (new["other"], -second)])
@@ -642,7 +640,8 @@ def test_integer_states_render_as_the_fraction_oracle(args):
 
     for scalar in scalar_list:
         got = new["other"].scaled(scalar)
-        assert got.render(fmt) == old["other"].scaled(scalar).render(fmt)
+        assert got.render(sector) == old["other"].scaled(scalar).render(
+            sector.format_word)
         assert_invariant(got)
 
 
@@ -914,7 +913,7 @@ def quasi_primary_combination() -> State:
 
 
 def delta_inputs():
-    out = [State({word: ONE}) for word in ns_basis(4)]
+    out = [State({word: ONE}) for word in NS.basis(4)]
     out.append(State({(-5, -1): QQ(-3, 4)}))
     out.append(State({(-7, -1): QQ(2), (-5, -3): QQ(1, 3)}))
     out.append(State({(-3, -1): cyc_sqrt_k(2) / 2}))
@@ -1068,7 +1067,7 @@ def old_bounded_image(field, M: int, state: State) -> State:
 
 
 MODE_STATES = {"psi": PSI, "omega": OMEGA, "L(-1)psi": virasoro(QQ(-1), PSI)}
-MODE_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(2))]
+MODE_TARGETS = [State({word: ONE}) for word in R.basis(QQ(2))]
 
 
 def mode_grid(den: int) -> list:
@@ -1208,7 +1207,7 @@ FLAT_STATES = {
     "psi_{-3/2}": State({(-3,): ONE}),
     "psi_{-5/2}psi_{-1/2}": State({(-5, -1): ONE}),
 }
-FLAT_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(2))[:10]]
+FLAT_TARGETS = [State({word: ONE}) for word in R.basis(QQ(2))[:10]]
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -1251,7 +1250,7 @@ def test_odd_order_commutator_grid_runs_on_rationals():
     grid = verify._lattice_grid(Window({"x": (QQ(-3, 2), QQ(3, 2))}), "x",
                                 2 * k, 2 * k)
     coefficients = 0
-    for word in ramond_basis(QQ(2)):
+    for word in R.basis(QQ(2)):
         for e1, e2, value in verify._supercommutator_grid(
             pair, State({word: ONE}), grid, grid
         ):
@@ -1378,7 +1377,7 @@ def lattice_index(m, den: int):
 
 
 CODEC_STATES = [PSI, OMEGA, virasoro(QQ(-1), PSI)]
-CODEC_WORDS = ramond_basis(QQ(3, 2))
+CODEC_WORDS = R.basis(QQ(3, 2))
 
 
 def rational_index(k: int):
@@ -1458,7 +1457,7 @@ def test_field_image_bound_matches_the_rational_bound(k, data):
 
 
 @given(st.integers(1, 6), st.sampled_from([PSI, OMEGA]),
-       st.sampled_from(ns_basis(QQ(3, 2))), st.integers(1, 4))
+       st.sampled_from(NS.basis(QQ(3, 2))), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_int_conjugation_keys_decode_to_the_rational_keys(k, u, word, depth):
     v = State({word: ONE})
@@ -1594,15 +1593,15 @@ def scalar_check_conjugation(k, u, *, cutoff=QQ(5, 2), depth=4):
     p_u = u.homogeneous_level()
     roots = _RootPowers(k, deltak._root_degree(p_u + QQ(cutoff), depth))
     result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
-    for word in ns_basis(cutoff):
+    for word in NS.basis(cutoff):
         v = State({word: ONE})
         lhs = scalar_conjugation_lhs(k, u, v, depth)
         rhs = scalar_conjugation_rhs(k, u, v, depth, roots)
-        source = format_ns_word(word)
+        source = NS.format_word(word)
         for key in sorted(lhs.keys() | rhs.keys()):
             out_word, z, e_z0 = key
             result.compare(
-                (source, format_ns_word(out_word), QQ(z, 2 * k), QQ(e_z0)),
+                (source, NS.format_word(out_word), QQ(z, 2 * k), QQ(e_z0)),
                 lhs.get(key, ZERO),
                 rhs.get(key, ZERO),
             )
@@ -1613,7 +1612,7 @@ def scalar_L_minus1_identities(k, *, cutoff=QQ(2)):
     """`deltak.check_L_minus1_identities` with the prefactors in every
     value, compared value by value."""
     result = ComparisonResult(f"translation-identities[k={k},wt<={cutoff}]")
-    for word in ns_basis(cutoff):
+    for word in NS.basis(cutoff):
         u = State({word: ONE})
         lu = virasoro(QQ(-1), u)
         for direction, shift_scalar, shift_exp, rhs_scale, rhs_shift in (
@@ -1644,11 +1643,11 @@ def scalar_L_minus1_identities(k, *, cutoff=QQ(2)):
                         rhs[key] = rhs.get(key, ZERO) + scale * num
             keys = sorted(set(lhs) | set(rhs))
             if not keys:
-                result.compare((direction, format_ns_word(word)), lhs, rhs)
+                result.compare((direction, NS.format_word(word)), lhs, rhs)
             for key in keys:
                 w, e = key
                 result.compare(
-                    (direction, format_ns_word(word), format_ns_word(w), e),
+                    (direction, NS.format_word(word), NS.format_word(w), e),
                     lhs.get(key, ZERO),
                     rhs.get(key, ZERO),
                 )
@@ -1688,7 +1687,7 @@ SLOT_STATES = [
     quasi_primary_combination(),
     CYCLOTOMIC_OMEGA,
 ]
-SLOT_TARGETS = [State({word: ONE}) for word in ramond_basis(QQ(3, 2))] + [
+SLOT_TARGETS = [State({word: ONE}) for word in R.basis(QQ(3, 2))] + [
     State({(-2, 0): QQ(-2, 3), (-3, -1): ONE, (-4,): QQ(5, 7)}),
 ]
 
@@ -1703,7 +1702,7 @@ def test_slot_image_matches_the_combined_sigma_modes(k):
             for target in SLOT_TARGETS:
                 got = field.image(M, target)
                 assert got == combine_slot_image(field, M, target), (
-                    u.render(), M, target.render(format_ramond_word))
+                    u.render(), M, target.render(R))
                 assert_invariant(got)
                 nonzero += not got.is_zero()
     assert distinct_dens > 0 and nonzero > 0
@@ -1713,7 +1712,7 @@ def test_slot_image_matches_the_combined_sigma_modes(k):
 def test_conjugation_sides_match_the_scalar_sides(k):
     depth = 3
     for u in (PSI, OMEGA, CYCLOTOMIC_OMEGA):
-        for word in ns_basis(QQ(3, 2)):
+        for word in NS.basis(QQ(3, 2)):
             v = State({word: ONE})
             degree = deltak._root_degree(
                 u.homogeneous_level() + v.homogeneous_level(), depth)
@@ -1958,14 +1957,14 @@ def apply_delta_check_conjugation(k, u, *, cutoff=QQ(5, 2), depth=4):
     prefactor = k_to_the(k, -p_u)
     roots = _RootPowers(k, deltak._root_degree(p_u + QQ(cutoff), depth))
     result = ComparisonResult(f"conjugation[k={k},wt<= {cutoff},depth={depth}]")
-    for word in ns_basis(cutoff):
+    for word in NS.basis(cutoff):
         v = State({word: ONE})
-        source = format_ns_word(word)
+        source = NS.format_word(word)
         compare_numerators(
             result,
             apply_delta_conjugation_lhs(k, u, v, depth),
             per_word_conjugation_rhs(k, u, v, depth, roots),
-            lambda key: (source, format_ns_word(key[0]), QQ(key[1], 2 * k),
+            lambda key: (source, NS.format_word(key[0]), QQ(key[1], 2 * k),
                          QQ(key[2])),
             prefactor,
         )
@@ -1977,7 +1976,7 @@ CONJUGATED_STATES = [PSI, OMEGA, State({(-3,): ONE}), State({(-5, -1): ONE})]
 
 
 @given(st.integers(1, 6), st.integers(1, 4),
-       st.sampled_from(CONJUGATED_STATES), st.sampled_from(ns_basis(QQ(5, 2))))
+       st.sampled_from(CONJUGATED_STATES), st.sampled_from(NS.basis(QQ(5, 2))))
 @settings(max_examples=150, deadline=None)
 def test_int_sides_match_the_apply_delta_sides(k, depth, u, word):
     v = State({word: ONE})
@@ -2258,13 +2257,13 @@ def form_product(pair, n, a, b, state) -> State:
 
 
 PRODUCT_PAIRS = [(PSI, PSI), (PSI, OMEGA), (OMEGA, PSI), (OMEGA, OMEGA)]
-PRODUCT_WORDS = ramond_basis(QQ(1))
+PRODUCT_WORDS = R.basis(QQ(1))
 
 
 def product_sweep(k: int) -> int:
     """Compare `form_product` with the old expanded product over n in
     -3..3, the int indices a, b in -2·step..step on the 1/k-lattice and
-    every word of `ramond_basis(1)`, for the four pairs of psi and omega;
+    every word of `R.basis(1)`, for the four pairs of psi and omega;
     the number of nonzero products."""
     step = 2 * k
     grid = range(-2 * step, step + 1, 2)
@@ -2404,7 +2403,7 @@ def combine_path_twisted_jacobi(k, u, v, window, *, domain_level=QQ(2)):
               for e1 in grid1}
     result = ComparisonResult(
         f"twisted-jacobi[k={k},{verify._pair_label(u, v)}]")
-    for _, target, word_text in verify._domain(domain_level):
+    for _, target, word_text in verify._domain(pair.left, domain_level):
         rhs_modes = {}
         for alpha in grid0:
             r = -alpha - 1
@@ -2527,7 +2526,7 @@ def test_slot_two_left_side_matches_the_combine_path(u, v):
     grid1 = verify._lattice_grid(window, "x1", k, step)
     grid2 = verify._lattice_grid(window, "x2", k, step)
     moved = cyclotomic = 0
-    for _, target, _ in verify._domain(level):
+    for _, target, _ in verify._domain(pair.left, level):
         composites = {}
         for alpha in grid0:
             for e1 in grid1:
@@ -2560,7 +2559,7 @@ def jacobi_classes(k, slot, u, v, window, level) -> list:
     grid2 = verify._lattice_grid(window, "x2", k, step)
     n_loc = verify._iterate_top(u, v) + 2
     return [{key[0] for key in table}
-            for _, target, _ in verify._domain(level)
+            for _, target, _ in verify._domain(pair.left, level)
             for *_, table in verify._jacobi_forms(
                 pair, n_loc, grid0, grid1, grid2, target)]
 
@@ -2592,7 +2591,7 @@ def combine_path_weak_associativity(k, u, v, window, *, max_order=6,
     parity_u = u.homogeneous_parity()
     grid0 = verify._lattice_grid(window, "x0", 1, 1)
     grid2 = verify._lattice_grid(window, "x2", 2, 2)
-    domain = verify._domain(domain_level)
+    domain = verify._domain(fam_u, domain_level)
     t_top = verify._iterate_top(u, v)
     i_max = t_top + max(grid0, default=-1) + 1
     x0_text = verify._axis_texts("x0", grid0, 1)

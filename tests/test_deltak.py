@@ -11,8 +11,8 @@ from twistfock.fermion import (
     PSI,
     VACUUM,
     CENTRAL_CHARGE,
+    NS,
     State,
-    ns_basis,
     word_level,
     word_parity,
 )
@@ -139,7 +139,7 @@ class TestCoverMap:
 
 class TestApplyDelta:
     def test_k1_is_identity_on_basis(self):
-        for word in ns_basis(QQ(2)):
+        for word in NS.basis(QQ(2)):
             u = State({word: ONE})
             expansion = apply_delta(1, u)
             assert expansion.prefactor == ONE
@@ -172,7 +172,7 @@ class TestApplyDelta:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_leading_exponent_is_weight_law(self, k):
-        for word in ns_basis(QQ(2)):
+        for word in NS.basis(QQ(2)):
             u = State({word: ONE})
             p = word_level(word)
             expansion = apply_delta(k, u)
@@ -181,7 +181,7 @@ class TestApplyDelta:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_odd_states_live_on_shifted_lattice(self, k):
-        for word in ns_basis(QQ(5, 2)):
+        for word in NS.basis(QQ(5, 2)):
             if word_parity(word) == 0:
                 continue
             expansion = apply_delta(k, State({word: ONE}))
@@ -190,7 +190,7 @@ class TestApplyDelta:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_parity_and_weight_of_pieces(self, k):
-        for word in ns_basis(QQ(2)):
+        for word in NS.basis(QQ(2)):
             u = State({word: ONE})
             p = word_level(word)
             expansion = apply_delta(k, u)
@@ -202,7 +202,7 @@ class TestApplyDelta:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_round_trip_on_basis(self, k):
-        for word in ns_basis(QQ(3)):
+        for word in NS.basis(QQ(3)):
             defect = round_trip_defect(k, State({word: ONE}))
             assert defect.is_zero()
 
@@ -254,7 +254,7 @@ class TestApplyDelta:
         scale=st.integers(min_value=-5, max_value=5).filter(lambda c: c != 0),
     )
     def test_round_trip_property(self, k, index, scale):
-        words = ns_basis(QQ(5, 2))
+        words = NS.basis(QQ(5, 2))
         word = words[index % len(words)]
         state = State({word: QQ(scale)})
         assert round_trip_defect(k, state).is_zero()

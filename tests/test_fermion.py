@@ -5,17 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfock.fermion import (
+    NS,
     OMEGA,
     PSI,
     VACUUM,
+    R,
     State,
-    check_ns_word,
-    check_ramond_word,
     combine,
-    format_ns_word,
-    format_ramond_word,
-    ns_basis,
-    ramond_basis,
     vertex_mode,
     virasoro,
     word_level,
@@ -34,7 +30,7 @@ def word(*modes):
 
 
 def st_words(max_level=QQ(7, 2)):
-    return st.sampled_from(ns_basis(max_level))
+    return st.sampled_from(NS.basis(max_level))
 
 
 # ---------------------------------------------------------------------------
@@ -71,26 +67,27 @@ class TestModeAlgebra:
         assert anti == expected
 
     def test_words_are_doubled(self):
-        assert check_ns_word((QQ(-3, 2), -H)) == (-3, -1)
-        assert check_ramond_word((QQ(-1), QQ(0))) == (-2, 0)
-        assert format_ns_word((-3, -1)) == "psi(-3/2)psi(-1/2)|0>"
-        assert format_ramond_word((-2, 0)) == "psi(-1)psi(0)|R>"
-        assert PSI == State({check_ns_word((-H,)): QQ(1)})
+        assert NS.check_word((QQ(-3, 2), -H)) == (-3, -1)
+        assert R.check_word((QQ(-1), QQ(0))) == (-2, 0)
+        assert NS.format_word((-3, -1)) == "psi(-3/2)psi(-1/2)|0>"
+        assert R.format_word((-2, 0)) == "psi(-1)psi(0)|R>"
+        assert PSI == State({NS.check_word((-H,)): QQ(1)})
 
     def test_rational_words_are_refused(self):
         # a rational mode is never read as a doubled one, or guessed at,
         # and a word is flat: no entry is a tuple of modes
         for bad in ((-H,), (QQ(-1),), (-0.5,), ((-1,),)):
-            with pytest.raises(TypeError, match="doubled-int"):
+            with pytest.raises(TypeError, match=r"doubled-int mode; encode "
+                               r"modes with NS\.check_word/R\.check_word"):
                 State({bad: QQ(1)})
 
     def test_invalid_words_rejected(self):
         with pytest.raises(ValueError, match="not in Z"):
-            check_ns_word((QQ(-1),))
+            NS.check_word((QQ(-1),))
         with pytest.raises(ValueError, match="creation"):
-            check_ns_word((H,))
+            NS.check_word((H,))
         with pytest.raises(ValueError, match="ascending"):
-            check_ns_word((-H, QQ(-3, 2)))
+            NS.check_word((-H, QQ(-3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +97,14 @@ class TestModeAlgebra:
 
 class TestVertexOperators:
     def test_identity_field_of_vacuum(self):
-        for w in ns_basis(QQ(5, 2)):
+        for w in NS.basis(QQ(5, 2)):
             s = State({w: QQ(1)})
             assert vertex_mode(VACUUM, QQ(-1), s) == s
             assert vertex_mode(VACUUM, QQ(0), s).is_zero()
             assert vertex_mode(VACUUM, QQ(-2), s).is_zero()
 
     def test_generator_modes_are_fermion_modes(self):
-        for w in ns_basis(QQ(2)):
+        for w in NS.basis(QQ(2)):
             s = State({w: QQ(1)})
             for t in range(-3, 3):
                 assert vertex_mode(PSI, QQ(t), s) == fermion_mode(t + H, s)
@@ -122,9 +119,9 @@ class TestVertexOperators:
 
     def test_weight_law(self):
         """wt(v_n u) = wt u + wt v - n - 1 on homogeneous inputs."""
-        for v_word in ns_basis(QQ(2)):
+        for v_word in NS.basis(QQ(2)):
             v = State({v_word: QQ(1)})
-            for u_word in ns_basis(QQ(3, 2)):
+            for u_word in NS.basis(QQ(3, 2)):
                 u = State({u_word: QQ(1)})
                 for t in range(-4, 4):
                     image = vertex_mode(v, QQ(t), u)
@@ -134,9 +131,9 @@ class TestVertexOperators:
                     assert image.homogeneous_level() == expected
 
     def test_parity_law(self):
-        for v_word in ns_basis(QQ(2)):
+        for v_word in NS.basis(QQ(2)):
             v = State({v_word: QQ(1)})
-            for u_word in ns_basis(QQ(3, 2)):
+            for u_word in NS.basis(QQ(3, 2)):
                 image = vertex_mode(v, QQ(-2), State({u_word: QQ(1)}))
                 if image.is_zero():
                     continue
@@ -151,7 +148,7 @@ class TestVertexOperators:
 
 class TestVirasoro:
     def test_L0_is_weight(self):
-        for w in ns_basis(QQ(3)):
+        for w in NS.basis(QQ(3)):
             s = State({w: QQ(1)})
             assert virasoro(0, s) == s.scaled(word_level(w))
 
@@ -174,7 +171,7 @@ class TestVirasoro:
                 r += 1
             return combine(pairs)
 
-        words = ns_basis(QQ(6))
+        words = NS.basis(QQ(6))
         assert len(words) == 18
         for w in words:
             s = State({w: QQ(1)})
@@ -187,7 +184,7 @@ class TestVirasoro:
 
     def test_central_term_bracket(self):
         """[L(2), L(-2)] = 4 L(0) + c/2 with c = 1/2."""
-        for w in ns_basis(QQ(2)):
+        for w in NS.basis(QQ(2)):
             s = State({w: QQ(1)})
             bracket = virasoro(2, virasoro(-2, s)) - virasoro(-2, virasoro(2, s))
             expected = virasoro(0, s).scaled(4) + s.scaled(QQ(1, 4))
@@ -198,7 +195,7 @@ class TestVirasoro:
         c = H
         for m in range(-2, 3):
             for n in range(-2, 3):
-                for w in ns_basis(QQ(3, 2)):
+                for w in NS.basis(QQ(3, 2)):
                     s = State({w: QQ(1)})
                     bracket = virasoro(m, virasoro(n, s)) - virasoro(
                         n, virasoro(m, s)
@@ -213,7 +210,7 @@ class TestVirasoro:
         for v_word in [(-1,), (-3,), (-3, -1)]:
             v = State({v_word: QQ(1)})
             dv = virasoro(-1, v)
-            for w in ns_basis(QQ(3, 2)):
+            for w in NS.basis(QQ(3, 2)):
                 s = State({w: QQ(1)})
                 for t in range(-3, 3):
                     lhs = vertex_mode(dv, QQ(t), s)
@@ -303,7 +300,7 @@ class TestMaterializedFields:
         """d/dx Y(v,x) = Y(L(-1)v, x), compared column by column: the
         column at x^e on a word is mode -e-1 on it."""
         exponents = [QQ(n) for n in range(-3, 4)]
-        basis = ns_basis(QQ(3, 2))
+        basis = NS.basis(QQ(3, 2))
 
         def field(v):
             def column(e, w):
@@ -335,19 +332,20 @@ class TestMaterializedFields:
 
 
 class TestBasis:
-    @pytest.mark.parametrize("basis", [ns_basis, ramond_basis])
+    @pytest.mark.parametrize("basis", [NS.basis, R.basis],
+                             ids=["ns_basis", "ramond_basis"])
     @pytest.mark.parametrize("level", [QQ(-1), QQ(-1, 2)])
     def test_empty_below_level_zero(self, basis, level):
         assert basis(level) == []
 
     def test_level_zero_is_the_ground_word(self):
-        assert ns_basis(QQ(0)) == [()]
-        assert ramond_basis(QQ(0)) == [(), (0,)]
+        assert NS.basis(QQ(0)) == [()]
+        assert R.basis(QQ(0)) == [(), (0,)]
 
     def test_small_levels(self):
         # doubled words: (-3, -1) is psi(-3/2)psi(-1/2), (-2, 0) psi(-1)psi(0)
-        assert ns_basis(QQ(2)) == [(), (-1,), (-3,), (-3, -1)]
-        assert ramond_basis(QQ(1)) == [(), (0,), (-2,), (-2, 0)]
+        assert NS.basis(QQ(2)) == [(), (-1,), (-3,), (-3, -1)]
+        assert R.basis(QQ(1)) == [(), (0,), (-2,), (-2, 0)]
 
 
 if __name__ == "__main__":

@@ -42,8 +42,10 @@ from hypothesis import strategies as st
 
 from twistfock import fermion
 from twistfock.fermion import (
+    NS,
     OMEGA,
     PSI,
+    R,
     VACUUM,
     State,
     _add,
@@ -51,11 +53,7 @@ from twistfock.fermion import (
     _half_binomial,
     _lowest,
     field_mode,
-    format_ns_word,
-    format_ramond_word,
     mode_sum,
-    ns_basis,
-    ramond_basis,
 )
 from twistfock.scalars import (
     HALF,
@@ -210,9 +208,9 @@ def fraction_field_mode(v, t, target, sector_half: int) -> FractionState:
 # the comparison
 # ---------------------------------------------------------------------------
 
-FIELD_WORDS = [decode(w) for w in ns_basis(3)]
-TARGETS = {0: [decode(w) for w in ns_basis(3)],
-           1: [decode(w) for w in ramond_basis(3)]}
+FIELD_WORDS = [decode(w) for w in NS.basis(3)]
+TARGETS = {0: [decode(w) for w in NS.basis(3)],
+           1: [decode(w) for w in R.basis(3)]}
 HALF_LATTICE = [QQ(j, 2) for j in range(-12, 9)]
 OFF_LATTICE = [QQ(1, 4), QQ(-3, 4), QQ(1, 3), QQ(-7, 6)]
 
@@ -247,7 +245,7 @@ def test_kernel_matches_fraction_recursion(args):
 def test_weight_two_fields_on_every_index_and_target():
     """Exhaustive sweep on the conformal vector's word and its neighbours."""
     for sector_half, targets in TARGETS.items():
-        for a_word in [decode(w) for w in ns_basis(2)]:
+        for a_word in [decode(w) for w in NS.basis(2)]:
             for word in targets[:8]:
                 for mu in HALF_LATTICE + OFF_LATTICE:
                     args = (a_word, mu, word, sector_half)
@@ -274,8 +272,8 @@ def test_anticommutation_kernel_matches(sector_half, index, m2):
 
 def test_psi_oracle_shares_no_code_with_the_kernel():
     """The oracle's psi action takes nothing from `twistfock.fermion` but
-    `State` and the word formatters: never `_apply2`."""
-    allowed = {"State", "format_ns_word", "format_ramond_word"}
+    `State` and the sectors that format words: never `_apply2`."""
+    allowed = {"State", "NS", "R"}
     taken = set()
     for node in ast.walk(ast.parse(Path(psi_oracle.__file__).read_text())):
         if isinstance(node, ast.Import):
@@ -320,9 +318,9 @@ def test_both_sectors_render_equal_states(args):
                      State({encode(w): c for w, c in target.items()}),
                      sector_half)
     if sector_half:
-        assert new.render(format_ramond_word) == old.render("|R>")
+        assert new.render(R) == old.render("|R>")
     else:
-        assert new.render(format_ns_word) == old.render("|0>")
+        assert new.render(NS) == old.render("|0>")
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +454,9 @@ def sorted_result(result) -> tuple:
     return den, tuple(sorted(pairs))
 
 
-SHORT_FIELD_WORDS = [w for w in ns_basis(3) if 1 <= len(w) <= 2]
+SHORT_FIELD_WORDS = [w for w in NS.basis(3) if 1 <= len(w) <= 2]
 DOUBLED_INDICES = range(-24, 17)
-FIRST_TARGETS = {0: ns_basis(3)[:8], 1: ramond_basis(3)[:8]}
+FIRST_TARGETS = {0: NS.basis(3)[:8], 1: R.basis(3)[:8]}
 
 
 @pytest.mark.parametrize("sector_half", [0, 1])
@@ -514,7 +512,7 @@ def test_no_empty_field_word_reaches_the_kernel(monkeypatch):
     kernel.cache_clear()
     monkeypatch.setattr(fermion, "iterate_mode_word", spy)
     fields = (PSI, OMEGA, OMEGA + VACUUM)
-    for sector_half, basis in ((0, ns_basis(2)), (1, ramond_basis(2))):
+    for sector_half, basis in ((0, NS.basis(2)), (1, R.basis(2))):
         target = _target_state(basis[:6])
         for j in range(-8, 5):
             for v in fields:
@@ -622,7 +620,7 @@ def one_term_recursion(a_word: tuple, mu2: int, word: tuple, sector_half: int) -
     return den, tuple(out.items())
 
 
-ONE_MODE_TARGETS = {0: ns_basis(5), 1: ramond_basis(5)}
+ONE_MODE_TARGETS = {0: NS.basis(5), 1: R.basis(5)}
 
 
 @st.composite

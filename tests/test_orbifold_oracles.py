@@ -27,13 +27,13 @@ exact rationals.
 import pytest
 
 from twistfock.fermion import CENTRAL_CHARGE, OMEGA, PSI, State, combine, word_level
-from twistfock.ramond import ramond_basis
+from twistfock.ramond import R
 from twistfock.scalars import ONE, QQ, k_to_the
 from twistfock.twist import TwistedModuleView, twisted_mode
 
 from psi_oracle import ramond_mode
 
-WORDS = ramond_basis(QQ(3))
+WORDS = R.basis(QQ(3))
 
 
 def ramond_virasoro(N: int, s: State) -> State:

@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistfock.fermion import (
+    NS,
     OMEGA,
     PSI,
-    RAMOND_GROUND,
     VACUUM,
     ZERO_STATE,
     State,
-    format_ramond_word,
-    ns_basis,
     vertex_mode,
     virasoro,
     word_level,
@@ -20,8 +18,8 @@ from twistfock.fermion import (
 )
 from twistfock.formal import compare_fields
 from twistfock.ramond import (
+    R,
     ground_weight,
-    ramond_basis,
     sigma_L0_spectrum,
     sigma_vertex_mode,
     sigma_virasoro,
@@ -34,7 +32,7 @@ H = QQ(1, 2)
 
 
 def st_ramond_words(max_level=QQ(3)):
-    return st.sampled_from(ramond_basis(max_level))
+    return st.sampled_from(R.basis(max_level))
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +42,15 @@ def st_ramond_words(max_level=QQ(3)):
 
 class TestTwistedModes:
     def test_annihilates_ground(self):
-        assert ramond_mode(1, RAMOND_GROUND).is_zero()
+        assert ramond_mode(1, VACUUM).is_zero()
 
     def test_zero_mode_squares_to_half(self):
-        once = ramond_mode(0, RAMOND_GROUND)
+        once = ramond_mode(0, VACUUM)
         assert once == State({(0,): QQ(1)})
-        assert ramond_mode(0, once) == RAMOND_GROUND.scaled(H)
+        assert ramond_mode(0, once) == VACUUM.scaled(H)
 
     def test_reordering_sign(self):
-        lhs = ramond_mode(-1, ramond_mode(-2, RAMOND_GROUND))
+        lhs = ramond_mode(-1, ramond_mode(-2, VACUUM))
         assert lhs == State({(-4, -2): QQ(-1)})  # doubled: psi(-2)psi(-1)
 
     @given(st_ramond_words(), st.integers(-3, 3), st.integers(-3, 3))
@@ -74,7 +72,7 @@ class TestTwistedModes:
 
 class TestTwistedFields:
     def test_vacuum_gives_identity(self):
-        for w in ramond_basis(QQ(2)):
+        for w in R.basis(QQ(2)):
             s = State({w: QQ(1)})
             assert sigma_vertex_mode(VACUUM, QQ(-1), s) == s
             assert sigma_vertex_mode(VACUUM, QQ(0), s).is_zero()
@@ -82,7 +80,7 @@ class TestTwistedFields:
 
     def test_generator_modes_on_half_lattice(self):
         """The generator's twisted field is sum_n psi_n x^{-n-1/2}."""
-        for w in ramond_basis(QQ(2)):
+        for w in R.basis(QQ(2)):
             s = State({w: QQ(1)})
             for n in range(-3, 3):
                 t = QQ(n) - H  # lattice index of the physical mode n
@@ -94,15 +92,15 @@ class TestTwistedFields:
         assert ground_weight() == QQ(1, 16)
 
     def test_L0_eigenvalues(self):
-        for w in ramond_basis(QQ(3)):
+        for w in R.basis(QQ(3)):
             s = State({w: QQ(1)})
             assert sigma_virasoro(0, s) == s.scaled(QQ(1, 16) + word_level(w))
 
     def test_weight_law(self):
         """Twisted modes shift the level by wt(v) - t - 1."""
-        for v_word in ns_basis(QQ(2)):
+        for v_word in NS.basis(QQ(2)):
             v = State({v_word: QQ(1)})
-            for u_word in ramond_basis(QQ(2)):
+            for u_word in R.basis(QQ(2)):
                 u = State({u_word: QQ(1)})
                 for n2 in range(-6, 6):
                     t = QQ(n2, 2)
@@ -114,7 +112,7 @@ class TestTwistedFields:
 
     def test_parity_stability(self):
         """Odd modes flip the parity grading, twisted Virasoro preserves it."""
-        for w in ramond_basis(QQ(2)):
+        for w in R.basis(QQ(2)):
             s = State({w: QQ(1)})
             for n in range(-2, 3):
                 moved = ramond_mode(n, s)
@@ -127,7 +125,7 @@ class TestTwistedFields:
     def test_field_exponent_lattices(self):
         # the x^e coefficient is mode -e-1; scan the half lattice of [-2, 2]
         exponents = [QQ(n, 2) for n in range(-4, 5)]
-        words = ramond_basis(QQ(1))
+        words = R.basis(QQ(1))
 
         def support(v):
             return {
@@ -146,7 +144,7 @@ class TestTwistedFields:
 
     def test_zero_state_gives_empty_field(self):
         for n in range(-4, 5):
-            for w in ramond_basis(QQ(2)):
+            for w in R.basis(QQ(2)):
                 image = sigma_vertex_mode(ZERO_STATE, QQ(n, 2), State({w: QQ(1)}))
                 assert image.is_zero()
 
@@ -162,7 +160,7 @@ class TestTwistedVirasoro:
         c = H
         for m in range(-2, 3):
             for n in range(-2, 3):
-                for w in ramond_basis(QQ(2)):
+                for w in R.basis(QQ(2)):
                     s = State({w: QQ(1)})
                     bracket = sigma_virasoro(m, sigma_virasoro(n, s)) - sigma_virasoro(
                         n, sigma_virasoro(m, s)
@@ -175,7 +173,7 @@ class TestTwistedVirasoro:
     def test_derivative_field_identity(self):
         """d/dx of the twisted field of v equals the twisted field of L(-1)v."""
         exponents = [QQ(n, 2) for n in range(-6, 7)]
-        basis = ramond_basis(QQ(3, 2))
+        basis = R.basis(QQ(3, 2))
         for v in (PSI, OMEGA):
             dv = virasoro(-1, v)
             result = compare_fields(
@@ -257,7 +255,7 @@ class TestTwistedJacobi:
         ],
     )
     def test_generator_pairs(self, u, v, m_vals, n_vals):
-        for w in ramond_basis(QQ(4)):
+        for w in R.basis(QQ(4)):
             w_state = State({w: QQ(1)})
             for a in (-2, -1, 0, 1, 2):
                 for m in m_vals:
@@ -268,8 +266,8 @@ class TestTwistedJacobi:
                         assert lhs == rhs
 
     @given(
-        st.sampled_from(ns_basis(QQ(2))),
-        st.sampled_from(ns_basis(QQ(2))),
+        st.sampled_from(NS.basis(QQ(2))),
+        st.sampled_from(NS.basis(QQ(2))),
         st_ramond_words(QQ(2)),
         st.integers(-4, 4),
         st.integers(-4, 4),
@@ -311,14 +309,14 @@ class TestSpectrum:
         assert spectrum.coeffs[weights.index(QQ(1, 16) + 1)] == 2
 
     def test_ground_space_is_two_dimensional(self):
-        assert ramond_basis(ZERO) == [(), (ZERO,)]
+        assert R.basis(ZERO) == [(), (ZERO,)]
 
     def test_parity_unstable_generators(self):
         # e+- = ground +- sqrt(2) psi_0 ground are the zero-mode eigenvectors
         # that split the ground space; each mixes the two parities
         root2 = cyc_sqrt_k(2)
-        shifted = ramond_mode(0, RAMOND_GROUND).scaled(root2)
-        plus, minus = RAMOND_GROUND + shifted, RAMOND_GROUND - shifted
+        shifted = ramond_mode(0, VACUUM).scaled(root2)
+        plus, minus = VACUUM + shifted, VACUUM - shifted
         for vec, sign in ((plus, 1), (minus, -1)):
             image = ramond_mode(0, vec)
             assert image == vec.scaled(root2 * H * sign)
@@ -327,7 +325,7 @@ class TestSpectrum:
 
     def test_render(self):
         s = State({(-4, 0): QQ(1)})
-        assert "psi(-2)psi(0)|R>" in s.render(format_ramond_word)
+        assert "psi(-2)psi(0)|R>" in s.render(R)
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from twistfock.fermion import (
     word_level,
 )
 from twistfock.ramond import (
+    R,
     ground_weight,
-    ramond_basis,
     sigma_L0_spectrum,
     sigma_vertex_mode,
 )
@@ -43,7 +43,7 @@ from twistfock.twist import (
 from test_core_equivalence import rational_recovered_mode, rational_slot_mode
 
 WINDOW = (-3, 3)
-KEYS = ramond_basis(QQ(2))
+KEYS = R.basis(QQ(2))
 GROUND = ()
 
 
@@ -251,7 +251,7 @@ class TestFieldOf:
         for name in ("state", "classes", "scalars"):
             assert getattr(derived, name) == getattr(fresh, name), name
         for M in range(-2 * derived.scale, 2 * derived.scale + 1):
-            for word in ramond_basis(QQ(1)):
+            for word in R.basis(QQ(1)):
                 state = State({word: ONE})
                 assert derived.mode_at(M, state) == fresh.mode_at(M, state), M
 
@@ -322,7 +322,7 @@ class TestTwistedMode:
         base = twisted_mode(2, PSI, m)
         shifted = twisted_mode(2, PSI, m, substitution_power=1)
         scale = eta_k(2) ** (int(2 * (-m - 1)) % 2)
-        for word in ramond_basis(QQ(1)):
+        for word in R.basis(QQ(1)):
             state = State({word: ONE})
             assert shifted(state) == base(state).scaled(scale)
 
@@ -344,7 +344,7 @@ class TestInverseConstruction:
 
     def test_recovers_at_order_four(self):
         recovered = partial(rational_recovered_mode, RecoveredField(4, PSI))
-        keys = ramond_basis(QQ(1))
+        keys = R.basis(QQ(1))
         result = compare_fields("psi4", columns(recovered, 1),
                                 self.native_columns(PSI), indices(2, (-2, 2)),
                                 keys, scale=2)

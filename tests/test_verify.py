@@ -17,6 +17,7 @@ import pytest
 
 from twistfock.scalars import MAX_CONDUCTOR, ONE, QQ, binomial
 from twistfock.fermion import (
+    NS,
     OMEGA,
     PSI,
     VACUUM,
@@ -32,7 +33,7 @@ from twistfock.formal import (
     Window,
     merged_delta_kernel,
 )
-from twistfock.ramond import format_ramond_word, ramond_basis
+from twistfock.ramond import R
 from twistfock.twist import MAX_CUTOFF, SlotField
 from twistfock.verify import (
     _ModeFamily,
@@ -121,14 +122,14 @@ class TestReportMechanics:
         assert decoded["compared"] == 5
 
     def test_wrap_comparison_renders_witnesses(self):
-        state = State({ramond_basis(QQ(1))[-1]: QQ(-1, 2)})
+        state = State({R.basis(QQ(1))[-1]: QQ(-1, 2)})
         result = ComparisonResult("name")
         result.compare(("spot", 1), state, ZERO_STATE)
         result.compare("scalar", QQ(1, 3), "text")
         result.compare("same", state, state)
         report = _wrap_comparison(result, 2, "w", detail="d")
         assert report.mismatches == (
-            ("('spot', 1)", state.render(format_ramond_word), "0"),
+            ("('spot', 1)", state.render(R), "0"),
             ("scalar", "1/3", "text"),
         )
         assert (report.name, report.compared, report.detail) == ("name", 3, "d")
@@ -331,7 +332,7 @@ class TestJacobiKernels:
         right = _ModeFamily(_slot_field(k, v))
         # a word at the top level of the domain
         top_state = next(State({word: ONE})
-                         for word in ramond_basis(self.LEVEL)
+                         for word in R.basis(self.LEVEL)
                          if word_level(word) == self.LEVEL)
         for family in (left, right):
             # an inner mode b + i with b = -e - 1 >= -hi - 1 acts only while
@@ -360,7 +361,7 @@ class TestJacobiKernels:
         grid0 = [QQ(a) for a in range(int(lo), int(hi) + 1)]
         grid = [QQ(n, k) for n in range(int(lo * k), int(hi * k) + 1)]
         nonzero = 0
-        for word in ramond_basis(self.LEVEL):
+        for word in R.basis(self.LEVEL):
             w = State({word: ONE})
             composites = {}
             for alpha in grid0:
@@ -418,7 +419,7 @@ class TestJacobiKernels:
             return iterates[t]
 
         compared = nonzero = 0
-        for word in ramond_basis(level):
+        for word in R.basis(level):
             w = State({word: ONE})
             composites = {}
             for alpha in range(-radius, 0):
@@ -620,6 +621,31 @@ class TestStructureChecks:
         )
         assert_clean_pass(report)
         assert report.detail.startswith("exponent shift n=")
+
+
+class TestSectors:
+    """A field acts on the sector it names, and the checks' domain follows
+    it.  At order 1 the coordinate change is the identity, so a slot field
+    put in the untwisted sector is Y(u, x) on V itself: its mode M on the
+    doubled index is the untwisted mode M/2."""
+
+    FIELDS = [VACUUM, PSI, OMEGA, State({(-5, -1): ONE})]
+
+    @pytest.mark.parametrize("u", FIELDS, ids=["vacuum", "psi", "omega",
+                                               "psi52-psi12"])
+    def test_the_sector_follows_the_field(self, u):
+        field = SlotField(1, u)
+        field.sector = NS
+        nonzero = 0
+        for word in NS.basis(2):
+            target = State({word: ONE})
+            for M in range(-8, 9):
+                image = field.image(M, target)
+                assert image == vertex_mode(u, QQ(M, 2), target), (word, M)
+                nonzero += not image.is_zero()
+        assert nonzero
+        texts = [text for _, _, text in verify._domain(field, 1)]
+        assert texts == ["|0>", "psi(-1/2)|0>"]
 
 
 class TestRoundTrips:

@@ -26,13 +26,13 @@ from fractions import Fraction
 
 from twistfock import fermion
 from twistfock.fermion import State, combine
-from twistfock.ramond import ramond_basis
+from twistfock.ramond import R
 from twistfock.scalars import integral_split
 
 from psi_oracle import ramond_mode
 
 HALF = Fraction(1, 2)
-WORDS = ramond_basis(3)
+WORDS = R.basis(3)
 MODES = range(-8, 9)
 
 
