@@ -14,7 +14,8 @@ coordinate.  It provides:
   producing finite graded expansions with exact scalar prefactors
   (half-integer weights land in a real quadratic subfield of a cyclotomic
   field); this and the cross-check's exp(+D) x are one exponential series,
-  `_exp_series`;
+  `_exp_series`.  The operator is linear: each basis word's expansion is
+  built once per process, and a state's is read from its words';
 * coefficientwise verification of the conjugation identity relating a
   conjugated vertex operator to the vertex operator of a transformed state
   in a shifted coordinate, and of the two derivative identities tying the
@@ -369,7 +370,11 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _word_drops(k: int, direction: str, word: tuple) -> tuple:
-    """The (drop, state) pieces of the operator on one basis word, cached.
+    """The (drop, state) pieces of the operator on one basis word, cached:
+    exp(±sum_j a_j L(j)) of the word, graded by weight drop, with no
+    exponent and no power of k attached.  `_word_expansion` builds the
+    word's expansion on them, and the conjugation check reads them as they
+    are.
 
     The a_j table has depth ``covering_depth`` of the word's weight, the
     most the word reads; a_j does not depend on the depth of the table it
@@ -382,14 +387,39 @@ def _word_drops(k: int, direction: str, word: tuple) -> tuple:
     return tuple(sorted(drops.items()))
 
 
+@lru_cache(maxsize=None)
+def _word_expansion(k: int, direction: str, word: tuple) -> DeltaExpansion:
+    """The operator on one basis word, as its finished expansion, cached.
+
+    The piece at drop j of `_word_drops` lies at the exponent
+    p/k - p - j/k (forward) or p - p/k - j (inverse), p the word's weight,
+    so the pieces come in order of decreasing exponent; the inverse
+    direction's rational factor k^{-j} is folded into its piece's state.
+    The prefactor is k^{-p} (forward) or k^{+p} (inverse).  A word that
+    `_word_drops` refuses leaves no entry here either.
+    """
+    p = word_level(word)
+    pieces = []
+    for j, state in _word_drops(k, direction, word):
+        if direction == FORWARD:
+            pieces.append((p / k - p - QQ(j, k), state))
+        else:
+            pieces.append((p - p / k - j, state.scaled(QQ(k) ** (-j))))
+    prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
+    return DeltaExpansion(k, direction, p, prefactor, tuple(pieces))
+
+
 def apply_delta(k: int, u: State, direction: str = FORWARD) -> DeltaExpansion:
     """Apply the coordinate-change operator of order k to a homogeneous state.
 
     Forward direction: pieces of weight p-j at exponents p/k - p - j/k with
     a common prefactor k^{-p}.  Inverse direction: pieces at exponents
     p - p/k - j with prefactor k^{+p} (the rational part k^{-j} is folded
-    into the piece states).  The operator is linear, so the pieces are the
-    cached per-word pieces weighted by the coefficients of u.
+    into the piece states).  The operator is linear, so the expansion is
+    the cached per-word expansions (`_word_expansion`) weighted by the
+    numerators of u over ``u.den``: a basis word with coefficient 1 is its
+    cached expansion as it is, and any other state sums its words' pieces
+    per exponent and leaves out the pieces that cancel.
     """
     require_order(k)
     if direction not in (FORWARD, INVERSE):
@@ -398,29 +428,23 @@ def apply_delta(k: int, u: State, direction: str = FORWARD) -> DeltaExpansion:
         )
     if u.is_zero():
         return DeltaExpansion(k, direction, ZERO, ONE, ())
+    if u.den == 1 and len(u.nums) == 1:
+        (word, num), = u.nums
+        if type(num) is int and num == 1:
+            return _word_expansion(k, direction, word)
     p = u.homogeneous_level()
-    # the pieces of u's numerators, divided by u.den once per piece
-    by_drop = {}
+    # per exponent, the numerators of u times the word pieces, over u.den
+    tables, dens = {}, {}
     for word, num in u.nums:
-        for j, state in _word_drops(k, direction, word):
-            by_drop.setdefault(j, []).append((state, num))
-    pieces = []
-    for j in sorted(by_drop):
-        if direction == FORWARD:
-            exponent = p / k - p - QQ(j, k)
-            scale = QQ(1, u.den)
-        else:
-            exponent = p - p / k - j
-            scale = QQ(k) ** (-j) / u.den
-        state = combine(by_drop[j])
-        if state.is_zero():
-            continue
-        if scale != 1:
-            state = state.scaled(scale)
-        pieces.append((exponent, state))
+        expansion = _word_expansion(k, direction, word)
+        for exponent, state in expansion.pieces:
+            dens[exponent] = _add(tables.setdefault(exponent, {}),
+                                  dens.get(exponent, 1), state.nums, num,
+                                  state.den * u.den)
+    pieces = [(exponent, State._of_table(dens[exponent], table))
+              for exponent, table in tables.items() if table]
     pieces.sort(key=lambda item: -item[0])
-    prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
-    return DeltaExpansion(k, direction, p, prefactor, tuple(pieces))
+    return DeltaExpansion(k, direction, p, expansion.prefactor, tuple(pieces))
 
 
 def round_trip_defect(k: int, u: State) -> State:

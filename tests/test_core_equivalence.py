@@ -23,6 +23,12 @@ run without a cache:
   which expands the same powers by Miller's recurrence;
 * `apply_delta` without the per-word cache: `_exp_virasoro` on the whole
   state, with an explicit a_j table at the covering depth and deeper;
+* `apply_delta` as it was before the per-word expansions were cached
+  (`per_word_apply_delta`): the uncached per-word drop pieces combined per
+  drop, each exponent worked out and each piece scaled on every call,
+  against the cached expansions weighted by the state's numerators; with
+  one numerator raised in one cached inverse piece, `apply_delta` must
+  differ from the whole-state oracle;
 * two one-form `verify._commutator_report` calls, against one call that
   walks the grid once for both obstruction forms;
 * `CycScalar` arithmetic by polynomial division over Q, as it was: the
@@ -120,7 +126,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistfock import deltak, twist, verify
+from twistfock import clear_caches, deltak, twist, verify
 from twistfock.deltak import (
     FORWARD,
     INVERSE,
@@ -921,9 +927,58 @@ def delta_inputs():
     return out
 
 
+def per_word_apply_delta(k, u, direction):
+    """`apply_delta` as it was before its per-word expansions were cached:
+    the per-word drop pieces, read without the cache, combined per drop
+    with u's numerators, then each drop's exponent worked out and its
+    state scaled by 1/den, and by k^{-j} in the inverse direction."""
+    if u.is_zero():
+        return DeltaExpansion(k, direction, ZERO, ONE, ())
+    p = u.homogeneous_level()
+    by_drop = {}
+    for word, num in u.nums:
+        for j, state in deltak._word_drops.__wrapped__(k, direction, word):
+            by_drop.setdefault(j, []).append((state, num))
+    pieces = []
+    for j in sorted(by_drop):
+        if direction == FORWARD:
+            exponent = p / k - p - QQ(j, k)
+            scale = QQ(1, u.den)
+        else:
+            exponent = p - p / k - j
+            scale = QQ(k) ** (-j) / u.den
+        state = combine(by_drop[j])
+        if state.is_zero():
+            continue
+        if scale != 1:
+            state = state.scaled(scale)
+        pieces.append((exponent, state))
+    pieces.sort(key=lambda item: -item[0])
+    prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
+    return DeltaExpansion(k, direction, p, prefactor, tuple(pieces))
+
+
+def test_delta_inputs_cover_every_combining_case():
+    inputs = delta_inputs()
+    assert any(u.den != 1 for u in inputs)
+    assert any(not isinstance(num, int) for u in inputs for _, num in u.nums)
+    assert quasi_primary_combination() in inputs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_cached_expansions_match_the_per_word_combine(k):
+    for direction in (FORWARD, INVERSE):
+        for u in delta_inputs():
+            expected = per_word_apply_delta(k, u, direction)
+            # cold for a word on its first read, warm on the second
+            for _ in range(2):
+                assert apply_delta(k, u, direction) == expected, (
+                    k, direction, u.render())
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_cached_coordinate_change_matches_direct(k):
-    deltak._word_drops.cache_clear()
+    clear_caches()
     for direction in (FORWARD, INVERSE):
         for u in delta_inputs():
             p = u.homogeneous_level()
@@ -936,7 +991,7 @@ def test_cached_coordinate_change_matches_direct(k):
                 assert got == expected, (k, direction, u.render(), depth)
                 for _, piece in got.pieces:
                     assert_invariant(piece)
-    assert deltak._word_drops.cache_info().hits > 0
+    assert deltak._word_expansion.cache_info().hits > 0
 
 
 def test_cancelled_drop_is_left_out():
@@ -949,12 +1004,47 @@ def test_cancelled_drop_is_left_out():
 
 
 def test_word_above_the_ceiling_is_refused_before_the_cache():
-    deltak._word_drops.cache_clear()
+    clear_caches()
     u = State({(-257, -1): ONE})  # psi(-257/2)psi(-1/2), weight 129
-    for direction in (FORWARD, INVERSE):
-        with pytest.raises(ValueError, match="exceeds the ceiling"):
-            apply_delta(2, u, direction)
+    for v in (u, u.scaled(QQ(1, 2))):  # a unit word and any other state
+        for direction in (FORWARD, INVERSE):
+            with pytest.raises(ValueError, match="exceeds the ceiling"):
+                apply_delta(2, v, direction)
     assert deltak._word_drops.cache_info().currsize == 0
+    assert deltak._word_expansion.cache_info().currsize == 0
+
+
+def raised_first_numerator(expansion):
+    """A copy of an expansion whose first piece after the leading one has
+    its first numerator raised by 1."""
+    lead, (exponent, state), *rest = expansion.pieces
+    (first, num), *others = state.nums
+    piece = State._of_terms(state.den, [(first, num + 1), *others])
+    return expansion._replace(pieces=(lead, (exponent, piece), *rest))
+
+
+def test_planted_inverse_piece_error_differs_from_the_direct_change(monkeypatch):
+    """One numerator of one cached inverse piece raised by 1, at k = 3 on
+    psi(-3/2)psi(-1/2): both the unit word and omega, half of it, read
+    the plant and differ from the oracle; a word without it does not."""
+    honest = deltak._word_expansion
+    planted_at = (3, INVERSE, (-3, -1))
+
+    def planted(k, direction, word):
+        expansion = honest(k, direction, word)
+        if (k, direction, word) != planted_at:
+            return expansion
+        return raised_first_numerator(expansion)
+
+    monkeypatch.setattr(deltak, "_word_expansion", planted)
+    table = solve_aj(3, 4)
+    for u in (State({(-3, -1): ONE}), OMEGA):
+        assert (apply_delta(3, u, INVERSE)
+                != direct_apply_delta(3, u, INVERSE, table)), u.render()
+        assert (apply_delta(3, u, FORWARD)
+                == direct_apply_delta(3, u, FORWARD, table)), u.render()
+    u = State({(-5, -1): ONE})
+    assert apply_delta(3, u, INVERSE) == direct_apply_delta(3, u, INVERSE, table)
 
 
 def test_coefficients_do_not_depend_on_the_table_depth():
@@ -2061,9 +2151,17 @@ def test_planted_word_piece_error_gives_the_oracle_witnesses(monkeypatch):
         return ((drop, State._of_terms(state.den, [(first, num + 1), *others])),
                 *rest)
 
+    # `apply_delta` reads the pieces through the per-word expansions, so
+    # those must be built from the plant, and none built from it may stay
+    clear_caches()
     monkeypatch.setattr(deltak, "_word_drops", planted)
-    got = deltak.check_conjugation(3, PSI)
-    assert_same_witnesses(got, apply_delta_check_conjugation(3, PSI))
+    try:
+        got = deltak.check_conjugation(3, PSI)
+        expected = apply_delta_check_conjugation(3, PSI)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert_same_witnesses(got, expected)
 
 
 def test_planted_root_table_error_gives_the_oracle_witnesses(monkeypatch):

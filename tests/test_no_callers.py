@@ -33,6 +33,9 @@ ALLOWED = {
                                   "acceptance criterion 12",
     "twist.TwistedModuleView.twisted_weight_eigenvalue":
         "acceptance criterion 10",
+    "__init__.clear_caches": "the one reset of every cache, for a caller "
+                             "that measures or plants errors from a cold "
+                             "start (tests/test_caches.py)",
 }
 
 BUILTIN_METHODS = frozenset(
