@@ -21,9 +21,9 @@ import argparse
 import json
 import sys
 
-from .scalars import QQ, ONE, CycScalar, complex_embedding, require_order, scalar_str
+from .scalars import QQ, CycScalar, complex_embedding, require_order, scalar_str
 from .formal import Window
-from .fermion import NS, OMEGA, PSI, VACUUM, R, State
+from .fermion import NS, OMEGA, PSI, VACUUM, R, State, _level2
 from .deltak import (
     FORWARD,
     INVERSE,
@@ -161,8 +161,11 @@ _NAMED_STATES = {
 
 def parse_state(text: str) -> State:
     """A named generator (vacuum/1/psi/omega) or a comma-separated strictly
-    increasing list of negative half-odd mode indices, e.g. ``-3/2,-1/2``,
-    encoded once into the doubled word of the state."""
+    increasing list of negative half-odd mode indices, e.g. ``-3/2,-1/2``.
+    Each index is read by `parse_rational` and the word is encoded once
+    into its doubled word by `NS.check_word`, which checks every index, so
+    the state is built as the basis word with coefficient 1 without
+    checking it again."""
     name = text.strip().lower()
     if name in _NAMED_STATES:
         return _NAMED_STATES[name]
@@ -175,7 +178,7 @@ def parse_state(text: str) -> State:
             indices.append(parse_rational(part))
         except ValueError as exc:
             raise ValueError(f"bad mode index {part!r} in state") from exc
-    return State({NS.check_word(indices): ONE})
+    return State._of(1, ((NS.check_word(indices), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +201,13 @@ def cmd_ajcoeffs(cfg: argparse.Namespace) -> int:
 
 
 def cmd_delta_apply(cfg: argparse.Namespace) -> int:
+    """The coordinate change of one state, one row per kept piece: its
+    weight drop j, its exponent and its state.  Every piece of the
+    homogeneous input is homogeneous, and a piece that cancels is left
+    out, so j is the level difference of the input and the piece, read on
+    the doubled int levels."""
     state = parse_state(cfg.state)
-    weight = state.homogeneous_level()
+    level2 = _level2(state)
     direction = INVERSE if cfg.inverse else FORWARD
     window = Window({"x": (cfg.lo, cfg.hi)})
     expansion = apply_delta(cfg.k, state, direction)
@@ -208,24 +216,16 @@ def cmd_delta_apply(cfg: argparse.Namespace) -> int:
     for exponent, piece in expansion.pieces:
         if not window.contains("x", exponent):
             continue
-        if direction == FORWARD:
-            j = (weight / cfg.k - weight - exponent) * cfg.k
-        else:
-            j = weight - weight / cfg.k - exponent
+        j = str((level2 - _level2(piece)) // 2)
         rendered = piece.render()
-        rows.append((scalar_str(QQ(j)), _value(exponent, cfg.decimal), rendered))
-        json_pieces.append(
-            {
-                "j": scalar_str(QQ(j)),
-                "exponent": _value(exponent, cfg.decimal),
-                "state": rendered,
-            }
-        )
+        shown = _value(exponent, cfg.decimal)
+        rows.append((j, shown, rendered))
+        json_pieces.append({"j": j, "exponent": shown, "state": rendered})
     payload = {
         "k": cfg.k,
         "direction": direction,
         "input": state.render(),
-        "weight": scalar_str(QQ(weight)),
+        "weight": scalar_str(QQ(level2, 2)),
         "prefactor": _value(expansion.prefactor, cfg.decimal),
         "pieces": json_pieces,
     }

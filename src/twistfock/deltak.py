@@ -399,13 +399,15 @@ def _word_expansion(k: int, direction: str, word: tuple) -> DeltaExpansion:
     `_word_drops` refuses leaves no entry here either.
     """
     p = word_level(word)
-    pieces = []
-    for j, state in _word_drops(k, direction, word):
-        if direction == FORWARD:
-            pieces.append((p / k - p - QQ(j, k), state))
-        else:
-            pieces.append((p - p / k - j, state.scaled(QQ(k) ** (-j))))
-    prefactor = k_to_the(k, -p) if direction == FORWARD else k_to_the(k, p)
+    drops = _word_drops(k, direction, word)
+    if direction == FORWARD:
+        lead = p / k - p
+        pieces = [(lead - QQ(j, k), state) for j, state in drops]
+        prefactor = k_to_the(k, -p)
+    else:
+        lead = p - p / k
+        pieces = [(lead - j, state.scaled(QQ(1, k ** j))) for j, state in drops]
+        prefactor = k_to_the(k, p)
     return DeltaExpansion(k, direction, p, prefactor, tuple(pieces))
 
 

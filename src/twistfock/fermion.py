@@ -91,18 +91,27 @@ class Sector(namedtuple("Sector", "half ket")):
 
     def check_word(self, modes) -> tuple:
         """The doubled word of a word of physical modes: strictly ascending
-        creation modes, <= -1/2 in Z + 1/2 on |0> and <= 0 in Z on |R>."""
-        lattice = "Z" if self.half else "Z + 1/2"
-        modes = tuple(QQ(m) for m in modes)
+        creation modes, <= -1/2 in Z + 1/2 on |0> and <= 0 in Z on |R>.
+
+        A mode is an int or a `Fraction`, whose numerator n and denominator
+        d are in lowest terms, so the tests run on those ints with no
+        `Fraction` arithmetic: the lattice test asks for d = 2 on |0> and
+        d = 1 on |R>, and the creation and ascending tests run on the
+        doubled mode 2n // d.  Mode text is built only for an error."""
+        den = 2 - self.half
+        word = []
         for m in modes:
-            if m.denominator != 2 - self.half:
-                raise ValueError(f"mode {m} is not in {lattice}")
-            if 2 * m > self.half - 1:
-                raise ValueError(f"mode {m} is not a creation mode")
-        if any(a >= b for a, b in zip(modes, modes[1:])):
-            text = ", ".join(str(m) for m in modes)
+            if m.denominator != den:
+                lattice = "Z" if self.half else "Z + 1/2"
+                raise ValueError(f"mode {QQ(m)} is not in {lattice}")
+            m2 = 2 * m.numerator // den
+            if m2 > self.half - 1:
+                raise ValueError(f"mode {QQ(m)} is not a creation mode")
+            word.append(m2)
+        if any(a >= b for a, b in zip(word, word[1:])):
+            text = ", ".join(map(_mode_str, word))
             raise ValueError(f"word ({text}) is not strictly ascending")
-        return tuple(int(2 * m) for m in modes)
+        return tuple(word)
 
     def format_word(self, word) -> str:
         return "".join(f"psi({_mode_str(m2)})" for m2 in word) + self.ket

@@ -1318,7 +1318,9 @@ def parse_rational(raw) -> QQ:
 
     The one rational parser of flags, config files and state words.  Decimal
     spellings such as ``0.5`` are refused, so every accepted value is written
-    exactly; a zero denominator is refused too.  Exact rationals pass
+    exactly; a zero denominator is refused too.  Only ASCII text without
+    ``_`` is read, so the digit separators (``1_0``) and non-ASCII digits
+    that ``int`` would accept are refused as well.  Exact rationals pass
     through.  Raises ValueError, never ZeroDivisionError.
     """
     if is_rational(raw):
@@ -1326,6 +1328,8 @@ def parse_rational(raw) -> QQ:
     text = str(raw).strip()
     num, slash, den = text.partition("/")
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         num = int(num)
         den = int(den) if slash else 1
     except ValueError:

@@ -771,9 +771,11 @@ class TestRationalArguments:
         assert parse_rational("3/2") == QQ(3, 2)
         assert parse_rational(" -4 ") == QQ(-4)
         assert parse_rational("6/4") == QQ(3, 2)
+        assert parse_rational("\t+3 / -2\n") == QQ(-3, 2)
         assert parse_rational(QQ(1, 3)) == QQ(1, 3)
 
-    @pytest.mark.parametrize("raw", ["1/0", "0/0", "0.5", "1e3", "x", "1/2/3", ""])
+    @pytest.mark.parametrize("raw", ["1/0", "0/0", "0.5", "1e3", "x", "1/2/3", "",
+                                     "-1_1/2", "٣/2"])
     def test_rejects_with_value_error(self, raw):
         with pytest.raises(ValueError):
             parse_rational(raw)
@@ -843,6 +845,36 @@ class TestRationalArguments:
         code, _, err = run_cli(capsys, "delta-apply", "--k", "2", "--state=-1/0")
         assert code == 2
         assert err == "error: bad mode index '-1/0' in state\n"
+
+    @pytest.mark.parametrize("word,message", [
+        ("-3/2,,-1/2", "empty mode index in state '-3/2,,-1/2'"),
+        ("abc", "bad mode index 'abc' in state"),
+        ("0", "mode 0 is not in Z + 1/2"),
+        ("-1", "mode -1 is not in Z + 1/2"),
+        ("-3/4", "mode -3/4 is not in Z + 1/2"),
+        ("1/2", "mode 1/2 is not a creation mode"),
+        ("-1/2,-1/2", "word (-1/2, -1/2) is not strictly ascending"),
+    ])
+    def test_bad_state_word_exits_two_with_one_line(self, capsys, word, message):
+        code, out, err = run_cli(capsys, "delta-apply", "--k", "2", f"--state={word}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("word", ["-1_1/2", "٣/2"])
+    def test_non_ascii_or_underscored_state_word_exits_two(self, capsys, word):
+        code, out, err = run_cli(capsys, "delta-apply", "--k", "2", f"--state={word}")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad mode index {word!r} in state\n"
+
+    def test_underscored_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", "--k", "2", "--radius", "1_0"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "twistfock verify: error: argument --radius: "
+            "not an integer or p/q rational: '1_0'"
+        ]
 
 
 def readme_commands() -> list:

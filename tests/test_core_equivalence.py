@@ -109,14 +109,25 @@ run without a cache:
   every point, where classes j != 0 take cyclotomic scalars.  Along with
   them, Pascal's rule E_{n+1}(a, b) = E_n(a, b) - E_n(a - step, b + step)
   on the expanded product for n in -4..3, and one eta class per grid
-  point of the forms, in slot 1 and in slot 2.
+  point of the forms, in slot 1 and in slot 2;
+* the ``delta-apply`` front end as it was: `Sector.check_word` on
+  `Fraction` arithmetic, `parse_state` building its state by the
+  validating public constructor, and `cmd_delta_apply` working each drop
+  j back from its exponent, against the int tests on the mode's numerator
+  and denominator and j read off the doubled levels: the same stdout byte
+  for byte over every NS word of weight <= 5, vacuum, psi and omega at
+  k in {1, 2, 3, 4, 6}, both directions, with and without a window and
+  --decimal, in all three formats, and the same refusal text for bad
+  words; with j one too high at every drop >= 1 the sweep must differ.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
 and hash-equal to the same state built by `State(dict)`.
 """
 
+import contextlib
 import inspect
+import io
 import textwrap
 from bisect import bisect_left
 from functools import lru_cache
@@ -126,7 +137,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistfock import clear_caches, deltak, twist, verify
+from twistfock import clear_caches, cli, deltak, twist, verify
 from twistfock.deltak import (
     FORWARD,
     INVERSE,
@@ -2762,3 +2773,173 @@ def test_expanded_product_follows_pascals_rule(k):
                         nonzero += not expected.is_zero()
     assert (cases, nonzero) == PASCAL_CASES[k]
 
+
+
+# ---------------------------------------------------------------------------
+# the delta-apply front end as it was: the word checked on Fractions and
+# built by the public constructor, each drop j worked back from its exponent
+# ---------------------------------------------------------------------------
+
+
+def fraction_check_word(sector, modes) -> tuple:
+    """`Sector.check_word` as it was, on `Fraction` arithmetic."""
+    lattice = "Z" if sector.half else "Z + 1/2"
+    modes = tuple(QQ(m) for m in modes)
+    for m in modes:
+        if m.denominator != 2 - sector.half:
+            raise ValueError(f"mode {m} is not in {lattice}")
+        if 2 * m > sector.half - 1:
+            raise ValueError(f"mode {m} is not a creation mode")
+    if any(a >= b for a, b in zip(modes, modes[1:])):
+        text = ", ".join(str(m) for m in modes)
+        raise ValueError(f"word ({text}) is not strictly ascending")
+    return tuple(int(2 * m) for m in modes)
+
+
+def fraction_parse_state(text: str) -> State:
+    """`cli.parse_state` as it was: the word checked by the Fraction body
+    and the state built by the validating public constructor."""
+    name = text.strip().lower()
+    if name in cli._NAMED_STATES:
+        return cli._NAMED_STATES[name]
+    indices = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            raise ValueError(f"empty mode index in state {text!r}")
+        try:
+            indices.append(verify.parse_rational(part))
+        except ValueError as exc:
+            raise ValueError(f"bad mode index {part!r} in state") from exc
+    return State({fraction_check_word(NS, indices): ONE})
+
+
+def exponent_cmd_delta_apply(cfg) -> int:
+    """`cli.cmd_delta_apply` as it was: each piece's drop j undone from its
+    exponent with Fraction arithmetic."""
+    state = fraction_parse_state(cfg.state)
+    weight = state.homogeneous_level()
+    direction = INVERSE if cfg.inverse else FORWARD
+    window = Window({"x": (cfg.lo, cfg.hi)})
+    expansion = apply_delta(cfg.k, state, direction)
+    rows = []
+    json_pieces = []
+    for exponent, piece in expansion.pieces:
+        if not window.contains("x", exponent):
+            continue
+        if direction == FORWARD:
+            j = (weight / cfg.k - weight - exponent) * cfg.k
+        else:
+            j = weight - weight / cfg.k - exponent
+        rendered = piece.render()
+        rows.append((scalar_str(QQ(j)), cli._value(exponent, cfg.decimal), rendered))
+        json_pieces.append(
+            {
+                "j": scalar_str(QQ(j)),
+                "exponent": cli._value(exponent, cfg.decimal),
+                "state": rendered,
+            }
+        )
+    payload = {
+        "k": cfg.k,
+        "direction": direction,
+        "input": state.render(),
+        "weight": scalar_str(QQ(weight)),
+        "prefactor": cli._value(expansion.prefactor, cfg.decimal),
+        "pieces": json_pieces,
+    }
+    cli._emit(cli._render_rows(cfg.fmt, ("j", "exponent", "state"), rows, payload),
+              cfg.out)
+    return 0
+
+
+def delta_apply_argvs() -> list:
+    """Every NS word of weight <= 5 (the empty one as ``vacuum``), psi and
+    omega, at k in {1, 2, 3, 4, 6}, both directions, with and without an
+    exponent window and --decimal, in the three formats."""
+    states = [",".join(str(QQ(m2, 2)) for m2 in word)
+              for word in NS.basis(5) if word] + ["vacuum", "psi", "omega"]
+    return [
+        ("delta-apply", "--k", str(k), f"--state={state}", "--format", fmt,
+         *inverse, *window, *decimal)
+        for state in states
+        for k in (1, 2, 3, 4, 6)
+        for inverse in ((), ("--inverse",))
+        for window in ((), ("--lo=-3/2", "--hi=1/3"))
+        for decimal in ((), ("--decimal",))
+        for fmt in cli.FORMATS
+    ]
+
+
+def front_end_mismatches(command) -> list:
+    """The argvs of `delta_apply_argvs` on which ``command`` in place of
+    `cli.cmd_delta_apply` prints other text than the oracle, by exit code
+    and stdout."""
+    def outputs(entry):
+        printed = []
+        commands = dict(cli._COMMANDS, **{"delta-apply": entry})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_COMMANDS", commands)
+            for argv in delta_apply_argvs():
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = cli.main(list(argv))
+                printed.append((code, out.getvalue()))
+        return printed
+
+    return [argv for argv, got, expected
+            in zip(delta_apply_argvs(), outputs(command),
+                   outputs(exponent_cmd_delta_apply))
+            if got != expected]
+
+
+def test_delta_apply_prints_what_the_exponent_body_printed():
+    assert front_end_mismatches(cli.cmd_delta_apply) == []
+
+
+def test_planted_drop_error_fails_the_front_end_sweep():
+    """j one too high at every drop >= 1: the sweep must tell, and only on
+    states with such a piece in the window (psi has none)."""
+    planted = mutated(cli.cmd_delta_apply, "// 2)",
+                      "// 2 + (level2 > _level2(piece)))")
+    mismatches = front_end_mismatches(planted)
+    assert mismatches
+    assert not [argv for argv in mismatches if "--state=psi" in argv]
+
+
+BAD_STATE_TEXTS = ("-3/2,,-1/2", "abc", "-1/0", "0", "-1", "-3/4", "1/2",
+                   "-1/2,-1/2", "-1/2,-3/2", "-5/2,-3/2,-3/2", "-3/2,1/2")
+
+
+@pytest.mark.parametrize("text", BAD_STATE_TEXTS)
+def test_bad_state_is_refused_with_the_fraction_body_message(text):
+    with pytest.raises(ValueError) as expected:
+        fraction_parse_state(text)
+    with pytest.raises(ValueError) as got:
+        cli.parse_state(text)
+    assert str(got.value) == str(expected.value)
+
+
+def test_check_word_matches_the_fraction_body():
+    """Every word of at most two modes in (1/4)Z from -5/2 to 3/2, as
+    Fractions and, where integral, as ints, in both sectors: the same
+    doubled word or the same refusal."""
+    grid = [QQ(n, 4) for n in range(-10, 7)]
+    words = [(m,) for m in grid] + [(a, b) for a in grid for b in grid]
+    words += [tuple(int(m) for m in word) for word in words
+              if all(m.denominator == 1 for m in word)]
+    accepted = 0
+    for sector in (NS, R):
+        for word in words:
+            try:
+                expected = fraction_check_word(sector, word)
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                got = sector.check_word(word)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (sector.ket, word)
+            accepted += isinstance(expected, tuple)
+    # three modes and three ascending pairs on |0>, and on |R> as
+    # Fractions and as ints
+    assert accepted == 6 + 2 * 6

@@ -89,6 +89,17 @@ class TestModeAlgebra:
         with pytest.raises(ValueError, match="ascending"):
             NS.check_word((-H, QQ(-3, 2)))
 
+    @pytest.mark.parametrize("modes,message", [
+        ((H,), "mode 1/2 is not in Z"),
+        ((QQ(-1), QQ(1)), "mode 1 is not a creation mode"),
+        ((QQ(0), QQ(-1)), "word (0, -1) is not strictly ascending"),
+        ((QQ(-1), QQ(-1)), "word (-1, -1) is not strictly ascending"),
+    ])
+    def test_invalid_ramond_words_rejected(self, modes, message):
+        with pytest.raises(ValueError) as refused:
+            R.check_word(modes)
+        assert str(refused.value) == message
+
 
 # ---------------------------------------------------------------------------
 # vertex operators from the iterate recursion
