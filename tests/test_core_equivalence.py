@@ -2774,7 +2774,6 @@ def test_expanded_product_follows_pascals_rule(k):
     assert (cases, nonzero) == PASCAL_CASES[k]
 
 
-
 # ---------------------------------------------------------------------------
 # the delta-apply front end as it was: the word checked on Fractions and
 # built by the public constructor, each drop j worked back from its exponent
