@@ -78,10 +78,15 @@ class _ModeField:
     `fermion.mode_sum` over the plan, and zero where the class is None or
     above the `top` on the state; `mode` reads the image within both.  A
     subclass sets ``k``, ``state`` (the field's vector), ``power`` (its
-    slot power mod k), ``scale``, ``weight``, ``parity``, ``_offsets``,
-    ``classes`` (one period of the class in M) and ``scalars``, and
-    ``field_of(u)`` gives the field of another state of the same kind.
-    ``sector`` is the module the modes act on: the parity-twisted one.
+    slot power mod k), ``scale`` (even), ``weight``, ``parity``,
+    ``_offsets``, ``classes`` (one period of the class in M) and
+    ``scalars``, and ``field_of(u)`` gives the field of another state of
+    the same kind.  ``sector`` is the module the modes act on: the
+    parity-twisted one.
+
+    The class table is the field's support: `_on_sector_lattice` marks
+    None every M whose plan leaves the sector lattice, so no check reads a
+    mode that is zero by construction.
     """
 
     sector = R
@@ -100,6 +105,26 @@ class _ModeField:
         """The exponent j of the scalar ``scalars[j]`` of mode M, or None
         where the mode is zero."""
         return self.classes[M % self.scale]
+
+    def _on_sector_lattice(self, classes) -> tuple:
+        """``classes`` with None at every M off the sector lattice.
+
+        In a sector of ``half`` h, a mode of a field of parity r is zero
+        unless its doubled index is ≡ r·h (mod 2): `fermion.iterate_mode_word`
+        tests this for one-mode words, and the recursion keeps it.  Mode M
+        of the field is the plan's modes at the doubled indices offset + M,
+        and every offset of a plan has one parity, so M is on the lattice
+        for every pair of its plan or for none: it is off where
+        offset + M - r·h is odd.  The scale is even, so one period of M
+        decides this.  An empty plan (the zero state's) counts as even,
+        which keeps the zero state's table.
+        """
+        parities = {offset % 2 for _, offset in self._offsets} or {0}
+        if len(parities) != 1:
+            raise AssertionError("the plan's offsets have mixed parities")
+        (offset,) = parities
+        odd = offset - self.parity * self.sector.half
+        return tuple(None if (odd + M) % 2 else j for M, j in enumerate(classes))
 
     def plan(self, M: int) -> tuple:
         """The (state, doubled sigma-mode index) pairs whose sum is mode M."""
@@ -138,6 +163,16 @@ class SlotField(_ModeField):
     scales the mode with index m by eta^{power*k*(-m-1)}; where that power
     is fractional the mode is zero.
 
+    Its support on the sector lattice depends on the order's parity.  A
+    piece (e, u_e) of weight p_e has e = p_e/k - p, so its doubled offset
+    2k(e+1) - 2 = 2p_e - 2kp + 2k - 2 is ≡ r(1 - k) (mod 2) for u of
+    parity r, as 2p_e and 2p are both ≡ r.  On the Ramond lattice, doubled
+    index ≡ r, mode M is nonzero only for M ≡ kr (mod 2): at even k every
+    slot field lives on the (1/k)-lattice of m, and at odd k an odd field
+    lives on the coset 1/(2k) + (1/k)Z, the obstruction to an odd-order
+    module.  The class table holds that support together with the slot
+    twist.
+
     Modes are read on the int index M = 2k m (`twisted_mode` is the public
     form on a rational m), so a piece's doubled sigma-mode index is an int
     offset plus M.  The pieces have rational coefficients, so the image is
@@ -167,8 +202,9 @@ class SlotField(_ModeField):
         # the doubled sigma-mode index of piece (e, u_e) is 2k(e+1) - 2 + M
         self._offsets = tuple(
             (piece, int(self.scale * (e + 1)) - 2) for e, piece in self.pieces)
-        # by M mod 2k: power*k*(-m-1) = -power*M/2 - power*k mod k
-        self.classes = tuple(
+        # by M mod 2k: power*k*(-m-1) = -power*M/2 - power*k mod k, on the
+        # sector lattice
+        self.classes = self._on_sector_lattice(
             None if power * M % 2 else (-power * M // 2) % k
             for M in range(self.scale))
         # entry j: the prefactor times eta^j, a QQ where rational
@@ -224,8 +260,9 @@ class RecoveredField(_ModeField):
     combine into one rational factor, folded into the states of the piece's
     plan; so the plan is every coordinate-change piece of every inverse
     piece, and a mode is one `fermion.mode_sum`, a state over Q, read on
-    the doubled index N = 2m.  The field of a state of parity r is
-    supported on r/2 + Z: its class is None at the complementary offset.
+    the doubled index N = 2m.  Every offset of that plan is even, so the
+    sector lattice rule of `_ModeField` puts the field of a state of
+    parity r on r/2 + Z: its class is None at the complementary offset.
     The branch of the k-th root is structural: only the principal one is
     admissible.
     """
@@ -238,7 +275,6 @@ class RecoveredField(_ModeField):
         # the zero state has no weight or parity; its field is empty
         self.weight = u.homogeneous_level() or ZERO
         self.parity = u.homogeneous_parity() or 0
-        self.classes = (None, 0) if self.parity else (0, None)
         self.scalars = (ONE,)
         expansion = apply_delta(k, u, INVERSE)
         plan = []
@@ -251,6 +287,7 @@ class RecoveredField(_ModeField):
             plan += [(state.scaled(factor), index)
                      for state, index in field.plan(int(2 * k * (e - 1)) + 2)]
         self._offsets = tuple(plan)
+        self.classes = self._on_sector_lattice((0, 0))
 
     def field_of(self, u: State) -> "RecoveredField":
         """The recovered field of u, on the principal branch."""

@@ -534,7 +534,8 @@ def _supercommutator_grid(pair: _Pair, target: State, grid1, grid2):
     modes, so the bracket has one scalar, looked up in the pair's table
     once per grid point.  What the grid revisits is kept here, with no
     mode cache: the image of A per e1 and of B per e2; a zero image has no
-    level, so no mode acts after it."""
+    level, so no mode acts after it.  A point where neither composite is
+    nonzero yields `ZERO_STATE` with no scalar looked up or combined."""
     left, right, scalars, eps = pair
     sign = -eps
     step = left.scale
@@ -547,15 +548,19 @@ def _supercommutator_grid(pair: _Pair, target: State, grid1, grid2):
         c2 = right.eta_class(m2)
         b = right.mode(m2, target)
         for e1, m1, c1, a in a_images:
-            if c1 is None or c2 is None:
+            # a mode off its class lattice is zero, so a nonzero composite
+            # has both classes
+            ab = left.mode(m1, b) if b.nums else ZERO_STATE
+            ba = right.mode(m2, a) if a.nums else ZERO_STATE
+            if not (ab.nums or ba.nums):
                 yield e1, e2, ZERO_STATE
                 continue
             scalar = scalars[(c1 + c2) % len(scalars)]
             pairs = []
-            if b.nums:
-                pairs.append((left.mode(m1, b), scalar))
-            if a.nums:
-                pairs.append((right.mode(m2, a), sign * scalar))
+            if ab.nums:
+                pairs.append((ab, scalar))
+            if ba.nums:
+                pairs.append((ba, sign * scalar))
             yield e1, e2, combine(pairs)
 
 
@@ -587,6 +592,11 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
     nonzero and some but not all forms hold e1 on their lattice; a form
     expected to fail can fail only at such a point, and a window without
     one is refused with ValueError.
+
+    A point that is zero by construction is counted, once per form, but
+    not built: the grid yields it with no `combine`, a residue whose
+    iterate images at e1 + e2 are all zero is `ZERO_STATE` with no kernel
+    term read, and a location text is built only for a mismatch.
     """
     step = left.scale
     grid1 = _lattice_grid(window, "x1", step, step)
@@ -623,35 +633,41 @@ def _commutator_report(k_report: int, left, right, window: Window, *,
     }
 
     for _, target, word_text in _domain(left, domain_level):
-        # e1 + e2 -> per iterate, its mode -e1-e2-t-2 on the word and the
-        # mode's eta class
+        # e1 + e2 -> for each iterate whose mode -e1-e2-t-2 on the word is
+        # nonzero: its position, scalars, image and the mode's eta class
         images = {}
 
         def residue(e1, e2) -> State:
             total = e1 + e2
             hit = images.get(total)
             if hit is None:
-                hit = []
-                for t, field in iterates:
+                hit = images[total] = []
+                for i, (t, field) in enumerate(iterates):
                     mu = -total - step * (t + 2)
-                    hit.append((field.mode(mu, target),
-                                field.eta_class(mu)))
-                images[total] = hit
+                    image = field.mode(mu, target)
+                    if image.nums:
+                        hit.append((i, field.scalars, image, field.eta_class(mu)))
+            if not hit:
+                return ZERO_STATE
+            kernel = kernel_terms[e1]
             terms = []
-            for (_, field), (image, j), (binom, shift) in zip(
-                    iterates, hit, kernel_terms[e1]):
-                if image.nums:
-                    scalars_t = field.scalars
-                    terms.append((image, binom * scalars_t[(j + shift) % len(scalars_t)]))
+            for i, scalars_t, image, j in hit:
+                binom, shift = kernel[i]
+                terms.append((image, binom * scalars_t[(j + shift) % len(scalars_t)]))
             return combine(terms).scaled(prefactor)
 
         for e1, e2, lhs in _supercommutator_grid(pair, target, grid1, grid2):
-            location = x1_text[e1] + x2_text[e2] + word_text
             rhs = None
             for (result, _), on in zip(results, on_lattice[e1]):
                 if on and rhs is None:
                     rhs = residue(e1, e2)
-                result.compare(location, lhs, rhs if on else ZERO_STATE)
+                side = rhs if on else ZERO_STATE
+                # `ComparisonResult.compare`, with the location text built
+                # only for a mismatch
+                result.compared += 1
+                if lhs != side:
+                    result.mismatches.append(
+                        (x1_text[e1] + x2_text[e2] + word_text, lhs, side))
             if rhs is not None and rhs.nums and not all(on_lattice[e1]):
                 witnesses += 1
     window_text = _window_str(window)

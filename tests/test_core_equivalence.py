@@ -118,7 +118,24 @@ run without a cache:
   for byte over every NS word of weight <= 5, vacuum, psi and omega at
   k in {1, 2, 3, 4, 6}, both directions, with and without a window and
   --decimal, in all three formats, and the same refusal text for bad
-  words; with j one too high at every drop >= 1 the sweep must differ.
+  words; with j one too high at every drop >= 1 the sweep must differ;
+* `SlotField.classes` as it was, the slot twist alone (`old_slot_classes`),
+  against the class table that is the field's support on the sector
+  lattice: over every slot power at orders 1 to 6, every NS word up to
+  weight 4 and five periods of M on every Ramond word up to level 2, a
+  newly None class must have a zero `mode_sum` over the plan and every
+  other class must equal the old one; with the rule's parity flipped the
+  sweep must fail; and `RecoveredField`'s hand-written parity coset, which
+  the rule must reproduce at orders 2, 4 and 6;
+* `verify._supercommutator_grid` and `verify._commutator_report` as they
+  were, combining every point off neither class lattice, reading every
+  iterate in every residue and building every location text, run on the
+  old class tables, against the engine that counts zero points without
+  building them: the same reports (counts, mismatches and their order)
+  and the same refusals for the obstruction at k = 3 and 5, the even
+  supercommutator at k = 2 and 4, cross-slot at slots (1, 2) and (2, 2)
+  and the recovered commutator, also with the residue kernel's sign
+  dropped, where both report the same nonzero witnesses.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -160,6 +177,7 @@ from twistfock.fermion import (
     combine,
     field_mode,
     iterate_mode_word,
+    mode_sum,
     vertex_mode,
     virasoro,
     word_level,
@@ -1504,7 +1522,14 @@ def test_slot_index_matches_the_rational_index(k, data):
         assert old.is_zero()
         assert rational_slot_mode(field, m, target).is_zero()
         return
-    assert field.eta_class(M) == old_class
+    # the lattice rule: the doubled sigma index 2(k(e+m+1) - 1) of every
+    # piece has one parity, and off the Ramond lattice of u's parity r
+    # (doubled index = r mod 2) the image is zero
+    r = u.homogeneous_parity()
+    (off,) = {int(2 * (k * (e + m + 1) - 1) - r) % 2 for e, _ in field.pieces}
+    if off:
+        assert old.is_zero()
+    assert field.eta_class(M) == (None if off else old_class)
     assert field.image(M, target) == old
     expected = (ZERO_STATE if old_class is None
                 else old.scaled(field.scalars[old_class]))
@@ -2942,3 +2967,285 @@ def test_check_word_matches_the_fraction_body():
     # three modes and three ascending pairs on |0>, and on |R> as
     # Fractions and as ints
     assert accepted == 6 + 2 * 6
+
+
+# ---------------------------------------------------------------------------
+# the class tables as they were, before they gave the fields' support on the
+# sector lattice, and the residue-commutator engine as it was, combining
+# and locating every grid point
+# ---------------------------------------------------------------------------
+
+
+def old_slot_classes(k: int, power: int) -> tuple:
+    """`SlotField.classes` as it was: by M mod 2k, None where the slot twist
+    power·k·(-m-1) is fractional, else its class mod k."""
+    power %= k
+    return tuple(None if power * M % 2 else (-power * M // 2) % k
+                 for M in range(2 * k))
+
+
+def old_class_table(self, classes) -> tuple:
+    """`_ModeField._on_sector_lattice` replaced by the tables as they were:
+    the slot twist alone for a slot field, the parity coset of the state
+    for a recovered field."""
+    if isinstance(self, RecoveredField):
+        return (None, 0) if self.parity else (0, None)
+    return tuple(classes)
+
+
+# every NS word up to weight 4 (both parities, the vacuum included) on every
+# Ramond word up to level 2
+SUPPORT_STATES = [State({word: ONE}) for word in NS.basis(QQ(4))]
+SUPPORT_TARGETS = [State({word: ONE}) for word in R.basis(QQ(2))]
+
+
+def support_sweep(k: int) -> tuple:
+    """Every slot power of every support state at order k, with M over five
+    periods: (points, newly None, nonzero images, failures).  A failure is
+    a point newly None (None where the old table's class is not, so only
+    the lattice rule makes it zero) while the plan's `mode_sum` is nonzero,
+    or a point whose class is not None and differs from the old table's."""
+    points = newly_none = nonzero = 0
+    failures = []
+    scale = 2 * k
+    for u in SUPPORT_STATES:
+        base = SlotField(k, u)
+        fields = [SlotField(k, u, p) for p in range(k)]
+        # the plan does not depend on the slot
+        assert all(field._offsets == base._offsets for field in fields)
+        for M in range(-2 * scale, 3 * scale):
+            images = [mode_sum(base.plan(M), target, R.half)
+                      for target in SUPPORT_TARGETS]
+            nonzero += sum(bool(image.nums) for image in images)
+            for p, field in enumerate(fields):
+                new, old = field.eta_class(M), old_slot_classes(k, p)[M % scale]
+                points += len(images)
+                if new is None:
+                    if old is not None:
+                        newly_none += len(images)
+                        failures += [(u, p, M) for image in images
+                                     if image.nums]
+                elif new != old:
+                    failures.append((u, p, M))
+    return points, newly_none, nonzero, failures
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_slot_class_is_none_only_where_the_plan_is_zero(k):
+    points, newly_none, nonzero, failures = support_sweep(k)
+    assert failures == []
+    # the support removes points at every order, and the sweep reads
+    # nonzero images
+    assert newly_none > 0 and nonzero > 0
+    assert points == len(SUPPORT_STATES) * k * 5 * 2 * k * len(SUPPORT_TARGETS)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_parity_flipped_support_rule_fails_the_sweep(monkeypatch, k):
+    rule = twist._ModeField._on_sector_lattice
+
+    def flipped(self, classes):
+        self.parity ^= 1
+        try:
+            return rule(self, classes)
+        finally:
+            self.parity ^= 1
+
+    monkeypatch.setattr(twist._ModeField, "_on_sector_lattice", flipped)
+    assert support_sweep(k)[3]
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("u", SUPPORT_STATES + [ZERO_STATE])
+def test_recovered_classes_are_the_parity_coset(monkeypatch, k, u):
+    field = RecoveredField(k, u)
+    monkeypatch.setattr(twist._ModeField, "_on_sector_lattice", old_class_table)
+    assert field.classes == RecoveredField(k, u).classes
+
+
+def old_supercommutator_grid(pair, target: State, grid1, grid2):
+    """`verify._supercommutator_grid` as it was: every point off neither
+    class lattice combines its two composed images."""
+    left, right, scalars, eps = pair
+    sign = -eps
+    step = left.scale
+    a_images = []
+    for e1 in grid1:
+        m1 = -e1 - step
+        a_images.append((e1, m1, left.eta_class(m1), left.mode(m1, target)))
+    for e2 in grid2:
+        m2 = -e2 - step
+        c2 = right.eta_class(m2)
+        b = right.mode(m2, target)
+        for e1, m1, c1, a in a_images:
+            if c1 is None or c2 is None:
+                yield e1, e2, ZERO_STATE
+                continue
+            scalar = scalars[(c1 + c2) % len(scalars)]
+            pairs = []
+            if b.nums:
+                pairs.append((left.mode(m1, b), scalar))
+            if a.nums:
+                pairs.append((right.mode(m2, a), sign * scalar))
+            yield e1, e2, combine(pairs)
+
+
+def old_commutator_report(k_report: int, left, right, window: Window, *,
+                          forms, domain_level=QQ(2)) -> tuple:
+    """`verify._commutator_report` as it was: the residue reads every
+    iterate at every point, and every point builds its location text."""
+    step = left.scale
+    grid1 = verify._lattice_grid(window, "x1", step, step)
+    grid2 = verify._lattice_grid(window, "x2", step, step)
+    iterates = []
+    for t in range(0, verify._iterate_top(left.state, right.state) + 1):
+        it = vertex_mode(left.state, t, right.state)
+        if not it.is_zero():
+            iterates.append((t, right.field_of(it)))
+    prefactor = QQ(2, step)
+    power = left.power - right.power
+    pair = verify._pair(left, right)
+    results = [(ComparisonResult(name), shift) for name, shift, _ in forms]
+    on_lattice = {
+        e1: tuple((e1 - shift) % 2 == 0 for _, shift in results)
+        for e1 in grid1
+    }
+    x1_text = verify._axis_texts("x1", grid1, step)
+    x2_text = verify._axis_texts("x2", grid2, step, " @ ")
+    orders = [t for t, _ in iterates]
+    witnesses = 0
+    kernel_terms = {
+        e1: tuple(
+            (binom, power * (e1 + step * t) // 2)
+            for t, binom in zip(orders,
+                                verify._signed_binomials(e1, step, orders))
+        )
+        for e1 in grid1 if any(on_lattice[e1])
+    }
+
+    for _, target, word_text in verify._domain(left, domain_level):
+        images = {}
+
+        def residue(e1, e2) -> State:
+            total = e1 + e2
+            hit = images.get(total)
+            if hit is None:
+                hit = []
+                for t, field in iterates:
+                    mu = -total - step * (t + 2)
+                    hit.append((field.mode(mu, target),
+                                field.eta_class(mu)))
+                images[total] = hit
+            terms = []
+            for (_, field), (image, j), (binom, shift) in zip(
+                    iterates, hit, kernel_terms[e1]):
+                if image.nums:
+                    scalars_t = field.scalars
+                    terms.append(
+                        (image, binom * scalars_t[(j + shift) % len(scalars_t)]))
+            return combine(terms).scaled(prefactor)
+
+        for e1, e2, lhs in old_supercommutator_grid(pair, target, grid1, grid2):
+            location = x1_text[e1] + x2_text[e2] + word_text
+            rhs = None
+            for (result, _), on in zip(results, on_lattice[e1]):
+                if on and rhs is None:
+                    rhs = residue(e1, e2)
+                result.compare(location, lhs, rhs if on else ZERO_STATE)
+            if rhs is not None and rhs.nums and not all(on_lattice[e1]):
+                witnesses += 1
+    window_text = verify._window_str(window)
+    for name, _, expected in forms:
+        if expected == "fail" and not witnesses:
+            raise ValueError(
+                f"{name} cannot fail on the window {window_text}: at no "
+                "point there does its residue side differ from another "
+                "form's; widen the window")
+    return tuple(
+        verify._wrap_comparison(result, k_report, window_text,
+                                expected_verdict=expected)
+        for (result, _), (_, _, expected) in zip(results, forms)
+    )
+
+
+def obstruction_forms(u: State) -> tuple:
+    parity = u.homogeneous_parity()
+    return (("even", 0, "fail" if parity else "pass"), ("odd", parity, "pass"))
+
+
+def slot_pair(slot_u: int, slot_v: int):
+    return lambda k, u, v: (verify._slot_field(k, u, slot=slot_u),
+                            verify._slot_field(k, v, slot=slot_v))
+
+
+# (k, the two fields, the forms) of each check that runs the engine
+ENGINE_CASES = {
+    "obstruction-k3": (3, slot_pair(1, 1), obstruction_forms),
+    "obstruction-k5": (5, slot_pair(1, 1), obstruction_forms),
+    "even-k2": (2, slot_pair(1, 1), lambda u: (("even", 0, "pass"),)),
+    "even-k4": (4, slot_pair(1, 1), lambda u: (("even", 0, "pass"),)),
+    "cross-slot-1-2": (2, slot_pair(1, 2), lambda u: (("cross", 0, "pass"),)),
+    "cross-slot-2-2": (2, slot_pair(2, 2), lambda u: (("cross", 0, "pass"),)),
+    "recovered": (
+        2,
+        lambda k, u, v: (RecoveredField(k, u), RecoveredField(k, v)),
+        lambda u: (("recovered", u.homogeneous_parity(), "pass"),),
+    ),
+}
+ENGINE_WINDOW = Window.cube(("x1", "x2"), QQ(-1), QQ(1))
+ENGINE_PAIRS = [(PSI, PSI), (PSI, OMEGA), (OMEGA, PSI), (OMEGA, OMEGA)]
+
+
+def engine_outcomes(monkeypatch, case: str, u: State, v: State) -> tuple:
+    """The reports of the engine and of the oracle on one case, the oracle
+    on the old class tables; a refused run gives its message."""
+    k, fields, forms = ENGINE_CASES[case]
+
+    def outcome(report, *args):
+        try:
+            return [r._values() for r in report(k, *fields(k, u, v), *args,
+                                                 forms=forms(u),
+                                                 domain_level=QQ(1))]
+        except ValueError as exc:
+            return str(exc)
+
+    new = outcome(verify._commutator_report, ENGINE_WINDOW)
+    with monkeypatch.context() as patch:
+        patch.setattr(twist._ModeField, "_on_sector_lattice", old_class_table)
+        old = outcome(old_commutator_report, ENGINE_WINDOW)
+    return new, old
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_commutator_engine_matches_the_old_engine(monkeypatch, case):
+    compared = 0
+    for u, v in ENGINE_PAIRS:
+        new, old = engine_outcomes(monkeypatch, case, u, v)
+        assert new == old, (u, v)
+        compared += sum(values[3] for values in new)
+    assert compared > 0
+    if case.startswith("obstruction"):
+        # alone, the even form has no other form to differ from: both
+        # engines refuse it
+        k, fields, forms = ENGINE_CASES[case]
+        for report in (verify._commutator_report, old_commutator_report):
+            with pytest.raises(ValueError, match="cannot fail"):
+                report(k, *fields(k, PSI, PSI), ENGINE_WINDOW,
+                       forms=forms(PSI)[:1], domain_level=QQ(1))
+
+
+def test_dropped_kernel_sign_gives_the_old_engine_witnesses(monkeypatch):
+    """With the residue kernel's sign (-1)^t dropped, both engines report
+    the same nonzero witnesses on every case."""
+    monkeypatch.setattr(
+        verify, "_signed_binomials",
+        lambda e, step, orders: [binomial(QQ(e + step * t, step), t)
+                                 for t in orders])
+    mismatched = 0
+    for case in ENGINE_CASES:
+        for u, v in ENGINE_PAIRS:
+            new, old = engine_outcomes(monkeypatch, case, u, v)
+            assert new == old, (case, u, v)
+            if not isinstance(new, str):
+                mismatched += sum(len(values[4]) for values in new)
+    assert mismatched > 0

@@ -264,8 +264,11 @@ class TestFieldOf:
             assert SlotField(k, u, p - k).power == p
             for v in self.TARGETS:
                 derived = field.field_of(v)
-                # a slot field's classes depend on its slot alone
-                assert derived.classes == field.classes
+                # a slot field's classes depend on its slot and its parity,
+                # and agree across parities only at even k
+                same = (k % 2 == 0
+                        or v.homogeneous_parity() == u.homogeneous_parity())
+                assert (derived.classes == field.classes) == same
                 self.assert_like(derived, SlotField(k, v, p), field)
 
     @pytest.mark.parametrize("k", [2, 4])
