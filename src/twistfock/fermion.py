@@ -5,8 +5,8 @@ modes applied to a vacuum; the generating field obeys canonical
 anticommutation relations {psi_m, psi_n} = delta_{m+n,0}.  Vertex operators
 of descendant vectors are never expanded by hand: every mode is produced by
 the residue-extraction recursion (`iterate_mode_word`), which also covers the
-parity-twisted sector used by the `ramond` module through its half-integer
-lattice shift.  All coefficients are exact.
+parity-twisted (Ramond) sector through its half-integer lattice shift.  All
+coefficients are exact.
 
 Coefficients are integers over one denominator: a `State` holds a positive
 int denominator and an integral numerator per word, in lowest terms, and
@@ -32,12 +32,14 @@ A sum of modes of descendant fields, each at its own index, on a state of
 either sector is `mode_sum`: it sums the recursion's numerators over every
 field and every pair of words of the field's vector and of the target in
 one dict and builds one `State`.  A single mode, `field_mode`, is its
-one-piece call, and `vertex_mode` and `ramond.sigma_vertex_mode` are that
-on the two sectors; a twisted field's mode (`twist._ModeField.image`) is
-one `mode_sum` over its plan, in the sector the field names.  Every other
-linear combination of states goes through `combine`, which sums scalar *
-state over all its pairs in one dict, over the lcm of their denominators,
-and reduces and sorts once, instead of after every `+`.
+one-piece call; `Sector.mode` is that on one sector, and the sector's
+Virasoro modes, ground weight and L(0) spectrum are read from it, one body
+for both (`vertex_mode` and `virasoro` are `NS.mode` and `NS.virasoro`).
+A twisted field's mode (`twist._ModeField.image`) is one `mode_sum` over
+its plan, in the sector the field names.  Every other linear combination
+of states goes through `combine`, which sums scalar * state over all its
+pairs in one dict, over the lcm of their denominators, and reduces and
+sorts once, instead of after every `+`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
+from .formal import QSeries
 from .scalars import (
     HALF,
     QQ,
@@ -85,9 +88,17 @@ class Sector(namedtuple("Sector", "half ket")):
     or the parity-twisted (Ramond) module on |R>.  ``half`` is twice the
     sector shift, the int `iterate_mode_word` takes (0 or 1), and ``ket``
     the text of the highest-weight vector.  A sector reads, prints and
-    enumerates its own words; `NS` and `R` are its two instances."""
+    enumerates its own words, and holds its module's modes, Virasoro
+    modes, ground weight and L(0) spectrum; `NS` and `R` are its two
+    instances."""
 
     __slots__ = ()
+
+    @property
+    def level_den(self) -> int:
+        """d of the level lattice (1/d)Z, where the sector's creation modes
+        lie too: 2 on |0>, 1 on |R>."""
+        return 2 - self.half
 
     def check_word(self, modes) -> tuple:
         """The doubled word of a word of physical modes: strictly ascending
@@ -98,7 +109,7 @@ class Sector(namedtuple("Sector", "half ket")):
         `Fraction` arithmetic: the lattice test asks for d = 2 on |0> and
         d = 1 on |R>, and the creation and ascending tests run on the
         doubled mode 2n // d.  Mode text is built only for an error."""
-        den = 2 - self.half
+        den = self.level_den
         word = []
         for m in modes:
             if m.denominator != den:
@@ -133,6 +144,51 @@ class Sector(namedtuple("Sector", "half ket")):
         if budget2 >= 0:
             build([], self.half - 1, budget2)  # the largest creation mode
         return sorted(words, key=lambda w: (-sum(w), w))
+
+    def mode(self, v: State, t, target: State) -> State:
+        """Lattice mode t of the field of v, an untwisted state, on a state
+        of the sector.  The field is sum_t v_t x^{-t-1}, so the generator's
+        mode t is the physical mode t + 1/2; on |R> the nonzero modes of an
+        odd v sit on t in 1/2 + Z and those of an even v on t in Z."""
+        return field_mode(v, t, target, self.half)
+
+    def virasoro(self, n, s: State) -> State:
+        """L(n): lattice mode n+1 of the conformal vector's field."""
+        return self.mode(OMEGA, QQ(n) + 1, s)
+
+    def ground_weight(self) -> QQ:
+        """The L(0) eigenvalue on the highest-weight vector, computed
+        exactly: the mode recursion applied to the conformal vector gives
+        0 on |0> and 1/16 on |R>, derived output, not an input constant."""
+        # the highest-weight vector is the empty word, the vacuum's word
+        image = self.virasoro(0, VACUUM)
+        value = image.coefficient(())
+        if image != VACUUM.scaled(value):
+            raise AssertionError("L(0) is not scalar on the ground vector")
+        return value
+
+    def spectrum(self, cutoff) -> QSeries:
+        """Graded dimension of the module up to a weight cutoff, on the
+        ground weight plus the level lattice: L(0) is diagonalized on the
+        truncated basis (the recursion shows it is already diagonal there)
+        and dimensions are counted per eigenvalue."""
+        den = self.level_den
+        step = QQ(1, den)
+        base = self.ground_weight()
+        top = rational_floor((QQ(cutoff) - base) * den)
+        counts = [0] * (top + 1)  # empty below the ground weight
+        for w in self.basis(top * step):
+            s = State._of(1, ((w, 1),))
+            image = self.virasoro(0, s)
+            value = image.coefficient(w)
+            if image != s.scaled(value):
+                raise AssertionError(f"L(0) is not diagonal at word {w}")
+            slot = (value - base) * den
+            if slot.denominator != 1 or slot < 0:
+                raise AssertionError(f"eigenvalue {value} is off the expected lattice")
+            if slot <= top:
+                counts[int(slot)] += 1
+        return QSeries(base, tuple(counts), step)
 
 
 NS = Sector(0, "|0>")
@@ -581,15 +637,5 @@ def field_mode(v: State, t, target: State, sector_half: int) -> State:
     return mode_sum(((v, t.numerator * (2 // den)),), target, sector_half)
 
 
-def vertex_mode(v: State, t, target: State) -> State:
-    """Lattice mode t of Y(v, x) acting on an untwisted state.
-
-    The index is the lattice one: Y(v,x) = sum_t v_t x^{-t-1}, so the
-    generator's mode t corresponds to the physical mode t + 1/2.
-    """
-    return field_mode(v, t, target, NS.half)
-
-
-def virasoro(n, s: State) -> State:
-    """L(n): lattice mode n+1 of the conformal vector's field."""
-    return vertex_mode(OMEGA, QQ(n) + 1, s)
+vertex_mode = NS.mode
+virasoro = NS.virasoro

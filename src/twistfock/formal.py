@@ -262,16 +262,17 @@ def compare_fields(
     output key", keys written by ``key_formatter``.
     """
     result = ComparisonResult(name)
+
+    def locate(okey) -> str:  # a mismatch in the column (e, key) compared
+        return f"x^{QQ(e, scale)} @ {key_formatter(key)} -> {key_formatter(okey)}"
+
     for e in exponents:
-        x_text = f"x^{QQ(e, scale)} @ "
         for key in keys:
             a_den, a = lhs(e, key)
             b_den, b = rhs(e, key)
             result.compared += 1
-            column = f"{x_text}{key_formatter(key)} -> "
             compare_numerators(
-                result, (a_den, dict(a)), (b_den, dict(b)),
-                lambda okey: column + key_formatter(okey))
+                result, (a_den, dict(a)), (b_den, dict(b)), locate)
     return result
 
 

@@ -83,7 +83,7 @@ from .fermion import (
     virasoro,
     word_level,
 )
-from .ramond import sigma_L0_spectrum, sigma_vertex_mode
+from .ramond import sigma_vertex_mode
 from .deltak import (
     check_L_minus1_identities,
     check_conjugation,
@@ -1088,12 +1088,14 @@ def check_translation_derivative(
 def check_grading(
     k: int, u: State, window: Window, *, domain_level=QQ(2)
 ) -> CheckReport:
-    """Twisted modes shift the integer level by k(weight - m - 1) and keep
-    the rotation grading on the (1/k)-lattice."""
+    """Twisted modes shift the level by k(weight - m - 1) on the level
+    lattice of the field's sector (the integers on |R>) and keep the
+    rotation grading on the (1/k)-lattice."""
     require_even_order(k)
     _require_usable(u, "field argument")
     field = SlotField(k, u)
     step = field.scale
+    lattice = field.sector.level_den
     domain = _domain(field, domain_level)
     result = ComparisonResult(f"twisted-grading[k={k},{_state_label(u)}]")
     for e in _lattice_grid(window, "x", k, step):
@@ -1105,7 +1107,7 @@ def check_grading(
             # the word's doubled level
             expected = QQ(field.top(target) - m, 2)
             # a zero image has every grade; a nonzero one must be homogeneous
-            # at the expected level, a nonnegative integer
+            # at the expected level, a nonnegative point of the lattice
             lhs = rhs = f"level {expected} on the nonnegative integers"
             if not image.is_zero():
                 try:
@@ -1113,8 +1115,8 @@ def check_grading(
                 except ValueError:
                     lhs, rhs = image, "a homogeneous state"
                 else:
-                    if (actual != expected or QQ(actual).denominator != 1
-                            or actual < 0):
+                    if (actual != expected or actual < 0
+                            or (actual * lattice).denominator != 1):
                         lhs = f"level {actual}"
             result.compare(text + word_text, lhs, rhs)
     return _wrap_comparison(result, k, _window_str(window))
@@ -1290,7 +1292,7 @@ def check_character_correspondence(k: int, cutoff: int) -> CheckReport:
         -c / (24 * k),
     )
     twisted = view.graded_dimension()
-    sigma = sigma_L0_spectrum(QQ(cutoff + 1))
+    sigma = R.spectrum(QQ(cutoff + 1))
     pieces = min(len(twisted.coeffs), len(sigma.coeffs))
     for n in range(pieces):
         result.compare(

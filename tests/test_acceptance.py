@@ -13,8 +13,8 @@ import time
 
 from twistfock.scalars import QQ, ONE
 from twistfock.formal import DeltaIdentity, Window, verify_delta_identity
-from twistfock.fermion import NS, OMEGA, PSI, VACUUM, State, word_level
-from twistfock.ramond import R, ground_weight
+from twistfock.fermion import NS, OMEGA, PSI, VACUUM, R, State, word_level
+from twistfock.ramond import ground_weight
 from twistfock.deltak import (
     _exp_derivation_on_x,
     check_conjugation,

@@ -11,8 +11,7 @@ graded-dimension routines it is compared against.
 
 import pytest
 
-from twistfock.fermion import NS, State, virasoro
-from twistfock.ramond import sigma_L0_spectrum
+from twistfock.fermion import NS, R
 from twistfock.scalars import QQ
 from twistfock.twist import TwistedModuleView
 
@@ -44,7 +43,7 @@ def test_oracle_expansions():
 
 
 def test_sigma_L0_spectrum_matches_product():
-    spectrum = sigma_L0_spectrum(QQ(1, 16) + CUTOFF)
+    spectrum = R.spectrum(QQ(1, 16) + CUTOFF)
     assert spectrum.offset == QQ(1, 16)
     assert spectrum.step == 1
     assert list(spectrum.coeffs) == twisted_character(CUTOFF)
@@ -59,13 +58,7 @@ def test_twisted_module_graded_dimension_matches_product(k):
 
 def test_untwisted_L0_eigenvalue_counts_match_product():
     top_half = 10  # weights up to 5
-    counts = [0] * (top_half + 1)
-    for word in NS.basis(QQ(top_half, 2)):
-        state = State({word: QQ(1)})
-        image = virasoro(0, state)
-        eigenvalue = image.coefficient(word)
-        assert image == state.scaled(eigenvalue)
-        slot = 2 * eigenvalue
-        assert slot.denominator == 1 and 0 <= slot <= top_half
-        counts[int(slot)] += 1
-    assert counts == untwisted_character(top_half)
+    spectrum = NS.spectrum(QQ(top_half, 2))
+    assert spectrum.offset == 0
+    assert spectrum.step == QQ(1, 2)
+    assert list(spectrum.coeffs) == untwisted_character(top_half)

@@ -135,7 +135,16 @@ run without a cache:
   and the same refusals for the obstruction at k = 3 and 5, the even
   supercommutator at k = 2 and 4, cross-slot at slots (1, 2) and (2, 2)
   and the recovered commutator, also with the residue kernel's sign
-  dropped, where both report the same nonzero witnesses.
+  dropped, where both report the same nonzero witnesses;
+* the Ramond module's facts as `ramond` held them, with their own bodies
+  (`sigma_virasoro`, `ground_weight` without its cache and
+  `sigma_L0_spectrum`), against the one body on `fermion.Sector` that
+  serves both sectors: `R.virasoro`, `R.ground_weight` and `R.spectrum`
+  over cutoffs 0..10;
+* `formal.compare_fields` as it was, building every column's location
+  prefix, against the one that builds a location text only for a
+  mismatch: the same results on the recovery round trip at k = 2 and 4,
+  honest and with one planted entry of the native field.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -206,8 +215,10 @@ from twistfock.scalars import (
 )
 from twistfock.formal import (
     ComparisonResult,
+    QSeries,
     Window,
     assert_on_lattice,
+    compare_fields,
     compare_numerators,
 )
 from twistfock.twist import RecoveredField, SlotField, u_functor_sigma_mode
@@ -3249,3 +3260,121 @@ def test_dropped_kernel_sign_gives_the_old_engine_witnesses(monkeypatch):
             if not isinstance(new, str):
                 mismatched += sum(len(values[4]) for values in new)
     assert mismatched > 0
+
+
+# ---------------------------------------------------------------------------
+# the Ramond module's facts as `ramond` held them, against `fermion.Sector`
+# ---------------------------------------------------------------------------
+
+
+def old_sigma_virasoro(n, s: State) -> State:
+    """Twisted L(n): lattice mode n+1 of the conformal vector's twisted
+    field (the body of `sigma_vertex_mode` written out)."""
+    return field_mode(OMEGA, QQ(n) + 1, s, R.half)
+
+
+def old_ground_weight() -> QQ:
+    """The twisted L(0) eigenvalue on the ground space, without a cache."""
+    image = old_sigma_virasoro(0, VACUUM)
+    value = image.coefficient(())
+    if image != VACUUM.scaled(value):
+        raise AssertionError("twisted L(0) is not scalar on the ground vector")
+    return value
+
+
+def old_sigma_L0_spectrum(cutoff) -> QSeries:
+    """Graded dimension of the twisted module up to a weight cutoff."""
+    cutoff = QQ(cutoff)
+    base = old_ground_weight()
+    top = rational_floor(cutoff - base)
+    if top < 0:
+        return QSeries(base, ())
+    counts = [0] * (top + 1)
+    for w in R.basis(QQ(top)):
+        s = State({w: QQ(1)})
+        image = old_sigma_virasoro(0, s)
+        value = image.coefficient(w)
+        if image != s.scaled(value):
+            raise AssertionError(f"twisted L(0) is not diagonal at word {w}")
+        slot = value - base
+        if slot.denominator != 1 or slot < 0:
+            raise AssertionError(f"eigenvalue {value} is off the expected lattice")
+        if slot <= top:
+            counts[int(slot)] += 1
+    return QSeries(base, tuple(counts))
+
+
+def test_ramond_ground_weight_matches_the_old_body():
+    clear_caches()
+    assert R.ground_weight() == old_ground_weight() == QQ(1, 16)
+
+
+@pytest.mark.parametrize("cutoff", range(11))
+def test_ramond_spectrum_matches_the_old_body(cutoff):
+    for weight in (QQ(cutoff), QQ(1, 16) + cutoff):
+        new = R.spectrum(weight)
+        assert new == old_sigma_L0_spectrum(weight), weight
+        assert sum(new.coeffs) == len(R.basis(weight - QQ(1, 16)))
+
+
+def test_ramond_virasoro_matches_the_old_body():
+    nonzero = 0
+    for w in R.basis(QQ(5)):
+        s = State({w: ONE})
+        for n in range(-3, 4):
+            new = R.virasoro(n, s)
+            assert_same_state(new, old_sigma_virasoro(n, s))
+            nonzero += not new.is_zero()
+    assert nonzero > 0
+
+
+# ---------------------------------------------------------------------------
+# compare_fields as it was, with every column's location prefix built
+# ---------------------------------------------------------------------------
+
+
+def old_compare_fields(
+    name: str, lhs, rhs, exponents, keys, key_formatter=str, scale: int = 1
+) -> ComparisonResult:
+    result = ComparisonResult(name)
+    for e in exponents:
+        x_text = f"x^{QQ(e, scale)} @ "
+        for key in keys:
+            a_den, a = lhs(e, key)
+            b_den, b = rhs(e, key)
+            result.compared += 1
+            column = f"{x_text}{key_formatter(key)} -> "
+            compare_numerators(
+                result, (a_den, dict(a)), (b_den, dict(b)),
+                lambda okey: column + key_formatter(okey))
+    return result
+
+
+def round_trip_outcome(monkeypatch, compare, k: int, planted: bool) -> tuple:
+    native = verify.sigma_vertex_mode
+    # one entry in the column of psi(-1)|R> at x^-1 (mode 0) and one in
+    # that of psi(0)|R> at x^-3/2 (mode 1/2)
+    columns = ((0, State({(-2,): ONE})), (QQ(1, 2), State({(0,): ONE})))
+
+    def broken(u, t, target):
+        image = native(u, t, target)
+        if (t, target) in columns:
+            return image + State({(-2,): QQ(7)})
+        return image
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "compare_fields", compare)
+        if planted:
+            patch.setattr(verify, "sigma_vertex_mode", broken)
+        report = verify.check_u_round_trip(
+            k, PSI, Window({"x": (QQ(-2), QQ(1))}), domain_level=QQ(1))
+    return report.compared, report.mismatches
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("planted", [False, True], ids=["honest", "planted"])
+def test_compare_fields_matches_the_old_body(monkeypatch, k, planted):
+    new = round_trip_outcome(monkeypatch, compare_fields, k, planted)
+    assert new == round_trip_outcome(monkeypatch, old_compare_fields, k, planted)
+    assert new[0] > 0
+    assert len(new[1]) == (2 if planted else 0)

@@ -223,9 +223,28 @@ class TestCompareFields:
             ("x^-1 @ A -> Z", QQ(1), QQ(5)),
         ]
         assert not result.passed
-        # each column formats its key once; an output key is formatted
-        # only where its entry differs
-        assert visited == ["a", "y", "z", "b", "a", "b"]
+        # keys are formatted only for a mismatch: its column's key, then
+        # its output key; the three agreeing columns format nothing
+        assert visited == ["a", "y", "a", "z"]
+
+    def test_location_text_reads_the_exponent_on_its_scale(self):
+        # one planted entry at the int index -3 on scale 4 is located at
+        # x^-3/4; the agreeing columns build no text
+        visited = []
+
+        def formatter(key):
+            visited.append(key)
+            return f"<{key}>"
+
+        def planted(e, key):
+            return (1, (("out", 1),)) if (e, key) == (-3, "w") else (1, ())
+
+        result = compare_fields(
+            "scaled", planted, lambda e, key: (1, ()), range(-4, 1),
+            ["v", "w"], formatter, 4)
+        assert result.compared == 10 + 1
+        assert result.mismatches == [("x^-3/4 @ <w> -> <out>", QQ(1), ZERO)]
+        assert visited == ["w", "out"]
 
 
 class TestCompareNumerators:

@@ -16,8 +16,9 @@ terms of the parity-twisted generator alone:
   bilinear in the generator's modes;
 * ground energy: sum_j B_2({1/2 + j/k}) / 4 over j = 0..k-1 is the leading
   exponent of the twisted character for even k (Raabe's multiplication
-  formula gives 1/(24k)), and the NS vacuum energy over k, -1/(48k), for
-  odd k.
+  formula gives 1/(24k)), and for odd k the same offset built on the NS
+  module, -kc/24 + h/k + (k^2 - 1)c/(24k) with h = `NS.ground_weight()`,
+  which is -1/(48k).
 
 The right sides are built from `psi_oracle.ramond_mode`, which applies one
 physical mode to each word without the package's psi action, and from
@@ -26,8 +27,9 @@ exact rationals.
 
 import pytest
 
-from twistfock.fermion import CENTRAL_CHARGE, OMEGA, PSI, State, combine, word_level
-from twistfock.ramond import R
+from twistfock.fermion import (
+    CENTRAL_CHARGE, NS, OMEGA, PSI, R, State, combine, word_level,
+)
 from twistfock.scalars import ONE, QQ, k_to_the
 from twistfock.twist import TwistedModuleView, twisted_mode
 
@@ -105,4 +107,11 @@ def test_ground_energy_of_the_cycle(k):
         assert energy == TwistedModuleView(k, 0).character_offset()
         assert energy == QQ(1, 24 * k)
     else:
+        # the character offset on the NS module, whose ground weight the
+        # kernel computes: the tensor-power prefactor, the ground weight
+        # over k and the conversion constant of the twisted weight operator
+        c = CENTRAL_CHARGE
+        offset = (-k * c / 24 + NS.ground_weight() / k
+                  + QQ(k * k - 1) * c / (24 * k))
+        assert energy == offset
         assert energy == QQ(-1, 48 * k)

@@ -10,6 +10,7 @@ from twistfock.fermion import (
     PSI,
     VACUUM,
     ZERO_STATE,
+    R,
     State,
     vertex_mode,
     virasoro,
@@ -17,13 +18,7 @@ from twistfock.fermion import (
     word_parity,
 )
 from twistfock.formal import compare_fields
-from twistfock.ramond import (
-    R,
-    ground_weight,
-    sigma_L0_spectrum,
-    sigma_vertex_mode,
-    sigma_virasoro,
-)
+from twistfock.ramond import ground_weight, sigma_vertex_mode
 from twistfock.scalars import QQ, ZERO, binomial, cyc_sqrt_k, rational_floor
 
 from psi_oracle import ramond_mode
@@ -94,7 +89,7 @@ class TestTwistedFields:
     def test_L0_eigenvalues(self):
         for w in R.basis(QQ(3)):
             s = State({w: QQ(1)})
-            assert sigma_virasoro(0, s) == s.scaled(QQ(1, 16) + word_level(w))
+            assert R.virasoro(0, s) == s.scaled(QQ(1, 16) + word_level(w))
 
     def test_weight_law(self):
         """Twisted modes shift the level by wt(v) - t - 1."""
@@ -118,7 +113,7 @@ class TestTwistedFields:
                 moved = ramond_mode(n, s)
                 if not moved.is_zero():
                     assert moved.homogeneous_parity() == 1 - word_parity(w)
-                kept = sigma_virasoro(n, s)
+                kept = R.virasoro(n, s)
                 if not kept.is_zero():
                     assert kept.homogeneous_parity() == word_parity(w)
 
@@ -162,10 +157,10 @@ class TestTwistedVirasoro:
             for n in range(-2, 3):
                 for w in R.basis(QQ(2)):
                     s = State({w: QQ(1)})
-                    bracket = sigma_virasoro(m, sigma_virasoro(n, s)) - sigma_virasoro(
-                        n, sigma_virasoro(m, s)
+                    bracket = R.virasoro(m, R.virasoro(n, s)) - R.virasoro(
+                        n, R.virasoro(m, s)
                     )
-                    expected = sigma_virasoro(m + n, s).scaled(m - n)
+                    expected = R.virasoro(m + n, s).scaled(m - n)
                     if m + n == 0:
                         expected = expected + s.scaled(c * QQ(m**3 - m, 12))
                     assert bracket == expected
@@ -294,7 +289,7 @@ class TestTwistedJacobi:
 
 class TestSpectrum:
     def test_graded_dimensions(self):
-        spectrum = sigma_L0_spectrum(QQ(1, 16) + 7)
+        spectrum = R.spectrum(QQ(1, 16) + 7)
         assert spectrum.offset == QQ(1, 16)
         assert spectrum.step == 1
         assert spectrum.coeffs == (2, 2, 2, 4, 4, 6, 8, 10)
@@ -302,7 +297,7 @@ class TestSpectrum:
     def test_off_lattice_dimensions_vanish(self):
         # every graded piece sits on 1/16 + Z: weights 1/2 and 17/16 + 1/2
         # carry no dimension, and weight 17/16 carries two
-        spectrum = sigma_L0_spectrum(QQ(1, 16) + 3)
+        spectrum = R.spectrum(QQ(1, 16) + 3)
         weights = [spectrum.weight(i) for i in range(len(spectrum.coeffs))]
         assert QQ(1, 2) not in weights
         assert QQ(17, 16) + H not in weights

@@ -1,24 +1,37 @@
 """The suite must see a wrong engine: defects planted in the exact core.
 
-Each test plants one defect by monkeypatching a module-level name, runs
-`run_suite` at one configuration where the defect is caught, and asserts
-that some report is not as expected, or that the run is refused because a
-check compared nothing.  `clear_caches()` runs before and after each plant,
-so no cached value computed with the defect outlives it, and none computed
-without it hides it.  No defect is pinned as missed.
+Each test plants one defect, runs `run_suite` at one configuration where
+the defect is caught, and asserts that some report is not as expected, or
+that the run is refused because a check compared nothing.  A defect in a
+module-level name is planted by monkeypatching it, with `clear_caches()`
+before and after, so no cached value computed with the defect outlives it,
+and none computed without it hides it.  A defect inside a function body is
+planted as a source mutant: one substitution, which must match exactly
+once, in a copy of the package, whose suite runs in a fresh interpreter.
+No defect is pinned as missed.
 
 The defects, numbered as in the ROADMAP's table of planted engine defects:
 
 3. the twisted-sector zero mode inserts with coefficient +-1, not doubled
    (`fermion._apply2`);
+4. the sign of the recursion's second sum is flipped
+   (`fermion.iterate_mode_word`, a source mutant);
 5. the twisted correction terms of the recursion are dropped
    (`fermion._half_binomial` gives 0);
 6. the exchange sign of two composed fields is always +1 (`verify._pair`);
 7. the residue kernel loses its sign (-1)^t (`verify._signed_binomials`);
 8. the field product keeps only its bracket i = 0, dropping the C(r/k, i)
    corrections (`verify._field_product_brackets`);
-9. the slot scalars take eta^{-j} for eta^j (`twist`'s `eta_powers`).
+9. the slot scalars take eta^{-j} for eta^j (`twist`'s `eta_powers`);
+10. the residue prefactor 2/S of the commutator is halved
+    (`verify._commutator_report`, a source mutant).
 """
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +117,49 @@ def test_exchange_sign_plus_one_is_refused_at_even_order():
 def test_unplanted_suite_is_as_expected(config):
     clear_caches()
     assert all(report.as_expected for report in run_suite(config))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# (module, the line as it stands, the line with the defect)
+MUTANTS = {
+    "4-second-sum-sign-flipped": (
+        "fermion",
+        "sign = -1 if (len(rest) + n) & 1 == 0 else 1",
+        "sign = 1 if (len(rest) + n) & 1 == 0 else -1"),
+    "10-residue-prefactor-halved": (
+        "verify", "prefactor = QQ(2, step)", "prefactor = QQ(1, step)"),
+}
+
+# run_suite on the mutated copy, printing each report's name and whether it
+# is as expected
+RUN_SUITE = """
+import json
+from twistfock.verify import SuiteConfig, run_suite
+print(json.dumps([[r.name, r.as_expected] for r in run_suite(SuiteConfig(k={k}))]))
+"""
+
+
+def mutant_run(tmp_path, mutant: str, k: int) -> list:
+    """The (name, as expected) pairs of the suite at order k, run on a copy
+    of the package with one source mutant planted."""
+    module, line, planted = MUTANTS[mutant]
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "twistfock" / f"{module}.py"
+    text = path.read_text()
+    assert text.count(line) == 1, (mutant, line)
+    path.write_text(text.replace(line, planted))
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_SUITE.format(k=k)], cwd=tmp_path,
+        env={"PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_planted_source_mutant_fails_a_report(tmp_path, mutant):
+    reports = mutant_run(tmp_path, mutant, 3)
+    assert reports
+    assert not all(as_expected for _, as_expected in reports)

@@ -7,6 +7,7 @@ changing it, installs it on the package, checks that nothing is missing and
 uninstalls it again.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -33,6 +34,31 @@ def test_tracer_finds_every_name():
     # the native parity-twisted families call the traced function by this
     # name (slot-field modes sum their pieces through fermion.mode_sum)
     assert verify.sigma_vertex_mode is ramond.sigma_vertex_mode
+
+
+def test_ramond_binds_only_the_names_the_tracer_reads():
+    # `ramond` is two names of the Ramond sector `fermion.R`, kept for the
+    # tracer: the timed `sigma_vertex_mode` and the cached `ground_weight`.
+    # Any other name defined or exported there fails here, and so does the
+    # module once the tracer reads neither: then it can be deleted
+    from twistfock import ramond
+    from twistfock.fermion import R
+
+    tracing = load_tracing()
+    timed = {attr for module, attr, _ in tracing.TIMERS if module == "ramond"}
+    cached = {name.split(".", 1)[1]
+              for name in tracing.lru_caches(tracing.package_modules())
+              if name.startswith("ramond.")}
+    tree = ast.parse(Path(ramond.__file__).read_text())
+    defined = {target.id for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets} | {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert timed and cached
+    assert defined - {"__all__"} == set(ramond.__all__) == timed | cached
+    # each is a sector method, not a second body
+    assert ramond.sigma_vertex_mode == R.mode
+    assert ramond.ground_weight.__wrapped__ == R.ground_weight
 
 
 def test_tracer_sees_every_check():

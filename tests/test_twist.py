@@ -20,17 +20,13 @@ from twistfock.fermion import (
     CENTRAL_CHARGE,
     OMEGA,
     PSI,
+    R,
     State,
     VACUUM,
     ZERO_STATE,
     word_level,
 )
-from twistfock.ramond import (
-    R,
-    ground_weight,
-    sigma_L0_spectrum,
-    sigma_vertex_mode,
-)
+from twistfock.ramond import ground_weight, sigma_vertex_mode
 from twistfock.twist import (
     RecoveredField,
     SlotField,
@@ -432,7 +428,7 @@ class TestModuleView:
         k = 2
         view = TwistedModuleView(k, 4)
         twisted = view.graded_dimension()
-        sigma = sigma_L0_spectrum(QQ(4))
+        sigma = R.spectrum(QQ(4))
         assert len(sigma.coeffs) >= 4
         for n in range(len(sigma.coeffs)):
             sigma_exponent = -CENTRAL_CHARGE / 24 + sigma.weight(n)

@@ -22,6 +22,7 @@ from twistfock.fermion import (
     PSI,
     VACUUM,
     ZERO_STATE,
+    R,
     State,
     combine,
     vertex_mode,
@@ -33,7 +34,6 @@ from twistfock.formal import (
     Window,
     merged_delta_kernel,
 )
-from twistfock.ramond import R
 from twistfock.twist import MAX_CUTOFF, SlotField
 from twistfock.verify import (
     _ModeFamily,
@@ -571,6 +571,27 @@ class TestStructureChecks:
     def test_grading(self):
         for u in (PSI, OMEGA):
             assert_clean_pass(check_grading(2, u, LINE))
+
+    def test_grading_reads_the_level_lattice_of_the_sector(self, monkeypatch):
+        # on the NS module levels lie in (1/2)Z: with the slot fields read
+        # there at k = 3, the images of psi's modes sit at half-integer
+        # levels, on the lattice of the field's sector
+        monkeypatch.setattr(SlotField, "sector", NS)
+        monkeypatch.setattr(verify, "require_even_order", lambda k: None)
+        half_levels = 0
+        mode_at = SlotField.mode_at
+
+        def counted(self, M, state):
+            nonlocal half_levels
+            image = mode_at(self, M, state)
+            if image.nums:
+                half_levels += image.homogeneous_level().denominator == 2
+            return image
+
+        monkeypatch.setattr(SlotField, "mode_at", counted)
+        for u in (PSI, OMEGA):
+            assert_clean_pass(check_grading(3, u, LINE))
+        assert half_levels > 0
 
     @pytest.mark.parametrize("image, lhs, rhs", [
         # the Ramond ground state: level 0, the wrong level for most modes

@@ -25,8 +25,7 @@ correction must fail.
 from fractions import Fraction
 
 from twistfock import fermion
-from twistfock.fermion import State, combine
-from twistfock.ramond import R
+from twistfock.fermion import R, State, combine
 from twistfock.scalars import integral_split
 
 from psi_oracle import ramond_mode
