@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .scalars import (
     QQ,
@@ -254,11 +254,12 @@ def solve_aj(k: int, J: int) -> AjTable:
     values = tuple([QQ(a[j], dens[j + 1]) for j in range(1, J + 1)])
 
     forward = _exp_derivation_on_x(values, +1, J + 1)
-    for m, oracle in enumerate(_inverse_cover_series(k, J + 1)):
-        if forward[m] != oracle:
+    den, inverse = _inverse_cover_series(k, J + 1)
+    for m, oracle in enumerate(inverse):
+        if forward[m] * den != oracle:
             raise ArithmeticError(
                 f"coefficient table failed the inverse-map cross-check at "
-                f"degree {m}: {forward[m]} != {oracle}"
+                f"degree {m}: {forward[m]} != {QQ(oracle, den)}"
             )
     return AjTable(k, J, values)
 
@@ -268,10 +269,17 @@ def solve_aj(k: int, J: int) -> AjTable:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_cover_series(k: int, degree: int) -> list:
-    """Coefficients c_0..c_degree, in t = x z^{-1/k}, of the compositional
-    inverse (1 + k t)^{1/k} - 1 of the cover map: c_m = C(1/k, m) k^m."""
-    return [ZERO] + [binomial(QQ(1, k), m) * k**m for m in range(1, degree + 1)]
+def _inverse_cover_series(k: int, degree: int) -> tuple:
+    """(den, [c_0, ..., c_degree]): the coefficients, in t = x z^{-1/k}, of
+    the compositional inverse (1 + k t)^{1/k} - 1 of the cover map, as int
+    numerators over den = degree!.  c_m = C(1/k, m) k^m =
+    prod_{j<m} (1 - jk) / m!, built along m."""
+    den = factorial(degree)
+    coeffs, term = [0], den
+    for m in range(degree):
+        term = term * (1 - m * k) // (m + 1)
+        coeffs.append(term)
+    return den, coeffs
 
 
 def check_f_composition(k: int, degree: int = 10) -> ComparisonResult:
@@ -282,20 +290,22 @@ def check_f_composition(k: int, degree: int = 10) -> ComparisonResult:
     expanded through t^degree, t^m is read as the (x, z) monomial
     (m, (1 - m)/k) (the cover map's factor z^{1/k} times t^m), and every
     point of the (1/k)-lattice with x in [0, degree], z in [-degree, degree]
-    is compared, exact equality.
+    is compared, exact equality.  The power runs on int numerators over
+    den^k, den the inverse series' denominator, and its table is keyed on
+    the int indices (m k, 1 - m) at scale k, as `compare_series` reads it.
     """
     require_order(k)
-    shifted = _inverse_cover_series(k, degree)
-    shifted[0] = ONE
-    power = [ONE] + [ZERO] * degree
+    den, shifted = _inverse_cover_series(k, degree)
+    shifted[0] = den
+    power = [1] + [0] * degree
     for _ in range(k):
         power = [sum(power[j] * shifted[m - j] for j in range(m + 1))
                  for m in range(degree + 1)]
-    composed = {(QQ(m), QQ(1 - m, k)): power[m] for m in range(1, degree + 1)}
+    composed = {(m * k, 1 - m): power[m] for m in range(1, degree + 1)}
     return compare_series(
         f"cover-map-composition[k={k},degree={degree}]",
-        composed,
-        {(ONE, ZERO): QQ(k)},
+        (den ** k, composed),
+        (1, {(k, 0): k}),
         Window({"x": (ZERO, QQ(degree)), "z": (QQ(-degree), QQ(degree))}),
         k,
     )

@@ -1,9 +1,11 @@
 """Windowed formal calculus: exact Laurent-type series with fractional exponents.
 
-A series here is a plain coefficient table, {monomial: coefficient}, built
+A series here is a plain coefficient table, (den, {key: numerator}), built
 for a *window* — the per-variable exponent range on which it is complete: a
 monomial of the window missing from the table has coefficient zero, and
-nothing is claimed outside the window.  No operation infers a window: each
+nothing is claimed outside the window.  A key is the tuple of a monomial's
+int indices, its exponents times one key scale, and a coefficient is an int
+numerator over the table's one denominator.  No operation infers a window: each
 table is built directly from a closed form that is exact on the window it is
 asked for.  Formal-distribution kernels (delta functions and their
 fractional-lattice variants) are materialized from their defining formulas,
@@ -14,14 +16,15 @@ one column at a time from functions the caller builds on their exact modes.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
+from math import factorial, prod
+from operator import itemgetter
 
 from .scalars import (
     ONE,
     QQ,
     ZERO,
-    binomial,
     rational_ceil,
     rational_floor,
     scalar_ratio,
@@ -62,15 +65,6 @@ class Window:
             return False
         return True
 
-    def contains_mono(self, variables, mono) -> bool:
-        return all(self.contains(v, e) for v, e in zip(variables, mono))
-
-    def is_bounded(self, variables) -> bool:
-        return all(
-            self.bounds_for(v)[0] is not None and self.bounds_for(v)[1] is not None
-            for v in variables
-        )
-
     def __eq__(self, other):
         return isinstance(other, Window) and self.bounds == other.bounds
 
@@ -95,17 +89,28 @@ def assert_on_lattice(exponent, den: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _index_bounds(bounds: tuple, scale: int) -> tuple:
+    """The int index bounds of a closed exponent interval on the
+    (1/scale)-lattice, ceil(scale·lo) and floor(scale·hi); None stays
+    unbounded."""
+    lo, hi = bounds
+    return (None if lo is None else -(-lo.numerator * scale // lo.denominator),
+            None if hi is None else hi.numerator * scale // hi.denominator)
+
+
 def merged_delta_kernel(
     top,
     second,
     bottom,
     window: Window,
     *,
+    scale: int,
+    depth: int | None = None,
     shift=0,
     lattice_den: int = 1,
     second_sign: int = -1,
     bottom_sign: int = 1,
-) -> dict:
+) -> tuple:
     """bottom^-1 * sum over e in shift + Z/lattice_den of ((top ± second)/(±bottom))^e.
 
     This is the merged (single-sum) form in which fractional powers of a
@@ -114,40 +119,66 @@ def merged_delta_kernel(
     it is bottom^-1 * delta((top ± second)/(±bottom)); a pure coset shift
     uses a fractional `shift` with lattice_den=1.
 
-    The result is the kernel's coefficient table on the window, complete
-    there: a monomial of the window missing from it has coefficient zero.
-    A monomial is the tuple of exponents of the three variables in sorted
-    name order; top^{e-i} second^i bottom^{-e-1} has the coefficient
-    C(e, i) (±1)^i, times (-1)^e for the sign-reversed bottom.
+    The result is the kernel's coefficient table on the window as
+    (den, {key: numerator}), complete there: a monomial of the window
+    missing from it has coefficient zero.  A monomial is keyed by its int
+    indices, ``scale`` times the exponents of the three variables in sorted
+    name order, so every e must lie on the (1/scale)-lattice.
+    top^{e-i} second^i bottom^{-e-1} has the coefficient C(e, i) (±1)^i,
+    times (-1)^e for the sign-reversed bottom.  With E = scale·e,
+    C(e, i) = P_i / (scale^i i!), where P_i = prod_{j<i} (E - j·scale) is
+    built along i; over the one denominator den = scale^depth depth! its
+    numerator is P_i scale^(depth-i) depth!/i!.  ``depth`` defaults to the
+    expansion variable's bound and must reach it; tables built at one
+    scale and depth add and compare numerator by numerator.
     """
     shift = QQ(shift)
-    blo, bhi = window.bounds_for(bottom)
-    if blo is None or bhi is None:
+    b_lo, b_hi = _index_bounds(window.bounds_for(bottom), scale)
+    if b_lo is None or b_hi is None:
         raise ValueError("kernel window must bound the denominator variable")
     slo, shi = window.bounds_for(second)
     if shi is None:
         raise ValueError("kernel window must bound the expansion variable")
+    step, off = divmod(scale, lattice_den)
+    start = shift * scale
+    if off or start.denominator != 1:
+        raise ValueError(f"kernel exponents {shift} + Z/{lattice_den} are "
+                         f"not on the (1/{scale})-lattice")
+    i_lo = max(0, rational_ceil(slo or ZERO))
+    i_hi = rational_floor(shi)
+    if depth is None:
+        depth = max(0, i_hi)
+    elif depth < i_hi:
+        raise ValueError(f"depth {depth} is below the expansion bound {i_hi}")
+    t_lo, t_hi = _index_bounds(window.bounds_for(top), scale)
     variables = (top, second, bottom)
-    order = sorted(range(3), key=variables.__getitem__)
-    # bottom exponent is -e-1, so e runs over [-1-bhi, -1-blo]
-    e_lo, e_hi = -1 - bhi, -1 - blo
-    n_lo = rational_ceil((e_lo - shift) * lattice_den)
-    n_hi = rational_floor((e_hi - shift) * lattice_den)
-    i_range = range(max(0, rational_ceil(slo or ZERO)), rational_floor(shi) + 1)
+    key = itemgetter(*sorted(range(3), key=variables.__getitem__))
+    # over den = scale^depth depth!, C(e, i) = P_i / (scale^i i!) is the
+    # numerator P_i rescale[i], and C(e, i) (±1)^i is P_i weights[i]
+    rescale = [scale ** (depth - i) * (factorial(depth) // factorial(i))
+               for i in range(depth + 1)]
+    weights = [second_sign ** i * rescale[i] for i in range(depth + 1)]
+    # the bottom index -E - scale lies in [b_lo, b_hi], and E in
+    # start + step·Z
+    first = start.numerator + step * -((b_hi + scale + start.numerator) // step)
     table = {}
-    for n in range(n_lo, n_hi + 1):
-        e = shift + QQ(n, lattice_den)
-        if bottom_sign == -1 and e.denominator != 1:
+    for E in range(first, -scale - b_lo + 1, step):
+        if bottom_sign == -1 and E % scale:
             raise ValueError("sign-reversed denominator requires integer exponents")
-        bot_coeff = -1 if bottom_sign == -1 and e.numerator % 2 else 1
-        for i in i_range:
-            mono = (e - i, QQ(i), -e - 1)
-            if not window.contains(top, mono[0]):
-                continue
-            c = binomial(e, i) * second_sign ** i * bot_coeff
-            if c:
-                table[tuple(mono[j] for j in order)] = c
-    return table
+        sign = -1 if bottom_sign == -1 and E // scale & 1 else 1
+        B = -E - scale
+        # the top index E - i·scale lies in [t_lo, t_hi]
+        i_first = i_lo if t_hi is None else max(i_lo, -((t_hi - E) // scale))
+        i_last = i_hi if t_lo is None else min(i_hi, (E - t_lo) // scale)
+        product = 1
+        for i in range(i_last + 1):
+            if i >= i_first:
+                table[key((E - i * scale, i * scale, B))] = (
+                    sign * product * weights[i])
+            product *= E - i * scale
+            if not product:
+                break
+    return scale ** depth * factorial(depth), table
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +220,40 @@ class ComparisonResult:
         return self.compared > 0 and not self.mismatches
 
 
-def _lattice_size(window: Window, variables, den: int) -> int:
-    total = 1
-    for var in variables:
-        lo, hi = window.bounds_for(var)
-        total *= max(0, rational_floor(hi * den) - rational_ceil(lo * den) + 1)
-    return total
-
-
 def compare_series(
     name: str,
-    lhs: dict,
-    rhs: dict,
+    lhs: tuple,
+    rhs: tuple,
     window: Window,
     lattice_den: int,
 ) -> ComparisonResult:
     """Compare two coefficient tables on every lattice point of a bounded
     window.
 
-    A table maps a monomial, the tuple of exponents of the window's
-    variables in sorted name order, to its coefficient, and is complete on
-    the window: a missing monomial is zero there.  So only stored monomials
-    can disagree and the zeros elsewhere match for free; every point of the
-    (1/lattice_den)-lattice in the window counts as compared."""
-    variables = sorted(window.bounds)
-    if not window.is_bounded(variables):
+    A table is (den, {key: numerator}), its coefficients int numerators
+    over one positive int denominator; a key is the tuple of int indices,
+    lattice_den times the exponents of the window's variables in sorted
+    name order.  A table is complete on the window: a missing key is zero
+    there.  So only stored keys inside the window can disagree, and
+    `compare_numerators` compares those; the zeros elsewhere match for
+    free, and every point of the (1/lattice_den)-lattice in the window
+    counts as compared.  A mismatch is located at its exponents, a tuple
+    of `QQ`, and its values are `QQ`: only a mismatch leaves the ints."""
+    bounds = [_index_bounds(window.bounds_for(var), lattice_den)
+              for var in sorted(window.bounds)]
+    if any(lo is None or hi is None for lo, hi in bounds):
         raise ValueError("comparison window must be bounded")
+
+    def inside(den, nums) -> tuple:  # the table's entries in the window
+        return den, {key: c for key, c in nums.items()
+                     if all(lo <= x <= hi for x, (lo, hi) in zip(key, bounds))}
+
     result = ComparisonResult(name)
-    for mono in lhs.keys() | rhs.keys():
-        if not window.contains_mono(variables, mono):
-            continue
-        if any((e * lattice_den).denominator != 1 for e in mono):
-            continue
-        result.compare(mono, lhs.get(mono, ZERO), rhs.get(mono, ZERO))
-    result.mismatches.sort(key=lambda item: item[0])
-    result.compared = _lattice_size(window, variables, lattice_den)
+    compare_numerators(
+        result, inside(*lhs), inside(*rhs),
+        lambda key: tuple(QQ(x, lattice_den) for x in key),
+    )
+    result.compared = prod(max(0, hi - lo + 1) for lo, hi in bounds)
     return result
 
 
@@ -290,10 +320,15 @@ class DeltaIdentity(Enum):
     THREE_TERM = "ThreeTerm"
 
 
-def _add_into(total: dict, table: dict, sign: int = 1) -> None:
-    """Add sign * table into the coefficient table total, in place."""
-    for mono, c in table.items():
-        total[mono] = total.get(mono, ZERO) + sign * c
+def _sum_tables(plus: list, minus: list = ()) -> tuple:
+    """The tables ``plus`` minus the tables ``minus``, all (den, {key:
+    numerator}) over one shared denominator, as one such table."""
+    total = Counter()
+    for _, nums in plus:
+        total.update(nums)
+    for _, nums in minus:
+        total.subtract(nums)
+    return plus[0][0], total
 
 
 def verify_delta_identity(
@@ -305,36 +340,37 @@ def verify_delta_identity(
     DF2 merges the k fractional shifts of an integer-lattice kernel into the
     (1/k)-lattice kernel; DF3 is the fractional-lattice version of DF1 at
     shift 0; THREE_TERM is the three-term substitution identity.  Comparisons
-    run over the (1/2k)-lattice inside the window.
+    run over the (1/2k)-lattice inside the window.  Every kernel table is
+    keyed on int indices at that scale and built at one depth, the window's
+    largest bound, so all the identity's tables share one denominator and
+    add and compare as int numerators (`compare_series`).
     """
     r = QQ(r)
     den = 2 * k
+    depth = max([0] + [rational_floor(hi) for _, hi in window.bounds.values()
+                       if hi is not None])
+
+    def kernel(top, second, bottom, **options) -> tuple:
+        return merged_delta_kernel(top, second, bottom, window, scale=den,
+                                   depth=depth, **options)
+
     if kind is DeltaIdentity.DF1:
-        lhs = merged_delta_kernel("x1", "x0", "x2", window, shift=r, lattice_den=1)
-        rhs = merged_delta_kernel(
-            "x2", "x0", "x1", window, shift=-r, lattice_den=1, second_sign=1
-        )
+        lhs = kernel("x1", "x0", "x2", shift=r)
+        rhs = kernel("x2", "x0", "x1", shift=-r, second_sign=1)
         name = f"delta-identity-DF1[k={k},r={r}]"
     elif kind is DeltaIdentity.DF2:
-        lhs = {}
-        for p in range(k):
-            _add_into(lhs, merged_delta_kernel(
-                "x1", "x0", "x2", window, shift=QQ(p, k), lattice_den=1
-            ))
-        rhs = merged_delta_kernel("x1", "x0", "x2", window, shift=0, lattice_den=k)
+        lhs = _sum_tables([kernel("x1", "x0", "x2", shift=QQ(p, k))
+                           for p in range(k)])
+        rhs = kernel("x1", "x0", "x2", lattice_den=k)
         name = f"delta-identity-DF2[k={k}]"
     elif kind is DeltaIdentity.DF3:
-        lhs = merged_delta_kernel("x1", "x0", "x2", window, shift=0, lattice_den=k)
-        rhs = merged_delta_kernel(
-            "x2", "x0", "x1", window, shift=0, lattice_den=k, second_sign=1
-        )
+        lhs = kernel("x1", "x0", "x2", lattice_den=k)
+        rhs = kernel("x2", "x0", "x1", lattice_den=k, second_sign=1)
         name = f"delta-identity-DF3[k={k}]"
     elif kind is DeltaIdentity.THREE_TERM:
-        lhs = merged_delta_kernel("x1", "x2", "x0", window)
-        _add_into(lhs, merged_delta_kernel(
-            "x2", "x1", "x0", window, bottom_sign=-1
-        ), -1)
-        rhs = merged_delta_kernel("x1", "x0", "x2", window)
+        lhs = _sum_tables([kernel("x1", "x2", "x0")],
+                          [kernel("x2", "x1", "x0", bottom_sign=-1)])
+        rhs = kernel("x1", "x0", "x2")
         name = f"delta-identity-ThreeTerm[k={k}]"
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown identity {kind}")

@@ -145,6 +145,19 @@ run without a cache:
   prefix, against the one that builds a location text only for a
   mismatch: the same results on the recovery round trip at k = 2 and 4,
   honest and with one planted entry of the native field.
+* the delta-function identities on `Fraction` monomials as they were:
+  `merged_delta_kernel` keyed on exponent tuples with one cached
+  `binomial` per monomial (run uncached here), `compare_series` filtering
+  each monomial through the window, `_add_into` and
+  `verify_delta_identity`, and the cover map `check_f_composition` on a
+  `Fraction` power series, against the kernels on int indices at one key
+  scale with int numerators over the identity's one denominator: the same
+  name, count and mismatches for every identity at k = 1..6 on five
+  radii, equal kernel tables on every `tests/test_formal.py` kernel case
+  at three key scales and three depths, the same witnesses, location
+  types and report text with one numerator doubled in every kernel, the
+  same window filter, and the same cover-map results, honest and with one
+  inverse coefficient planted.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -163,13 +176,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistfock import clear_caches, cli, deltak, twist, verify
+from twistfock import clear_caches, cli, deltak, formal, twist, verify
 from twistfock.deltak import (
     FORWARD,
     INVERSE,
     DeltaExpansion,
     _RootPowers,
     apply_delta,
+    check_f_composition,
     covering_depth,
     solve_aj,
 )
@@ -215,13 +229,19 @@ from twistfock.scalars import (
 )
 from twistfock.formal import (
     ComparisonResult,
+    DeltaIdentity,
     QSeries,
     Window,
     assert_on_lattice,
     compare_fields,
     compare_numerators,
+    compare_series,
+    merged_delta_kernel,
+    verify_delta_identity,
 )
 from twistfock.twist import RecoveredField, SlotField, u_functor_sigma_mode
+
+from test_formal import KERNEL_CASES
 
 QQ_TYPE = type(QQ(1))
 
@@ -3378,3 +3398,312 @@ def test_compare_fields_matches_the_old_body(monkeypatch, k, planted):
     assert new == round_trip_outcome(monkeypatch, old_compare_fields, k, planted)
     assert new[0] > 0
     assert len(new[1]) == (2 if planted else 0)
+
+
+# ---------------------------------------------------------------------------
+# the delta-function identities and the cover map on Fraction monomials, as
+# they were
+# ---------------------------------------------------------------------------
+
+
+uncached_binomial = binomial.__wrapped__
+
+
+def old_merged_delta_kernel(
+    top,
+    second,
+    bottom,
+    window: Window,
+    *,
+    shift=0,
+    lattice_den: int = 1,
+    second_sign: int = -1,
+    bottom_sign: int = 1,
+) -> dict:
+    shift = QQ(shift)
+    blo, bhi = window.bounds_for(bottom)
+    if blo is None or bhi is None:
+        raise ValueError("kernel window must bound the denominator variable")
+    slo, shi = window.bounds_for(second)
+    if shi is None:
+        raise ValueError("kernel window must bound the expansion variable")
+    variables = (top, second, bottom)
+    order = sorted(range(3), key=variables.__getitem__)
+    # bottom exponent is -e-1, so e runs over [-1-bhi, -1-blo]
+    e_lo, e_hi = -1 - bhi, -1 - blo
+    n_lo = rational_ceil((e_lo - shift) * lattice_den)
+    n_hi = rational_floor((e_hi - shift) * lattice_den)
+    i_range = range(max(0, rational_ceil(slo or ZERO)), rational_floor(shi) + 1)
+    table = {}
+    for n in range(n_lo, n_hi + 1):
+        e = shift + QQ(n, lattice_den)
+        if bottom_sign == -1 and e.denominator != 1:
+            raise ValueError("sign-reversed denominator requires integer exponents")
+        bot_coeff = -1 if bottom_sign == -1 and e.numerator % 2 else 1
+        for i in i_range:
+            mono = (e - i, QQ(i), -e - 1)
+            if not window.contains(top, mono[0]):
+                continue
+            c = uncached_binomial(e, i) * second_sign ** i * bot_coeff
+            if c:
+                table[tuple(mono[j] for j in order)] = c
+    return table
+
+
+def old_contains_mono(window: Window, variables, mono) -> bool:
+    return all(window.contains(v, e) for v, e in zip(variables, mono))
+
+
+def old_is_bounded(window: Window, variables) -> bool:
+    return all(
+        window.bounds_for(v)[0] is not None and window.bounds_for(v)[1] is not None
+        for v in variables
+    )
+
+
+def old_lattice_size(window: Window, variables, den: int) -> int:
+    total = 1
+    for var in variables:
+        lo, hi = window.bounds_for(var)
+        total *= max(0, rational_floor(hi * den) - rational_ceil(lo * den) + 1)
+    return total
+
+
+def old_compare_series(
+    name: str,
+    lhs: dict,
+    rhs: dict,
+    window: Window,
+    lattice_den: int,
+) -> ComparisonResult:
+    variables = sorted(window.bounds)
+    if not old_is_bounded(window, variables):
+        raise ValueError("comparison window must be bounded")
+    result = ComparisonResult(name)
+    for mono in lhs.keys() | rhs.keys():
+        if not old_contains_mono(window, variables, mono):
+            continue
+        if any((e * lattice_den).denominator != 1 for e in mono):
+            continue
+        result.compare(mono, lhs.get(mono, ZERO), rhs.get(mono, ZERO))
+    result.mismatches.sort(key=lambda item: item[0])
+    result.compared = old_lattice_size(window, variables, lattice_den)
+    return result
+
+
+def old_add_into(total: dict, table: dict, sign: int = 1) -> None:
+    """Add sign * table into the coefficient table total, in place."""
+    for mono, c in table.items():
+        total[mono] = total.get(mono, ZERO) + sign * c
+
+
+def old_verify_delta_identity(
+    kind: DeltaIdentity, k: int, r, window: Window,
+    kernel=old_merged_delta_kernel,
+) -> ComparisonResult:
+    r = QQ(r)
+    den = 2 * k
+    if kind is DeltaIdentity.DF1:
+        lhs = kernel("x1", "x0", "x2", window, shift=r, lattice_den=1)
+        rhs = kernel(
+            "x2", "x0", "x1", window, shift=-r, lattice_den=1, second_sign=1
+        )
+        name = f"delta-identity-DF1[k={k},r={r}]"
+    elif kind is DeltaIdentity.DF2:
+        lhs = {}
+        for p in range(k):
+            old_add_into(lhs, kernel(
+                "x1", "x0", "x2", window, shift=QQ(p, k), lattice_den=1
+            ))
+        rhs = kernel("x1", "x0", "x2", window, shift=0, lattice_den=k)
+        name = f"delta-identity-DF2[k={k}]"
+    elif kind is DeltaIdentity.DF3:
+        lhs = kernel("x1", "x0", "x2", window, shift=0, lattice_den=k)
+        rhs = kernel(
+            "x2", "x0", "x1", window, shift=0, lattice_den=k, second_sign=1
+        )
+        name = f"delta-identity-DF3[k={k}]"
+    elif kind is DeltaIdentity.THREE_TERM:
+        lhs = kernel("x1", "x2", "x0", window)
+        old_add_into(lhs, kernel(
+            "x2", "x1", "x0", window, bottom_sign=-1
+        ), -1)
+        rhs = kernel("x1", "x0", "x2", window)
+        name = f"delta-identity-ThreeTerm[k={k}]"
+    else:  # pragma: no cover - exhaustive enum
+        raise ValueError(f"unknown identity {kind}")
+    return old_compare_series(name, lhs, rhs, window, den)
+
+
+def old_inverse_cover_series(k: int, degree: int) -> list:
+    return [ZERO] + [uncached_binomial(QQ(1, k), m) * k**m
+                     for m in range(1, degree + 1)]
+
+
+def old_check_f_composition(k: int, degree: int = 10,
+                            inverse=old_inverse_cover_series) -> ComparisonResult:
+    shifted = inverse(k, degree)
+    shifted[0] = ONE
+    power = [ONE] + [ZERO] * degree
+    for _ in range(k):
+        power = [sum(power[j] * shifted[m - j] for j in range(m + 1))
+                 for m in range(degree + 1)]
+    composed = {(QQ(m), QQ(1 - m, k)): power[m] for m in range(1, degree + 1)}
+    return old_compare_series(
+        f"cover-map-composition[k={k},degree={degree}]",
+        composed,
+        {(ONE, ZERO): QQ(k)},
+        Window({"x": (ZERO, QQ(degree)), "z": (QQ(-degree), QQ(degree))}),
+        k,
+    )
+
+
+def identity_runs(radius):
+    """(kind, r) for the suite's six identities: DF1 at three shifts."""
+    for kind in DeltaIdentity:
+        shifts = ((ZERO, HALF, -HALF) if kind is DeltaIdentity.DF1
+                  else (ZERO,))
+        for r in shifts:
+            yield kind, r
+
+
+def assert_rational_witnesses(result: ComparisonResult):
+    # only a mismatch leaves the ints: its location is a tuple of QQ and
+    # its values are QQ, as the old engine gave them
+    for location, lhs, rhs in result.mismatches:
+        assert all(type(e) is QQ_TYPE for e in location)
+        assert type(lhs) is QQ_TYPE and type(rhs) is QQ_TYPE
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_delta_identities_match_the_old_bodies(k):
+    for radius in (ZERO, QQ(1, 4), HALF, QQ(3, 2), QQ(5, 2)):
+        cube = Window.cube(("x0", "x1", "x2"), -radius - 1, radius + 1)
+        for kind, r in identity_runs(radius):
+            new = verify_delta_identity(kind, k, r, cube)
+            assert new == old_verify_delta_identity(kind, k, r, cube), (
+                kind, r, radius)
+            assert new.passed
+
+
+def rational_table(table: tuple, scale: int) -> dict:
+    """A (den, {int key: numerator}) table on exponents and values."""
+    den, nums = table
+    return {tuple(QQ(x, scale) for x in key): QQ(c, den)
+            for key, c in nums.items() if c}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=range(len(KERNEL_CASES)))
+def test_kernel_table_matches_the_old_body(case):
+    top, second, bottom, window, shift, lattice_den, s_sign, b_sign = case
+    options = dict(shift=shift, lattice_den=lattice_den, second_sign=s_sign,
+                   bottom_sign=b_sign)
+    old = old_merged_delta_kernel(top, second, bottom, window, **options)
+    assert old
+    # on any key scale the lattice fits and at any depth the expansion
+    # reaches: the shared denominator only rescales the numerators
+    fit = lattice_den * shift.denominator
+    bound = rational_floor(window.bounds_for(second)[1])
+    for scale in (fit, 2 * fit, 6 * fit):
+        for depth in (None, bound, bound + 2):
+            new = merged_delta_kernel(top, second, bottom, window, scale=scale,
+                                      depth=depth, **options)
+            assert rational_table(new, scale) == old, (scale, depth)
+
+
+def test_kernel_refuses_an_off_scale_lattice_or_a_short_depth():
+    w = Window.cube(("x0", "x1", "x2"), -2, 2)
+    with pytest.raises(ValueError, match="not on the"):
+        merged_delta_kernel("x1", "x0", "x2", w, scale=2, shift=QQ(1, 3))
+    with pytest.raises(ValueError, match="not on the"):
+        merged_delta_kernel("x1", "x0", "x2", w, scale=4, lattice_den=3)
+    with pytest.raises(ValueError, match="below the expansion bound"):
+        merged_delta_kernel("x1", "x0", "x2", w, scale=1, depth=1)
+
+
+def double_one_numerator(table: tuple) -> tuple:
+    """The table with the numerator of its middle key doubled."""
+    den, nums = table
+    nums = dict(nums)
+    key = sorted(nums)[len(nums) // 2]
+    nums[key] *= 2
+    return den, nums
+
+
+def double_one_coefficient(table: dict) -> dict:
+    table = dict(table)
+    mono = sorted(table)[len(table) // 2]
+    table[mono] *= 2
+    return table
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_planted_numerator_gives_the_old_witnesses(monkeypatch, k):
+    exact = formal.merged_delta_kernel
+    monkeypatch.setattr(formal, "merged_delta_kernel",
+                        lambda *a, **kw: double_one_numerator(exact(*a, **kw)))
+
+    def planted_old(*args, **kwargs):
+        return double_one_coefficient(old_merged_delta_kernel(*args, **kwargs))
+
+    witnesses = 0
+    for radius in (ZERO, HALF, QQ(3, 2)):
+        cube = Window.cube(("x0", "x1", "x2"), -radius - 1, radius + 1)
+        text = verify._window_str(cube)
+        for kind, r in identity_runs(radius):
+            new = verify_delta_identity(kind, k, r, cube)
+            old = old_verify_delta_identity(kind, k, r, cube, planted_old)
+            assert new == old, (kind, r, radius)
+            assert_rational_witnesses(new)
+            assert (verify._wrap_comparison(new, k, text)
+                    == verify._wrap_comparison(old, k, text))
+            witnesses += len(new.mismatches)
+    assert witnesses > 0
+
+
+@pytest.mark.parametrize("radius", [ZERO, QQ(3, 2)])
+def test_compare_series_reads_only_the_window(radius):
+    # a kernel built on a wider window, planted (the coefficients of even
+    # powers of x0 doubled), and compared on the narrower one: keys outside
+    # are dropped, as the old engine skipped them
+    wide = Window.cube(("x0", "x1", "x2"), -radius - 3, radius + 3)
+    cube = Window.cube(("x0", "x1", "x2"), -radius - 1, radius + 1)
+    for scale, shift in ((2, HALF), (6, QQ(1, 3))):
+        table = merged_delta_kernel("x1", "x0", "x2", wide, scale=scale,
+                                    shift=shift)
+        planted = table[0], {key: c * (1 + (key[0] % (2 * scale) == 0))
+                             for key, c in table[1].items()}
+        new = compare_series("window", planted, table, cube, scale)
+        old = old_compare_series("window", rational_table(planted, scale),
+                                 rational_table(table, scale), cube, scale)
+        assert new == old
+        assert new.mismatches
+        assert_rational_witnesses(new)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cover_map_matches_the_old_body(k):
+    for degree in range(2, 9):
+        assert check_f_composition(k, degree) == old_check_f_composition(
+            k, degree), degree
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_planted_cover_coefficient_gives_the_old_witnesses(monkeypatch, k):
+    exact = deltak._inverse_cover_series
+
+    def planted(k, degree):
+        den, coeffs = exact(k, degree)
+        coeffs[3] += den // 5
+        return den, coeffs
+
+    def planted_old(k, degree):
+        coeffs = old_inverse_cover_series(k, degree)
+        coeffs[3] += QQ(1, 5)
+        return coeffs
+
+    monkeypatch.setattr(deltak, "_inverse_cover_series", planted)
+    new = check_f_composition(k, 6)
+    assert new == old_check_f_composition(k, 6, planted_old)
+    assert len(new.mismatches) > 1
+    assert_rational_witnesses(new)

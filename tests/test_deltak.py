@@ -1,11 +1,13 @@
 """Tests for the graded coordinate-change operator and its identities."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistfock import deltak
 from twistfock.cli import main
-from twistfock.scalars import QQ, ZERO, ONE, cyc_sqrt_k, k_to_the
+from twistfock.scalars import QQ, ZERO, ONE, binomial, cyc_sqrt_k, k_to_the
 from twistfock.fermion import (
     OMEGA,
     PSI,
@@ -101,13 +103,28 @@ class TestCoefficientTable:
             solve_aj.cache_clear()
 
 
+def inverse_cover_values(k: int, degree: int) -> list:
+    """The inverse series' coefficients, its int numerators over its one
+    denominator read as rationals."""
+    den, coeffs = deltak._inverse_cover_series(k, degree)
+    return [QQ(c, den) for c in coeffs]
+
+
 class TestCoverMap:
     def test_k1_cover_map_is_linear(self):
-        assert deltak._inverse_cover_series(1, 5) == [ZERO, ONE] + [ZERO] * 4
+        assert inverse_cover_values(1, 5) == [ZERO, ONE] + [ZERO] * 4
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_inverse_leading_term(self, k):
-        assert deltak._inverse_cover_series(k, 6)[:2] == [ZERO, ONE]
+        assert inverse_cover_values(k, 6)[:2] == [ZERO, ONE]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_inverse_is_the_binomial_series(self, k):
+        # c_m = C(1/k, m) k^m, over the denominator degree!
+        den, coeffs = deltak._inverse_cover_series(k, 7)
+        assert den == factorial(7)
+        assert inverse_cover_values(k, 7) == [ZERO] + [
+            binomial(QQ(1, k), m) * k**m for m in range(1, 8)]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_composition_is_identity(self, k):
@@ -125,9 +142,9 @@ class TestCoverMap:
         exact = deltak._inverse_cover_series
 
         def planted(k, degree):
-            coeffs = exact(k, degree)
-            coeffs[3] += QQ(1, 5)
-            return coeffs
+            den, coeffs = exact(k, degree)
+            coeffs[3] += den // 5  # c_3 + 1/5; den = 6! is a multiple of 5
+            return den, coeffs
 
         monkeypatch.setattr(deltak, "_inverse_cover_series", planted)
         report = check_f_composition(k, 6)

@@ -86,35 +86,42 @@ class TestDeltaKernels:
         """f(x1) * x2^-1 delta(x1/x2) = f(x2) * x2^-1 delta(x1/x2)."""
         # x0 held at exponent 0 leaves x2^-1 delta(x1/x2); the kernel is
         # complete for x2 in [-9, 8], so both products are exact on the
-        # inner window
-        kernel = merged_delta_kernel(
-            "x1", "x0", "x2", Window({"x0": (0, 0), "x2": (-9, 8)})
+        # inner window.  At scale 1 a key is the exponents themselves
+        den, kernel = merged_delta_kernel(
+            "x1", "x0", "x2", Window({"x0": (0, 0), "x2": (-9, 8)}), scale=1
         )
-        f1 = {(ZERO, QQ(2), ZERO): QQ(3), (ZERO, QQ(-1), ZERO): QQ(5)}
-        f2 = {(ZERO, ZERO, QQ(2)): QQ(3), (ZERO, ZERO, QQ(-1)): QQ(5)}
+        f1 = {(0, 2, 0): 3, (0, -1, 0): 5}
+        f2 = {(0, 0, 2): 3, (0, 0, -1): 5}
         inner = Window({"x0": (0, 0), "x1": (-2, 2), "x2": (-2, 2)})
         lhs = _times(f1, kernel)
-        assert any(inner.contains_mono(("x0", "x1", "x2"), m) for m in lhs)
-        result = compare_series("delta-substitution", lhs, _times(f2, kernel),
-                                inner, 1)
+        assert any(all(inner.contains(v, e) for v, e in zip(("x0", "x1", "x2"), m))
+                   for m in lhs)
+        assert any(not inner.contains("x1", m[1]) for m in lhs)
+        result = compare_series("delta-substitution", (den, lhs),
+                                (den, _times(f2, kernel)), inner, 1)
         assert result.passed and result.compared == 25
 
     def test_merged_kernel_is_delta_at_integer_lattice(self):
         w = Window.cube(("x1", "x0", "x2"), -3, 3)
-        kernel = merged_delta_kernel("x1", "x0", "x2", w)
-        # x1^(n-i) x0^i x2^(-n-1) has C(n,i)*(-1)^i, keyed (x0, x1, x2)
-        assert kernel[(QQ(0), QQ(2), QQ(-3))] == 1
-        assert kernel[(QQ(1), QQ(1), QQ(-3))] == -2
-        assert kernel[(QQ(1), QQ(0), QQ(-2))] == -1
+        den, kernel = merged_delta_kernel("x1", "x0", "x2", w, scale=1)
+        # x1^(n-i) x0^i x2^(-n-1) has C(n,i)*(-1)^i, keyed (x0, x1, x2),
+        # over den = 1^3 3!
+        assert den == 6
+        assert kernel[(0, 2, -3)] == den
+        assert kernel[(1, 1, -3)] == -2 * den
+        assert kernel[(1, 0, -2)] == -den
 
     @pytest.mark.parametrize("case", KERNEL_CASES, ids=range(len(KERNEL_CASES)))
     def test_table_is_the_closed_form_at_every_point(self, case):
         top, second, bottom, window, shift, lattice_den, s_sign, b_sign = case
-        table = merged_delta_kernel(
-            top, second, bottom, window, shift=shift, lattice_den=lattice_den,
-            second_sign=s_sign, bottom_sign=b_sign,
-        )
         den = 2 * lattice_den * shift.denominator
+        kernel_den, nums = merged_delta_kernel(
+            top, second, bottom, window, scale=den, shift=shift,
+            lattice_den=lattice_den, second_sign=s_sign, bottom_sign=b_sign,
+        )
+        # the table read back on exponents and values
+        table = {tuple(QQ(x, den) for x in key): QQ(c, kernel_den)
+                 for key, c in nums.items()}
         blo, bhi = window.bounds_for(bottom)
         slo, shi = window.bounds_for(second)
         tlo, thi = window.bounds_for(top)
@@ -142,13 +149,17 @@ class TestDeltaKernels:
 
     def test_planted_coefficient_is_the_one_witness(self):
         w = Window.cube(("x0", "x1", "x2"), -2, 2)
-        kernel = merged_delta_kernel("x1", "x0", "x2", w, shift=QQ(1, 2))
-        mono = sorted(kernel)[len(kernel) // 2]
+        den, kernel = merged_delta_kernel(
+            "x1", "x0", "x2", w, scale=2, shift=QQ(1, 2))
+        key = sorted(kernel)[len(kernel) // 2]
         planted = dict(kernel)
-        planted[mono] += QQ(1, 7)
-        result = compare_series("planted", planted, kernel, w, 2)
+        planted[key] += 1
+        result = compare_series("planted", (den, planted), (den, kernel), w, 2)
         assert result.compared == 9**3
-        assert result.mismatches == [(mono, kernel[mono] + QQ(1, 7), kernel[mono])]
+        # located at the exponents, the key over the scale
+        value = QQ(kernel[key], den)
+        assert result.mismatches == [
+            (tuple(QQ(x, 2) for x in key), value + QQ(1, den), value)]
 
     @pytest.mark.parametrize("bounds, message", [
         ({"x0": (0, 3), "x2": (None, 3)}, "denominator variable"),
@@ -156,7 +167,7 @@ class TestDeltaKernels:
     ])
     def test_unbounded_bottom_or_expansion_is_refused(self, bounds, message):
         with pytest.raises(ValueError, match=message):
-            merged_delta_kernel("x1", "x0", "x2", Window(bounds))
+            merged_delta_kernel("x1", "x0", "x2", Window(bounds), scale=1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +308,14 @@ class TestDeltaIdentities:
 
     def test_mismatch_reported(self):
         w = Window({"x": (-1, 1)})
-        a = {(QQ(n),): QQ(1) for n in range(-1, 2)}
-        b = {mono: 2 * c for mono, c in a.items()}
-        result = compare_series("scaled", a, b, w, 1)
+        a = {(n,): 1 for n in range(-1, 2)}
+        b = {key: 2 * c for key, c in a.items()}
+        result = compare_series("scaled", (1, a), (1, b), w, 1)
         assert not result.passed
         assert len(result.mismatches) == 3
 
     def test_unbounded_comparison_window_is_refused(self):
-        a = {(QQ(1),): QQ(1)}
+        a = (1, {(1,): 1})
         with pytest.raises(ValueError, match="must be bounded"):
             compare_series("unbounded", a, a, Window({"t": (0, None)}), 1)
 

@@ -25,6 +25,16 @@ The defects, numbered as in the ROADMAP's table of planted engine defects:
 9. the slot scalars take eta^{-j} for eta^j (`twist`'s `eta_powers`);
 10. the residue prefactor 2/S of the commutator is halved
     (`verify._commutator_report`, a source mutant).
+
+Five defects of the delta-kernel builder (`formal.merged_delta_kernel` and
+`formal.verify_delta_identity`), each a source mutant, must each turn some
+`delta-identity-*` report wrong at the default radius, k = 2 and k = 3:
+
+K1. the step of the numerator product uses (E - (i+1)·scale);
+K2. the sign-reversed bottom drops its (-1)^e;
+K3. DF2 sums only k - 1 of its k shifts;
+K4. the expansion sign (±1)^i is ignored;
+K5. the rescale to the shared denominator is dropped.
 """
 
 import json
@@ -131,19 +141,36 @@ MUTANTS = {
         "verify", "prefactor = QQ(2, step)", "prefactor = QQ(1, step)"),
 }
 
-# run_suite on the mutated copy, printing each report's name and whether it
-# is as expected
+KERNEL_MUTANTS = {
+    "K1-product-step-off-by-one": (
+        "formal", "product *= E - i * scale", "product *= E - (i + 1) * scale"),
+    "K2-reversed-bottom-sign-dropped": (
+        "formal", "sign = -1 if bottom_sign == -1 and E // scale & 1 else 1",
+        "sign = 1"),
+    "K3-df2-one-shift-short": (
+        "formal", "for p in range(k)])", "for p in range(k - 1)])"),
+    "K4-second-sign-ignored": (
+        "formal", "weights = [second_sign ** i * rescale[i] for",
+        "weights = [rescale[i] for"),
+    "K5-shared-denominator-rescale-dropped": (
+        "formal", "weights = [second_sign ** i * rescale[i] for",
+        "weights = [second_sign ** i for"),
+}
+
+# run_suite on the mutated copy at each order, printing each report's name
+# and whether it is as expected
 RUN_SUITE = """
 import json
 from twistfock.verify import SuiteConfig, run_suite
-print(json.dumps([[r.name, r.as_expected] for r in run_suite(SuiteConfig(k={k}))]))
+print(json.dumps([[[r.name, r.as_expected] for r in run_suite(SuiteConfig(k=k))]
+                  for k in {orders}]))
 """
 
 
-def mutant_run(tmp_path, mutant: str, k: int) -> list:
-    """The (name, as expected) pairs of the suite at order k, run on a copy
-    of the package with one source mutant planted."""
-    module, line, planted = MUTANTS[mutant]
+def mutant_run(tmp_path, mutant: str, *orders: int) -> list:
+    """Per order k, the (name, as expected) pairs of the suite, run on a
+    copy of the package with one source mutant planted."""
+    module, line, planted = (MUTANTS | KERNEL_MUTANTS)[mutant]
     copy = tmp_path / "src"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
     path = copy / "twistfock" / f"{module}.py"
@@ -151,7 +178,7 @@ def mutant_run(tmp_path, mutant: str, k: int) -> list:
     assert text.count(line) == 1, (mutant, line)
     path.write_text(text.replace(line, planted))
     done = subprocess.run(
-        [sys.executable, "-c", RUN_SUITE.format(k=k)], cwd=tmp_path,
+        [sys.executable, "-c", RUN_SUITE.format(orders=orders)], cwd=tmp_path,
         env={"PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -160,6 +187,13 @@ def mutant_run(tmp_path, mutant: str, k: int) -> list:
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_planted_source_mutant_fails_a_report(tmp_path, mutant):
-    reports = mutant_run(tmp_path, mutant, 3)
+    [reports] = mutant_run(tmp_path, mutant, 3)
     assert reports
     assert not all(as_expected for _, as_expected in reports)
+
+
+@pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
+def test_planted_kernel_defect_fails_a_delta_identity(tmp_path, mutant):
+    for k, reports in zip((2, 3), mutant_run(tmp_path, mutant, 2, 3)):
+        assert any(not as_expected for name, as_expected in reports
+                   if name.startswith("delta-identity-")), k

@@ -77,9 +77,15 @@ def test_tracer_sees_every_check():
         # the expanded-product checks read their mode families through
         # the one traced method, or the per-layer count would read 0
         assert tracer.counts["verify.mode_family.calls"] > 0
+        before = tracer.counts["formal"]
         verify.run_suite(verify.SuiteConfig(k=3, radius=QQ(1, 2)))
+        formal_calls = tracer.counts["formal"] - before
     finally:
         tracer.uninstall()
+    # the formal layer's calls per k = 3 suite: the six delta identities,
+    # the compare_series call inside each, the cover map's compare_series
+    # and the translation derivative's two compare_fields
+    assert formal_calls == 6 + 6 + 1 + 2
     unseen = [check for check in tracing.CHECKS
               if tracer.compared[tracing.check_metric(check)] == 0]
     assert unseen == []

@@ -342,13 +342,14 @@ class TestJacobiKernels:
             assert top + hi + 1 < self.REACH
         eps = -ONE if (left.parity and right.parity) else ONE
         pair = _pair(left, right)
-        first = merged_delta_kernel(
-            "x1", "x2", "x0", Window({"x0": (lo, hi), "x2": (0, self.REACH)})
-        )
-        second = merged_delta_kernel(
-            "x2", "x1", "x0", Window({"x0": (lo, hi), "x1": (0, self.REACH)}),
-            bottom_sign=-1,
-        )
+        # integer exponents: at scale 1 a key is the exponents themselves,
+        # and each table is read back as rational coefficients
+        tables = [merged_delta_kernel(
+            top, second, "x0", Window({"x0": (lo, hi), second: (0, self.REACH)}),
+            scale=1, bottom_sign=sign,
+        ) for top, second, sign in (("x1", "x2", 1), ("x2", "x1", -1))]
+        first, second = ({key: QQ(c, den) for key, c in nums.items()}
+                         for den, nums in tables)
         field_a, field_b = SlotField(k, u), SlotField(k, v)
         cache = {}
 
