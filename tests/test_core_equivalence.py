@@ -3558,7 +3558,7 @@ def old_check_f_composition(k: int, degree: int = 10,
     )
 
 
-def identity_runs(radius):
+def identity_runs():
     """(kind, r) for the suite's six identities: DF1 at three shifts."""
     for kind in DeltaIdentity:
         shifts = ((ZERO, HALF, -HALF) if kind is DeltaIdentity.DF1
@@ -3579,7 +3579,7 @@ def assert_rational_witnesses(result: ComparisonResult):
 def test_delta_identities_match_the_old_bodies(k):
     for radius in (ZERO, QQ(1, 4), HALF, QQ(3, 2), QQ(5, 2)):
         cube = Window.cube(("x0", "x1", "x2"), -radius - 1, radius + 1)
-        for kind, r in identity_runs(radius):
+        for kind, r in identity_runs():
             new = verify_delta_identity(kind, k, r, cube)
             assert new == old_verify_delta_identity(kind, k, r, cube), (
                 kind, r, radius)
@@ -3611,16 +3611,6 @@ def test_kernel_table_matches_the_old_body(case):
             assert rational_table(new, scale) == old, (scale, depth)
 
 
-def test_kernel_refuses_an_off_scale_lattice_or_a_short_depth():
-    w = Window.cube(("x0", "x1", "x2"), -2, 2)
-    with pytest.raises(ValueError, match="not on the"):
-        merged_delta_kernel("x1", "x0", "x2", w, scale=2, shift=QQ(1, 3))
-    with pytest.raises(ValueError, match="not on the"):
-        merged_delta_kernel("x1", "x0", "x2", w, scale=4, lattice_den=3)
-    with pytest.raises(ValueError, match="below the expansion bound"):
-        merged_delta_kernel("x1", "x0", "x2", w, scale=1, depth=1)
-
-
 def double_one_numerator(table: tuple) -> tuple:
     """The table with the numerator of its middle key doubled."""
     den, nums = table
@@ -3650,7 +3640,7 @@ def test_planted_numerator_gives_the_old_witnesses(monkeypatch, k):
     for radius in (ZERO, HALF, QQ(3, 2)):
         cube = Window.cube(("x0", "x1", "x2"), -radius - 1, radius + 1)
         text = verify._window_str(cube)
-        for kind, r in identity_runs(radius):
+        for kind, r in identity_runs():
             new = verify_delta_identity(kind, k, r, cube)
             old = old_verify_delta_identity(kind, k, r, cube, planted_old)
             assert new == old, (kind, r, radius)
