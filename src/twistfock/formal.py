@@ -94,8 +94,8 @@ def _index_bounds(bounds: tuple, scale: int) -> tuple:
     (1/scale)-lattice, ceil(scale·lo) and floor(scale·hi); None stays
     unbounded."""
     lo, hi = bounds
-    return (None if lo is None else -(-lo.numerator * scale // lo.denominator),
-            None if hi is None else hi.numerator * scale // hi.denominator)
+    return (None if lo is None else rational_ceil(lo * scale),
+            None if hi is None else rational_floor(hi * scale))
 
 
 def merged_delta_kernel(
@@ -105,7 +105,6 @@ def merged_delta_kernel(
     window: Window,
     *,
     scale: int,
-    depth: int | None = None,
     shift=0,
     lattice_den: int = 1,
     second_sign: int = -1,
@@ -128,9 +127,10 @@ def merged_delta_kernel(
     times (-1)^e for the sign-reversed bottom.  With E = scale·e,
     C(e, i) = P_i / (scale^i i!), where P_i = prod_{j<i} (E - j·scale) is
     built along i; over the one denominator den = scale^depth depth! its
-    numerator is P_i scale^(depth-i) depth!/i!.  ``depth`` defaults to the
-    expansion variable's bound and must reach it; tables built at one
-    scale and depth add and compare numerator by numerator.
+    numerator is P_i scale^(depth-i) depth!/i!, where depth is the
+    window's largest upper bound (0 if none is positive), so it reaches the
+    expansion variable's bound: tables built at one scale on one window
+    share a denominator and add and compare numerator by numerator.
     """
     shift = QQ(shift)
     b_lo, b_hi = _index_bounds(window.bounds_for(bottom), scale)
@@ -146,10 +146,8 @@ def merged_delta_kernel(
                          f"not on the (1/{scale})-lattice")
     i_lo = max(0, rational_ceil(slo or ZERO))
     i_hi = rational_floor(shi)
-    if depth is None:
-        depth = max(0, i_hi)
-    elif depth < i_hi:
-        raise ValueError(f"depth {depth} is below the expansion bound {i_hi}")
+    depth = max([0] + [rational_floor(hi) for _, hi in window.bounds.values()
+                       if hi is not None])
     t_lo, t_hi = _index_bounds(window.bounds_for(top), scale)
     variables = (top, second, bottom)
     key = itemgetter(*sorted(range(3), key=variables.__getitem__))
@@ -341,18 +339,16 @@ def verify_delta_identity(
     (1/k)-lattice kernel; DF3 is the fractional-lattice version of DF1 at
     shift 0; THREE_TERM is the three-term substitution identity.  Comparisons
     run over the (1/2k)-lattice inside the window.  Every kernel table is
-    keyed on int indices at that scale and built at one depth, the window's
-    largest bound, so all the identity's tables share one denominator and
-    add and compare as int numerators (`compare_series`).
+    keyed on int indices at that scale and built on the one window, so all
+    the identity's tables share one denominator and add and compare as int
+    numerators (`compare_series`).
     """
     r = QQ(r)
     den = 2 * k
-    depth = max([0] + [rational_floor(hi) for _, hi in window.bounds.values()
-                       if hi is not None])
 
     def kernel(top, second, bottom, **options) -> tuple:
         return merged_delta_kernel(top, second, bottom, window, scale=den,
-                                   depth=depth, **options)
+                                   **options)
 
     if kind is DeltaIdentity.DF1:
         lhs = kernel("x1", "x0", "x2", shift=r)

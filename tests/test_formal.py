@@ -161,14 +161,12 @@ class TestDeltaKernels:
         assert result.mismatches == [
             (tuple(QQ(x, 2) for x in key), value + QQ(1, den), value)]
 
-    def test_off_scale_lattice_or_short_depth_is_refused(self):
+    def test_off_scale_lattice_is_refused(self):
         w = Window.cube(("x0", "x1", "x2"), -2, 2)
         with pytest.raises(ValueError, match="not on the"):
             merged_delta_kernel("x1", "x0", "x2", w, scale=2, shift=QQ(1, 3))
         with pytest.raises(ValueError, match="not on the"):
             merged_delta_kernel("x1", "x0", "x2", w, scale=4, lattice_den=3)
-        with pytest.raises(ValueError, match="below the expansion bound"):
-            merged_delta_kernel("x1", "x0", "x2", w, scale=1, depth=1)
 
     @pytest.mark.parametrize("bounds, message", [
         ({"x0": (0, 3), "x2": (None, 3)}, "denominator variable"),
