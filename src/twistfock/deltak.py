@@ -164,6 +164,14 @@ def _exp_series(seed: dict, den: int, derive, scale: int) -> tuple:
         total_den = _add(totals, total_den, term.items(), 1, den)
 
 
+def _int_row(values, sign: int) -> tuple:
+    """(D, [(j, sign·A_j)]) for a_j = values[j - 1] = A_j / D over the lcm
+    D of their denominators, the zero a_j left out."""
+    D = lcm(*[a.denominator for a in values])
+    return D, [(j, sign * a.numerator * (D // a.denominator))
+               for j, a in enumerate(values, start=1) if a]
+
+
 def _exp_derivation_on_x(values, sign: int, top: int):
     """exp(sign * D) applied to the polynomial x, truncated to degree top.
 
@@ -176,9 +184,7 @@ def _exp_derivation_on_x(values, sign: int, top: int):
     """
     if top < 1:
         return [ZERO] * (top + 1)
-    D = lcm(*[a.denominator for a in values])
-    coeffs = [(j, sign * a.numerator * (D // a.denominator))
-              for j, a in enumerate(values, start=1) if a]
+    D, coeffs = _int_row(values, sign)
 
     def derive(term: dict) -> dict:
         out = {}
@@ -355,9 +361,7 @@ def _exp_virasoro(u: State, table: AjTable, sign: int) -> dict:
     """
     top = rational_floor(u.homogeneous_level())
     values = [table.a(j) for j in range(1, top + 1)]
-    D = lcm(*[a.denominator for a in values])
-    coeffs = [(j, sign * a.numerator * (D // a.denominator))
-              for j, a in enumerate(values, start=1) if a]
+    D, coeffs = _int_row(values, sign)
 
     def derive(term: dict) -> dict:
         out = {}

@@ -153,8 +153,9 @@ def require_conductor(conductor: int) -> None:
 class CycScalar:
     """Element of Q(zeta_N): coefficient vector of length phi(N) over Q.
 
-    Instances are immutable.  Arithmetic requires matching conductors; a
-    rational-valued element mixes freely with any conductor.
+    Instances are immutable.  Arithmetic and comparison take an int, a
+    `Fraction` or an element of the same conductor; another conductor
+    raises, whatever the element's value.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -207,6 +208,7 @@ class CycScalar:
 
     @classmethod
     def root_of_unity(cls, conductor: int, exponent: int) -> "CycScalar":
+        """zeta_N^m as an element of Q(zeta_N)."""
         return cls(conductor, [0] * (exponent % conductor) + [1])
 
     # -- predicates and conversions -----------------------------------------
@@ -227,29 +229,18 @@ class CycScalar:
         root = cmath.exp(2j * cmath.pi / self.conductor)
         return sum(float(c) * root**j for j, c in enumerate(self.coeffs))
 
-    # -- coercion ------------------------------------------------------------
+    # -- operands ------------------------------------------------------------
 
     def _pair(self, other):
-        """Coerce (self, other) to a common conductor or raise."""
-        if is_rational(other):
-            other = CycScalar.from_rational(other, self.conductor)
+        """(self, other) for an element of the same conductor, None for a
+        non-element; another conductor raises.  Every operator handles a
+        rational operand before it asks."""
         if not isinstance(other, CycScalar):
             return None
-        if self.conductor == other.conductor:
-            return self, other
-        if self.is_rational():
-            return (
-                CycScalar.from_rational(self.coeffs[0], other.conductor),
-                other,
-            )
-        if other.is_rational():
-            return (
-                self,
-                CycScalar.from_rational(other.coeffs[0], self.conductor),
-            )
-        raise ValueError(
-            f"conductor mismatch: {self.conductor} vs {other.conductor}"
-        )
+        if self.conductor != other.conductor:
+            raise ValueError(
+                f"conductor mismatch: {self.conductor} vs {other.conductor}")
+        return self, other
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -363,15 +354,10 @@ class CycScalar:
             return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CycScalar):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        if self.is_rational() or other.is_rational():
-            if self.is_rational() != other.is_rational():
-                return False
-            return self.coeffs[0] == other.coeffs[0]
-        raise ValueError(
-            f"conductor mismatch: {self.conductor} vs {other.conductor}"
-        )
+        if self.conductor != other.conductor:
+            raise ValueError(
+                f"conductor mismatch: {self.conductor} vs {other.conductor}")
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if self.is_rational():
@@ -405,11 +391,6 @@ class CycScalar:
 # ---------------------------------------------------------------------------
 # named constructors used throughout the package
 # ---------------------------------------------------------------------------
-
-
-def cyc_root_of_unity(conductor: int, exponent: int) -> CycScalar:
-    """zeta_N^m as an element of Q(zeta_N)."""
-    return CycScalar.root_of_unity(conductor, exponent)
 
 
 @lru_cache(maxsize=None)
@@ -466,7 +447,7 @@ def rationalized(x):
 
 def eta_k(k: int) -> CycScalar:
     """A fixed primitive k-th root of unity inside Q(zeta_{4k})."""
-    return cyc_root_of_unity(4 * k, 4)
+    return CycScalar.root_of_unity(4 * k, 4)
 
 
 @lru_cache(maxsize=None)

@@ -294,14 +294,6 @@ def _slot_field(k: int, u: State, *, slot: int = 1) -> SlotField:
     return SlotField(k, u, slot - 1)
 
 
-def _parity_field(k: int, u: State, recovered: bool):
-    """The parity-twisted field of a state, on the doubled index N = 2m:
-    recovered through the inverse construction (twisted modes composed
-    with the inverse coordinate change), or else native, the slot field
-    of order 1.  Both are over Q, with the one scalar 1."""
-    return RecoveredField(k, u) if recovered else SlotField(1, u)
-
-
 def _product_terms(inner, n: int, a: int, b: int, state: State) -> list:
     """The (outer index, inner index, weight) of each summand of
         sum_{i>=0} (-1)^i C(n, i) outer(a - i step) inner(b + i step) state,
@@ -738,20 +730,20 @@ def check_odd_obstruction(
 
 
 def check_cross_slot_commutator(
-    k: int, u: State, v: State, slot_u: int, slot_v: int, window: Window, *,
-    domain_level=QQ(2),
+    k: int, u: State, v: State, left_slot: int, right_slot: int,
+    window: Window, *, domain_level=QQ(2),
 ) -> CheckReport:
     """Supercommutator of twisted fields living in two tensor slots.
 
     The residue side places the product state in the right argument's slot
     and weights the kernel coefficient at exponent n by the
-    (slot_u - slot_v)·k·n-th power of the primitive root of unity.
+    (left_slot - right_slot)·k·n-th power of the primitive root of unity.
     """
     _require_pair(k, u, v)
-    label = (f"cross-slot-commutator[k={k},slots={slot_u},{slot_v},"
+    label = (f"cross-slot-commutator[k={k},slots={left_slot},{right_slot},"
              f"{_pair_label(u, v)}]")
     (report,) = _commutator_report(
-        k, _slot_field(k, u, slot=slot_u), _slot_field(k, v, slot=slot_v),
+        k, _slot_field(k, u, slot=left_slot), _slot_field(k, v, slot=right_slot),
         window, forms=((label, 0, "pass"),), domain_level=domain_level,
     )
     return report
@@ -759,22 +751,18 @@ def check_cross_slot_commutator(
 
 def check_recovered_commutator(
     k: int, u: State, v: State, window: Window, *, domain_level=QQ(2),
-    use_recovered: bool = True,
 ) -> CheckReport:
     """Supercommutator of parity-twisted fields against the residue form
     with the half-parity-shifted integer kernel lattice.
 
-    With ``use_recovered`` the fields are the ones recovered from the
-    twisted module through the inverse construction, certifying that the
-    recovery really is a parity-twisted field map; otherwise the native
-    fields are used (a cross-validation of the engine itself).
+    The fields are the ones recovered from the twisted module through the
+    inverse construction, certifying that the recovery really is a
+    parity-twisted field map.
     """
     _require_pair(k, u, v)
-    tag = "recovered" if use_recovered else "native"
-    label = f"parity-twisted-commutator[{tag},k={k},{_pair_label(u, v)}]"
+    label = f"parity-twisted-commutator[recovered,k={k},{_pair_label(u, v)}]"
     (report,) = _commutator_report(
-        k, _parity_field(k, u, use_recovered), _parity_field(k, v, use_recovered),
-        window,
+        k, RecoveredField(k, u), RecoveredField(k, v), window,
         # the shift parity/2, on the index 2·e
         forms=((label, u.homogeneous_parity(), "pass"),),
         domain_level=domain_level,
@@ -932,35 +920,31 @@ def _smallest_passing(attempt, top: int, k: int, window: str, what: str,
     )
 
 
+# the search bounds: locality's power N, weak associativity's shift n
+MAX_VANISHING_POWER = 4
+MAX_EXPONENT_SHIFT = 6
+
+
 def check_locality(
-    k: int,
-    u: State,
-    v: State,
-    window: Window,
-    *,
-    max_power: int = 4,
-    slot_u: int = 1,
-    slot_v: int = 1,
-    domain_level=QQ(2),
+    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2),
 ) -> CheckReport:
-    """Find the smallest N <= max_power with (x1-x2)^N times the
-    supercommutator vanishing on the window; fail if none works.
+    """Find the smallest N <= MAX_VANISHING_POWER with (x1-x2)^N times the
+    supercommutator of the first-slot fields vanishing on the window; fail
+    if none works.
 
     The commutator coefficients are materialized once on the full grid and
     each candidate N is tested on the sub-grid where all shifted lookups
     stay inside the window.
     """
-    if max_power < 0:
-        raise ValueError(f"the search bound N must be >= 0, got {max_power}")
     _require_pair(k, u, v)
-    pair = _pair(_slot_field(k, u, slot=slot_u), _slot_field(k, v, slot=slot_v))
+    pair = _pair(_slot_field(k, u), _slot_field(k, v))
     step = pair.left.scale
     grid1 = _lattice_grid(window, "x1", k, step)
     grid2 = _lattice_grid(window, "x2", k, step)
     domain = _domain(pair.left, domain_level)
     x1_text = _axis_texts("x1", grid1, step)
     x2_text = _axis_texts("x2", grid2, step, " @ ")
-    label = f"locality[k={k},slots={slot_u},{slot_v},{_pair_label(u, v)}]"
+    label = f"locality[k={k},slots=1,1,{_pair_label(u, v)}]"
 
     commutator = {}
     for iw, (_, target, _) in enumerate(domain):
@@ -992,7 +976,7 @@ def check_locality(
         return result
 
     return _smallest_passing(
-        attempt, max_power, k, _window_str(window), "vanishing power", "N"
+        attempt, MAX_VANISHING_POWER, k, _window_str(window), "vanishing power", "N"
     )
 
 
@@ -1123,18 +1107,12 @@ def check_grading(
 
 
 def check_weak_associativity(
-    k: int,
-    u: State,
-    v: State,
-    window: Window,
-    *,
-    max_order: int = 6,
-    domain_level=QQ(2),
-    use_recovered: bool = True,
+    k: int, u: State, v: State, window: Window, *, domain_level=QQ(2),
 ) -> CheckReport:
-    """Weak associativity of the (recovered) parity-twisted fields.
+    """Weak associativity of the recovered parity-twisted fields.
 
-    Searches for an exponent E = parity(u)/2 + n, n <= max_order, such that
+    Searches for an exponent E = parity(u)/2 + n, n <= MAX_EXPONENT_SHIFT,
+    such that
     (x0+x2)^E Y(u,x0+x2) Y(v,x2) w  (expanded with x2 second) equals
     (x2+x0)^E Y(Y(u,x0)v, x2) w    (expanded with x0 second)
     at every (x0, x2) exponent pair of the window, for every domain word w.
@@ -1142,14 +1120,11 @@ def check_weak_associativity(
     the recovered fields.  The product side of a point is one
     `_product_form`, read by `_form_value` through the word's composites.
     """
-    if max_order < 0:
-        raise ValueError(f"the search bound n must be >= 0, got {max_order}")
     _require_pair(k, u, v)
-    tag = "recovered" if use_recovered else "native"
-    # recovered and native fields are over Q: their scalars are (ONE,);
-    # both read the doubled index 2m, and so the x2 exponents are doubled
-    pair = _pair(_ModeFamily(_parity_field(k, u, use_recovered)),
-                 _ModeFamily(_parity_field(k, v, use_recovered)))
+    # recovered fields are over Q: their scalars are (ONE,); they read the
+    # doubled index 2m, and so the x2 exponents are doubled
+    pair = _pair(_ModeFamily(RecoveredField(k, u)),
+                 _ModeFamily(RecoveredField(k, v)))
     parity_u = u.homogeneous_parity()
     grid0 = _lattice_grid(window, "x0", 1, 1)
     grid2 = _lattice_grid(window, "x2", 2, 2)
@@ -1165,7 +1140,7 @@ def check_weak_associativity(
         iterate_families[t] = (None if state.is_zero()
                                else _ModeFamily(pair.right.field_of(state)))
 
-    label = f"weak-associativity[{tag},k={k},{_pair_label(u, v)}]"
+    label = f"weak-associativity[recovered,k={k},{_pair_label(u, v)}]"
 
     def attempt(n: int) -> ComparisonResult:
         result = ComparisonResult(label)
@@ -1198,7 +1173,7 @@ def check_weak_associativity(
         return result
 
     return _smallest_passing(
-        attempt, max_order, k, _window_str(window), "exponent shift", "n"
+        attempt, MAX_EXPONENT_SHIFT, k, _window_str(window), "exponent shift", "n"
     )
 
 

@@ -209,7 +209,7 @@ def test_criterion_09_twisted_jacobi_and_locality():
         report = check_twisted_jacobi(2, u, v, CUBE3)
         if not (report.verdict == "pass" and report.compared > 0):
             problems.append(f"jacobi {label}: {len(report.mismatches)} bad")
-    locality = check_locality(2, PSI, PSI, CUBE2, max_power=4)
+    locality = check_locality(2, PSI, PSI, CUBE2)
     found_power = None
     if locality.verdict == "pass" and locality.detail.startswith(
         "vanishing power N="

@@ -104,7 +104,7 @@ run without a cache:
   check runs at k = 2 and 4 on the suite's three pairs with x0 in -1..1:
   an honest run reads no left side for a witness, and one composite's
   weight planted one too high must give the same witnesses; so must it
-  in weak associativity at k = 2 and 4, recovered and native.  With both
+  in weak associativity at k = 2 and 4 on the recovered fields.  With both
   fields in slot 2 at k = 4 the left side must equal the state path at
   every point, where classes j != 0 take cyclotomic scalars.  Along with
   them, Pascal's rule E_{n+1}(a, b) = E_n(a, b) - E_n(a - step, b + step)
@@ -1263,7 +1263,7 @@ def test_slot_mode_is_one_scalar_times_a_rational_image(k, name):
 def test_recovered_mode_is_rational(k, name):
     u = MODE_STATES[name]
     field = RecoveredField(k, u)
-    family = verify._ModeFamily(verify._parity_field(k, u, True))
+    family = verify._ModeFamily(RecoveredField(k, u))
     assert family.scalars == (ONE,)
     nonzero = 0
     for m in mode_grid(2):
@@ -1576,8 +1576,8 @@ def test_int_tops_and_bounds_match_the_rational_ones(k, data):
     u = data.draw(st.sampled_from(CODEC_STATES))
     fields = [(verify._slot_field(k, u), k)]
     if k % 2 == 0:
-        fields.append((verify._parity_field(k, u, True), 1))
-    fields.append((verify._parity_field(k, u, False), 1))
+        fields.append((RecoveredField(k, u), 1))
+    fields.append((SlotField(1, u), 1))
     level2 = data.draw(st.integers(0, 12))
     # psi_{-level2/2}, a Ramond or NS word of doubled level level2
     state = State({(-level2,) if level2 else (): ONE})
@@ -2647,11 +2647,9 @@ def test_planted_composite_weight_gives_the_oracle_witnesses(
     assert got == expected
 
 
-@pytest.mark.parametrize("use_recovered", [True, False],
-                         ids=["recovered", "native"])
 @pytest.mark.parametrize("k", [2, 4])
 def test_planted_composite_weight_gives_the_weak_associativity_witnesses(
-        monkeypatch, k, use_recovered):
+        monkeypatch, k):
     """The weight of the composite A(-1/2)B(-1/2)w (the doubled index -1)
     raised by one wherever an expanded product adds it: the product side
     read as a linear form and the state path of
@@ -2665,11 +2663,12 @@ def test_planted_composite_weight_gives_the_weak_associativity_witnesses(
                 for a_i, m, c in honest(inner, n, a, b, state)]
 
     monkeypatch.setattr(verify, "_product_terms", planted)
+    monkeypatch.setattr(verify, "MAX_EXPONENT_SHIFT", 1)
     window = Window.cube(("x0", "x2"), QQ(-1), QQ(1))
-    options = dict(max_order=1, domain_level=QQ(1),
-                   use_recovered=use_recovered)
-    got = verify.check_weak_associativity(k, PSI, PSI, window, **options)
-    expected = combine_path_weak_associativity(k, PSI, PSI, window, **options)
+    got = verify.check_weak_associativity(k, PSI, PSI, window,
+                                          domain_level=QQ(1))
+    expected = combine_path_weak_associativity(k, PSI, PSI, window,
+                                               domain_level=QQ(1))
     assert got.mismatches
     assert got == expected
 
@@ -2744,14 +2743,13 @@ def test_one_eta_class_per_grid_point(k, window, level):
         assert len(set().union(*moved)) > 1
 
 
-def combine_path_weak_associativity(k, u, v, window, *, max_order=6,
-                                    domain_level=QQ(2), use_recovered=True):
+def combine_path_weak_associativity(k, u, v, window, *, domain_level=QQ(2)):
     """`verify.check_weak_associativity` as it was: the product side of
-    every (x0, x2) point one `combine_path_product`, combined as a state."""
+    every (x0, x2) point one `combine_path_product`, combined as a state,
+    searched up to the check's own `verify.MAX_EXPONENT_SHIFT`."""
     verify._require_pair(k, u, v)
-    tag = "recovered" if use_recovered else "native"
-    fam_u = verify._ModeFamily(verify._parity_field(k, u, use_recovered))
-    fam_v = verify._ModeFamily(verify._parity_field(k, v, use_recovered))
+    fam_u = verify._ModeFamily(RecoveredField(k, u))
+    fam_v = verify._ModeFamily(RecoveredField(k, v))
     scalars = verify._pair(fam_u, fam_v).scalars
     parity_u = u.homogeneous_parity()
     grid0 = verify._lattice_grid(window, "x0", 1, 1)
@@ -2766,7 +2764,7 @@ def combine_path_weak_associativity(k, u, v, window, *, max_order=6,
         state = vertex_mode(u, t, v)
         iterate_families[t] = (None if state.is_zero()
                                else verify._ModeFamily(fam_v.field_of(state)))
-    label = f"weak-associativity[{tag},k={k},{verify._pair_label(u, v)}]"
+    label = f"weak-associativity[recovered,k={k},{verify._pair_label(u, v)}]"
 
     def attempt(n: int) -> ComparisonResult:
         result = ComparisonResult(label)
@@ -2790,7 +2788,7 @@ def combine_path_weak_associativity(k, u, v, window, *, max_order=6,
                                    lhs, combine(rhs_terms))
         return result
 
-    return verify._smallest_passing(attempt, max_order, k,
+    return verify._smallest_passing(attempt, verify.MAX_EXPONENT_SHIFT, k,
                                     verify._window_str(window),
                                     "exponent shift", "n")
 

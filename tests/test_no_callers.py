@@ -22,9 +22,12 @@ does an entry whose definition gains a user or is deleted.
 """
 
 import ast
+import inspect
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+
+from twistfock import verify
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twistfock"
 
@@ -184,6 +187,32 @@ def private_imports(src: Path = SRC) -> set:
 
 def test_cross_module_private_imports_are_pinned():
     assert private_imports() == PRIVATE_IMPORTS
+
+
+def unpassed_suite_options(src: Path = SRC) -> set:
+    """(check, name) of each keyword-only parameter of a `check_*` that
+    `verify.run_suite` calls, where none of its calls there passes it."""
+    tree = ast.parse((src / "verify.py").read_text())
+    (suite,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "run_suite"]
+    passed = {}
+    for node in ast.walk(suite):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id.startswith("check_")):
+            passed.setdefault(node.func.id, set()).update(
+                keyword.arg for keyword in node.keywords)
+    return {
+        (check, name)
+        for check, names in passed.items()
+        for name, parameter in inspect.signature(
+            getattr(verify, check)).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY and name not in names
+    }
+
+
+def test_every_option_of_a_suite_check_is_passed_by_the_suite():
+    # an option that only tests set is code no command needs
+    assert unpassed_suite_options() == set()
 
 
 def test_builtin_named_method_needs_a_receiver_of_its_class(tmp_path):

@@ -12,7 +12,6 @@ from twistfock.scalars import (
     CycScalar,
     binomial,
     complex_embedding,
-    cyc_root_of_unity,
     cyc_sqrt_k,
     cyclotomic_poly,
     eta_k,
@@ -50,13 +49,13 @@ def cyc_scalars(draw, conductor=8):
 
 class TestExamples:
     def test_root_of_unity_half_turn(self):
-        assert cyc_root_of_unity(8, 4) == -1
+        assert CycScalar.root_of_unity(8, 4) == -1
 
     def test_root_of_unity_quarter_turn_squares_to_minus_one(self):
-        assert cyc_root_of_unity(8, 2) ** 2 == -1
+        assert CycScalar.root_of_unity(8, 2) ** 2 == -1
 
     def test_sqrt2_power_basis_form(self):
-        z8 = cyc_root_of_unity(8, 1)
+        z8 = CycScalar.root_of_unity(8, 1)
         assert cyc_sqrt_k(2) == z8 + z8**-1
 
     @pytest.mark.parametrize("k", ORDERS)
@@ -69,8 +68,8 @@ class TestExamples:
         assert abs(complex_embedding(cyc_sqrt_k(k)) - math.sqrt(k)) < 1e-9
 
     def test_conductor_mismatch_raises(self):
-        a = cyc_root_of_unity(8, 1)
-        b = cyc_root_of_unity(12, 1)
+        a = CycScalar.root_of_unity(8, 1)
+        b = CycScalar.root_of_unity(12, 1)
         with pytest.raises(ValueError, match="conductor mismatch"):
             a * b
 
@@ -82,10 +81,13 @@ class TestExamples:
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             cyc_sqrt_k(10**18 + 3)
 
-    def test_rational_elements_mix_across_conductors(self):
+    def test_rational_elements_refuse_another_conductor(self):
+        # a rational value does not make an element conductor-free
         a = CycScalar.from_rational(QQ(1, 2), 8)
-        b = cyc_root_of_unity(12, 1)
-        assert (a + b) - b == QQ(1, 2)
+        b = CycScalar.from_rational(QQ(1, 2), 12)
+        for op in (lambda: a + b, lambda: a * b, lambda: a == b):
+            with pytest.raises(ValueError, match="conductor mismatch"):
+                op()
 
     def test_half_integer_power_of_k(self):
         assert k_to_the(2, QQ(-1, 2)) * cyc_sqrt_k(2) == 1

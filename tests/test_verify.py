@@ -222,10 +222,13 @@ class TestCommutatorChecks:
         assert (planted.compared, len(planted.mismatches)) == (compared, mismatched)
 
     def test_cross_slot_rejects_bad_slot(self):
-        with pytest.raises(ValueError):
-            check_cross_slot_commutator(2, PSI, PSI, 0, 1, CUBE2)
-        with pytest.raises(ValueError):
-            check_cross_slot_commutator(2, PSI, PSI, 1, 3, CUBE2)
+        # slots outside 1..k are refused, not reduced mod k
+        window = Window.cube(("x1", "x2"), 0, 0)
+        for slots in ((0, 1), (3, 1), (1, 0), (1, 3)):
+            with pytest.raises(ValueError,
+                               match="tensor slot must lie in 1..2"):
+                check_cross_slot_commutator(2, PSI, PSI, *slots, window,
+                                            domain_level=QQ(1))
 
     def test_odd_obstruction_fails_then_passes(self):
         even_form, odd_form = check_odd_obstruction(3, PSI, PSI, CUBE2)
@@ -245,11 +248,8 @@ class TestCommutatorChecks:
         with pytest.raises(ValueError):
             check_odd_obstruction(2, PSI, PSI, CUBE2)
 
-    def test_recovered_commutator_both_builders(self):
+    def test_recovered_commutator(self):
         assert_clean_pass(check_recovered_commutator(2, PSI, PSI, CUBE2))
-        assert_clean_pass(
-            check_recovered_commutator(2, PSI, PSI, CUBE2, use_recovered=False)
-        )
 
 
 class TestTwistedJacobi:
@@ -452,24 +452,9 @@ class TestLocality:
         assert report.detail == "vanishing power N=1"
 
     def test_conformal_pair(self):
-        report = check_locality(2, OMEGA, OMEGA, CUBE2, max_power=4)
+        report = check_locality(2, OMEGA, OMEGA, CUBE2)
         assert_clean_pass(report)
         assert report.detail.startswith("vanishing power N=")
-
-    def test_cross_slot_locality(self):
-        report = check_locality(2, PSI, PSI, CUBE2, slot_u=1, slot_v=2)
-        assert_clean_pass(report)
-
-    @pytest.mark.parametrize("slots", [(0, 1), (3, 1), (1, 0), (1, 3)])
-    def test_rejects_out_of_range_slot(self, slots):
-        # slots outside 1..k are refused as the cross-slot check refuses
-        # them, not reduced mod k
-        window = Window.cube(("x1", "x2"), 0, 0)
-        with pytest.raises(ValueError, match="tensor slot must lie in 1..2"):
-            check_locality(
-                2, PSI, PSI, window, slot_u=slots[0], slot_v=slots[1],
-                domain_level=QQ(1),
-            )
 
 
 SMALL2 = Window.cube(("x1", "x2"), QQ(-1, 2), QQ(1, 2))
@@ -485,8 +470,6 @@ FIELD_CHECKS = {
     "locality": lambda: check_locality(2, PSI, PSI, SMALL2, domain_level=QQ(1)),
     "recovered-commutator": lambda: check_recovered_commutator(
         2, PSI, PSI, SMALL2, domain_level=QQ(1)),
-    "native-commutator": lambda: check_recovered_commutator(
-        2, PSI, PSI, SMALL2, domain_level=QQ(1), use_recovered=False),
 }
 CACHING_CHECKS = {
     "twisted-jacobi": lambda: check_twisted_jacobi(
@@ -494,37 +477,6 @@ CACHING_CHECKS = {
     "weak-associativity": lambda: check_weak_associativity(
         2, PSI, PSI, SMALL_ASSOC, domain_level=QQ(1)),
 }
-
-
-class TestSearchBounds:
-    """A negative search bound is refused before any field or grid is
-    built; the counting patches see the work of a bound of 0."""
-
-    def test_locality_refuses_before_the_grid(self, monkeypatch):
-        calls = []
-        grid = verify._supercommutator_grid
-        monkeypatch.setattr(verify, "_supercommutator_grid",
-                            lambda *args: calls.append(1) or grid(*args))
-        with pytest.raises(ValueError,
-                           match="the search bound N must be >= 0, got -1"):
-            check_locality(2, PSI, PSI, SMALL2, max_power=-1, domain_level=QQ(1))
-        assert calls == []
-        check_locality(2, PSI, PSI, SMALL2, max_power=0, domain_level=QQ(1))
-        assert calls
-
-    def test_weak_associativity_refuses_before_the_families(self, monkeypatch):
-        calls = []
-        family = verify._ModeFamily
-        monkeypatch.setattr(verify, "_ModeFamily",
-                            lambda field: calls.append(1) or family(field))
-        with pytest.raises(ValueError,
-                           match="the search bound n must be >= 0, got -1"):
-            check_weak_associativity(2, PSI, PSI, SMALL_ASSOC, max_order=-1,
-                                     domain_level=QQ(1))
-        assert calls == []
-        check_weak_associativity(2, PSI, PSI, SMALL_ASSOC, max_order=0,
-                                 domain_level=QQ(1))
-        assert calls
 
 
 class TestModeCache:
@@ -634,13 +586,8 @@ class TestStructureChecks:
             assert (len(report.mismatches), report.compared) == (
                 bad if shift < 0 else 0, compared)
 
-    @pytest.mark.parametrize(
-        "use_recovered", [True, False], ids=["recovered", "native"]
-    )
-    def test_weak_associativity(self, use_recovered):
-        report = check_weak_associativity(
-            2, PSI, PSI, ASSOC2, use_recovered=use_recovered
-        )
+    def test_weak_associativity(self):
+        report = check_weak_associativity(2, PSI, PSI, ASSOC2)
         assert_clean_pass(report)
         assert report.detail.startswith("exponent shift n=")
 
