@@ -222,13 +222,10 @@ class TestCommutatorChecks:
         assert (planted.compared, len(planted.mismatches)) == (compared, mismatched)
 
     def test_cross_slot_rejects_bad_slot(self):
-        # slots outside 1..k are refused, not reduced mod k
-        window = Window.cube(("x1", "x2"), 0, 0)
-        for slots in ((0, 1), (3, 1), (1, 0), (1, 3)):
-            with pytest.raises(ValueError,
-                               match="tensor slot must lie in 1..2"):
-                check_cross_slot_commutator(2, PSI, PSI, *slots, window,
-                                            domain_level=QQ(1))
+        with pytest.raises(ValueError):
+            check_cross_slot_commutator(2, PSI, PSI, 0, 1, CUBE2)
+        with pytest.raises(ValueError):
+            check_cross_slot_commutator(2, PSI, PSI, 1, 3, CUBE2)
 
     def test_odd_obstruction_fails_then_passes(self):
         even_form, odd_form = check_odd_obstruction(3, PSI, PSI, CUBE2)
@@ -455,6 +452,16 @@ class TestLocality:
         report = check_locality(2, OMEGA, OMEGA, CUBE2)
         assert_clean_pass(report)
         assert report.detail.startswith("vanishing power N=")
+
+    @pytest.mark.parametrize("slots", [(0, 1), (3, 1), (1, 0), (1, 3)])
+    def test_rejects_out_of_range_slot(self, slots):
+        # locality reads first-slot fields through `_slot_field`, which the
+        # cross-slot check shares: slots outside 1..k are refused there, not
+        # reduced mod k
+        window = Window.cube(("x1", "x2"), 0, 0)
+        with pytest.raises(ValueError, match="tensor slot must lie in 1..2"):
+            check_cross_slot_commutator(2, PSI, PSI, *slots, window,
+                                        domain_level=QQ(1))
 
 
 SMALL2 = Window.cube(("x1", "x2"), QQ(-1, 2), QQ(1, 2))
