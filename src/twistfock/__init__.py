@@ -14,9 +14,9 @@ def clear_caches() -> None:
     """Empty every cache of the package, so that the next call recomputes
     what it reads: the mode recursion and its half-binomials, the
     coordinate change's per-word pieces and expansions and its a_j tables,
-    the Ramond ground weight, the generalized binomials and the
-    cyclotomic tables."""
-    from . import deltak, fermion, ramond, scalars
+    the Ramond ground weight, the generalized binomials, the cyclotomic
+    tables and the fields' eta-scalar tables."""
+    from . import deltak, fermion, ramond, scalars, twist
 
     for cache in (
         fermion.iterate_mode_word,
@@ -31,5 +31,6 @@ def clear_caches() -> None:
         scalars._reduction_rows,
         scalars.cyc_sqrt_k,
         scalars.eta_powers,
+        twist.eta_scalars,
     ):
         cache.cache_clear()

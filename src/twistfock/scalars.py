@@ -285,7 +285,11 @@ class CycScalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        raw = [ZERO] * (2 * len(a.coeffs) - 1)
+        # int accumulators for two integral numerators (`integral_split`),
+        # so their product stays in int arithmetic; QQ ones otherwise, so
+        # a product of QQ elements keeps QQ coordinates
+        zero = 0 if type(a.coeffs[0]) is int and type(b.coeffs[0]) is int else ZERO
+        raw = [zero] * (2 * len(a.coeffs) - 1)
         for i, ca in enumerate(a.coeffs):
             if ca:
                 for j, cb in enumerate(b.coeffs):

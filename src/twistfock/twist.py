@@ -25,7 +25,7 @@ cyclotomic field.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .scalars import QQ, ZERO, ONE, eta_powers, rationalized
 from .formal import QSeries, assert_on_lattice
@@ -70,6 +70,15 @@ def require_cutoff(cutoff: int) -> None:
 # ---------------------------------------------------------------------------
 # twisted fields
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def eta_scalars(k: int, base) -> tuple:
+    """(base·eta^0, ..., base·eta^{k-1}), each a QQ where rational: the
+    scalar table of every field, and of every composed pair, whose
+    prefactor is ``base``.  Cached: the fields of one state share it
+    across slot powers and checks."""
+    return tuple(rationalized(base * eta) for eta in eta_powers(k))
 
 
 class _ModeField:
@@ -207,10 +216,7 @@ class SlotField(_ModeField):
         self.classes = self._on_sector_lattice(
             None if power * M % 2 else (-power * M // 2) % k
             for M in range(self.scale))
-        # entry j: the prefactor times eta^j, a QQ where rational
-        self.scalars = tuple(
-            rationalized(self.prefactor * eta) for eta in eta_powers(k)
-        )
+        self.scalars = eta_scalars(k, self.prefactor)
 
     def field_of(self, u: State) -> "SlotField":
         """The field of u in the same slot."""

@@ -16,6 +16,7 @@ from twistfock.deltak import INVERSE, apply_delta
 from twistfock.fermion import OMEGA, PSI, VACUUM
 from twistfock.ramond import ground_weight, sigma_vertex_mode
 from twistfock.scalars import QQ, eta_powers
+from twistfock.twist import SlotField
 
 
 def package_caches() -> dict:
@@ -39,12 +40,14 @@ def warm_up():
     sigma_vertex_mode(OMEGA, QQ(0), VACUUM)
     ground_weight()
     eta_powers(4)
+    SlotField(4, PSI, 1)
 
 
 def test_every_package_cache_is_emptied():
     caches = package_caches()
     assert "twistfock.deltak._word_expansion" in caches
     assert "twistfock.fermion.iterate_mode_word" in caches
+    assert "twistfock.twist.eta_scalars" in caches
     warm_up()
     assert [name for name, cache in sorted(caches.items())
             if cache.cache_info().currsize == 0] == []

@@ -157,7 +157,15 @@ run without a cache:
   at three key scales and three depths, the same witnesses, location
   types and report text with one numerator doubled in every kernel, the
   same window filter, and the same cover-map results, honest and with one
-  inverse coefficient planted.
+  inverse coefficient planted;
+* `verify.check_limit_axiom` as it was, reading every image and comparing
+  two scaled states per (slot power, exponent, word), against the check
+  that compares one scalar per (slot power, exponent) and builds states
+  only for a witness: the same reports for psi and omega at k = 2, 4 and
+  6 on x in [-5/2, 5/2], domain level 2, honest, with eta -> eta^{-1}
+  planted in `twist.eta_powers` and with one entry of one slot's scalar
+  table doubled; and the cached `twist.eta_scalars` table, against the
+  products base·eta^j that each field built for itself.
 
 The new code must give equal values; fast-built states must also satisfy
 the `State` invariant (sorted by word, no zero coefficient) and be equal
@@ -3693,3 +3701,122 @@ def test_planted_cover_coefficient_gives_the_old_witnesses(monkeypatch, k):
     assert new == old_check_f_composition(k, 6, planted_old)
     assert len(new.mismatches) > 1
     assert_rational_witnesses(new)
+
+
+# ---------------------------------------------------------------------------
+# the limit axiom as it was: two scaled states compared per word
+# ---------------------------------------------------------------------------
+
+
+def old_check_limit_axiom(k, u, window, *, domain_level=QQ(2)):
+    """`verify.check_limit_axiom` as it was: one image per (e, word) from
+    slot 0, a column of scaled states per slot power, and two states built
+    and compared per (slot power, exponent, word)."""
+    twist.require_even_order(k)
+    verify._require_usable(u, "tensor factor")
+    etas = eta_powers(k)
+    step = 2 * k
+    grid = verify._lattice_grid(window, "x", step, step)
+    slots = [SlotField(k, u, a) for a in range(k)]
+    domain = verify._domain(slots[0], domain_level)
+    images = {(e, word): slots[0].mode(-e - step, target)
+              for e in grid for word, target, _ in domain}
+    columns = []
+    for slot in slots:
+        column = {}
+        for (e, word), image in images.items():
+            j = slot.eta_class(-e - step)
+            column[e, word] = (ZERO_STATE if j is None
+                               else image.scaled(slot.scalars[j]))
+        columns.append(column)
+    x_text = verify._axis_texts("x", grid, step)
+    result = ComparisonResult(f"limit-axiom[k={k},{verify._state_label(u)}]")
+    for a in range(k):
+        source = columns[a]
+        dest = columns[(a - 1) % k]
+        for e in grid:
+            scale = ONE if e % 2 else etas[(-e // 2) % k]
+            text = f"slot-power {a}: {x_text[e]}"
+            for word, _, word_text in domain:
+                result.compare(
+                    text + word_text,
+                    source[e, word].scaled(scale),
+                    dest[e, word],
+                )
+    return verify._wrap_comparison(result, k, verify._window_str(window))
+
+
+LIMIT_WINDOW = Window({"x": (QQ(-5, 2), QQ(5, 2))})
+LIMIT_STATES = {"psi": PSI, "omega": OMEGA}
+_slot_init = SlotField.__init__
+
+
+def doubled_slot_scalar(self, k, u, power=0):
+    """`SlotField.__init__` with entry 1 of slot power 1's table doubled."""
+    _slot_init(self, k, u, power)
+    if self.power == 1:
+        scalars = list(self.scalars)
+        scalars[1] *= 2
+        self.scalars = tuple(scalars)
+
+
+LIMIT_PLANTS = {
+    "honest": None,
+    "inverse-root": (twist, "eta_powers",
+                     lambda k: tuple(eta_powers(k)[-j % k] for j in range(k))),
+    "slot-scalar": (SlotField, "__init__", doubled_slot_scalar),
+}
+
+
+def limit_outcomes(monkeypatch, plant: str, k: int, u: State) -> tuple:
+    """The new and the old limit axiom at k on the window, domain level 2,
+    with one plant in place, caches cleared before and after it."""
+    clear_caches()
+    if LIMIT_PLANTS[plant] is not None:
+        monkeypatch.setattr(*LIMIT_PLANTS[plant])
+    try:
+        return tuple(check(k, u, LIMIT_WINDOW, domain_level=QQ(2))
+                     for check in (verify.check_limit_axiom,
+                                   old_check_limit_axiom))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+@pytest.mark.parametrize("plant", sorted(LIMIT_PLANTS))
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(LIMIT_STATES))
+def test_limit_axiom_matches_the_old_body(monkeypatch, plant, k, name):
+    got, expected = limit_outcomes(monkeypatch, plant, k, LIMIT_STATES[name])
+    assert got == expected
+    if plant == "slot-scalar":
+        assert got.mismatches
+
+
+# compared/mismatched of the old body with eta -> eta^{-1}; at k = 2 the
+# root -1 is its own inverse
+INVERSE_ROOT_COUNTS = {
+    (2, "psi"): (252, 0), (2, "omega"): (252, 0),
+    (4, "psi"): (984, 144), (4, "omega"): (984, 232),
+    (6, "psi"): (2196, 432), (6, "omega"): (2196, 684),
+}
+
+
+@pytest.mark.parametrize("k, name", sorted(INVERSE_ROOT_COUNTS))
+def test_inverse_root_gives_the_old_counts(monkeypatch, k, name):
+    got, _ = limit_outcomes(monkeypatch, "inverse-root", k, LIMIT_STATES[name])
+    assert (got.compared, len(got.mismatches)) == INVERSE_ROOT_COUNTS[k, name]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_eta_scalar_table_is_the_uncached_products(k):
+    """Every table a slot field or a composed pair reads is base·eta^j,
+    each a QQ where rational, as the fields built it before the cache."""
+    clear_caches()
+    for u in (PSI, OMEGA, VACUUM):
+        field = SlotField(k, u)
+        for base in (field.prefactor, field.scalars[0] * field.scalars[0]):
+            expected = tuple(rationalized(base * eta) for eta in eta_powers(k))
+            got = twist.eta_scalars(k, base)
+            assert got == expected
+            assert [type(x) for x in got] == [type(x) for x in expected]

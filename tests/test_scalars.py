@@ -17,6 +17,7 @@ from twistfock.scalars import (
     eta_k,
     eta_powers,
     euler_phi,
+    integral_split,
     k_to_the,
 )
 
@@ -171,6 +172,18 @@ class TestFieldAxioms:
     def test_rational_fast_path_agrees(self, a, q):
         """Scaling by a rational equals multiplying by the embedded rational."""
         assert a * q == a * CycScalar.from_rational(q, a.conductor)
+
+    @given(st.sampled_from([8, 12, 24]).flatmap(
+        lambda n: st.tuples(cyc_scalars(n), cyc_scalars(n))))
+    def test_integral_product_stays_in_ints(self, pair):
+        """The product of two int-coordinate numerators has int
+        coordinates, and the value of the product of the validated
+        elements."""
+        a, b = pair
+        (num_a, den_a), (num_b, den_b) = integral_split(a), integral_split(b)
+        product = num_a * num_b
+        assert all(type(c) is int for c in product.coeffs)
+        assert product == a * b * (den_a * den_b)
 
 
 if __name__ == "__main__":

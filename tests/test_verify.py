@@ -521,6 +521,11 @@ class TestStructureChecks:
     def test_limit_axiom_order_four(self):
         assert_clean_pass(check_limit_axiom(4, PSI, LINE))
 
+    @pytest.mark.parametrize("k, u", [(4, OMEGA), (6, PSI), (6, OMEGA)],
+                             ids=["4-omega", "6-psi", "6-omega"])
+    def test_limit_axiom_more_orders(self, k, u):
+        assert_clean_pass(check_limit_axiom(k, u, LINE))
+
     def test_translation_derivative_any_order(self):
         # L(-1) kills the vacuum: its translated field is empty, and so is
         # the derivative of its constant field
