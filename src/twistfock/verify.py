@@ -996,13 +996,12 @@ def check_limit_axiom(
     the cycle of k single-step comparisons covers the full orbit.
 
     Every slot field of u is its slot's scalar times one rational image,
-    the same in every slot.  So at (a, e) the comparison of each domain
-    word holds exactly when slot a's scalar times eta^{-k e} equals slot
-    (a-1)'s, a scalar being 0 where its eta class is None, or when the
-    image on the word is zero.  The check compares those two scalars once
-    per (a, e) and counts one comparison per word; only where they differ
-    does it read the images and build both states of each word, the
-    witnesses.
+    the same in every slot; the scalar is 0 where the slot's eta class is
+    None.  So at (a, e) the comparison of a domain word holds exactly when
+    its image is zero or slot a's scalar times eta^{-k e} equals slot
+    (a-1)'s.  The check compares those two scalars once per (a, e) and
+    counts one comparison per word; only where they differ does it read
+    the images and build both states of each word, the witnesses.
     """
     require_even_order(k)
     _require_usable(u, "tensor factor")
